@@ -4,7 +4,8 @@ Every run returns a :class:`RunTrace` whose per-iteration records are plain
 JSON-serializable dicts; replaying a trace (same inputs, same seed) must
 reproduce it bit-for-bit. The two randomized algorithms expose their uniform
 draws through small "choice process" objects so that the verification module
-can expand the exact same choice tree exhaustively.
+can expand the exact same choice tree exhaustively; ``canonical(state)`` keys
+the states whose subtrees coincide, so the expansion visits each once.
 
 Runs are single-threaded and deterministic; independent trials with distinct
 seeds may execute concurrently without shared state.
@@ -238,8 +239,10 @@ class DummyGreedyProcess:
     def initial(self) -> tuple:
         return ()
 
-    def leaf_count(self) -> int:
-        return self.k ** self.k  # every round draws from exactly k candidates
+    def canonical(self, state: tuple) -> tuple:
+        # dummies enter ``choices`` as one id-ordered block, so states with
+        # the same real part and dummy count have relabelled, equal subtrees
+        return self.real_mask(state), sum(u >= self.f.n for u in state)
 
     def real_mask(self, state: tuple) -> int:
         return mask_of((u for u in state if u < self.f.n), self.f.n)
@@ -349,6 +352,9 @@ class IntersectionGreedyProcess:
             raise ValueError(
                 "all feasible marginals are negative; oracle is not monotone")
         return tuple(best)
+
+    def canonical(self, mask: int) -> int:
+        return mask
 
     def step(self, mask: int, choice: int) -> int:
         return mask | (1 << int(choice))

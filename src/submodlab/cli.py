@@ -91,9 +91,6 @@ def _build_parser() -> _Parser:
     ver.add_argument("--k", type=int, help="cardinality budget (problem 4)")
     ver.add_argument("--resolution", type=float, default=0.05)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--trials", type=int, default=2000,
-                     help="Monte-Carlo trials when the exact choice tree "
-                          "is too large (problems 4-5)")
 
     aud = sub.add_parser("audit", help="search instances for bound violations")
     aud.add_argument("--bound", required=True,
@@ -332,12 +329,11 @@ def _verify_reports(args, problem: int):
         ratios = measure_ratios(f)
         opt = verify.brute_force_opt_set(
             f, lambda mask: mask.bit_count() <= k)
-        measured, half = _expectation_or_ci(DummyGreedyProcess(f, k), args)
+        measured = verify.expected_value_exact(DummyGreedyProcess(f, k))
         reports.append(verify.check_bound(
             measured, verify.BOUNDS["problem4-claimed"],
             {"m": ratios.m, "gamma": ratios.gamma, "opt": opt.value},
-            instance_id=stem, algorithm_id="random-greedy-dummies",
-            half_width=half))
+            instance_id=stem, algorithm_id="random-greedy-dummies"))
     elif problem == 5:
         from .algorithms import IntersectionGreedyProcess
         f = comp["objective"]
@@ -345,23 +341,12 @@ def _verify_reports(args, problem: int):
         system = PSystem.from_matroids([comp["matroid1"], comp["matroid2"]])
         opt = verify.brute_force_opt_set(f, system.indep_mask)
         proc = IntersectionGreedyProcess(f, comp["matroid1"], comp["matroid2"])
-        measured, half = _expectation_or_ci(proc, args)
+        measured = verify.expected_value_exact(proc)
         reports.append(verify.check_bound(
             measured, verify.BOUNDS["problem5-claimed"],
             {"gamma": ratios.gamma, "opt": opt.value},
-            instance_id=stem, algorithm_id="random-greedy-intersection",
-            half_width=half))
+            instance_id=stem, algorithm_id="random-greedy-intersection"))
     return reports
-
-
-def _expectation_or_ci(process, args):
-    """Exact expectation when the choice tree fits, else a seeded
-    Monte-Carlo mean with a 99% confidence half-width."""
-    try:
-        return verify.expected_value_exact(process), None
-    except CapabilityError:
-        mean, se = verify.monte_carlo_value(process, args.trials, args.seed)
-        return mean, 2.576 * se
 
 
 def cmd_verify(args) -> int:

@@ -27,7 +27,7 @@ from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
 
 OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
-TREE_LEAF_LIMIT = 1_000_000
+TREE_NODE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,32 +123,38 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
 # exact expectations over uniform choice trees
 
 
-def expected_value_exact(process, max_leaves: int = TREE_LEAF_LIMIT) -> float:
-    """Exact expectation of the final value by exhaustive expansion of every
-    uniform draw in the process's choice tree.
+def expected_value_exact(process, max_nodes: int = TREE_NODE_LIMIT) -> float:
+    """Exact expectation of the final value over every uniform draw in the
+    process's choice tree.
 
-    Processes with a constant branching factor expose ``leaf_count`` so an
-    oversized tree is rejected before any walking; otherwise the walk aborts
-    once it has seen ``max_leaves`` leaves."""
-    count = getattr(process, "leaf_count", None)
-    if count is not None and count() > max_leaves:
-        raise CapabilityError(
-            f"choice tree has {count()} leaves, above the {max_leaves} cap")
-    leaves = 0
+    The tree is walked as a DAG: nodes whose ``process.canonical(state)``
+    keys agree have identical subtrees, so each distinct key is expanded
+    once and its value reused. Children are summed in ``choices`` order and
+    divided by their count, exactly as a plain tree walk does, so the result
+    is bit-identical to one. The walk aborts once it has expanded more than
+    ``max_nodes`` distinct states."""
+    memo: dict = {}
+    expanded = 0
 
     def rec(state) -> float:
-        nonlocal leaves
+        nonlocal expanded
+        key = process.canonical(state)
+        if key in memo:
+            return memo[key]
+        expanded += 1
+        if expanded > max_nodes:
+            raise CapabilityError(
+                f"choice DAG exceeds {max_nodes} distinct states")
         options = process.choices(state)
         if options is None:
-            leaves += 1
-            if leaves > max_leaves:
-                raise CapabilityError(
-                    f"choice tree exceeds {max_leaves} leaves")
-            return process.final_value(state)
-        total = 0.0
-        for choice in options:
-            total += rec(process.step(state, choice))
-        return total / len(options)
+            value = process.final_value(state)
+        else:
+            total = 0.0
+            for choice in options:
+                total += rec(process.step(state, choice))
+            value = total / len(options)
+        memo[key] = value
+        return value
 
     return rec(process.initial())
 
@@ -465,7 +471,9 @@ def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2,
                    delta: float = 0.6) -> AuditReport:
     """Exact-expectation audit of the claimed partial-monotonicity bound for
     dummy-padded random greedy, over perturbed instances with measured
-    (gamma, m)."""
+    (gamma, m). The expectation is exact for every budget 1 <= k <= n: its
+    choice DAG has at most (k + 1) * 2^n states, and measuring gamma caps n
+    at GAMMA_LIMIT."""
     bound = BOUNDS["problem4-claimed"]
     return audit(bound,
                  lambda s, t: _problem4_case(s, t, n=n, k=k, delta=delta),

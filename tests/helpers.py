@@ -40,6 +40,22 @@ def recursive_best_subset(f, feasible_mask, n):
     return rec(0, 0)
 
 
+def tree_walk(process):
+    """Reference expectation: plain recursion over every branch of the
+    choice tree, with no sharing of repeated states."""
+
+    def rec(state):
+        options = process.choices(state)
+        if options is None:
+            return process.final_value(state)
+        total = 0.0
+        for choice in options:
+            total += rec(process.step(state, choice))
+        return total / len(options)
+
+    return rec(process.initial())
+
+
 def naive_submodularity_ratio(f):
     """Quadratic-blowup reference: min over all (A, B) pairs directly."""
     n = f.n

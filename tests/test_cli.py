@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 
+from submodlab.algorithms import DummyGreedyProcess
 from submodlab.cli import main
-from submodlab.serialization import from_doc, load_doc
+from submodlab.serialization import from_doc, load_bundle, load_doc
+from submodlab.verify import expected_value_exact
 
 
 def run(tmp_path, *argv):
@@ -178,18 +180,20 @@ def test_capability_error_exit_three(tmp_path):
                "--k", "2") == 3
 
 
-def test_verify_problem4_monte_carlo_fallback(tmp_path, capsys):
-    # k = 8 gives an 8^8-leaf choice tree, beyond the exact cap, so the
-    # verdict comes from a seeded Monte-Carlo mean with a 99% interval
+def test_verify_problem4_deep_tree_is_exact(tmp_path, capsys):
+    # k = 8 gives an 8^8-leaf choice tree; its memoized DAG is small, so the
+    # verdict rests on the exact expectation, with no sampling interval
     inst = tmp_path / "p4big.json"
     run(tmp_path, "gen", "--family", "problem4", "--n", "10", "--seed", "13",
         "--k", "8", "--out", str(inst))
     assert run(tmp_path, "verify", "--problem", "4", "--instance", str(inst),
-               "--k", "8", "--trials", "400", "--seed", "2") == 0
+               "--k", "8", "--seed", "2") == 0
     report = next(tmp_path.glob("verify-*-p4.csv")).read_text()
-    rows = report.splitlines()
-    half_width = rows[1].split(",")[5]
-    assert half_width != ""
+    fields = report.splitlines()[1].split(",")
+    exact = expected_value_exact(
+        DummyGreedyProcess(load_bundle(load_doc(inst))["objective"], 8))
+    assert fields[4] == repr(exact)
+    assert fields[5] == ""
 
 
 def test_config_file_with_flag_override(tmp_path):

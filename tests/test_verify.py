@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import (DummyGreedyProcess,
                                   IntersectionGreedyProcess, frank_wolfe,
@@ -10,19 +12,20 @@ from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import PSystem, UniformMatroid, random_partition_matroid
-from submodlab.oracles import (CapabilityError, ModularOracle,
+from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, ModularOracle,
                                random_coverage, random_modular,
                                random_perturbed)
 from submodlab.serialization import load_bundle
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
-                              PROVED, audit, audit_problem2_conjecture,
+                              PROVED, TREE_NODE_LIMIT, audit,
+                              audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
                               expected_value_exact, grid_opt,
                               monte_carlo_value, problem2_report,
                               problem3_report)
 
-from helpers import recursive_best_subset
+from helpers import recursive_best_subset, tree_walk
 
 
 def linear_oracle(b):
@@ -140,10 +143,76 @@ def test_expected_value_vs_million_samples():
     assert abs(samples.mean() - exact) <= 3.0 * se
 
 
-def test_expected_value_leaf_limit():
-    f = random_modular(8, 1)
+def test_expected_value_node_limit():
+    # this instance's choice DAG has exactly 252 distinct states
+    proc = DummyGreedyProcess(random_modular(8, 1), 5)
     with pytest.raises(CapabilityError):
-        expected_value_exact(DummyGreedyProcess(f, 5), max_leaves=1000)
+        expected_value_exact(proc, max_nodes=251)
+    assert expected_value_exact(proc, max_nodes=252) == tree_walk(proc)
+
+
+def test_node_limit_covers_gamma_limit():
+    # the dummy-greedy DAG has at most (k + 1) * 2^n states with k <= n, and
+    # CLI verify measures gamma first, which caps n at GAMMA_LIMIT
+    assert (GAMMA_LIMIT + 1) << GAMMA_LIMIT <= TREE_NODE_LIMIT
+
+
+class CountingProcess:
+    """Delegates to a choice process and counts ``choices`` calls per
+    canonical state."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def choices(self, state):
+        self.calls[self.inner.canonical(state)] += 1
+        return self.inner.choices(state)
+
+
+@st.composite
+def choice_processes(draw):
+    """Small choice processes of three kinds: dummy greedy on tie-heavy
+    modular weights (zero marginals tie with the dummies), dummy greedy on
+    non-monotone perturbed coverage (negative marginals sort after the
+    dummies), and intersection greedy on random partition matroids."""
+    kind = draw(st.sampled_from(["ties", "nonmonotone", "intersection"]))
+    n = draw(st.integers(2, 7))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "intersection":
+        return IntersectionGreedyProcess(
+            random_coverage(n, seed), random_partition_matroid(n, seed + 1),
+            random_partition_matroid(n, seed + 2))
+    if kind == "ties":
+        f = ModularOracle(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                        min_size=n, max_size=n)))
+    else:
+        f = random_perturbed(n, draw(st.sampled_from([0.3, 0.6, 1.0])), seed)
+    return DummyGreedyProcess(f, draw(st.integers(1, min(n, 5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(choice_processes())
+def test_expected_value_exact_matches_tree_walk_bit_for_bit(proc):
+    assert expected_value_exact(proc) == tree_walk(proc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(choice_processes())
+def test_expected_value_exact_queries_each_state_once(proc):
+    tree = CountingProcess(proc)
+    tree_walk(tree)
+    dag = CountingProcess(proc)
+    expected_value_exact(dag)
+    assert set(dag.calls) == set(tree.calls)
+    assert set(dag.calls.values()) == {1}
+    if isinstance(proc, DummyGreedyProcess):
+        n, k = proc.f.n, proc.k
+        bound = sum(math.comb(n, j) * (k - j + 1) for j in range(k + 1))
+        assert len(dag.calls) <= bound
 
 
 def test_monte_carlo_matches_exact_within_three_se():
