@@ -23,8 +23,10 @@ REL_TOL = 1e-9
 
 TABLE_LIMIT = 20          # 2^n value-table entries
 SUBMODULARITY_LIMIT = 14  # all (A, B) pairs
-GAMMA_LIMIT = 12          # all (A, B) pairs with B disjoint from A
+GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
 MONOTONICITY_LIMIT = 14   # all nested pairs via superset-min sweep
+
+_GAMMA_CHUNK = 1 << 15    # (A, B) entries per gamma sweep chunk
 
 
 class CapabilityError(RuntimeError):
@@ -163,9 +165,9 @@ class CoverageOracle(SetFunctionOracle):
     def _build_table(self) -> np.ndarray:
         size = 1 << self.n
         unions = np.zeros(size, dtype=np.int64)
-        for mask in range(1, size):
-            lsb = mask & -mask
-            unions[mask] = unions[mask ^ lsb] | self._cover_masks[lsb.bit_length() - 1]
+        for u, cover in enumerate(self._cover_masks):
+            half = 1 << u
+            unions[half:2 * half] = unions[:half] | cover
         tab = np.zeros(size)
         for j in range(self.universe_weights.size):
             tab += self.universe_weights[j] * ((unions >> j) & 1)
@@ -270,33 +272,55 @@ def is_submodular_bruteforce(f: SetFunctionOracle, tol: float = REL_TOL):
     return True, None
 
 
+def _popcounts(n: int) -> np.ndarray:
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for u in range(n):
+        half = 1 << u
+        counts[half:2 * half] = counts[:half] + 1
+    return counts
+
+
 def _gamma_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
+    # Sweeps every A, grouped by complement size c = n - |A| and chunked
+    # to at most _GAMMA_CHUNK entries, against all 2^c sets B of its
+    # complement. A chunk holds one column per A and one row per B, B in
+    # ascending order. Each singleton sum is a left fold from 0.0 in
+    # ascending element order (doubling over the ascending complement bits).
+    # Ties go to the smaller A, then the smaller B.
     if f.n > GAMMA_LIMIT:
         raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
+    n = f.n
     tab = f.table()
     scale = max(1.0, float(np.abs(tab).max()))
+    counts = _popcounts(n)
     best = math.inf
     witness = None
-    for a in range(1 << f.n):
-        comp_bits = [u for u in range(f.n) if not (a >> u) & 1]
-        if not comp_bits:
-            continue
-        c = len(comp_bits)
-        masks = np.zeros(1 << c, dtype=np.int64)
-        sums = np.zeros(1 << c)
-        for i, u in enumerate(comp_bits):
-            half = 1 << i
-            masks[half:2 * half] = masks[:half] | (1 << u)
-            sums[half:2 * half] = sums[:half] + (tab[a | (1 << u)] - tab[a])
-        denom = tab[a | masks] - tab[a]
-        pos = denom > tol * scale
-        if not bool(pos.any()):
-            continue
-        ratios = sums[pos] / denom[pos]
-        j = int(np.argmin(ratios))
-        if float(ratios[j]) < best:
-            best = float(ratios[j])
-            witness = (a, int(masks[pos][j]))
+    for c in range(1, n + 1):
+        group = np.nonzero(counts == n - c)[0]
+        width = max(1, _GAMMA_CHUNK >> c)
+        for lo in range(0, group.size, width):
+            a = group[lo:lo + width]
+            comp = np.nonzero(((a[:, None] >> np.arange(n)) & 1) == 0)[1]
+            bits = 1 << comp.reshape(-1, c).T
+            base = tab[a]
+            marg = tab[a | bits] - base
+            masks = np.zeros((1 << c, a.size), dtype=np.int64)
+            sums = np.zeros((1 << c, a.size))
+            for i in range(c):
+                half = 1 << i
+                np.bitwise_or(masks[:half], bits[i], out=masks[half:2 * half])
+                np.add(sums[:half], marg[i], out=sums[half:2 * half])
+            denom = tab[masks | a] - base
+            ratios = np.full(denom.shape, math.inf)
+            np.divide(sums, denom, out=ratios, where=denom > tol * scale)
+            rows = np.argmin(ratios, axis=0)
+            col_min = ratios[rows, np.arange(a.size)]
+            j = int(np.argmin(col_min))
+            value = float(col_min[j])
+            cand = (int(a[j]), int(masks[rows[j], j]))
+            if value < best or (value == best and witness is not None
+                                and cand < witness):
+                best, witness = value, cand
     if witness is None:
         return 1.0, None
     pair = (elements_of(witness[0]), elements_of(witness[1]))
@@ -308,9 +332,10 @@ def _gamma_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
 def submodularity_ratio(f: SetFunctionOracle) -> float:
     """Largest gamma with sum_{u in B} f(u|A) >= gamma * f(B|A) for all A, B.
 
-    Pairs with f(B|A) <= 0 are skipped (the inequality is vacuous for
-    monotone f there); the result is clamped to [0, 1] and values within
-    relative 1e-9 of 1 snap to exactly 1.
+    Pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|) are skipped (the
+    inequality is vacuous for monotone f where f(B|A) <= 0); the result is
+    clamped to [0, 1] and values within relative 1e-9 of 1 snap to
+    exactly 1.
     """
     gamma, _ = _gamma_with_witness(f)
     return gamma
@@ -337,11 +362,8 @@ def _m_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
     best = float(ratios[j])
     s_mask = int(np.nonzero(pos)[0][j])
     target = sup_min[s_mask]
-    t_mask = s_mask
-    for m in range(1 << f.n):
-        if (m & s_mask) == s_mask and tab[m] == target:
-            t_mask = m
-            break
+    idx = np.arange(1 << f.n)
+    t_mask = int(np.nonzero(((idx & s_mask) == s_mask) & (tab == target))[0][0])
     pair = (elements_of(s_mask), elements_of(t_mask))
     if best >= 1.0 - tol:
         return 1.0, pair

@@ -3,9 +3,11 @@ reference solvers used as cross-checking oracles."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from submodlab.oracles import GroundSet, SetFunctionOracle
+from submodlab.oracles import GroundSet, SetFunctionOracle, elements_of
 
 
 class TableOracle(SetFunctionOracle):
@@ -54,6 +56,91 @@ def tree_walk(process):
         return total / len(options)
 
     return rec(process.initial())
+
+
+def gamma_loop(f, tol=1e-9):
+    """Reference for ``oracles._gamma_with_witness``: one pass per set A,
+    with the singleton sums built by doubling over A's complement bits and
+    a strictly-less update across A (ties keep the smaller A)."""
+    tab = f.table()
+    scale = max(1.0, float(np.abs(tab).max()))
+    best = math.inf
+    witness = None
+    for a in range(1 << f.n):
+        comp_bits = [u for u in range(f.n) if not (a >> u) & 1]
+        if not comp_bits:
+            continue
+        c = len(comp_bits)
+        masks = np.zeros(1 << c, dtype=np.int64)
+        sums = np.zeros(1 << c)
+        for i, u in enumerate(comp_bits):
+            half = 1 << i
+            masks[half:2 * half] = masks[:half] | (1 << u)
+            sums[half:2 * half] = sums[:half] + (tab[a | (1 << u)] - tab[a])
+        denom = tab[a | masks] - tab[a]
+        pos = denom > tol * scale
+        if not bool(pos.any()):
+            continue
+        ratios = sums[pos] / denom[pos]
+        j = int(np.argmin(ratios))
+        if float(ratios[j]) < best:
+            best = float(ratios[j])
+            witness = (a, int(masks[pos][j]))
+    if witness is None:
+        return 1.0, None
+    pair = (elements_of(witness[0]), elements_of(witness[1]))
+    if best >= 1.0 - tol:
+        return 1.0, pair
+    return max(0.0, best), pair
+
+
+def m_loop(f, tol=1e-9):
+    """Reference for ``oracles._m_with_witness``: for each S in ascending
+    order, the first superset T of least value, with a strictly-less update
+    across S (ties keep the smaller S)."""
+    tab = f.table()
+    scale = float(tab.max())
+    if scale <= 0.0:
+        return 1.0, None
+    best = math.inf
+    witness = None
+    for s in range(1 << f.n):
+        if not tab[s] > tol * max(1.0, scale):
+            continue
+        t = min((t for t in range(1 << f.n) if (t & s) == s),
+                key=lambda t: tab[t])
+        if float(tab[t] / tab[s]) < best:
+            best = float(tab[t] / tab[s])
+            witness = (s, t)
+    if witness is None:
+        return 1.0, None
+    pair = (elements_of(witness[0]), elements_of(witness[1]))
+    if best >= 1.0 - tol:
+        return 1.0, pair
+    return max(0.0, best), pair
+
+
+def coverage_table_lsb(f):
+    """Reference coverage table: each union mask from the mask without its
+    lowest bit."""
+    size = 1 << f.n
+    unions = np.zeros(size, dtype=np.int64)
+    for mask in range(1, size):
+        lsb = mask & -mask
+        unions[mask] = unions[mask ^ lsb] | f._cover_masks[lsb.bit_length() - 1]
+    tab = np.zeros(size)
+    for j in range(f.universe_weights.size):
+        tab += f.universe_weights[j] * ((unions >> j) & 1)
+    return tab
+
+
+def relabel(f, perm):
+    """TableOracle g with g(perm(S)) = f(S): element u is renamed perm[u]."""
+    tab = f.table()
+    out = np.empty_like(tab)
+    for mask in range(tab.size):
+        out[sum(1 << perm[u] for u in elements_of(mask))] = tab[mask]
+    return TableOracle(out)
 
 
 def naive_submodularity_ratio(f):

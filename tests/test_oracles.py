@@ -1,14 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.oracles import (CapabilityError, CutOracle, ModularOracle,
-                               PerturbedOracle, is_submodular_bruteforce,
-                               marginal, measure_ratios, monotonicity_ratio,
+from submodlab import oracles
+from submodlab.matroids import UniformMatroid
+from submodlab.oracles import (CapabilityError, CoverageOracle, CutOracle,
+                               ModularOracle, PerturbedOracle,
+                               is_submodular_bruteforce, marginal,
+                               measure_ratios, monotonicity_ratio,
                                random_coverage, random_cut, random_modular,
                                random_perturbed, submodularity_ratio)
+from submodlab.verify import brute_force_opt_set
 
-from helpers import TableOracle
+from helpers import (TableOracle, coverage_table_lsb, gamma_loop, m_loop,
+                     relabel)
 
 
 def test_marginal_modular_additivity():
@@ -169,3 +176,94 @@ def test_measurements_agree_with_naive_references():
             naive_monotonicity_ratio(f), rel=1e-12, abs=1e-12)
         assert submodularity_ratio(f) == pytest.approx(
             naive_submodularity_ratio(f), rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def small_oracles(draw):
+    """Tie-heavy small-integer tables, supermodular tables (whose gamma
+    witness has a large B, so the order of the singleton sum shows in the
+    last bits) and every generated family, n <= 8."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(
+        ["table", "table", "supermodular", "modular", "coverage", "cut",
+         "perturbed", "perturbed-monotone"]))
+    if kind == "table":
+        top = draw(st.integers(0, 3))
+        return TableOracle(np.random.default_rng(seed).integers(
+            0, top + 1, 1 << n).astype(float))
+    if kind == "supermodular":
+        return TableOracle(random_modular(n, seed).table() ** 2)
+    if kind == "modular":
+        return random_modular(n, seed)
+    if kind == "coverage":
+        return random_coverage(n, seed)
+    if kind == "cut":
+        return random_cut(max(n, 2), seed)
+    return random_perturbed(n, 0.3, seed,
+                            monotone=kind == "perturbed-monotone")
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_oracles(), st.sampled_from([oracles._GAMMA_CHUNK, 8, 1]))
+def test_ratio_kernels_match_reference_loops_exactly(f, chunk):
+    with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
+        assert oracles._gamma_with_witness(f) == gamma_loop(f)
+    assert oracles._m_with_witness(f) == m_loop(f)
+
+
+def test_gamma_kernel_ties_go_to_smallest_pair_across_groups():
+    # Every positive pair of a modular oracle ties at ratio 1; A = {} comes
+    # last in the sweep (its group has the largest complement) yet must win.
+    f = ModularOracle(np.ones(6))
+    for chunk in (oracles._GAMMA_CHUNK, 8, 1):
+        with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
+            assert oracles._gamma_with_witness(f) == (1.0, ([], [0]))
+
+
+def test_gamma_kernel_sums_singletons_in_ascending_order():
+    # f = w(S)^2 puts the gamma witness at A = {}, B = N, where the order of
+    # the n-term singleton sum decides the last bits of gamma.
+    for seed in range(10):
+        f = TableOracle(random_modular(8, seed).table() ** 2)
+        with mock.patch.object(oracles, "_GAMMA_CHUNK", 8):
+            assert oracles._gamma_with_witness(f) == gamma_loop(f)
+
+
+@st.composite
+def coverage_instances(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["random", "empty", "overlap"]))
+    if shape == "empty" or m == 0:
+        covers = [[] for _ in range(n)]
+    elif shape == "overlap":
+        covers = [list(range(m)) for _ in range(n)]
+    else:
+        covers = draw(st.lists(st.lists(st.integers(0, m - 1), max_size=m),
+                               min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+    return CoverageOracle(n, covers, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coverage_instances())
+def test_coverage_table_matches_lsb_build(f):
+    assert f.table().tobytes() == coverage_table_lsb(f).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.integers(0, 10_000), st.permutations(range(n)), st.integers(0, n))))
+def test_relabelling_preserves_opt_gamma_and_m(case):
+    seed, perm, rank = case
+    n = len(perm)
+    f = TableOracle(np.random.default_rng(seed).uniform(0.0, 2.0, 1 << n))
+    g = relabel(f, perm)
+    opt_f = brute_force_opt_set(f, UniformMatroid(n, rank))
+    opt_g = brute_force_opt_set(g, UniformMatroid(n, rank))
+    assert opt_g.value == opt_f.value
+    assert submodularity_ratio(g) == pytest.approx(
+        submodularity_ratio(f), rel=1e-12, abs=1e-12)
+    assert monotonicity_ratio(g) == pytest.approx(
+        monotonicity_ratio(f), rel=1e-12, abs=1e-12)
