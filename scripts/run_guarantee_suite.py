@@ -46,7 +46,7 @@ def main() -> int:
              random_partition_matroid(8, seed + 4)])
         trace = multipass_greedy(f, system, args.epsilon)
         opt = brute_force_opt_set(f, system.indep_mask)
-        reports.append(problem2_report(trace, opt,
+        reports.append(problem2_report(trace, opt, system=system,
                                        instance_id=f"bicriteria-{t}"))
 
         fc = random_quadratic_dr(n, seed + 5, monotone=True) if t % 2 \

@@ -22,7 +22,7 @@ from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
                          KnapsackPolytope, MultilinearOracle,
                          PartitionPolytope, Polytope, QuadraticOracle,
                          SqrtLinearOracle, SumOracle, dr_check, grad_check,
-                         lmo, masked_update, random_quadratic_dr,
+                         masked_update, random_quadratic_dr,
                          random_sqrt_linear, random_weak_quadratic, unit_box,
                          weak_dr_gamma)
 from .algorithms import (DummyGreedyProcess, IntersectionGreedyProcess,
@@ -32,7 +32,7 @@ from .algorithms import (DummyGreedyProcess, IntersectionGreedyProcess,
                          random_greedy_intersection)
 from .verify import (BOUNDS, AuditReport, BoundFormula, ConjectureReport,
                      GuaranteeReport, OptimumCertificate, audit,
-                     audit_problem2_conjecture, audit_problem4,
+                     audit_problem2, audit_problem2_conjecture, audit_problem4,
                      audit_problem5, brute_force_opt_set, check_bound,
                      expected_value_exact, grid_opt, monte_carlo_value)
 

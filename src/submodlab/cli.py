@@ -1,10 +1,18 @@
 """Command-line entry point: instance generation, algorithm runs, guarantee
 verification, and audits, all replayable from (config, seed).
 
+Each of the five problems is defined once, in the PROBLEMS table: how
+`gen --family problem<k>` builds its bundle, how `run` runs its algorithm,
+and how `verify` certifies the runs through verify's problem<k>_report
+steps. FAMILIES holds the seven other `gen` families.
+
 Exit codes: 0 success (including audited or inconclusive verdicts), 1 usage
-error, 2 proved-bound violation, 3 capability limit. The default output
-directory is ./submodlab-out, overridable with --out-dir or the
-SUBMODLAB_OUT environment variable.
+error, 2 a proved bound violated (by `verify`, or by
+`audit --bound problem2-bicriteria`), 3 capability limit. The default
+output directory is ./submodlab-out, overridable with --out-dir or the
+SUBMODLAB_OUT environment variable. A --config JSON file maps flag names to
+values; they are read as if given ahead of the command line's own flags, so
+argparse checks them and explicit flags win.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -23,14 +31,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import serialization, verify
 from .algorithms import (frank_wolfe, masked_frank_wolfe, multipass_greedy,
                          random_greedy_dummies, random_greedy_intersection)
-from .continuous import (CardinalityPolytope, random_quadratic_dr,
-                         random_sqrt_linear, random_weak_quadratic, unit_box,
-                         weak_dr_gamma, dr_check)
-from .matroids import PSystem, random_partition_matroid
+from .continuous import (CardinalityPolytope, SumOracle, dr_check,
+                         random_quadratic_dr, random_sqrt_linear,
+                         random_weak_quadratic, unit_box, weak_dr_gamma)
+from .matroids import random_partition_matroid, random_partition_psystem
 from .oracles import (GAMMA_LIMIT, MONOTONICITY_LIMIT, CapabilityError,
                       measure_ratios, random_coverage, random_cut,
                       random_modular, random_perturbed)
@@ -42,6 +51,9 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CAPABILITY = 3
 
+# options of the top-level parser; each takes exactly one value
+TOP_LEVEL_FLAGS = ("--config", "--out-dir")
+
 
 class UsageError(Exception):
     pass
@@ -50,6 +62,197 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+
+def _measure_if_small(f):
+    if f.n <= min(GAMMA_LIMIT, MONOTONICITY_LIMIT):
+        r = measure_ratios(f)
+        return {"gamma": r.gamma, "m": r.m,
+                "nonmonotone_caveat": r.nonmonotone_caveat}
+    return {}
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+# ---------------------------------------------------------------------------
+# the seven plain `gen` families
+
+
+def _set_function_family(make):
+    def gen(a):
+        f = make(a)
+        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
+    return gen
+
+
+def _weak_dr_family(make):
+    def gen(a):
+        f = make(a)
+        gamma = weak_dr_gamma(f, samples=1500, seed=a.seed)
+        return serialization.to_doc(f) | {
+            "measured": {"monotone": True, "gamma": gamma}}
+    return gen
+
+
+def _gen_quadratic_dr(a):
+    f = random_quadratic_dr(a.n, a.seed, monotone=a.monotone)
+    ok, _ = dr_check(f, samples=200, seed=a.seed)
+    if not ok:
+        raise ValueError("generated quadratic failed its DR precheck")
+    measured = {"monotone": f.monotone, "dr": True}
+    if f.monotone:
+        measured["gamma"] = weak_dr_gamma(f, samples=1500, seed=a.seed)
+    return serialization.to_doc(f) | {"measured": measured}
+
+
+FAMILIES = {
+    "modular": _set_function_family(lambda a: random_modular(a.n, a.seed)),
+    "coverage": _set_function_family(lambda a: random_coverage(a.n, a.seed)),
+    "cut": _set_function_family(lambda a: random_cut(a.n, a.seed)),
+    "perturbed": _set_function_family(
+        lambda a: random_perturbed(a.n, a.delta, a.seed, monotone=a.monotone)),
+    "quadratic-dr": _gen_quadratic_dr,
+    "quadratic-weak": _weak_dr_family(
+        lambda a: random_weak_quadratic(a.n, a.seed)),
+    "sqrt-linear": _weak_dr_family(lambda a: random_sqrt_linear(a.n, a.seed)),
+}
+
+
+# ---------------------------------------------------------------------------
+# the five problems
+
+
+class Problem(NamedTuple):
+    generate: Callable  # gen flags -> bundle document
+    run: Callable       # (bundle components, run flags) -> traces
+    check: Callable     # (components, verify flags, instance id) -> reports
+    bare_objective: bool = False  # a plain set-function file also loads
+
+
+def _traces(a):
+    if not a.trace:
+        raise UsageError("problems 1-3 need --trace files to verify")
+    return [serialization.load(p) for p in a.trace]
+
+
+def _gen_problem1(a):
+    g = random_quadratic_dr(a.n, a.seed, monotone=True)
+    h = random_quadratic_dr(a.n, a.seed + 1, monotone=False)
+    poly = CardinalityPolytope(a.n, max(1, a.n // 2)) if a.seed % 2 \
+        else unit_box(a.n)
+    return serialization.bundle_doc(
+        1, {"g": g, "h": h, "polytope": poly}, meta={"seed": a.seed})
+
+
+def _check_problem1(c, a, stem):
+    traces = _traces(a)
+    cert = verify.grid_opt(SumOracle([c["g"], c["h"]]), c["polytope"],
+                           a.resolution)
+    return [verify.problem1_report(t, c["g"], c["h"], c["polytope"], cert,
+                                   instance_id=stem) for t in traces]
+
+
+def _gen_problem2(a):
+    f = random_coverage(a.n, a.seed)
+    system = random_partition_psystem(a.n, a.p, a.seed)
+    return serialization.bundle_doc(
+        2, {"objective": f, "system": system},
+        measured=_measure_if_small(f), meta={"seed": a.seed, "p": a.p})
+
+
+def _check_problem2(c, a, stem):
+    traces = _traces(a)
+    opt = verify.brute_force_opt_set(c["objective"], c["system"].indep_mask)
+    return [verify.problem2_report(t, opt, system=c["system"],
+                                   instance_id=stem) for t in traces]
+
+
+def _gen_problem3(a):
+    f = random_quadratic_dr(a.n, a.seed, monotone=True) if a.seed % 2 == 0 \
+        else random_weak_quadratic(a.n, a.seed)
+    poly = CardinalityPolytope(a.n, max(1, a.n // 2)) if a.seed % 4 >= 2 \
+        else unit_box(a.n)
+    gamma = weak_dr_gamma(f, samples=1500, seed=a.seed)
+    return serialization.bundle_doc(
+        3, {"objective": f, "polytope": poly},
+        measured={"gamma": gamma}, meta={"seed": a.seed})
+
+
+def _check_problem3(c, a, stem):
+    traces = _traces(a)
+    cert = verify.grid_opt(c["objective"], c["polytope"], a.resolution)
+    gamma = c["_measured"].get("gamma")
+    if gamma is None:
+        gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
+    return [verify.problem3_report(t, gamma, c["objective"], cert,
+                                   instance_id=stem) for t in traces]
+
+
+def _gen_problem4(a):
+    f = random_perturbed(a.n, a.delta, a.seed, monotone=a.monotone)
+    return serialization.bundle_doc(
+        4, {"objective": f}, measured=_measure_if_small(f),
+        meta={"seed": a.seed, "k": a.k})
+
+
+def _budget(c, a) -> int:
+    return _or(a.k, c["_meta"].get("k", 2))
+
+
+def _gen_problem5(a):
+    f = random_perturbed(a.n, a.delta, a.seed, monotone=True)
+    m1 = random_partition_matroid(a.n, a.seed + 1)
+    m2 = random_partition_matroid(a.n, a.seed + 2)
+    return serialization.bundle_doc(
+        5, {"objective": f, "matroid1": m1, "matroid2": m2},
+        measured=_measure_if_small(f), meta={"seed": a.seed})
+
+
+PROBLEMS = {
+    1: Problem(_gen_problem1,
+               lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
+                                                _or(a.epsilon, 0.02))],
+               _check_problem1),
+    2: Problem(_gen_problem2,
+               lambda c, a: [multipass_greedy(c["objective"], c["system"],
+                                              _or(a.epsilon, 0.25))],
+               _check_problem2),
+    3: Problem(_gen_problem3,
+               lambda c, a: [frank_wolfe(
+                   c["objective"], c["polytope"], _or(a.iterations, 200),
+                   declared_gamma=c["_measured"].get("gamma"))],
+               _check_problem3),
+    4: Problem(_gen_problem4,
+               lambda c, a: [random_greedy_dummies(c["objective"],
+                                                   _budget(c, a),
+                                                   seed=a.seed + t)
+                             for t in range(a.trials)],
+               lambda c, a, stem: [verify.problem4_report(
+                   c["objective"], _budget(c, a), instance_id=stem)],
+               bare_objective=True),
+    5: Problem(_gen_problem5,
+               lambda c, a: [random_greedy_intersection(
+                   c["objective"], c["matroid1"], c["matroid2"],
+                   seed=a.seed + t) for t in range(a.trials)],
+               lambda c, a, stem: [verify.problem5_report(
+                   c["objective"], c["matroid1"], c["matroid2"],
+                   instance_id=stem)]),
+}
+
+GENERATORS = FAMILIES | {f"problem{k}": p.generate for k, p in PROBLEMS.items()}
+
+AUDITS = {
+    "problem2-bicriteria": lambda a: verify.audit_problem2(
+        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
+    "problem2-authors-conjecture": lambda a: verify.audit_problem2_conjecture(
+        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
+    "problem4-claimed": lambda a: verify.audit_problem4(
+        a.trials, a.seed, n=a.n or 5, k=a.k),
+    "problem5-claimed": lambda a: verify.audit_problem5(
+        a.trials, a.seed, n=a.n or 6),
+}
 
 
 def _build_parser() -> _Parser:
@@ -61,11 +264,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate and serialize instances")
-    gen.add_argument("--family", required=True,
-                     choices=["modular", "coverage", "cut", "perturbed",
-                              "quadratic-dr", "quadratic-weak", "sqrt-linear",
-                              "problem1", "problem2", "problem3", "problem4",
-                              "problem5"])
+    gen.add_argument("--family", required=True, choices=list(GENERATORS))
     gen.add_argument("--n", type=int, default=6)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--delta", type=float, default=0.4)
@@ -75,7 +274,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", help="output file path")
 
     run = sub.add_parser("run", help="run an algorithm on an instance file")
-    run.add_argument("--problem", type=int, required=True, choices=[1, 2, 3, 4, 5])
+    run.add_argument("--problem", type=int, required=True,
+                     choices=list(PROBLEMS))
     run.add_argument("--instance", required=True)
     run.add_argument("--epsilon", type=float)
     run.add_argument("--iterations", type=int, help="iteration count K")
@@ -84,7 +284,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--trials", type=int, default=1)
 
     ver = sub.add_parser("verify", help="check runs against bound formulas")
-    ver.add_argument("--problem", type=int, required=True, choices=[1, 2, 3, 4, 5])
+    ver.add_argument("--problem", type=int, required=True,
+                     choices=list(PROBLEMS))
     ver.add_argument("--instance", required=True)
     ver.add_argument("--trace", action="append", default=[],
                      help="trace file (repeatable); required for problems 1-3")
@@ -93,9 +294,7 @@ def _build_parser() -> _Parser:
     ver.add_argument("--seed", type=int, default=0)
 
     aud = sub.add_parser("audit", help="search instances for bound violations")
-    aud.add_argument("--bound", required=True,
-                     choices=["problem2-bicriteria", "problem2-authors-conjecture",
-                              "problem4-claimed", "problem5-claimed"])
+    aud.add_argument("--bound", required=True, choices=list(AUDITS))
     aud.add_argument("--trials", type=int, default=100)
     aud.add_argument("--seed", type=int, default=0)
     aud.add_argument("--p", type=int, default=2)
@@ -105,20 +304,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    if not args.config:
-        return args
-    doc = json.loads(Path(args.config).read_text())
+def _with_config(argv: list[str], path: str) -> list[str]:
+    """argv with the config file's values spliced in as flags: top-level
+    ones first, the command's own right after the command token. The
+    command line's flags come later, so they win."""
+    doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
+    top, below = [], []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"unknown config key {key!r}")
-        # flags explicitly given on the command line win over the config file
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            tokens = [flag] if value else []
+        else:
+            values = value if isinstance(value, list) else [value]
+            tokens = [t for v in values for t in (flag, str(v))]
+        (top if flag in TOP_LEVEL_FLAGS else below).extend(tokens)
+    i = 0  # the command is the first token that is no top-level option
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return top + argv[:i + 1] + below + argv[i + 1:]
 
 
 def _out_dir(args) -> Path:
@@ -137,90 +342,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def _measure_if_small(f):
-    if f.n <= min(GAMMA_LIMIT, MONOTONICITY_LIMIT):
-        r = measure_ratios(f)
-        return {"gamma": r.gamma, "m": r.m,
-                "nonmonotone_caveat": r.nonmonotone_caveat}
-    return {}
-
-
-def _gen_object(args):
-    n, seed = args.n, args.seed
-    if args.family == "modular":
-        f = random_modular(n, seed)
-        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
-    if args.family == "coverage":
-        f = random_coverage(n, seed)
-        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
-    if args.family == "cut":
-        f = random_cut(n, seed)
-        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
-    if args.family == "perturbed":
-        f = random_perturbed(n, args.delta, seed, monotone=args.monotone)
-        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
-    if args.family == "quadratic-dr":
-        f = random_quadratic_dr(n, seed, monotone=args.monotone)
-        ok, _ = dr_check(f, samples=200, seed=seed)
-        if not ok:
-            raise ValueError("generated quadratic failed its DR precheck")
-        doc = serialization.to_doc(f)
-        doc["measured"] = {"monotone": f.monotone, "dr": True}
-        if f.monotone:
-            doc["measured"]["gamma"] = weak_dr_gamma(f, samples=1500, seed=seed)
-        return doc
-    if args.family == "quadratic-weak":
-        f = random_weak_quadratic(n, seed)
-        doc = serialization.to_doc(f)
-        doc["measured"] = {"monotone": True,
-                           "gamma": weak_dr_gamma(f, samples=1500, seed=seed)}
-        return doc
-    if args.family == "sqrt-linear":
-        f = random_sqrt_linear(n, seed)
-        doc = serialization.to_doc(f)
-        doc["measured"] = {"monotone": True,
-                           "gamma": weak_dr_gamma(f, samples=1500, seed=seed)}
-        return doc
-    if args.family == "problem1":
-        g = random_quadratic_dr(n, seed, monotone=True)
-        h = random_quadratic_dr(n, seed + 1, monotone=False)
-        poly = CardinalityPolytope(n, max(1, n // 2)) if seed % 2 else unit_box(n)
-        return serialization.bundle_doc(
-            1, {"g": g, "h": h, "polytope": poly}, meta={"seed": seed})
-    if args.family == "problem2":
-        f = random_coverage(n, seed)
-        system = PSystem.from_matroids(
-            [random_partition_matroid(n, seed + 7 * (j + 1))
-             for j in range(args.p)])
-        return serialization.bundle_doc(
-            2, {"objective": f, "system": system},
-            measured=_measure_if_small(f), meta={"seed": seed, "p": args.p})
-    if args.family == "problem3":
-        f = random_quadratic_dr(n, seed, monotone=True) if seed % 2 == 0 \
-            else random_weak_quadratic(n, seed)
-        poly = CardinalityPolytope(n, max(1, n // 2)) if seed % 4 >= 2 \
-            else unit_box(n)
-        gamma = weak_dr_gamma(f, samples=1500, seed=seed)
-        return serialization.bundle_doc(
-            3, {"objective": f, "polytope": poly},
-            measured={"gamma": gamma}, meta={"seed": seed})
-    if args.family == "problem4":
-        f = random_perturbed(n, args.delta, seed, monotone=args.monotone)
-        return serialization.bundle_doc(
-            4, {"objective": f}, measured=_measure_if_small(f),
-            meta={"seed": seed, "k": args.k})
-    if args.family == "problem5":
-        f = random_perturbed(n, args.delta, seed, monotone=True)
-        m1 = random_partition_matroid(n, seed + 1)
-        m2 = random_partition_matroid(n, seed + 2)
-        return serialization.bundle_doc(
-            5, {"objective": f, "matroid1": m1, "matroid2": m2},
-            measured=_measure_if_small(f), meta={"seed": seed})
-    raise UsageError(f"unknown family {args.family!r}")
+def _exit_code(reports) -> int:
+    """Exit code 2 when any report violates a proved bound."""
+    return EXIT_VIOLATION if any(
+        r.provenance == verify.PROVED and r.verdict == verify.VIOLATED
+        for r in reports) else EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    doc = _gen_object(args)
+    doc = GENERATORS[args.family](args)
     out = Path(args.out) if args.out else \
         _out_dir(args) / "instances" / f"{args.family}-n{args.n}-s{args.seed}.json"
     serialization.save(doc, out)
@@ -228,49 +358,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_problem_components(args, problem: int):
+def _load_problem_components(args):
     doc = serialization.load_doc(args.instance)
     if doc.get("kind") == "bundle":
-        if doc.get("problem") != problem:
+        if doc.get("problem") != args.problem:
             raise UsageError(
                 f"instance file is a problem-{doc.get('problem')} bundle")
         return serialization.load_bundle(doc)
-    if problem == 4 and doc.get("kind") == "set-function":
+    if PROBLEMS[args.problem].bare_objective and \
+            doc.get("kind") == "set-function":
         return {"objective": serialization.from_doc(doc),
                 "_measured": doc.get("measured", {}), "_meta": {}}
     raise UsageError("instance file does not match the selected problem")
 
 
-def _run_traces(args, problem: int):
-    comp = _load_problem_components(args, problem)
-    traces = []
-    if problem == 1:
-        eps = args.epsilon if args.epsilon is not None else 0.02
-        traces.append(masked_frank_wolfe(comp["g"], comp["h"],
-                                         comp["polytope"], eps))
-    elif problem == 2:
-        eps = args.epsilon if args.epsilon is not None else 0.25
-        traces.append(multipass_greedy(comp["objective"], comp["system"], eps))
-    elif problem == 3:
-        iters = args.iterations if args.iterations is not None else 200
-        gamma = comp["_measured"].get("gamma")
-        traces.append(frank_wolfe(comp["objective"], comp["polytope"], iters,
-                                  declared_gamma=gamma))
-    elif problem == 4:
-        k = args.k if args.k is not None else comp["_meta"].get("k", 2)
-        for t in range(args.trials):
-            traces.append(random_greedy_dummies(comp["objective"], k,
-                                                seed=args.seed + t))
-    elif problem == 5:
-        for t in range(args.trials):
-            traces.append(random_greedy_intersection(
-                comp["objective"], comp["matroid1"], comp["matroid2"],
-                seed=args.seed + t))
-    return comp, traces
-
-
 def cmd_run(args) -> int:
-    comp, traces = _run_traces(args, args.problem)
+    comp = _load_problem_components(args)
+    traces = PROBLEMS[args.problem].run(comp, args)
     out = _out_dir(args)
     stem = Path(args.instance).stem
     rows = []
@@ -290,69 +394,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_reports(args, problem: int):
-    comp = _load_problem_components(args, problem)
-    stem = Path(args.instance).stem
-    reports = []
-    if problem in (1, 2, 3):
-        if not args.trace:
-            raise UsageError("problems 1-3 need --trace files to verify")
-        traces = [serialization.load(p) for p in args.trace]
-        if problem == 1:
-            from .continuous import SumOracle
-            cert = verify.grid_opt(SumOracle([comp["g"], comp["h"]]),
-                                   comp["polytope"], args.resolution)
-            for trace in traces:
-                reports.append(verify.problem1_report(
-                    trace, comp["g"], comp["h"], comp["polytope"], cert,
-                    instance_id=stem))
-        elif problem == 2:
-            opt = verify.brute_force_opt_set(comp["objective"],
-                                             comp["system"].indep_mask)
-            for trace in traces:
-                reports.append(verify.problem2_report(
-                    trace, opt, system=comp["system"], instance_id=stem))
-        else:
-            cert = verify.grid_opt(comp["objective"], comp["polytope"],
-                                   args.resolution)
-            gamma = comp["_measured"].get("gamma")
-            if gamma is None:
-                gamma = weak_dr_gamma(comp["objective"], samples=1500,
-                                      seed=args.seed)
-            for trace in traces:
-                reports.append(verify.problem3_report(
-                    trace, gamma, comp["objective"], cert, instance_id=stem))
-    elif problem == 4:
-        from .algorithms import DummyGreedyProcess
-        f = comp["objective"]
-        k = args.k if args.k is not None else comp["_meta"].get("k", 2)
-        ratios = measure_ratios(f)
-        opt = verify.brute_force_opt_set(
-            f, lambda mask: mask.bit_count() <= k)
-        measured = verify.expected_value_exact(DummyGreedyProcess(f, k))
-        reports.append(verify.check_bound(
-            measured, verify.BOUNDS["problem4-claimed"],
-            {"m": ratios.m, "gamma": ratios.gamma, "opt": opt.value},
-            instance_id=stem, algorithm_id="random-greedy-dummies"))
-    elif problem == 5:
-        from .algorithms import IntersectionGreedyProcess
-        f = comp["objective"]
-        ratios = measure_ratios(f)
-        system = PSystem.from_matroids([comp["matroid1"], comp["matroid2"]])
-        opt = verify.brute_force_opt_set(f, system.indep_mask)
-        proc = IntersectionGreedyProcess(f, comp["matroid1"], comp["matroid2"])
-        measured = verify.expected_value_exact(proc)
-        reports.append(verify.check_bound(
-            measured, verify.BOUNDS["problem5-claimed"],
-            {"gamma": ratios.gamma, "opt": opt.value},
-            instance_id=stem, algorithm_id="random-greedy-intersection"))
-    return reports
-
-
 def cmd_verify(args) -> int:
-    reports = _verify_reports(args, args.problem)
-    out = _out_dir(args)
+    comp = _load_problem_components(args)
     stem = Path(args.instance).stem
+    reports = PROBLEMS[args.problem].check(comp, args, stem)
+    out = _out_dir(args)
     rows = [[r.instance_id, r.algorithm_id, r.bound_id, r.provenance,
              repr(r.measured), "" if r.half_width is None else repr(r.half_width),
              repr(r.threshold), repr(r.slack), r.verdict] for r in reports]
@@ -364,43 +410,13 @@ def cmd_verify(args) -> int:
         print(f"{r.bound_id} [{r.provenance}]: verdict={r.verdict} "
               f"measured={r.measured!r} threshold={r.threshold!r}")
     print(path)
-    proved_violation = any(r.provenance == verify.PROVED
-                           and r.verdict == verify.VIOLATED for r in reports)
-    return EXIT_VIOLATION if proved_violation else EXIT_OK
-
-
-def _audit_problem2_proved(args) -> verify.AuditReport:
-    bound = verify.BOUNDS["problem2-bicriteria"]
-    n = args.n or 8
-
-    def make_case(seed, trial):
-        inst_seed = seed * 1_000_003 + trial
-        f = random_coverage(n, inst_seed)
-        system = PSystem.from_matroids(
-            [random_partition_matroid(n, inst_seed + 7 * (j + 1))
-             for j in range(args.p)])
-        trace = multipass_greedy(f, system, args.epsilon)
-        opt = verify.brute_force_opt_set(f, system.indep_mask)
-        return {
-            "instance_id": f"p2-s{seed}-t{trial}",
-            "doc": serialization.bundle_doc(
-                2, {"objective": f, "system": system},
-                meta={"seed": inst_seed, "p": args.p,
-                      "epsilon": args.epsilon}),
-            "params": {"epsilon": args.epsilon, "p": args.p},
-            "measured": trace.value,
-            "opt": opt.value,
-        }
-
-    return verify.audit(bound, make_case, args.trials, args.seed)
+    return _exit_code(reports)
 
 
 def cmd_audit(args) -> int:
     out = _out_dir(args)
-    if args.bound == "problem2-authors-conjecture":
-        report = verify.audit_problem2_conjecture(
-            args.trials, args.seed, p=args.p, epsilon=args.epsilon,
-            n=args.n or 8)
+    report = AUDITS[args.bound](args)
+    if isinstance(report, verify.ConjectureReport):
         rows = [[r.instance_id, r.p, repr(r.epsilon), repr(r.opt),
                  r.rounds_conjecture, r.rounds_multipass,
                  repr(r.value_at_conjecture), repr(r.value_at_multipass),
@@ -413,15 +429,7 @@ def cmd_audit(args) -> int:
              "first_round_reaching", "conjecture_sufficient"], rows)
         print(json.dumps(report.summary(), sort_keys=True))
         print(path)
-        return EXIT_OK
-
-    if args.bound == "problem2-bicriteria":
-        report = _audit_problem2_proved(args)
-    elif args.bound == "problem4-claimed":
-        report = verify.audit_problem4(args.trials, args.seed,
-                                       n=args.n or 5, k=args.k)
-    else:
-        report = verify.audit_problem5(args.trials, args.seed, n=args.n or 6)
+        return EXIT_OK  # exploratory: the conjecture rows carry no verdict
 
     rows = [[r.instance_id, repr(r.measured), repr(r.opt), repr(r.threshold),
              "" if r.ratio is None else repr(r.ratio), r.verdict,
@@ -434,16 +442,16 @@ def cmd_audit(args) -> int:
                            / f"{args.bound}-s{args.seed}-v{i}.json")
     print(json.dumps(report.summary(), sort_keys=True))
     print(path)
-    return EXIT_OK
+    return _exit_code(report.rows)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = {a.dest: a.default for g in parser._subparsers._group_actions
-                    for a in g.choices[args.command]._actions}
-        args = _merge_config(args, defaults)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args.config))
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "run":

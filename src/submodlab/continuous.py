@@ -447,11 +447,6 @@ class KnapsackPolytope(Polytope):
         return x
 
 
-def lmo(polytope: Polytope, c) -> np.ndarray:
-    """Exact linear maximization over a supported polytope family."""
-    return polytope.lmo(c)
-
-
 def masked_update(y, s, step: float) -> np.ndarray:
     """y + step * (1 - y) ⊙ s; the measured-greedy step staying in the cube."""
     if not 0.0 < step <= 1.0:

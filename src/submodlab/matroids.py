@@ -404,6 +404,13 @@ def random_partition_matroid(n: int, seed: int,
     return PartitionMatroid(blocks, caps)
 
 
+def random_partition_psystem(n: int, p: int, seed: int) -> PSystem:
+    """Intersection of p seeded partition matroids, the j-th drawn from
+    seed + 7 * (j + 1)."""
+    return PSystem.from_matroids(
+        [random_partition_matroid(n, seed + 7 * (j + 1)) for j in range(p)])
+
+
 def random_graphic_matroid(n_edges: int, seed: int) -> GraphicMatroid:
     rng = np.random.default_rng(seed)
     num_vertices = max(3, n_edges // 2 + 2)

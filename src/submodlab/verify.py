@@ -10,7 +10,7 @@ reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,8 @@ from .algorithms import (DummyGreedyProcess, IntersectionGreedyProcess,
                          RunTrace, authors_conjecture_rounds,
                          bicriteria_rounds, multipass_greedy)
 from .continuous import ContinuousOracle, Polytope
-from .matroids import PSystem, random_partition_matroid
+from .matroids import (Matroid, PSystem, random_partition_matroid,
+                       random_partition_psystem)
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
                       elements_of, measure_ratios, random_coverage,
                       random_perturbed)
@@ -256,11 +257,17 @@ BOUNDS = {
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
+TRIVIAL = "trivial"
 
 
 @dataclass(frozen=True)
 class GuaranteeReport:
-    """One measured run (or trial ensemble) against a claimed bound."""
+    """One measured run (or trial ensemble) against a claimed bound.
+
+    ``params`` holds the inputs the threshold was computed from. Audit rows
+    replace them with the instance parameters and add the exact optimum
+    ``opt``, the ratio measured/OPT, and the instance document ``doc``.
+    """
 
     instance_id: str
     algorithm_id: str
@@ -271,6 +278,10 @@ class GuaranteeReport:
     threshold: float
     slack: float
     verdict: str
+    params: dict = field(default_factory=dict)
+    opt: float | None = None
+    ratio: float | None = None
+    doc: dict = field(repr=False, default_factory=dict)
 
 
 def check_bound(measured: float, bound: BoundFormula, params: dict,
@@ -304,6 +315,7 @@ def check_bound(measured: float, bound: BoundFormula, params: dict,
         threshold=threshold,
         slack=float(measured - threshold),
         verdict=verdict,
+        params=dict(params),
     )
 
 
@@ -344,13 +356,7 @@ def problem2_report(trace: RunTrace, opt: OptimumCertificate,
         cert_ok = all(system.indep(t) for t in parts) and \
             union == sorted(trace.final)
         if not cert_ok:
-            report = GuaranteeReport(
-                instance_id=report.instance_id,
-                algorithm_id=report.algorithm_id,
-                bound_id=report.bound_id, provenance=report.provenance,
-                measured=report.measured, half_width=report.half_width,
-                threshold=report.threshold, slack=report.slack,
-                verdict=VIOLATED)
+            report = replace(report, verdict=VIOLATED)
     return report
 
 
@@ -368,20 +374,40 @@ def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
                        instance_id=instance_id, algorithm_id=trace.algorithm)
 
 
+def problem4_report(f: SetFunctionOracle, k: int,
+                    instance_id: str = "") -> GuaranteeReport:
+    """Claimed bound for dummy-padded random greedy under the budget k:
+    measured (gamma, m), the exhaustive optimum over |S| <= k, and the
+    exact expectation over every uniform draw."""
+    ratios = measure_ratios(f)
+    opt = brute_force_opt_set(f, lambda mask: mask.bit_count() <= k)
+    measured = expected_value_exact(DummyGreedyProcess(f, k))
+    return check_bound(measured, BOUNDS["problem4-claimed"],
+                       {"m": ratios.m, "gamma": ratios.gamma,
+                        "opt": opt.value},
+                       instance_id=instance_id,
+                       algorithm_id="random-greedy-dummies")
+
+
+def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
+                    instance_id: str = "") -> GuaranteeReport:
+    """Claimed bound for random greedy over two matroids: measured gamma
+    (m is recorded but unused), the exhaustive optimum over the common
+    independent sets, and the exact expectation over every uniform draw."""
+    ratios = measure_ratios(f)
+    system = PSystem.from_matroids([m1, m2])
+    opt = brute_force_opt_set(f, system.indep_mask)
+    measured = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
+    return check_bound(measured, BOUNDS["problem5-claimed"],
+                       {"gamma": ratios.gamma, "m": ratios.m,
+                        "opt": opt.value},
+                       instance_id=instance_id,
+                       algorithm_id="random-greedy-intersection")
+
+
 # ---------------------------------------------------------------------------
-# audits of claimed-flawed bounds and the round-count conjecture
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    instance_id: str
-    params: dict
-    measured: float
-    opt: float
-    threshold: float
-    ratio: float | None
-    verdict: str
-    doc: dict = field(repr=False, default_factory=dict)
+# audits of the proved bicriteria bound, the claimed-flawed bounds, and the
+# round-count conjecture
 
 
 @dataclass
@@ -389,7 +415,7 @@ class AuditReport:
     bound_id: str
     provenance: str
     seed: int
-    rows: list[AuditRow]
+    rows: list[GuaranteeReport]
     violations: list[dict]
 
     @property
@@ -412,34 +438,57 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
           ) -> AuditReport:
     """Search seeded random instances for bound violations.
 
-    ``make_case(seed, trial)`` returns a dict with keys ``instance_id``,
-    ``doc`` (serializable for replay), ``params`` (bound parameters less
-    ``opt``), ``measured`` (exact expectation or value) and ``opt``. Every
-    violating instance document is collected for replay.
+    ``make_case(seed, trial)`` returns ``(report, params, doc)``: the
+    instance's report against ``bound`` (from ``check_bound``, whose
+    ``params`` include ``opt``), the instance parameters to record, and a
+    serializable document for replay. The row adds the optimum and the
+    ratio measured/OPT; an optimum of about 0 makes the verdict 'trivial'.
+    Every violating instance document is collected for replay.
     """
-    rows: list[AuditRow] = []
+    rows: list[GuaranteeReport] = []
     violations: list[dict] = []
     for t in range(trials):
-        case = make_case(seed, t)
-        params = dict(case["params"])
-        params["opt"] = case["opt"]
-        threshold = bound.threshold(params)
-        measured = float(case["measured"])
-        opt = float(case["opt"])
-        tol = REL_TOL * max(1.0, abs(threshold))
-        if opt <= REL_TOL:
-            ratio, verdict = None, "trivial"
-        else:
-            ratio = measured / opt
-            verdict = HOLDS if measured >= threshold - tol else VIOLATED
-        row = AuditRow(instance_id=case["instance_id"], params=case["params"],
-                       measured=measured, opt=opt, threshold=threshold,
-                       ratio=ratio, verdict=verdict, doc=case["doc"])
+        report, params, doc = make_case(seed, t)
+        opt = float(report.params["opt"])
+        trivial = opt <= REL_TOL
+        row = replace(report, params=params, opt=opt, doc=doc,
+                      ratio=None if trivial else report.measured / opt,
+                      verdict=TRIVIAL if trivial else report.verdict)
         rows.append(row)
-        if verdict == VIOLATED:
-            violations.append(case["doc"])
+        if row.verdict == VIOLATED:
+            violations.append(doc)
     return AuditReport(bound_id=bound.bound_id, provenance=bound.provenance,
                        seed=seed, rows=rows, violations=violations)
+
+
+def _problem2_run(seed: int, trial: int, n: int, p: int, epsilon: float):
+    inst_seed = seed * 1_000_003 + trial
+    f = random_coverage(n, inst_seed)
+    system = random_partition_psystem(n, p, inst_seed)
+    trace = multipass_greedy(f, system, epsilon)
+    opt = brute_force_opt_set(f, system.indep_mask)
+    return inst_seed, f, system, trace, opt
+
+
+def _problem2_case(seed: int, trial: int, n: int, p: int, epsilon: float):
+    inst_seed, f, system, trace, opt = _problem2_run(seed, trial, n, p,
+                                                     epsilon)
+    report = problem2_report(trace, opt, system=system,
+                             instance_id=f"p2-s{seed}-t{trial}")
+    doc = serialization.bundle_doc(
+        2, {"objective": f, "system": system},
+        meta={"seed": inst_seed, "p": p, "epsilon": epsilon})
+    return report, {"epsilon": epsilon, "p": p}, doc
+
+
+def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
+                   n: int = 8) -> AuditReport:
+    """Audit of the proved bicriteria bound over coverage objectives and
+    intersections of p partition matroids. Both halves are checked: the
+    value against (1-eps)*OPT and the recorded feasibility certificate."""
+    return audit(BOUNDS["problem2-bicriteria"],
+                 lambda s, t: _problem2_case(s, t, n=n, p=p, epsilon=epsilon),
+                 trials, seed)
 
 
 def _problem4_case(seed: int, trial: int, n: int, k: int, delta: float):
@@ -449,22 +498,11 @@ def _problem4_case(seed: int, trial: int, n: int, k: int, delta: float):
     # vary the noise amplitude so the measured (gamma, m) grid gets filled
     amplitude = float(rng.uniform(0.05, max(delta, 0.06)))
     f = random_perturbed(n, amplitude, inst_seed, monotone=monotone)
-    ratios = measure_ratios(f)
-    opt = brute_force_opt_set(f, lambda mask: mask.bit_count() <= k)
-    exact = expected_value_exact(DummyGreedyProcess(f, k))
-    doc = {
-        "schema": serialization.SCHEMA, "kind": "bundle", "problem": 4,
-        "components": {"objective": serialization.to_doc(f)},
-        "measured": {"gamma": ratios.gamma, "m": ratios.m},
-        "meta": {"k": k, "seed": inst_seed},
-    }
-    return {
-        "instance_id": f"p4-s{seed}-t{trial}",
-        "doc": doc,
-        "params": {"gamma": ratios.gamma, "m": ratios.m, "k": k, "n": n},
-        "measured": exact,
-        "opt": opt.value,
-    }
+    report = problem4_report(f, k, instance_id=f"p4-s{seed}-t{trial}")
+    ratios = {"gamma": report.params["gamma"], "m": report.params["m"]}
+    doc = serialization.bundle_doc(4, {"objective": f}, measured=ratios,
+                                   meta={"k": k, "seed": inst_seed})
+    return report, ratios | {"k": k, "n": n}, doc
 
 
 def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2,
@@ -490,27 +528,13 @@ def _problem5_case(seed: int, trial: int, n: int, delta: float):
         f = random_perturbed(n, amplitude, inst_seed, monotone=True)
     m1 = random_partition_matroid(n, inst_seed + 1)
     m2 = random_partition_matroid(n, inst_seed + 2)
-    ratios = measure_ratios(f)
-    system = PSystem.from_matroids([m1, m2])
-    opt = brute_force_opt_set(f, system.indep_mask)
-    exact = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
-    doc = {
-        "schema": serialization.SCHEMA, "kind": "bundle", "problem": 5,
-        "components": {
-            "objective": serialization.to_doc(f),
-            "matroid1": serialization.to_doc(m1),
-            "matroid2": serialization.to_doc(m2),
-        },
-        "measured": {"gamma": ratios.gamma, "m": ratios.m},
-        "meta": {"seed": inst_seed},
-    }
-    return {
-        "instance_id": f"p5-s{seed}-t{trial}",
-        "doc": doc,
-        "params": {"gamma": ratios.gamma, "n": n},
-        "measured": exact,
-        "opt": opt.value,
-    }
+    report = problem5_report(f, m1, m2, instance_id=f"p5-s{seed}-t{trial}")
+    gamma = report.params["gamma"]
+    doc = serialization.bundle_doc(
+        5, {"objective": f, "matroid1": m1, "matroid2": m2},
+        measured={"gamma": gamma, "m": report.params["m"]},
+        meta={"seed": inst_seed})
+    return report, {"gamma": gamma, "n": n}, doc
 
 
 def audit_problem5(trials: int, seed: int, n: int = 6,
@@ -565,13 +589,7 @@ def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
     rounds_conj = authors_conjecture_rounds(p, epsilon)
     rows: list[ConjectureRow] = []
     for t in range(trials):
-        inst_seed = seed * 1_000_003 + t
-        f = random_coverage(n, inst_seed)
-        system = PSystem.from_matroids(
-            [random_partition_matroid(n, inst_seed + 7 * (j + 1))
-             for j in range(p)])
-        trace = multipass_greedy(f, system, epsilon)
-        opt = brute_force_opt_set(f, system.indep_mask)
+        _, _, _, trace, opt = _problem2_run(seed, t, n, p, epsilon)
         target = (1.0 - epsilon) * opt.value
         per_round = [rec["value"] for rec in trace.iterations]
         tol = REL_TOL * max(1.0, opt.value)

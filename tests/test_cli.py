@@ -210,3 +210,94 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SUBMODLAB_OUT", str(tmp_path / "envout"))
     assert main(["gen", "--family", "modular", "--n", "4", "--seed", "1"]) == 0
     assert (tmp_path / "envout" / "instances").exists()
+
+
+def test_config_explicit_flag_equal_to_default_wins(tmp_path):
+    # --n 6 is gen's default; spelling it out must still beat the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 7}))
+    out = tmp_path / "cov.json"
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "gen",
+                 "--family", "coverage", "--n", "6", "--out", str(out)]) == 0
+    assert load_doc(out)["n"] == 6
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    out = tmp_path / "cov.json"
+
+    def gen_with(config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main(["--config", str(cfg), "--out-dir", str(tmp_path), "gen",
+                     "--family", "coverage", "--out", str(out)])
+
+    assert gen_with({"n": "7"}) == 0  # read as the token --n 7
+    assert load_doc(out)["n"] == 7
+    assert gen_with({"n": "seven"}) == 1
+    assert gen_with({"n": 7.5}) == 1
+    assert gen_with({"family": "nonsense"}) == 1
+    assert gen_with({"no_such_flag": 1}) == 1
+    assert gen_with({"monotone": "yes"}) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_out_dir_and_store_true_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "from-config"),
+                               "monotone": True, "delta": 0.2}))
+    assert main(["--config", str(cfg), "gen", "--family", "perturbed",
+                 "--n", "5"]) == 0
+    doc = load_doc(tmp_path / "from-config" / "instances"
+                   / "perturbed-n5-s0.json")
+    assert doc["monotone_noise"] is True and doc["delta"] == 0.2
+
+
+def test_audit_proved_violation_exits_two(tmp_path, monkeypatch, capsys):
+    import submodlab.verify as verify_module
+
+    argv = ["audit", "--bound", "problem2-bicriteria", "--n", "6",
+            "--trials", "2", "--seed", "1"]
+    assert run(tmp_path, *argv) == 0
+    real = verify_module.multipass_greedy
+
+    def tampered(*args, **kwargs):
+        # with its independent sets gone, the certificate covers nothing
+        trace = real(*args, **kwargs)
+        trace.meta["independent_sets"] = []
+        return trace
+
+    monkeypatch.setattr(verify_module, "multipass_greedy", tampered)
+    assert run(tmp_path, *argv) == 2
+    table = (tmp_path / "audit-problem2-bicriteria-s1.csv").read_text()
+    assert table.count(",violated,") == 2
+    assert len(list((tmp_path / "violations").glob("*.json"))) == 2
+
+
+def test_audit_claimed_violation_exits_zero(tmp_path, monkeypatch):
+    import submodlab.verify as verify_module
+
+    real = verify_module.check_bound
+
+    def violated(measured, bound, params, **kwargs):
+        return real(-1.0, bound, params, **kwargs)
+
+    monkeypatch.setattr(verify_module, "check_bound", violated)
+    assert run(tmp_path, "audit", "--bound", "problem4-claimed",
+               "--trials", "2", "--seed", "1") == 0
+    assert len(list((tmp_path / "violations").glob("*.json"))) == 2
+
+
+def test_verify_agrees_with_audit_rows(tmp_path):
+    from submodlab.verify import audit_problem4, audit_problem5
+
+    for problem, row in ((4, audit_problem4(1, 7, n=5, k=3).rows[0]),
+                         (5, audit_problem5(1, 8, n=6).rows[0])):
+        inst = tmp_path / f"{row.instance_id}.json"
+        inst.write_text(json.dumps(row.doc))
+        assert run(tmp_path, "verify", "--problem", str(problem),
+                   "--instance", str(inst)) == 0
+        table = tmp_path / f"verify-{row.instance_id}-p{problem}.csv"
+        fields = table.read_text().splitlines()[1].split(",")
+        assert fields[4] == repr(row.measured)
+        assert fields[6] == repr(row.threshold)
+        assert fields[8] == row.verdict

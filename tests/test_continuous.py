@@ -6,7 +6,7 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
                                   SqrtLinearOracle, dr_check, grad_check,
-                                  lmo, masked_update, random_quadratic_dr,
+                                  masked_update, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic,
                                   unit_box, weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut
@@ -45,17 +45,17 @@ def random_member(polytope, rng):
 
 
 def test_lmo_box_sign_pattern():
-    assert np.array_equal(lmo(unit_box(2), [1.0, -1.0]), [1.0, 0.0])
+    assert np.array_equal(unit_box(2).lmo([1.0, -1.0]), [1.0, 0.0])
 
 
 def test_lmo_cardinality_top_one():
-    assert np.array_equal(lmo(CardinalityPolytope(3, 1), [2.0, 5.0, 1.0]),
+    assert np.array_equal(CardinalityPolytope(3, 1).lmo([2.0, 5.0, 1.0]),
                           [0.0, 1.0, 0.0])
 
 
 def test_lmo_knapsack_fractional_greedy():
     p = KnapsackPolytope([1.0, 2.0], 2.0)
-    got = lmo(p, [3.0, 3.0])
+    got = p.lmo([3.0, 3.0])
     assert np.allclose(got, [1.0, 0.5])
     # dense-grid verification of optimality
     grid = np.stack(np.meshgrid(np.linspace(0, 1, 51), np.linspace(0, 1, 51)),
@@ -69,7 +69,7 @@ def test_lmo_optimality_against_sampled_members():
     for polytope in POLYTOPE_FAMILIES:
         for _ in range(40):
             c = rng.normal(size=polytope.n)
-            best = float(lmo(polytope, c) @ c)
+            best = float(polytope.lmo(c) @ c)
             members = np.array([random_member(polytope, rng)
                                 for _ in range(50)])
             assert polytope.member_many(members).all()
@@ -89,7 +89,7 @@ def test_lmo_vertices_within_diameter():
     rng = np.random.default_rng(11)
     for polytope in POLYTOPE_FAMILIES:
         for _ in range(200):
-            v = lmo(polytope, rng.normal(size=polytope.n))
+            v = polytope.lmo(rng.normal(size=polytope.n))
             assert float(np.linalg.norm(v)) <= polytope.diameter + 1e-9
 
 

@@ -18,7 +18,7 @@ from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, ModularOracle,
 from submodlab.serialization import load_bundle
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               PROVED, TREE_NODE_LIMIT, audit,
-                              audit_problem2_conjecture,
+                              audit_problem2, audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
                               expected_value_exact, grid_opt,
@@ -323,9 +323,9 @@ def test_audit_proved_problem2_finds_no_violations():
             [random_partition_matroid(8, inst_seed + 7)])
         trace = multipass_greedy(f, system, 0.25)
         opt = brute_force_opt_set(f, system.indep_mask)
-        return {"instance_id": f"t{trial}", "doc": {},
-                "params": {"epsilon": 0.25}, "measured": trace.value,
-                "opt": opt.value}
+        report = problem2_report(trace, opt, system=system,
+                                 instance_id=f"t{trial}")
+        return report, {"epsilon": 0.25}, {}
 
     report = audit(bound, make_case, trials=40, seed=0)
     assert len(report.rows) == 40
@@ -379,3 +379,34 @@ def test_conjecture_audit_shape_and_determinism():
         [r.value_at_conjecture for r in again.rows]
     summary = rep.summary()
     assert 0.0 <= summary["fraction_sufficient"] <= 1.0
+
+
+
+def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
+    import submodlab.verify as verify_module
+
+    honest = audit_problem2(trials=6, seed=2, p=2, n=7)
+    assert [r.verdict for r in honest.rows] == ["holds"] * 6
+    assert honest.violations == []
+
+    real = verify_module.multipass_greedy
+
+    def tampered(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        # claim the whole output as one independent set
+        trace.meta["independent_sets"] = [trace.final]
+        return trace
+
+    monkeypatch.setattr(verify_module, "multipass_greedy", tampered)
+    report = audit_problem2(trials=6, seed=2, p=2, n=7)
+    dependent = 0
+    for row, before in zip(report.rows, honest.rows):
+        assert row.measured == before.measured  # the value half still holds
+        bundle = load_bundle(row.doc)
+        final = real(bundle["objective"], bundle["system"], 0.1).final
+        if bundle["system"].indep(final):
+            assert row.verdict == "holds"
+        else:
+            dependent += 1
+            assert row.verdict == "violated" and row.doc in report.violations
+    assert dependent > 0
