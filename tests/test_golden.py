@@ -3,8 +3,9 @@
 `tests/golden/` holds what a fixed set of runs wrote: every file of CLI
 `gen -> run -> verify` for problems 1-5 and the seven plain `gen` families,
 the four `audit --bound` tables, the replay documents of a few audit rows,
-the stdout and exit code of each command, and the stdout of the three
-`scripts/` at tiny sizes. The test regenerates all of it into a temporary
+the stdout and exit code of each command, the stdout of the three
+`scripts/` at tiny sizes, and under `docs/` the document of one seeded
+object of each serializable class that those runs do not write. The test regenerates all of it into a temporary
 directory and compares bytes, which catches both refactor drift and drift in
 numpy's random streams (perturbed oracles rebuild their noise from a seed).
 
@@ -24,8 +25,17 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from submodlab import serialization
 from submodlab.cli import main
+from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
+                                  KnapsackPolytope, MultilinearOracle,
+                                  PartitionPolytope)
+from submodlab.matroids import (PSystem, random_graphic_matroid,
+                                random_partition_matroid,
+                                random_uniform_matroid)
+from submodlab.oracles import random_coverage
 from submodlab.verify import audit_problem4, audit_problem5
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +80,36 @@ SCRIPT_RUNS = [
     ("conjecture_head_to_head.py", ["--p", "2", "3", "--trials", "3",
                                     "--seed", "1", "--rows"]),
 ]
+
+# (kind, family) of every serializable class; each must appear in some
+# golden document
+CODEC_KEYS = {
+    ("set-function", "modular"), ("set-function", "coverage"),
+    ("set-function", "cut"), ("set-function", "synthetic-perturbed"),
+    ("matroid", "uniform"), ("matroid", "partition"), ("matroid", "graphic"),
+    ("p-system", None), ("polytope", "box"), ("polytope", "cardinality"),
+    ("polytope", "partition"), ("polytope", "knapsack"),
+    ("continuous", "quadratic"), ("continuous", "sqrt-linear"),
+    ("continuous", "multilinear"), ("trace", None),
+}
+
+
+def _doc_objects() -> list:
+    """One seeded object of each class the CLI runs above do not write."""
+    rng = np.random.default_rng(5)
+    blocks = random_partition_matroid(6, 3)
+    return [
+        random_uniform_matroid(6, 1),
+        random_graphic_matroid(6, 2),
+        PSystem.from_matroids([random_uniform_matroid(6, 4),
+                               random_partition_matroid(6, 5),
+                               random_graphic_matroid(6, 6)]),
+        BoxPolytope(rng.uniform(0.2, 1.0, 4)),
+        CardinalityPolytope(5, 2),
+        PartitionPolytope(blocks.blocks, blocks.caps),
+        KnapsackPolytope(rng.uniform(0.2, 1.0, 5), 1.3),
+        MultilinearOracle(random_coverage(4, 7)),
+    ]
 
 
 def _captured(call) -> tuple[int, str]:
@@ -142,6 +182,11 @@ def write_corpus(root: Path) -> None:
             audit_problem5(2, 6, n=6).rows:
         serialization.save(row.doc, docs / f"{row.instance_id}.json")
 
+    for obj in _doc_objects():
+        doc = serialization.to_doc(obj)
+        name = "-".join(filter(None, (doc["kind"], doc.get("family"))))
+        serialization.save(doc, root / "docs" / f"{name}.json")
+
     log = _Log(root)
     for name, argv in SCRIPT_RUNS:
         out_flag = ["--out-dir", str(root / "scripts-out")] \
@@ -161,6 +206,33 @@ def test_golden_corpus_replays(tmp_path):
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert changed == []
+
+
+def _doc_keys(doc, keys: set) -> set:
+    """(kind, family) of ``doc`` and of every document nested in it."""
+    if isinstance(doc, dict):
+        if "schema" in doc:
+            keys.add((doc["kind"], doc.get("family")))
+        for value in doc.values():
+            _doc_keys(value, keys)
+    elif isinstance(doc, list):
+        for value in doc:
+            _doc_keys(value, keys)
+    return keys
+
+
+def test_golden_documents_cover_every_codec_class():
+    keys: set = set()
+    for path in GOLDEN.rglob("*.json"):
+        _doc_keys(serialization.load_doc(path), keys)
+    assert CODEC_KEYS - keys == set()
+
+
+def test_golden_documents_reload_byte_identical(tmp_path):
+    for path in sorted((GOLDEN / "docs").glob("*.json")):
+        again = serialization.save(serialization.load(path),
+                                   tmp_path / path.name)
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 if __name__ == "__main__":
