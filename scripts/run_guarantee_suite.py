@@ -41,9 +41,8 @@ def main() -> int:
                                        instance_id=f"split-{t}"))
 
         f = random_coverage(8, seed + 2)
-        system = PSystem.from_matroids(
-            [random_partition_matroid(8, seed + 3),
-             random_partition_matroid(8, seed + 4)])
+        system = PSystem([random_partition_matroid(8, seed + 3),
+                          random_partition_matroid(8, seed + 4)])
         trace = multipass_greedy(f, system, args.epsilon)
         opt = brute_force_opt_set(f, system.indep_mask)
         reports.append(problem2_report(trace, opt, system=system,

@@ -12,7 +12,8 @@ error, 2 a proved bound violated (by `verify`, or by
 output directory is ./submodlab-out, overridable with --out-dir or the
 SUBMODLAB_OUT environment variable. A --config JSON file maps flag names to
 values; they are read as if given ahead of the command line's own flags, so
-argparse checks them and explicit flags win.
+argparse checks them and explicit flags win. A list value is allowed only
+for the repeatable --trace.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -53,6 +54,8 @@ EXIT_CAPABILITY = 3
 
 # options of the top-level parser; each takes exactly one value
 TOP_LEVEL_FLAGS = ("--config", "--out-dir")
+# the only options that may be given more than once (a list in --config)
+REPEATABLE_FLAGS = ("--trace",)
 
 
 class UsageError(Exception):
@@ -307,7 +310,8 @@ def _build_parser() -> _Parser:
 def _with_config(argv: list[str], path: str) -> list[str]:
     """argv with the config file's values spliced in as flags: top-level
     ones first, the command's own right after the command token. The
-    command line's flags come later, so they win."""
+    command line's flags come later, so they win. A list gives a
+    repeatable flag once per item and is rejected for any other flag."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -316,6 +320,8 @@ def _with_config(argv: list[str], path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             tokens = [flag] if value else []
+        elif isinstance(value, list) and flag not in REPEATABLE_FLAGS:
+            raise UsageError(f"config key {key!r} takes one value, not a list")
         else:
             values = value if isinstance(value, list) else [value]
             tokens = [t for v in values for t in (flag, str(v))]

@@ -139,36 +139,24 @@ class ContractedMatroid(Matroid):
 
 
 class PSystem:
-    """Down-closed independence system with declared parameter p.
+    """Intersection of matroids over one ground set, with p = len(matroids).
 
-    Either built from an explicit intersection of matroids (p = count), or
-    wrapped around a direct mask predicate with a declared p.
+    A set is independent iff every matroid finds it independent; such an
+    intersection is a p-system.
     """
 
-    def __init__(self, n: int, p: int, indep_mask_fn, matroids=None):
-        if p < 1:
-            raise ValueError("p must be at least 1")
-        self.n = int(n)
-        self.p = int(p)
-        self._indep_mask_fn = indep_mask_fn
-        self.matroids = tuple(matroids) if matroids is not None else None
-
-    @classmethod
-    def from_matroids(cls, matroids: Sequence[Matroid]) -> "PSystem":
+    def __init__(self, matroids: Sequence[Matroid]):
         matroids = tuple(matroids)
         if not matroids:
             raise ValueError("need at least one matroid")
-        n = matroids[0].n
-        if any(m.n != n for m in matroids):
+        self.n = matroids[0].n
+        if any(m.n != self.n for m in matroids):
             raise ValueError("matroids must share the ground set")
-
-        def fn(mask: int) -> bool:
-            return all(m.indep_mask(mask) for m in matroids)
-
-        return cls(n, len(matroids), fn, matroids=matroids)
+        self.matroids = matroids
+        self.p = len(matroids)
 
     def indep_mask(self, mask: int) -> bool:
-        return bool(self._indep_mask_fn(mask))
+        return all(m.indep_mask(mask) for m in self.matroids)
 
     def indep(self, subset: Iterable[int]) -> bool:
         return self.indep_mask(mask_of(subset, self.n))
@@ -179,19 +167,7 @@ def contract(system, subset: Iterable[int]):
     if isinstance(system, Matroid):
         return ContractedMatroid(system, subset)
     if isinstance(system, PSystem):
-        if system.matroids is not None:
-            return PSystem.from_matroids(
-                [ContractedMatroid(m, subset) for m in system.matroids])
-        cmask = mask_of(subset, system.n)
-        if not system.indep_mask(cmask):
-            raise ValueError("can only contract by an independent set")
-
-        def fn(mask: int) -> bool:
-            if mask & cmask:
-                raise ValueError("query overlaps the contracted set")
-            return system.indep_mask(mask | cmask)
-
-        return PSystem(system.n, system.p, fn)
+        return PSystem([ContractedMatroid(m, subset) for m in system.matroids])
     raise TypeError(f"cannot contract {type(system).__name__}")
 
 
@@ -407,8 +383,8 @@ def random_partition_matroid(n: int, seed: int,
 def random_partition_psystem(n: int, p: int, seed: int) -> PSystem:
     """Intersection of p seeded partition matroids, the j-th drawn from
     seed + 7 * (j + 1)."""
-    return PSystem.from_matroids(
-        [random_partition_matroid(n, seed + 7 * (j + 1)) for j in range(p)])
+    return PSystem([random_partition_matroid(n, seed + 7 * (j + 1))
+                    for j in range(p)])
 
 
 def random_graphic_matroid(n_edges: int, seed: int) -> GraphicMatroid:

@@ -2,15 +2,20 @@
 run traces.
 
 Documents are plain JSON with sorted keys; floats round-trip bit-exactly
-through Python's shortest-repr float encoding. Seeded constructions (the
-perturbed family) store only their seed and parameters and rebuild their
-noise tables deterministically on load.
+through Python's shortest-repr float encoding. One table, CODECS, gives
+each serializable class its document kind and constructor arguments; the
+document stores those arguments under their own names and is read back by
+calling the class with them. Seeded constructions (the perturbed family)
+store only their seed and parameters and rebuild their noise tables
+deterministically on load.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .algorithms import RunTrace
 from .continuous import (BoxPolytope, CardinalityPolytope,
@@ -29,126 +34,75 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# class -> (document kind, constructor arguments). Each argument is stored
+# under its own name, read from the object's attribute of that name; the
+# document's family is the class's `family` attribute (p-systems and traces
+# have none). The NESTED arguments hold documents of their own.
+CODECS = {
+    ModularOracle: ("set-function", ("weights",)),
+    CoverageOracle: ("set-function", ("n", "covers", "universe_weights")),
+    CutOracle: ("set-function", ("n", "edges")),
+    PerturbedOracle: ("set-function",
+                      ("base", "delta", "seed", "monotone_noise")),
+    UniformMatroid: ("matroid", ("n", "k")),
+    PartitionMatroid: ("matroid", ("blocks", "caps")),
+    GraphicMatroid: ("matroid", ("num_vertices", "edges")),
+    PSystem: ("p-system", ("matroids",)),
+    BoxPolytope: ("polytope", ("upper",)),
+    CardinalityPolytope: ("polytope", ("n", "k")),
+    PartitionPolytope: ("polytope", ("blocks", "caps")),
+    KnapsackPolytope: ("polytope", ("costs", "budget")),
+    QuadraticOracle: ("continuous", ("b", "a")),
+    SqrtLinearOracle: ("continuous", ("b", "shift")),
+    MultilinearOracle: ("continuous", ("base",)),
+    RunTrace: ("trace", ("algorithm", "params", "seed", "iterations",
+                         "final", "meta")),
+}
+NESTED = ("base", "matroids")
+_CLASSES = {(kind, getattr(cls, "family", None)): cls
+            for cls, (kind, _) in CODECS.items()}
+
+
+def _plain(value):
+    """A field value as plain JSON data."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if type(value) in CODECS:
+        return to_doc(value)
+    return value
+
+
 def to_doc(obj) -> dict:
     """Serialize a supported object to a JSON-ready document."""
-    if isinstance(obj, ModularOracle):
-        return {"schema": SCHEMA, "kind": "set-function", "family": "modular",
-                "weights": obj.weights.tolist()}
-    if isinstance(obj, CoverageOracle):
-        return {"schema": SCHEMA, "kind": "set-function", "family": "coverage",
-                "n": obj.n, "covers": [sorted(c) for c in obj.covers],
-                "universe_weights": obj.universe_weights.tolist()}
-    if isinstance(obj, CutOracle):
-        return {"schema": SCHEMA, "kind": "set-function", "family": "cut",
-                "n": obj.n,
-                "edges": [[a, b, w] for a, b, w in obj.edges]}
-    if isinstance(obj, PerturbedOracle):
-        return {"schema": SCHEMA, "kind": "set-function",
-                "family": "synthetic-perturbed", "base": to_doc(obj.base),
-                "delta": obj.delta, "seed": obj.seed,
-                "monotone_noise": obj.monotone_noise}
-    if isinstance(obj, UniformMatroid):
-        return {"schema": SCHEMA, "kind": "matroid", "family": "uniform",
-                "n": obj.n, "k": obj.k}
-    if isinstance(obj, PartitionMatroid):
-        return {"schema": SCHEMA, "kind": "matroid", "family": "partition",
-                "blocks": [list(b) for b in obj.blocks],
-                "caps": list(obj.caps)}
-    if isinstance(obj, GraphicMatroid):
-        return {"schema": SCHEMA, "kind": "matroid", "family": "graphic",
-                "num_vertices": obj.num_vertices,
-                "edges": [[a, b] for a, b in obj.edges]}
-    if isinstance(obj, PSystem):
-        if obj.matroids is None:
-            raise ValueError("only matroid-intersection p-systems serialize")
-        return {"schema": SCHEMA, "kind": "p-system",
-                "matroids": [to_doc(m) for m in obj.matroids]}
-    if isinstance(obj, BoxPolytope):
-        return {"schema": SCHEMA, "kind": "polytope", "family": "box",
-                "upper": obj.upper.tolist()}
-    if isinstance(obj, CardinalityPolytope):
-        return {"schema": SCHEMA, "kind": "polytope", "family": "cardinality",
-                "n": obj.n, "k": obj.k}
-    if isinstance(obj, PartitionPolytope):
-        return {"schema": SCHEMA, "kind": "polytope", "family": "partition",
-                "blocks": [list(b) for b in obj.blocks],
-                "caps": list(obj.caps)}
-    if isinstance(obj, KnapsackPolytope):
-        return {"schema": SCHEMA, "kind": "polytope", "family": "knapsack",
-                "costs": obj.costs.tolist(), "budget": obj.budget}
-    if isinstance(obj, QuadraticOracle):
-        return {"schema": SCHEMA, "kind": "continuous", "family": "quadratic",
-                "b": obj.b.tolist(), "a": obj.a.tolist()}
-    if isinstance(obj, SqrtLinearOracle):
-        return {"schema": SCHEMA, "kind": "continuous", "family": "sqrt-linear",
-                "b": obj.b.tolist(), "shift": obj.shift}
-    if isinstance(obj, MultilinearOracle):
-        return {"schema": SCHEMA, "kind": "continuous", "family": "multilinear",
-                "base": to_doc(obj.base)}
-    if isinstance(obj, RunTrace):
-        return {"schema": SCHEMA, "kind": "trace", "algorithm": obj.algorithm,
-                "params": obj.params, "seed": obj.seed,
-                "iterations": obj.iterations, "final": obj.final,
-                "meta": obj.meta}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    cls = type(obj)
+    if cls not in CODECS:
+        raise TypeError(f"cannot serialize {cls.__name__}")
+    kind, fields = CODECS[cls]
+    doc = {"schema": SCHEMA, "kind": kind}
+    if hasattr(cls, "family"):
+        doc["family"] = cls.family
+    return doc | {name: _plain(getattr(obj, name)) for name in fields}
+
+
+def _rebuild(value):
+    return [from_doc(v) for v in value] if isinstance(value, list) \
+        else from_doc(value)
 
 
 def from_doc(doc: dict):
     """Rebuild a supported object from its document."""
-    kind = doc.get("kind")
-    if kind == "set-function":
-        family = doc["family"]
-        if family == "modular":
-            return ModularOracle(doc["weights"])
-        if family == "coverage":
-            return CoverageOracle(doc["n"], doc["covers"],
-                                  doc["universe_weights"])
-        if family == "cut":
-            return CutOracle(doc["n"], [tuple(e) for e in doc["edges"]])
-        if family == "synthetic-perturbed":
-            base = from_doc(doc["base"])
-            return PerturbedOracle(base, doc["delta"], doc["seed"],
-                                   monotone_noise=doc["monotone_noise"])
-        raise ValueError(f"unknown set-function family {family!r}")
-    if kind == "matroid":
-        family = doc["family"]
-        if family == "uniform":
-            return UniformMatroid(doc["n"], doc["k"])
-        if family == "partition":
-            return PartitionMatroid(doc["blocks"], doc["caps"])
-        if family == "graphic":
-            return GraphicMatroid(doc["num_vertices"],
-                                  [tuple(e) for e in doc["edges"]])
-        raise ValueError(f"unknown matroid family {family!r}")
-    if kind == "p-system":
-        return PSystem.from_matroids([from_doc(m) for m in doc["matroids"]])
-    if kind == "polytope":
-        family = doc["family"]
-        if family == "box":
-            return BoxPolytope(doc["upper"])
-        if family == "cardinality":
-            return CardinalityPolytope(doc["n"], doc["k"])
-        if family == "partition":
-            return PartitionPolytope(doc["blocks"], doc["caps"])
-        if family == "knapsack":
-            return KnapsackPolytope(doc["costs"], doc["budget"])
-        raise ValueError(f"unknown polytope family {family!r}")
-    if kind == "continuous":
-        family = doc["family"]
-        if family == "quadratic":
-            return QuadraticOracle(doc["b"], doc["a"])
-        if family == "sqrt-linear":
-            return SqrtLinearOracle(doc["b"], doc["shift"])
-        if family == "multilinear":
-            return MultilinearOracle(from_doc(doc["base"]))
-        raise ValueError(f"unknown continuous family {family!r}")
-    if kind == "trace":
-        return RunTrace(algorithm=doc["algorithm"], params=doc["params"],
-                        seed=doc["seed"], iterations=doc["iterations"],
-                        final=doc["final"], meta=doc["meta"])
+    kind, family = doc.get("kind"), doc.get("family")
     if kind == "bundle":
         return doc  # bundles stay documents; use load_bundle for components
-    raise ValueError(f"unknown document kind {kind!r}")
+    cls = _CLASSES.get((kind, family))
+    if cls is None:
+        raise ValueError(f"unknown document kind {kind!r} / family {family!r}")
+    return cls(**{name: _rebuild(doc[name]) if name in NESTED else doc[name]
+                  for name in CODECS[cls][1]})
 
 
 def bundle_doc(problem: int, components: dict, measured: dict | None = None,

@@ -50,25 +50,17 @@ def brute_force_opt_set(f: SetFunctionOracle, feasible=None
                         ) -> OptimumCertificate:
     """Exact maximum of f over all feasible subsets.
 
-    ``feasible`` may be None (all subsets), an object exposing
-    ``indep_mask``, or a callable taking a subset bitmask. Ties resolve to
-    the first maximizer in ascending mask order.
+    ``feasible`` is None (every subset is feasible) or a predicate on subset
+    bitmasks, such as a matroid's or p-system's ``indep_mask``. Ties resolve
+    to the first maximizer in ascending mask order.
     """
     if f.n > OPT_SET_LIMIT:
         raise CapabilityError(f"exhaustive optimum needs n <= {OPT_SET_LIMIT}")
-    if feasible is None:
-        pred = lambda mask: True
-    elif hasattr(feasible, "indep_mask"):
-        pred = feasible.indep_mask
-    elif callable(feasible):
-        pred = feasible
-    else:
-        raise TypeError("feasible must be None, an oracle, or a callable")
     tab = f.table()
     best_mask = -1
     best_val = -math.inf
     for mask in range(1 << f.n):
-        if not pred(mask):
+        if feasible is not None and not feasible(mask):
             continue
         v = float(tab[mask])
         if v > best_val:
@@ -395,7 +387,7 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     (m is recorded but unused), the exhaustive optimum over the common
     independent sets, and the exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    system = PSystem.from_matroids([m1, m2])
+    system = PSystem([m1, m2])
     opt = brute_force_opt_set(f, system.indep_mask)
     measured = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
     return check_bound(measured, BOUNDS["problem5-claimed"],
@@ -442,8 +434,10 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
     instance's report against ``bound`` (from ``check_bound``, whose
     ``params`` include ``opt``), the instance parameters to record, and a
     serializable document for replay. The row adds the optimum and the
-    ratio measured/OPT; an optimum of about 0 makes the verdict 'trivial'.
-    Every violating instance document is collected for replay.
+    ratio measured/OPT; an optimum of about 0 leaves the ratio empty and
+    makes the verdict 'trivial' unless the report is 'violated' (a broken
+    certificate stays a violation whatever the optimum). Every violating
+    instance document is collected for replay.
     """
     rows: list[GuaranteeReport] = []
     violations: list[dict] = []
@@ -451,9 +445,11 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
         report, params, doc = make_case(seed, t)
         opt = float(report.params["opt"])
         trivial = opt <= REL_TOL
+        verdict = TRIVIAL if trivial and report.verdict != VIOLATED \
+            else report.verdict
         row = replace(report, params=params, opt=opt, doc=doc,
                       ratio=None if trivial else report.measured / opt,
-                      verdict=TRIVIAL if trivial else report.verdict)
+                      verdict=verdict)
         rows.append(row)
         if row.verdict == VIOLATED:
             violations.append(doc)

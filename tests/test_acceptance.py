@@ -53,7 +53,7 @@ def test_acceptance_1_multipass_bicriteria_bound():
                 for trial in range(50):
                     seed = 10_000 * p + 100 * int(eps * 100) + trial
                     f = random_coverage(n, seed)
-                    system = PSystem.from_matroids(
+                    system = PSystem(
                         [random_partition_matroid(n, seed + 7 * (j + 1))
                          for j in range(p)])
                     trace = multipass_greedy(f, system, eps)

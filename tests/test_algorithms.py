@@ -114,7 +114,7 @@ def test_authors_conjecture_rounds():
 def test_multipass_modular_exact_after_first_round():
     # first pass of greedy on a modular objective is already optimal
     f = random_modular(6, 41)
-    system = PSystem.from_matroids([UniformMatroid(6, 3)])
+    system = PSystem([UniformMatroid(6, 3)])
     trace = multipass_greedy(f, system, 0.1)
     opt = brute_force_opt_set(f, system.indep_mask)
     assert trace.iterations[0]["value"] == pytest.approx(opt.value, rel=1e-12)
@@ -124,7 +124,7 @@ def test_multipass_modular_later_rounds_add_nothing_once_saturated():
     # three positive weights under a rank-3 budget: pass one exhausts them,
     # every later pass sees only zero marginals and stays empty
     f = ModularOracle([4.0, 3.0, 2.0, 0.0, 0.0, 0.0])
-    system = PSystem.from_matroids([UniformMatroid(6, 3)])
+    system = PSystem([UniformMatroid(6, 3)])
     trace = multipass_greedy(f, system, 0.1)
     opt = brute_force_opt_set(f, system.indep_mask)
     assert trace.iterations[0]["value"] == pytest.approx(opt.value, rel=1e-12)
@@ -135,7 +135,7 @@ def test_multipass_modular_later_rounds_add_nothing_once_saturated():
 
 def test_multipass_quarter_eps_single_matroid():
     f = random_coverage(8, 42)
-    system = PSystem.from_matroids([random_partition_matroid(8, 43)])
+    system = PSystem([random_partition_matroid(8, 43)])
     trace = multipass_greedy(f, system, 0.25)
     opt = brute_force_opt_set(f, system.indep_mask)
     assert trace.meta["rounds"] == 2
@@ -144,8 +144,8 @@ def test_multipass_quarter_eps_single_matroid():
 
 def test_multipass_two_matroids_tenth_eps():
     f = random_coverage(8, 44)
-    system = PSystem.from_matroids([random_partition_matroid(8, 45),
-                                    random_partition_matroid(8, 46)])
+    system = PSystem([random_partition_matroid(8, 45),
+                      random_partition_matroid(8, 46)])
     trace = multipass_greedy(f, system, 0.1)
     opt = brute_force_opt_set(f, system.indep_mask)
     assert trace.meta["rounds"] == 6
@@ -154,8 +154,8 @@ def test_multipass_two_matroids_tenth_eps():
 
 def test_multipass_certificate():
     f = random_coverage(9, 47)
-    system = PSystem.from_matroids([random_partition_matroid(9, 48),
-                                    random_partition_matroid(9, 49)])
+    system = PSystem([random_partition_matroid(9, 48),
+                      random_partition_matroid(9, 49)])
     trace = multipass_greedy(f, system, 0.2)
     parts = trace.meta["independent_sets"]
     assert len(parts) == trace.meta["rounds"]
@@ -166,7 +166,7 @@ def test_multipass_certificate():
 
 def test_multipass_rejects_uncertified_oracle():
     f = random_cut(6, 50)
-    system = PSystem.from_matroids([UniformMatroid(6, 2)])
+    system = PSystem([UniformMatroid(6, 2)])
     with pytest.raises(ValueError):
         multipass_greedy(f, system, 0.25)
 

@@ -241,6 +241,32 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_config_list_only_for_repeatable_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "cov.json"
+    cfg.write_text(json.dumps({"n": [5, 7]}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "gen",
+                 "--family", "coverage", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "takes one value" in capsys.readouterr().err
+
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "6",
+               "--seed", "1") == 0
+    inst = str(tmp_path / "instances" / "problem2-n6-s1.json")
+    assert run(tmp_path, "run", "--problem", "2", "--instance", inst) == 0
+    trace = str(tmp_path / "traces" / "problem2-n6-s1-p2-t0.json")
+    table = tmp_path / "verify-problem2-n6-s1-p2.csv"
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
+               "--trace", trace, "--trace", trace) == 0
+    by_flags = table.read_text()
+    table.unlink()
+    cfg.write_text(json.dumps({"trace": [trace, trace]}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "verify",
+                 "--problem", "2", "--instance", inst]) == 0
+    assert table.read_text() == by_flags
+    assert len(by_flags.splitlines()) == 3
+
+
 def test_config_out_dir_and_store_true_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "from-config"),

@@ -81,19 +81,6 @@ SCRIPT_RUNS = [
                                     "--seed", "1", "--rows"]),
 ]
 
-# (kind, family) of every serializable class; each must appear in some
-# golden document
-CODEC_KEYS = {
-    ("set-function", "modular"), ("set-function", "coverage"),
-    ("set-function", "cut"), ("set-function", "synthetic-perturbed"),
-    ("matroid", "uniform"), ("matroid", "partition"), ("matroid", "graphic"),
-    ("p-system", None), ("polytope", "box"), ("polytope", "cardinality"),
-    ("polytope", "partition"), ("polytope", "knapsack"),
-    ("continuous", "quadratic"), ("continuous", "sqrt-linear"),
-    ("continuous", "multilinear"), ("trace", None),
-}
-
-
 def _doc_objects() -> list:
     """One seeded object of each class the CLI runs above do not write."""
     rng = np.random.default_rng(5)
@@ -101,9 +88,9 @@ def _doc_objects() -> list:
     return [
         random_uniform_matroid(6, 1),
         random_graphic_matroid(6, 2),
-        PSystem.from_matroids([random_uniform_matroid(6, 4),
-                               random_partition_matroid(6, 5),
-                               random_graphic_matroid(6, 6)]),
+        PSystem([random_uniform_matroid(6, 4),
+                 random_partition_matroid(6, 5),
+                 random_graphic_matroid(6, 6)]),
         BoxPolytope(rng.uniform(0.2, 1.0, 4)),
         CardinalityPolytope(5, 2),
         PartitionPolytope(blocks.blocks, blocks.caps),
@@ -225,7 +212,9 @@ def test_golden_documents_cover_every_codec_class():
     keys: set = set()
     for path in GOLDEN.rglob("*.json"):
         _doc_keys(serialization.load_doc(path), keys)
-    assert CODEC_KEYS - keys == set()
+    codec_keys = {(kind, getattr(cls, "family", None))
+                  for cls, (kind, _) in serialization.CODECS.items()}
+    assert codec_keys - keys == set()
 
 
 def test_golden_documents_reload_byte_identical(tmp_path):

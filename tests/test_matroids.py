@@ -48,13 +48,13 @@ def test_matroid_greedy_optimal_against_bruteforce():
 def test_psystem_greedy_modular_reduces_to_matroid_greedy():
     f = random_modular(6, 4)
     m = UniformMatroid(6, 3)
-    sys1 = PSystem.from_matroids([m])
+    sys1 = PSystem([m])
     assert psystem_greedy_marginal(f, sys1) == matroid_greedy(m, f.weights)
 
 
 def test_psystem_greedy_matches_hand_simulation():
     f = random_coverage(6, 17)
-    system = PSystem.from_matroids([random_partition_matroid(6, 18)])
+    system = PSystem([random_partition_matroid(6, 18)])
     got = psystem_greedy_marginal(f, system)
 
     # independent re-simulation, straight from the definition
@@ -76,20 +76,20 @@ def test_psystem_greedy_matches_hand_simulation():
 
 def test_psystem_greedy_no_feasible_extension():
     f = random_modular(3, 1)
-    system = PSystem.from_matroids([UniformMatroid(3, 0)])
+    system = PSystem([UniformMatroid(3, 0)])
     assert psystem_greedy_marginal(f, system) == []
 
 
 def test_psystem_greedy_rejects_dependent_base():
     f = random_modular(3, 1)
-    system = PSystem.from_matroids([UniformMatroid(3, 1)])
+    system = PSystem([UniformMatroid(3, 1)])
     with pytest.raises(ValueError):
         psystem_greedy_marginal(f, system, base=[0, 1])
 
 
 def test_psystem_greedy_base_marginals_relative_to_base():
     f = random_coverage(6, 23)
-    system = PSystem.from_matroids([UniformMatroid(6, 3)])
+    system = PSystem([UniformMatroid(6, 3)])
     base = psystem_greedy_marginal(f, system)[:1]
     rest = psystem_greedy_marginal(f, system, base=base)
     assert base[0] not in rest
@@ -200,28 +200,17 @@ def test_contraction_requires_independent_set():
 
 
 def test_contract_psystem():
-    system = PSystem.from_matroids([UniformMatroid(5, 3), UniformMatroid(5, 2)])
+    system = PSystem([UniformMatroid(5, 3), UniformMatroid(5, 2)])
     reduced = contract(system, [0])
     assert reduced.p == 2
     assert reduced.indep([1]) and not reduced.indep([1, 2])
 
 
-def test_contract_direct_oracle_psystem():
-    # p-system wrapped around a raw predicate (declared p), not matroids
-    base = PSystem(4, 2, lambda mask: mask.bit_count() <= 2)
-    reduced = contract(base, [3])
-    assert reduced.indep([0]) and not reduced.indep([0, 1])
-    with pytest.raises(ValueError):
-        reduced.indep([3])
-    with pytest.raises(ValueError):
-        contract(PSystem(4, 2, lambda mask: mask == 0), [1])
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 5_000), st.integers(0, 255))
 def test_intersection_psystem_down_closed(seed, sub):
-    system = PSystem.from_matroids([random_partition_matroid(8, seed),
-                                    random_partition_matroid(8, seed + 1)])
+    system = PSystem([random_partition_matroid(8, seed),
+                      random_partition_matroid(8, seed + 1)])
     mask = sub
     if system.indep_mask(mask):
         s = mask

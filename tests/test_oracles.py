@@ -260,8 +260,8 @@ def test_relabelling_preserves_opt_gamma_and_m(case):
     n = len(perm)
     f = TableOracle(np.random.default_rng(seed).uniform(0.0, 2.0, 1 << n))
     g = relabel(f, perm)
-    opt_f = brute_force_opt_set(f, UniformMatroid(n, rank))
-    opt_g = brute_force_opt_set(g, UniformMatroid(n, rank))
+    opt_f = brute_force_opt_set(f, UniformMatroid(n, rank).indep_mask)
+    opt_g = brute_force_opt_set(g, UniformMatroid(n, rank).indep_mask)
     assert opt_g.value == opt_f.value
     assert submodularity_ratio(g) == pytest.approx(
         submodularity_ratio(f), rel=1e-12, abs=1e-12)

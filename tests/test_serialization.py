@@ -37,8 +37,8 @@ def test_matroid_roundtrips():
 
 
 def test_psystem_roundtrip():
-    system = PSystem.from_matroids([random_partition_matroid(6, 8),
-                                    random_partition_matroid(6, 9)])
+    system = PSystem([random_partition_matroid(6, 8),
+                      random_partition_matroid(6, 9)])
     s2 = roundtrip(system)
     assert s2.p == 2
     for mask in range(1 << 6):
@@ -85,7 +85,7 @@ def test_trace_roundtrip_and_canonical_json():
 
 def test_bundle_roundtrip():
     f = random_coverage(6, 16)
-    system = PSystem.from_matroids([random_partition_matroid(6, 17)])
+    system = PSystem([random_partition_matroid(6, 17)])
     doc = bundle_doc(2, {"objective": f, "system": system},
                      measured={"gamma": 1.0, "m": 1.0}, meta={"seed": 16})
     bundle = load_bundle(doc)
@@ -106,5 +106,7 @@ def test_file_roundtrip(tmp_path):
 def test_unknown_docs_rejected():
     with pytest.raises(ValueError):
         from_doc({"kind": "nonsense"})
+    with pytest.raises(ValueError):
+        from_doc({"kind": "matroid", "family": "nonsense"})
     with pytest.raises(TypeError):
         to_doc(object())

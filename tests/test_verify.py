@@ -16,8 +16,10 @@ from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, ModularOracle,
                                random_coverage, random_modular,
                                random_perturbed)
 from submodlab.serialization import load_bundle
+from submodlab import cli
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
-                              PROVED, TREE_NODE_LIMIT, audit,
+                              PROVED, TREE_NODE_LIMIT, TRIVIAL, VIOLATED,
+                              audit,
                               audit_problem2, audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
@@ -38,7 +40,7 @@ def linear_oracle(b):
 
 def test_brute_force_modular_under_uniform():
     f = ModularOracle([5.0, 1.0, 4.0, 2.0])
-    cert = brute_force_opt_set(f, UniformMatroid(4, 2))
+    cert = brute_force_opt_set(f, UniformMatroid(4, 2).indep_mask)
     assert cert.value == 9.0 and cert.maximizer == [0, 2]
     assert cert.method == "exhaustive" and cert.radius == 0.0
 
@@ -54,7 +56,7 @@ def test_brute_force_agrees_with_recursive_enumerator():
         n = 6
         f = random_perturbed(n, 0.4, seed) if seed % 2 else random_coverage(n, seed)
         system = random_partition_matroid(n, seed + 1)
-        cert = brute_force_opt_set(f, system)
+        cert = brute_force_opt_set(f, system.indep_mask)
         ref_val, _ = recursive_best_subset(f, system.indep_mask, n)
         assert cert.value == ref_val
 
@@ -283,7 +285,7 @@ def test_problem3_report_classic_factor_at_gamma_one():
 
 def test_problem2_report_checks_feasibility_certificate():
     f = random_coverage(7, 80)
-    system = PSystem.from_matroids([random_partition_matroid(7, 81)])
+    system = PSystem([random_partition_matroid(7, 81)])
     trace = multipass_greedy(f, system, 0.25)
     opt = brute_force_opt_set(f, system.indep_mask)
     good = problem2_report(trace, opt, system=system)
@@ -301,7 +303,7 @@ def test_problem5_verdict_recorded_without_failing():
     m1 = random_partition_matroid(6, 79)
     m2 = random_partition_matroid(6, 80)
     exact = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
-    system = PSystem.from_matroids([m1, m2])
+    system = PSystem([m1, m2])
     opt = brute_force_opt_set(f, system.indep_mask)
     rep = check_bound(exact, BOUNDS["problem5-claimed"],
                       {"gamma": 1.0, "opt": opt.value})
@@ -319,8 +321,7 @@ def test_audit_proved_problem2_finds_no_violations():
     def make_case(seed, trial):
         inst_seed = seed * 1_000_003 + trial
         f = random_coverage(8, inst_seed)
-        system = PSystem.from_matroids(
-            [random_partition_matroid(8, inst_seed + 7)])
+        system = PSystem([random_partition_matroid(8, inst_seed + 7)])
         trace = multipass_greedy(f, system, 0.25)
         opt = brute_force_opt_set(f, system.indep_mask)
         report = problem2_report(trace, opt, system=system,
@@ -331,6 +332,37 @@ def test_audit_proved_problem2_finds_no_violations():
     assert len(report.rows) == 40
     assert report.violations == []
     assert report.min_ratio is not None and report.min_ratio >= 0.75
+
+
+def test_audit_keeps_violation_when_opt_is_zero():
+    # an all-zero objective has OPT = 0; a broken feasibility certificate
+    # must still be a violation there, not a trivial row
+    bound = BOUNDS["problem2-bicriteria"]
+    f = ModularOracle(np.zeros(4))
+    system = PSystem([UniformMatroid(4, 1)])
+
+    def make_case(tamper):
+        def case(seed, trial):
+            trace = multipass_greedy(f, system, 0.25)
+            if tamper:
+                trace.meta["independent_sets"] = [[0, 1, 2]]
+            opt = brute_force_opt_set(f, system.indep_mask)
+            report = problem2_report(trace, opt, system=system,
+                                     instance_id=f"t{trial}")
+            return report, {"epsilon": 0.25}, {"trial": trial}
+        return case
+
+    broken = audit(bound, make_case(True), trials=2, seed=0)
+    assert [r.opt for r in broken.rows] == [0.0, 0.0]
+    assert [r.verdict for r in broken.rows] == [VIOLATED, VIOLATED]
+    assert [r.ratio for r in broken.rows] == [None, None]
+    assert broken.violations == [{"trial": 0}, {"trial": 1}]
+    assert cli._exit_code(broken.rows) == cli.EXIT_VIOLATION
+
+    sound = audit(bound, make_case(False), trials=2, seed=0)
+    assert [r.verdict for r in sound.rows] == [TRIVIAL, TRIVIAL]
+    assert sound.violations == []
+    assert cli._exit_code(sound.rows) == cli.EXIT_OK
 
 
 def test_audit_problem4_report_complete_and_replayable():
