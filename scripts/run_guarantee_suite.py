@@ -44,7 +44,7 @@ def main() -> int:
         system = PSystem([random_partition_matroid(8, seed + 3),
                           random_partition_matroid(8, seed + 4)])
         trace = multipass_greedy(f, system, args.epsilon)
-        opt = brute_force_opt_set(f, system.indep_mask)
+        opt = brute_force_opt_set(f, system.indep_table())
         reports.append(problem2_report(trace, opt, system=system,
                                        instance_id=f"bicriteria-{t}"))
 

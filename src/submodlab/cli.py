@@ -13,7 +13,7 @@ output directory is ./submodlab-out, overridable with --out-dir or the
 SUBMODLAB_OUT environment variable. A --config JSON file maps flag names to
 values; they are read as if given ahead of the command line's own flags, so
 argparse checks them and explicit flags win. A list value is allowed only
-for the repeatable --trace.
+for the repeatable --trace, and a nested "config" key is a usage error.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -52,8 +52,8 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CAPABILITY = 3
 
-# options of the top-level parser; each takes exactly one value
-TOP_LEVEL_FLAGS = ("--config", "--out-dir")
+# the top-level option a config file may set (it cannot name --config)
+TOP_LEVEL_FLAGS = ("--out-dir",)
 # the only options that may be given more than once (a list in --config)
 REPEATABLE_FLAGS = ("--trace",)
 
@@ -167,7 +167,8 @@ def _gen_problem2(a):
 
 def _check_problem2(c, a, stem):
     traces = _traces(a)
-    opt = verify.brute_force_opt_set(c["objective"], c["system"].indep_mask)
+    opt = verify.brute_force_opt_set(c["objective"],
+                                     c["system"].indep_table())
     return [verify.problem2_report(t, opt, system=c["system"],
                                    instance_id=stem) for t in traces]
 
@@ -311,13 +312,16 @@ def _with_config(argv: list[str], path: str) -> list[str]:
     """argv with the config file's values spliced in as flags: top-level
     ones first, the command's own right after the command token. The
     command line's flags come later, so they win. A list gives a
-    repeatable flag once per item and is rejected for any other flag."""
+    repeatable flag once per item and is rejected for any other flag. A
+    config file cannot name another config file."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
     top, below = [], []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise UsageError("a config file cannot hold a 'config' key")
         if isinstance(value, bool):
             tokens = [flag] if value else []
         elif isinstance(value, list) and flag not in REPEATABLE_FLAGS:

@@ -1,6 +1,15 @@
 """Matroid and p-system independence oracles, contraction, matroid greedy,
 and exact maximum-weight common independent sets via branch-and-prune.
 
+Every matroid and p-system answers independence from a dense table: a
+cached, read-only bool array of length 2^n indexed by subset bitmask, built
+once on first use (``indep_table()``), the way a set-function oracle caches
+its value table. Uniform and partition tables come from per-block counts
+built by subset doubling, graphic tables from one union-find per subset,
+and a p-system's table is the AND of its matroids' tables. Point queries
+(``indep_mask``) are lookups in that table, and a contraction looks its
+base up at ``mask | S``. Tables are capped at n <= TABLE_LIMIT.
+
 Everything here is exact and deterministic: greedy loops break ties toward
 the lowest element id, and the branch-and-prune search returns the first
 optimum found in weight-sorted include-first order.
@@ -12,15 +21,39 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracles import (CapabilityError, SetFunctionOracle, elements_of,
-                      mask_of)
+from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
+                      elements_of, mask_of)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 AXIOM_LIMIT = 10         # exhaustive axiom checks
 
 
+def _frozen_indep_table(n: int, build) -> np.ndarray:
+    if n > TABLE_LIMIT:
+        raise CapabilityError(
+            f"independence table needs n <= {TABLE_LIMIT}, got n = {n}")
+    tab = np.ascontiguousarray(build(), dtype=bool)
+    tab.setflags(write=False)
+    return tab
+
+
+def _within_caps(n: int, labels: Sequence[int],
+                 caps: Sequence[int]) -> np.ndarray:
+    """Bool table over all 2^n masks: True where, for every label j, the
+    mask holds at most caps[j] elements u with labels[u] == j. The per-label
+    counts are built by subset doubling."""
+    cnt = np.zeros((len(caps), 1 << n), dtype=np.uint8)
+    for u in range(n):
+        half = 1 << u
+        cnt[:, half:2 * half] = cnt[:, :half]
+        cnt[labels[u], half:2 * half] += 1
+    caps = np.array([min(int(c), n) for c in caps])
+    return (cnt <= caps[:, None]).all(axis=0)
+
+
 class Matroid:
-    """Independence oracle over ground set {0..n-1}."""
+    """Independence oracle over ground set {0..n-1}, answered from a cached
+    2^n independence table."""
 
     family = "abstract"
 
@@ -28,9 +61,21 @@ class Matroid:
         if n < 1:
             raise ValueError("matroid needs at least one element")
         self.n = int(n)
+        self._indep_table: np.ndarray | None = None
+
+    def _build_indep_table(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def indep_table(self) -> np.ndarray:
+        """Independence of all 2^n subsets, indexed by subset bitmask.
+        Cached, read-only; n > TABLE_LIMIT raises CapabilityError."""
+        if self._indep_table is None:
+            self._indep_table = _frozen_indep_table(self.n,
+                                                    self._build_indep_table)
+        return self._indep_table
 
     def indep_mask(self, mask: int) -> bool:
-        raise NotImplementedError
+        return bool(self.indep_table()[mask])
 
     def indep(self, subset: Iterable[int]) -> bool:
         return self.indep_mask(mask_of(subset, self.n))
@@ -45,8 +90,8 @@ class UniformMatroid(Matroid):
             raise ValueError("rank bound must be nonnegative")
         self.k = int(k)
 
-    def indep_mask(self, mask: int) -> bool:
-        return mask.bit_count() <= self.k
+    def _build_indep_table(self) -> np.ndarray:
+        return _within_caps(self.n, [0] * self.n, [self.k])
 
 
 def free_matroid(n: int) -> UniformMatroid:
@@ -72,11 +117,13 @@ class PartitionMatroid(Matroid):
         super().__init__(n)
         self.blocks = blocks
         self.caps = caps
-        self._block_masks = tuple(sum(1 << u for u in b) for b in blocks)
 
-    def indep_mask(self, mask: int) -> bool:
-        return all((mask & bm).bit_count() <= c
-                   for bm, c in zip(self._block_masks, self.caps))
+    def _build_indep_table(self) -> np.ndarray:
+        labels = [0] * self.n
+        for j, block in enumerate(self.blocks):
+            for u in block:
+                labels[u] = j
+        return _within_caps(self.n, labels, self.caps)
 
 
 class GraphicMatroid(Matroid):
@@ -97,31 +144,40 @@ class GraphicMatroid(Matroid):
         self.num_vertices = int(num_vertices)
         self.edges = edges
 
-    def indep_mask(self, mask: int) -> bool:
-        parent = list(range(self.num_vertices))
-
-        def find(x: int) -> int:
+    def _build_indep_table(self) -> np.ndarray:
+        # A mask is a forest iff the mask without its highest edge is one
+        # and that edge joins two of its trees (down-closure), so union-find
+        # only runs where the smaller mask is independent.
+        def find(parent: list[int], x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        m = mask
-        while m:
-            lsb = m & -m
-            a, b = self.edges[lsb.bit_length() - 1]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-            m ^= lsb
-        return True
+        tab = np.zeros(1 << self.n, dtype=bool)
+        tab[0] = True
+        for mask in range(1, 1 << self.n):
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            if not tab[rest]:
+                continue
+            parent = list(range(self.num_vertices))
+            while rest:
+                lsb = rest & -rest
+                a, b = self.edges[lsb.bit_length() - 1]
+                parent[find(parent, a)] = find(parent, b)
+                rest ^= lsb
+            a, b = self.edges[top]
+            tab[mask] = find(parent, a) != find(parent, b)
+        return tab
 
 
 class ContractedMatroid(Matroid):
     """base / S: T is independent iff S ∪ T is independent in the base.
 
-    S itself must be independent; queries overlapping S are rejected.
+    S itself must be independent; point queries overlapping S are rejected
+    and read the base's table at ``mask | S``, so a contraction builds no
+    table of its own. In ``indep_table()`` the elements of S are loops.
     """
 
     def __init__(self, base: Matroid, contracted: Iterable[int]):
@@ -132,17 +188,23 @@ class ContractedMatroid(Matroid):
             raise ValueError("can only contract by an independent set")
         self.family = f"contracted({base.family})"
 
+    def _build_indep_table(self) -> np.ndarray:
+        masks = np.arange(1 << self.n)
+        return self.base.indep_table()[masks | self.contracted_mask] & \
+            ((masks & self.contracted_mask) == 0)
+
     def indep_mask(self, mask: int) -> bool:
         if mask & self.contracted_mask:
             raise ValueError("query overlaps the contracted set")
-        return self.base.indep_mask(mask | self.contracted_mask)
+        return bool(self.base.indep_table()[mask | self.contracted_mask])
 
 
 class PSystem:
     """Intersection of matroids over one ground set, with p = len(matroids).
 
     A set is independent iff every matroid finds it independent; such an
-    intersection is a p-system.
+    intersection is a p-system. Its independence table is the AND of the
+    matroids' tables.
     """
 
     def __init__(self, matroids: Sequence[Matroid]):
@@ -154,9 +216,19 @@ class PSystem:
             raise ValueError("matroids must share the ground set")
         self.matroids = matroids
         self.p = len(matroids)
+        self._indep_table: np.ndarray | None = None
+
+    def indep_table(self) -> np.ndarray:
+        """Independence of all 2^n subsets, indexed by subset bitmask.
+        Cached, read-only; n > TABLE_LIMIT raises CapabilityError."""
+        if self._indep_table is None:
+            self._indep_table = _frozen_indep_table(
+                self.n, lambda: np.logical_and.reduce(
+                    [m.indep_table() for m in self.matroids]))
+        return self._indep_table
 
     def indep_mask(self, mask: int) -> bool:
-        return all(m.indep_mask(mask) for m in self.matroids)
+        return bool(self.indep_table()[mask])
 
     def indep(self, subset: Iterable[int]) -> bool:
         return self.indep_mask(mask_of(subset, self.n))

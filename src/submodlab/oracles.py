@@ -97,6 +97,8 @@ class SetFunctionOracle:
                 raise CapabilityError(
                     f"value table needs n <= {TABLE_LIMIT}, got n = {self.n}")
             tab = np.ascontiguousarray(self._build_table(), dtype=float)
+            if not bool(np.isfinite(tab).all()):
+                raise ValueError("oracle produced a non-finite value")
             if float(tab.min()) < 0.0:
                 raise ValueError("oracle produced a negative value")
             tab.setflags(write=False)

@@ -20,8 +20,8 @@ from .algorithms import (DummyGreedyProcess, IntersectionGreedyProcess,
                          RunTrace, authors_conjecture_rounds,
                          bicriteria_rounds, multipass_greedy)
 from .continuous import ContinuousOracle, Polytope
-from .matroids import (Matroid, PSystem, random_partition_matroid,
-                       random_partition_psystem)
+from .matroids import (Matroid, PSystem, UniformMatroid,
+                       random_partition_matroid, random_partition_psystem)
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
                       elements_of, measure_ratios, random_coverage,
                       random_perturbed)
@@ -50,24 +50,24 @@ def brute_force_opt_set(f: SetFunctionOracle, feasible=None
                         ) -> OptimumCertificate:
     """Exact maximum of f over all feasible subsets.
 
-    ``feasible`` is None (every subset is feasible) or a predicate on subset
-    bitmasks, such as a matroid's or p-system's ``indep_mask``. Ties resolve
-    to the first maximizer in ascending mask order.
+    ``feasible`` is None (every subset is feasible) or a bool table of shape
+    (2^n,) indexed by subset bitmask, such as a matroid's or p-system's
+    ``indep_table()``. The optimum is one masked argmax over the value
+    table; ties resolve to the first maximizer in ascending mask order.
     """
     if f.n > OPT_SET_LIMIT:
         raise CapabilityError(f"exhaustive optimum needs n <= {OPT_SET_LIMIT}")
     tab = f.table()
-    best_mask = -1
-    best_val = -math.inf
-    for mask in range(1 << f.n):
-        if feasible is not None and not feasible(mask):
-            continue
-        v = float(tab[mask])
-        if v > best_val:
-            best_val, best_mask = v, mask
-    if best_mask < 0:
+    if feasible is not None:
+        feasible = np.asarray(feasible)
+        if feasible.dtype != bool or feasible.shape != tab.shape:
+            raise ValueError(
+                f"feasible must be a bool table of shape {tab.shape}")
+        tab = np.where(feasible, tab, -math.inf)
+    best_mask = int(np.argmax(tab))
+    if feasible is not None and not feasible[best_mask]:
         raise ValueError("no feasible subset (not even the empty set)")
-    return OptimumCertificate(value=best_val,
+    return OptimumCertificate(value=float(tab[best_mask]),
                               maximizer=elements_of(best_mask),
                               method="exhaustive", radius=0.0)
 
@@ -372,7 +372,7 @@ def problem4_report(f: SetFunctionOracle, k: int,
     measured (gamma, m), the exhaustive optimum over |S| <= k, and the
     exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    opt = brute_force_opt_set(f, lambda mask: mask.bit_count() <= k)
+    opt = brute_force_opt_set(f, UniformMatroid(f.n, k).indep_table())
     measured = expected_value_exact(DummyGreedyProcess(f, k))
     return check_bound(measured, BOUNDS["problem4-claimed"],
                        {"m": ratios.m, "gamma": ratios.gamma,
@@ -387,8 +387,7 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     (m is recorded but unused), the exhaustive optimum over the common
     independent sets, and the exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    system = PSystem([m1, m2])
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, PSystem([m1, m2]).indep_table())
     measured = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
     return check_bound(measured, BOUNDS["problem5-claimed"],
                        {"gamma": ratios.gamma, "m": ratios.m,
@@ -462,7 +461,7 @@ def _problem2_run(seed: int, trial: int, n: int, p: int, epsilon: float):
     f = random_coverage(n, inst_seed)
     system = random_partition_psystem(n, p, inst_seed)
     trace = multipass_greedy(f, system, epsilon)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     return inst_seed, f, system, trace, opt
 
 

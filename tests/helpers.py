@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from submodlab.matroids import (ContractedMatroid, GraphicMatroid,
+                                PartitionMatroid, PSystem, UniformMatroid)
 from submodlab.oracles import GroundSet, SetFunctionOracle, elements_of
 
 
@@ -40,6 +42,73 @@ def recursive_best_subset(f, feasible_mask, n):
         return (v1, m1) if v1 >= v2 else (v2, m2)
 
     return rec(0, 0)
+
+
+def brute_force_loop(f, feasible=None):
+    """Reference for ``verify.brute_force_opt_set``: one pass over every
+    mask in ascending order, keeping the first strictly larger feasible
+    value. ``feasible`` is None or a bool table indexed by mask."""
+    tab = f.table()
+    best_mask = -1
+    best_val = -math.inf
+    for mask in range(1 << f.n):
+        if feasible is not None and not feasible[mask]:
+            continue
+        v = float(tab[mask])
+        if v > best_val:
+            best_val, best_mask = v, mask
+    if best_mask < 0:
+        raise ValueError("no feasible subset (not even the empty set)")
+    return best_val, elements_of(best_mask)
+
+
+def forest_union_find(edges, num_vertices, mask):
+    """Reference graphic independence: union-find over the mask's edges,
+    failing at the first edge that closes a cycle."""
+    parent = list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    m = mask
+    while m:
+        lsb = m & -m
+        a, b = edges[lsb.bit_length() - 1]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+        m ^= lsb
+    return True
+
+
+def indep_ref(system, mask):
+    """Reference per-mask independence of a matroid or p-system: bit counts
+    for uniform, per-block counts for partition, union-find for graphic.
+    A contraction by S is independent at T iff T misses S and T | S is
+    independent in the base, so the elements of S act as loops."""
+    if isinstance(system, PSystem):
+        return all(indep_ref(m, mask) for m in system.matroids)
+    if isinstance(system, ContractedMatroid):
+        s = system.contracted_mask
+        return not mask & s and indep_ref(system.base, mask | s)
+    if isinstance(system, UniformMatroid):
+        return mask.bit_count() <= system.k
+    if isinstance(system, PartitionMatroid):
+        return all((mask & sum(1 << u for u in block)).bit_count() <= cap
+                   for block, cap in zip(system.blocks, system.caps))
+    if isinstance(system, GraphicMatroid):
+        return forest_union_find(system.edges, system.num_vertices, mask)
+    raise TypeError(f"no reference for {type(system).__name__}")
+
+
+def indep_table_ref(system):
+    """Reference independence table, one ``indep_ref`` call per mask."""
+    return np.array([indep_ref(system, mask) for mask in range(1 << system.n)],
+                    dtype=bool)
 
 
 def tree_walk(process):

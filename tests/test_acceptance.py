@@ -59,7 +59,7 @@ def test_acceptance_1_multipass_bicriteria_bound():
                     trace = multipass_greedy(f, system, eps)
                     assert trace.meta["rounds"] == rounds
                     assert trace.meta["certificate_ok"]
-                    opt = brute_force_opt_set(f, system.indep_mask)
+                    opt = brute_force_opt_set(f, system.indep_table())
                     tol = 1e-9 * max(1.0, opt.value)
                     assert trace.value >= (1.0 - eps) * opt.value - tol, \
                         (p, eps, trial, trace.value, opt.value)

@@ -116,7 +116,7 @@ def test_multipass_modular_exact_after_first_round():
     f = random_modular(6, 41)
     system = PSystem([UniformMatroid(6, 3)])
     trace = multipass_greedy(f, system, 0.1)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     assert trace.iterations[0]["value"] == pytest.approx(opt.value, rel=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_multipass_modular_later_rounds_add_nothing_once_saturated():
     f = ModularOracle([4.0, 3.0, 2.0, 0.0, 0.0, 0.0])
     system = PSystem([UniformMatroid(6, 3)])
     trace = multipass_greedy(f, system, 0.1)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     assert trace.iterations[0]["value"] == pytest.approx(opt.value, rel=1e-12)
     for rec in trace.iterations[1:]:
         assert rec["added"] == []
@@ -137,7 +137,7 @@ def test_multipass_quarter_eps_single_matroid():
     f = random_coverage(8, 42)
     system = PSystem([random_partition_matroid(8, 43)])
     trace = multipass_greedy(f, system, 0.25)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     assert trace.meta["rounds"] == 2
     assert trace.value >= 0.75 * opt.value - 1e-9
 
@@ -147,7 +147,7 @@ def test_multipass_two_matroids_tenth_eps():
     system = PSystem([random_partition_matroid(8, 45),
                       random_partition_matroid(8, 46)])
     trace = multipass_greedy(f, system, 0.1)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     assert trace.meta["rounds"] == 6
     assert trace.value >= 0.9 * opt.value - 1e-9
 

@@ -241,6 +241,16 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_config_cannot_name_a_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "cov.json"
+    cfg.write_text(json.dumps({"config": "nope.json", "n": 5}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "gen",
+                 "--family", "coverage", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "'config' key" in capsys.readouterr().err
+
+
 def test_config_list_only_for_repeatable_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "cov.json"

@@ -10,10 +10,11 @@ from submodlab.matroids import (ContractedMatroid, GraphicMatroid,
                                 random_graphic_matroid,
                                 random_partition_matroid,
                                 random_uniform_matroid, verify_matroid_axioms)
-from submodlab.oracles import (CapabilityError, random_coverage,
-                               random_modular)
+from submodlab.oracles import (TABLE_LIMIT, CapabilityError,
+                               random_coverage, random_modular)
 
-from helpers import TableOracle, max_bipartite_matching
+from helpers import (TableOracle, indep_ref, indep_table_ref,
+                     max_bipartite_matching)
 
 
 def test_matroid_greedy_uniform_top_k():
@@ -226,3 +227,114 @@ def test_graphic_matroid_cycle_detection():
     assert not g.indep([0, 1, 2])
     parallel = GraphicMatroid(3, [(0, 1), (0, 1)])
     assert not parallel.indep([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# independence tables
+
+
+@st.composite
+def matroids(draw, n):
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, n + 1)))
+    if kind == "partition":
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        used = sorted(set(labels))
+        blocks = [[u for u in range(n) if labels[u] == j] for j in used]
+        caps = draw(st.lists(st.integers(0, 3), min_size=len(blocks),
+                             max_size=len(blocks)))
+        return PartitionMatroid(blocks, caps)
+    num_vertices = draw(st.integers(2, 6))
+    ends = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                          min_size=n, max_size=n))
+    return GraphicMatroid(num_vertices, edges)
+
+
+@st.composite
+def independence_systems(draw):
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["matroid", "contracted", "p-system"]))
+    if kind == "matroid":
+        return draw(matroids(n))
+    if kind == "contracted":
+        base = draw(matroids(n))
+        order = draw(st.permutations(range(n)))
+        take = draw(st.integers(0, n))
+        sel = 0
+        for u in order[:take]:
+            if indep_ref(base, sel | (1 << u)):
+                sel |= 1 << u
+        return ContractedMatroid(base, [u for u in range(n) if sel >> u & 1])
+    return PSystem(draw(st.lists(matroids(n), min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(independence_systems())
+def test_indep_table_matches_per_mask_reference(system):
+    tab = system.indep_table()
+    ref = indep_table_ref(system)
+    assert tab.dtype == bool and tab.shape == (1 << system.n,)
+    assert (tab == ref).all()
+    contracted = getattr(system, "contracted_mask", 0)
+    for mask in range(1 << system.n):
+        if mask & contracted:
+            with pytest.raises(ValueError):
+                system.indep_mask(mask)
+        else:
+            assert system.indep_mask(mask) == ref[mask]
+
+
+class TableView:
+    """Duck-typed matroid answering from another object's table."""
+
+    def __init__(self, system):
+        self.n = system.n
+        self.table = system.indep_table()
+
+    def indep_mask(self, mask):
+        return bool(self.table[mask])
+
+
+def test_contracted_table_is_a_matroid():
+    # the contracted elements are loops, so the axioms still hold
+    for seed in range(4):
+        base = random_graphic_matroid(8, seed)
+        contracted = ContractedMatroid(base, [0])
+        assert verify_matroid_axioms(TableView(contracted)) is None
+
+
+def test_indep_table_built_once_and_read_only(monkeypatch):
+    builds = []
+    build = PartitionMatroid._build_indep_table
+    monkeypatch.setattr(PartitionMatroid, "_build_indep_table",
+                        lambda self: builds.append(1) or build(self))
+    m = random_partition_matroid(9, 3)
+    system = PSystem([m, UniformMatroid(9, 4)])
+    tab = system.indep_table()
+    for mask in range(1 << 9):
+        system.indep_mask(mask)
+        m.indep_mask(mask)
+    assert system.indep_table() is tab and m.indep_table() is m.indep_table()
+    assert builds == [1]
+    for t in (tab, m.indep_table(), contract(m, []).indep_table()):
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = False
+
+
+def test_indep_table_capability_limit(monkeypatch):
+    n = TABLE_LIMIT + 1
+    for cls in (UniformMatroid, PartitionMatroid, GraphicMatroid):
+        monkeypatch.setattr(cls, "_build_indep_table", lambda self: 1 / 0)
+    uniform = UniformMatroid(n, 2)
+    for system in (uniform, PartitionMatroid([list(range(n))], [2]),
+                   GraphicMatroid(n + 1, [(u, u + 1) for u in range(n)]),
+                   PSystem([uniform])):
+        with pytest.raises(CapabilityError):
+            system.indep_table()
+        with pytest.raises(CapabilityError):
+            system.indep_mask(0)
+    with pytest.raises(CapabilityError):
+        ContractedMatroid(uniform, [0])

@@ -27,7 +27,8 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               monte_carlo_value, problem2_report,
                               problem3_report)
 
-from helpers import recursive_best_subset, tree_walk
+from helpers import (TableOracle, brute_force_loop, recursive_best_subset,
+                     tree_walk)
 
 
 def linear_oracle(b):
@@ -40,14 +41,14 @@ def linear_oracle(b):
 
 def test_brute_force_modular_under_uniform():
     f = ModularOracle([5.0, 1.0, 4.0, 2.0])
-    cert = brute_force_opt_set(f, UniformMatroid(4, 2).indep_mask)
+    cert = brute_force_opt_set(f, UniformMatroid(4, 2).indep_table())
     assert cert.value == 9.0 and cert.maximizer == [0, 2]
     assert cert.method == "exhaustive" and cert.radius == 0.0
 
 
 def test_brute_force_only_empty_feasible():
     f = random_coverage(5, 3)
-    cert = brute_force_opt_set(f, lambda mask: mask == 0)
+    cert = brute_force_opt_set(f, np.arange(1 << 5) == 0)
     assert cert.value == f.value(()) and cert.maximizer == []
 
 
@@ -56,9 +57,37 @@ def test_brute_force_agrees_with_recursive_enumerator():
         n = 6
         f = random_perturbed(n, 0.4, seed) if seed % 2 else random_coverage(n, seed)
         system = random_partition_matroid(n, seed + 1)
-        cert = brute_force_opt_set(f, system.indep_mask)
+        cert = brute_force_opt_set(f, system.indep_table())
         ref_val, _ = recursive_best_subset(f, system.indep_mask, n)
         assert cert.value == ref_val
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n),
+    st.none() | st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))))
+def test_brute_force_matches_loop_on_ties(case):
+    values, feasible = case
+    f = TableOracle(values)
+    if feasible is not None:
+        feasible = np.array(feasible, dtype=bool)
+    try:
+        expected = brute_force_loop(f, feasible)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brute_force_opt_set(f, feasible)
+        return
+    cert = brute_force_opt_set(f, feasible)
+    assert (cert.value, cert.maximizer) == expected
+
+
+def test_brute_force_rejects_malformed_feasibility():
+    f = random_coverage(4, 1)
+    system = UniformMatroid(4, 2)
+    for bad in (system.indep_mask, system.indep_table()[:8],
+                system.indep_table().astype(int)):
+        with pytest.raises(ValueError):
+            brute_force_opt_set(f, bad)
 
 
 def test_brute_force_capability_limit():
@@ -287,7 +316,7 @@ def test_problem2_report_checks_feasibility_certificate():
     f = random_coverage(7, 80)
     system = PSystem([random_partition_matroid(7, 81)])
     trace = multipass_greedy(f, system, 0.25)
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     good = problem2_report(trace, opt, system=system)
     assert good.verdict == "holds"
     # tamper with the recorded certificate; this union is dependent, so the
@@ -304,7 +333,7 @@ def test_problem5_verdict_recorded_without_failing():
     m2 = random_partition_matroid(6, 80)
     exact = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
     system = PSystem([m1, m2])
-    opt = brute_force_opt_set(f, system.indep_mask)
+    opt = brute_force_opt_set(f, system.indep_table())
     rep = check_bound(exact, BOUNDS["problem5-claimed"],
                       {"gamma": 1.0, "opt": opt.value})
     assert rep.provenance == CLAIMED_FLAWED
@@ -323,7 +352,7 @@ def test_audit_proved_problem2_finds_no_violations():
         f = random_coverage(8, inst_seed)
         system = PSystem([random_partition_matroid(8, inst_seed + 7)])
         trace = multipass_greedy(f, system, 0.25)
-        opt = brute_force_opt_set(f, system.indep_mask)
+        opt = brute_force_opt_set(f, system.indep_table())
         report = problem2_report(trace, opt, system=system,
                                  instance_id=f"t{trial}")
         return report, {"epsilon": 0.25}, {}
@@ -346,7 +375,7 @@ def test_audit_keeps_violation_when_opt_is_zero():
             trace = multipass_greedy(f, system, 0.25)
             if tamper:
                 trace.meta["independent_sets"] = [[0, 1, 2]]
-            opt = brute_force_opt_set(f, system.indep_mask)
+            opt = brute_force_opt_set(f, system.indep_table())
             report = problem2_report(trace, opt, system=system,
                                      instance_id=f"t{trial}")
             return report, {"epsilon": 0.25}, {"trial": trial}
