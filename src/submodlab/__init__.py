@@ -34,6 +34,7 @@ from .verify import (BOUNDS, AuditReport, BoundFormula, ConjectureReport,
                      GuaranteeReport, OptimumCertificate, audit,
                      audit_problem2, audit_problem2_conjecture, audit_problem4,
                      audit_problem5, brute_force_opt_set, check_bound,
-                     expected_value_exact, grid_opt, monte_carlo_value)
+                     dummy_greedy_expectation, expected_value_exact,
+                     grid_opt, monte_carlo_value)
 
 __version__ = "0.1.0"

@@ -226,8 +226,15 @@ class DummyGreedyProcess:
 
     2k dummy elements (ids n .. n+2k-1) have zero marginal everywhere; each
     of the k rounds offers the k candidates maximizing the summed marginals,
-    ties resolved toward real elements and then lower ids, and the algorithm
-    draws one uniformly.
+    and the algorithm draws one uniformly.
+
+    Tie rule: candidates sort by descending marginal, then real before
+    dummy, then ascending id. So a real element with zero marginal comes
+    before every dummy, and one with negative marginal after all of them;
+    at least k dummies are always left, so the latter is never offered.
+    ``verify.dummy_greedy_expectation`` encodes the same rule a second
+    time, over whole 2^n tables; a property test pins the two encodings
+    to bit-identical expectations.
     """
 
     def __init__(self, f: SetFunctionOracle, k: int):

@@ -5,10 +5,10 @@ Every matroid and p-system answers independence from a dense table: a
 cached, read-only bool array of length 2^n indexed by subset bitmask, built
 once on first use (``indep_table()``), the way a set-function oracle caches
 its value table. Uniform and partition tables come from per-block counts
-built by subset doubling, graphic tables from one union-find per subset,
-and a p-system's table is the AND of its matroids' tables. Point queries
-(``indep_mask``) are lookups in that table, and a contraction looks its
-base up at ``mask | S``. Tables are capped at n <= TABLE_LIMIT.
+and graphic tables from per-subset component labels, both built by subset
+doubling, and a p-system's table is the AND of its matroids' tables. Point
+queries (``indep_mask``) are lookups in that table, and a contraction looks
+its base up at ``mask | S``. Tables are capped at n <= TABLE_LIMIT.
 
 Everything here is exact and deterministic: greedy loops break ties toward
 the lowest element id, and the branch-and-prune search returns the first
@@ -145,30 +145,22 @@ class GraphicMatroid(Matroid):
         self.edges = edges
 
     def _build_indep_table(self) -> np.ndarray:
-        # A mask is a forest iff the mask without its highest edge is one
-        # and that edge joins two of its trees (down-closure), so union-find
-        # only runs where the smaller mask is independent.
-        def find(parent: list[int], x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # Subset doubling over per-mask component labels: lab[mask, v] names
+        # the component of v in the graph of mask's edges. Adding edge u =
+        # (a, b) to a mask below 2^u merges b's component into a's, and keeps
+        # a forest iff a and b were apart. Only endpoints get a column.
+        verts, ends = np.unique(np.ravel(self.edges), return_inverse=True)
+        lab = np.empty((1 << self.n, verts.size),
+                       dtype=np.min_scalar_type(verts.size))
+        lab[0] = np.arange(verts.size)
         tab = np.zeros(1 << self.n, dtype=bool)
         tab[0] = True
-        for mask in range(1, 1 << self.n):
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            if not tab[rest]:
-                continue
-            parent = list(range(self.num_vertices))
-            while rest:
-                lsb = rest & -rest
-                a, b = self.edges[lsb.bit_length() - 1]
-                parent[find(parent, a)] = find(parent, b)
-                rest ^= lsb
-            a, b = self.edges[top]
-            tab[mask] = find(parent, a) != find(parent, b)
+        for u, (a, b) in enumerate(ends.reshape(-1, 2)):
+            half = 1 << u
+            low = lab[:half]
+            lab[half:2 * half] = np.where(low == low[:, b:b + 1],
+                                          low[:, a:a + 1], low)
+            tab[half:2 * half] = tab[:half] & (low[:, a] != low[:, b])
         return tab
 
 

@@ -12,7 +12,7 @@ from submodlab.oracles import (CapabilityError, CoverageOracle, CutOracle,
                                measure_ratios, monotonicity_ratio,
                                random_coverage, random_cut, random_modular,
                                random_perturbed, submodularity_ratio)
-from submodlab.verify import brute_force_opt_set
+from submodlab.verify import brute_force_opt_set, dummy_greedy_expectation
 
 from helpers import (TableOracle, coverage_table_lsb, gamma_loop, m_loop,
                      relabel)
@@ -277,3 +277,8 @@ def test_relabelling_preserves_opt_gamma_and_m(case):
         submodularity_ratio(f), rel=1e-12, abs=1e-12)
     assert monotonicity_ratio(g) == pytest.approx(
         monotonicity_ratio(f), rel=1e-12, abs=1e-12)
+    if rank >= 1:
+        # a uniform table is tie-free with probability 1, so the candidate
+        # lists map onto each other; a tie would only reorder a sum
+        assert dummy_greedy_expectation(g, rank) == pytest.approx(
+            dummy_greedy_expectation(f, rank), rel=1e-12)

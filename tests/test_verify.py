@@ -12,8 +12,8 @@ from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import PSystem, UniformMatroid, random_partition_matroid
-from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, ModularOracle,
-                               random_coverage, random_modular,
+from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, CoverageOracle,
+                               ModularOracle, random_coverage, random_modular,
                                random_perturbed)
 from submodlab.serialization import load_bundle
 from submodlab import cli
@@ -23,9 +23,9 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               audit_problem2, audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
-                              expected_value_exact, grid_opt,
-                              monte_carlo_value, problem2_report,
-                              problem3_report)
+                              dummy_greedy_expectation, expected_value_exact,
+                              grid_opt, monte_carlo_value, problem2_report,
+                              problem3_report, problem4_report)
 
 from helpers import (TableOracle, brute_force_loop, recursive_best_subset,
                      tree_walk)
@@ -183,8 +183,10 @@ def test_expected_value_node_limit():
 
 
 def test_node_limit_covers_gamma_limit():
-    # the dummy-greedy DAG has at most (k + 1) * 2^n states with k <= n, and
-    # CLI verify measures gamma first, which caps n at GAMMA_LIMIT
+    # the cap guards intersection greedy (at most 2^n states) and direct
+    # expected_value_exact calls on dummy greedy (at most (k + 1) * 2^n
+    # states with k <= n); CLI verify measures gamma first, which caps n at
+    # GAMMA_LIMIT
     assert (GAMMA_LIMIT + 1) << GAMMA_LIMIT <= TREE_NODE_LIMIT
 
 
@@ -205,13 +207,15 @@ class CountingProcess:
 
 
 @st.composite
-def choice_processes(draw):
-    """Small choice processes of three kinds: dummy greedy on tie-heavy
+def choice_processes(draw, kinds=("ties", "nonmonotone", "intersection"),
+                     max_n=7, max_k=5):
+    """Small choice processes of four kinds: dummy greedy on tie-heavy
     modular weights (zero marginals tie with the dummies), dummy greedy on
     non-monotone perturbed coverage (negative marginals sort after the
-    dummies), and intersection greedy on random partition matroids."""
-    kind = draw(st.sampled_from(["ties", "nonmonotone", "intersection"]))
-    n = draw(st.integers(2, 7))
+    dummies), dummy greedy on unit-weight coverage (ties between distinct
+    elements), and intersection greedy on random partition matroids."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 10_000))
     if kind == "intersection":
         return IntersectionGreedyProcess(
@@ -220,9 +224,15 @@ def choice_processes(draw):
     if kind == "ties":
         f = ModularOracle(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                         min_size=n, max_size=n)))
+    elif kind == "coverage":
+        # unit weights make marginals item counts: ties between distinct
+        # elements are common, so the id tie-break decides the subtree
+        cover = random_coverage(n, seed)
+        f = CoverageOracle(n, cover.covers,
+                           np.ones(cover.universe_weights.size))
     else:
         f = random_perturbed(n, draw(st.sampled_from([0.3, 0.6, 1.0])), seed)
-    return DummyGreedyProcess(f, draw(st.integers(1, min(n, 5))))
+    return DummyGreedyProcess(f, draw(st.integers(1, min(n, max_k))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,6 +254,32 @@ def test_expected_value_exact_queries_each_state_once(proc):
         n, k = proc.f.n, proc.k
         bound = sum(math.comb(n, j) * (k - j + 1) for j in range(k + 1))
         assert len(dag.calls) <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(choice_processes(kinds=("ties", "nonmonotone", "coverage"), max_n=8,
+                        max_k=8))
+def test_dummy_greedy_expectation_matches_tree_walk_bit_for_bit(proc):
+    # the plain walk visits k^k leaves; past k = 5 the DAG walk stands in,
+    # which test_expected_value_exact_matches_tree_walk_bit_for_bit pins
+    ref = tree_walk(proc) if proc.k <= 5 else expected_value_exact(proc)
+    assert dummy_greedy_expectation(proc.f, proc.k) == ref
+
+
+def test_problem4_report_measures_the_dag_expectation():
+    for seed in range(6):
+        f = random_perturbed(7, 0.6, seed, monotone=seed % 2 == 0)
+        for k in (1, 4, 7):
+            report = problem4_report(f, k)
+            assert report.measured == \
+                expected_value_exact(DummyGreedyProcess(f, k))
+
+
+def test_dummy_greedy_expectation_rejects_budget_outside_one_to_n():
+    f = random_coverage(4, 0)
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            dummy_greedy_expectation(f, k)
 
 
 def test_monte_carlo_matches_exact_within_three_se():
