@@ -12,12 +12,12 @@ from .oracles import (CapabilityError, CoverageOracle, CutOracle, GroundSet,
                       is_submodular_bruteforce, marginal, measure_ratios,
                       monotonicity_ratio, random_coverage, random_cut,
                       random_modular, random_perturbed, submodularity_ratio)
-from .matroids import (ContractedMatroid, GraphicMatroid, Matroid,
-                       PartitionMatroid, PSystem, UniformMatroid,
-                       common_rank, contract, free_matroid, matroid_greedy,
-                       max_weight_common_independent, psystem_greedy_marginal,
-                       random_graphic_matroid, random_partition_matroid,
-                       random_uniform_matroid, verify_matroid_axioms)
+from .matroids import (GraphicMatroid, Matroid, PartitionMatroid, PSystem,
+                       UniformMatroid, common_rank, free_matroid,
+                       matroid_greedy, max_weight_common_independent,
+                       psystem_greedy_marginal, random_graphic_matroid,
+                       random_partition_matroid, random_uniform_matroid,
+                       verify_matroid_axioms)
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
                          KnapsackPolytope, MultilinearOracle,
                          PartitionPolytope, Polytope, QuadraticOracle,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import ContinuousOracle, Polytope, masked_update
-from .matroids import (Matroid, PSystem, common_rank, contract,
+from .matroids import (Matroid, PSystem, common_rank,
                        max_weight_common_independent, psystem_greedy_marginal)
 from .oracles import ResidualOracle, SetFunctionOracle, elements_of, mask_of
 
@@ -174,6 +174,14 @@ def authors_conjecture_rounds(p: int, epsilon: float) -> int:
     return max(1, math.ceil(ratio - CEIL_GUARD))
 
 
+def certificate_holds(system: PSystem, parts, final) -> bool:
+    """The bicriteria feasibility certificate: every recorded part is
+    independent in ``system`` and the parts' union is exactly ``final``, so
+    no parts certify only an empty output."""
+    union = sorted(set().union(*map(set, parts)))
+    return all(system.indep(t) for t in parts) and union == sorted(final)
+
+
 def multipass_greedy(f: SetFunctionOracle, system: PSystem,
                      epsilon: float) -> RunTrace:
     """Union of ell = bicriteria_rounds(p, eps) greedy passes; pass i runs
@@ -200,8 +208,6 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
             "value": f.value_mask(chosen),
         })
     final = elements_of(chosen)
-    certificate_ok = all(system.indep(t) for t in passes) and \
-        sorted(set().union(*passes)) == final if passes else True
     return RunTrace(
         algorithm="multipass-greedy",
         params={"epsilon": float(epsilon), "p": system.p},
@@ -212,7 +218,7 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
             "rounds": rounds,
             "value": f.value_mask(chosen),
             "independent_sets": passes,
-            "certificate_ok": bool(certificate_ok),
+            "certificate_ok": certificate_holds(system, passes, final),
         },
     )
 
@@ -317,10 +323,11 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
 class IntersectionGreedyProcess:
     """Choice tree of random greedy under two matroid constraints.
 
-    While some element extends the current set in both matroids: weight the
-    remaining elements by their marginals, take the maximum-weight common
-    independent set of both contracted matroids (no size target), and add a
-    uniformly random member.
+    While some element extends the current set S in both matroids: weight
+    the remaining elements by their marginals, take the maximum-weight
+    common independent set of both matroids contracted by S (the search
+    over the intersection's table with ``base=S``, no size target), and
+    add a uniformly random member.
     """
 
     def __init__(self, f: SetFunctionOracle, m1: Matroid, m2: Matroid):
@@ -329,32 +336,21 @@ class IntersectionGreedyProcess:
         if f.monotone is not True:
             raise ValueError("objective must be certified monotone")
         self.f = f
-        self.m1 = m1
-        self.m2 = m2
+        self.system = PSystem([m1, m2])
 
     def initial(self) -> int:
         return 0
 
     def choices(self, mask: int):
         n = self.f.n
-        ground = []
-        extendable = False
-        for u in range(n):
-            bit = 1 << u
-            if mask & bit:
-                continue
-            ground.append(u)
-            if self.m1.indep_mask(mask | bit) and self.m2.indep_mask(mask | bit):
-                extendable = True
-        if not extendable:
+        tab = self.system.indep_table()
+        ground = [u for u in range(n) if not mask >> u & 1]
+        if not any(tab[mask | 1 << u] for u in ground):
             return None
-        current = elements_of(mask)
         weights = np.zeros(n)
         for u in ground:
             weights[u] = self.f.marginal_mask(u, mask)
-        best = max_weight_common_independent(
-            contract(self.m1, current), contract(self.m2, current),
-            weights, ground=ground)
+        best = max_weight_common_independent(self.system, weights, base=mask)
         if not best:
             raise ValueError(
                 "all feasible marginals are negative; oracle is not monotone")
@@ -383,7 +379,7 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     variant would have run out of feasible sets.
     """
     proc = IntersectionGreedyProcess(f, m1, m2)
-    rank = common_rank(m1, m2)
+    rank = common_rank(proc.system)
     state = proc.initial()
     records = []
     i = 0
@@ -391,11 +387,8 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
         i += 1
         pick = int(_round_rng(seed, i - 1).integers(len(options)))
         u = options[pick]
-        current = elements_of(state)
-        remaining = [v for v in range(f.n) if not (state >> v) & 1]
         needed = rank - i + 1
-        contracted_rank = common_rank(
-            contract(m1, current), contract(m2, current), ground=remaining)
+        contracted_rank = common_rank(proc.system, base=state)
         marg = f.marginal_mask(u, state)
         state = proc.step(state, u)
         records.append({

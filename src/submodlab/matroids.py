@@ -1,5 +1,5 @@
-"""Matroid and p-system independence oracles, contraction, matroid greedy,
-and exact maximum-weight common independent sets via branch-and-prune.
+"""Matroid and p-system independence oracles, matroid greedy, and exact
+maximum-weight common independent sets via branch-and-prune.
 
 Every matroid and p-system answers independence from a dense table: a
 cached, read-only bool array of length 2^n indexed by subset bitmask, built
@@ -7,8 +7,10 @@ once on first use (``indep_table()``), the way a set-function oracle caches
 its value table. Uniform and partition tables come from per-block counts
 and graphic tables from per-subset component labels, both built by subset
 doubling, and a p-system's table is the AND of its matroids' tables. Point
-queries (``indep_mask``) are lookups in that table, and a contraction looks
-its base up at ``mask | S``. Tables are capped at n <= TABLE_LIMIT.
+queries (``indep_mask``) are lookups in that table. Contraction by an
+independent set S is a base mask: T is independent in the contraction iff
+``table[S | T]`` is True, so the greedy loops and the search take S as
+``base`` and OR it into each lookup. Tables are capped at n <= TABLE_LIMIT.
 
 Everything here is exact and deterministic: greedy loops break ties toward
 the lowest element id, and the branch-and-prune search returns the first
@@ -164,33 +166,6 @@ class GraphicMatroid(Matroid):
         return tab
 
 
-class ContractedMatroid(Matroid):
-    """base / S: T is independent iff S ∪ T is independent in the base.
-
-    S itself must be independent; point queries overlapping S are rejected
-    and read the base's table at ``mask | S``, so a contraction builds no
-    table of its own. In ``indep_table()`` the elements of S are loops.
-    """
-
-    def __init__(self, base: Matroid, contracted: Iterable[int]):
-        super().__init__(base.n)
-        self.base = base
-        self.contracted_mask = mask_of(contracted, base.n)
-        if not base.indep_mask(self.contracted_mask):
-            raise ValueError("can only contract by an independent set")
-        self.family = f"contracted({base.family})"
-
-    def _build_indep_table(self) -> np.ndarray:
-        masks = np.arange(1 << self.n)
-        return self.base.indep_table()[masks | self.contracted_mask] & \
-            ((masks & self.contracted_mask) == 0)
-
-    def indep_mask(self, mask: int) -> bool:
-        if mask & self.contracted_mask:
-            raise ValueError("query overlaps the contracted set")
-        return bool(self.base.indep_table()[mask | self.contracted_mask])
-
-
 class PSystem:
     """Intersection of matroids over one ground set, with p = len(matroids).
 
@@ -226,15 +201,6 @@ class PSystem:
         return self.indep_mask(mask_of(subset, self.n))
 
 
-def contract(system, subset: Iterable[int]):
-    """Contract a matroid or p-system by an (independent) subset."""
-    if isinstance(system, Matroid):
-        return ContractedMatroid(system, subset)
-    if isinstance(system, PSystem):
-        return PSystem([ContractedMatroid(m, subset) for m in system.matroids])
-    raise TypeError(f"cannot contract {type(system).__name__}")
-
-
 def matroid_greedy(m: Matroid, weights: Sequence[float]) -> list[int]:
     """Descending-weight greedy over one matroid; keeps nonnegative weights
     only, ties broken toward the lowest element id. Optimal for matroids."""
@@ -243,13 +209,14 @@ def matroid_greedy(m: Matroid, weights: Sequence[float]) -> list[int]:
         raise ValueError("need one weight per element")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
+    tab = m.indep_table()
     chosen: list[int] = []
     cur = 0
     for u in sorted(range(m.n), key=lambda u: (-w[u], u)):
         if w[u] < 0.0:
             break
         bit = 1 << u
-        if m.indep_mask(cur | bit):
+        if tab[cur | bit]:
             chosen.append(u)
             cur |= bit
     return chosen
@@ -268,7 +235,8 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
     if system.n != f.n:
         raise ValueError("oracle and independence system sizes differ")
     base_mask = mask_of(base, f.n)
-    if not system.indep_mask(base_mask):
+    tab = system.indep_table()
+    if not tab[base_mask]:
         raise ValueError("base set is not independent")
     stop_at_nonpositive = f.monotone is True
     chosen: list[int] = []
@@ -280,7 +248,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
             bit = 1 << u
             if (base_mask | sel) & bit:
                 continue
-            if not system.indep_mask(base_mask | sel | bit):
+            if not tab[base_mask | sel | bit]:
                 continue
             marg = f.marginal_mask(u, base_mask | sel)
             if best_u < 0 or marg > best_marg:
@@ -294,89 +262,67 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
     return chosen
 
 
-def max_weight_common_independent(m1: Matroid, m2: Matroid,
-                                  weights: Sequence[float],
-                                  size: int | None = None,
-                                  ground: Sequence[int] | None = None):
-    """Exact maximum-weight set independent in both matroids.
+def max_weight_common_independent(system: Matroid | PSystem,
+                                  weights: Sequence[float], base: int = 0,
+                                  ground: Sequence[int] | None = None
+                                  ) -> list[int]:
+    """Exact maximum-weight T within ``ground`` with ``base | T`` independent.
 
-    With ``size`` the search is restricted to sets of exactly that many
-    elements (returns None when no common independent set of that size
-    exists); without it the unrestricted maximum weight is returned. Among
-    equal-weight optima the result is the first one found by include-first
-    depth-first search in descending-weight order, which in particular is
-    never empty while any single element is feasible with weight >= 0.
+    ``system`` is a matroid or p-system, so a p-system of two matroids gives
+    the maximum-weight common independent set. The independent mask
+    ``base`` plays the contraction by that set: the search ORs it into each
+    lookup of ``system.indep_table()``. ``ground`` defaults to the elements
+    outside ``base``. Among equal-weight optima the result is the first one
+    found by include-first depth-first search in descending-weight order,
+    which in particular is never empty while any single element is feasible
+    with weight >= 0.
     """
-    if m1.n != m2.n:
-        raise ValueError("matroids must share the ground set")
+    n = system.n
     elems = sorted(set(int(u) for u in ground)) if ground is not None \
-        else list(range(m1.n))
-    if any(not 0 <= u < m1.n for u in elems):
-        raise ValueError("ground element out of range")
+        else [u for u in range(n) if not base >> u & 1]
+    if any(not 0 <= u < n or base >> u & 1 for u in elems):
+        raise ValueError("ground element out of range or in the base")
     if len(elems) > INTERSECTION_LIMIT:
         raise CapabilityError(
             f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (m1.n,):
+    if w.shape != (n,):
         raise ValueError("need one weight per element")
-    if size is not None:
-        size = int(size)
-        if size < 0:
-            raise ValueError("target size must be nonnegative")
-        if size == 0:
-            return []
-        if size > len(elems):
-            return None
+    tab = system.indep_table()
+    if not 0 <= base < 1 << n or not tab[base]:
+        raise ValueError("base is not an independent set")
 
     order = sorted(elems, key=lambda u: (-w[u], u))
     k = len(order)
     pos_suffix = [0.0] * (k + 1)
     for i in range(k - 1, -1, -1):
         pos_suffix[i] = pos_suffix[i + 1] + max(float(w[order[i]]), 0.0)
-    cum = [0.0] * (k + 1)
-    for i in range(k):
-        cum[i + 1] = cum[i] + float(w[order[i]])
 
     best_w = -np.inf
-    best_set: int | None = None
+    best_set = base
 
-    def rec(idx: int, mask: int, cur_w: float, cnt: int) -> None:
+    def rec(idx: int, mask: int, cur_w: float) -> None:
         nonlocal best_w, best_set
-        if size is None:
-            if idx == k:
-                if cur_w > best_w:
-                    best_w, best_set = cur_w, mask
-                return
-            if cur_w + pos_suffix[idx] <= best_w:
-                return
-        else:
-            if cnt == size:
-                if cur_w > best_w:
-                    best_w, best_set = cur_w, mask
-                return
-            need = size - cnt
-            if k - idx < need:
-                return
-            if cur_w + (cum[idx + need] - cum[idx]) <= best_w:
-                return
+        if idx == k:
+            if cur_w > best_w:
+                best_w, best_set = cur_w, mask
+            return
+        if cur_w + pos_suffix[idx] <= best_w:
+            return
         u = order[idx]
-        bit = 1 << u
-        if m1.indep_mask(mask | bit) and m2.indep_mask(mask | bit):
-            rec(idx + 1, mask | bit, cur_w + float(w[u]), cnt + 1)
-        rec(idx + 1, mask, cur_w, cnt)
+        if tab[mask | 1 << u]:
+            rec(idx + 1, mask | 1 << u, cur_w + float(w[u]))
+        rec(idx + 1, mask, cur_w)
 
-    rec(0, 0, 0.0, 0)
-    if best_set is None:
-        return None
-    return elements_of(best_set)
+    rec(0, base, 0.0)
+    return elements_of(best_set ^ base)
 
 
-def common_rank(m1: Matroid, m2: Matroid,
+def common_rank(system: Matroid | PSystem, base: int = 0,
                 ground: Sequence[int] | None = None) -> int:
-    """Maximum cardinality of a set independent in both matroids."""
-    ones = np.ones(m1.n)
-    best = max_weight_common_independent(m1, m2, ones, ground=ground)
-    return 0 if best is None else len(best)
+    """Maximum size of a T within ``ground`` with ``base | T`` independent."""
+    return len(max_weight_common_independent(system, np.ones(system.n),
+                                             base, ground))
 
 
 def verify_matroid_axioms(m: Matroid, limit: int = AXIOM_LIMIT):

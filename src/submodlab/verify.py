@@ -18,7 +18,7 @@ import numpy as np
 from . import serialization
 from .algorithms import (IntersectionGreedyProcess, RunTrace,
                          authors_conjecture_rounds, bicriteria_rounds,
-                         multipass_greedy)
+                         certificate_holds, multipass_greedy)
 from .continuous import ContinuousOracle, Polytope
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
@@ -390,10 +390,7 @@ def problem2_report(trace: RunTrace, opt: OptimumCertificate,
                          algorithm_id=trace.algorithm)
     if system is not None:
         parts = trace.meta.get("independent_sets", [])
-        union = sorted(set().union(*map(set, parts))) if parts else []
-        cert_ok = all(system.indep(t) for t in parts) and \
-            union == sorted(trace.final)
-        if not cert_ok:
+        if not certificate_holds(system, parts, trace.final):
             report = replace(report, verdict=VIOLATED)
     return report
 
@@ -433,8 +430,9 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     (m is recorded but unused), the exhaustive optimum over the common
     independent sets, and the exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    opt = brute_force_opt_set(f, PSystem([m1, m2]).indep_table())
-    measured = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
+    proc = IntersectionGreedyProcess(f, m1, m2)
+    opt = brute_force_opt_set(f, proc.system.indep_table())
+    measured = expected_value_exact(proc)
     return check_bound(measured, BOUNDS["problem5-claimed"],
                        {"gamma": ratios.gamma, "m": ratios.m,
                         "opt": opt.value},

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from submodlab.matroids import (ContractedMatroid, GraphicMatroid,
-                                PartitionMatroid, PSystem, UniformMatroid)
+from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
+                                UniformMatroid)
 from submodlab.oracles import GroundSet, SetFunctionOracle, elements_of
 
 
@@ -87,14 +87,9 @@ def forest_union_find(edges, num_vertices, mask):
 
 def indep_ref(system, mask):
     """Reference per-mask independence of a matroid or p-system: bit counts
-    for uniform, per-block counts for partition, union-find for graphic.
-    A contraction by S is independent at T iff T misses S and T | S is
-    independent in the base, so the elements of S act as loops."""
+    for uniform, per-block counts for partition, union-find for graphic."""
     if isinstance(system, PSystem):
         return all(indep_ref(m, mask) for m in system.matroids)
-    if isinstance(system, ContractedMatroid):
-        s = system.contracted_mask
-        return not mask & s and indep_ref(system.base, mask | s)
     if isinstance(system, UniformMatroid):
         return mask.bit_count() <= system.k
     if isinstance(system, PartitionMatroid):
@@ -204,12 +199,13 @@ def coverage_table_lsb(f):
 
 
 def relabel(f, perm):
-    """TableOracle g with g(perm(S)) = f(S): element u is renamed perm[u]."""
+    """TableOracle g with g(perm(S)) = f(S): element u is renamed perm[u].
+    g keeps f's monotonicity certificate."""
     tab = f.table()
     out = np.empty_like(tab)
     for mask in range(tab.size):
         out[sum(1 << perm[u] for u in elements_of(mask))] = tab[mask]
-    return TableOracle(out)
+    return TableOracle(out, monotone=f.monotone)
 
 
 def naive_submodularity_ratio(f):

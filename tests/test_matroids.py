@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.matroids import (ContractedMatroid, GraphicMatroid,
-                                PartitionMatroid, PSystem, UniformMatroid,
-                                common_rank, contract, free_matroid,
+from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
+                                UniformMatroid, common_rank, free_matroid,
                                 matroid_greedy, max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
                                 random_partition_matroid,
                                 random_uniform_matroid, verify_matroid_axioms)
-from submodlab.oracles import (TABLE_LIMIT, CapabilityError,
+from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
+                               mask_of,
                                random_coverage, random_modular)
 
 from helpers import (TableOracle, indep_ref, indep_table_ref,
@@ -41,7 +41,7 @@ def test_matroid_greedy_optimal_against_bruteforce():
         m = random_partition_matroid(n, seed)
         w = rng.uniform(-1.0, 2.0, n)
         greedy_val = sum(w[u] for u in matroid_greedy(m, w))
-        best = max_weight_common_independent(m, free_matroid(n), w)
+        best = max_weight_common_independent(PSystem([m, free_matroid(n)]), w)
         best_val = sum(w[u] for u in best)
         assert greedy_val == pytest.approx(best_val, rel=1e-12, abs=1e-12)
 
@@ -100,7 +100,7 @@ def test_psystem_greedy_base_marginals_relative_to_base():
 def test_mwci_one_matroid_dominates():
     w = np.array([2.0, 5.0, 1.0, 0.5])
     m1 = UniformMatroid(4, 2)
-    best = max_weight_common_independent(m1, free_matroid(4), w)
+    best = max_weight_common_independent(PSystem([m1, free_matroid(4)]), w)
     assert sum(w[u] for u in best) == sum(w[u] for u in matroid_greedy(m1, w))
 
 
@@ -114,45 +114,35 @@ def test_mwci_bipartite_matching_size():
                     for r in range(3)]
     m1 = PartitionMatroid(left_blocks, [1, 1, 1])
     m2 = PartitionMatroid(right_blocks, [1, 1, 1])
-    best = max_weight_common_independent(m1, m2, np.ones(len(edges)))
+    system = PSystem([m1, m2])
+    best = max_weight_common_independent(system, np.ones(len(edges)))
     assert len(best) == max_bipartite_matching(3, 3, edges)
-    assert common_rank(m1, m2) == len(best)
-
-
-def test_mwci_infeasible_target_size():
-    m1 = UniformMatroid(4, 1)
-    m2 = free_matroid(4)
-    assert max_weight_common_independent(m1, m2, np.ones(4), size=2) is None
-    assert max_weight_common_independent(m1, m2, np.ones(4), size=0) == []
-
-
-def test_mwci_restricted_size_picks_best():
-    w = np.array([3.0, 2.0, 10.0])
-    m = PartitionMatroid([[0, 1], [2]], [1, 1])
-    best = max_weight_common_independent(m, free_matroid(3), w, size=2)
-    assert best == [0, 2]
+    assert common_rank(system) == len(best)
 
 
 def test_mwci_capability_limit():
     n = 19
     m = free_matroid(n)
+    system = PSystem([m, m])
     with pytest.raises(CapabilityError):
-        max_weight_common_independent(m, m, np.ones(n))
+        max_weight_common_independent(system, np.ones(n))
+    assert system._indep_table is None  # the cap is checked before the table
 
 
 def test_mwci_nonempty_with_zero_weights():
     m = UniformMatroid(4, 2)
-    best = max_weight_common_independent(m, free_matroid(4), np.zeros(4))
+    best = max_weight_common_independent(PSystem([m, free_matroid(4)]),
+                                         np.zeros(4))
     assert best  # include-first tie-breaking keeps a maximal zero-weight set
 
 
 def test_common_rank_examples():
     u2 = UniformMatroid(5, 2)
-    assert common_rank(u2, u2) == 2
-    assert common_rank(u2, free_matroid(5)) == 2
+    assert common_rank(PSystem([u2, u2])) == 2
+    assert common_rank(PSystem([u2, free_matroid(5)])) == 2
     m1 = PartitionMatroid([[0, 1], [2, 3]], [1, 1])
     m2 = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
-    assert common_rank(m1, m2) == 2
+    assert common_rank(PSystem([m1, m2])) == 2
 
 
 def test_axioms_hold_for_generated_matroids():
@@ -173,38 +163,6 @@ def test_axioms_reject_non_matroid():
 
     assert verify_matroid_axioms(Fake()) is not None
     assert bad  # silence unused warning
-
-
-def test_contraction_matches_defining_equivalence():
-    for seed in range(6):
-        base = random_partition_matroid(8, seed)
-        sel = [u for u in range(8) if base.indep([u])][:2]
-        if not base.indep(sel):
-            sel = sel[:1]
-        c = ContractedMatroid(base, sel)
-        smask = sum(1 << u for u in sel)
-        for t in range(1 << 8):
-            if t & smask:
-                with pytest.raises(ValueError):
-                    c.indep_mask(t)
-                break
-        for t in range(1 << 8):
-            if t & smask:
-                continue
-            assert c.indep_mask(t) == base.indep_mask(t | smask)
-
-
-def test_contraction_requires_independent_set():
-    m = UniformMatroid(4, 1)
-    with pytest.raises(ValueError):
-        ContractedMatroid(m, [0, 1])
-
-
-def test_contract_psystem():
-    system = PSystem([UniformMatroid(5, 3), UniformMatroid(5, 2)])
-    reduced = contract(system, [0])
-    assert reduced.p == 2
-    assert reduced.indep([1]) and not reduced.indep([1, 2])
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,8 +192,8 @@ def test_graphic_matroid_cycle_detection():
 
 
 @st.composite
-def matroids(draw, n):
-    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+def matroids(draw, n, kinds=("uniform", "partition", "graphic")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "uniform":
         return UniformMatroid(n, draw(st.integers(0, n + 1)))
     if kind == "partition":
@@ -255,18 +213,8 @@ def matroids(draw, n):
 @st.composite
 def independence_systems(draw):
     n = draw(st.integers(1, 10))
-    kind = draw(st.sampled_from(["matroid", "contracted", "p-system"]))
-    if kind == "matroid":
+    if draw(st.booleans()):
         return draw(matroids(n))
-    if kind == "contracted":
-        base = draw(matroids(n))
-        order = draw(st.permutations(range(n)))
-        take = draw(st.integers(0, n))
-        sel = 0
-        for u in order[:take]:
-            if indep_ref(base, sel | (1 << u)):
-                sel |= 1 << u
-        return ContractedMatroid(base, [u for u in range(n) if sel >> u & 1])
     return PSystem(draw(st.lists(matroids(n), min_size=1, max_size=3)))
 
 
@@ -277,32 +225,8 @@ def test_indep_table_matches_per_mask_reference(system):
     ref = indep_table_ref(system)
     assert tab.dtype == bool and tab.shape == (1 << system.n,)
     assert (tab == ref).all()
-    contracted = getattr(system, "contracted_mask", 0)
     for mask in range(1 << system.n):
-        if mask & contracted:
-            with pytest.raises(ValueError):
-                system.indep_mask(mask)
-        else:
-            assert system.indep_mask(mask) == ref[mask]
-
-
-class TableView:
-    """Duck-typed matroid answering from another object's table."""
-
-    def __init__(self, system):
-        self.n = system.n
-        self.table = system.indep_table()
-
-    def indep_mask(self, mask):
-        return bool(self.table[mask])
-
-
-def test_contracted_table_is_a_matroid():
-    # the contracted elements are loops, so the axioms still hold
-    for seed in range(4):
-        base = random_graphic_matroid(8, seed)
-        contracted = ContractedMatroid(base, [0])
-        assert verify_matroid_axioms(TableView(contracted)) is None
+        assert system.indep_mask(mask) == ref[mask]
 
 
 def test_indep_table_built_once_and_read_only(monkeypatch):
@@ -318,7 +242,7 @@ def test_indep_table_built_once_and_read_only(monkeypatch):
         m.indep_mask(mask)
     assert system.indep_table() is tab and m.indep_table() is m.indep_table()
     assert builds == [1]
-    for t in (tab, m.indep_table(), contract(m, []).indep_table()):
+    for t in (tab, m.indep_table()):
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0] = False
@@ -336,5 +260,59 @@ def test_indep_table_capability_limit(monkeypatch):
             system.indep_table()
         with pytest.raises(CapabilityError):
             system.indep_mask(0)
-    with pytest.raises(CapabilityError):
-        ContractedMatroid(uniform, [0])
+
+
+# ---------------------------------------------------------------------------
+# search with a base mask (contraction by an independent set)
+
+
+@st.composite
+def base_searches(draw):
+    """A partition or graphic matroid, or a p-system of two, on n <= 9
+    elements; an independent base mask; a ground set outside it; weights."""
+    n = draw(st.integers(1, 9))
+    parts = draw(st.lists(matroids(n, kinds=("partition", "graphic")),
+                          min_size=1, max_size=2))
+    system = parts[0] if len(parts) == 1 else PSystem(parts)
+    base = 0
+    for u in draw(st.permutations(range(n)))[:draw(st.integers(0, n))]:
+        if indep_ref(system, base | 1 << u):
+            base |= 1 << u
+    ground = [u for u in range(n) if not base >> u & 1 and draw(st.booleans())]
+    weights = draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n))
+    return system, base, ground, np.array(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_searches())
+def test_mwci_with_base_matches_exhaustive(case):
+    system, base, ground, w = case
+    best = max_weight_common_independent(system, w, base, ground)
+    assert set(best) <= set(ground)
+    assert indep_ref(system, base | mask_of(best, system.n))
+    outside = ~mask_of(ground, system.n)
+    feasible = [t for t in range(1 << system.n)
+                if not t & outside and indep_ref(system, base | t)]
+    top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
+    assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
+    assert common_rank(system, base, ground) == \
+        max(t.bit_count() for t in feasible)
+
+
+def test_mwci_rejects_dependent_base():
+    system = PSystem([UniformMatroid(4, 1), free_matroid(4)])
+    with pytest.raises(ValueError):
+        max_weight_common_independent(system, np.ones(4), base=0b11)
+    with pytest.raises(ValueError):
+        common_rank(UniformMatroid(4, 1), base=0b11)
+    assert max_weight_common_independent(system, np.ones(4), base=0b1) == []
+
+
+def test_mwci_rejects_ground_in_base_or_out_of_range():
+    system = PSystem([UniformMatroid(4, 2), free_matroid(4)])
+    with pytest.raises(ValueError):
+        max_weight_common_independent(system, np.ones(4), base=0b1,
+                                      ground=[0, 2])
+    with pytest.raises(ValueError):
+        common_rank(system, ground=[1, 4])
+    assert common_rank(system, base=0b1, ground=[2, 3]) == 1

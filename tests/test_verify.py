@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import (DummyGreedyProcess,
-                                  IntersectionGreedyProcess, frank_wolfe,
+                                  IntersectionGreedyProcess,
+                                  certificate_holds, frank_wolfe,
                                   multipass_greedy)
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box,
                                   weak_dr_gamma)
-from submodlab.matroids import PSystem, UniformMatroid, random_partition_matroid
+from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
+                                random_partition_matroid)
 from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, CoverageOracle,
-                               ModularOracle, random_coverage, random_modular,
-                               random_perturbed)
+                               ModularOracle, elements_of, random_coverage,
+                               random_modular, random_perturbed)
 from submodlab.serialization import load_bundle
 from submodlab import cli
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
@@ -28,7 +30,7 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               problem3_report, problem4_report)
 
 from helpers import (TableOracle, brute_force_loop, recursive_best_subset,
-                     tree_walk)
+                     relabel, tree_walk)
 
 
 def linear_oracle(b):
@@ -363,6 +365,18 @@ def test_problem2_report_checks_feasibility_certificate():
     assert bad.verdict == "violated"
 
 
+def test_bicriteria_certificate_without_parts_covers_only_empty_output():
+    f = random_coverage(7, 82)
+    system = PSystem([random_partition_matroid(7, 83)])
+    trace = multipass_greedy(f, system, 0.25)
+    opt = brute_force_opt_set(f, system.indep_table())
+    assert trace.final and trace.meta["certificate_ok"]
+    assert certificate_holds(system, [], [])
+    assert not certificate_holds(system, [], trace.final)
+    trace.meta["independent_sets"] = []
+    assert problem2_report(trace, opt, system=system).verdict == VIOLATED
+
+
 def test_problem5_verdict_recorded_without_failing():
     f = random_coverage(6, 78)
     m1 = random_partition_matroid(6, 79)
@@ -374,6 +388,34 @@ def test_problem5_verdict_recorded_without_failing():
                       {"gamma": 1.0, "opt": opt.value})
     assert rep.provenance == CLAIMED_FLAWED
     assert rep.verdict in ("holds", "violated")  # recorded, never asserted
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.integers(0, 10_000), st.permutations(range(n)))))
+def test_relabelling_preserves_problem5_opt_and_expectation(case):
+    seed, perm = case
+    n = len(perm)
+    # each set is worth a random amount more than its best one-smaller
+    # subset: monotone, and tie-free with probability 1
+    rng = np.random.default_rng(seed)
+    tab = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        tab[mask] = max(tab[mask ^ 1 << u] for u in elements_of(mask)) + \
+            rng.uniform(0.1, 1.0)
+    f = TableOracle(tab, monotone=True)
+    g = relabel(f, perm)
+    ms = [random_partition_matroid(n, seed + j) for j in (1, 2)]
+    ms_g = [PartitionMatroid([[perm[u] for u in b] for b in m.blocks], m.caps)
+            for m in ms]
+    opt_f = brute_force_opt_set(f, PSystem(ms).indep_table())
+    opt_g = brute_force_opt_set(g, PSystem(ms_g).indep_table())
+    assert opt_g.value == opt_f.value
+    # no ties, so the candidate sets map onto each other; only the order
+    # in which the expectation sums its branches changes
+    assert expected_value_exact(IntersectionGreedyProcess(g, *ms_g)) == \
+        pytest.approx(expected_value_exact(IntersectionGreedyProcess(f, *ms)),
+                      rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
