@@ -9,8 +9,10 @@ and graphic tables from per-subset component labels, both built by subset
 doubling, and a p-system's table is the AND of its matroids' tables. Point
 queries (``indep_mask``) are lookups in that table. Contraction by an
 independent set S is a base mask: T is independent in the contraction iff
-``table[S | T]`` is True, so the greedy loops and the search take S as
-``base`` and OR it into each lookup. Tables are capped at n <= TABLE_LIMIT.
+``table[S | T]`` is True. The common-independent search takes S as the int
+mask ``base`` and ORs it into each lookup; ``psystem_greedy_marginal`` takes
+its ``base`` as an iterable of elements. Tables are capped at
+n <= TABLE_LIMIT.
 
 Everything here is exact and deterministic: greedy loops break ties toward
 the lowest element id, and the branch-and-prune search returns the first
@@ -224,7 +226,7 @@ def matroid_greedy(m: Matroid, weights: Sequence[float]) -> list[int]:
 
 def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
                             base: Iterable[int] = ()) -> list[int]:
-    """Greedy by marginal value on top of ``base``.
+    """Greedy by marginal value on top of ``base``, an iterable of elements.
 
     Repeatedly adds the element u maximizing f(u | base ∪ T) subject to
     base ∪ T + u staying independent, until no feasible element remains.
@@ -263,25 +265,20 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
 
 
 def max_weight_common_independent(system: Matroid | PSystem,
-                                  weights: Sequence[float], base: int = 0,
-                                  ground: Sequence[int] | None = None
+                                  weights: Sequence[float], base: int = 0
                                   ) -> list[int]:
-    """Exact maximum-weight T within ``ground`` with ``base | T`` independent.
+    """Exact maximum-weight T outside ``base`` with ``base | T`` independent.
 
     ``system`` is a matroid or p-system, so a p-system of two matroids gives
-    the maximum-weight common independent set. The independent mask
+    the maximum-weight common independent set. The independent int mask
     ``base`` plays the contraction by that set: the search ORs it into each
-    lookup of ``system.indep_table()``. ``ground`` defaults to the elements
-    outside ``base``. Among equal-weight optima the result is the first one
-    found by include-first depth-first search in descending-weight order,
-    which in particular is never empty while any single element is feasible
-    with weight >= 0.
+    lookup of ``system.indep_table()``. Among equal-weight optima the result
+    is the first one found by include-first depth-first search in
+    descending-weight order, which in particular is never empty while any
+    single element is feasible with weight >= 0.
     """
     n = system.n
-    elems = sorted(set(int(u) for u in ground)) if ground is not None \
-        else [u for u in range(n) if not base >> u & 1]
-    if any(not 0 <= u < n or base >> u & 1 for u in elems):
-        raise ValueError("ground element out of range or in the base")
+    elems = [u for u in range(n) if not base >> u & 1]
     if len(elems) > INTERSECTION_LIMIT:
         raise CapabilityError(
             f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
@@ -318,11 +315,9 @@ def max_weight_common_independent(system: Matroid | PSystem,
     return elements_of(best_set ^ base)
 
 
-def common_rank(system: Matroid | PSystem, base: int = 0,
-                ground: Sequence[int] | None = None) -> int:
-    """Maximum size of a T within ``ground`` with ``base | T`` independent."""
-    return len(max_weight_common_independent(system, np.ones(system.n),
-                                             base, ground))
+def common_rank(system: Matroid | PSystem, base: int = 0) -> int:
+    """Maximum size of a T outside ``base`` with ``base | T`` independent."""
+    return len(max_weight_common_independent(system, np.ones(system.n), base))
 
 
 def verify_matroid_axioms(m: Matroid, limit: int = AXIOM_LIMIT):

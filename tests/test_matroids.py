@@ -269,7 +269,7 @@ def test_indep_table_capability_limit(monkeypatch):
 @st.composite
 def base_searches(draw):
     """A partition or graphic matroid, or a p-system of two, on n <= 9
-    elements; an independent base mask; a ground set outside it; weights."""
+    elements; an independent base mask; weights."""
     n = draw(st.integers(1, 9))
     parts = draw(st.lists(matroids(n, kinds=("partition", "graphic")),
                           min_size=1, max_size=2))
@@ -278,25 +278,22 @@ def base_searches(draw):
     for u in draw(st.permutations(range(n)))[:draw(st.integers(0, n))]:
         if indep_ref(system, base | 1 << u):
             base |= 1 << u
-    ground = [u for u in range(n) if not base >> u & 1 and draw(st.booleans())]
     weights = draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n))
-    return system, base, ground, np.array(weights)
+    return system, base, np.array(weights)
 
 
 @settings(max_examples=100, deadline=None)
 @given(base_searches())
 def test_mwci_with_base_matches_exhaustive(case):
-    system, base, ground, w = case
-    best = max_weight_common_independent(system, w, base, ground)
-    assert set(best) <= set(ground)
+    system, base, w = case
+    best = max_weight_common_independent(system, w, base)
+    assert not base & mask_of(best, system.n)
     assert indep_ref(system, base | mask_of(best, system.n))
-    outside = ~mask_of(ground, system.n)
     feasible = [t for t in range(1 << system.n)
-                if not t & outside and indep_ref(system, base | t)]
+                if not t & base and indep_ref(system, base | t)]
     top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
     assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
-    assert common_rank(system, base, ground) == \
-        max(t.bit_count() for t in feasible)
+    assert common_rank(system, base) == max(t.bit_count() for t in feasible)
 
 
 def test_mwci_rejects_dependent_base():
@@ -305,14 +302,6 @@ def test_mwci_rejects_dependent_base():
         max_weight_common_independent(system, np.ones(4), base=0b11)
     with pytest.raises(ValueError):
         common_rank(UniformMatroid(4, 1), base=0b11)
+    with pytest.raises(ValueError):
+        common_rank(system, base=1 << 4)
     assert max_weight_common_independent(system, np.ones(4), base=0b1) == []
-
-
-def test_mwci_rejects_ground_in_base_or_out_of_range():
-    system = PSystem([UniformMatroid(4, 2), free_matroid(4)])
-    with pytest.raises(ValueError):
-        max_weight_common_independent(system, np.ones(4), base=0b1,
-                                      ground=[0, 2])
-    with pytest.raises(ValueError):
-        common_rank(system, ground=[1, 4])
-    assert common_rank(system, base=0b1, ground=[2, 3]) == 1
