@@ -6,12 +6,12 @@ algorithms, and a verification layer that checks runs against closed-form
 guarantee thresholds (asserting the proved ones, auditing the flawed ones).
 """
 
-from .oracles import (CapabilityError, CoverageOracle, CutOracle, GroundSet,
+from .oracles import (CapabilityError, CoverageOracle, CutOracle,
                       ModularOracle, PerturbedOracle, RatioMeasurement,
-                      ResidualOracle, SetFunctionOracle,
-                      is_submodular_bruteforce, marginal, measure_ratios,
-                      monotonicity_ratio, random_coverage, random_cut,
-                      random_modular, random_perturbed, submodularity_ratio)
+                      SetFunctionOracle, is_submodular_bruteforce, marginal,
+                      measure_ratios, monotonicity_ratio, random_coverage,
+                      random_cut, random_modular, random_perturbed,
+                      submodularity_ratio)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid, PSystem,
                        UniformMatroid, common_rank, free_matroid,
                        matroid_greedy, max_weight_common_independent,

@@ -21,7 +21,7 @@ import numpy as np
 from .continuous import ContinuousOracle, Polytope, masked_update
 from .matroids import (Matroid, PSystem, common_rank,
                        max_weight_common_independent, psystem_greedy_marginal)
-from .oracles import ResidualOracle, SetFunctionOracle, elements_of, mask_of
+from .oracles import SetFunctionOracle, elements_of, mask_of
 
 CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
                    # integral (e.g. ln 4 / ln 2) must not round up
@@ -185,9 +185,9 @@ def certificate_holds(system: PSystem, parts, final) -> bool:
 def multipass_greedy(f: SetFunctionOracle, system: PSystem,
                      epsilon: float) -> RunTrace:
     """Union of ell = bicriteria_rounds(p, eps) greedy passes; pass i runs
-    marginal greedy for f(· | S_{i-1}) over the p-system, so the output is
-    covered by ell independent sets (the bicriteria certificate, stored in
-    the trace).
+    marginal greedy over the p-system with marginals f(u | S_{i-1} ∪ T_i)
+    and T_i independent on its own, so the output is covered by ell
+    independent sets (the bicriteria certificate, stored in the trace).
     """
     if f.monotone is not True:
         raise ValueError("objective must be certified monotone")
@@ -198,8 +198,7 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
     records = []
     passes = []
     for i in range(rounds):
-        residual = ResidualOracle(f, elements_of(chosen))
-        part = psystem_greedy_marginal(residual, system)
+        part = psystem_greedy_marginal(f, system, given=chosen)
         chosen |= mask_of(part, f.n)
         passes.append(sorted(part))
         records.append({

@@ -7,12 +7,13 @@ once on first use (``indep_table()``), the way a set-function oracle caches
 its value table. Uniform and partition tables come from per-block counts
 and graphic tables from per-subset component labels, both built by subset
 doubling, and a p-system's table is the AND of its matroids' tables. Point
-queries (``indep_mask``) are lookups in that table. Contraction by an
-independent set S is a base mask: T is independent in the contraction iff
-``table[S | T]`` is True. The common-independent search takes S as the int
-mask ``base`` and ORs it into each lookup; ``psystem_greedy_marginal`` takes
-its ``base`` as an iterable of elements. Tables are capped at
+queries (``indep_mask``) are lookups in that table. Tables are capped at
 n <= TABLE_LIMIT.
+
+The common-independent search's int mask ``base`` is an independent set S
+that constrains independence: it looks for T with ``table[S | T]`` True,
+the contraction by S. The greedy pass's int mask ``given`` shifts the
+marginals only: T stays independent on its own, scored by f(u | given ∪ T).
 
 Everything here is exact and deterministic: greedy loops break ties toward
 the lowest element id, and the branch-and-prune search returns the first
@@ -225,21 +226,21 @@ def matroid_greedy(m: Matroid, weights: Sequence[float]) -> list[int]:
 
 
 def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
-                            base: Iterable[int] = ()) -> list[int]:
-    """Greedy by marginal value on top of ``base``, an iterable of elements.
+                            given: int = 0) -> list[int]:
+    """Greedy by marginal value on top of ``given``, an int mask.
 
-    Repeatedly adds the element u maximizing f(u | base ∪ T) subject to
-    base ∪ T + u staying independent, until no feasible element remains.
-    For oracles certified monotone the loop also stops once the best
-    available marginal is <= 0 (a numerical guard; monotone oracles only
-    produce such marginals as zeros or float noise).
+    Repeatedly adds the element u outside ``given`` maximizing
+    f(u | given ∪ T) subject to T + u staying independent, until no
+    feasible element remains. ``given`` shifts the marginals only; it takes
+    no part in independence. For oracles certified monotone the loop also
+    stops once the best available marginal is <= 0 (a numerical guard;
+    monotone oracles only produce such marginals as zeros or float noise).
     """
     if system.n != f.n:
         raise ValueError("oracle and independence system sizes differ")
-    base_mask = mask_of(base, f.n)
+    if not 0 <= given < 1 << f.n:
+        raise ValueError("given is not a subset of the ground set")
     tab = system.indep_table()
-    if not tab[base_mask]:
-        raise ValueError("base set is not independent")
     stop_at_nonpositive = f.monotone is True
     chosen: list[int] = []
     sel = 0
@@ -248,11 +249,9 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
         best_marg = 0.0
         for u in range(f.n):
             bit = 1 << u
-            if (base_mask | sel) & bit:
+            if (given | sel) & bit or not tab[sel | bit]:
                 continue
-            if not tab[base_mask | sel | bit]:
-                continue
-            marg = f.marginal_mask(u, base_mask | sel)
+            marg = f.marginal_mask(u, given | sel)
             if best_u < 0 or marg > best_marg:
                 best_u, best_marg = u, marg
         if best_u < 0:
@@ -285,6 +284,8 @@ def max_weight_common_independent(system: Matroid | PSystem,
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError("need one weight per element")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     tab = system.indep_table()
     if not 0 <= base < 1 << n or not tab[base]:
         raise ValueError("base is not an independent set")
@@ -328,10 +329,7 @@ def verify_matroid_axioms(m: Matroid, limit: int = AXIOM_LIMIT):
     """
     if m.n > limit:
         raise CapabilityError(f"axiom check needs n <= {limit}")
-    size = 1 << m.n
-    indep = np.zeros(size, dtype=bool)
-    for mask in range(size):
-        indep[mask] = m.indep_mask(mask)
+    indep = m.indep_table()
     if not indep[0]:
         return "empty set is not independent"
     ind_masks = np.nonzero(indep)[0].astype(np.int64)

@@ -33,20 +33,6 @@ class CapabilityError(RuntimeError):
     """An exact enumeration was requested beyond its supported size."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Ground set {0, ..., n-1}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground set needs at least one element")
-
-    def elements(self) -> range:
-        return range(self.n)
-
-
 def mask_of(subset: Iterable[int], n: int) -> int:
     mask = 0
     for u in subset:
@@ -78,14 +64,12 @@ class SetFunctionOracle:
 
     family = "abstract"
 
-    def __init__(self, ground: GroundSet, monotone: bool | None = None):
-        self.ground = ground
+    def __init__(self, n: int, monotone: bool | None = None):
+        if n < 1:
+            raise ValueError("ground set needs at least one element")
+        self.n = int(n)
         self.monotone = monotone
         self._table: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.ground.n
 
     def _build_table(self) -> np.ndarray:
         raise NotImplementedError
@@ -130,7 +114,7 @@ class ModularOracle(SetFunctionOracle):
             raise ValueError("weights must be a nonempty vector")
         if float(w.min()) < 0.0:
             raise ValueError("modular oracle weights must be nonnegative")
-        super().__init__(GroundSet(w.size), monotone=True)
+        super().__init__(w.size, monotone=True)
         self.weights = w
 
     def _build_table(self) -> np.ndarray:
@@ -155,7 +139,7 @@ class CoverageOracle(SetFunctionOracle):
             raise ValueError("universe weights must be nonnegative")
         if w.size > 62:
             raise ValueError("universe too large for bitmask covers")
-        super().__init__(GroundSet(n), monotone=True)
+        super().__init__(n, monotone=True)
         self.covers = tuple(frozenset(int(i) for i in c) for c in covers)
         for cov in self.covers:
             if any(not 0 <= i < w.size for i in cov):
@@ -182,7 +166,7 @@ class CutOracle(SetFunctionOracle):
     family = "cut"
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
-        super().__init__(GroundSet(n), monotone=False)
+        super().__init__(n, monotone=False)
         cleaned = []
         for a, b, w in edges:
             a, b, w = int(a), int(b), float(w)
@@ -217,8 +201,7 @@ class PerturbedOracle(SetFunctionOracle):
                  monotone_noise: bool = False):
         if delta < 0.0:
             raise ValueError("noise amplitude must be nonnegative")
-        super().__init__(GroundSet(base.n),
-                         monotone=True if monotone_noise else None)
+        super().__init__(base.n, monotone=True if monotone_noise else None)
         self.base = base
         self.delta = float(delta)
         self.seed = int(seed)
@@ -233,20 +216,6 @@ class PerturbedOracle(SetFunctionOracle):
                 view = noise.reshape(-1, 2 * bit)
                 np.maximum(view[:, bit:], view[:, :bit], out=view[:, bit:])
         return np.maximum(0.0, self.base.table() + noise)
-
-
-class ResidualOracle(SetFunctionOracle):
-    """f(base ∪ ·) for a fixed base set; elements of the base get marginal 0."""
-
-    def __init__(self, base_oracle: SetFunctionOracle, fixed: Iterable[int]):
-        super().__init__(base_oracle.ground, monotone=base_oracle.monotone)
-        self.base_oracle = base_oracle
-        self.fixed_mask = mask_of(fixed, base_oracle.n)
-        self.family = f"residual({base_oracle.family})"
-
-    def _build_table(self) -> np.ndarray:
-        idx = np.arange(1 << self.n) | self.fixed_mask
-        return self.base_oracle.table()[idx]
 
 
 def marginal(f: SetFunctionOracle, u: int, subset: Iterable[int]) -> float:

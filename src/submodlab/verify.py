@@ -451,7 +451,11 @@ class AuditReport:
     provenance: str
     seed: int
     rows: list[GuaranteeReport]
-    violations: list[dict]
+
+    @property
+    def violations(self) -> list[dict]:
+        """The replay documents of the violated rows, in row order."""
+        return [r.doc for r in self.rows if r.verdict == VIOLATED]
 
     @property
     def min_ratio(self) -> float | None:
@@ -483,21 +487,17 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
     instance document is collected for replay.
     """
     rows: list[GuaranteeReport] = []
-    violations: list[dict] = []
     for t in range(trials):
         report, params, doc = make_case(seed, t)
         opt = float(report.params["opt"])
         trivial = opt <= REL_TOL
         verdict = TRIVIAL if trivial and report.verdict != VIOLATED \
             else report.verdict
-        row = replace(report, params=params, opt=opt, doc=doc,
-                      ratio=None if trivial else report.measured / opt,
-                      verdict=verdict)
-        rows.append(row)
-        if row.verdict == VIOLATED:
-            violations.append(doc)
+        rows.append(replace(report, params=params, opt=opt, doc=doc,
+                            ratio=None if trivial else report.measured / opt,
+                            verdict=verdict))
     return AuditReport(bound_id=bound.bound_id, provenance=bound.provenance,
-                       seed=seed, rows=rows, violations=violations)
+                       seed=seed, rows=rows)
 
 
 def _problem2_run(seed: int, trial: int, n: int, p: int, epsilon: float):

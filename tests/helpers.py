@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 
-from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
-                                UniformMatroid)
-from submodlab.oracles import GroundSet, SetFunctionOracle, elements_of
+from submodlab.algorithms import bicriteria_rounds
+from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
+                                PSystem, UniformMatroid)
+from submodlab.oracles import SetFunctionOracle, elements_of
 
 
 class TableOracle(SetFunctionOracle):
@@ -22,11 +23,58 @@ class TableOracle(SetFunctionOracle):
         n = values.size.bit_length() - 1
         if 1 << n != values.size:
             raise ValueError("table length must be a power of two")
-        super().__init__(GroundSet(n), monotone=monotone)
+        super().__init__(n, monotone=monotone)
         self._values = values
 
     def _build_table(self):
         return self._values
+
+
+class TableMatroid(Matroid):
+    """Independence given by an explicit 2^n bool table, which need not
+    satisfy the matroid axioms (tests only)."""
+
+    family = "table"
+
+    def __init__(self, indep):
+        indep = np.asarray(indep, dtype=bool)
+        super().__init__(indep.size.bit_length() - 1)
+        self._indep = indep
+
+    def _build_indep_table(self):
+        return self._indep
+
+
+def multipass_reference(f, system, eps):
+    """Reference for ``algorithms.multipass_greedy`` as (iterations, final,
+    meta). Each pass is built from the definition, over element lists: with
+    S the union of the earlier passes, greedily add the u outside S ∪ T of
+    largest f(S ∪ T ∪ u) - f(S ∪ T) (ties to the lowest id) while T + u is
+    independent on its own and the marginal is positive."""
+    chosen = set()
+    records, passes = [], []
+    for i in range(bicriteria_rounds(system.p, eps)):
+        part = []
+        while True:
+            here = sorted(chosen | set(part))
+            cands = [(f.value(here + [u]) - f.value(here), u)
+                     for u in range(f.n)
+                     if u not in here and system.indep(part + [u])]
+            if not cands:
+                break
+            marg, u = max(cands, key=lambda t: (t[0], -t[1]))
+            if marg <= 0.0:
+                break
+            part.append(u)
+        chosen |= set(part)
+        passes.append(sorted(part))
+        records.append({"round": i, "added": sorted(part),
+                        "value": f.value(chosen)})
+    final = sorted(chosen)
+    meta = {"rounds": len(passes), "value": f.value(chosen),
+            "independent_sets": passes,
+            "certificate_ok": all(system.indep(t) for t in passes)}
+    return records, final, meta
 
 
 def recursive_best_subset(f, feasible_mask, n):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import (DummyGreedyProcess,
                                   IntersectionGreedyProcess,
@@ -12,14 +13,15 @@ from submodlab.algorithms import (DummyGreedyProcess,
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box)
 from submodlab.matroids import (PSystem, UniformMatroid, free_matroid,
-                                random_partition_matroid)
+                                random_partition_matroid,
+                                random_partition_psystem)
 from submodlab.oracles import (ModularOracle, random_coverage, random_cut,
-                               random_modular)
+                               random_modular, random_perturbed)
 from submodlab.serialization import canonical_json, to_doc
 from submodlab.verify import (brute_force_opt_set, expected_value_exact,
                               monte_carlo_value)
 
-from helpers import TableOracle
+from helpers import TableOracle, multipass_reference
 
 
 def linear_oracle(b):
@@ -162,6 +164,20 @@ def test_multipass_certificate():
     assert all(system.indep(t) for t in parts)
     assert sorted(set().union(*map(set, parts))) == trace.final
     assert trace.meta["certificate_ok"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.sampled_from([1, 2, 3]),
+       st.floats(0.05, 0.5), st.booleans())
+def test_multipass_matches_reference_passes(seed, n, p, eps, perturbed):
+    f = (random_perturbed(n, 0.3, seed, monotone=True) if perturbed
+         else random_coverage(n, seed))
+    system = random_partition_psystem(n, p, seed)
+    trace = multipass_greedy(f, system, eps)
+    iterations, final, meta = multipass_reference(f, system, eps)
+    assert trace.iterations == iterations
+    assert trace.final == final
+    assert trace.meta == meta
 
 
 def test_multipass_rejects_uncertified_oracle():

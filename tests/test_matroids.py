@@ -13,7 +13,7 @@ from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
                                mask_of,
                                random_coverage, random_modular)
 
-from helpers import (TableOracle, indep_ref, indep_table_ref,
+from helpers import (TableMatroid, indep_ref, indep_table_ref,
                      max_bipartite_matching)
 
 
@@ -81,20 +81,36 @@ def test_psystem_greedy_no_feasible_extension():
     assert psystem_greedy_marginal(f, system) == []
 
 
-def test_psystem_greedy_rejects_dependent_base():
+def test_psystem_greedy_rejects_out_of_range_given():
     f = random_modular(3, 1)
     system = PSystem([UniformMatroid(3, 1)])
-    with pytest.raises(ValueError):
-        psystem_greedy_marginal(f, system, base=[0, 1])
+    for given_mask in (-1, 1 << 3):
+        with pytest.raises(ValueError):
+            psystem_greedy_marginal(f, system, given=given_mask)
 
 
-def test_psystem_greedy_base_marginals_relative_to_base():
-    f = random_coverage(6, 23)
-    system = PSystem([UniformMatroid(6, 3)])
-    base = psystem_greedy_marginal(f, system)[:1]
-    rest = psystem_greedy_marginal(f, system, base=base)
-    assert base[0] not in rest
-    assert system.indep(base + rest)
+def test_psystem_greedy_given_marginals_relative_to_given():
+    # given ∪ T may exceed the rank: only T itself must be independent
+    f = random_coverage(8, 3)
+    system = PSystem([UniformMatroid(8, 3)])
+    given_set = [1, 4]
+    rest = psystem_greedy_marginal(f, system, given=mask_of(given_set, 8))
+    assert not set(rest) & set(given_set)
+    assert system.indep(rest) and len(rest) == 3
+
+    # hand simulation: marginals over given ∪ T, independence of T alone
+    chosen = []
+    while True:
+        here = given_set + chosen
+        cands = [(f.value(here + [u]) - f.value(here), u) for u in range(8)
+                 if u not in here and system.indep(chosen + [u])]
+        if not cands:
+            break
+        best = max(cands, key=lambda t: (t[0], -t[1]))
+        if best[0] <= 0.0:
+            break
+        chosen.append(best[1])
+    assert rest == chosen
 
 
 def test_mwci_one_matroid_dominates():
@@ -136,6 +152,13 @@ def test_mwci_nonempty_with_zero_weights():
     assert best  # include-first tie-breaking keeps a maximal zero-weight set
 
 
+def test_mwci_rejects_non_finite_weights():
+    system = UniformMatroid(4, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            max_weight_common_independent(system, [3.0, bad, 2.0, 1.0])
+
+
 def test_common_rank_examples():
     u2 = UniformMatroid(5, 2)
     assert common_rank(PSystem([u2, u2])) == 2
@@ -153,16 +176,17 @@ def test_axioms_hold_for_generated_matroids():
 
 
 def test_axioms_reject_non_matroid():
-    # independent iff |S| != 1: not down-closed
-    bad = TableOracle(np.zeros(8))
+    # n = 3, independent iff |S| != 1
+    indep = [bin(mask).count("1") != 1 for mask in range(8)]
+    assert verify_matroid_axioms(TableMatroid(indep)) == \
+        "not down-closed: [0, 1] independent but [1] is not"
 
-    class Fake:
-        n = 3
-        def indep_mask(self, mask):
-            return mask.bit_count() != 1
 
-    assert verify_matroid_axioms(Fake()) is not None
-    assert bad  # silence unused warning
+def test_axioms_reject_failed_exchange():
+    # down-closed, but {0} cannot grow from {1, 2}
+    indep = [mask in (0b000, 0b001, 0b010, 0b100, 0b110) for mask in range(8)]
+    assert verify_matroid_axioms(TableMatroid(indep)) == \
+        "exchange fails for A=[0], B=[1, 2]"
 
 
 @settings(max_examples=25, deadline=None)

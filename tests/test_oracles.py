@@ -161,6 +161,13 @@ def test_negative_weights_rejected():
         ModularOracle([1.0, -0.5])
 
 
+def test_empty_ground_set_rejected():
+    for make in (lambda: CoverageOracle(0, [], [1.0]),
+                 lambda: TableOracle([1.0])):
+        with pytest.raises(ValueError, match="at least one element"):
+            make()
+
+
 def test_non_finite_table_values_rejected():
     # a NaN would otherwise win a masked argmax that a scan skips
     for bad in (np.nan, np.inf):
