@@ -25,16 +25,16 @@ from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
                          masked_update, random_quadratic_dr,
                          random_sqrt_linear, random_weak_quadratic, unit_box,
                          weak_dr_gamma)
-from .algorithms import (DummyGreedyProcess, IntersectionGreedyProcess,
-                         RunTrace, authors_conjecture_rounds,
-                         bicriteria_rounds, frank_wolfe, masked_frank_wolfe,
+from .algorithms import (RunTrace, authors_conjecture_rounds,
+                         bicriteria_rounds, dummy_candidates, frank_wolfe,
+                         intersection_candidates, masked_frank_wolfe,
                          multipass_greedy, random_greedy_dummies,
                          random_greedy_intersection)
 from .verify import (BOUNDS, AuditReport, BoundFormula, ConjectureReport,
                      GuaranteeReport, OptimumCertificate, audit,
                      audit_problem2, audit_problem2_conjecture, audit_problem4,
                      audit_problem5, brute_force_opt_set, check_bound,
-                     dummy_greedy_expectation, expected_value_exact,
-                     grid_opt, monte_carlo_value)
+                     dummy_greedy_expectation, grid_opt,
+                     intersection_greedy_expectation)
 
 __version__ = "0.1.0"

@@ -2,10 +2,10 @@
 
 Every run returns a :class:`RunTrace` whose per-iteration records are plain
 JSON-serializable dicts; replaying a trace (same inputs, same seed) must
-reproduce it bit-for-bit. The two randomized algorithms expose their uniform
-draws through small "choice process" objects so that the verification module
-can expand the exact same choice tree exhaustively; ``canonical(state)`` keys
-the states whose subtrees coincide, so the expansion visits each once.
+reproduce it bit-for-bit. Each randomized algorithm draws uniformly from the
+candidates of one rule over int masks (``dummy_candidates``,
+``intersection_candidates``); the verification module's exact expectations
+walk the same rule over every mask instead of sampling it.
 
 Runs are single-threaded and deterministic; independent trials with distinct
 seeds may execute concurrently without shared state.
@@ -226,92 +226,69 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
 # randomized greedy with dummy padding (cardinality constraint)
 
 
-class DummyGreedyProcess:
-    """Choice tree of dummy-padded random greedy under a cardinality budget.
+def dummy_candidates(f: SetFunctionOracle, k: int, masks):
+    """The dummy tie rule of random greedy under the budget k, for an int
+    array of real masks R.
 
-    2k dummy elements (ids n .. n+2k-1) have zero marginal everywhere; each
-    of the k rounds offers the k candidates maximizing the summed marginals,
-    and the algorithm draws one uniformly.
-
-    Tie rule: candidates sort by descending marginal, then real before
-    dummy, then ascending id. So a real element with zero marginal comes
-    before every dummy, and one with negative marginal after all of them;
-    at least k dummies are always left, so the latter is never offered.
-    ``verify.dummy_greedy_expectation`` encodes the same rule a second
-    time, over whole 2^n tables; a property test pins the two encodings
-    to bit-identical expectations.
+    The real candidates at R are the untaken u with f(u | R) >= 0, by
+    descending marginal and then ascending u, up to k of them. Returns
+    ``(order, counts)``: row i of the (len(masks), k) int array ``order``
+    holds the candidates at masks[i] in its first counts[i] slots. The 2k
+    dummies (ids n .. n+2k-1, zero marginal everywhere) fill the other
+    slots, so a real element with zero marginal comes before every dummy
+    and one with negative marginal is never offered.
     """
-
-    def __init__(self, f: SetFunctionOracle, k: int):
-        if not 1 <= k <= f.n:
-            raise ValueError("budget k must satisfy 1 <= k <= n")
-        self.f = f
-        self.k = int(k)
-
-    def initial(self) -> tuple:
-        return ()
-
-    def canonical(self, state: tuple) -> tuple:
-        # dummies enter ``choices`` as one id-ordered block, so states with
-        # the same real part and dummy count have relabelled, equal subtrees
-        return self.real_mask(state), sum(u >= self.f.n for u in state)
-
-    def real_mask(self, state: tuple) -> int:
-        return mask_of((u for u in state if u < self.f.n), self.f.n)
-
-    def choices(self, state: tuple):
-        if len(state) == self.k:
-            return None
-        real = self.real_mask(state)
-        taken = set(state)
-        scored = []
-        for u in range(self.f.n):
-            if u in taken:
-                continue
-            scored.append((-self.f.marginal_mask(u, real), 0, u))
-        for d in range(self.f.n, self.f.n + 2 * self.k):
-            if d in taken:
-                continue
-            scored.append((0.0, 1, d))
-        scored.sort()
-        return tuple(u for _, _, u in scored[:self.k])
-
-    def step(self, state: tuple, choice: int) -> tuple:
-        return state + (int(choice),)
-
-    def final_value(self, state: tuple) -> float:
-        return self.f.value_mask(self.real_mask(state))
-
-    def final_set(self, state: tuple) -> list[int]:
-        return sorted(u for u in state if u < self.f.n)
+    if not 1 <= k <= f.n:
+        raise ValueError("budget k must satisfy 1 <= k <= n")
+    tab = f.table()
+    masks = np.asarray(masks)
+    bits = 1 << np.arange(f.n)
+    marg = tab[masks[:, None] | bits] - tab[masks][:, None]
+    real = ((masks[:, None] & bits) == 0) & (marg >= 0.0)
+    order = np.argsort(np.where(real, -marg, math.inf), axis=1,
+                       kind="stable")[:, :k]
+    return order, np.minimum(real.sum(axis=1), k)
 
 
 def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
-    """Run the dummy-padded random greedy; returns the real part of S_k."""
-    proc = DummyGreedyProcess(f, k)
-    state = proc.initial()
+    """Run the dummy-padded random greedy; returns the real part of S_k.
+
+    Each of the k rounds offers the real candidates of ``dummy_candidates``
+    padded to k by the lowest untaken dummy ids, and draws one uniformly.
+    """
+    real = 0
+    dummies = list(range(f.n, f.n + 2 * k))  # untaken, ascending
     records = []
-    for i in range(k):
-        options = proc.choices(state)
-        pick = int(_round_rng(seed, i).integers(len(options)))
-        u = options[pick]
-        marg = f.marginal_mask(u, proc.real_mask(state)) if u < f.n else 0.0
-        state = proc.step(state, u)
+    while True:
+        # the rule also checks k, so it runs once more than there are rounds
+        order, counts = dummy_candidates(f, k, np.array([real]))
+        i = len(records)
+        if i == k:
+            break
+        options = [int(u) for u in order[0, :counts[0]]]
+        options += dummies[:k - len(options)]
+        u = options[int(_round_rng(seed, i).integers(len(options)))]
+        if u < f.n:
+            marg = f.marginal_mask(u, real)
+            real |= 1 << u
+        else:
+            marg = 0.0
+            dummies.remove(u)
         records.append({
             "round": i,
-            "candidates": list(options),
+            "candidates": options,
             "chosen": u,
             "is_dummy": u >= f.n,
             "marginal": marg,
-            "value": proc.final_value(state),
+            "value": f.value_mask(real),
         })
     return RunTrace(
         algorithm="random-greedy-dummies",
         params={"k": int(k)},
         seed=int(seed),
         iterations=records,
-        final=proc.final_set(state),
-        meta={"value": proc.final_value(state)},
+        final=elements_of(real),
+        meta={"value": f.value_mask(real)},
     )
 
 
@@ -319,83 +296,61 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
 # random greedy for the intersection of two matroids
 
 
-class IntersectionGreedyProcess:
-    """Choice tree of random greedy under two matroid constraints.
+def intersection_candidates(f: SetFunctionOracle, system: PSystem,
+                            mask: int) -> tuple | None:
+    """The candidates of two-matroid random greedy at the set S = ``mask``,
+    or None once no element extends S in ``system``.
 
-    While some element extends the current set S in both matroids: weight
-    the remaining elements by their marginals, take the maximum-weight
-    common independent set of both matroids contracted by S (the search
-    over the intersection's table with ``base=S``, no size target), and
-    add a uniformly random member.
+    Weight the remaining elements by their marginals and take the
+    maximum-weight T outside S with S | T common-independent (the search
+    over the intersection's table with ``base=S``, no size target).
     """
-
-    def __init__(self, f: SetFunctionOracle, m1: Matroid, m2: Matroid):
-        if f.n != m1.n or f.n != m2.n:
-            raise ValueError("oracle and matroids must share the ground set")
-        if f.monotone is not True:
-            raise ValueError("objective must be certified monotone")
-        self.f = f
-        self.system = PSystem([m1, m2])
-
-    def initial(self) -> int:
-        return 0
-
-    def choices(self, mask: int):
-        n = self.f.n
-        tab = self.system.indep_table()
-        ground = [u for u in range(n) if not mask >> u & 1]
-        if not any(tab[mask | 1 << u] for u in ground):
-            return None
-        weights = np.zeros(n)
-        for u in ground:
-            weights[u] = self.f.marginal_mask(u, mask)
-        best = max_weight_common_independent(self.system, weights, base=mask)
-        if not best:
-            raise ValueError(
-                "all feasible marginals are negative; oracle is not monotone")
-        return tuple(best)
-
-    def canonical(self, mask: int) -> int:
-        return mask
-
-    def step(self, mask: int, choice: int) -> int:
-        return mask | (1 << int(choice))
-
-    def final_value(self, mask: int) -> float:
-        return self.f.value_mask(mask)
-
-    def final_set(self, mask: int) -> list[int]:
-        return elements_of(mask)
+    if f.n != system.n:
+        raise ValueError("oracle and matroids must share the ground set")
+    if f.monotone is not True:
+        raise ValueError("objective must be certified monotone")
+    tab = system.indep_table()
+    ground = [u for u in range(f.n) if not mask >> u & 1]
+    if not any(tab[mask | 1 << u] for u in ground):
+        return None
+    weights = np.zeros(f.n)
+    for u in ground:
+        weights[u] = f.marginal_mask(u, mask)
+    best = max_weight_common_independent(system, weights, base=mask)
+    if not best:
+        raise ValueError(
+            "all feasible marginals are negative; oracle is not monotone")
+    return tuple(best)
 
 
 def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
                                seed: int) -> RunTrace:
-    """Run random greedy for two matroids (while-loop form).
+    """Run random greedy for two matroids (while-loop form): while some
+    element extends S in both, add a uniformly random member of
+    ``intersection_candidates``.
 
     Each round also records whether the fixed-round variant that demands a
     common completion of size (max common rank - round + 1) could have
     proceeded; ``meta["fixed_rounds_would_crash"]`` flags traces where that
     variant would have run out of feasible sets.
     """
-    proc = IntersectionGreedyProcess(f, m1, m2)
-    rank = common_rank(proc.system)
-    state = proc.initial()
+    system = PSystem([m1, m2])
+    rank = common_rank(system)
+    state = 0
     records = []
-    i = 0
-    while (options := proc.choices(state)) is not None:
-        i += 1
-        pick = int(_round_rng(seed, i - 1).integers(len(options)))
-        u = options[pick]
-        needed = rank - i + 1
-        contracted_rank = common_rank(proc.system, base=state)
+    while (options := intersection_candidates(f, system, state)) is not None:
+        i = len(records)
+        u = options[int(_round_rng(seed, i).integers(len(options)))]
+        needed = rank - i
+        contracted_rank = common_rank(system, base=state)
         marg = f.marginal_mask(u, state)
-        state = proc.step(state, u)
+        state |= 1 << u
         records.append({
-            "round": i - 1,
+            "round": i,
             "candidates": list(options),
             "chosen": u,
             "marginal": marg,
-            "value": proc.final_value(state),
+            "value": f.value_mask(state),
             "fixed_round_size": needed,
             "fixed_round_feasible": bool(contracted_rank >= needed),
         })
@@ -406,9 +361,9 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
         params={},
         seed=int(seed),
         iterations=records,
-        final=proc.final_set(state),
+        final=elements_of(state),
         meta={
-            "value": proc.final_value(state),
+            "value": f.value_mask(state),
             "rounds": len(records),
             "max_common_rank": rank,
             "fixed_rounds_would_crash": bool(crash),

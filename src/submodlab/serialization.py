@@ -136,9 +136,11 @@ def save(obj_or_doc, path) -> Path:
 
 
 def load(path):
-    doc = json.loads(Path(path).read_text())
-    return from_doc(doc)
+    return from_doc(load_doc(path))
 
 
 def load_doc(path) -> dict:
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc

@@ -16,9 +16,10 @@ from typing import Callable
 import numpy as np
 
 from . import serialization
-from .algorithms import (IntersectionGreedyProcess, RunTrace,
-                         authors_conjecture_rounds, bicriteria_rounds,
-                         certificate_holds, multipass_greedy)
+from .algorithms import (RunTrace, authors_conjecture_rounds,
+                         bicriteria_rounds, certificate_holds,
+                         dummy_candidates, intersection_candidates,
+                         multipass_greedy)
 from .continuous import ContinuousOracle, Polytope
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
@@ -28,7 +29,6 @@ from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
 
 OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
-TREE_NODE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,92 +125,62 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
 
 
 # ---------------------------------------------------------------------------
-# exact expectations over uniform choice trees
-
-
-def expected_value_exact(process, max_nodes: int = TREE_NODE_LIMIT) -> float:
-    """Exact expectation of the final value over every uniform draw in the
-    process's choice tree.
-
-    The tree is walked as a DAG: nodes whose ``process.canonical(state)``
-    keys agree have identical subtrees, so each distinct key is expanded
-    once and its value reused. Children are summed in ``choices`` order and
-    divided by their count, exactly as a plain tree walk does, so the result
-    is bit-identical to one. The walk aborts once it has expanded more than
-    ``max_nodes`` distinct states."""
-    memo: dict = {}
-    expanded = 0
-
-    def rec(state) -> float:
-        nonlocal expanded
-        key = process.canonical(state)
-        if key in memo:
-            return memo[key]
-        expanded += 1
-        if expanded > max_nodes:
-            raise CapabilityError(
-                f"choice DAG exceeds {max_nodes} distinct states")
-        options = process.choices(state)
-        if options is None:
-            value = process.final_value(state)
-        else:
-            total = 0.0
-            for choice in options:
-                total += rec(process.step(state, choice))
-            value = total / len(options)
-        memo[key] = value
-        return value
-
-    return rec(process.initial())
+# exact expectations over every uniform draw of the randomized greedies
 
 
 def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
-    """Exact expectation of dummy-padded random greedy under the budget k,
-    bit-identical to ``expected_value_exact(DummyGreedyProcess(f, k))``.
+    """Exact expectation of dummy-padded random greedy under the budget k.
 
     A state is its real mask R plus its dummy count t - |R| after t rounds,
     so each layer t = k .. 0 is one array over all 2^n masks R, with layer
-    k the value table. The candidates at R do not depend on t: the untaken
-    u with f(u | R) >= 0, by descending marginal and then ascending u, up to
-    k of them, padded to k by dummies, which keep R. Each layer sums those
-    k children slot by slot in candidate order and divides by k, the same
-    float sequence as the DAG walk. Needs O(2^n * n) memory.
+    k the value table. The candidates at R do not depend on t: the real
+    ones of ``dummy_candidates``, padded to k by dummies, which keep R. Each
+    layer sums those k children slot by slot in candidate order and divides
+    by k, the same float sequence as a plain walk of the choice tree. Needs
+    O(2^n * n) memory.
     """
-    if not 1 <= k <= f.n:
-        raise ValueError("budget k must satisfy 1 <= k <= n")
-    tab = f.table()
-    masks = np.arange(tab.size)
-    bits = 1 << np.arange(f.n)
-    up = masks[:, None] | bits
-    marg = tab[up] - tab[:, None]
-    real = ((masks[:, None] & bits) == 0) & (marg >= 0.0)
-    order = np.argsort(np.where(real, -marg, math.inf), axis=1,
-                       kind="stable")[:, :k]
-    slots = np.arange(k) < real.sum(axis=1)[:, None]
-    children = np.where(slots, np.take_along_axis(up, order, axis=1),
-                        masks[:, None])
-    values = tab
+    masks = np.arange(1 << f.n)
+    order, counts = dummy_candidates(f, k, masks)
+    children = np.where(np.arange(k) < counts[:, None],
+                        masks[:, None] | 1 << order, masks[:, None])
+    values = f.table()
     for _ in range(k):
-        total = np.zeros(tab.size)
+        total = np.zeros(masks.size)
         for j in range(k):
             total += values[children[:, j]]
         values = total / k
     return float(values[0])
 
 
-def monte_carlo_value(process, trials: int, seed: int):
-    """Seeded Monte-Carlo mean and standard error of the final value."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    vals = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([int(seed), t])
-        state = process.initial()
-        while (options := process.choices(state)) is not None:
-            state = process.step(state, options[int(rng.integers(len(options)))])
-        vals[t] = process.final_value(state)
-    se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(vals.mean()), se
+def intersection_greedy_expectation(f: SetFunctionOracle,
+                                    system: PSystem) -> float:
+    """Exact expectation of two-matroid random greedy over ``system``.
+
+    A state is the chosen mask, so the walk memoizes one value per mask: a
+    final mask is worth f, any other the sum of its children in
+    ``intersection_candidates`` order divided by their count, the same
+    float sequence as a plain walk of the choice tree. The states are
+    common-independent masks, so there are at most 2^n of them, and the
+    candidate search at the root raises ``CapabilityError`` past
+    INTERSECTION_LIMIT = 18 elements, which caps the walk at 2^18 states.
+    """
+    memo: dict[int, float] = {}
+
+    def rec(mask: int) -> float:
+        value = memo.get(mask)
+        if value is None:
+            options = intersection_candidates(f, system, mask)
+            if options is None:
+                value = f.value_mask(mask)
+            else:
+                total = 0.0
+                for u in options:
+                    total += rec(mask | 1 << u)
+                value = total / len(options)
+            memo[mask] = value
+        return value
+
+    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +347,20 @@ def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
 
 
 def problem2_report(trace: RunTrace, opt: OptimumCertificate,
-                    system: PSystem | None = None,
+                    system: PSystem,
                     instance_id: str = "") -> GuaranteeReport:
     """Bicriteria check. The guarantee has two halves: value at least
-    (1-eps)*OPT, and output covered by the recorded independent sets. With
-    ``system`` given, the feasibility certificate is recomputed from the
-    trace, and a broken certificate makes the verdict 'violated' no matter
-    the value."""
+    (1-eps)*OPT, and output covered by the recorded independent sets. The
+    feasibility certificate is recomputed from the trace against
+    ``system``, and a broken certificate makes the verdict 'violated' no
+    matter the value."""
     params = {"epsilon": trace.params["epsilon"], "opt": opt.value}
     report = check_bound(trace.value, BOUNDS["problem2-bicriteria"], params,
                          instance_id=instance_id,
                          algorithm_id=trace.algorithm)
-    if system is not None:
-        parts = trace.meta.get("independent_sets", [])
-        if not certificate_holds(system, parts, trace.final):
-            report = replace(report, verdict=VIOLATED)
+    parts = trace.meta.get("independent_sets", [])
+    if not certificate_holds(system, parts, trace.final):
+        report = replace(report, verdict=VIOLATED)
     return report
 
 
@@ -430,9 +399,9 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     (m is recorded but unused), the exhaustive optimum over the common
     independent sets, and the exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    proc = IntersectionGreedyProcess(f, m1, m2)
-    opt = brute_force_opt_set(f, proc.system.indep_table())
-    measured = expected_value_exact(proc)
+    system = PSystem([m1, m2])
+    opt = brute_force_opt_set(f, system.indep_table())
+    measured = intersection_greedy_expectation(f, system)
     return check_bound(measured, BOUNDS["problem5-claimed"],
                        {"gamma": ratios.gamma, "m": ratios.m,
                         "opt": opt.value},

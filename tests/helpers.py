@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-from submodlab.algorithms import bicriteria_rounds
+from submodlab.algorithms import bicriteria_rounds, intersection_candidates
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
-from submodlab.oracles import SetFunctionOracle, elements_of
+from submodlab.oracles import SetFunctionOracle, elements_of, mask_of
 
 
 class TableOracle(SetFunctionOracle):
@@ -152,6 +152,96 @@ def indep_table_ref(system):
     """Reference independence table, one ``indep_ref`` call per mask."""
     return np.array([indep_ref(system, mask) for mask in range(1 << system.n)],
                     dtype=bool)
+
+
+class DummyGreedyProcess:
+    """Reference choice tree of dummy-padded random greedy under the budget
+    k, over element tuples.
+
+    2k dummy elements (ids n .. n+2k-1) have zero marginal everywhere; each
+    of the k rounds offers the k candidates maximizing the summed marginals,
+    and the algorithm draws one uniformly. Tie rule: candidates sort by
+    descending marginal, then real before dummy, then ascending id, the
+    encoding independent of ``algorithms.dummy_candidates``.
+    """
+
+    def __init__(self, f: SetFunctionOracle, k: int):
+        self.f = f
+        self.k = int(k)
+
+    def initial(self) -> tuple:
+        return ()
+
+    def canonical(self, state: tuple) -> tuple:
+        # dummies enter ``choices`` as one id-ordered block, so states with
+        # the same real part and dummy count have relabelled, equal subtrees
+        return self.real_mask(state), sum(u >= self.f.n for u in state)
+
+    def real_mask(self, state: tuple) -> int:
+        return mask_of((u for u in state if u < self.f.n), self.f.n)
+
+    def choices(self, state: tuple):
+        if len(state) == self.k:
+            return None
+        real = self.real_mask(state)
+        scored = [(-self.f.marginal_mask(u, real), 0, u)
+                  for u in range(self.f.n) if u not in state]
+        scored += [(0.0, 1, d) for d in range(self.f.n, self.f.n + 2 * self.k)
+                   if d not in state]
+        scored.sort()
+        return tuple(u for _, _, u in scored[:self.k])
+
+    def step(self, state: tuple, choice: int) -> tuple:
+        return state + (int(choice),)
+
+    def final_value(self, state: tuple) -> float:
+        return self.f.value_mask(self.real_mask(state))
+
+
+class IntersectionProcess:
+    """Choice tree of two-matroid random greedy over ``system``, a mask per
+    state, with ``algorithms.intersection_candidates`` as its choices."""
+
+    def __init__(self, f: SetFunctionOracle, m1: Matroid, m2: Matroid):
+        self.f = f
+        self.system = PSystem([m1, m2])
+
+    def initial(self) -> int:
+        return 0
+
+    def canonical(self, mask: int) -> int:
+        return mask
+
+    def choices(self, mask: int):
+        return intersection_candidates(self.f, self.system, mask)
+
+    def step(self, mask: int, choice: int) -> int:
+        return mask | 1 << int(choice)
+
+    def final_value(self, mask: int) -> float:
+        return self.f.value_mask(mask)
+
+
+def dag_walk(process):
+    """Reference expectation for trees too large for ``tree_walk``: the
+    same recursion, with each ``process.canonical`` key expanded once and
+    its value reused (equal keys have identical subtrees)."""
+    memo = {}
+
+    def rec(state):
+        key = process.canonical(state)
+        if key not in memo:
+            options = process.choices(state)
+            if options is None:
+                memo[key] = process.final_value(state)
+            else:
+                total = 0.0
+                for choice in options:
+                    total += rec(process.step(state, choice))
+                memo[key] = total / len(options)
+        return memo[key]
+
+    return rec(process.initial())
 
 
 def tree_walk(process):
@@ -325,3 +415,10 @@ def max_bipartite_matching(left, right, edges):
         if try_augment(l, set()):
             size += 1
     return size
+
+
+def mean_and_se(values):
+    """Sample mean and standard error of the mean."""
+    values = np.asarray(values, dtype=float)
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    return float(values.mean()), float(se)

@@ -7,10 +7,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from submodlab.algorithms import (DummyGreedyProcess,
-                                  IntersectionGreedyProcess, bicriteria_rounds,
-                                  frank_wolfe, masked_frank_wolfe,
-                                  multipass_greedy, random_greedy_dummies,
+from submodlab.algorithms import (bicriteria_rounds, frank_wolfe,
+                                  masked_frank_wolfe, multipass_greedy,
+                                  random_greedy_dummies,
                                   random_greedy_intersection)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
@@ -26,9 +25,11 @@ from submodlab.oracles import (measure_ratios, random_coverage,
 from submodlab.serialization import canonical_json, load_bundle, to_doc
 from submodlab.verify import (audit_problem2_conjecture, audit_problem4,
                               audit_problem5, brute_force_opt_set,
-                              expected_value_exact, grid_opt,
-                              monte_carlo_value, problem1_report,
-                              problem3_report)
+                              dummy_greedy_expectation, grid_opt,
+                              intersection_greedy_expectation,
+                              problem1_report, problem3_report)
+
+from helpers import DummyGreedyProcess, dag_walk, mean_and_se
 
 
 @contextmanager
@@ -123,12 +124,12 @@ def test_acceptance_4_claimed_bound_audits():
         for row in p4.rows:
             bundle = load_bundle(row.doc)
             proc = DummyGreedyProcess(bundle["objective"], row.params["k"])
-            assert expected_value_exact(proc) == row.measured
+            assert dag_walk(proc) == row.measured
         for row in p5.rows:
             bundle = load_bundle(row.doc)
-            proc = IntersectionGreedyProcess(
-                bundle["objective"], bundle["matroid1"], bundle["matroid2"])
-            assert expected_value_exact(proc) == row.measured
+            system = PSystem([bundle["matroid1"], bundle["matroid2"]])
+            assert intersection_greedy_expectation(
+                bundle["objective"], system) == row.measured
         # report determinism under a fixed seed
         again = audit_problem4(trials=15, seed=41, n=5, k=2)
         assert [(r.instance_id, r.measured, r.opt, r.threshold)
@@ -224,19 +225,24 @@ def test_acceptance_5_property_suites():
             mono = measure_ratios(random_perturbed(8, 0.3, seed, monotone=True))
             assert mono.m == 1.0
 
-        # exact expectations vs Monte-Carlo, 20 cross-checks, 3 SE each
+        # exact expectations vs the runners over seeds 0..1999, 20
+        # cross-checks, 3 SE each
         for check in range(20):
             if check % 2 == 0:
                 f = random_coverage(5, 100 + check) if check % 4 == 0 \
                     else random_perturbed(5, 0.3, 100 + check, monotone=True)
-                proc = DummyGreedyProcess(f, 2 + (check // 2) % 2)
+                k = 2 + (check // 2) % 2
+                exact = dummy_greedy_expectation(f, k)
+                runs = [random_greedy_dummies(f, k, seed=s)
+                        for s in range(2000)]
             else:
                 f = random_coverage(6, 100 + check)
-                proc = IntersectionGreedyProcess(
-                    f, random_partition_matroid(6, 200 + check),
-                    random_partition_matroid(6, 300 + check))
-            exact = expected_value_exact(proc)
-            mean, se = monte_carlo_value(proc, 2000, seed=check)
+                m1 = random_partition_matroid(6, 200 + check)
+                m2 = random_partition_matroid(6, 300 + check)
+                exact = intersection_greedy_expectation(f, PSystem([m1, m2]))
+                runs = [random_greedy_intersection(f, m1, m2, seed=s)
+                        for s in range(2000)]
+            mean, se = mean_and_se([t.value for t in runs])
             assert abs(mean - exact) <= 3.0 * max(se, 1e-12), (check, mean, exact)
 
         # trace/seed determinism, byte-exact

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.algorithms import (DummyGreedyProcess,
-                                  IntersectionGreedyProcess,
-                                  authors_conjecture_rounds, bicriteria_rounds,
+from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
                                   frank_wolfe, masked_frank_wolfe,
                                   multipass_greedy, random_greedy_dummies,
                                   random_greedy_intersection)
@@ -18,10 +16,10 @@ from submodlab.matroids import (PSystem, UniformMatroid, free_matroid,
 from submodlab.oracles import (ModularOracle, random_coverage, random_cut,
                                random_modular, random_perturbed)
 from submodlab.serialization import canonical_json, to_doc
-from submodlab.verify import (brute_force_opt_set, expected_value_exact,
-                              monte_carlo_value)
+from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
+                              intersection_greedy_expectation)
 
-from helpers import TableOracle, multipass_reference
+from helpers import TableOracle, mean_and_se, multipass_reference
 
 
 def linear_oracle(b):
@@ -243,7 +241,7 @@ def test_dummy_greedy_all_negative_marginals_yields_empty():
 
 def test_dummy_greedy_frozen_expectation():
     f = ModularOracle([4.0, 3.0, 2.0, 1.0])
-    exact = expected_value_exact(DummyGreedyProcess(f, 2))
+    exact = dummy_greedy_expectation(f, 2)
     assert exact == pytest.approx(6.25, abs=1e-12)
 
 
@@ -272,7 +270,7 @@ def test_dummy_greedy_seed_determinism():
 
 def test_dummy_greedy_budget_validation():
     f = random_modular(3, 56)
-    for k in (0, 4):
+    for k in (-1, 0, 4):
         with pytest.raises(ValueError):
             random_greedy_dummies(f, k, seed=0)
 
@@ -320,9 +318,9 @@ def test_intersection_greedy_exact_expectation_vs_monte_carlo():
     f = random_coverage(6, 60)
     m1 = random_partition_matroid(6, 61)
     m2 = random_partition_matroid(6, 62)
-    proc = IntersectionGreedyProcess(f, m1, m2)
-    exact = expected_value_exact(proc)
-    mean, se = monte_carlo_value(proc, 3000, seed=5)
+    exact = intersection_greedy_expectation(f, PSystem([m1, m2]))
+    mean, se = mean_and_se([random_greedy_intersection(f, m1, m2, seed=s).value
+                            for s in range(3000)])
     assert abs(mean - exact) <= 3.0 * max(se, 1e-12)
 
 

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 
-from submodlab.algorithms import DummyGreedyProcess
 from submodlab.cli import main
 from submodlab.serialization import from_doc, load_bundle, load_doc
-from submodlab.verify import expected_value_exact
+
+from helpers import DummyGreedyProcess, dag_walk
 
 
 def run(tmp_path, *argv):
@@ -168,6 +168,24 @@ def test_usage_error_exit_one(tmp_path):
                "--instance", "missing.json") == 1
 
 
+def test_json_without_an_object_exits_one(tmp_path, capsys):
+    # valid JSON that is not an object, as the instance or as a trace
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "6", "--p", "2",
+        "--seed", "1", "--out", str(inst))
+    run(tmp_path, "run", "--problem", "2", "--instance", str(inst))
+    trace = next(tmp_path.glob("traces/*.json"))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    capsys.readouterr()
+    for instance, trace_file in ((listed, trace), (inst, listed)):
+        assert run(tmp_path, "verify", "--problem", "2",
+                   "--instance", str(instance),
+                   "--trace", str(trace_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "JSON object" in err
+
+
 def test_capability_error_exit_three(tmp_path):
     inst = tmp_path / "big.json"
     doc = {"schema": "submodlab/1", "kind": "bundle", "problem": 4,
@@ -190,7 +208,7 @@ def test_verify_problem4_deep_tree_is_exact(tmp_path, capsys):
                "--k", "8", "--seed", "2") == 0
     report = next(tmp_path.glob("verify-*-p4.csv")).read_text()
     fields = report.splitlines()[1].split(",")
-    exact = expected_value_exact(
+    exact = dag_walk(
         DummyGreedyProcess(load_bundle(load_doc(inst))["objective"], 8))
     assert fields[4] == repr(exact)
     assert fields[5] == ""

@@ -5,32 +5,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.algorithms import (DummyGreedyProcess,
-                                  IntersectionGreedyProcess,
-                                  certificate_holds, frank_wolfe,
-                                  multipass_greedy)
+from submodlab.algorithms import (certificate_holds, frank_wolfe,
+                                  intersection_candidates, multipass_greedy,
+                                  random_greedy_dummies)
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
                                 random_partition_matroid)
-from submodlab.oracles import (GAMMA_LIMIT, CapabilityError, CoverageOracle,
+from submodlab.oracles import (CapabilityError, CoverageOracle,
                                ModularOracle, elements_of, random_coverage,
-                               random_modular, random_perturbed)
+                               random_perturbed)
 from submodlab.serialization import load_bundle
-from submodlab import cli
+from submodlab import cli, verify
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
-                              PROVED, TREE_NODE_LIMIT, TRIVIAL, VIOLATED,
-                              audit,
+                              PROVED, TRIVIAL, VIOLATED, audit,
                               audit_problem2, audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
-                              dummy_greedy_expectation, expected_value_exact,
-                              grid_opt, monte_carlo_value, problem2_report,
-                              problem3_report, problem4_report)
+                              dummy_greedy_expectation, grid_opt,
+                              intersection_greedy_expectation,
+                              problem2_report, problem3_report,
+                              problem4_report)
 
-from helpers import (TableOracle, brute_force_loop, recursive_best_subset,
-                     relabel, tree_walk)
+from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
+                     brute_force_loop, dag_walk, mean_and_se,
+                     recursive_best_subset, relabel, tree_walk)
 
 
 def linear_oracle(b):
@@ -141,23 +141,20 @@ def test_grid_opt_dimension_limit():
 
 def test_expected_value_deterministic_tree():
     f = ModularOracle([4.0, 1.0, 1.0])
-    proc = DummyGreedyProcess(f, 1)
-    from submodlab.algorithms import random_greedy_dummies
     single = random_greedy_dummies(f, 1, seed=0)
-    assert expected_value_exact(proc) == single.value
+    assert dummy_greedy_expectation(f, 1) == single.value
 
 
 def test_expected_value_symmetric_instance():
     f = ModularOracle([2.0, 2.0, 2.0, 2.0])
-    proc = DummyGreedyProcess(f, 2)
-    from submodlab.algorithms import random_greedy_dummies
-    assert expected_value_exact(proc) == random_greedy_dummies(f, 2, seed=5).value
+    assert dummy_greedy_expectation(f, 2) == \
+        random_greedy_dummies(f, 2, seed=5).value
 
 
 def test_expected_value_vs_million_samples():
     f = ModularOracle([4.0, 3.0, 2.0, 1.0])
     proc = DummyGreedyProcess(f, 2)
-    exact = expected_value_exact(proc)
+    exact = dummy_greedy_expectation(f, 2)
 
     # enumerate the two-level choice tree once, then vector-sample leaves
     first = proc.choices(proc.initial())
@@ -177,19 +174,14 @@ def test_expected_value_vs_million_samples():
 
 
 def test_expected_value_node_limit():
-    # this instance's choice DAG has exactly 252 distinct states
-    proc = DummyGreedyProcess(random_modular(8, 1), 5)
+    # the walk's states are common-independent masks, at most 2^n of them;
+    # past INTERSECTION_LIMIT = 18 elements the candidate search at the root
+    # refuses, so the walk never grows past 2^18 states
+    n = 19
+    f = ModularOracle(np.ones(n))
+    system = PSystem([UniformMatroid(n, 2), UniformMatroid(n, 3)])
     with pytest.raises(CapabilityError):
-        expected_value_exact(proc, max_nodes=251)
-    assert expected_value_exact(proc, max_nodes=252) == tree_walk(proc)
-
-
-def test_node_limit_covers_gamma_limit():
-    # the cap guards intersection greedy (at most 2^n states) and direct
-    # expected_value_exact calls on dummy greedy (at most (k + 1) * 2^n
-    # states with k <= n); CLI verify measures gamma first, which caps n at
-    # GAMMA_LIMIT
-    assert (GAMMA_LIMIT + 1) << GAMMA_LIMIT <= TREE_NODE_LIMIT
+        intersection_greedy_expectation(f, system)
 
 
 class CountingProcess:
@@ -220,7 +212,7 @@ def choice_processes(draw, kinds=("ties", "nonmonotone", "intersection"),
     n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 10_000))
     if kind == "intersection":
-        return IntersectionGreedyProcess(
+        return IntersectionProcess(
             random_coverage(n, seed), random_partition_matroid(n, seed + 1),
             random_partition_matroid(n, seed + 2))
     if kind == "ties":
@@ -237,35 +229,59 @@ def choice_processes(draw, kinds=("ties", "nonmonotone", "intersection"),
     return DummyGreedyProcess(f, draw(st.integers(1, min(n, max_k))))
 
 
+DUMMY_KINDS = ("ties", "nonmonotone", "coverage")
+
+
 @settings(max_examples=60, deadline=None)
 @given(choice_processes())
 def test_expected_value_exact_matches_tree_walk_bit_for_bit(proc):
-    assert expected_value_exact(proc) == tree_walk(proc)
+    # on dummy greedy this pins dag_walk, the reference past k = 5
+    if isinstance(proc, IntersectionProcess):
+        assert intersection_greedy_expectation(proc.f, proc.system) == \
+            tree_walk(proc)
+    else:
+        assert dag_walk(proc) == tree_walk(proc)
 
 
 @settings(max_examples=40, deadline=None)
-@given(choice_processes())
+@given(choice_processes(kinds=("intersection",)))
 def test_expected_value_exact_queries_each_state_once(proc):
     tree = CountingProcess(proc)
     tree_walk(tree)
-    dag = CountingProcess(proc)
-    expected_value_exact(dag)
-    assert set(dag.calls) == set(tree.calls)
-    assert set(dag.calls.values()) == {1}
-    if isinstance(proc, DummyGreedyProcess):
-        n, k = proc.f.n, proc.k
-        bound = sum(math.comb(n, j) * (k - j + 1) for j in range(k + 1))
-        assert len(dag.calls) <= bound
+    calls = Counter()
+
+    def counting(f, system, mask):
+        calls[mask] += 1
+        return intersection_candidates(f, system, mask)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "intersection_candidates", counting)
+        intersection_greedy_expectation(proc.f, proc.system)
+    assert set(calls) == set(tree.calls)
+    assert set(calls.values()) == {1}
 
 
 @settings(max_examples=80, deadline=None)
-@given(choice_processes(kinds=("ties", "nonmonotone", "coverage"), max_n=8,
-                        max_k=8))
+@given(choice_processes(kinds=DUMMY_KINDS, max_n=8, max_k=8))
 def test_dummy_greedy_expectation_matches_tree_walk_bit_for_bit(proc):
-    # the plain walk visits k^k leaves; past k = 5 the DAG walk stands in,
-    # which test_expected_value_exact_matches_tree_walk_bit_for_bit pins
-    ref = tree_walk(proc) if proc.k <= 5 else expected_value_exact(proc)
+    # the plain walk visits k^k leaves; past k = 5 the memoized walk stands
+    # in, which test_expected_value_exact_matches_tree_walk_bit_for_bit pins
+    ref = tree_walk(proc) if proc.k <= 5 else dag_walk(proc)
     assert dummy_greedy_expectation(proc.f, proc.k) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(choice_processes(kinds=DUMMY_KINDS, max_n=8, max_k=8),
+       st.integers(0, 10_000))
+def test_dummy_greedy_runner_offers_the_reference_candidates(proc, seed):
+    trace = random_greedy_dummies(proc.f, proc.k, seed)
+    state = proc.initial()
+    for rec in trace.iterations:
+        assert tuple(rec["candidates"]) == proc.choices(state)
+        state = proc.step(state, rec["chosen"])
+    assert proc.choices(state) is None
+    assert trace.final == elements_of(proc.real_mask(state))
+    assert trace.value == proc.final_value(state)
 
 
 def test_problem4_report_measures_the_dag_expectation():
@@ -273,8 +289,7 @@ def test_problem4_report_measures_the_dag_expectation():
         f = random_perturbed(7, 0.6, seed, monotone=seed % 2 == 0)
         for k in (1, 4, 7):
             report = problem4_report(f, k)
-            assert report.measured == \
-                expected_value_exact(DummyGreedyProcess(f, k))
+            assert report.measured == dag_walk(DummyGreedyProcess(f, k))
 
 
 def test_dummy_greedy_expectation_rejects_budget_outside_one_to_n():
@@ -286,9 +301,9 @@ def test_dummy_greedy_expectation_rejects_budget_outside_one_to_n():
 
 def test_monte_carlo_matches_exact_within_three_se():
     f = random_coverage(5, 7)
-    proc = DummyGreedyProcess(f, 2)
-    exact = expected_value_exact(proc)
-    mean, se = monte_carlo_value(proc, 4000, seed=3)
+    exact = dummy_greedy_expectation(f, 2)
+    mean, se = mean_and_se([random_greedy_dummies(f, 2, seed=s).value
+                            for s in range(4000)])
     assert abs(mean - exact) <= 3.0 * max(se, 1e-12)
 
 
@@ -381,8 +396,8 @@ def test_problem5_verdict_recorded_without_failing():
     f = random_coverage(6, 78)
     m1 = random_partition_matroid(6, 79)
     m2 = random_partition_matroid(6, 80)
-    exact = expected_value_exact(IntersectionGreedyProcess(f, m1, m2))
     system = PSystem([m1, m2])
+    exact = intersection_greedy_expectation(f, system)
     opt = brute_force_opt_set(f, system.indep_table())
     rep = check_bound(exact, BOUNDS["problem5-claimed"],
                       {"gamma": 1.0, "opt": opt.value})
@@ -413,8 +428,8 @@ def test_relabelling_preserves_problem5_opt_and_expectation(case):
     assert opt_g.value == opt_f.value
     # no ties, so the candidate sets map onto each other; only the order
     # in which the expectation sums its branches changes
-    assert expected_value_exact(IntersectionGreedyProcess(g, *ms_g)) == \
-        pytest.approx(expected_value_exact(IntersectionGreedyProcess(f, *ms)),
+    assert intersection_greedy_expectation(g, PSystem(ms_g)) == \
+        pytest.approx(intersection_greedy_expectation(f, PSystem(ms)),
                       rel=1e-12)
 
 
@@ -481,7 +496,7 @@ def test_audit_problem4_report_complete_and_replayable():
         # replay: rebuild the instance from its document and recompute
         bundle = load_bundle(row.doc)
         f = bundle["objective"]
-        again = expected_value_exact(DummyGreedyProcess(f, row.params["k"]))
+        again = dag_walk(DummyGreedyProcess(f, row.params["k"]))
         assert again == row.measured
     summary = report.summary()
     assert summary["instances"] == 8 and "min_ratio" in summary
@@ -492,10 +507,9 @@ def test_audit_problem5_report_complete_and_replayable():
     assert len(report.rows) == 6
     for row in report.rows:
         bundle = load_bundle(row.doc)
-        proc = IntersectionGreedyProcess(bundle["objective"],
-                                         bundle["matroid1"],
-                                         bundle["matroid2"])
-        assert expected_value_exact(proc) == row.measured
+        system = PSystem([bundle["matroid1"], bundle["matroid2"]])
+        assert intersection_greedy_expectation(bundle["objective"],
+                                               system) == row.measured
     assert report.min_ratio is not None
 
 
