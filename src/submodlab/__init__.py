@@ -8,23 +8,19 @@ guarantee thresholds (asserting the proved ones, auditing the flawed ones).
 
 from .oracles import (CapabilityError, CoverageOracle, CutOracle,
                       ModularOracle, PerturbedOracle, RatioMeasurement,
-                      SetFunctionOracle, is_submodular_bruteforce, marginal,
-                      measure_ratios, monotonicity_ratio, random_coverage,
-                      random_cut, random_modular, random_perturbed,
-                      submodularity_ratio)
+                      SetFunctionOracle, measure_ratios, random_coverage,
+                      random_cut, random_modular, random_perturbed)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid, PSystem,
-                       UniformMatroid, common_rank, free_matroid,
-                       matroid_greedy, max_weight_common_independent,
+                       UniformMatroid, common_rank,
+                       max_weight_common_independent,
                        psystem_greedy_marginal, random_graphic_matroid,
-                       random_partition_matroid, random_uniform_matroid,
-                       verify_matroid_axioms)
+                       random_partition_matroid)
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
                          KnapsackPolytope, MultilinearOracle,
                          PartitionPolytope, Polytope, QuadraticOracle,
-                         SqrtLinearOracle, SumOracle, dr_check, grad_check,
-                         masked_update, random_quadratic_dr,
-                         random_sqrt_linear, random_weak_quadratic, unit_box,
-                         weak_dr_gamma)
+                         SqrtLinearOracle, SumOracle, dr_check, masked_update,
+                         random_quadratic_dr, random_sqrt_linear,
+                         random_weak_quadratic, unit_box, weak_dr_gamma)
 from .algorithms import (RunTrace, authors_conjecture_rounds,
                          bicriteria_rounds, dummy_candidates, frank_wolfe,
                          intersection_candidates, masked_frank_wolfe,

@@ -44,8 +44,8 @@ class RunTrace:
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
-    # per-round generators derived from (seed, round) so the sampled path
-    # and the exhaustive tree share the same per-node choice sets
+    # one generator per (seed, round): the golden traces pin this per-round
+    # stream, so it stays until a replay-contract change retires it
     return np.random.default_rng([int(seed), int(round_index)])
 
 
@@ -354,8 +354,10 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
             "fixed_round_size": needed,
             "fixed_round_feasible": bool(contracted_rank >= needed),
         })
-    crash = (len(records) < rank) or \
-        any(not r["fixed_round_feasible"] for r in records)
+    # |S| plus the common rank of the contraction by S never grows with S:
+    # it is rank at the start and len(records) at the end. A round with
+    # too small a completion therefore implies the run ends short of rank.
+    crash = len(records) < rank
     return RunTrace(
         algorithm="random-greedy-intersection",
         params={},

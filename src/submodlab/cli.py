@@ -6,8 +6,8 @@ Each of the five problems is defined once, in the PROBLEMS table: how
 and how `verify` certifies the runs through verify's problem<k>_report
 steps. FAMILIES holds the seven other `gen` families.
 
-Exit codes: 0 success (including audited or inconclusive verdicts), 1 usage
-error, 2 a proved bound violated (by `verify`, or by
+Exit codes: 0 success (including audited claimed bounds), 1 usage error or
+unreadable input, 2 a proved bound violated (by `verify`, or by
 `audit --bound problem2-bicriteria`), 3 capability limit. The default
 output directory is ./submodlab-out, overridable with --out-dir or the
 SUBMODLAB_OUT environment variable. A --config JSON file maps flag names to
@@ -18,6 +18,7 @@ for the repeatable --trace, and a nested "config" key is a usage error.
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
   verify: instance,algorithm,bound,provenance,measured,half_width,threshold,slack,verdict
+          (half_width is always empty: every verified value is exact)
   audit:  instance,measured,opt,threshold,ratio,verdict,params
   audit (conjecture): instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,
                       value_at_conjecture,value_at_multipass,first_round_reaching,
@@ -410,8 +411,8 @@ def cmd_verify(args) -> int:
     reports = PROBLEMS[args.problem].check(comp, args, stem)
     out = _out_dir(args)
     rows = [[r.instance_id, r.algorithm_id, r.bound_id, r.provenance,
-             repr(r.measured), "" if r.half_width is None else repr(r.half_width),
-             repr(r.threshold), repr(r.slack), r.verdict] for r in reports]
+             repr(r.measured), "", repr(r.threshold), repr(r.slack),
+             r.verdict] for r in reports]
     path = _write_csv(out / f"verify-{stem}-p{args.problem}.csv",
                       ["instance", "algorithm", "bound", "provenance",
                        "measured", "half_width", "threshold", "slack",
@@ -474,7 +475,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapabilityError as exc:

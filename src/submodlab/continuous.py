@@ -18,6 +18,7 @@ from .oracles import REL_TOL, CapabilityError, SetFunctionOracle
 
 MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
+MEMBER_TOL = 1e-9  # slack of every polytope membership test
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -262,18 +263,16 @@ class Polytope:
     n: int
     diameter: float
 
-    def member(self, x, tol: float = 1e-9) -> bool:
+    def member_many(self, points) -> np.ndarray:
+        """Membership of each row of ``points``, up to MEMBER_TOL."""
         raise NotImplementedError
+
+    def member(self, x) -> bool:
+        return bool(self.member_many(np.asarray(x, dtype=float)[None])[0])
 
     def lmo(self, c) -> np.ndarray:
         """argmax of <c, x> over the polytope, exact per family."""
         raise NotImplementedError
-
-    def member_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return np.array([self.member(p, tol) for p in points])
-
-    def _box_ok(self, x: np.ndarray, tol: float) -> bool:
-        return float(x.min()) >= -tol and float(x.max()) <= 1.0 + tol
 
     def _clean_c(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=float)
@@ -293,13 +292,10 @@ class BoxPolytope(Polytope):
         self.upper = upper
         self.diameter = float(np.linalg.norm(upper))
 
-    def member(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= -tol).all() and (x <= self.upper + tol).all())
-
-    def member_many(self, points, tol: float = 1e-9):
+    def member_many(self, points):
         pts = np.asarray(points, dtype=float)
-        return ((pts >= -tol) & (pts <= self.upper[None, :] + tol)).all(axis=1)
+        return ((pts >= -MEMBER_TOL)
+                & (pts <= self.upper[None, :] + MEMBER_TOL)).all(axis=1)
 
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
@@ -322,14 +318,10 @@ class CardinalityPolytope(Polytope):
         self.k = int(k)
         self.diameter = math.sqrt(min(self.k, self.n))
 
-    def member(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return self._box_ok(x, tol) and float(x.sum()) <= self.k + tol
-
-    def member_many(self, points, tol: float = 1e-9):
+    def member_many(self, points):
         pts = np.asarray(points, dtype=float)
-        box = ((pts >= -tol) & (pts <= 1.0 + tol)).all(axis=1)
-        return box & (pts.sum(axis=1) <= self.k + tol)
+        box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
+        return box & (pts.sum(axis=1) <= self.k + MEMBER_TOL)
 
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
@@ -361,18 +353,11 @@ class PartitionPolytope(Polytope):
         self.diameter = math.sqrt(
             sum(min(cc, len(b)) for b, cc in zip(blocks, caps)))
 
-    def member(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if not self._box_ok(x, tol):
-            return False
-        return all(float(x[list(b)].sum()) <= cc + tol
-                   for b, cc in zip(self.blocks, self.caps))
-
-    def member_many(self, points, tol: float = 1e-9):
+    def member_many(self, points):
         pts = np.asarray(points, dtype=float)
-        ok = ((pts >= -tol) & (pts <= 1.0 + tol)).all(axis=1)
+        ok = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
         for b, cc in zip(self.blocks, self.caps):
-            ok &= pts[:, list(b)].sum(axis=1) <= cc + tol
+            ok &= pts[:, list(b)].sum(axis=1) <= cc + MEMBER_TOL
         return ok
 
     def lmo(self, c) -> np.ndarray:
@@ -420,17 +405,11 @@ class KnapsackPolytope(Polytope):
             best = max(best, d2 + frac * frac)
         return math.sqrt(best)
 
-    def member(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, self.budget)
-        return self._box_ok(x, tol) and \
-            float(self.costs @ x) <= self.budget + tol * scale
-
-    def member_many(self, points, tol: float = 1e-9):
+    def member_many(self, points):
         pts = np.asarray(points, dtype=float)
         scale = max(1.0, self.budget)
-        box = ((pts >= -tol) & (pts <= 1.0 + tol)).all(axis=1)
-        return box & (pts @ self.costs <= self.budget + tol * scale)
+        box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
+        return box & (pts @ self.costs <= self.budget + MEMBER_TOL * scale)
 
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
@@ -461,21 +440,6 @@ def masked_update(y, s, step: float) -> np.ndarray:
     return np.minimum(1.0, y + step * (1.0 - y) * s)
 
 
-def grad_check(f: ContinuousOracle, x, step: float = 1e-4) -> float:
-    """Worst coordinate relative error of analytic vs central differences."""
-    if not 0.0 < step < 0.5:
-        raise ValueError("finite-difference step must lie in (0, 0.5)")
-    x = np.clip(np.asarray(x, dtype=float), step, 1.0 - step)
-    g = f.grad(x)
-    worst = 0.0
-    for u in range(f.n):
-        e = np.zeros(f.n)
-        e[u] = step
-        fd = (f.value(x + e) - f.value(x - e)) / (2.0 * step)
-        worst = max(worst, abs(fd - g[u]) / max(1.0, abs(g[u])))
-    return worst
-
-
 def _sample_ordered_pairs(n: int, samples: int, rng: np.random.Generator):
     lo = rng.uniform(0.0, 1.0, (samples, n))
     hi = lo + rng.uniform(0.0, 1.0, (samples, n)) * (1.0 - lo)
@@ -484,9 +448,9 @@ def _sample_ordered_pairs(n: int, samples: int, rng: np.random.Generator):
     return lo, hi
 
 
-def dr_check(f: ContinuousOracle, samples: int = 200, seed: int = 0,
-             tol: float = 1e-7):
-    """Sampled antitone-gradient check: x <= y must give grad(y) <= grad(x).
+def dr_check(f: ContinuousOracle, samples: int = 200, seed: int = 0):
+    """Sampled antitone-gradient check: x <= y must give grad(y) <= grad(x)
+    up to a relative 1e-7.
 
     Returns (True, None) or (False, (x, y, coordinate)) for a witness pair.
     """
@@ -496,7 +460,7 @@ def dr_check(f: ContinuousOracle, samples: int = 200, seed: int = 0,
         gx, gy = f.grad(x), f.grad(y)
         scale = max(1.0, float(np.abs(gx).max()), float(np.abs(gy).max()))
         diff = gy - gx
-        if float(diff.max()) > tol * scale:
+        if float(diff.max()) > 1e-7 * scale:
             return False, (x.tolist(), y.tolist(), int(np.argmax(diff)))
     return True, None
 

@@ -1,5 +1,6 @@
-"""Matroid and p-system independence oracles, matroid greedy, and exact
-maximum-weight common independent sets via branch-and-prune.
+"""Matroid and p-system independence oracles, marginal greedy over a
+p-system, and exact maximum-weight common independent sets via
+branch-and-prune.
 
 Every matroid and p-system answers independence from a dense table: a
 cached, read-only bool array of length 2^n indexed by subset bitmask, built
@@ -15,9 +16,9 @@ that constrains independence: it looks for T with ``table[S | T]`` True,
 the contraction by S. The greedy pass's int mask ``given`` shifts the
 marginals only: T stays independent on its own, scored by f(u | given ∪ T).
 
-Everything here is exact and deterministic: greedy loops break ties toward
-the lowest element id, and the branch-and-prune search returns the first
-optimum found in weight-sorted include-first order.
+Everything here is exact and deterministic: the greedy pass breaks ties
+toward the lowest element id, and the branch-and-prune search returns the
+first optimum found in weight-sorted include-first order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
                       elements_of, mask_of)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
-AXIOM_LIMIT = 10         # exhaustive axiom checks
 
 
 def _frozen_indep_table(n: int, build) -> np.ndarray:
@@ -97,10 +97,6 @@ class UniformMatroid(Matroid):
 
     def _build_indep_table(self) -> np.ndarray:
         return _within_caps(self.n, [0] * self.n, [self.k])
-
-
-def free_matroid(n: int) -> UniformMatroid:
-    return UniformMatroid(n, n)
 
 
 class PartitionMatroid(Matroid):
@@ -204,27 +200,6 @@ class PSystem:
         return self.indep_mask(mask_of(subset, self.n))
 
 
-def matroid_greedy(m: Matroid, weights: Sequence[float]) -> list[int]:
-    """Descending-weight greedy over one matroid; keeps nonnegative weights
-    only, ties broken toward the lowest element id. Optimal for matroids."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m.n,):
-        raise ValueError("need one weight per element")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    tab = m.indep_table()
-    chosen: list[int] = []
-    cur = 0
-    for u in sorted(range(m.n), key=lambda u: (-w[u], u)):
-        if w[u] < 0.0:
-            break
-        bit = 1 << u
-        if tab[cur | bit]:
-            chosen.append(u)
-            cur |= bit
-    return chosen
-
-
 def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
                             given: int = 0) -> list[int]:
     """Greedy by marginal value on top of ``given``, an int mask.
@@ -321,65 +296,18 @@ def common_rank(system: Matroid | PSystem, base: int = 0) -> int:
     return len(max_weight_common_independent(system, np.ones(system.n), base))
 
 
-def verify_matroid_axioms(m: Matroid, limit: int = AXIOM_LIMIT):
-    """Exhaustively check non-emptiness, down-closure, and exchange.
-
-    Returns None when all three axioms hold, else a human-readable witness
-    string for the first failure found.
-    """
-    if m.n > limit:
-        raise CapabilityError(f"axiom check needs n <= {limit}")
-    indep = m.indep_table()
-    if not indep[0]:
-        return "empty set is not independent"
-    ind_masks = np.nonzero(indep)[0].astype(np.int64)
-    for mask in ind_masks:
-        mm = int(mask)
-        s = mm
-        while s:
-            lsb = s & -s
-            if not indep[mm ^ lsb]:
-                return (f"not down-closed: {elements_of(mm)} independent but "
-                        f"{elements_of(mm ^ lsb)} is not")
-            s ^= lsb
-    pops = np.array([int(x).bit_count() for x in ind_masks])
-    good = np.zeros(ind_masks.size, dtype=np.int64)
-    for i, mask in enumerate(ind_masks):
-        g = 0
-        mm = int(mask)
-        for u in range(m.n):
-            bit = 1 << u
-            if not mm & bit and indep[mm | bit]:
-                g |= bit
-        good[i] = g
-    for i, mask in enumerate(ind_masks):
-        mm = int(mask)
-        viol = (pops > pops[i]) & ((ind_masks & ~mm & good[i]) == 0)
-        bad = np.nonzero(viol)[0]
-        if bad.size:
-            return (f"exchange fails for A={elements_of(mm)}, "
-                    f"B={elements_of(int(ind_masks[bad[0]]))}")
-    return None
-
-
 # ---------------------------------------------------------------------------
 # seeded instance generators
 
 
-def random_uniform_matroid(n: int, seed: int) -> UniformMatroid:
-    rng = np.random.default_rng(seed)
-    return UniformMatroid(n, int(rng.integers(1, n + 1)))
-
-
-def random_partition_matroid(n: int, seed: int,
-                             max_cap: int = 2) -> PartitionMatroid:
+def random_partition_matroid(n: int, seed: int) -> PartitionMatroid:
     rng = np.random.default_rng(seed)
     num_blocks = int(rng.integers(2, max(3, n // 2 + 1))) if n > 2 else 1
     assignment = rng.integers(0, num_blocks, n)
     blocks = [sorted(np.nonzero(assignment == j)[0].tolist())
               for j in range(num_blocks)]
     blocks = [b for b in blocks if b]
-    caps = [int(rng.integers(1, max_cap + 1)) for _ in blocks]
+    caps = [int(rng.integers(1, 3)) for _ in blocks]
     return PartitionMatroid(blocks, caps)
 
 

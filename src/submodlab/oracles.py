@@ -1,6 +1,6 @@
 """Set-function value oracles, seeded instance generators, and exact
-measurement of submodularity, the submodularity ratio, and the monotonicity
-ratio on small ground sets.
+measurement of the submodularity ratio and the monotonicity ratio on small
+ground sets.
 
 Subsets are iterables of element ids (0..n-1) at the API surface. Internally
 every oracle materializes a dense value table indexed by bitmask, which keeps
@@ -22,7 +22,6 @@ import numpy as np
 REL_TOL = 1e-9
 
 TABLE_LIMIT = 20          # 2^n value-table entries
-SUBMODULARITY_LIMIT = 14  # all (A, B) pairs
 GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
 MONOTONICITY_LIMIT = 14   # all nested pairs via superset-min sweep
 
@@ -59,7 +58,7 @@ class SetFunctionOracle:
 
     ``monotone`` is a certified hint: True only when the construction
     guarantees monotonicity, False when it guarantees the opposite, None when
-    unknown (measure with :func:`monotonicity_ratio` instead).
+    unknown (measure it with :func:`measure_ratios` instead).
     """
 
     family = "abstract"
@@ -218,31 +217,6 @@ class PerturbedOracle(SetFunctionOracle):
         return np.maximum(0.0, self.base.table() + noise)
 
 
-def marginal(f: SetFunctionOracle, u: int, subset: Iterable[int]) -> float:
-    """f(S + u) - f(S); requires u not already in S. May be negative."""
-    return f.marginal_mask(int(u), mask_of(subset, f.n))
-
-
-def is_submodular_bruteforce(f: SetFunctionOracle, tol: float = REL_TOL):
-    """Check f(A) + f(B) >= f(A|B) + f(A&B) over every pair of subsets.
-
-    Returns (True, None), or (False, (A, B)) with one violating pair as
-    element lists. Exhaustive, so n is capped at SUBMODULARITY_LIMIT.
-    """
-    if f.n > SUBMODULARITY_LIMIT:
-        raise CapabilityError(
-            f"submodularity check needs n <= {SUBMODULARITY_LIMIT}")
-    tab = f.table()
-    atol = tol * max(1.0, float(tab.max()))
-    idx = np.arange(1 << f.n)
-    for a in range(1 << f.n):
-        deficit = (tab[a | idx] + tab[a & idx]) - (tab[a] + tab)
-        bad = np.nonzero(deficit > atol)[0]
-        if bad.size:
-            return False, (elements_of(a), elements_of(int(bad[0])))
-    return True, None
-
-
 def _popcounts(n: int) -> np.ndarray:
     counts = np.zeros(1 << n, dtype=np.int64)
     for u in range(n):
@@ -251,7 +225,7 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def _gamma_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
+def _gamma_with_witness(f: SetFunctionOracle):
     # Sweeps every A, grouped by complement size c = n - |A| and chunked
     # to at most _GAMMA_CHUNK entries, against all 2^c sets B of its
     # complement. A chunk holds one column per A and one row per B, B in
@@ -283,7 +257,7 @@ def _gamma_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
                 np.add(sums[:half], marg[i], out=sums[half:2 * half])
             denom = tab[masks | a] - base
             ratios = np.full(denom.shape, math.inf)
-            np.divide(sums, denom, out=ratios, where=denom > tol * scale)
+            np.divide(sums, denom, out=ratios, where=denom > REL_TOL * scale)
             rows = np.argmin(ratios, axis=0)
             col_min = ratios[rows, np.arange(a.size)]
             j = int(np.argmin(col_min))
@@ -295,24 +269,12 @@ def _gamma_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
     if witness is None:
         return 1.0, None
     pair = (elements_of(witness[0]), elements_of(witness[1]))
-    if best >= 1.0 - tol:
+    if best >= 1.0 - REL_TOL:
         return 1.0, pair
     return max(0.0, best), pair
 
 
-def submodularity_ratio(f: SetFunctionOracle) -> float:
-    """Largest gamma with sum_{u in B} f(u|A) >= gamma * f(B|A) for all A, B.
-
-    Pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|) are skipped (the
-    inequality is vacuous for monotone f where f(B|A) <= 0); the result is
-    clamped to [0, 1] and values within relative 1e-9 of 1 snap to
-    exactly 1.
-    """
-    gamma, _ = _gamma_with_witness(f)
-    return gamma
-
-
-def _m_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
+def _m_with_witness(f: SetFunctionOracle):
     if f.n > MONOTONICITY_LIMIT:
         raise CapabilityError(
             f"monotonicity ratio needs n <= {MONOTONICITY_LIMIT}")
@@ -325,7 +287,7 @@ def _m_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
         bit = 1 << u
         view = sup_min.reshape(-1, 2 * bit)
         np.minimum(view[:, :bit], view[:, bit:], out=view[:, :bit])
-    pos = tab > tol * max(1.0, scale)
+    pos = tab > REL_TOL * max(1.0, scale)
     if not bool(pos.any()):
         return 1.0, None
     ratios = sup_min[pos] / tab[pos]
@@ -336,19 +298,9 @@ def _m_with_witness(f: SetFunctionOracle, tol: float = REL_TOL):
     idx = np.arange(1 << f.n)
     t_mask = int(np.nonzero(((idx & s_mask) == s_mask) & (tab == target))[0][0])
     pair = (elements_of(s_mask), elements_of(t_mask))
-    if best >= 1.0 - tol:
+    if best >= 1.0 - REL_TOL:
         return 1.0, pair
     return max(0.0, best), pair
-
-
-def monotonicity_ratio(f: SetFunctionOracle) -> float:
-    """min over S ⊆ T with f(S) > 0 of f(T)/f(S), clamped to [0, 1].
-
-    Returns 1 for the identically-zero oracle. Values within relative 1e-9
-    of 1 snap to exactly 1.
-    """
-    m, _ = _m_with_witness(f)
-    return m
 
 
 @dataclass(frozen=True)
@@ -369,6 +321,15 @@ class RatioMeasurement:
 
 
 def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
+    """Exact gamma and m of f, both clamped to [0, 1], values within
+    relative 1e-9 of 1 snapping to exactly 1.
+
+    gamma is the largest ratio with sum_{u in B} f(u|A) >= gamma * f(B|A)
+    for all A, B, skipping pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|)
+    (vacuous for monotone f, where f(B|A) <= 0). m is the minimum of
+    f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
+    oracle.
+    """
     m, m_wit = _m_with_witness(f)
     gamma, g_wit = _gamma_with_witness(f)
     return RatioMeasurement(gamma=gamma, m=m, gamma_witness=g_wit,
@@ -379,16 +340,14 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
 # seeded instance generators
 
 
-def random_modular(n: int, seed: int, low: float = 0.2,
-                   high: float = 1.8) -> ModularOracle:
+def random_modular(n: int, seed: int) -> ModularOracle:
     rng = np.random.default_rng(seed)
-    return ModularOracle(rng.uniform(low, high, n))
+    return ModularOracle(rng.uniform(0.2, 1.8, n))
 
 
-def random_coverage(n: int, seed: int,
-                    universe: int | None = None) -> CoverageOracle:
+def random_coverage(n: int, seed: int) -> CoverageOracle:
     rng = np.random.default_rng(seed)
-    m = universe if universe is not None else max(6, int(1.4 * n))
+    m = max(6, int(1.4 * n))
     weights = rng.uniform(0.25, 1.25, m)
     covers = []
     for _ in range(n):
@@ -397,14 +356,14 @@ def random_coverage(n: int, seed: int,
     return CoverageOracle(n, covers, weights)
 
 
-def random_cut(n: int, seed: int, edge_prob: float = 0.5) -> CutOracle:
+def random_cut(n: int, seed: int) -> CutOracle:
     if n < 2:
         raise ValueError("cut instances need n >= 2")
     rng = np.random.default_rng(seed)
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.5:
                 edges.append((a, b, float(rng.uniform(0.1, 1.0))))
     if not edges:
         edges.append((0, 1, float(rng.uniform(0.1, 1.0))))
@@ -412,8 +371,6 @@ def random_cut(n: int, seed: int, edge_prob: float = 0.5) -> CutOracle:
 
 
 def random_perturbed(n: int, delta: float, seed: int,
-                     monotone: bool = False,
-                     base: CoverageOracle | None = None) -> PerturbedOracle:
-    if base is None:
-        base = random_coverage(n, seed ^ 0x5EED)
-    return PerturbedOracle(base, delta, seed, monotone_noise=monotone)
+                     monotone: bool = False) -> PerturbedOracle:
+    return PerturbedOracle(random_coverage(n, seed ^ 0x5EED), delta, seed,
+                           monotone_noise=monotone)

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import serialization
 from .algorithms import (RunTrace, authors_conjecture_rounds,
-                         bicriteria_rounds, certificate_holds,
-                         dummy_candidates, intersection_candidates,
-                         multipass_greedy)
+                         certificate_holds, dummy_candidates,
+                         intersection_candidates, multipass_greedy)
 from .continuous import ContinuousOracle, Polytope
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
@@ -196,15 +195,13 @@ class BoundFormula:
     """A closed-form guarantee threshold plus its provenance.
 
     ``expr`` maps a parameter dict to the threshold the measured quantity is
-    compared against. ``rounds`` (optional) gives the round count an
-    algorithm should be run with for this bound.
+    compared against.
     """
 
     bound_id: str
     provenance: str
     requires: tuple
     expr: Callable[[dict], float]
-    rounds: Callable[[int, float], int] | None = None
 
     def threshold(self, params: dict) -> float:
         missing = [key for key in self.requires if key not in params]
@@ -230,14 +227,12 @@ BOUNDS = {
         provenance=PROVED,
         requires=("epsilon", "opt"),
         expr=lambda p: (1.0 - p["epsilon"]) * p["opt"],
-        rounds=bicriteria_rounds,
     ),
     "problem2-authors-conjecture": BoundFormula(
         bound_id="problem2-authors-conjecture",
         provenance=AUTHORS_CONJECTURE,
         requires=("epsilon", "opt"),
         expr=lambda p: (1.0 - p["epsilon"]) * p["opt"],
-        rounds=authors_conjecture_rounds,
     ),
     "problem3-weak-dr": BoundFormula(
         bound_id="problem3-weak-dr",
@@ -264,13 +259,12 @@ BOUNDS = {
 
 HOLDS = "holds"
 VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 TRIVIAL = "trivial"
 
 
 @dataclass(frozen=True)
 class GuaranteeReport:
-    """One measured run (or trial ensemble) against a claimed bound.
+    """One exact measured value (a run or an expectation) against a bound.
 
     ``params`` holds the inputs the threshold was computed from. Audit rows
     replace them with the instance parameters and add the exact optimum
@@ -282,7 +276,6 @@ class GuaranteeReport:
     bound_id: str
     provenance: str
     measured: float
-    half_width: float | None
     threshold: float
     slack: float
     verdict: str
@@ -293,33 +286,19 @@ class GuaranteeReport:
 
 
 def check_bound(measured: float, bound: BoundFormula, params: dict,
-                instance_id: str = "", algorithm_id: str = "",
-                half_width: float | None = None) -> GuaranteeReport:
-    """Compare a measured value (exact, or mean with a 99% CI half-width)
-    against a bound threshold.
-
-    Exact measurements give holds/violated; sampled ones give violated only
-    when the whole interval sits below the threshold, holds only when it
-    sits above, and inconclusive otherwise.
-    """
+                instance_id: str = "", algorithm_id: str = ""
+                ) -> GuaranteeReport:
+    """Compare an exact measured value against a bound threshold: 'holds'
+    when it reaches the threshold up to a relative 1e-9, else 'violated'."""
     threshold = bound.threshold(params)
     tol = REL_TOL * max(1.0, abs(threshold))
-    if half_width is None:
-        verdict = HOLDS if measured >= threshold - tol else VIOLATED
-    else:
-        if measured - half_width >= threshold - tol:
-            verdict = HOLDS
-        elif measured + half_width < threshold - tol:
-            verdict = VIOLATED
-        else:
-            verdict = INCONCLUSIVE
+    verdict = HOLDS if measured >= threshold - tol else VIOLATED
     return GuaranteeReport(
         instance_id=instance_id,
         algorithm_id=algorithm_id,
         bound_id=bound.bound_id,
         provenance=bound.provenance,
         measured=float(measured),
-        half_width=half_width,
         threshold=threshold,
         slack=float(measured - threshold),
         verdict=verdict,
@@ -499,12 +478,12 @@ def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
                  trials, seed)
 
 
-def _problem4_case(seed: int, trial: int, n: int, k: int, delta: float):
+def _problem4_case(seed: int, trial: int, n: int, k: int):
     inst_seed = seed * 1_000_003 + trial
     rng = np.random.default_rng([seed, trial])
     monotone = bool(rng.random() < 0.3)
     # vary the noise amplitude so the measured (gamma, m) grid gets filled
-    amplitude = float(rng.uniform(0.05, max(delta, 0.06)))
+    amplitude = float(rng.uniform(0.05, 0.6))
     f = random_perturbed(n, amplitude, inst_seed, monotone=monotone)
     report = problem4_report(f, k, instance_id=f"p4-s{seed}-t{trial}")
     ratios = {"gamma": report.params["gamma"], "m": report.params["m"]}
@@ -513,27 +492,26 @@ def _problem4_case(seed: int, trial: int, n: int, k: int, delta: float):
     return report, ratios | {"k": k, "n": n}, doc
 
 
-def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2,
-                   delta: float = 0.6) -> AuditReport:
+def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2
+                   ) -> AuditReport:
     """Exact-expectation audit of the claimed partial-monotonicity bound for
     dummy-padded random greedy, over perturbed instances with measured
-    (gamma, m). The expectation is exact for every budget 1 <= k <= n: it
-    costs k layers of k gathers over the 2^n masks (see
-    ``dummy_greedy_expectation``), and measuring gamma caps n at
-    GAMMA_LIMIT."""
+    (gamma, m) and noise amplitudes drawn from [0.05, 0.6). The expectation
+    is exact for every budget 1 <= k <= n: it costs k layers of k gathers
+    over the 2^n masks (see ``dummy_greedy_expectation``), and measuring
+    gamma caps n at GAMMA_LIMIT."""
     bound = BOUNDS["problem4-claimed"]
-    return audit(bound,
-                 lambda s, t: _problem4_case(s, t, n=n, k=k, delta=delta),
+    return audit(bound, lambda s, t: _problem4_case(s, t, n=n, k=k),
                  trials, seed)
 
 
-def _problem5_case(seed: int, trial: int, n: int, delta: float):
+def _problem5_case(seed: int, trial: int, n: int):
     inst_seed = seed * 1_000_003 + trial
     rng = np.random.default_rng([seed, trial])
     if rng.random() < 0.5:
         f = random_coverage(n, inst_seed)
     else:
-        amplitude = float(rng.uniform(0.05, max(delta, 0.06)))
+        amplitude = float(rng.uniform(0.05, 0.4))
         f = random_perturbed(n, amplitude, inst_seed, monotone=True)
     m1 = random_partition_matroid(n, inst_seed + 1)
     m2 = random_partition_matroid(n, inst_seed + 2)
@@ -546,13 +524,12 @@ def _problem5_case(seed: int, trial: int, n: int, delta: float):
     return report, {"gamma": gamma, "n": n}, doc
 
 
-def audit_problem5(trials: int, seed: int, n: int = 6,
-                   delta: float = 0.4) -> AuditReport:
+def audit_problem5(trials: int, seed: int, n: int = 6) -> AuditReport:
     """Exact-expectation audit of the claimed two-matroid random-greedy
-    bound (1/9 of the optimum at gamma = 1) over monotone instances."""
+    bound (1/9 of the optimum at gamma = 1) over monotone instances:
+    coverage, or perturbed with noise amplitudes drawn from [0.05, 0.4)."""
     bound = BOUNDS["problem5-claimed"]
-    return audit(bound, lambda s, t: _problem5_case(s, t, n=n, delta=delta),
-                 trials, seed)
+    return audit(bound, lambda s, t: _problem5_case(s, t, n=n), trials, seed)
 
 
 @dataclass(frozen=True)

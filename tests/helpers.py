@@ -1,5 +1,5 @@
-"""Shared test scaffolding: a raw table-backed oracle and tiny independent
-reference solvers used as cross-checking oracles."""
+"""Shared test scaffolding: a raw table-backed oracle, fixtures, and tiny
+independent reference solvers used as cross-checking oracles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,10 @@ import numpy as np
 from submodlab.algorithms import bicriteria_rounds, intersection_candidates
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
-from submodlab.oracles import SetFunctionOracle, elements_of, mask_of
+from submodlab.oracles import (CapabilityError, SetFunctionOracle,
+                               elements_of, mask_of)
+
+AXIOM_LIMIT = 10  # exhaustive axiom checks
 
 
 class TableOracle(SetFunctionOracle):
@@ -43,6 +46,92 @@ class TableMatroid(Matroid):
 
     def _build_indep_table(self):
         return self._indep
+
+
+def free_matroid(n):
+    return UniformMatroid(n, n)
+
+
+def random_uniform_matroid(n, seed):
+    rng = np.random.default_rng(seed)
+    return UniformMatroid(n, int(rng.integers(1, n + 1)))
+
+
+def matroid_greedy(m, weights):
+    """Descending-weight greedy over one matroid; keeps nonnegative weights
+    only, ties broken toward the lowest element id. Optimal for matroids."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (m.n,):
+        raise ValueError("need one weight per element")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    tab = m.indep_table()
+    chosen = []
+    cur = 0
+    for u in sorted(range(m.n), key=lambda u: (-w[u], u)):
+        if w[u] < 0.0:
+            break
+        bit = 1 << u
+        if tab[cur | bit]:
+            chosen.append(u)
+            cur |= bit
+    return chosen
+
+
+def verify_matroid_axioms(m, limit=AXIOM_LIMIT):
+    """Exhaustively check non-emptiness, down-closure, and exchange.
+
+    Returns None when all three axioms hold, else a human-readable witness
+    string for the first failure found.
+    """
+    if m.n > limit:
+        raise CapabilityError(f"axiom check needs n <= {limit}")
+    indep = m.indep_table()
+    if not indep[0]:
+        return "empty set is not independent"
+    ind_masks = np.nonzero(indep)[0].astype(np.int64)
+    for mask in ind_masks:
+        mm = int(mask)
+        s = mm
+        while s:
+            lsb = s & -s
+            if not indep[mm ^ lsb]:
+                return (f"not down-closed: {elements_of(mm)} independent but "
+                        f"{elements_of(mm ^ lsb)} is not")
+            s ^= lsb
+    pops = np.array([int(x).bit_count() for x in ind_masks])
+    good = np.zeros(ind_masks.size, dtype=np.int64)
+    for i, mask in enumerate(ind_masks):
+        g = 0
+        mm = int(mask)
+        for u in range(m.n):
+            bit = 1 << u
+            if not mm & bit and indep[mm | bit]:
+                g |= bit
+        good[i] = g
+    for i, mask in enumerate(ind_masks):
+        mm = int(mask)
+        viol = (pops > pops[i]) & ((ind_masks & ~mm & good[i]) == 0)
+        bad = np.nonzero(viol)[0]
+        if bad.size:
+            return (f"exchange fails for A={elements_of(mm)}, "
+                    f"B={elements_of(int(ind_masks[bad[0]]))}")
+    return None
+
+
+def grad_check(f, x, step=1e-4):
+    """Worst coordinate relative error of analytic vs central differences."""
+    if not 0.0 < step < 0.5:
+        raise ValueError("finite-difference step must lie in (0, 0.5)")
+    x = np.clip(np.asarray(x, dtype=float), step, 1.0 - step)
+    g = f.grad(x)
+    worst = 0.0
+    for u in range(f.n):
+        e = np.zeros(f.n)
+        e[u] = step
+        fd = (f.value(x + e) - f.value(x - e)) / (2.0 * step)
+        worst = max(worst, abs(fd - g[u]) / max(1.0, abs(g[u])))
+    return worst
 
 
 def multipass_reference(f, system, eps):

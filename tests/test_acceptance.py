@@ -13,13 +13,12 @@ from submodlab.algorithms import (bicriteria_rounds, frank_wolfe,
                                   random_greedy_intersection)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
-                                  PartitionPolytope, SumOracle, grad_check,
-                                  masked_update, random_quadratic_dr,
-                                  random_sqrt_linear, random_weak_quadratic,
-                                  unit_box, weak_dr_gamma)
+                                  PartitionPolytope, SumOracle, masked_update,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic, unit_box,
+                                  weak_dr_gamma)
 from submodlab.matroids import (PSystem, random_graphic_matroid,
-                                random_partition_matroid,
-                                random_uniform_matroid, verify_matroid_axioms)
+                                random_partition_matroid)
 from submodlab.oracles import (measure_ratios, random_coverage,
                                random_modular, random_perturbed)
 from submodlab.serialization import canonical_json, load_bundle, to_doc
@@ -29,7 +28,8 @@ from submodlab.verify import (audit_problem2_conjecture, audit_problem4,
                               intersection_greedy_expectation,
                               problem1_report, problem3_report)
 
-from helpers import DummyGreedyProcess, dag_walk, mean_and_se
+from helpers import (DummyGreedyProcess, dag_walk, grad_check, mean_and_se,
+                     random_uniform_matroid, verify_matroid_axioms)
 
 
 @contextmanager

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
                                   frank_wolfe, masked_frank_wolfe,
@@ -10,7 +10,8 @@ from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
                                   random_greedy_intersection)
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   random_quadratic_dr, unit_box)
-from submodlab.matroids import (PSystem, UniformMatroid, free_matroid,
+from submodlab.matroids import (PSystem, UniformMatroid,
+                                random_graphic_matroid,
                                 random_partition_matroid,
                                 random_partition_psystem)
 from submodlab.oracles import (ModularOracle, random_coverage, random_cut,
@@ -19,7 +20,8 @@ from submodlab.serialization import canonical_json, to_doc
 from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
                               intersection_greedy_expectation)
 
-from helpers import TableOracle, mean_and_se, multipass_reference
+from helpers import (TableOracle, free_matroid, mean_and_se,
+                     multipass_reference)
 
 
 def linear_oracle(b):
@@ -324,14 +326,24 @@ def test_intersection_greedy_exact_expectation_vs_monte_carlo():
     assert abs(mean - exact) <= 3.0 * max(se, 1e-12)
 
 
-def test_intersection_greedy_fixed_round_logging():
-    f = random_coverage(6, 63)
-    m1 = random_partition_matroid(6, 64)
-    m2 = random_partition_matroid(6, 65)
-    trace = random_greedy_intersection(f, m1, m2, seed=6)
-    crash_expected = (trace.meta["rounds"] < trace.meta["max_common_rank"]) or \
-        any(not rec["fixed_round_feasible"] for rec in trace.iterations)
-    assert trace.meta["fixed_rounds_would_crash"] == crash_expected
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 10_000), st.booleans())
+@example(4, 60, False)  # a round without a large enough completion
+@example(8, 19, False)  # every round feasible, the run still ends short
+def test_intersection_greedy_fixed_round_flags(n, seed, graphic):
+    # h(S) = |S| + (common rank of the contraction by S) never grows with S,
+    # so the per-round flags run True..True then False..False, and a False
+    # round implies the run ends short of the common rank: the crash flag
+    # is exactly that shortfall
+    make = random_graphic_matroid if graphic else random_partition_matroid
+    trace = random_greedy_intersection(random_coverage(n, seed),
+                                       make(n, seed + 1), make(n, seed + 2),
+                                       seed=seed)
+    flags = [rec["fixed_round_feasible"] for rec in trace.iterations]
+    assert flags == sorted(flags, reverse=True)
+    short = trace.meta["rounds"] < trace.meta["max_common_rank"]
+    assert all(flags) or short
+    assert trace.meta["fixed_rounds_would_crash"] == short
 
 
 def test_intersection_greedy_seed_determinism():

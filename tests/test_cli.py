@@ -186,6 +186,31 @@ def test_json_without_an_object_exits_one(tmp_path, capsys):
         assert err.startswith("error: ") and "JSON object" in err
 
 
+def test_instance_that_is_a_directory_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "run", "--problem", "4",
+               "--instance", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_dir_that_is_a_file_exits_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--out-dir", str(taken), "gen", "--family", "coverage"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_document_field_of_wrong_type_exits_one(tmp_path, capsys):
+    inst = tmp_path / "cov.json"
+    inst.write_text(json.dumps({
+        "schema": "submodlab/1", "kind": "set-function", "family": "coverage",
+        "n": 2, "covers": 5, "universe_weights": [1.0]}))
+    assert run(tmp_path, "run", "--problem", "4", "--instance", str(inst),
+               "--k", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'set-function'" in err \
+        and "'coverage'" in err
+
+
 def test_capability_error_exit_three(tmp_path):
     inst = tmp_path / "big.json"
     doc = {"schema": "submodlab/1", "kind": "bundle", "problem": 4,

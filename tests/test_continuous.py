@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
-                                  SqrtLinearOracle, dr_check, grad_check,
-                                  masked_update, random_quadratic_dr,
-                                  random_sqrt_linear, random_weak_quadratic,
-                                  unit_box, weak_dr_gamma)
+                                  SqrtLinearOracle, dr_check, masked_update,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic, unit_box,
+                                  weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut
+
+from helpers import grad_check
 
 POLYTOPE_FAMILIES = [
     unit_box(4),

@@ -33,10 +33,11 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope)
 from submodlab.matroids import (PSystem, random_graphic_matroid,
-                                random_partition_matroid,
-                                random_uniform_matroid)
+                                random_partition_matroid)
 from submodlab.oracles import random_coverage
 from submodlab.verify import audit_problem4, audit_problem5
+
+from helpers import random_uniform_matroid
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

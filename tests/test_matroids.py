@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
-                                UniformMatroid, common_rank, free_matroid,
-                                matroid_greedy, max_weight_common_independent,
+                                UniformMatroid, common_rank,
+                                max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
-                                random_partition_matroid,
-                                random_uniform_matroid, verify_matroid_axioms)
+                                random_partition_matroid)
 from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
                                mask_of,
                                random_coverage, random_modular)
 
-from helpers import (TableMatroid, indep_ref, indep_table_ref,
-                     max_bipartite_matching)
+from helpers import (TableMatroid, free_matroid, indep_ref, indep_table_ref,
+                     matroid_greedy, max_bipartite_matching,
+                     random_uniform_matroid, verify_matroid_axioms)
 
 
 def test_matroid_greedy_uniform_top_k():

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from submodlab import oracles
 from submodlab.matroids import UniformMatroid
-from submodlab.oracles import (CapabilityError, CoverageOracle, CutOracle,
-                               ModularOracle, PerturbedOracle,
-                               is_submodular_bruteforce, marginal,
-                               measure_ratios, monotonicity_ratio,
+from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
+                               PerturbedOracle, mask_of, measure_ratios,
                                random_coverage, random_cut, random_modular,
-                               random_perturbed, submodularity_ratio)
+                               random_perturbed)
 from submodlab.verify import brute_force_opt_set, dummy_greedy_expectation
 
 from helpers import (TableOracle, coverage_table_lsb, gamma_loop, m_loop,
-                     relabel)
+                     naive_is_submodular, relabel)
+
+
+def marginal(f, u, subset):
+    return f.marginal_mask(u, mask_of(subset, f.n))
 
 
 def test_marginal_modular_additivity():
@@ -50,58 +52,48 @@ def test_marginal_can_be_negative_for_cut():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 7))
 def test_modular_is_submodular(seed, n):
-    ok, witness = is_submodular_bruteforce(random_modular(n, seed))
-    assert ok and witness is None
+    assert naive_is_submodular(random_modular(n, seed))
 
 
 def test_coverage_is_submodular():
     for seed in range(10):
-        ok, _ = is_submodular_bruteforce(random_coverage(8, seed))
-        assert ok
+        assert naive_is_submodular(random_coverage(8, seed))
 
 
 def test_cardinality_squared_is_not_submodular():
     f = TableOracle([0.0, 1.0, 1.0, 4.0])  # f(S) = |S|^2 on n = 2
-    ok, witness = is_submodular_bruteforce(f)
-    assert not ok
-    assert witness == ([0], [1])
-
-
-def test_submodularity_check_capability_limit():
-    f = ModularOracle(np.ones(15))
-    with pytest.raises(CapabilityError):
-        is_submodular_bruteforce(f)
+    assert not naive_is_submodular(f)
 
 
 def test_submodularity_ratio_modular_is_one():
-    assert submodularity_ratio(random_modular(6, 5)) == 1.0
+    assert measure_ratios(random_modular(6, 5)).gamma == 1.0
 
 
 def test_submodularity_ratio_submodular_monotone_is_one():
     for seed in range(8):
-        assert submodularity_ratio(random_coverage(7, seed)) == 1.0
+        assert measure_ratios(random_coverage(7, seed)).gamma == 1.0
 
 
 def test_submodularity_ratio_remeasurement_is_deterministic():
     p = random_perturbed(7, 0.2, 3)
-    first = submodularity_ratio(p)
-    again = submodularity_ratio(random_perturbed(7, 0.2, 3))
+    first = measure_ratios(p).gamma
+    again = measure_ratios(random_perturbed(7, 0.2, 3)).gamma
     assert first == again
 
 
 def test_monotonicity_ratio_coverage_is_one():
     for seed in range(8):
-        assert monotonicity_ratio(random_coverage(7, seed)) == 1.0
+        assert measure_ratios(random_coverage(7, seed)).m == 1.0
 
 
 def test_monotonicity_ratio_single_edge_cut_is_zero():
     f = CutOracle(3, [(0, 1, 1.5)])
-    assert monotonicity_ratio(f) == 0.0
+    assert measure_ratios(f).m == 0.0
 
 
 def test_monotonicity_ratio_zero_function_is_one():
     f = TableOracle(np.zeros(8))
-    assert monotonicity_ratio(f) == 1.0
+    assert measure_ratios(f).m == 1.0
 
 
 def test_measure_ratios_flags_nonmonotone():
@@ -138,7 +130,7 @@ def test_perturbed_zero_delta_reproduces_base(seed, n):
 def test_perturbed_monotone_noise_certifies_monotone():
     p = random_perturbed(7, 0.3, 5, monotone=True)
     assert p.monotone is True
-    assert monotonicity_ratio(p) == 1.0
+    assert measure_ratios(p).m == 1.0
     q = random_perturbed(7, 0.3, 5)
     assert q.monotone is None
 
@@ -179,8 +171,7 @@ def test_non_finite_table_values_rejected():
 
 
 def test_measurements_agree_with_naive_references():
-    from helpers import (naive_is_submodular, naive_monotonicity_ratio,
-                         naive_submodularity_ratio)
+    from helpers import naive_monotonicity_ratio, naive_submodularity_ratio
     for seed in range(20):
         if seed % 3 == 0:
             f = random_coverage(6, seed)
@@ -188,10 +179,10 @@ def test_measurements_agree_with_naive_references():
             f = random_perturbed(6, 0.25, seed)
         else:
             f = random_cut(6, seed)
-        assert is_submodular_bruteforce(f)[0] == naive_is_submodular(f)
-        assert monotonicity_ratio(f) == pytest.approx(
+        r = measure_ratios(f)
+        assert r.m == pytest.approx(
             naive_monotonicity_ratio(f), rel=1e-12, abs=1e-12)
-        assert submodularity_ratio(f) == pytest.approx(
+        assert r.gamma == pytest.approx(
             naive_submodularity_ratio(f), rel=1e-12, abs=1e-12)
 
 
@@ -280,10 +271,9 @@ def test_relabelling_preserves_opt_gamma_and_m(case):
     opt_f = brute_force_opt_set(f, UniformMatroid(n, rank).indep_table())
     opt_g = brute_force_opt_set(g, UniformMatroid(n, rank).indep_table())
     assert opt_g.value == opt_f.value
-    assert submodularity_ratio(g) == pytest.approx(
-        submodularity_ratio(f), rel=1e-12, abs=1e-12)
-    assert monotonicity_ratio(g) == pytest.approx(
-        monotonicity_ratio(f), rel=1e-12, abs=1e-12)
+    rf, rg = measure_ratios(f), measure_ratios(g)
+    assert rg.gamma == pytest.approx(rf.gamma, rel=1e-12, abs=1e-12)
+    assert rg.m == pytest.approx(rf.m, rel=1e-12, abs=1e-12)
     if rank >= 1:
         # a uniform table is tie-free with probability 1, so the candidate
         # lists map onto each other; a tie would only reorder a sum

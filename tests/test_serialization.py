@@ -7,12 +7,13 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   PartitionPolytope, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic)
 from submodlab.matroids import (PSystem, random_graphic_matroid,
-                                random_partition_matroid,
-                                random_uniform_matroid)
+                                random_partition_matroid)
 from submodlab.oracles import (random_coverage, random_cut, random_modular,
                                random_perturbed)
 from submodlab.serialization import (bundle_doc, canonical_json, from_doc,
                                      load, load_bundle, save, to_doc)
+
+from helpers import random_uniform_matroid
 
 
 def roundtrip(obj):

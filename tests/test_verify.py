@@ -334,14 +334,6 @@ def test_check_bound_missing_parameter():
         check_bound(1.0, BOUNDS["problem2-bicriteria"], {"epsilon": 0.5})
 
 
-def test_check_bound_sampled_verdicts():
-    bound = BOUNDS["problem2-bicriteria"]
-    params = {"epsilon": 0.5, "opt": 10.0}  # threshold 5.0
-    assert check_bound(6.0, bound, params, half_width=0.5).verdict == "holds"
-    assert check_bound(4.0, bound, params, half_width=0.5).verdict == "violated"
-    assert check_bound(5.2, bound, params, half_width=0.5).verdict == "inconclusive"
-
-
 def test_check_bound_monotone_in_threshold():
     bound = BOUNDS["problem2-bicriteria"]
     tight = check_bound(7.0, bound, {"epsilon": 0.25, "opt": 9.0})
