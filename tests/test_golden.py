@@ -4,8 +4,11 @@
 `gen -> run -> verify` for problems 1-5 and the seven plain `gen` families,
 the four `audit --bound` tables, the replay documents of a few audit rows,
 the stdout and exit code of each command, the stdout of the three
-`scripts/` at tiny sizes, and under `docs/` the document of one seeded
-object of each serializable class that those runs do not write. The test regenerates all of it into a temporary
+`scripts/` at tiny sizes, under `docs/` the document of one seeded
+object of each serializable class that those runs do not write, and in
+`ratios.json` the exact gamma and m (with witnesses) of seeded oracles at
+n = 8-12, where the gamma sweep spans several chunks per group. The test
+regenerates all of it into a temporary
 directory and compares bytes, which catches both refactor drift and drift in
 numpy's random streams (perturbed oracles rebuild their noise from a seed).
 
@@ -34,10 +37,11 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   PartitionPolytope)
 from submodlab.matroids import (PSystem, random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import random_coverage
+from submodlab.oracles import (measure_ratios, random_coverage, random_cut,
+                               random_modular, random_perturbed)
 from submodlab.verify import audit_problem4, audit_problem5
 
-from helpers import random_uniform_matroid
+from helpers import TableOracle, random_uniform_matroid
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -98,6 +102,50 @@ def _doc_objects() -> list:
         KnapsackPolytope(rng.uniform(0.2, 1.0, 5), 1.3),
         MultilinearOracle(random_coverage(4, 7)),
     ]
+
+
+def _ratio_oracles() -> dict:
+    """Seeded oracles of each kind the gamma kernel must get bit-exact:
+    submodular, perturbed (monotone and not), modular plus small noise (gamma
+    strictly inside (0, 1)), supermodular w(S)^2 (whose witness B is large,
+    so the singleton-sum order shows), tie-heavy small integers, and cut."""
+    def noisy_modular(n, seed):
+        rng = np.random.default_rng(seed)
+        return TableOracle(random_modular(n, seed).table()
+                           + rng.uniform(0.0, 0.05, 1 << n))
+
+    def ints(n, seed):
+        rng = np.random.default_rng(seed)
+        return TableOracle(rng.integers(0, 4, 1 << n).astype(float))
+
+    return {
+        "coverage-n9-s1": random_coverage(9, 1),
+        "coverage-n12-s2": random_coverage(12, 2),
+        "perturbed-monotone-n10-s3": random_perturbed(10, 0.3, 3, True),
+        "perturbed-monotone-n12-s4": random_perturbed(12, 0.3, 4, True),
+        "perturbed-n11-s5": random_perturbed(11, 0.3, 5),
+        "perturbed-n12-s6": random_perturbed(12, 0.3, 6),
+        "noisy-modular-n11-s7": noisy_modular(11, 7),
+        "noisy-modular-n12-s8": noisy_modular(12, 8),
+        "supermodular-n10-s9": TableOracle(random_modular(10, 9).table() ** 2),
+        "supermodular-n12-s10": TableOracle(
+            random_modular(12, 10).table() ** 2),
+        "ints-n8-s11": ints(8, 11),
+        "ints-n12-s12": ints(12, 12),
+        "cut-n10-s13": random_cut(10, 13),
+        "cut-n12-s14": random_cut(12, 14),
+    }
+
+
+def write_ratios(path: Path) -> None:
+    """``measure_ratios`` of each ratio oracle, floats as their repr."""
+    doc = {}
+    for name, f in _ratio_oracles().items():
+        r = measure_ratios(f)
+        doc[name] = {"gamma": repr(r.gamma), "m": repr(r.m),
+                     "gamma_witness": r.gamma_witness,
+                     "m_witness": r.m_witness}
+    serialization.save(doc, path)
 
 
 def _captured(call) -> tuple[int, str]:
@@ -182,6 +230,8 @@ def write_corpus(root: Path) -> None:
         _script(log, name, argv + out_flag)
     log.write(root / "scripts-stdout.txt")
 
+    write_ratios(root / "ratios.json")
+
 
 def _files(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -194,6 +244,14 @@ def test_golden_corpus_replays(tmp_path):
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert changed == []
+
+
+def test_golden_ratios_replay(tmp_path):
+    write_ratios(tmp_path / "ratios.json")
+    want = serialization.load_doc(GOLDEN / "ratios.json")
+    got = serialization.load_doc(tmp_path / "ratios.json")
+    assert [name for name in want if got.get(name) != want[name]] == []
+    assert sorted(got) == sorted(want)
 
 
 def _doc_keys(doc, keys: set) -> set:
