@@ -13,6 +13,7 @@ measurement here is a pure function of the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -225,46 +226,68 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def _gamma_with_witness(f: SetFunctionOracle):
-    # Sweeps every A, grouped by complement size c = n - |A| and chunked
-    # to at most _GAMMA_CHUNK entries, against all 2^c sets B of its
-    # complement. A chunk holds one column per A and one row per B, B in
-    # ascending order. Each singleton sum is a left fold from 0.0 in
-    # ascending element order (doubling over the ascending complement bits).
-    # Ties go to the smaller A, then the smaller B.
-    if f.n > GAMMA_LIMIT:
-        raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
-    n = f.n
-    tab = f.table()
-    scale = max(1.0, float(np.abs(tab).max()))
+@functools.lru_cache(maxsize=None)
+def _gamma_chunks(n: int, chunk: int) -> tuple:
+    """The gamma sweep's chunks for ground-set size n: per complement size c
+    = n - |A| in ascending order, runs of at most max(1, chunk >> c)
+    consecutive sets A of that size (ascending), each as (c, A masks,
+    (c, width) complement bits in ascending element order). Read-only."""
     counts = _popcounts(n)
-    best = math.inf
-    witness = None
+    out = []
     for c in range(1, n + 1):
         group = np.nonzero(counts == n - c)[0]
-        width = max(1, _GAMMA_CHUNK >> c)
+        comp = np.nonzero(((group[:, None] >> np.arange(n)) & 1) == 0)[1]
+        bits = 1 << comp.reshape(-1, c).T
+        width = max(1, chunk >> c)
         for lo in range(0, group.size, width):
             a = group[lo:lo + width]
-            comp = np.nonzero(((a[:, None] >> np.arange(n)) & 1) == 0)[1]
-            bits = 1 << comp.reshape(-1, c).T
+            b = np.ascontiguousarray(bits[:, lo:lo + width])
+            a.setflags(write=False)
+            b.setflags(write=False)
+            out.append((c, a, b))
+    return tuple(out)
+
+
+def _gamma_with_witness(f: SetFunctionOracle):
+    # Sweeps every A against all 2^c sets B of its complement, one chunk of
+    # _gamma_chunks at a time. A chunk holds one column per A and one row
+    # per B, B ascending; row 0 is A itself, and each doubling over a
+    # complement bit writes a contiguous block of rows, building S = A | B
+    # and the singleton sum (a left fold from 0.0 in ascending element
+    # order) side by side. The ratios are a plain divide, with the skipped
+    # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
+    # chunk; the witness is searched for only in a chunk whose min can win.
+    # Ties go to the lexicographically smallest (A, B) among the minimizers.
+    if f.n > GAMMA_LIMIT:
+        raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
+    tab = f.table()
+    thr = REL_TOL * max(1.0, float(np.abs(tab).max()))
+    best = math.inf
+    witness = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, a, bits in _gamma_chunks(f.n, _GAMMA_CHUNK):
             base = tab[a]
             marg = tab[a | bits] - base
-            masks = np.zeros((1 << c, a.size), dtype=np.int64)
-            sums = np.zeros((1 << c, a.size))
+            masks = np.empty((1 << c, a.size), dtype=np.int64)
+            sums = np.empty((1 << c, a.size))
+            masks[0] = a
+            sums[0] = 0.0
             for i in range(c):
                 half = 1 << i
                 np.bitwise_or(masks[:half], bits[i], out=masks[half:2 * half])
                 np.add(sums[:half], marg[i], out=sums[half:2 * half])
-            denom = tab[masks | a] - base
-            ratios = np.full(denom.shape, math.inf)
-            np.divide(sums, denom, out=ratios, where=denom > REL_TOL * scale)
-            rows = np.argmin(ratios, axis=0)
-            col_min = ratios[rows, np.arange(a.size)]
-            j = int(np.argmin(col_min))
-            value = float(col_min[j])
-            cand = (int(a[j]), int(masks[rows[j], j]))
-            if value < best or (value == best and witness is not None
-                                and cand < witness):
+            denom = tab[masks]
+            denom -= base
+            ratios = np.divide(sums, denom, out=sums)
+            np.copyto(ratios, math.inf, where=denom <= thr)
+            value = float(ratios.min())
+            if value == math.inf or value > best:
+                continue
+            hit = ratios == value
+            j = int(np.argmax(hit.any(axis=0)))
+            i = int(np.argmax(hit[:, j]))
+            cand = (int(a[j]), int(masks[i, j] ^ a[j]))
+            if value < best or cand < witness:
                 best, witness = value, cand
     if witness is None:
         return 1.0, None

@@ -238,6 +238,51 @@ def test_gamma_kernel_sums_singletons_in_ascending_order():
             assert oracles._gamma_with_witness(f) == gamma_loop(f)
 
 
+def _kernel_case(kind, n):
+    """One seeded oracle of each kind the gamma kernel must get bit-exact."""
+    seed = 100 + n
+    if kind == "coverage":
+        return random_coverage(n, seed)
+    if kind == "perturbed-monotone":
+        return random_perturbed(n, 0.3, seed, monotone=True)
+    if kind == "perturbed":
+        return random_perturbed(n, 0.3, seed)
+    if kind == "supermodular":
+        return TableOracle(random_modular(n, seed).table() ** 2)
+    return TableOracle(np.random.default_rng(seed).integers(
+        0, 3, 1 << n).astype(float))
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("kind", ["coverage", "perturbed-monotone",
+                                  "perturbed", "supermodular", "ties"])
+def test_gamma_kernel_matches_reference_loop_at_benchmark_sizes(kind, n):
+    # at n = 11-12 the middle groups span several chunks of _GAMMA_CHUNK
+    f = _kernel_case(kind, n)
+    want = gamma_loop(f)
+    for chunk in (oracles._GAMMA_CHUNK, 8):
+        with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
+            assert oracles._gamma_with_witness(f) == want
+
+
+def test_gamma_kernel_witness_takes_smallest_a_before_earliest_b():
+    # In the |A| = 1 chunk, A = {0} reaches the minimum 0 only at its last
+    # row, B = {1, 2, 3}, and A = {1} reaches it at an earlier row,
+    # B = {2, 3}. The witness is the smaller A, whatever its row.
+    values = {0b0000: 0, 0b0001: 2, 0b0010: 1, 0b0100: 1, 0b1000: 1,
+              0b0110: 1, 0b1010: 1, 0b1100: 2, 0b1110: 2, 0b1111: 3}
+    f = TableOracle([values.get(s, 2) for s in range(16)])
+    assert oracles._gamma_with_witness(f) == (0.0, ([0], [1, 2, 3]))
+    assert gamma_loop(f) == (0.0, ([0], [1, 2, 3]))
+
+
+def test_gamma_kernel_skips_denominators_within_tolerance():
+    # f(B|A) = 1e-12 at A = {0}, B = {1, 2}, where the singleton sum is
+    # -0.3; the pair is skipped, so every remaining ratio is at least 1
+    f = TableOracle([0.0, 1.0, 1.0, 0.5, 1.0, 1.2, 2.0, 1.0 + 1e-12])
+    assert oracles._gamma_with_witness(f) == (1.0, ([], [0]))
+
+
 @st.composite
 def coverage_instances(draw):
     n = draw(st.integers(1, 10))
