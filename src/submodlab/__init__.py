@@ -11,7 +11,7 @@ from .oracles import (CapabilityError, CoverageOracle, CutOracle,
                       SetFunctionOracle, measure_ratios, random_coverage,
                       random_cut, random_modular, random_perturbed)
 from .matroids import (GraphicMatroid, Matroid, PartitionMatroid, PSystem,
-                       UniformMatroid, common_rank,
+                       UniformMatroid, common_rank, contracted_ranks,
                        max_weight_common_independent,
                        psystem_greedy_marginal, random_graphic_matroid,
                        random_partition_matroid)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import ContinuousOracle, Polytope, masked_update
-from .matroids import (Matroid, PSystem, common_rank,
+from .matroids import (Matroid, PSystem, contracted_ranks,
                        max_weight_common_independent, psystem_greedy_marginal)
 from .oracles import SetFunctionOracle, elements_of, mask_of
 
@@ -335,14 +335,15 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     variant would have run out of feasible sets.
     """
     system = PSystem([m1, m2])
-    rank = common_rank(system)
+    ranks = contracted_ranks(system)
+    rank = int(ranks[0])
     state = 0
     records = []
     while (options := intersection_candidates(f, system, state)) is not None:
         i = len(records)
         u = options[int(_round_rng(seed, i).integers(len(options)))]
         needed = rank - i
-        contracted_rank = common_rank(system, base=state)
+        contracted_rank = int(ranks[state])
         marg = f.marginal_mask(u, state)
         state |= 1 << u
         records.append({

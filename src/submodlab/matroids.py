@@ -13,8 +13,10 @@ n <= TABLE_LIMIT.
 
 The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
-the contraction by S. The greedy pass's int mask ``given`` shifts the
-marginals only: T stays independent on its own, scored by f(u | given ∪ T).
+the contraction by S. ``contracted_ranks`` gives the common rank of every
+contraction at once, by a superset-max sweep over the table. The greedy
+pass's int mask ``given`` shifts the marginals only: T stays independent
+on its own, scored by f(u | given ∪ T).
 
 Everything here is exact and deterministic: the greedy pass breaks ties
 toward the lowest element id, and the branch-and-prune search returns the
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      elements_of, mask_of)
+                      popcounts, elements_of, mask_of)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 
@@ -291,9 +293,29 @@ def max_weight_common_independent(system: Matroid | PSystem,
     return elements_of(best_set ^ base)
 
 
+def contracted_ranks(system: Matroid | PSystem) -> np.ndarray:
+    """The common rank of the contraction by every set S, indexed by mask S:
+    the largest |T| outside S with S | T independent, or -1 where S itself
+    is dependent.
+
+    The largest independent superset of each S comes from n in-place
+    superset-max passes over the sizes of the independent sets (-1 at the
+    dependent ones); the rank is that size minus |S|.
+    """
+    counts = popcounts(system.n)
+    sizes = np.where(system.indep_table(), counts, -1)
+    for u in range(system.n):
+        bit = 1 << u
+        view = sizes.reshape(-1, 2 * bit)
+        np.maximum(view[:, :bit], view[:, bit:], out=view[:, :bit])
+    return np.where(sizes >= 0, sizes - counts, -1)
+
+
 def common_rank(system: Matroid | PSystem, base: int = 0) -> int:
     """Maximum size of a T outside ``base`` with ``base | T`` independent."""
-    return len(max_weight_common_independent(system, np.ones(system.n), base))
+    if not 0 <= base < 1 << system.n or not system.indep_table()[base]:
+        raise ValueError("base is not an independent set")
+    return int(contracted_ranks(system)[base])
 
 
 # ---------------------------------------------------------------------------

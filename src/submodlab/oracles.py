@@ -218,7 +218,8 @@ class PerturbedOracle(SetFunctionOracle):
         return np.maximum(0.0, self.base.table() + noise)
 
 
-def _popcounts(n: int) -> np.ndarray:
+def popcounts(n: int) -> np.ndarray:
+    """|S| for every subset S of an n-element ground set, by bitmask."""
     counts = np.zeros(1 << n, dtype=np.int64)
     for u in range(n):
         half = 1 << u
@@ -232,7 +233,7 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
     = n - |A| in ascending order, runs of at most max(1, chunk >> c)
     consecutive sets A of that size (ascending), each as (c, A masks,
     (c, width) complement bits in ascending element order). Read-only."""
-    counts = _popcounts(n)
+    counts = popcounts(n)
     out = []
     for c in range(1, n + 1):
         group = np.nonzero(counts == n - c)[0]

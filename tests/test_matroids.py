@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 UniformMatroid, common_rank,
+                                contracted_ranks,
                                 max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
@@ -318,6 +319,32 @@ def test_mwci_with_base_matches_exhaustive(case):
     top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
     assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
     assert common_rank(system, base) == max(t.bit_count() for t in feasible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base_searches())
+def test_contracted_ranks_match_branch_and_prune(case):
+    system, base, _ = case
+    ranks = contracted_ranks(system)
+    ones = np.ones(system.n)
+    assert ranks[base] == len(max_weight_common_independent(system, ones,
+                                                            base))
+    assert np.array_equal(ranks < 0, ~system.indep_table())
+
+
+def test_contracted_ranks_match_branch_and_prune_at_n12():
+    # the sizes of the problem-5 audit: two partition matroids, n = 12
+    rng = np.random.default_rng(12)
+    for seed in range(4):
+        system = PSystem([random_partition_matroid(12, seed),
+                          random_partition_matroid(12, seed + 50)])
+        ranks = contracted_ranks(system)
+        independent = np.nonzero(system.indep_table())[0]
+        for base in rng.choice(independent, size=min(40, independent.size),
+                               replace=False):
+            base = int(base)
+            assert ranks[base] == len(max_weight_common_independent(
+                system, np.ones(12), base))
 
 
 def test_mwci_rejects_dependent_base():
