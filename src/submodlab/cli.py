@@ -379,7 +379,8 @@ def _load_problem_components(args):
     if PROBLEMS[args.problem].bare_objective and \
             doc.get("kind") == "set-function":
         return {"objective": serialization.from_doc(doc),
-                "_measured": doc.get("measured", {}), "_meta": {}}
+                "_measured": serialization.object_field(doc, "measured", {}),
+                "_meta": {}}
     raise UsageError("instance file does not match the selected problem")
 
 

@@ -95,6 +95,8 @@ def _rebuild(value):
 
 def from_doc(doc: dict):
     """Rebuild a supported object from its document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {type(doc).__name__} is not a document object")
     kind, family = doc.get("kind"), doc.get("family")
     if kind == "bundle":
         return doc  # bundles stay documents; use load_bundle for components
@@ -122,12 +124,22 @@ def bundle_doc(problem: int, components: dict, measured: dict | None = None,
     }
 
 
+def object_field(doc: dict, name: str, default=None) -> dict:
+    """``doc[name]``, or ``default`` when absent; a value that is not a JSON
+    object raises ValueError."""
+    value = doc.get(name, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"document field {name!r} must be a JSON object")
+    return value
+
+
 def load_bundle(doc: dict) -> dict:
     if doc.get("kind") != "bundle":
         raise ValueError("not a bundle document")
-    out = {name: from_doc(sub) for name, sub in doc["components"].items()}
-    out["_measured"] = doc.get("measured", {})
-    out["_meta"] = doc.get("meta", {})
+    out = {name: from_doc(sub)
+           for name, sub in object_field(doc, "components").items()}
+    out["_measured"] = object_field(doc, "measured", {})
+    out["_meta"] = object_field(doc, "meta", {})
     out["_problem"] = doc.get("problem")
     return out
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from submodlab.cli import main
 from submodlab.serialization import from_doc, load_bundle, load_doc
@@ -209,6 +210,25 @@ def test_document_field_of_wrong_type_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'set-function'" in err \
         and "'coverage'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("components", {"objective": 5}),
+    ("measured", []),
+    ("meta", []),
+])
+def test_bundle_field_that_is_not_an_object_exits_one(tmp_path, capsys,
+                                                      field, value):
+    inst = tmp_path / "p4.json"
+    run(tmp_path, "gen", "--family", "problem4", "--n", "5", "--k", "2",
+        "--seed", "1", "--out", str(inst))
+    doc = load_doc(inst)
+    doc[field] = value
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "4",
+               "--instance", str(inst)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_capability_error_exit_three(tmp_path):
