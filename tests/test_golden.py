@@ -7,10 +7,10 @@ the stdout and exit code of each command, the stdout of the three
 `scripts/` at tiny sizes, under `docs/` the document of one seeded
 object of each serializable class that those runs do not write, and in
 `ratios.json` the exact gamma and m (with witnesses) of seeded oracles at
-n = 8-12, where the gamma sweep spans several chunks per group. The test
-regenerates all of it into a temporary
-directory and compares bytes, which catches both refactor drift and drift in
-numpy's random streams (perturbed oracles rebuild their noise from a seed).
+n = 8-12 (from n = 11 on, the gamma sweep splits groups over several
+chunks). The test regenerates all of it into a temporary directory and
+compares bytes, which catches both refactor drift and drift in numpy's
+random streams (perturbed oracles rebuild their noise from a seed).
 
 To rewrite the corpus after an intended output change, run
 
