@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      popcounts, elements_of, mask_of)
+                      elements_of, mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 

@@ -258,7 +258,8 @@ def _gamma_with_witness(f: SetFunctionOracle):
     # order) side by side. The ratios are a plain divide, with the skipped
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
     # chunk; the witness is searched for only in a chunk whose min can win.
-    # Ties go to the lexicographically smallest (A, B) among the minimizers.
+    # Ties go to the smallest (A, B) bitmask pair among the minimizers, A
+    # first: the first column holding a chunk's min, then its first row.
     if f.n > GAMMA_LIMIT:
         raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
     tab = f.table()

