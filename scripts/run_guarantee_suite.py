@@ -45,7 +45,7 @@ def main() -> int:
                           random_partition_matroid(8, seed + 4)])
         trace = multipass_greedy(f, system, args.epsilon)
         opt = brute_force_opt_set(f, system.indep_table())
-        reports.append(problem2_report(trace, opt, system=system,
+        reports.append(problem2_report(trace, f, opt, system,
                                        instance_id=f"bicriteria-{t}"))
 
         fc = random_quadratic_dr(n, seed + 5, monotone=True) if t % 2 \

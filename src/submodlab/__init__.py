@@ -10,9 +10,9 @@ from .oracles import (CapabilityError, CoverageOracle, CutOracle,
                       ModularOracle, PerturbedOracle, RatioMeasurement,
                       SetFunctionOracle, measure_ratios, random_coverage,
                       random_cut, random_modular, random_perturbed)
-from .matroids import (GraphicMatroid, Matroid, PartitionMatroid, PSystem,
-                       UniformMatroid, common_rank, contracted_ranks,
-                       max_weight_common_independent,
+from .matroids import (GraphicMatroid, IndependenceSystem, Matroid,
+                       PartitionMatroid, PSystem, UniformMatroid,
+                       contracted_ranks, max_weight_common_independent,
                        psystem_greedy_marginal, random_graphic_matroid,
                        random_partition_matroid)
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,

@@ -154,24 +154,24 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
 # bicriteria multi-pass greedy
 
 
-def bicriteria_rounds(p: int, epsilon: float) -> int:
-    """ceil(ln(1/eps) / ln((p+1)/p)), floored at one pass."""
+def _log_rounds(p: int, epsilon: float, base) -> int:
+    """ceil(log_b(1/eps)) with b = base(p), floored at one pass."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if int(p) != p or p < 1:
         raise ValueError("p must be a positive integer")
-    ratio = math.log(1.0 / epsilon) / math.log((p + 1.0) / p)
+    ratio = math.log(1.0 / epsilon) / math.log(base(p))
     return max(1, math.ceil(ratio - CEIL_GUARD))
+
+
+def bicriteria_rounds(p: int, epsilon: float) -> int:
+    """ceil(ln(1/eps) / ln((p+1)/p)), floored at one pass."""
+    return _log_rounds(p, epsilon, lambda p: (p + 1.0) / p)
 
 
 def authors_conjecture_rounds(p: int, epsilon: float) -> int:
     """ceil(log_{p+1}(1/eps)): the smaller, audited round count."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if int(p) != p or p < 1:
-        raise ValueError("p must be a positive integer")
-    ratio = math.log(1.0 / epsilon) / math.log(p + 1.0)
-    return max(1, math.ceil(ratio - CEIL_GUARD))
+    return _log_rounds(p, epsilon, lambda p: p + 1.0)
 
 
 def certificate_holds(system: PSystem, parts, final) -> bool:

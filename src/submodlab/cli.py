@@ -32,6 +32,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -170,7 +171,7 @@ def _check_problem2(c, a, stem):
     traces = _traces(a)
     opt = verify.brute_force_opt_set(c["objective"],
                                      c["system"].indep_table())
-    return [verify.problem2_report(t, opt, system=c["system"],
+    return [verify.problem2_report(t, c["objective"], opt, c["system"],
                                    instance_id=stem) for t in traces]
 
 
@@ -191,8 +192,11 @@ def _check_problem3(c, a, stem):
     gamma = c["_measured"].get("gamma")
     if gamma is None:
         gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
-    return [verify.problem3_report(t, gamma, c["objective"], cert,
-                                   instance_id=stem) for t in traces]
+    reports = [verify.problem3_report(t, gamma, c["objective"], cert,
+                                      instance_id=stem) for t in traces]
+    return [r if c["polytope"].member(t.final)
+            else replace(r, verdict=verify.VIOLATED)
+            for t, r in zip(traces, reports)]
 
 
 def _gen_problem4(a):

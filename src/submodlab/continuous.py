@@ -5,6 +5,11 @@ Each oracle carries two certified constants: ``smoothness`` (an upper bound
 on the gradient's Lipschitz constant) and ``value_lipschitz`` (an upper bound
 on the gradient norm over the cube, i.e. a Lipschitz constant for the values
 themselves, used for grid-certificate error radii).
+
+Exact work over the cube's 2^n vertices reads one vertex matrix,
+``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
+(``value_many`` at every vertex), the knapsack diameter, and the
+multilinear extension's weights.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracles import REL_TOL, CapabilityError, SetFunctionOracle
+from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
+                      subset_bits)
 
 MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
@@ -90,14 +96,7 @@ class QuadraticOracle(ContinuousOracle):
         if self.n > VERTEX_CHECK_LIMIT:
             raise CapabilityError(
                 "cannot certify nonnegativity beyond the vertex-check limit")
-        vals = np.zeros(1 << self.n)
-        for mask in range(1, 1 << self.n):
-            lsb = mask & -mask
-            u = lsb.bit_length() - 1
-            prev = mask ^ lsb
-            cross = sum(self.a[u, v] for v in range(self.n) if (prev >> v) & 1)
-            vals[mask] = vals[prev] + self.b[u] + cross + 0.5 * self.a[u, u]
-        if float(vals.min()) < -1e-9:
+        if float(self.value_many(subset_bits(self.n)).min()) < -1e-9:
             raise ValueError("quadratic oracle is negative at a cube vertex")
 
     def value(self, x) -> float:
@@ -163,8 +162,7 @@ class MultilinearOracle(ContinuousOracle):
         self.base = base
         self._tab = base.table()
         masks = np.arange(1 << self.n)
-        self._bits = ((masks[:, None] >> np.arange(self.n)[None, :]) & 1
-                      ).astype(float)
+        self._bits = subset_bits(self.n)
         self.monotone = base.monotone is True
         diffs = np.zeros(self.n)
         for u in range(self.n):
@@ -256,7 +254,7 @@ class Polytope:
     """Down-closed convex subset of [0,1]^n containing the origin.
 
     ``diameter`` is max ||x||_2 over the polytope, computed in closed form
-    (or by vertex enumeration for knapsacks at desk scale).
+    (or over the cube's vertex matrix for knapsacks at desk scale).
     """
 
     family = "abstract"
@@ -391,19 +389,17 @@ class KnapsackPolytope(Polytope):
     def _exact_diameter(self) -> float:
         # max ||x||_2 is attained at a vertex: a full-1 set plus at most one
         # fractional coordinate.
-        best = 0.0
-        for mask in range(1 << self.n):
-            cost = sum(self.costs[u] for u in range(self.n) if (mask >> u) & 1)
-            if cost > self.budget + 1e-12:
-                continue
-            residual = self.budget - cost
-            d2 = float(mask.bit_count())
-            frac = 0.0
-            for v in range(self.n):
-                if not (mask >> v) & 1:
-                    frac = max(frac, min(1.0, residual / self.costs[v]))
-            best = max(best, d2 + frac * frac)
-        return math.sqrt(best)
+        # Each vertex's cost is the left fold of its elements' costs in
+        # ascending order, as a plain sum over the set would give.
+        bits = subset_bits(self.n)
+        cost = np.zeros(bits.shape[0])
+        for u in range(self.n):
+            cost += bits[:, u] * self.costs[u]
+        fits = cost <= self.budget + 1e-12
+        bits, residual = bits[fits], self.budget - cost[fits]
+        frac = np.where(bits == 0.0, np.minimum(
+            1.0, residual[:, None] / self.costs), 0.0).max(axis=1, initial=0.0)
+        return math.sqrt(float((bits.sum(axis=1) + frac * frac).max()))
 
     def member_many(self, points):
         pts = np.asarray(points, dtype=float)

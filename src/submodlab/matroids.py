@@ -2,14 +2,15 @@
 p-system, and exact maximum-weight common independent sets via
 branch-and-prune.
 
-Every matroid and p-system answers independence from a dense table: a
-cached, read-only bool array of length 2^n indexed by subset bitmask, built
-once on first use (``indep_table()``), the way a set-function oracle caches
-its value table. Uniform and partition tables come from per-block counts
-and graphic tables from per-subset component labels, both built by subset
-doubling, and a p-system's table is the AND of its matroids' tables. Point
-queries (``indep_mask``) are lookups in that table. Tables are capped at
-n <= TABLE_LIMIT.
+Matroids and p-systems are ``IndependenceSystem``s: each answers
+independence from a dense table, a cached, read-only bool array of length
+2^n indexed by subset bitmask, built once on first use (``indep_table()``),
+the way a set-function oracle caches its value table. The base class owns
+the cache, the TABLE_LIMIT cap and the point queries (``indep_mask``,
+lookups in the table); a subclass only builds its table. Uniform and
+partition tables come from per-block counts and graphic tables from
+per-subset component labels, both built by subset doubling, and a
+p-system's table is the AND of its matroids' tables.
 
 The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
@@ -35,15 +36,6 @@ from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 
 
-def _frozen_indep_table(n: int, build) -> np.ndarray:
-    if n > TABLE_LIMIT:
-        raise CapabilityError(
-            f"independence table needs n <= {TABLE_LIMIT}, got n = {n}")
-    tab = np.ascontiguousarray(build(), dtype=bool)
-    tab.setflags(write=False)
-    return tab
-
-
 def _within_caps(n: int, labels: Sequence[int],
                  caps: Sequence[int]) -> np.ndarray:
     """Bool table over all 2^n masks: True where, for every label j, the
@@ -58,15 +50,11 @@ def _within_caps(n: int, labels: Sequence[int],
     return (cnt <= caps[:, None]).all(axis=0)
 
 
-class Matroid:
+class IndependenceSystem:
     """Independence oracle over ground set {0..n-1}, answered from a cached
-    2^n independence table."""
-
-    family = "abstract"
+    2^n independence table that subclasses build."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("matroid needs at least one element")
         self.n = int(n)
         self._indep_table: np.ndarray | None = None
 
@@ -77,8 +65,12 @@ class Matroid:
         """Independence of all 2^n subsets, indexed by subset bitmask.
         Cached, read-only; n > TABLE_LIMIT raises CapabilityError."""
         if self._indep_table is None:
-            self._indep_table = _frozen_indep_table(self.n,
-                                                    self._build_indep_table)
+            if self.n > TABLE_LIMIT:
+                raise CapabilityError(f"independence table needs n <= "
+                                      f"{TABLE_LIMIT}, got n = {self.n}")
+            tab = np.ascontiguousarray(self._build_indep_table(), dtype=bool)
+            tab.setflags(write=False)
+            self._indep_table = tab
         return self._indep_table
 
     def indep_mask(self, mask: int) -> bool:
@@ -86,6 +78,15 @@ class Matroid:
 
     def indep(self, subset: Iterable[int]) -> bool:
         return self.indep_mask(mask_of(subset, self.n))
+
+
+class Matroid(IndependenceSystem):
+    family = "abstract"
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("matroid needs at least one element")
+        super().__init__(n)
 
 
 class UniformMatroid(Matroid):
@@ -167,7 +168,7 @@ class GraphicMatroid(Matroid):
         return tab
 
 
-class PSystem:
+class PSystem(IndependenceSystem):
     """Intersection of matroids over one ground set, with p = len(matroids).
 
     A set is independent iff every matroid finds it independent; such an
@@ -179,30 +180,17 @@ class PSystem:
         matroids = tuple(matroids)
         if not matroids:
             raise ValueError("need at least one matroid")
-        self.n = matroids[0].n
-        if any(m.n != self.n for m in matroids):
+        if any(m.n != matroids[0].n for m in matroids):
             raise ValueError("matroids must share the ground set")
+        super().__init__(matroids[0].n)
         self.matroids = matroids
         self.p = len(matroids)
-        self._indep_table: np.ndarray | None = None
 
-    def indep_table(self) -> np.ndarray:
-        """Independence of all 2^n subsets, indexed by subset bitmask.
-        Cached, read-only; n > TABLE_LIMIT raises CapabilityError."""
-        if self._indep_table is None:
-            self._indep_table = _frozen_indep_table(
-                self.n, lambda: np.logical_and.reduce(
-                    [m.indep_table() for m in self.matroids]))
-        return self._indep_table
-
-    def indep_mask(self, mask: int) -> bool:
-        return bool(self.indep_table()[mask])
-
-    def indep(self, subset: Iterable[int]) -> bool:
-        return self.indep_mask(mask_of(subset, self.n))
+    def _build_indep_table(self) -> np.ndarray:
+        return np.logical_and.reduce([m.indep_table() for m in self.matroids])
 
 
-def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
+def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
                             given: int = 0) -> list[int]:
     """Greedy by marginal value on top of ``given``, an int mask.
 
@@ -240,7 +228,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: PSystem | Matroid,
     return chosen
 
 
-def max_weight_common_independent(system: Matroid | PSystem,
+def max_weight_common_independent(system: IndependenceSystem,
                                   weights: Sequence[float], base: int = 0
                                   ) -> list[int]:
     """Exact maximum-weight T outside ``base`` with ``base | T`` independent.
@@ -293,7 +281,7 @@ def max_weight_common_independent(system: Matroid | PSystem,
     return elements_of(best_set ^ base)
 
 
-def contracted_ranks(system: Matroid | PSystem) -> np.ndarray:
+def contracted_ranks(system: IndependenceSystem) -> np.ndarray:
     """The common rank of the contraction by every set S, indexed by mask S:
     the largest |T| outside S with S | T independent, or -1 where S itself
     is dependent.
@@ -309,13 +297,6 @@ def contracted_ranks(system: Matroid | PSystem) -> np.ndarray:
         view = sizes.reshape(-1, 2 * bit)
         np.maximum(view[:, :bit], view[:, bit:], out=view[:, :bit])
     return np.where(sizes >= 0, sizes - counts, -1)
-
-
-def common_rank(system: Matroid | PSystem, base: int = 0) -> int:
-    """Maximum size of a T outside ``base`` with ``base | T`` independent."""
-    if not 0 <= base < 1 << system.n or not system.indep_table()[base]:
-        raise ValueError("base is not an independent set")
-    return int(contracted_ranks(system)[base])
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,13 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
+def subset_bits(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 float matrix of the cube's vertices: row S is the
+    indicator vector of the subset with bitmask S."""
+    masks = np.arange(1 << n)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
 @functools.lru_cache(maxsize=None)
 def _gamma_chunks(n: int, chunk: int) -> tuple:
     """The gamma sweep's chunks for ground-set size n: per complement size c

@@ -140,7 +140,6 @@ def load_bundle(doc: dict) -> dict:
            for name, sub in object_field(doc, "components").items()}
     out["_measured"] = object_field(doc, "measured", {})
     out["_meta"] = object_field(doc, "meta", {})
-    out["_problem"] = doc.get("problem")
     return out
 
 

@@ -425,6 +425,38 @@ def coverage_table_lsb(f):
     return tab
 
 
+def quadratic_vertex_values_ref(b, a):
+    """Reference vertex values of F(x) = b·x + x·A·x / 2: each mask's value
+    from the mask without its lowest bit."""
+    n = len(b)
+    vals = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        lsb = mask & -mask
+        u = lsb.bit_length() - 1
+        prev = mask ^ lsb
+        cross = sum(a[u, v] for v in range(n) if (prev >> v) & 1)
+        vals[mask] = vals[prev] + b[u] + cross + 0.5 * a[u, u]
+    return vals
+
+
+def knapsack_diameter_ref(costs, budget):
+    """Reference max ||x||_2 over {x in [0,1]^n : costs·x <= budget}: every
+    fitting full-1 set plus its best single fractional coordinate."""
+    n = len(costs)
+    best = 0.0
+    for mask in range(1 << n):
+        cost = sum(costs[u] for u in range(n) if (mask >> u) & 1)
+        if cost > budget + 1e-12:
+            continue
+        residual = budget - cost
+        frac = 0.0
+        for v in range(n):
+            if not (mask >> v) & 1:
+                frac = max(frac, min(1.0, residual / costs[v]))
+        best = max(best, float(mask.bit_count()) + frac * frac)
+    return math.sqrt(best)
+
+
 def relabel(f, perm):
     """TableOracle g with g(perm(S)) = f(S): element u is renamed perm[u].
     g keeps f's monotonicity certificate."""

@@ -95,6 +95,50 @@ def test_verify_problem3_holds(tmp_path):
     assert "holds" in report and "proved" in report
 
 
+def _forged_problem3_trace(tmp_path, seed, **changes):
+    """gen -> run for a problem-3 instance at n = 3, then the trace with its
+    meta.value set to 1e6 and the given fields replaced; returns the
+    instance path, the forged trace path and the run's own value."""
+    inst = tmp_path / "p3.json"
+    run(tmp_path, "gen", "--family", "problem3", "--n", "3", "--seed",
+        str(seed), "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "3", "--instance",
+               str(inst)) == 0
+    doc = load_doc(next((tmp_path / "traces").glob("*.json")))
+    value = doc["meta"]["value"]
+    doc["meta"]["value"] = 1e6
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc | changes))
+    return inst, forged, value
+
+
+def test_verify_final_outside_the_cube_exits_one(tmp_path, capsys):
+    inst, trace, _ = _forged_problem3_trace(tmp_path, 4, final=[5, 5, 5])
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    assert "outside the unit cube" in capsys.readouterr().err
+
+
+def test_verify_measures_the_final_point_not_the_claimed_value(tmp_path,
+                                                               capsys):
+    inst, trace, value = _forged_problem3_trace(tmp_path, 4)
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace)) == 0
+    assert f"measured={value!r}" in capsys.readouterr().out
+    row = next(tmp_path.glob("verify-*.csv")).read_text().splitlines()[1]
+    assert row.split(",")[4] == repr(value)
+
+
+def test_verify_final_outside_the_polytope_is_violated(tmp_path):
+    # seed 2 draws the cardinality polytope sum x <= 1; the top vertex is in
+    # the cube but not in the polytope
+    inst, trace, _ = _forged_problem3_trace(tmp_path, 2, final=[1.0] * 3)
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace)) == 2
+    row = next(tmp_path.glob("verify-*.csv")).read_text().splitlines()[1]
+    assert row.endswith(",violated")
+
+
 def test_verify_problem1_holds(tmp_path):
     inst = tmp_path / "p1.json"
     run(tmp_path, "gen", "--family", "problem1", "--n", "3", "--seed", "2",

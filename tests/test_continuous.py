@@ -11,7 +11,8 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut
 
-from helpers import grad_check
+from helpers import (grad_check, knapsack_diameter_ref,
+                     quadratic_vertex_values_ref)
 
 POLYTOPE_FAMILIES = [
     unit_box(4),
@@ -234,6 +235,40 @@ def test_quadratic_rejects_uncertifiable():
     with pytest.raises(ValueError):
         # too negative: value at the full vertex dips below zero
         QuadraticOracle([0.1, 0.1], np.array([[0.0, -3.0], [-3.0, 0.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.5, 8.0),
+       st.booleans())
+def test_quadratic_vertex_check_matches_reference(n, seed, scale, mixed):
+    # DR (or, with mixed signs, weak) interactions scaled by `scale` times
+    # the monotone limit, so many cases dip below zero at some vertex
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 1.4, n)
+    raw = rng.uniform(-1.0, 0.3 if mixed else -0.2, (n, n))
+    a = (raw + raw.T) / 2.0
+    np.fill_diagonal(a, -rng.uniform(0.0, 0.3, n))
+    neg_row = np.minimum(a, 0.0).sum(axis=1)
+    a = a * scale * float((b / -np.minimum(neg_row, -1e-3)).min())
+    negative = float(quadratic_vertex_values_ref(b, a).min()) < -1e-9
+    if negative:
+        with pytest.raises(ValueError, match="negative at a cube vertex"):
+            QuadraticOracle(b, a)
+    else:
+        QuadraticOracle(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=8),
+       st.floats(0.0, 1.0), st.integers(0, 255))
+def test_knapsack_diameter_matches_reference(costs, share, subset):
+    # the budget is either a share of the total cost or exactly the cost of
+    # a subset, which puts vertices right on the budget
+    n = len(costs)
+    picked = [costs[u] for u in range(n) if subset >> u & 1]
+    budget = sum(picked) if picked and share < 0.3 else share * sum(costs)
+    got = KnapsackPolytope(costs, budget).diameter
+    assert got == knapsack_diameter_ref(np.array(costs), budget)
 
 
 def test_sqrt_linear_needs_positive_shift():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
-                                UniformMatroid, common_rank,
-                                contracted_ranks,
+                                UniformMatroid, contracted_ranks,
                                 max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
@@ -134,7 +133,7 @@ def test_mwci_bipartite_matching_size():
     system = PSystem([m1, m2])
     best = max_weight_common_independent(system, np.ones(len(edges)))
     assert len(best) == max_bipartite_matching(3, 3, edges)
-    assert common_rank(system) == len(best)
+    assert contracted_ranks(system)[0] == len(best)
 
 
 def test_mwci_capability_limit():
@@ -162,11 +161,11 @@ def test_mwci_rejects_non_finite_weights():
 
 def test_common_rank_examples():
     u2 = UniformMatroid(5, 2)
-    assert common_rank(PSystem([u2, u2])) == 2
-    assert common_rank(PSystem([u2, free_matroid(5)])) == 2
+    assert contracted_ranks(PSystem([u2, u2]))[0] == 2
+    assert contracted_ranks(PSystem([u2, free_matroid(5)]))[0] == 2
     m1 = PartitionMatroid([[0, 1], [2, 3]], [1, 1])
     m2 = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
-    assert common_rank(PSystem([m1, m2])) == 2
+    assert contracted_ranks(PSystem([m1, m2]))[0] == 2
 
 
 def test_axioms_hold_for_generated_matroids():
@@ -318,7 +317,8 @@ def test_mwci_with_base_matches_exhaustive(case):
                 if not t & base and indep_ref(system, base | t)]
     top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
     assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
-    assert common_rank(system, base) == max(t.bit_count() for t in feasible)
+    assert contracted_ranks(system)[base] == \
+        max(t.bit_count() for t in feasible)
     assert np.array_equal(contracted_ranks(system) < 0, ~system.indep_table())
 
 
@@ -341,8 +341,4 @@ def test_mwci_rejects_dependent_base():
     system = PSystem([UniformMatroid(4, 1), free_matroid(4)])
     with pytest.raises(ValueError):
         max_weight_common_independent(system, np.ones(4), base=0b11)
-    with pytest.raises(ValueError):
-        common_rank(UniformMatroid(4, 1), base=0b11)
-    with pytest.raises(ValueError):
-        common_rank(system, base=1 << 4)
     assert max_weight_common_independent(system, np.ones(4), base=0b1) == []

@@ -92,7 +92,7 @@ def test_bundle_roundtrip():
     bundle = load_bundle(doc)
     assert np.array_equal(bundle["objective"].table(), f.table())
     assert bundle["_measured"]["gamma"] == 1.0
-    assert bundle["_problem"] == 2
+    assert set(bundle) == {"objective", "system", "_measured", "_meta"}
 
 
 def test_file_roundtrip(tmp_path):

@@ -362,13 +362,13 @@ def test_problem2_report_checks_feasibility_certificate():
     system = PSystem([random_partition_matroid(7, 81)])
     trace = multipass_greedy(f, system, 0.25)
     opt = brute_force_opt_set(f, system.indep_table())
-    good = problem2_report(trace, opt, system=system)
+    good = problem2_report(trace, f, opt, system)
     assert good.verdict == "holds"
     # tamper with the recorded certificate; this union is dependent, so the
     # report must flip to violated no matter how large the value is
     assert not system.indep(trace.final)
     trace.meta["independent_sets"] = [trace.final]
-    bad = problem2_report(trace, opt, system=system)
+    bad = problem2_report(trace, f, opt, system)
     assert bad.verdict == "violated"
 
 
@@ -381,7 +381,7 @@ def test_bicriteria_certificate_without_parts_covers_only_empty_output():
     assert certificate_holds(system, [], [])
     assert not certificate_holds(system, [], trace.final)
     trace.meta["independent_sets"] = []
-    assert problem2_report(trace, opt, system=system).verdict == VIOLATED
+    assert problem2_report(trace, f, opt, system).verdict == VIOLATED
 
 
 def test_problem5_verdict_recorded_without_failing():
@@ -438,7 +438,7 @@ def test_audit_proved_problem2_finds_no_violations():
         system = PSystem([random_partition_matroid(8, inst_seed + 7)])
         trace = multipass_greedy(f, system, 0.25)
         opt = brute_force_opt_set(f, system.indep_table())
-        report = problem2_report(trace, opt, system=system,
+        report = problem2_report(trace, f, opt, system,
                                  instance_id=f"t{trial}")
         return report, {"epsilon": 0.25}, {}
 
@@ -461,7 +461,7 @@ def test_audit_keeps_violation_when_opt_is_zero():
             if tamper:
                 trace.meta["independent_sets"] = [[0, 1, 2]]
             opt = brute_force_opt_set(f, system.indep_table())
-            report = problem2_report(trace, opt, system=system,
+            report = problem2_report(trace, f, opt, system,
                                      instance_id=f"t{trial}")
             return report, {"epsilon": 0.25}, {"trial": trial}
         return case
