@@ -18,7 +18,7 @@ from .matroids import (GraphicMatroid, IndependenceSystem, Matroid,
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
                          KnapsackPolytope, MultilinearOracle,
                          PartitionPolytope, Polytope, QuadraticOracle,
-                         SqrtLinearOracle, SumOracle, dr_check, masked_update,
+                         SqrtLinearOracle, SumOracle, masked_update,
                          random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
 from .algorithms import (RunTrace, authors_conjecture_rounds,
@@ -26,8 +26,8 @@ from .algorithms import (RunTrace, authors_conjecture_rounds,
                          intersection_candidates, masked_frank_wolfe,
                          multipass_greedy, random_greedy_dummies,
                          random_greedy_intersection)
-from .verify import (BOUNDS, AuditReport, BoundFormula, ConjectureReport,
-                     GuaranteeReport, OptimumCertificate, audit,
+from .verify import (BOUNDS, AuditReport, BoundFormula, GuaranteeReport,
+                     OptimumCertificate, audit,
                      audit_problem2, audit_problem2_conjecture, audit_problem4,
                      audit_problem5, brute_force_opt_set, check_bound,
                      dummy_greedy_expectation, grid_opt,

@@ -6,14 +6,15 @@ Each of the five problems is defined once, in the PROBLEMS table: how
 and how `verify` certifies the runs through verify's problem<k>_report
 steps. FAMILIES holds the seven other `gen` families.
 
-Exit codes: 0 success (including audited claimed bounds), 1 usage error or
-unreadable input, 2 a proved bound violated (by `verify`, or by
-`audit --bound problem2-bicriteria`), 3 capability limit. The default
-output directory is ./submodlab-out, overridable with --out-dir or the
-SUBMODLAB_OUT environment variable. A --config JSON file maps flag names to
-values; they are read as if given ahead of the command line's own flags, so
-argparse checks them and explicit flags win. A list value is allowed only
-for the repeatable --trace, and a nested "config" key is a usage error.
+Exit codes: 0 success (including audits of claimed bounds and of the
+round-count conjecture), 1 usage error or unreadable input, 2 a proved
+bound violated (by `verify`, or by `audit --bound problem2-bicriteria`), 3
+capability limit. The default output directory is ./submodlab-out,
+overridable with --out-dir or the SUBMODLAB_OUT environment variable. A
+--config JSON file maps flag names to values; they are read as if given
+ahead of the command line's own flags, so argparse checks them and explicit
+flags win. A list value is allowed only for the repeatable --trace, and a
+nested "config" key is a usage error.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -23,6 +24,12 @@ Summary tables are CSV with fixed column orders:
   audit (conjecture): instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,
                       value_at_conjecture,value_at_multipass,first_round_reaching,
                       conjecture_sufficient
+
+Conjecture rows are audit rows laid out in their own columns
+(conjecture_sufficient is "verdict is not violated"). Every audit prints
+the same summary keys and saves each violated row's replay document as
+violations/<stem>-v<i>.json, <stem> being the CSV's (<bound>-p<p>-s<seed>
+for the conjecture, <bound>-s<seed> for the others).
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ from typing import Callable, NamedTuple
 from . import serialization, verify
 from .algorithms import (frank_wolfe, masked_frank_wolfe, multipass_greedy,
                          random_greedy_dummies, random_greedy_intersection)
-from .continuous import (CardinalityPolytope, SumOracle, dr_check,
-                         random_quadratic_dr, random_sqrt_linear,
-                         random_weak_quadratic, unit_box, weak_dr_gamma)
+from .continuous import (CardinalityPolytope, SumOracle, random_quadratic_dr,
+                         random_sqrt_linear, random_weak_quadratic, unit_box,
+                         weak_dr_gamma)
 from .matroids import random_partition_matroid, random_partition_psystem
 from .oracles import (GAMMA_LIMIT, MONOTONICITY_LIMIT, CapabilityError,
                       measure_ratios, random_coverage, random_cut,
@@ -103,9 +110,8 @@ def _weak_dr_family(make):
 
 def _gen_quadratic_dr(a):
     f = random_quadratic_dr(a.n, a.seed, monotone=a.monotone)
-    ok, _ = dr_check(f, samples=200, seed=a.seed)
-    if not ok:
-        raise ValueError("generated quadratic failed its DR precheck")
+    if not f.dr:
+        raise ValueError("generated quadratic has a positive interaction")
     measured = {"monotone": f.monotone, "dr": True}
     if f.monotone:
         measured["gamma"] = weak_dr_gamma(f, samples=1500, seed=a.seed)
@@ -132,14 +138,30 @@ FAMILIES = {
 class Problem(NamedTuple):
     generate: Callable  # gen flags -> bundle document
     run: Callable       # (bundle components, run flags) -> traces
-    check: Callable     # (components, verify flags, instance id) -> reports
+    check: Callable     # (components, traces, verify flags, id) -> reports
+    traced: bool = True           # verify checks the --trace runs
     bare_objective: bool = False  # a plain set-function file also loads
 
 
-def _traces(a):
-    if not a.trace:
-        raise UsageError("problems 1-3 need --trace files to verify")
-    return [serialization.load(p) for p in a.trace]
+# bundle numbers that run and verify read: key -> (field, test, what)
+NUMBERS = {
+    "k": ("_meta", lambda v: type(v) is int, "an integer"),
+    "gamma": ("_measured",
+              lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
+              "a finite number in [0, 1]"),
+}
+
+
+def _bundle_number(c, key):
+    """The bundle's meta.k or measured.gamma, or None when absent. Any other
+    type or range raises ValueError: a bool is no integer, and neither a
+    string nor NaN is a number in [0, 1]."""
+    field, ok, what = NUMBERS[key]
+    value = c[field].get(key)
+    if value is not None and not ok(value):
+        raise ValueError(
+            f"bundle {field[1:]}.{key} must be {what}, not {value!r}")
+    return value
 
 
 def _gen_problem1(a):
@@ -151,8 +173,7 @@ def _gen_problem1(a):
         1, {"g": g, "h": h, "polytope": poly}, meta={"seed": a.seed})
 
 
-def _check_problem1(c, a, stem):
-    traces = _traces(a)
+def _check_problem1(c, traces, a, stem):
     cert = verify.grid_opt(SumOracle([c["g"], c["h"]]), c["polytope"],
                            a.resolution)
     return [verify.problem1_report(t, c["g"], c["h"], c["polytope"], cert,
@@ -167,8 +188,7 @@ def _gen_problem2(a):
         measured=_measure_if_small(f), meta={"seed": a.seed, "p": a.p})
 
 
-def _check_problem2(c, a, stem):
-    traces = _traces(a)
+def _check_problem2(c, traces, a, stem):
     opt = verify.brute_force_opt_set(c["objective"],
                                      c["system"].indep_table())
     return [verify.problem2_report(t, c["objective"], opt, c["system"],
@@ -186,10 +206,9 @@ def _gen_problem3(a):
         measured={"gamma": gamma}, meta={"seed": a.seed})
 
 
-def _check_problem3(c, a, stem):
-    traces = _traces(a)
+def _check_problem3(c, traces, a, stem):
     cert = verify.grid_opt(c["objective"], c["polytope"], a.resolution)
-    gamma = c["_measured"].get("gamma")
+    gamma = _bundle_number(c, "gamma")
     if gamma is None:
         gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
     reports = [verify.problem3_report(t, gamma, c["objective"], cert,
@@ -207,7 +226,7 @@ def _gen_problem4(a):
 
 
 def _budget(c, a) -> int:
-    return _or(a.k, c["_meta"].get("k", 2))
+    return _or(a.k, _or(_bundle_number(c, "k"), 2))
 
 
 def _gen_problem5(a):
@@ -231,36 +250,66 @@ PROBLEMS = {
     3: Problem(_gen_problem3,
                lambda c, a: [frank_wolfe(
                    c["objective"], c["polytope"], _or(a.iterations, 200),
-                   declared_gamma=c["_measured"].get("gamma"))],
+                   declared_gamma=_bundle_number(c, "gamma"))],
                _check_problem3),
     4: Problem(_gen_problem4,
                lambda c, a: [random_greedy_dummies(c["objective"],
                                                    _budget(c, a),
                                                    seed=a.seed + t)
                              for t in range(a.trials)],
-               lambda c, a, stem: [verify.problem4_report(
+               lambda c, traces, a, stem: [verify.problem4_report(
                    c["objective"], _budget(c, a), instance_id=stem)],
-               bare_objective=True),
+               traced=False, bare_objective=True),
     5: Problem(_gen_problem5,
                lambda c, a: [random_greedy_intersection(
                    c["objective"], c["matroid1"], c["matroid2"],
                    seed=a.seed + t) for t in range(a.trials)],
-               lambda c, a, stem: [verify.problem5_report(
+               lambda c, traces, a, stem: [verify.problem5_report(
                    c["objective"], c["matroid1"], c["matroid2"],
-                   instance_id=stem)]),
+                   instance_id=stem)],
+               traced=False),
 }
 
 GENERATORS = FAMILIES | {f"problem{k}": p.generate for k, p in PROBLEMS.items()}
 
+
+def _audit_row(r) -> list:
+    return [r.instance_id, repr(r.measured), repr(r.opt), repr(r.threshold),
+            "" if r.ratio is None else repr(r.ratio), r.verdict,
+            json.dumps(r.params, sort_keys=True)]
+
+
+def _conjecture_row(r) -> list:
+    first = r.params["first_round_reaching"]
+    return [r.instance_id, r.params["p"], repr(r.params["epsilon"]),
+            repr(r.opt), r.params["rounds_conjecture"],
+            r.params["rounds_multipass"], repr(r.measured),
+            repr(r.params["value_at_multipass"]),
+            "" if first is None else first, r.verdict != verify.VIOLATED]
+
+
+class Audit(NamedTuple):
+    run: Callable  # audit flags -> AuditReport
+    stem: str = "{bound}-s{seed}"  # of the CSV and the violation files
+    columns: str = "instance,measured,opt,threshold,ratio,verdict,params"
+    row: Callable = _audit_row
+
+
 AUDITS = {
-    "problem2-bicriteria": lambda a: verify.audit_problem2(
-        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
-    "problem2-authors-conjecture": lambda a: verify.audit_problem2_conjecture(
-        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
-    "problem4-claimed": lambda a: verify.audit_problem4(
-        a.trials, a.seed, n=a.n or 5, k=a.k),
-    "problem5-claimed": lambda a: verify.audit_problem5(
-        a.trials, a.seed, n=a.n or 6),
+    "problem2-bicriteria": Audit(lambda a: verify.audit_problem2(
+        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8)),
+    "problem2-authors-conjecture": Audit(
+        lambda a: verify.audit_problem2_conjecture(
+            a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
+        stem="{bound}-p{p}-s{seed}",
+        columns="instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,"
+                "value_at_conjecture,value_at_multipass,first_round_reaching,"
+                "conjecture_sufficient",
+        row=_conjecture_row),
+    "problem4-claimed": Audit(lambda a: verify.audit_problem4(
+        a.trials, a.seed, n=a.n or 5, k=a.k)),
+    "problem5-claimed": Audit(lambda a: verify.audit_problem5(
+        a.trials, a.seed, n=a.n or 6)),
 }
 
 
@@ -411,9 +460,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    problem = PROBLEMS[args.problem]
     comp = _load_problem_components(args)
+    if problem.traced and not args.trace:
+        raise UsageError("problems 1-3 need --trace files to verify")
+    traces = [serialization.load(p) for p in args.trace]
     stem = Path(args.instance).stem
-    reports = PROBLEMS[args.problem].check(comp, args, stem)
+    reports = problem.check(comp, traces, args, stem)
     out = _out_dir(args)
     rows = [[r.instance_id, r.algorithm_id, r.bound_id, r.provenance,
              repr(r.measured), "", repr(r.threshold), repr(r.slack),
@@ -431,31 +484,13 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     out = _out_dir(args)
-    report = AUDITS[args.bound](args)
-    if isinstance(report, verify.ConjectureReport):
-        rows = [[r.instance_id, r.p, repr(r.epsilon), repr(r.opt),
-                 r.rounds_conjecture, r.rounds_multipass,
-                 repr(r.value_at_conjecture), repr(r.value_at_multipass),
-                 "" if r.first_round_reaching is None else r.first_round_reaching,
-                 r.conjecture_sufficient] for r in report.rows]
-        path = _write_csv(
-            out / f"audit-{args.bound}-p{args.p}-s{args.seed}.csv",
-            ["instance", "p", "epsilon", "opt", "rounds_conjecture",
-             "rounds_multipass", "value_at_conjecture", "value_at_multipass",
-             "first_round_reaching", "conjecture_sufficient"], rows)
-        print(json.dumps(report.summary(), sort_keys=True))
-        print(path)
-        return EXIT_OK  # exploratory: the conjecture rows carry no verdict
-
-    rows = [[r.instance_id, repr(r.measured), repr(r.opt), repr(r.threshold),
-             "" if r.ratio is None else repr(r.ratio), r.verdict,
-             json.dumps(r.params, sort_keys=True)] for r in report.rows]
-    path = _write_csv(out / f"audit-{args.bound}-s{args.seed}.csv",
-                      ["instance", "measured", "opt", "threshold", "ratio",
-                       "verdict", "params"], rows)
+    table = AUDITS[args.bound]
+    report = table.run(args)
+    stem = table.stem.format(**vars(args))
+    path = _write_csv(out / f"audit-{stem}.csv", table.columns.split(","),
+                      [table.row(r) for r in report.rows])
     for i, doc in enumerate(report.violations):
-        serialization.save(doc, out / "violations"
-                           / f"{args.bound}-s{args.seed}-v{i}.json")
+        serialization.save(doc, out / "violations" / f"{stem}-v{i}.json")
     print(json.dumps(report.summary(), sort_keys=True))
     print(path)
     return _exit_code(report.rows)

@@ -444,23 +444,6 @@ def _sample_ordered_pairs(n: int, samples: int, rng: np.random.Generator):
     return lo, hi
 
 
-def dr_check(f: ContinuousOracle, samples: int = 200, seed: int = 0):
-    """Sampled antitone-gradient check: x <= y must give grad(y) <= grad(x)
-    up to a relative 1e-7.
-
-    Returns (True, None) or (False, (x, y, coordinate)) for a witness pair.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = _sample_ordered_pairs(f.n, samples, rng)
-    for x, y in zip(lo, hi):
-        gx, gy = f.grad(x), f.grad(y)
-        scale = max(1.0, float(np.abs(gx).max()), float(np.abs(gy).max()))
-        diff = gy - gx
-        if float(diff.max()) > 1e-7 * scale:
-            return False, (x.tolist(), y.tolist(), int(np.argmax(diff)))
-    return True, None
-
-
 def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
                   seed: int = 0) -> float:
     """Sampled weak-DR ratio: min over pairs x <= y with F(y) > F(x) of

@@ -285,14 +285,18 @@ class GuaranteeReport:
     doc: dict = field(repr=False, default_factory=dict)
 
 
+def _reaches(measured: float, threshold: float) -> bool:
+    """The holds rule: measured reaches the threshold up to a relative
+    1e-9."""
+    return measured >= threshold - REL_TOL * max(1.0, abs(threshold))
+
+
 def check_bound(measured: float, bound: BoundFormula, params: dict,
                 instance_id: str = "", algorithm_id: str = ""
                 ) -> GuaranteeReport:
     """Compare an exact measured value against a bound threshold: 'holds'
-    when it reaches the threshold up to a relative 1e-9, else 'violated'."""
+    when it ``_reaches`` the threshold, else 'violated'."""
     threshold = bound.threshold(params)
-    tol = REL_TOL * max(1.0, abs(threshold))
-    verdict = HOLDS if measured >= threshold - tol else VIOLATED
     return GuaranteeReport(
         instance_id=instance_id,
         algorithm_id=algorithm_id,
@@ -301,7 +305,7 @@ def check_bound(measured: float, bound: BoundFormula, params: dict,
         measured=float(measured),
         threshold=threshold,
         slack=float(measured - threshold),
-        verdict=verdict,
+        verdict=HOLDS if _reaches(measured, threshold) else VIOLATED,
         params=dict(params),
     )
 
@@ -398,8 +402,8 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 
 # ---------------------------------------------------------------------------
-# audits of the proved bicriteria bound, the claimed-flawed bounds, and the
-# round-count conjecture
+# audits of the proved bicriteria bound, the round-count conjecture, and the
+# claimed-flawed bounds
 
 
 @dataclass
@@ -458,22 +462,23 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
 
 
 def _problem2_run(seed: int, trial: int, n: int, p: int, epsilon: float):
+    """The multi-pass greedy run on one seeded problem-2 instance, its exact
+    optimum and its replay document."""
     inst_seed = seed * 1_000_003 + trial
     f = random_coverage(n, inst_seed)
     system = random_partition_psystem(n, p, inst_seed)
     trace = multipass_greedy(f, system, epsilon)
     opt = brute_force_opt_set(f, system.indep_table())
-    return inst_seed, f, system, trace, opt
-
-
-def _problem2_case(seed: int, trial: int, n: int, p: int, epsilon: float):
-    inst_seed, f, system, trace, opt = _problem2_run(seed, trial, n, p,
-                                                     epsilon)
-    report = problem2_report(trace, f, opt, system,
-                             instance_id=f"p2-s{seed}-t{trial}")
     doc = serialization.bundle_doc(
         2, {"objective": f, "system": system},
         meta={"seed": inst_seed, "p": p, "epsilon": epsilon})
+    return f, system, trace, opt, doc
+
+
+def _problem2_case(seed: int, trial: int, n: int, p: int, epsilon: float):
+    f, system, trace, opt, doc = _problem2_run(seed, trial, n, p, epsilon)
+    report = problem2_report(trace, f, opt, system,
+                             instance_id=f"p2-s{seed}-t{trial}")
     return report, {"epsilon": epsilon, "p": p}, doc
 
 
@@ -484,6 +489,38 @@ def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
     value against (1-eps)*OPT and the recorded feasibility certificate."""
     return audit(BOUNDS["problem2-bicriteria"],
                  lambda s, t: _problem2_case(s, t, n=n, p=p, epsilon=epsilon),
+                 trials, seed)
+
+
+def _conjecture_case(seed: int, trial: int, n: int, p: int, epsilon: float):
+    _, _, trace, opt, doc = _problem2_run(seed, trial, n, p, epsilon)
+    per_pass = [rec["value"] for rec in trace.iterations]
+    rounds = authors_conjecture_rounds(p, epsilon)
+    report = check_bound(per_pass[min(rounds, len(per_pass)) - 1],
+                         BOUNDS["problem2-authors-conjecture"],
+                         {"epsilon": epsilon, "opt": opt.value},
+                         instance_id=f"p2c-s{seed}-t{trial}",
+                         algorithm_id=trace.algorithm)
+    first = next((i + 1 for i, v in enumerate(per_pass)
+                  if _reaches(v, report.threshold)), None)
+    return report, {"p": p, "epsilon": epsilon, "rounds_conjecture": rounds,
+                    "rounds_multipass": trace.meta["rounds"],
+                    "value_at_multipass": trace.value,
+                    "first_round_reaching": first}, doc
+
+
+def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
+                              epsilon: float = 0.1, n: int = 8
+                              ) -> AuditReport:
+    """Audit of the authors' round-count conjecture on the problem-2
+    instances: does the value after the conjectured ceil(log_{p+1}(1/eps))
+    passes already reach (1-eps) * OPT, short of the proved
+    ceil(ln(1/eps)/ln((p+1)/p))? Each row's ``params`` record both pass
+    counts, the value after all passes, and the first pass that reaches
+    the target (None if none does)."""
+    return audit(BOUNDS["problem2-authors-conjecture"],
+                 lambda s, t: _conjecture_case(s, t, n=n, p=p,
+                                               epsilon=epsilon),
                  trials, seed)
 
 
@@ -539,67 +576,3 @@ def audit_problem5(trials: int, seed: int, n: int = 6) -> AuditReport:
     coverage, or perturbed with noise amplitudes drawn from [0.05, 0.4)."""
     bound = BOUNDS["problem5-claimed"]
     return audit(bound, lambda s, t: _problem5_case(s, t, n=n), trials, seed)
-
-
-@dataclass(frozen=True)
-class ConjectureRow:
-    instance_id: str
-    p: int
-    epsilon: float
-    opt: float
-    rounds_conjecture: int
-    rounds_multipass: int
-    value_at_conjecture: float
-    value_at_multipass: float
-    first_round_reaching: int | None
-    conjecture_sufficient: bool
-
-
-@dataclass
-class ConjectureReport:
-    p: int
-    epsilon: float
-    seed: int
-    rows: list[ConjectureRow]
-
-    def summary(self) -> dict:
-        suff = [r.conjecture_sufficient for r in self.rows]
-        ratios = [r.value_at_conjecture / r.opt for r in self.rows if r.opt > 0]
-        return {
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "instances": len(self.rows),
-            "fraction_sufficient": (sum(suff) / len(suff)) if suff else None,
-            "min_ratio_at_conjecture_rounds": min(ratios) if ratios else None,
-        }
-
-
-def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
-                              epsilon: float = 0.1, n: int = 8
-                              ) -> ConjectureReport:
-    """Head-to-head round counts: does the smaller conjectured pass count
-    ceil(log_{p+1}(1/eps)) already reach (1-eps) * OPT, or are the proved
-    ceil(ln(1/eps)/ln((p+1)/p)) passes needed? Exploratory, no verdict."""
-    rounds_conj = authors_conjecture_rounds(p, epsilon)
-    rows: list[ConjectureRow] = []
-    for t in range(trials):
-        _, _, _, trace, opt = _problem2_run(seed, t, n, p, epsilon)
-        target = BOUNDS["problem2-authors-conjecture"].threshold(
-            {"epsilon": epsilon, "opt": opt.value})
-        per_round = [rec["value"] for rec in trace.iterations]
-        tol = REL_TOL * max(1.0, opt.value)
-        first = next((i + 1 for i, v in enumerate(per_round)
-                      if v >= target - tol), None)
-        value_conj = per_round[min(rounds_conj, len(per_round)) - 1]
-        rows.append(ConjectureRow(
-            instance_id=f"p2c-s{seed}-t{t}",
-            p=p, epsilon=epsilon, opt=opt.value,
-            rounds_conjecture=rounds_conj,
-            rounds_multipass=trace.meta["rounds"],
-            value_at_conjecture=value_conj,
-            value_at_multipass=trace.value,
-            first_round_reaching=first,
-            conjecture_sufficient=bool(value_conj >= target - tol),
-        ))
-    return ConjectureReport(p=p, epsilon=epsilon, seed=seed, rows=rows)

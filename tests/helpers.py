@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from submodlab.algorithms import bicriteria_rounds, intersection_candidates
+from submodlab.continuous import _sample_ordered_pairs
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
 from submodlab.oracles import (CapabilityError, SetFunctionOracle,
@@ -132,6 +133,23 @@ def grad_check(f, x, step=1e-4):
         fd = (f.value(x + e) - f.value(x - e)) / (2.0 * step)
         worst = max(worst, abs(fd - g[u]) / max(1.0, abs(g[u])))
     return worst
+
+
+def dr_check(f, samples=200, seed=0):
+    """Sampled antitone-gradient check: x <= y must give grad(y) <= grad(x)
+    up to a relative 1e-7.
+
+    Returns (True, None) or (False, (x, y, coordinate)) for a witness pair.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = _sample_ordered_pairs(f.n, samples, rng)
+    for x, y in zip(lo, hi):
+        gx, gy = f.grad(x), f.grad(y)
+        scale = max(1.0, float(np.abs(gx).max()), float(np.abs(gy).max()))
+        diff = gy - gx
+        if float(diff.max()) > 1e-7 * scale:
+            return False, (x.tolist(), y.tolist(), int(np.argmax(diff)))
+    return True, None
 
 
 def multipass_reference(f, system, eps):

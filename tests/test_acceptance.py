@@ -265,16 +265,18 @@ def test_acceptance_6_round_count_conjecture_audit():
                                                epsilon=0.1, n=8)
             assert len(report.rows) == 100
             for row in report.rows:
-                assert row.rounds_conjecture <= row.rounds_multipass
+                q = row.params
+                assert (q["p"], q["epsilon"]) == (p, 0.1)
+                assert q["rounds_conjecture"] <= q["rounds_multipass"]
                 assert row.opt > 0.0
-                assert row.first_round_reaching is None or \
-                    1 <= row.first_round_reaching <= row.rounds_multipass
+                assert q["first_round_reaching"] is None or \
+                    1 <= q["first_round_reaching"] <= q["rounds_multipass"]
             again = audit_problem2_conjecture(trials=100, seed=60 + p, p=p,
                                               epsilon=0.1, n=8)
-            assert [r.value_at_conjecture for r in report.rows] == \
-                [r.value_at_conjecture for r in again.rows]
+            assert [r.measured for r in report.rows] == \
+                [r.measured for r in again.rows]
             summary = report.summary()
-            assert set(summary) >= {"p", "epsilon", "instances",
-                                    "fraction_sufficient",
-                                    "min_ratio_at_conjecture_rounds"}
+            assert set(summary) >= {"bound", "instances", "violations",
+                                    "min_ratio"}
+            assert 0.0 <= summary["violations"] / summary["instances"] <= 1.0
             print(f"  conjecture audit p={p}: {summary}")

@@ -190,6 +190,25 @@ def test_audit_conjecture_table(tmp_path, capsys):
     assert len(table.read_text().splitlines()) == 6
 
 
+def test_audit_conjecture_violations_are_replay_documents(tmp_path, capsys):
+    # the authors' conjecture fails twice at eps = 0.4, p = 2; a conjecture
+    # never flips the exit code
+    assert run(tmp_path, "audit", "--bound", "problem2-authors-conjecture",
+               "--p", "2", "--epsilon", "0.4", "--trials", "100",
+               "--seed", "0") == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert summary["violations"] == 2
+    docs = sorted((tmp_path / "violations").glob("*.json"))
+    assert [p.name for p in docs] == [
+        "problem2-authors-conjecture-p2-s0-v0.json",
+        "problem2-authors-conjecture-p2-s0-v1.json"]
+    assert [load_doc(p)["meta"]["seed"] for p in docs] == [22, 81]
+    table = tmp_path / "audit-problem2-authors-conjecture-p2-s0.csv"
+    short = [line.split(",")[0] for line in table.read_text().splitlines()
+             if line.endswith(",False")]
+    assert short == ["p2c-s0-t22", "p2c-s0-t81"]
+
+
 def test_audit_problem4_min_ratio_summary(tmp_path, capsys):
     assert run(tmp_path, "audit", "--bound", "problem4-claimed",
                "--trials", "6", "--seed", "1", "--n", "5", "--k", "2") == 0
@@ -273,6 +292,34 @@ def test_bundle_field_that_is_not_an_object_exits_one(tmp_path, capsys,
     assert run(tmp_path, "run", "--problem", "4",
                "--instance", str(inst)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("problem, field, key, value", [
+    (4, "meta", "k", "3"),
+    (4, "meta", "k", True),
+    (3, "measured", "gamma", "0.5"),
+    (3, "measured", "gamma", float("nan")),
+    (3, "measured", "gamma", 1.5),
+])
+def test_malformed_bundle_number_exits_one(tmp_path, capsys, command,
+                                           problem, field, key, value):
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "3",
+        "--seed", "4", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", str(problem),
+               "--instance", str(inst)) == 0
+    trace = next((tmp_path / "traces").glob("*.json"))
+    doc = load_doc(inst)
+    doc[field][key] = value
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [command, "--problem", str(problem), "--instance", str(inst)]
+    if command == "verify":
+        argv += ["--trace", str(trace)]
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field}.{key}" in err
 
 
 def test_capability_error_exit_three(tmp_path):

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
-                                  SqrtLinearOracle, dr_check, masked_update,
+                                  SqrtLinearOracle, masked_update,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut
 
-from helpers import (grad_check, knapsack_diameter_ref,
+from helpers import (dr_check, grad_check, knapsack_diameter_ref,
                      quadratic_vertex_values_ref)
 
 POLYTOPE_FAMILIES = [
@@ -145,8 +145,10 @@ def test_grad_check_multilinear_at_perturbed_indicator():
 
 def test_dr_check_linear_and_quadratic():
     assert dr_check(linear_oracle(np.array([1.0, 2.0])), 100, 0)[0]
-    assert dr_check(random_quadratic_dr(4, 3, monotone=True), 200, 1)[0]
-    assert dr_check(random_quadratic_dr(4, 4, monotone=False), 200, 2)[0]
+    for seed, monotone in ((3, True), (4, False)):
+        f = random_quadratic_dr(4, seed, monotone=monotone)
+        # the certified flag (A <= 0 entrywise) and the sampled reference
+        assert f.dr and dr_check(f, 200, seed - 2)[0]
 
 
 def test_dr_check_catches_positive_interaction():
@@ -154,7 +156,7 @@ def test_dr_check_catches_positive_interaction():
     a[0, 1] = a[1, 0] = 0.5
     f = QuadraticOracle([1.0, 1.0], a)
     ok, witness = dr_check(f, 100, 0)
-    assert not ok and witness is not None
+    assert not f.dr and not ok and witness is not None
     x, y, coord = witness
     assert coord in (0, 1) and len(x) == 2 and len(y) == 2
 

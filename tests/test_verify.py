@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -16,7 +17,7 @@ from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
 from submodlab.oracles import (CapabilityError, CoverageOracle,
                                ModularOracle, elements_of, random_coverage,
                                random_perturbed)
-from submodlab.serialization import load_bundle
+from submodlab.serialization import canonical_json, load_bundle
 from submodlab import cli, verify
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               PROVED, TRIVIAL, VIOLATED, audit,
@@ -516,14 +517,29 @@ def test_conjecture_audit_shape_and_determinism():
     rep = audit_problem2_conjecture(trials=10, seed=4, p=2, epsilon=0.1, n=7)
     assert len(rep.rows) == 10
     for row in rep.rows:
-        assert row.rounds_conjecture == 3
-        assert row.rounds_multipass == 6
-        assert row.value_at_conjecture <= row.value_at_multipass + 1e-12
+        assert row.params["rounds_conjecture"] == 3
+        assert row.params["rounds_multipass"] == 6
+        assert row.measured <= row.params["value_at_multipass"] + 1e-12
     again = audit_problem2_conjecture(trials=10, seed=4, p=2, epsilon=0.1, n=7)
-    assert [r.value_at_conjecture for r in rep.rows] == \
-        [r.value_at_conjecture for r in again.rows]
+    assert [r.measured for r in rep.rows] == [r.measured for r in again.rows]
     summary = rep.summary()
-    assert 0.0 <= summary["fraction_sufficient"] <= 1.0
+    assert 0.0 <= summary["violations"] / summary["instances"] <= 1.0
+
+
+def test_conjecture_violations_replay_from_their_documents():
+    # at eps = 0.4 and p = 2 the conjecture allows one pass, the proof three
+    rep = audit_problem2_conjecture(trials=100, seed=0, p=2, epsilon=0.4, n=8)
+    bad = [r for r in rep.rows if r.verdict == VIOLATED]
+    assert [r.instance_id for r in bad] == ["p2c-s0-t22", "p2c-s0-t81"]
+    assert all(r.provenance == AUTHORS_CONJECTURE for r in bad)
+    assert rep.violations == [r.doc for r in bad]
+    for row in bad:
+        c = load_bundle(json.loads(canonical_json(row.doc)))
+        trace = multipass_greedy(c["objective"], c["system"], 0.4)
+        value = trace.iterations[row.params["rounds_conjecture"] - 1]["value"]
+        opt = brute_force_opt_set(c["objective"], c["system"].indep_table())
+        assert value == row.measured and opt.value == row.opt
+        assert value < 0.6 * opt.value
 
 
 
