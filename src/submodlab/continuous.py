@@ -27,6 +27,14 @@ VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
 
 
+def _require_finite(**params) -> None:
+    """Reject a NaN or infinite entry in any named parameter: the certified
+    constants, and the grid bounds built on them, must be finite."""
+    for name, value in params.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -73,6 +81,7 @@ class QuadraticOracle(ContinuousOracle):
         n = b.size
         if a.shape != (n, n):
             raise ValueError("interaction matrix shape mismatch")
+        _require_finite(b=b, a=a)
         if not np.allclose(a, a.T, atol=1e-12):
             raise ValueError("interaction matrix must be symmetric")
         if float(np.diag(a).max(initial=0.0)) > 1e-12:
@@ -119,6 +128,7 @@ class SqrtLinearOracle(ContinuousOracle):
 
     def __init__(self, b: Sequence[float], shift: float = 0.5):
         b = np.asarray(b, dtype=float)
+        _require_finite(b=b, shift=shift)
         if float(b.min()) < 0.0:
             raise ValueError("coefficients must be nonnegative")
         if shift <= 0.0:
@@ -210,7 +220,10 @@ class MultilinearOracle(ContinuousOracle):
         for u in range(self.n):
             col = self._bits[:, u][None, :]
             w *= col * pts[:, u:u + 1] + (1.0 - col) * (1.0 - pts[:, u:u + 1])
-        return w @ self._tab
+        # a row-wise sum, not a matrix-vector product, so that each row's
+        # bits do not depend on the batch it is valued in
+        w *= self._tab
+        return w.sum(axis=1)
 
 
 class SumOracle(ContinuousOracle):
@@ -284,6 +297,7 @@ class BoxPolytope(Polytope):
 
     def __init__(self, upper: Sequence[float]):
         upper = np.asarray(upper, dtype=float)
+        _require_finite(upper=upper)
         if float(upper.min()) < 0.0 or float(upper.max()) > 1.0:
             raise ValueError("upper bounds must lie in [0, 1]")
         self.n = upper.size
@@ -376,6 +390,7 @@ class KnapsackPolytope(Polytope):
 
     def __init__(self, costs: Sequence[float], budget: float):
         costs = np.asarray(costs, dtype=float)
+        _require_finite(costs=costs, budget=budget)
         if float(costs.min()) <= 0.0:
             raise ValueError("knapsack costs must be positive")
         if budget < 0.0:

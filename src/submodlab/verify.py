@@ -28,6 +28,8 @@ from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
 
 OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
+_GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
+_GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,25 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     Any point of the polytope dominates its lower grid corner, which is
     again a member (down-closedness), so the true optimum is at most the
     grid maximum plus value_lipschitz * min(resolution * sqrt(n), diameter).
+
+    The maximum is that of every member grid point, found without valuing
+    them all. Each axis splits into cells of ``_GRID_CELL`` grid indices,
+    and each cell's middle grid point is its representative. A cell is
+    searched only if both hold:
+
+    - its lower corner is a member; otherwise, by down-closedness, none of
+      its points is;
+    - value(rep) + value_lipschitz * dist + margin >= incumbent, where dist
+      is the farthest any of the cell's points lies from the representative,
+      the incumbent is the best member representative, and
+      margin = REL_TOL * max(1, |incumbent|, value_lipschitz) covers the
+      rounding of the values.
+
+    A cell failing the bound holds no point within margin of the incumbent,
+    so no maximizer and no tie is lost. Representatives and the searched
+    cells' points are valued in batches of at most ``_GRID_BATCH`` points
+    (never one row, see ``_value_rows``), so memory stays flat; among equal
+    maxima the first grid point in row-major order wins.
     """
     if f.n > GRID_DIM_LIMIT:
         raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
@@ -87,40 +108,69 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("oracle and polytope must share the dimension")
     steps = int(math.floor(1.0 / resolution + 1e-9))
     axis = np.minimum(1.0, resolution * np.arange(steps + 1))
-    # grid point i (row-major) is axis[i // rest] followed by point
-    # i % rest of the grid over the last n - 1 coordinates, so each chunk
-    # is copied together from runs of that sub-grid without materializing
-    # the whole grid
-    rest = axis.size ** (f.n - 1)
-    tail = axis[np.indices((axis.size,) * (f.n - 1)).reshape(f.n - 1, rest).T]
-    total = axis.size * rest
-    best_val = -math.inf
-    best_point = np.zeros(f.n)
-    chunk = 200_000
-    for start in range(0, total, chunk):
-        block = np.empty((min(chunk, total - start), f.n))
-        row = 0
-        while row < len(block):
-            lead, offset = divmod(start + row, rest)
-            run = min(rest - offset, len(block) - row)
-            block[row:row + run, 0] = axis[lead]
-            block[row:row + run, 1:] = tail[offset:offset + run]
-            row += run
-        inside = polytope.member_many(block)
-        if not bool(inside.any()):
+    grid_shape = (axis.size,) * f.n
+    # per axis, each cell's lower, middle and upper grid index; int32
+    # keeps the per-batch index arrays at half the size
+    low = np.arange(0, axis.size, _GRID_CELL, dtype=np.int32)
+    mid = np.minimum(low + 1, axis.size - 1)
+    high = np.minimum(low + _GRID_CELL - 1, axis.size - 1)
+    reach_sq = np.maximum(axis[mid] - axis[low], axis[high] - axis[mid]) ** 2
+    cell_shape = (low.size,) * f.n
+    total = low.size ** f.n
+    keep = np.empty(total, dtype=bool)
+    bound = np.empty(total)
+    incumbent = -math.inf
+    for start in range(0, total, _GRID_BATCH):
+        ids = np.arange(start, min(start + _GRID_BATCH, total))
+        cells = np.column_stack(np.unravel_index(ids, cell_shape))
+        reps = axis[mid[cells]]
+        vals = _value_rows(f, reps)
+        inside = polytope.member_many(reps)
+        if bool(inside.any()):
+            incumbent = max(incumbent, float(vals[inside].max()))
+        keep[ids] = polytope.member_many(axis[low[cells]])
+        bound[ids] = vals + f.value_lipschitz * np.sqrt(
+            reach_sq[cells].sum(axis=1))
+    if incumbent > -math.inf:
+        margin = REL_TOL * max(1.0, abs(incumbent), f.value_lipschitz)
+        keep &= bound + margin >= incumbent
+    kept = np.flatnonzero(keep)
+    offsets = np.indices((_GRID_CELL,) * f.n,
+                         dtype=np.int32).reshape(f.n, -1).T
+    per_batch = max(1, _GRID_BATCH // len(offsets))
+    best_val, best_index, best_point = -math.inf, -1, None
+    for start in range(0, kept.size, per_batch):
+        cells = np.column_stack(
+            np.unravel_index(kept[start:start + per_batch], cell_shape))
+        index = (low[cells][:, None, :] + offsets[None, :, :]).reshape(-1, f.n)
+        index = index[(index < axis.size).all(axis=1)]
+        points = axis[index]
+        rows = np.flatnonzero(polytope.member_many(points))
+        if rows.size == 0:
             continue
-        members = block[inside]
-        vals = f.value_many(members)
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best_val:
-            best_val = float(vals[j])
-            best_point = members[j].copy()
-    if best_val == -math.inf:
+        vals = _value_rows(f, points[rows])
+        top = float(vals.max())
+        tied = rows[vals == top]
+        flat = np.ravel_multi_index(index[tied].T, grid_shape)
+        first = int(np.argmin(flat))
+        if top > best_val or (top == best_val and flat[first] < best_index):
+            best_val, best_index = top, int(flat[first])
+            best_point = points[tied[first]].tolist()
+    if best_point is None:
         raise ValueError("polytope contains no grid point (not even 0)")
     radius = f.value_lipschitz * min(resolution * math.sqrt(f.n),
                                      polytope.diameter)
-    return OptimumCertificate(value=best_val, maximizer=best_point.tolist(),
+    return OptimumCertificate(value=best_val, maximizer=best_point,
                               method="grid", radius=float(radius))
+
+
+def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
+    """f.value_many(points), with a single row valued as two copies: BLAS
+    takes another path for one row, whose bits can differ from that row's
+    in any larger batch."""
+    if len(points) == 1:
+        return f.value_many(np.repeat(points, 2, axis=0))[:1]
+    return f.value_many(points)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
 from submodlab.oracles import (CapabilityError, SetFunctionOracle,
                                elements_of, mask_of)
+from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
 
@@ -473,6 +474,54 @@ def knapsack_diameter_ref(costs, budget):
                 frac = max(frac, min(1.0, residual / costs[v]))
         best = max(best, float(mask.bit_count()) + frac * frac)
     return math.sqrt(best)
+
+
+def grid_opt_ref(f, polytope, resolution):
+    """Reference grid optimum: every grid point, in row-major chunks of
+    200,000, each chunk's members valued in one batch; a later chunk
+    replaces the best only with a strictly larger value."""
+    if f.n > GRID_DIM_LIMIT:
+        raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    if polytope.n != f.n:
+        raise ValueError("oracle and polytope must share the dimension")
+    steps = int(math.floor(1.0 / resolution + 1e-9))
+    axis = np.minimum(1.0, resolution * np.arange(steps + 1))
+    # grid point i (row-major) is axis[i // rest] followed by point
+    # i % rest of the grid over the last n - 1 coordinates, so each chunk
+    # is copied together from runs of that sub-grid without materializing
+    # the whole grid
+    rest = axis.size ** (f.n - 1)
+    tail = axis[np.indices((axis.size,) * (f.n - 1)).reshape(f.n - 1, rest).T]
+    total = axis.size * rest
+    best_val = -math.inf
+    best_point = np.zeros(f.n)
+    chunk = 200_000
+    for start in range(0, total, chunk):
+        block = np.empty((min(chunk, total - start), f.n))
+        row = 0
+        while row < len(block):
+            lead, offset = divmod(start + row, rest)
+            run = min(rest - offset, len(block) - row)
+            block[row:row + run, 0] = axis[lead]
+            block[row:row + run, 1:] = tail[offset:offset + run]
+            row += run
+        inside = polytope.member_many(block)
+        if not bool(inside.any()):
+            continue
+        members = block[inside]
+        vals = f.value_many(members)
+        j = int(np.argmax(vals))
+        if float(vals[j]) > best_val:
+            best_val = float(vals[j])
+            best_point = members[j].copy()
+    if best_val == -math.inf:
+        raise ValueError("polytope contains no grid point (not even 0)")
+    radius = f.value_lipschitz * min(resolution * math.sqrt(f.n),
+                                     polytope.diameter)
+    return OptimumCertificate(value=best_val, maximizer=best_point.tolist(),
+                              method="grid", radius=float(radius))
 
 
 def relabel(f, perm):

@@ -322,6 +322,28 @@ def test_malformed_bundle_number_exits_one(tmp_path, capsys, command,
     assert err.startswith("error: ") and f"{field}.{key}" in err
 
 
+@pytest.mark.parametrize("problem, component, key", [
+    (3, "objective", "b"),
+    (1, "polytope", "upper"),
+])
+def test_non_finite_bundle_parameter_exits_one(tmp_path, capsys, problem,
+                                               component, key):
+    # json.loads accepts NaN, so a bundle can carry one
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "3",
+        "--seed", "4", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", str(problem),
+               "--instance", str(inst)) == 0
+    trace = next((tmp_path / "traces").glob("*.json"))
+    doc = load_doc(inst)
+    doc["components"][component][key][0] = float("nan")
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", str(problem),
+               "--instance", str(inst), "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == f"error: {key} must be finite\n"
+
+
 def test_capability_error_exit_three(tmp_path):
     inst = tmp_path / "big.json"
     doc = {"schema": "submodlab/1", "kind": "bundle", "problem": 4,

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
-                                  SqrtLinearOracle, masked_update,
+                                  SqrtLinearOracle, SumOracle, masked_update,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
-from submodlab.oracles import random_coverage, random_cut
+from submodlab.oracles import random_coverage, random_cut, subset_bits
 
 from helpers import (dr_check, grad_check, knapsack_diameter_ref,
                      quadratic_vertex_values_ref)
@@ -190,6 +190,7 @@ def test_multilinear_matches_base_exactly():
     for mask in range(1 << 8):
         x = np.array([(mask >> u) & 1 for u in range(8)], dtype=float)
         assert ml.value(x) == f.value_mask(mask)
+    assert (ml.value_many(subset_bits(8)) == f.table()).all()
 
 
 def test_multilinear_of_cut_matches_too():
@@ -198,6 +199,43 @@ def test_multilinear_of_cut_matches_too():
     for mask in range(1 << 6):
         x = np.array([(mask >> u) & 1 for u in range(6)], dtype=float)
         assert ml.value(x) == f.value_mask(mask)
+    assert (ml.value_many(subset_bits(6)) == f.table()).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_value_many_rows_do_not_depend_on_the_batch(n):
+    # grid_opt values the same grid point in batches of different sizes
+    # and must get the same bits each time
+    families = [random_quadratic_dr(n, 1, monotone=False),
+                random_weak_quadratic(n, 2),
+                SumOracle([random_quadratic_dr(n, 3), random_sqrt_linear(n, 4)]),
+                random_sqrt_linear(n, 5),
+                MultilinearOracle(random_coverage(n, 6))]
+    rng = np.random.default_rng(n)
+    for f in families:
+        pts = rng.uniform(0.0, 1.0, (300, n))
+        batch = f.value_many(pts)
+        for i in range(len(pts)):
+            pair = f.value_many(pts[[i, (i + 1) % len(pts)]])
+            assert pair[0] == batch[i], (f.family, i)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: QuadraticOracle([np.nan, 1.0], np.zeros((2, 2))), "b"),
+    (lambda: QuadraticOracle([np.inf, 1.0], np.zeros((2, 2))), "b"),
+    (lambda: QuadraticOracle([1.0, 1.0], [[0.0, np.nan], [np.nan, 0.0]]),
+     "a"),
+    (lambda: SqrtLinearOracle([np.nan, 1.0]), "b"),
+    (lambda: SqrtLinearOracle([1.0, 1.0], shift=np.nan), "shift"),
+    (lambda: BoxPolytope([np.nan, 1.0]), "upper"),
+    (lambda: KnapsackPolytope([1.0, 2.0], np.inf), "budget"),
+    (lambda: KnapsackPolytope([1.0, 2.0], np.nan), "budget"),
+    (lambda: KnapsackPolytope([np.nan, 2.0], 1.0), "costs"),
+])
+def test_constructors_reject_non_finite_parameters(build, name):
+    # the certified constants, and grid_opt's pruning bound, must be finite
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
 
 
 def test_certified_smoothness_bounds_sampled_ratios():

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from submodlab.algorithms import (certificate_holds, frank_wolfe,
                                   intersection_candidates, multipass_greedy,
                                   random_greedy_dummies)
-from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
-                                  random_quadratic_dr, unit_box,
+from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
+                                  ContinuousOracle, KnapsackPolytope,
+                                  MultilinearOracle, PartitionPolytope,
+                                  QuadraticOracle, SumOracle,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
                                 random_partition_matroid)
@@ -30,7 +34,7 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               problem4_report)
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
-                     brute_force_loop, dag_walk, mean_and_se,
+                     brute_force_loop, dag_walk, grid_opt_ref, mean_and_se,
                      recursive_best_subset, relabel, tree_walk)
 
 
@@ -128,12 +132,182 @@ def test_grid_opt_degenerate_resolution():
     cert = grid_opt(f, p, 2.0)
     assert cert.maximizer == [0.0, 0.0] and cert.value == 0.0
     assert cert.radius == pytest.approx(f.value_lipschitz * p.diameter)
+    for family in ("quadratic", "sqrt-linear", "multilinear", "sum"):
+        cert = assert_same_certificate(_grid_oracle(family, 3, 7),
+                                       unit_box(3), 2.0)
+        assert cert.maximizer == [0.0, 0.0, 0.0]
 
 
 def test_grid_opt_dimension_limit():
     f = linear_oracle(np.ones(6))
     with pytest.raises(CapabilityError):
         grid_opt(f, unit_box(6), 0.5)
+
+
+class CountingOracle(ContinuousOracle):
+    """Wraps an oracle, counting the points it values in batches; the
+    Lipschitz constant may be declared looser than the wrapped one's."""
+
+    def __init__(self, f, value_lipschitz=None):
+        self.f, self.n, self.monotone = f, f.n, f.monotone
+        self.smoothness = f.smoothness
+        self.value_lipschitz = f.value_lipschitz if value_lipschitz is None \
+            else value_lipschitz
+        self.points = 0
+
+    def value_many(self, points):
+        self.points += len(points)
+        return self.f.value_many(points)
+
+
+class NearestOf(ContinuousOracle):
+    """F(x) = -min(||x - p||, ||x - q||): exactly 0 at p and at q, below
+    elsewhere, 1-Lipschitz."""
+
+    monotone, smoothness, value_lipschitz = False, 0.0, 1.0
+
+    def __init__(self, p, q):
+        self.p, self.q = np.asarray(p), np.asarray(q)
+        self.n = self.p.size
+
+    def value_many(self, points):
+        pts = np.asarray(points, dtype=float)
+        return -np.minimum(np.linalg.norm(pts - self.p, axis=1),
+                           np.linalg.norm(pts - self.q, axis=1))
+
+
+def assert_same_certificate(f, polytope, resolution):
+    got = grid_opt(f, polytope, resolution)
+    ref = grid_opt_ref(f, polytope, resolution)
+    assert got.value == ref.value
+    assert got.maximizer == ref.maximizer
+    assert got.radius == ref.radius
+    return got
+
+
+def _grid_oracle(family, n, seed):
+    if family == "quadratic":
+        return random_quadratic_dr(n, seed, monotone=seed % 2 == 0) \
+            if seed % 3 else random_weak_quadratic(n, seed)
+    if family == "sqrt-linear":
+        return random_sqrt_linear(n, seed)
+    if family == "multilinear":
+        return MultilinearOracle(random_coverage(n, seed))
+    return SumOracle([random_quadratic_dr(n, seed),
+                      random_quadratic_dr(n, seed + 1, monotone=False)])
+
+
+def _grid_polytope(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == "box":
+        return BoxPolytope(rng.uniform(0.0, 1.0, n))
+    if family == "cardinality":
+        return CardinalityPolytope(n, int(rng.integers(0, n + 1)))
+    if family == "partition":
+        cut = int(rng.integers(1, n + 1))
+        blocks = [list(range(cut)), list(range(cut, n))]
+        caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
+        return PartitionPolytope([b for b in blocks if b],
+                                 [c for b, c in zip(blocks, caps) if b])
+    costs = rng.uniform(0.2, 1.0, n)
+    return KnapsackPolytope(costs, float(rng.uniform(0.0, costs.sum())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5),
+       st.sampled_from(["quadratic", "sqrt-linear", "multilinear", "sum"]),
+       st.sampled_from(["box", "cardinality", "partition", "knapsack"]),
+       st.one_of(st.floats(0.05, 0.15), st.floats(0.05, 2.0)),
+       st.integers(0, 10_000))
+def test_grid_opt_matches_the_full_grid_bit_for_bit(n, oracle, polytope,
+                                                    resolution, seed):
+    if n == 5:
+        resolution = max(resolution, 0.1)
+    assert_same_certificate(_grid_oracle(oracle, n, seed),
+                            _grid_polytope(polytope, n, seed), resolution)
+
+
+def test_grid_opt_constant_oracle_keeps_every_cell():
+    f = CountingOracle(linear_oracle(np.zeros(3)))
+    cert = assert_same_certificate(f, unit_box(3), 0.1)
+    assert cert.value == 0.0 and cert.maximizer == [0.0, 0.0, 0.0]
+    f.points = 0
+    grid_opt(f, unit_box(3), 0.1)
+    # 4^3 representatives, then all 11^3 grid points once each
+    assert f.points == 4 ** 3 + 11 ** 3
+
+
+def test_grid_opt_ties_go_to_the_first_point_in_row_major_order():
+    # x1 + x2 = 1 on many grid points; the first is (0, 0, 1)
+    f = linear_oracle(np.array([0.0, 1.0, 1.0]))
+    cert = assert_same_certificate(f, CardinalityPolytope(3, 1), 0.125)
+    assert cert.maximizer == [0.0, 0.0, 1.0] and cert.value == 1.0
+    # x0 = 1 on a 21^4-point face spread over many cells
+    f = linear_oracle(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    cert = assert_same_certificate(f, unit_box(5), 0.05)
+    assert cert.maximizer == [1.0, 0.0, 0.0, 0.0, 0.0]
+    # p = (0, 0.5) comes first in row-major order, but q = (0.1, 0) lies
+    # in the cell searched first
+    p, q = [0.0, 0.5], [0.1, 0.0]
+    cert = assert_same_certificate(NearestOf(p, q), unit_box(2), 0.1)
+    assert cert.maximizer == p and cert.value == 0.0
+
+
+def test_grid_opt_tie_across_batches():
+    # a loose Lipschitz constant keeps every cell, so the cells go through
+    # in several batches; p opens the second batch, q sits in the first,
+    # and p is first in row-major order
+    resolution = 0.002
+    axis = np.minimum(1.0, resolution * np.arange(501))
+    per_row = -(-axis.size // verify._GRID_CELL)
+    row, col = divmod(verify._GRID_BATCH // verify._GRID_CELL ** 2, per_row)
+    p = axis[[verify._GRID_CELL * row, verify._GRID_CELL * col]]
+    q = axis[[verify._GRID_CELL * row + 1, 0]]
+    f = CountingOracle(NearestOf(p, q), value_lipschitz=1e6)
+    cert = assert_same_certificate(f, unit_box(2), resolution)
+    assert cert.maximizer == p.tolist() and cert.value == 0.0
+    assert f.points > verify._GRID_BATCH
+
+
+@pytest.mark.parametrize("batch", [1, 7, 40])
+def test_grid_opt_small_batches_match(monkeypatch, batch):
+    # many representative and cell batches, with one-row ones among them
+    monkeypatch.setattr(verify, "_GRID_BATCH", batch)
+    for n, oracle, polytope in [(1, "sum", "box"), (2, "multilinear", "box"),
+                                (3, "quadratic", "knapsack"),
+                                (3, "sqrt-linear", "partition"),
+                                (4, "sum", "cardinality")]:
+        assert_same_certificate(_grid_oracle(oracle, n, 11),
+                                _grid_polytope(polytope, n, 11), 0.1)
+    # the maximizer (0.3, 0.3, 0.3) is the only member of its cell, so
+    # with one cell per batch it is valued in a batch of its own
+    for seed in range(20):
+        assert_same_certificate(random_quadratic_dr(3, seed),
+                                BoxPolytope([0.3] * 3), 0.1)
+
+
+def test_grid_opt_only_the_origin():
+    for n in (1, 3, 5):
+        for f in (_grid_oracle("multilinear", n, n),
+                  _grid_oracle("sum", n, n)):
+            cert = assert_same_certificate(f, CardinalityPolytope(n, 0), 0.1)
+            assert cert.maximizer == [0.0] * n
+
+
+@pytest.mark.parametrize("seed", [2, 5])  # dimension 5: box, cardinality
+def test_grid_opt_benchmark_instances_match_and_prune(seed):
+    # the problem-1 and problem-3 objectives of the proved-continuous
+    # benchmark workload at resolution 0.05 (21^5 = 4,084,101 grid points)
+    poly = CardinalityPolytope(5, 2) if seed % 2 else unit_box(5)
+    p1 = SumOracle([random_quadratic_dr(5, seed, monotone=True),
+                    random_quadratic_dr(5, seed + 1, monotone=False)])
+    p3 = random_quadratic_dr(5, seed + 5, monotone=True) if seed % 2 \
+        else random_weak_quadratic(5, seed + 5)
+    for f in (CountingOracle(p1), CountingOracle(p3)):
+        assert_same_certificate(f, poly, 0.05)
+        f.points = 0
+        grid_opt(f, poly, 0.05)
+        assert f.points < 0.1 * 21 ** 5
 
 
 # ---------------------------------------------------------------------------
