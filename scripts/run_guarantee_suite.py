@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end guarantee suite for the three proved bounds.
 
-Generates seeded instances of problems 1-3 with the CLI's problem table,
-runs the matching algorithm, checks each run as `submodlab verify` does,
-and prints one verdict row per instance. Exits 2 if any proved bound is
+Builds seeded instances of problems 1-3 with verify's problem table, runs
+the matching algorithm, checks each run as `submodlab verify` does, and
+prints one verdict row per instance. Exits 2 if any proved bound is
 violated (it should never be).
 """
 
 import argparse
 import sys
 
-from submodlab import serialization
-from submodlab.cli import PROBLEMS
+from submodlab.verify import PROBLEMS
 
 # problem -> instance-id prefix of its rows
 NAMES = {1: "split", 2: "bicriteria", 3: "weak-dr"}
@@ -35,7 +34,7 @@ def main() -> int:
                 epsilon=args.epsilon if k == 2 else None, iterations=None,
                 resolution=0.05)
             problem = PROBLEMS[k]
-            comp = serialization.load_bundle(problem.generate(flags))
+            comp = problem.build(flags)
             traces = problem.run(comp, flags)
             reports += problem.check(comp, traces, flags, f"{name}-{t}")
 

@@ -1,10 +1,10 @@
 """Command-line entry point: instance generation, algorithm runs, guarantee
 verification, and audits, all replayable from (config, seed).
 
-Each of the five problems is defined once, in the PROBLEMS table: how
-`gen --family problem<k>` builds its bundle, how `run` runs its algorithm,
-and how `verify` certifies the runs through verify's problem<k>_report
-steps. FAMILIES holds the seven other `gen` families.
+Each of the five problems is defined once, in verify's PROBLEMS table: how
+its instance is built, run and checked. `gen --family problem<k>` adds its
+own measurements to the built instance, and `run`, `verify` and the audits
+go through the same entries. FAMILIES holds the seven other `gen` families.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved
@@ -39,20 +39,16 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import serialization, verify
-from .algorithms import (frank_wolfe, masked_frank_wolfe, multipass_greedy,
-                         random_greedy_dummies, random_greedy_intersection)
-from .continuous import (CardinalityPolytope, SumOracle, random_quadratic_dr,
-                         random_sqrt_linear, random_weak_quadratic, unit_box,
-                         weak_dr_gamma)
-from .matroids import random_partition_matroid, random_partition_psystem
+from .continuous import (random_quadratic_dr, random_sqrt_linear,
+                         random_weak_quadratic, weak_dr_gamma)
 from .oracles import (GAMMA_LIMIT, MONOTONICITY_LIMIT, CapabilityError,
                       measure_ratios, random_coverage, random_cut,
                       random_modular, random_perturbed)
+from .verify import PROBLEMS
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -84,12 +80,8 @@ def _measure_if_small(f):
     return {}
 
 
-def _or(value, default):
-    return default if value is None else value
-
-
 # ---------------------------------------------------------------------------
-# the seven plain `gen` families
+# the `gen` families: seven plain ones, then one per problem
 
 
 def _set_function_family(make):
@@ -131,146 +123,27 @@ FAMILIES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# the five problems
+def _objective_ratios(c, a):
+    return _measure_if_small(c["objective"])
 
 
-class Problem(NamedTuple):
-    generate: Callable  # gen flags -> bundle document
-    run: Callable       # (bundle components, run flags) -> traces
-    check: Callable     # (components, traces, verify flags, id) -> reports
-    traced: bool = True           # verify checks the --trace runs
-    bare_objective: bool = False  # a plain set-function file also loads
+def _problem_family(k, measure=_objective_ratios):
+    """`gen --family problem<k>`: PROBLEMS[k]'s built instance, with what
+    ``measure`` measures on it and the flags PROBLEMS[k] records."""
+    def gen(a):
+        c = PROBLEMS[k].build(a)
+        return verify.problem_bundle(k, c, a, measure(c, a))
+    return gen
 
 
-# bundle numbers that run and verify read: key -> (field, test, what)
-NUMBERS = {
-    "k": ("_meta", lambda v: type(v) is int, "an integer"),
-    "gamma": ("_measured",
-              lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
-              "a finite number in [0, 1]"),
+GENERATORS = FAMILIES | {
+    "problem1": _problem_family(1, lambda c, a: {}),
+    "problem2": _problem_family(2),
+    "problem3": _problem_family(3, lambda c, a: {"gamma": weak_dr_gamma(
+        c["objective"], samples=1500, seed=a.seed)}),
+    "problem4": _problem_family(4),
+    "problem5": _problem_family(5),
 }
-
-
-def _bundle_number(c, key):
-    """The bundle's meta.k or measured.gamma, or None when absent. Any other
-    type or range raises ValueError: a bool is no integer, and neither a
-    string nor NaN is a number in [0, 1]."""
-    field, ok, what = NUMBERS[key]
-    value = c[field].get(key)
-    if value is not None and not ok(value):
-        raise ValueError(
-            f"bundle {field[1:]}.{key} must be {what}, not {value!r}")
-    return value
-
-
-def _gen_problem1(a):
-    g = random_quadratic_dr(a.n, a.seed, monotone=True)
-    h = random_quadratic_dr(a.n, a.seed + 1, monotone=False)
-    poly = CardinalityPolytope(a.n, max(1, a.n // 2)) if a.seed % 2 \
-        else unit_box(a.n)
-    return serialization.bundle_doc(
-        1, {"g": g, "h": h, "polytope": poly}, meta={"seed": a.seed})
-
-
-def _check_problem1(c, traces, a, stem):
-    cert = verify.grid_opt(SumOracle([c["g"], c["h"]]), c["polytope"],
-                           a.resolution)
-    return [verify.problem1_report(t, c["g"], c["h"], c["polytope"], cert,
-                                   instance_id=stem) for t in traces]
-
-
-def _gen_problem2(a):
-    f = random_coverage(a.n, a.seed)
-    system = random_partition_psystem(a.n, a.p, a.seed)
-    return serialization.bundle_doc(
-        2, {"objective": f, "system": system},
-        measured=_measure_if_small(f), meta={"seed": a.seed, "p": a.p})
-
-
-def _check_problem2(c, traces, a, stem):
-    opt = verify.brute_force_opt_set(c["objective"],
-                                     c["system"].indep_table())
-    return [verify.problem2_report(t, c["objective"], opt, c["system"],
-                                   instance_id=stem) for t in traces]
-
-
-def _gen_problem3(a):
-    f = random_quadratic_dr(a.n, a.seed, monotone=True) if a.seed % 2 == 0 \
-        else random_weak_quadratic(a.n, a.seed)
-    poly = CardinalityPolytope(a.n, max(1, a.n // 2)) if a.seed % 4 >= 2 \
-        else unit_box(a.n)
-    gamma = weak_dr_gamma(f, samples=1500, seed=a.seed)
-    return serialization.bundle_doc(
-        3, {"objective": f, "polytope": poly},
-        measured={"gamma": gamma}, meta={"seed": a.seed})
-
-
-def _check_problem3(c, traces, a, stem):
-    cert = verify.grid_opt(c["objective"], c["polytope"], a.resolution)
-    gamma = _bundle_number(c, "gamma")
-    if gamma is None:
-        gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
-    reports = [verify.problem3_report(t, gamma, c["objective"], cert,
-                                      instance_id=stem) for t in traces]
-    return [r if c["polytope"].member(t.final)
-            else replace(r, verdict=verify.VIOLATED)
-            for t, r in zip(traces, reports)]
-
-
-def _gen_problem4(a):
-    f = random_perturbed(a.n, a.delta, a.seed, monotone=a.monotone)
-    return serialization.bundle_doc(
-        4, {"objective": f}, measured=_measure_if_small(f),
-        meta={"seed": a.seed, "k": a.k})
-
-
-def _budget(c, a) -> int:
-    return _or(a.k, _or(_bundle_number(c, "k"), 2))
-
-
-def _gen_problem5(a):
-    f = random_perturbed(a.n, a.delta, a.seed, monotone=True)
-    m1 = random_partition_matroid(a.n, a.seed + 1)
-    m2 = random_partition_matroid(a.n, a.seed + 2)
-    return serialization.bundle_doc(
-        5, {"objective": f, "matroid1": m1, "matroid2": m2},
-        measured=_measure_if_small(f), meta={"seed": a.seed})
-
-
-PROBLEMS = {
-    1: Problem(_gen_problem1,
-               lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
-                                                _or(a.epsilon, 0.02))],
-               _check_problem1),
-    2: Problem(_gen_problem2,
-               lambda c, a: [multipass_greedy(c["objective"], c["system"],
-                                              _or(a.epsilon, 0.25))],
-               _check_problem2),
-    3: Problem(_gen_problem3,
-               lambda c, a: [frank_wolfe(
-                   c["objective"], c["polytope"], _or(a.iterations, 200),
-                   declared_gamma=_bundle_number(c, "gamma"))],
-               _check_problem3),
-    4: Problem(_gen_problem4,
-               lambda c, a: [random_greedy_dummies(c["objective"],
-                                                   _budget(c, a),
-                                                   seed=a.seed + t)
-                             for t in range(a.trials)],
-               lambda c, traces, a, stem: [verify.problem4_report(
-                   c["objective"], _budget(c, a), instance_id=stem)],
-               traced=False, bare_objective=True),
-    5: Problem(_gen_problem5,
-               lambda c, a: [random_greedy_intersection(
-                   c["objective"], c["matroid1"], c["matroid2"],
-                   seed=a.seed + t) for t in range(a.trials)],
-               lambda c, traces, a, stem: [verify.problem5_report(
-                   c["objective"], c["matroid1"], c["matroid2"],
-                   instance_id=stem)],
-               traced=False),
-}
-
-GENERATORS = FAMILIES | {f"problem{k}": p.generate for k, p in PROBLEMS.items()}
 
 
 def _audit_row(r) -> list:

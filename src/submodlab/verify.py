@@ -1,6 +1,6 @@
 """Ground-truth optimum oracles, guarantee checking against closed-form
-bounds, exact expectations over uniform choice trees, and audit searches
-for the bounds whose proofs are documented as flawed.
+bounds, exact expectations over uniform choice trees, the five problems'
+build/run/check table (PROBLEMS), and audits over its built instances.
 
 Bound provenance matters: only "proved" bounds may fail a suite or flip an
 exit code; "claimed-flawed" and "authors-conjecture" bounds are audited and
@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import serialization
 from .algorithms import (RunTrace, authors_conjecture_rounds,
-                         certificate_holds, dummy_candidates,
-                         intersection_candidates, multipass_greedy)
-from .continuous import ContinuousOracle, Polytope
+                         certificate_holds, dummy_candidates, frank_wolfe,
+                         intersection_candidates, masked_frank_wolfe,
+                         multipass_greedy, random_greedy_dummies,
+                         random_greedy_intersection)
+from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
+                         SumOracle, random_quadratic_dr,
+                         random_weak_quadratic, unit_box, weak_dr_gamma)
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
@@ -452,6 +457,142 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 
 # ---------------------------------------------------------------------------
+# the five problems: how each instance is built, run and checked
+
+
+class Problem(NamedTuple):
+    build: Callable     # flags -> components (no ratio is measured)
+    run: Callable       # (components, flags) -> traces
+    check: Callable     # (components, traces, flags, id) -> reports
+    meta: tuple = ("seed",)       # the flags a bundle records in its meta
+    traced: bool = True           # check reads run's traces
+    bare_objective: bool = False  # a plain set-function file also loads
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+# bundle numbers that run and verify read: key -> (field, test, what)
+NUMBERS = {
+    "k": ("_meta", lambda v: type(v) is int, "an integer"),
+    "gamma": ("_measured",
+              lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
+              "a finite number in [0, 1]"),
+}
+
+
+def _bundle_number(c, key):
+    """The bundle's meta.k or measured.gamma, or None when absent (always
+    so for freshly built components). Any other type or range raises
+    ValueError: a bool is no integer, and neither a string nor NaN is a
+    number in [0, 1]."""
+    field_name, ok, what = NUMBERS[key]
+    value = c.get(field_name, {}).get(key)
+    if value is not None and not ok(value):
+        raise ValueError(
+            f"bundle {field_name[1:]}.{key} must be {what}, not {value!r}")
+    return value
+
+
+def _build_problem1(a):
+    return {"g": random_quadratic_dr(a.n, a.seed, monotone=True),
+            "h": random_quadratic_dr(a.n, a.seed + 1, monotone=False),
+            "polytope": CardinalityPolytope(a.n, max(1, a.n // 2))
+            if a.seed % 2 else unit_box(a.n)}
+
+
+def _check_problem1(c, traces, a, stem):
+    cert = grid_opt(SumOracle([c["g"], c["h"]]), c["polytope"], a.resolution)
+    return [problem1_report(t, c["g"], c["h"], c["polytope"], cert,
+                            instance_id=stem) for t in traces]
+
+
+def _check_problem2(c, traces, a, stem):
+    opt = brute_force_opt_set(c["objective"], c["system"].indep_table())
+    return [problem2_report(t, c["objective"], opt, c["system"],
+                            instance_id=stem) for t in traces]
+
+
+def _build_problem3(a):
+    return {"objective": random_quadratic_dr(a.n, a.seed, monotone=True)
+            if a.seed % 2 == 0 else random_weak_quadratic(a.n, a.seed),
+            "polytope": CardinalityPolytope(a.n, max(1, a.n // 2))
+            if a.seed % 4 >= 2 else unit_box(a.n)}
+
+
+def _check_problem3(c, traces, a, stem):
+    cert = grid_opt(c["objective"], c["polytope"], a.resolution)
+    gamma = _bundle_number(c, "gamma")
+    if gamma is None:
+        gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
+    reports = [problem3_report(t, gamma, c["objective"], cert,
+                               instance_id=stem) for t in traces]
+    return [r if c["polytope"].member(t.final)
+            else replace(r, verdict=VIOLATED)
+            for t, r in zip(traces, reports)]
+
+
+def _budget(c, a) -> int:
+    return _or(a.k, _or(_bundle_number(c, "k"), 2))
+
+
+def _build_problem5(a):
+    # a delta of None gives a coverage objective, which only audits draw
+    return {"objective": random_coverage(a.n, a.seed) if a.delta is None
+            else random_perturbed(a.n, a.delta, a.seed, monotone=True),
+            "matroid1": random_partition_matroid(a.n, a.seed + 1),
+            "matroid2": random_partition_matroid(a.n, a.seed + 2)}
+
+
+PROBLEMS = {
+    1: Problem(_build_problem1,
+               lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
+                                                _or(a.epsilon, 0.02))],
+               _check_problem1),
+    2: Problem(lambda a: {"objective": random_coverage(a.n, a.seed),
+                          "system": random_partition_psystem(a.n, a.p,
+                                                             a.seed)},
+               lambda c, a: [multipass_greedy(c["objective"], c["system"],
+                                              _or(a.epsilon, 0.25))],
+               _check_problem2, meta=("seed", "p", "epsilon")),
+    3: Problem(_build_problem3,
+               lambda c, a: [frank_wolfe(
+                   c["objective"], c["polytope"], _or(a.iterations, 200),
+                   declared_gamma=_bundle_number(c, "gamma"))],
+               _check_problem3),
+    4: Problem(lambda a: {"objective": random_perturbed(
+                   a.n, a.delta, a.seed, monotone=a.monotone)},
+               lambda c, a: [random_greedy_dummies(c["objective"],
+                                                   _budget(c, a),
+                                                   seed=a.seed + t)
+                             for t in range(a.trials)],
+               lambda c, traces, a, stem: [problem4_report(
+                   c["objective"], _budget(c, a), instance_id=stem)],
+               meta=("seed", "k"), traced=False, bare_objective=True),
+    5: Problem(_build_problem5,
+               lambda c, a: [random_greedy_intersection(
+                   c["objective"], c["matroid1"], c["matroid2"],
+                   seed=a.seed + t) for t in range(a.trials)],
+               lambda c, traces, a, stem: [problem5_report(
+                   c["objective"], c["matroid1"], c["matroid2"],
+                   instance_id=stem)],
+               traced=False),
+}
+
+
+def problem_bundle(k: int, components: dict, flags,
+                   measured: dict | None = None) -> dict:
+    """The bundle document of a built problem-k instance: its components,
+    ``measured``, and as meta the flags of PROBLEMS[k].meta that are set."""
+    given = vars(flags)
+    return serialization.bundle_doc(
+        k, components, measured=measured,
+        meta={key: given[key] for key in PROBLEMS[k].meta
+              if given.get(key) is not None})
+
+
+# ---------------------------------------------------------------------------
 # audits of the proved bicriteria bound, the round-count conjecture, and the
 # claimed-flawed bounds
 
@@ -511,25 +652,33 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
                        seed=seed, rows=rows)
 
 
-def _problem2_run(seed: int, trial: int, n: int, p: int, epsilon: float):
-    """The multi-pass greedy run on one seeded problem-2 instance, its exact
-    optimum and its replay document."""
-    inst_seed = seed * 1_000_003 + trial
-    f = random_coverage(n, inst_seed)
-    system = random_partition_psystem(n, p, inst_seed)
-    trace = multipass_greedy(f, system, epsilon)
-    opt = brute_force_opt_set(f, system.indep_table())
-    doc = serialization.bundle_doc(
-        2, {"objective": f, "system": system},
-        meta={"seed": inst_seed, "p": p, "epsilon": epsilon})
-    return f, system, trace, opt, doc
 
 
-def _problem2_case(seed: int, trial: int, n: int, p: int, epsilon: float):
-    f, system, trace, opt, doc = _problem2_run(seed, trial, n, p, epsilon)
-    report = problem2_report(trace, f, opt, system,
-                             instance_id=f"p2-s{seed}-t{trial}")
-    return report, {"epsilon": epsilon, "p": p}, doc
+def _problem_audit(bound_id: str, k: int, name: str, draw, record: tuple,
+                   trials: int, seed: int, check=None) -> AuditReport:
+    """``audit`` over built problem-k instances. Trial t takes the flags
+    ``draw(rng)`` gives for rng = default_rng([seed, t]) plus the instance
+    seed seed * 1,000,003 + t; it builds the instance, runs it if the
+    problem is traced, and checks it with ``check`` (the problem's own if
+    None). The row records the ``record`` keys of the flags and the report
+    params; its replay document is the bundle, with the report's gamma and m
+    as measured."""
+    problem = PROBLEMS[k]
+    check = check or problem.check
+
+    def case(s, t):
+        flags = SimpleNamespace(**draw(np.random.default_rng([s, t])),
+                                seed=s * 1_000_003 + t)
+        c = problem.build(flags)
+        traces = problem.run(c, flags) if problem.traced else []
+        report, = check(c, traces, flags, f"{name}-s{s}-t{t}")
+        ratios = {key: report.params[key] for key in ("gamma", "m")
+                  if key in report.params}
+        source = vars(flags) | report.params
+        return (report, {key: source[key] for key in record},
+                problem_bundle(k, c, flags, ratios))
+
+    return audit(BOUNDS[bound_id], case, trials, seed)
 
 
 def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
@@ -537,26 +686,27 @@ def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
     """Audit of the proved bicriteria bound over coverage objectives and
     intersections of p partition matroids. Both halves are checked: the
     value against (1-eps)*OPT and the recorded feasibility certificate."""
-    return audit(BOUNDS["problem2-bicriteria"],
-                 lambda s, t: _problem2_case(s, t, n=n, p=p, epsilon=epsilon),
-                 trials, seed)
+    return _problem_audit("problem2-bicriteria", 2, "p2",
+                          lambda rng: {"n": n, "p": p, "epsilon": epsilon},
+                          ("epsilon", "p"), trials, seed)
 
 
-def _conjecture_case(seed: int, trial: int, n: int, p: int, epsilon: float):
-    _, _, trace, opt, doc = _problem2_run(seed, trial, n, p, epsilon)
+def _check_conjecture(c, traces, a, stem):
+    trace, = traces
+    opt = brute_force_opt_set(c["objective"], c["system"].indep_table())
+    bound = BOUNDS["problem2-authors-conjecture"]
+    params = {"epsilon": a.epsilon, "opt": opt.value, "p": a.p,
+              "rounds_conjecture": authors_conjecture_rounds(a.p, a.epsilon),
+              "rounds_multipass": trace.meta["rounds"],
+              "value_at_multipass": trace.value}
     per_pass = [rec["value"] for rec in trace.iterations]
-    rounds = authors_conjecture_rounds(p, epsilon)
-    report = check_bound(per_pass[min(rounds, len(per_pass)) - 1],
-                         BOUNDS["problem2-authors-conjecture"],
-                         {"epsilon": epsilon, "opt": opt.value},
-                         instance_id=f"p2c-s{seed}-t{trial}",
-                         algorithm_id=trace.algorithm)
-    first = next((i + 1 for i, v in enumerate(per_pass)
-                  if _reaches(v, report.threshold)), None)
-    return report, {"p": p, "epsilon": epsilon, "rounds_conjecture": rounds,
-                    "rounds_multipass": trace.meta["rounds"],
-                    "value_at_multipass": trace.value,
-                    "first_round_reaching": first}, doc
+    threshold = bound.threshold(params)
+    params["first_round_reaching"] = next(
+        (i + 1 for i, v in enumerate(per_pass) if _reaches(v, threshold)),
+        None)
+    return [check_bound(
+        per_pass[min(params["rounds_conjecture"], len(per_pass)) - 1], bound,
+        params, instance_id=stem, algorithm_id=trace.algorithm)]
 
 
 def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
@@ -568,61 +718,37 @@ def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
     ceil(ln(1/eps)/ln((p+1)/p))? Each row's ``params`` record both pass
     counts, the value after all passes, and the first pass that reaches
     the target (None if none does)."""
-    return audit(BOUNDS["problem2-authors-conjecture"],
-                 lambda s, t: _conjecture_case(s, t, n=n, p=p,
-                                               epsilon=epsilon),
-                 trials, seed)
-
-
-def _problem4_case(seed: int, trial: int, n: int, k: int):
-    inst_seed = seed * 1_000_003 + trial
-    rng = np.random.default_rng([seed, trial])
-    monotone = bool(rng.random() < 0.3)
-    # vary the noise amplitude so the measured (gamma, m) grid gets filled
-    amplitude = float(rng.uniform(0.05, 0.6))
-    f = random_perturbed(n, amplitude, inst_seed, monotone=monotone)
-    report = problem4_report(f, k, instance_id=f"p4-s{seed}-t{trial}")
-    ratios = {"gamma": report.params["gamma"], "m": report.params["m"]}
-    doc = serialization.bundle_doc(4, {"objective": f}, measured=ratios,
-                                   meta={"k": k, "seed": inst_seed})
-    return report, ratios | {"k": k, "n": n}, doc
+    return _problem_audit(
+        "problem2-authors-conjecture", 2, "p2c",
+        lambda rng: {"n": n, "p": p, "epsilon": epsilon},
+        ("p", "epsilon", "rounds_conjecture", "rounds_multipass",
+         "value_at_multipass", "first_round_reaching"), trials, seed,
+        check=_check_conjecture)
 
 
 def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2
                    ) -> AuditReport:
     """Exact-expectation audit of the claimed partial-monotonicity bound for
-    dummy-padded random greedy, over perturbed instances with measured
-    (gamma, m) and noise amplitudes drawn from [0.05, 0.6). The expectation
-    is exact for every budget 1 <= k <= n: it costs k layers of k gathers
-    over the 2^n masks (see ``dummy_greedy_expectation``), and measuring
-    gamma caps n at GAMMA_LIMIT."""
-    bound = BOUNDS["problem4-claimed"]
-    return audit(bound, lambda s, t: _problem4_case(s, t, n=n, k=k),
-                 trials, seed)
-
-
-def _problem5_case(seed: int, trial: int, n: int):
-    inst_seed = seed * 1_000_003 + trial
-    rng = np.random.default_rng([seed, trial])
-    if rng.random() < 0.5:
-        f = random_coverage(n, inst_seed)
-    else:
-        amplitude = float(rng.uniform(0.05, 0.4))
-        f = random_perturbed(n, amplitude, inst_seed, monotone=True)
-    m1 = random_partition_matroid(n, inst_seed + 1)
-    m2 = random_partition_matroid(n, inst_seed + 2)
-    report = problem5_report(f, m1, m2, instance_id=f"p5-s{seed}-t{trial}")
-    gamma = report.params["gamma"]
-    doc = serialization.bundle_doc(
-        5, {"objective": f, "matroid1": m1, "matroid2": m2},
-        measured={"gamma": gamma, "m": report.params["m"]},
-        meta={"seed": inst_seed})
-    return report, {"gamma": gamma, "n": n}, doc
+    dummy-padded random greedy, over perturbed instances, monotone with
+    probability 0.3, with measured (gamma, m) and noise amplitudes drawn
+    from [0.05, 0.6) to fill the (gamma, m) grid. The expectation is exact
+    for every budget 1 <= k <= n: it costs k layers of k gathers over the
+    2^n masks (see ``dummy_greedy_expectation``), and measuring gamma caps
+    n at GAMMA_LIMIT."""
+    return _problem_audit(
+        "problem4-claimed", 4, "p4",
+        lambda rng: {"n": n, "k": k, "monotone": bool(rng.random() < 0.3),
+                     "delta": float(rng.uniform(0.05, 0.6))},
+        ("gamma", "m", "k", "n"), trials, seed)
 
 
 def audit_problem5(trials: int, seed: int, n: int = 6) -> AuditReport:
     """Exact-expectation audit of the claimed two-matroid random-greedy
     bound (1/9 of the optimum at gamma = 1) over monotone instances:
-    coverage, or perturbed with noise amplitudes drawn from [0.05, 0.4)."""
-    bound = BOUNDS["problem5-claimed"]
-    return audit(bound, lambda s, t: _problem5_case(s, t, n=n), trials, seed)
+    coverage or, with even odds, perturbed with noise amplitudes drawn from
+    [0.05, 0.4)."""
+    return _problem_audit(
+        "problem5-claimed", 5, "p5",
+        lambda rng: {"n": n, "delta": None if rng.random() < 0.5
+                     else float(rng.uniform(0.05, 0.4))},
+        ("gamma", "n"), trials, seed)
