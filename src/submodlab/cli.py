@@ -48,7 +48,7 @@ from .continuous import (random_quadratic_dr, random_sqrt_linear,
 from .oracles import (GAMMA_LIMIT, MONOTONICITY_LIMIT, CapabilityError,
                       measure_ratios, random_coverage, random_cut,
                       random_modular, random_perturbed)
-from .verify import PROBLEMS
+from .verify import PROBLEMS, _or
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -170,19 +170,19 @@ class Audit(NamedTuple):
 
 AUDITS = {
     "problem2-bicriteria": Audit(lambda a: verify.audit_problem2(
-        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8)),
+        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=_or(a.n, 8))),
     "problem2-authors-conjecture": Audit(
         lambda a: verify.audit_problem2_conjecture(
-            a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=a.n or 8),
+            a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=_or(a.n, 8)),
         stem="{bound}-p{p}-s{seed}",
         columns="instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,"
                 "value_at_conjecture,value_at_multipass,first_round_reaching,"
                 "conjecture_sufficient",
         row=_conjecture_row),
     "problem4-claimed": Audit(lambda a: verify.audit_problem4(
-        a.trials, a.seed, n=a.n or 5, k=a.k)),
+        a.trials, a.seed, n=_or(a.n, 5), k=a.k)),
     "problem5-claimed": Audit(lambda a: verify.audit_problem5(
-        a.trials, a.seed, n=a.n or 6)),
+        a.trials, a.seed, n=_or(a.n, 6))),
 }
 
 

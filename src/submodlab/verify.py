@@ -46,6 +46,8 @@ class OptimumCertificate:
     maximizer: object
     method: str  # "exhaustive" | "grid"
     radius: float
+    # the polytope a grid certificate maximized over
+    polytope: Polytope | None = field(default=None, compare=False)
 
     @property
     def upper(self) -> float:
@@ -166,7 +168,8 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     radius = f.value_lipschitz * min(resolution * math.sqrt(f.n),
                                      polytope.diameter)
     return OptimumCertificate(value=best_val, maximizer=best_point,
-                              method="grid", radius=float(radius))
+                              method="grid", radius=float(radius),
+                              polytope=polytope)
 
 
 def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
@@ -365,6 +368,14 @@ def check_bound(measured: float, bound: BoundFormula, params: dict,
     )
 
 
+def _inside(report: GuaranteeReport, polytope: Polytope,
+            final) -> GuaranteeReport:
+    """The report, made 'violated' when the final point lies outside the
+    polytope."""
+    return report if polytope.member(final) \
+        else replace(report, verdict=VIOLATED)
+
+
 def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
                     polytope: Polytope, cert: OptimumCertificate,
                     instance_id: str = "") -> GuaranteeReport:
@@ -382,12 +393,10 @@ def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
         "diameter": polytope.diameter,
         "radius": cert.radius,
     }
-    report = check_bound(measured, BOUNDS["problem1-split"], params,
-                         instance_id=instance_id,
-                         algorithm_id=trace.algorithm)
-    if not polytope.member(trace.final):
-        report = replace(report, verdict=VIOLATED)
-    return report
+    return _inside(check_bound(measured, BOUNDS["problem1-split"], params,
+                               instance_id=instance_id,
+                               algorithm_id=trace.algorithm),
+                   polytope, trace.final)
 
 
 def problem2_report(trace: RunTrace, f: SetFunctionOracle,
@@ -411,8 +420,11 @@ def problem2_report(trace: RunTrace, f: SetFunctionOracle,
 def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
                     cert: OptimumCertificate,
                     instance_id: str = "") -> GuaranteeReport:
-    """Weak-DR Frank-Wolfe check of F(final). The final point's membership
-    in the polytope is the caller's to check."""
+    """Weak-DR Frank-Wolfe check of F(final) against the grid certificate
+    ``cert``. A final point outside the polytope the certificate maximized
+    over makes the verdict 'violated'."""
+    if cert.polytope is None:
+        raise ValueError("problem 3 needs a grid certificate")
     params = {
         "gamma": gamma,
         "opt_upper": cert.upper,
@@ -420,9 +432,11 @@ def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
         "iterations": trace.params["iterations"],
         "radius": cert.radius,
     }
-    return check_bound(f.value(trace.final), BOUNDS["problem3-weak-dr"],
-                       params, instance_id=instance_id,
-                       algorithm_id=trace.algorithm)
+    return _inside(check_bound(f.value(trace.final),
+                               BOUNDS["problem3-weak-dr"], params,
+                               instance_id=instance_id,
+                               algorithm_id=trace.algorithm),
+                   cert.polytope, trace.final)
 
 
 def problem4_report(f: SetFunctionOracle, k: int,
@@ -476,6 +490,9 @@ def _or(value, default):
 # bundle numbers that run and verify read: key -> (field, test, what)
 NUMBERS = {
     "k": ("_meta", lambda v: type(v) is int, "an integer"),
+    "epsilon": ("_meta",
+                lambda v: type(v) in (int, float) and math.isfinite(v),
+                "a finite number"),
     "gamma": ("_measured",
               lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
               "a finite number in [0, 1]"),
@@ -483,10 +500,10 @@ NUMBERS = {
 
 
 def _bundle_number(c, key):
-    """The bundle's meta.k or measured.gamma, or None when absent (always
-    so for freshly built components). Any other type or range raises
-    ValueError: a bool is no integer, and neither a string nor NaN is a
-    number in [0, 1]."""
+    """The bundle's meta.k, meta.epsilon or measured.gamma, or None when
+    absent (always so for freshly built components). Any other type or
+    range raises ValueError: a bool is no integer, and neither a string nor
+    NaN is a finite number."""
     field_name, ok, what = NUMBERS[key]
     value = c.get(field_name, {}).get(key)
     if value is not None and not ok(value):
@@ -526,11 +543,8 @@ def _check_problem3(c, traces, a, stem):
     gamma = _bundle_number(c, "gamma")
     if gamma is None:
         gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
-    reports = [problem3_report(t, gamma, c["objective"], cert,
-                               instance_id=stem) for t in traces]
-    return [r if c["polytope"].member(t.final)
-            else replace(r, verdict=VIOLATED)
-            for t, r in zip(traces, reports)]
+    return [problem3_report(t, gamma, c["objective"], cert,
+                            instance_id=stem) for t in traces]
 
 
 def _budget(c, a) -> int:
@@ -553,8 +567,9 @@ PROBLEMS = {
     2: Problem(lambda a: {"objective": random_coverage(a.n, a.seed),
                           "system": random_partition_psystem(a.n, a.p,
                                                              a.seed)},
-               lambda c, a: [multipass_greedy(c["objective"], c["system"],
-                                              _or(a.epsilon, 0.25))],
+               lambda c, a: [multipass_greedy(
+                   c["objective"], c["system"],
+                   _or(a.epsilon, _or(_bundle_number(c, "epsilon"), 0.25)))],
                _check_problem2, meta=("seed", "p", "epsilon")),
     3: Problem(_build_problem3,
                lambda c, a: [frank_wolfe(

@@ -1,10 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from submodlab.cli import main
-from submodlab.serialization import from_doc, load_bundle, load_doc
+from submodlab.cli import AUDITS, main
+from submodlab.serialization import (canonical_json, from_doc, load,
+                                     load_bundle, load_doc, save)
+from submodlab.verify import audit_problem2, audit_problem4
 
 from helpers import DummyGreedyProcess, dag_walk
 
@@ -48,6 +51,38 @@ def test_run_problem2_logs_two_passes(tmp_path, capsys):
                "--epsilon", "0.25") == 0
     summary = next(tmp_path.glob("run-*.csv")).read_text()
     assert '""rounds"": 2' in summary and "multipass-greedy" in summary
+
+
+def test_run_problem2_reads_the_bundle_epsilon(tmp_path):
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "7", "--seed", "3",
+        "--out", str(inst))
+    doc = load_doc(inst)
+    trace = tmp_path / "traces" / "p2-p2-t0.json"
+    # no meta.epsilon: the 0.25 default; an explicit --epsilon wins
+    for epsilon, flags, want in ((None, [], 0.25), (0.4, [], 0.4),
+                                 (0.4, ["--epsilon", "0.1"], 0.1)):
+        if epsilon is not None:
+            doc["meta"]["epsilon"] = epsilon
+            inst.write_text(json.dumps(doc))
+        assert run(tmp_path, "run", "--problem", "2", "--instance",
+                   str(inst), *flags) == 0
+        assert load(trace).params["epsilon"] == want
+
+
+@pytest.mark.parametrize("value", ["0.4", True, float("nan")])
+def test_malformed_bundle_epsilon_exits_one(tmp_path, capsys, value):
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "5", "--seed", "3",
+        "--out", str(inst))
+    doc = load_doc(inst)
+    doc["meta"]["epsilon"] = value
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "2",
+               "--instance", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.epsilon" in err
 
 
 def test_run_problem5_empty_when_no_common_singleton(tmp_path):
@@ -207,6 +242,12 @@ def test_audit_conjecture_violations_are_replay_documents(tmp_path, capsys):
     short = [line.split(",")[0] for line in table.read_text().splitlines()
              if line.endswith(",False")]
     assert short == ["p2c-s0-t22", "p2c-s0-t81"]
+    # each reruns at the audit's epsilon: three passes, not 0.25's four
+    for doc in docs:
+        assert run(tmp_path, "run", "--problem", "2",
+                   "--instance", str(doc)) == 0
+        trace = load(tmp_path / "traces" / f"{doc.stem}-p2-t0.json")
+        assert trace.params["epsilon"] == 0.4 and trace.meta["rounds"] == 3
 
 
 def test_audit_problem4_min_ratio_summary(tmp_path, capsys):
@@ -223,6 +264,14 @@ def test_audit_zero_trials_empty_report(tmp_path, capsys):
                "--trials", "0", "--seed", "1") == 0
     table = next(tmp_path.glob("audit-problem4-claimed-*.csv"))
     assert len(table.read_text().splitlines()) == 1  # header only
+
+
+@pytest.mark.parametrize("bound", list(AUDITS))
+def test_audit_empty_ground_set_exits_one(tmp_path, capsys, bound):
+    # as for gen: --n 0 is no request for the default size
+    assert run(tmp_path, "audit", "--bound", bound, "--n", "0",
+               "--trials", "1") == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_one(tmp_path):
@@ -513,3 +562,52 @@ def test_verify_agrees_with_audit_rows(tmp_path):
         assert fields[4] == repr(row.measured)
         assert fields[6] == repr(row.threshold)
         assert fields[8] == row.verdict
+
+
+@pytest.mark.parametrize("bound", list(AUDITS))
+def test_every_audit_row_replays_through_the_cli(tmp_path, bound):
+    flags = argparse.Namespace(trials=3, seed=5, p=2, epsilon=0.3, n=6, k=3)
+    problem = int(bound[len("problem")])
+    for row in AUDITS[bound].run(flags).rows:
+        inst = save(row.doc, tmp_path / f"{row.instance_id}.json")
+        traces = []
+        if problem == 2:
+            assert run(tmp_path, "run", "--problem", "2",
+                       "--instance", str(inst)) == 0
+            trace = tmp_path / "traces" / f"{row.instance_id}-p2-t0.json"
+            traces = ["--trace", str(trace)]
+        assert run(tmp_path, "verify", "--problem", str(problem),
+                   "--instance", str(inst), *traces) == 0
+        if bound == "problem2-authors-conjecture":
+            # verify checks the bicriteria bound after every pass; the
+            # rerun's own passes must match the row's
+            rerun = load(trace)
+            assert rerun.meta["rounds"] == row.params["rounds_multipass"]
+            passes = row.params["rounds_conjecture"]
+            assert rerun.iterations[passes - 1]["value"] == row.measured
+            continue
+        table = tmp_path / f"verify-{row.instance_id}-p{problem}.csv"
+        fields = table.read_text().splitlines()[1].split(",")
+        assert fields[4] == repr(row.measured)
+        assert fields[6] == repr(row.threshold)
+        assert fields[8] == row.verdict
+
+
+def test_audit_instances_are_gen_instances(tmp_path):
+    seed, trial = 3, 1
+    rng = np.random.default_rng([seed, trial])  # the problem-4 draw
+    monotone, delta = rng.random() < 0.3, float(rng.uniform(0.05, 0.6))
+    cases = (
+        (audit_problem2(2, seed, p=3, n=6), ["--p", "3"]),
+        (audit_problem4(2, seed, n=6, k=3),
+         ["--k", "3", "--delta", repr(delta)] + ["--monotone"] * monotone),
+    )
+    for report, flags in cases:
+        row = report.rows[trial]
+        out = tmp_path / f"{row.instance_id}.json"
+        problem = row.instance_id[1]
+        assert run(tmp_path, "gen", "--family", f"problem{problem}",
+                   "--n", "6", "--seed", str(seed * 1_000_003 + trial),
+                   *flags, "--out", str(out)) == 0
+        assert canonical_json(load_doc(out)["components"]) == \
+            canonical_json(row.doc["components"])

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,6 +531,20 @@ def test_problem3_report_classic_factor_at_gamma_one():
     # gamma = 1 recovers the classic 1 - 1/e factor in the threshold
     assert rep.threshold == pytest.approx(
         (1.0 - 1.0 / math.e) * cert.upper - f.smoothness / 400.0 - cert.radius)
+
+
+def test_problem3_report_final_outside_the_polytope_is_violated():
+    # the all-ones point is in the cube but not in sum x <= 1; F is monotone,
+    # so its value there beats every member point and reaches the threshold
+    f = random_quadratic_dr(3, 77, monotone=True)
+    polytope = CardinalityPolytope(3, 1)
+    trace = frank_wolfe(f, polytope, 50)
+    cert = grid_opt(f, polytope, 0.05)
+    inside = problem3_report(trace, 1.0, f, cert)
+    outside = problem3_report(replace(trace, final=[1.0] * 3), 1.0, f, cert)
+    assert inside.verdict == "holds"
+    assert outside.slack > inside.slack > 0.0
+    assert outside.verdict == "violated"
 
 
 def test_problem2_report_checks_feasibility_certificate():
