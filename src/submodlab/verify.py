@@ -596,8 +596,7 @@ PROBLEMS = {
 }
 
 
-def problem_bundle(k: int, components: dict, flags,
-                   measured: dict | None = None) -> dict:
+def problem_bundle(k: int, components: dict, flags, measured: dict) -> dict:
     """The bundle document of a built problem-k instance: its components,
     ``measured``, and as meta the flags of PROBLEMS[k].meta that are set."""
     given = vars(flags)
