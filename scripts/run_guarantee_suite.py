@@ -10,7 +10,7 @@ violated (it should never be).
 import argparse
 import sys
 
-from submodlab.verify import PROBLEMS
+from submodlab.verify import PROBLEMS, instance_seed
 
 # problem -> instance-id prefix of its rows
 NAMES = {1: "split", 2: "bicriteria", 3: "weak-dr"}
@@ -30,7 +30,7 @@ def main() -> int:
         for k, name in NAMES.items():
             flags = argparse.Namespace(
                 n=8 if k == 2 else 3 + t % 2,
-                seed=args.seed * 1_000_003 + t, p=2,
+                seed=instance_seed(args.seed, t), p=2,
                 epsilon=args.epsilon if k == 2 else None, iterations=None,
                 resolution=0.05)
             problem = PROBLEMS[k]

@@ -311,6 +311,8 @@ def _load_problem_components(args):
 
 
 def cmd_run(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"trials must be nonnegative, not {args.trials}")
     comp = _load_problem_components(args)
     traces = PROBLEMS[args.problem].run(comp, args)
     out = _out_dir(args)

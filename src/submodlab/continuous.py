@@ -4,7 +4,8 @@ closed-form linear maximization, and sampled structure checks.
 Each oracle carries two certified constants: ``smoothness`` (an upper bound
 on the gradient's Lipschitz constant) and ``value_lipschitz`` (an upper bound
 on the gradient norm over the cube, i.e. a Lipschitz constant for the values
-themselves, used for grid-certificate error radii).
+themselves, used for grid-certificate error radii). Both are in the
+Euclidean norm; see ``ContinuousOracle``.
 
 Exact work over the cube's 2^n vertices reads one vertex matrix,
 ``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
@@ -39,13 +40,35 @@ def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected a point in dimension {n}")
+    return _in_cube(x)
+
+
+def _as_points(points, n: int) -> np.ndarray:
+    """The rows of ``points`` as cube points, checked once per matrix."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"expected points in dimension {n}")
+    return _in_cube(pts) if pts.size else pts
+
+
+def _in_cube(x: np.ndarray) -> np.ndarray:
     if float(x.min()) < -1e-9 or float(x.max()) > 1.0 + 1e-9:
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
 
 
 class ContinuousOracle:
-    """Function/gradient oracle on [0,1]^n with certified constants."""
+    """Function/gradient oracle on [0,1]^n with certified constants.
+
+    For all x, y in the cube, in the Euclidean norm:
+
+    - ||grad F(x) - grad F(y)|| <= smoothness * ||x - y||;
+    - ||grad F(x)|| <= value_lipschitz.
+
+    ``grid_opt``'s cell bound rests on both. An oracle that is not
+    differentiable declares ``smoothness = math.inf`` and keeps the
+    Lipschitz bound alone.
+    """
 
     family = "abstract"
     n: int
@@ -61,6 +84,11 @@ class ContinuousOracle:
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([self.value(p) for p in points])
+
+    def grad_many(self, points: np.ndarray) -> np.ndarray:
+        """The gradient at each row of ``points``, one row each. It may
+        differ from ``grad`` in the last bits."""
+        return np.array([self.grad(p) for p in points]).reshape(-1, self.n)
 
 
 class QuadraticOracle(ContinuousOracle):
@@ -120,6 +148,10 @@ class QuadraticOracle(ContinuousOracle):
         pts = np.asarray(points, dtype=float)
         return pts @ self.b + 0.5 * np.einsum("ij,ij->i", pts @ self.a, pts)
 
+    def grad_many(self, points: np.ndarray) -> np.ndarray:
+        # a.T: A is symmetric only up to 1e-12, and grad reads its rows
+        return self.b + _as_points(points, self.n) @ self.a.T
+
 
 class SqrtLinearOracle(ContinuousOracle):
     """F(x) = sqrt(shift + b·x) - sqrt(shift): monotone, DR, smooth."""
@@ -153,6 +185,10 @@ class SqrtLinearOracle(ContinuousOracle):
     def value_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.sqrt(self.shift + pts @ self.b) - math.sqrt(self.shift)
+
+    def grad_many(self, points: np.ndarray) -> np.ndarray:
+        pts = _as_points(points, self.n)
+        return self.b / (2.0 * np.sqrt(self.shift + pts @ self.b))[:, None]
 
 
 class MultilinearOracle(ContinuousOracle):
@@ -258,6 +294,12 @@ class SumOracle(ContinuousOracle):
             out += p.value_many(points)
         return out
 
+    def grad_many(self, points: np.ndarray) -> np.ndarray:
+        out = np.zeros((np.asarray(points).shape[0], self.n))
+        for p in self.parts:
+            out += p.grad_many(points)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # down-closed polytopes
@@ -280,6 +322,11 @@ class Polytope:
 
     def member(self, x) -> bool:
         return bool(self.member_many(np.asarray(x, dtype=float)[None])[0])
+
+    def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows (M, c) of the constraints M x <= c beyond the box, with
+        the slack ``member_many`` allows in c. M is nonnegative."""
+        return np.zeros((0, self.n)), np.zeros(0)
 
     def lmo(self, c) -> np.ndarray:
         """argmax of <c, x> over the polytope, exact per family."""
@@ -335,6 +382,9 @@ class CardinalityPolytope(Polytope):
         box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
         return box & (pts.sum(axis=1) <= self.k + MEMBER_TOL)
 
+    def linear_rows(self):
+        return np.ones((1, self.n)), np.array([self.k + MEMBER_TOL])
+
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
         x = np.zeros(self.n)
@@ -371,6 +421,12 @@ class PartitionPolytope(Polytope):
         for b, cc in zip(self.blocks, self.caps):
             ok &= pts[:, list(b)].sum(axis=1) <= cc + MEMBER_TOL
         return ok
+
+    def linear_rows(self):
+        rows = np.zeros((len(self.blocks), self.n))
+        for j, b in enumerate(self.blocks):
+            rows[j, list(b)] = 1.0
+        return rows, np.array(self.caps, dtype=float) + MEMBER_TOL
 
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
@@ -422,6 +478,10 @@ class KnapsackPolytope(Polytope):
         box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
         return box & (pts @ self.costs <= self.budget + MEMBER_TOL * scale)
 
+    def linear_rows(self):
+        scale = max(1.0, self.budget)
+        return self.costs[None, :], np.array([self.budget + MEMBER_TOL * scale])
+
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
         x = np.zeros(self.n)
@@ -459,13 +519,46 @@ def _sample_ordered_pairs(n: int, samples: int, rng: np.random.Generator):
     return lo, hi
 
 
+def _weak_dr_screen(f: ContinuousOracle, lo: np.ndarray, hi: np.ndarray,
+                    denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's batched weak-DR ratio and its rounding window; see
+    ``weak_dr_gamma``."""
+    step = hi - lo
+    ratios = np.einsum("ij,ij->i", step, f.grad_many(lo)) / denom
+    window = 1e-12 * (np.abs(step).sum(axis=1)
+                      * (f.value_lipschitz + f.smoothness) / denom
+                      + np.abs(ratios))
+    return ratios, window
+
+
 def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
                   seed: int = 0) -> float:
-    """Sampled weak-DR ratio: min over pairs x <= y with F(y) > F(x) of
+    """Sampled weak-DR ratio (Hassani, Soltanolkotabi and Karbasi, 2017):
+    min over pairs x <= y with F(y) > F(x) of
     <y - x, grad F(x)> / (F(y) - F(x)), clamped to [0, 1].
 
     An upper-bound estimate of the true ratio (the sampled minimum can only
     exceed the infimum); values within relative 1e-9 of 1 snap to exactly 1.
+    It is not a certified lower bound, so a run that declares it may still
+    exceed what the ratio allows (ROADMAP item 1).
+
+    The result is that of the per-pair loop, ratio = float((y - x) @
+    f.grad(x)) / denom for every pair kept, bit for bit. A batched screen
+    finds the pairs worth recomputing that way: one ``grad_many`` and one
+    einsum give every pair's ratio r' at once, and only the pairs with
+    r' - w <= min(r' + w) over all pairs are recomputed, where
+    w = 1e-12 * (|y - x|_1 * (value_lipschitz + smoothness) / denom + |r'|).
+    The window holds because both ways round the same real ratio R. A
+    gradient entry's rounding is at most about (n + 1) * 2^-53 times
+    |b_j| + sum_k |a_jk| <= value_lipschitz + smoothness for a quadratic,
+    a few units of 2^-53 times |grad_j| <= value_lipschitz for the other
+    closed forms, and sums add; an oracle without a batched form returns
+    ``grad``'s own bits. So each numerator is within about
+    (2n + 2) * 2^-53 * |y - x|_1 * (value_lipschitz + smoothness) of the
+    exact one, and each ratio, after one more rounding, within w / 2 of R
+    for any n below about a thousand. The pair that attains the loop's
+    minimum therefore passes the screen. A NaN anywhere in the screen
+    sends every pair to the loop.
     """
     if not f.monotone:
         raise ValueError("weak-DR ratio is defined for monotone oracles")
@@ -473,12 +566,15 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     lo, hi = _sample_ordered_pairs(f.n, samples, rng)
     vals_lo = f.value_many(lo)
     vals_hi = f.value_many(hi)
+    denom = vals_hi - vals_lo
+    scale = np.maximum(1.0, np.maximum(np.abs(vals_lo), np.abs(vals_hi)))
+    rows = np.flatnonzero(~(denom <= REL_TOL * scale))
+    if rows.size:
+        ratios, window = _weak_dr_screen(f, lo[rows], hi[rows], denom[rows])
+        rows = rows[~(ratios - window > np.min(ratios + window))]
     best = math.inf
-    for x, y, fx, fy in zip(lo, hi, vals_lo, vals_hi):
-        denom = float(fy - fx)
-        if denom <= REL_TOL * max(1.0, abs(float(fx)), abs(float(fy))):
-            continue
-        ratio = float((y - x) @ f.grad(x)) / denom
+    for i in rows:
+        ratio = float((hi[i] - lo[i]) @ f.grad(lo[i])) / float(denom[i])
         best = min(best, ratio)
     if best is math.inf or best >= 1.0 - REL_TOL:
         return 1.0

@@ -95,11 +95,15 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
 
     - its lower corner is a member; otherwise, by down-closedness, none of
       its points is;
-    - value(rep) + value_lipschitz * dist + margin >= incumbent, where dist
-      is the farthest any of the cell's points lies from the representative,
-      the incumbent is the best member representative, and
-      margin = REL_TOL * max(1, |incumbent|, value_lipschitz) covers the
-      rounding of the values.
+    - bound + margin >= incumbent, where the incumbent is the best member
+      representative and margin = REL_TOL * max(1, |incumbent|,
+      value_lipschitz + smoothness) covers the rounding of the values and
+      of the gradient. The bound is the smaller of two bounds on F over the
+      cell's members (see ``_cell_bounds``): value(rep) + value_lipschitz *
+      dist, where dist is the farthest any of the cell's points lies from
+      the representative, and a second-order bound from the gradient at
+      rep and the polytope's linear rows. An oracle whose smoothness is not
+      finite keeps the first alone, and a NaN bound never prunes.
 
     A cell failing the bound holds no point within margin of the incumbent,
     so no maximizer and no tie is lost. Representatives and the searched
@@ -121,7 +125,6 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     low = np.arange(0, axis.size, _GRID_CELL, dtype=np.int32)
     mid = np.minimum(low + 1, axis.size - 1)
     high = np.minimum(low + _GRID_CELL - 1, axis.size - 1)
-    reach_sq = np.maximum(axis[mid] - axis[low], axis[high] - axis[mid]) ** 2
     cell_shape = (low.size,) * f.n
     total = low.size ** f.n
     keep = np.empty(total, dtype=bool)
@@ -136,11 +139,14 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         if bool(inside.any()):
             incumbent = max(incumbent, float(vals[inside].max()))
         keep[ids] = polytope.member_many(axis[low[cells]])
-        bound[ids] = vals + f.value_lipschitz * np.sqrt(
-            reach_sq[cells].sum(axis=1))
+        bound[ids] = _cell_bounds(f, polytope, reps, vals,
+                                  (axis[low] - axis[mid])[cells],
+                                  (axis[high] - axis[mid])[cells])
     if incumbent > -math.inf:
-        margin = REL_TOL * max(1.0, abs(incumbent), f.value_lipschitz)
-        keep &= bound + margin >= incumbent
+        scale = f.value_lipschitz + f.smoothness \
+            if math.isfinite(f.smoothness) else f.value_lipschitz
+        margin = REL_TOL * max(1.0, abs(incumbent), scale)
+        keep &= ~(bound + margin < incumbent)
     kept = np.flatnonzero(keep)
     offsets = np.indices((_GRID_CELL,) * f.n,
                          dtype=np.int32).reshape(f.n, -1).T
@@ -170,6 +176,46 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     return OptimumCertificate(value=best_val, maximizer=best_point,
                               method="grid", radius=float(radius),
                               polytope=polytope)
+
+
+def _cell_bounds(f: ContinuousOracle, polytope: Polytope, reps: np.ndarray,
+                 vals: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                 ) -> np.ndarray:
+    """An upper bound on F over each cell's members: the cell's points are
+    rep + d with lo <= d <= hi (lo <= 0 <= hi) row by row.
+
+    The smaller of value(rep) + value_lipschitz * |d|max and, when the
+    smoothness L is finite, the second-order bound
+    value(rep) + max g·d + L/2 * |d|max^2 with g = grad(rep). The max of
+    g·d runs over the box of d and, for each linear row m·x <= c of the
+    polytope on its own (dropping the other rows only relaxes it), over
+    the halfspace m·(rep + d) <= c too. By weak duality, for every λ >= 0
+    that max is at most λ (c - m·rep) + sum_i max((g_i - λ m_i) lo_i,
+    (g_i - λ m_i) hi_i), a convex piecewise-linear function of λ with its
+    breakpoints at the g_i / m_i; λ runs over those and 0 (the box alone).
+    Each dual term adds REL_TOL times its magnitude, which covers its own
+    rounding; the caller's margin covers that of g. A NaN bound is dropped
+    in favour of the other one.
+    """
+    reach = np.maximum(-lo, hi)
+    dist_sq = (reach * reach).sum(axis=1)
+    lipschitz = vals + f.value_lipschitz * np.sqrt(dist_sq)
+    if not math.isfinite(f.smoothness):
+        return lipschitz
+    g = f.grad_many(reps)
+    gain = np.maximum(g * lo, g * hi).sum(axis=1)
+    size_g = (np.abs(g) * reach).sum(axis=1)
+    for m, c in zip(*polytope.linear_rows()):
+        at_rep = reps @ m
+        size_row = abs(c) + at_rep + reach @ m
+        for i in np.flatnonzero(m > 0.0):
+            lam = np.maximum(g[:, i] / m[i], 0.0)
+            coef = g - lam[:, None] * m
+            dual = lam * (c - at_rep) \
+                + np.maximum(coef * lo, coef * hi).sum(axis=1)
+            gain = np.fmin(gain, dual + REL_TOL * (lam * size_row + size_g))
+    second = vals + gain + 0.5 * f.smoothness * dist_sq
+    return np.fmin(lipschitz, second)
 
 
 def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
@@ -650,8 +696,11 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
     ratio measured/OPT; an optimum of about 0 leaves the ratio empty and
     makes the verdict 'trivial' unless the report is 'violated' (a broken
     certificate stays a violation whatever the optimum). Every violating
-    instance document is collected for replay.
+    instance document is collected for replay. A negative ``trials``
+    raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, not {trials}")
     rows: list[GuaranteeReport] = []
     for t in range(trials):
         report, params, doc = make_case(seed, t)
@@ -668,11 +717,16 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
 
 
 
+def instance_seed(seed: int, t: int) -> int:
+    """The instance seed of trial t of a sweep at ``seed``."""
+    return seed * 1_000_003 + t
+
+
 def _problem_audit(bound_id: str, k: int, name: str, draw, record: tuple,
                    trials: int, seed: int, check=None) -> AuditReport:
     """``audit`` over built problem-k instances. Trial t takes the flags
     ``draw(rng)`` gives for rng = default_rng([seed, t]) plus the instance
-    seed seed * 1,000,003 + t; it builds the instance, runs it if the
+    seed ``instance_seed(seed, t)``; it builds the instance, runs it if the
     problem is traced, and checks it with ``check`` (the problem's own if
     None). The row records the ``record`` keys of the flags and the report
     params; its replay document is the bundle, with the report's gamma and m
@@ -682,7 +736,7 @@ def _problem_audit(bound_id: str, k: int, name: str, draw, record: tuple,
 
     def case(s, t):
         flags = SimpleNamespace(**draw(np.random.default_rng([s, t])),
-                                seed=s * 1_000_003 + t)
+                                seed=instance_seed(s, t))
         c = problem.build(flags)
         traces = problem.run(c, flags) if problem.traced else []
         report, = check(c, traces, flags, f"{name}-s{s}-t{t}")

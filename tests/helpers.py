@@ -11,8 +11,8 @@ from submodlab.algorithms import bicriteria_rounds, intersection_candidates
 from submodlab.continuous import _sample_ordered_pairs
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
-from submodlab.oracles import (CapabilityError, SetFunctionOracle,
-                               elements_of, mask_of)
+from submodlab.oracles import (REL_TOL, CapabilityError,
+                               SetFunctionOracle, elements_of, mask_of)
 from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
@@ -151,6 +151,27 @@ def dr_check(f, samples=200, seed=0):
         if float(diff.max()) > 1e-7 * scale:
             return False, (x.tolist(), y.tolist(), int(np.argmax(diff)))
     return True, None
+
+
+def weak_dr_gamma_ref(f, samples=2000, seed=0):
+    """Reference for ``continuous.weak_dr_gamma``: the same pairs, each
+    ratio computed one pair at a time through the validating ``grad``."""
+    if not f.monotone:
+        raise ValueError("weak-DR ratio is defined for monotone oracles")
+    rng = np.random.default_rng(seed)
+    lo, hi = _sample_ordered_pairs(f.n, samples, rng)
+    vals_lo = f.value_many(lo)
+    vals_hi = f.value_many(hi)
+    best = math.inf
+    for x, y, fx, fy in zip(lo, hi, vals_lo, vals_hi):
+        denom = float(fy - fx)
+        if denom <= REL_TOL * max(1.0, abs(float(fx)), abs(float(fy))):
+            continue
+        ratio = float((y - x) @ f.grad(x)) / denom
+        best = min(best, ratio)
+    if best is math.inf or best >= 1.0 - REL_TOL:
+        return 1.0
+    return max(0.0, best)
 
 
 def multipass_reference(f, system, eps):

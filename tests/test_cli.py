@@ -266,6 +266,23 @@ def test_audit_zero_trials_empty_report(tmp_path, capsys):
     assert len(table.read_text().splitlines()) == 1  # header only
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_negative_trials_exit_one(tmp_path, capsys, command):
+    # unlike --trials 0, which writes a header-only CSV
+    if command == "run":
+        inst = tmp_path / "p4.json"
+        assert run(tmp_path, "gen", "--family", "problem4", "--n", "5",
+                   "--seed", "1", "--out", str(inst)) == 0
+        argv = ["run", "--problem", "4", "--instance", str(inst),
+                "--trials", "-2"]
+    else:
+        argv = ["audit", "--bound", "problem4-claimed", "--trials", "-3"]
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("bound", list(AUDITS))
 def test_audit_empty_ground_set_exits_one(tmp_path, capsys, bound):
     # as for gen: --n 0 is no request for the default size

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
-                                  SqrtLinearOracle, SumOracle, masked_update,
-                                  random_quadratic_dr, random_sqrt_linear,
-                                  random_weak_quadratic, unit_box,
-                                  weak_dr_gamma)
+                                  SqrtLinearOracle, SumOracle,
+                                  _sample_ordered_pairs, _weak_dr_screen,
+                                  masked_update, random_quadratic_dr,
+                                  random_sqrt_linear, random_weak_quadratic,
+                                  unit_box, weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut, subset_bits
 
 from helpers import (dr_check, grad_check, knapsack_diameter_ref,
-                     quadratic_vertex_values_ref)
+                     quadratic_vertex_values_ref, weak_dr_gamma_ref)
 
 POLYTOPE_FAMILIES = [
     unit_box(4),
@@ -25,6 +26,27 @@ POLYTOPE_FAMILIES = [
 
 def linear_oracle(b):
     return QuadraticOracle(b, np.zeros((len(b), len(b))))
+
+
+MONOTONE_FAMILIES = ["quadratic-dr", "quadratic-weak", "sqrt-linear",
+                     "multilinear", "sum"]
+
+
+def family_oracle(family, n, seed):
+    if family == "quadratic-dr":
+        return random_quadratic_dr(n, seed, monotone=True)
+    if family == "quadratic-non-monotone":
+        return random_quadratic_dr(n, seed, monotone=False)
+    if family == "quadratic-weak":
+        return random_weak_quadratic(n, seed)
+    if family == "sqrt-linear":
+        return random_sqrt_linear(n, seed)
+    if family == "multilinear":
+        return MultilinearOracle(random_coverage(n, seed))
+    if family == "multilinear-cut":
+        return MultilinearOracle(random_cut(max(n, 2), seed))
+    return SumOracle([random_quadratic_dr(n, seed),
+                      random_sqrt_linear(n, seed + 1)])
 
 
 def random_member(polytope, rng):
@@ -179,6 +201,25 @@ def test_weak_dr_gamma_sqrt_linear_is_one():
     assert weak_dr_gamma(random_sqrt_linear(4, 8), 800, 0) == 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(MONOTONE_FAMILIES),
+       st.sampled_from([1, 2, 7, 300, 1500]), st.integers(0, 10_000))
+def test_weak_dr_gamma_matches_the_per_pair_loop(n, family, samples, seed):
+    # the batched screen rechecks only the pairs near its minimum, and
+    # must still give the per-pair loop's result bit for bit
+    f = family_oracle(family, n, seed)
+    got = weak_dr_gamma(f, samples, seed)
+    assert repr(got) == repr(weak_dr_gamma_ref(f, samples, seed))
+    # each batched ratio lies within half its window of the per-pair one
+    lo, hi = _sample_ordered_pairs(n, samples, np.random.default_rng(seed))
+    denom = f.value_many(hi) - f.value_many(lo)
+    keep = denom > 1e-6
+    ratios, window = _weak_dr_screen(f, lo[keep], hi[keep], denom[keep])
+    exact = [float((y - x) @ f.grad(x)) / d
+             for x, y, d in zip(lo[keep], hi[keep], denom[keep])]
+    assert (np.abs(ratios - exact) <= window / 2).all()
+
+
 def test_weak_dr_gamma_requires_monotone():
     with pytest.raises(ValueError):
         weak_dr_gamma(random_quadratic_dr(3, 9, monotone=False))
@@ -255,6 +296,30 @@ def test_certified_smoothness_bounds_sampled_ratios():
             ratio = float(np.linalg.norm(f.grad(x) - f.grad(y))) / dist
             assert ratio <= f.smoothness + 1e-9
             assert float(np.linalg.norm(f.grad(x))) <= f.value_lipschitz + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5),
+       st.sampled_from(MONOTONE_FAMILIES
+                       + ["quadratic-non-monotone", "multilinear-cut"]),
+       st.integers(0, 10_000))
+def test_declared_constants_bound_sampled_gradients(n, family, seed):
+    # grid_opt's cell bound rests on both constants, in the Euclidean
+    # norm: smoothness bounds |grad(x) - grad(y)| / |x - y| and
+    # value_lipschitz bounds |grad(x)|, at the cube's vertices and inside
+    f = family_oracle(family, n, seed)  # a cut needs n >= 2
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([subset_bits(f.n), rng.uniform(0.0, 1.0, (64, f.n))])
+    grads = f.grad_many(pts)
+    assert np.allclose(grads, [f.grad(x) for x in pts], rtol=1e-12,
+                       atol=1e-12)
+    norms = np.linalg.norm(grads, axis=1)
+    assert (norms <= f.value_lipschitz * (1.0 + 1e-9) + 1e-12).all()
+    i, j = rng.integers(0, len(pts), (2, 300))
+    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+    apart = dist > 1e-9
+    ratio = np.linalg.norm(grads[i] - grads[j], axis=1)[apart] / dist[apart]
+    assert (ratio <= f.smoothness * (1.0 + 1e-9) + 1e-12).all()
 
 
 def test_quadratic_families_are_certified():
