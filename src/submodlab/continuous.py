@@ -52,6 +52,11 @@ def _as_points(points, n: int) -> np.ndarray:
 
 
 def _in_cube(x: np.ndarray) -> np.ndarray:
+    # A C-contiguous x already in [0, 1] is what the clip would copy, -0.0
+    # included, so it is returned as it is; no caller writes to the result.
+    if (x.flags.c_contiguous and 0.0 <= np.minimum.reduce(x, axis=None)
+            and np.maximum.reduce(x, axis=None) <= 1.0):
+        return x
     if float(x.min()) < -1e-9 or float(x.max()) > 1.0 + 1e-9:
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -256,7 +256,7 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
     return tuple(out)
 
 
-def _gamma_with_witness(f: SetFunctionOracle):
+def _gamma_with_witness(f: SetFunctionOracle, witness: bool = True):
     # Sweeps every A against all 2^c sets B of its complement, one chunk of
     # _gamma_chunks at a time. A chunk holds one column per A and one row
     # per B, B ascending; row 0 is A itself, and each doubling over a
@@ -267,12 +267,15 @@ def _gamma_with_witness(f: SetFunctionOracle):
     # chunk; the witness is searched for only in a chunk whose min can win.
     # Ties go to the smallest (A, B) bitmask pair among the minimizers, A
     # first: the first column holding a chunk's min, then its first row.
+    # With witness=False no witness is searched for (it comes back None),
+    # and the sweep stops at the first chunk whose min is <= 0: gamma is
+    # then max(0.0, min) = 0.0 whatever the later chunks hold.
     if f.n > GAMMA_LIMIT:
         raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
     tab = f.table()
     thr = REL_TOL * max(1.0, float(np.abs(tab).max()))
     best = math.inf
-    witness = None
+    pair = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for c, a, bits in _gamma_chunks(f.n, _GAMMA_CHUNK):
             base = tab[a]
@@ -292,15 +295,20 @@ def _gamma_with_witness(f: SetFunctionOracle):
             value = float(ratios.min())
             if value == math.inf or value > best:
                 continue
+            if not witness:
+                if value <= 0.0:
+                    return 0.0, None
+                best = value
+                continue
             hit = ratios == value
             j = int(np.argmax(hit.any(axis=0)))
             i = int(np.argmax(hit[:, j]))
             cand = (int(a[j]), int(masks[i, j] ^ a[j]))
-            if value < best or cand < witness:
-                best, witness = value, cand
-    if witness is None:
+            if value < best or cand < pair:
+                best, pair = value, cand
+    if best == math.inf:
         return 1.0, None
-    pair = (elements_of(witness[0]), elements_of(witness[1]))
+    pair = pair and (elements_of(pair[0]), elements_of(pair[1]))
     if best >= 1.0 - REL_TOL:
         return 1.0, pair
     return max(0.0, best), pair
@@ -340,16 +348,22 @@ class RatioMeasurement:
     """Measured submodularity ratio gamma and monotonicity ratio m.
 
     Witnesses are the (smaller set, larger set) pairs attaining each minimum,
-    or None when the minimum is vacuous. ``nonmonotone_caveat`` flags that
-    gamma was measured on a non-monotone oracle over positive-marginal pairs
-    only.
+    or None when the minimum is vacuous. ``gamma_witness`` is computed on
+    first read, by the full 3^n sweep over ``oracle``, and cached; reading it
+    never changes ``gamma``. ``nonmonotone_caveat`` flags that gamma was
+    measured on a non-monotone oracle over positive-marginal pairs only.
+    The oracle takes no part in ``==`` or ``repr``.
     """
 
     gamma: float
     m: float
-    gamma_witness: tuple[list[int], list[int]] | None
     m_witness: tuple[list[int], list[int]] | None
     nonmonotone_caveat: bool
+    oracle: SetFunctionOracle = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def gamma_witness(self) -> tuple[list[int], list[int]] | None:
+        return _gamma_with_witness(self.oracle)[1]
 
 
 def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
@@ -360,12 +374,13 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     for all A, B, skipping pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|)
     (vacuous for monotone f, where f(B|A) <= 0). m is the minimum of
     f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
-    oracle.
+    oracle. The gamma sweep stops at the first ratio <= 0, where gamma
+    reaches its floor 0; the gamma witness is computed only when read.
     """
     m, m_wit = _m_with_witness(f)
-    gamma, g_wit = _gamma_with_witness(f)
-    return RatioMeasurement(gamma=gamma, m=m, gamma_witness=g_wit,
-                            m_witness=m_wit, nonmonotone_caveat=m < 1.0)
+    gamma = _gamma_with_witness(f, witness=False)[0]
+    return RatioMeasurement(gamma=gamma, m=m, m_witness=m_wit,
+                            nonmonotone_caveat=m < 1.0, oracle=f)
 
 
 # ---------------------------------------------------------------------------

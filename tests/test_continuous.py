@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from submodlab import continuous
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, MultilinearOracle,
                                   PartitionPolytope, QuadraticOracle,
@@ -12,7 +15,7 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   unit_box, weak_dr_gamma)
 from submodlab.oracles import random_coverage, random_cut, subset_bits
 
-from helpers import (dr_check, grad_check, knapsack_diameter_ref,
+from helpers import (dr_check, grad_check, in_cube_ref, knapsack_diameter_ref,
                      quadratic_vertex_values_ref, weak_dr_gamma_ref)
 
 POLYTOPE_FAMILIES = [
@@ -259,6 +262,58 @@ def test_value_many_rows_do_not_depend_on_the_batch(n):
         for i in range(len(pts)):
             pair = f.value_many(pts[[i, (i + 1) % len(pts)]])
             assert pair[0] == batch[i], (f.family, i)
+
+
+# in [0, 1], both tolerance bands, just outside them, and the special floats
+CUBE_COORDS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-10, -1e-9, 1.0 + 1e-10,
+                     1.0 + 1e-9, -1e-8, 1.0 + 1e-8, np.nan, np.inf,
+                     -np.inf, 5e-324, -5e-324]))
+
+
+def _cube_result(check, x):
+    try:
+        out = check(x)
+    except ValueError as err:
+        return "error", str(err)
+    return out.shape, out.dtype, out.flags.c_contiguous, out.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.data(),
+       st.sampled_from(["point", "matrix", "strided", "fortran"]))
+def test_in_cube_matches_the_clipping_reference(n, rows, data, layout):
+    flat = data.draw(st.lists(CUBE_COORDS, min_size=2 * rows * n,
+                              max_size=2 * rows * n))
+    x = np.array(flat).reshape(2 * rows, n)
+    x = {"point": x[0], "matrix": x[:rows], "strided": x[::2, 0],
+         "fortran": np.asfortranarray(x[:rows])}[layout]
+    before = x.tobytes()
+    assert _cube_result(continuous._in_cube, x) == _cube_result(in_cube_ref, x)
+    assert x.tobytes() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(MONOTONE_FAMILIES),
+       st.integers(0, 10_000), st.data())
+def test_value_and_grad_bits_match_the_clipping_reference(n, family, seed,
+                                                          data):
+    f = family_oracle(family, n, seed)
+    pts = np.array(data.draw(st.lists(CUBE_COORDS, min_size=3 * n,
+                                      max_size=3 * n))).reshape(3, n)
+
+    def outputs():
+        got = []
+        for x in pts:
+            for call in (f.value, f.grad):
+                got.append(_cube_result(lambda y: np.asarray(call(y)), x))
+        got.append(_cube_result(f.grad_many, pts))
+        return got
+
+    fast = outputs()
+    with mock.patch.object(continuous, "_in_cube", in_cube_ref):
+        assert outputs() == fast
 
 
 @pytest.mark.parametrize("build, name", [

@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
                                PerturbedOracle, mask_of, measure_ratios,
                                random_coverage, random_cut, random_modular,
                                random_perturbed)
-from submodlab.verify import brute_force_opt_set, dummy_greedy_expectation
+from submodlab.verify import (audit_problem4, brute_force_opt_set,
+                              dummy_greedy_expectation)
 
 from helpers import (TableOracle, coverage_table_lsb, gamma_loop, m_loop,
                      naive_is_submodular, relabel)
@@ -215,8 +217,12 @@ def small_oracles(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_oracles(), st.sampled_from([oracles._GAMMA_CHUNK, 8, 1]))
 def test_ratio_kernels_match_reference_loops_exactly(f, chunk):
+    # measure_ratios' value sweep, which may stop at the floor 0, must give
+    # the full sweep's gamma bit for bit
     with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
-        assert oracles._gamma_with_witness(f) == gamma_loop(f)
+        full = oracles._gamma_with_witness(f)
+        assert full == gamma_loop(f)
+        assert measure_ratios(f).gamma == full[0]
     assert oracles._m_with_witness(f) == m_loop(f)
 
 
@@ -263,6 +269,7 @@ def test_gamma_kernel_matches_reference_loop_at_benchmark_sizes(kind, n):
     for chunk in (oracles._GAMMA_CHUNK, 8):
         with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
             assert oracles._gamma_with_witness(f) == want
+            assert measure_ratios(f).gamma == want[0]
 
 
 def test_gamma_kernel_witness_takes_smallest_a_before_earliest_b():
@@ -281,6 +288,67 @@ def test_gamma_kernel_skips_denominators_within_tolerance():
     # -0.3; the pair is skipped, so every remaining ratio is at least 1
     f = TableOracle([0.0, 1.0, 1.0, 0.5, 1.0, 1.2, 2.0, 1.0 + 1e-12])
     assert oracles._gamma_with_witness(f) == (1.0, ([], [0]))
+
+
+def test_gamma_witness_comes_from_the_full_sweep_after_an_early_stop():
+    # Every |A| = 2 set has a pair with ratio 0 (singleton marginals 0,
+    # f(B|A) = 3), so the value sweep stops in that chunk, before the
+    # |A| = 1 chunk holds the exact minimum -6 at A = {3}, B = {0, 1, 2}.
+    values = {0b0000: 0, 0b1000: 6, 0b1111: 7}
+    f = TableOracle([values.get(s, 4) for s in range(16)])
+    assert gamma_loop(f) == (0.0, ([3], [0, 1, 2]))
+    r = measure_ratios(f)
+    assert r.gamma == 0.0
+    assert r.gamma_witness == gamma_loop(f)[1]
+    assert r.gamma == 0.0  # reading the witness leaves gamma as it was
+    assert r == measure_ratios(f)
+    assert "oracle" not in repr(r)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-12, 0.25])
+def test_gamma_value_sweep_does_not_stop_above_the_floor(t):
+    # the one ratio below 1 is (f({0}) + f({1})) / f({0, 1}) = t > 0
+    f = TableOracle([0.0, t / 2, t / 2, 1.0])
+    assert measure_ratios(f).gamma == oracles._gamma_with_witness(f)[0] == t
+
+
+@contextlib.contextmanager
+def _counted_sweeps():
+    """Patches the gamma sweep to log (witness, gamma, (A, B) entries
+    visited) per call; the entries are counted as chunks are handed out."""
+    sweep, chunks = oracles._gamma_with_witness, oracles._gamma_chunks
+    visited, calls = [0], []
+
+    def counted_chunks(n, chunk):
+        for c, a, bits in chunks(n, chunk):
+            visited[0] += a.size << c
+            yield c, a, bits
+
+    def logged_sweep(f, witness=True):
+        before = visited[0]
+        out = sweep(f, witness=witness)
+        calls.append((witness, out[0], visited[0] - before))
+        return out
+
+    with mock.patch.object(oracles, "_gamma_chunks", counted_chunks), \
+            mock.patch.object(oracles, "_gamma_with_witness", logged_sweep):
+        yield calls
+
+
+def test_gamma_sweep_stops_at_the_floor_and_sweeps_fully_for_witnesses():
+    full = 3 ** 10 - 1  # every A != N with each B outside it, B = {} too
+    with _counted_sweeps() as calls:
+        audit_problem4(3, 0, n=10, k=6)
+        assert len(calls) == 3
+        assert all(witness is False for witness, _, _ in calls)
+        floored = [seen for _, gamma, seen in calls if gamma == 0.0]
+        assert floored and all(seen < full for seen in floored)
+        calls.clear()
+        r = measure_ratios(random_coverage(10, 1))
+        assert calls == [(False, 1.0, full)]
+        assert r.gamma_witness is not None
+        assert r.gamma_witness is r.gamma_witness
+        assert calls[1:] == [(True, 1.0, full)]
 
 
 @st.composite
