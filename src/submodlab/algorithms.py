@@ -93,7 +93,7 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
         meta={
             "rounds": rounds,
             "step": step,
-            "value": float(g.value(y) + h.value(y)),
+            "value": records[-1]["value"],
             "in_polytope": bool(polytope.member(y)),
         },
     )
@@ -135,7 +135,7 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     meta = {
         "iterations": k_total,
         "step_mass": mass,
-        "value": float(f.value(x)),
+        "value": records[-1]["value"],
         "in_polytope": bool(polytope.member(x)),
     }
     if declared_gamma is not None:
@@ -256,15 +256,13 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
     Each of the k rounds offers the real candidates of ``dummy_candidates``
     padded to k by the lowest untaken dummy ids, and draws one uniformly.
     """
+    if not 1 <= k <= f.n:
+        raise ValueError("budget k must satisfy 1 <= k <= n")
     real = 0
     dummies = list(range(f.n, f.n + 2 * k))  # untaken, ascending
     records = []
-    while True:
-        # the rule also checks k, so it runs once more than there are rounds
+    for i in range(k):
         order, counts = dummy_candidates(f, k, np.array([real]))
-        i = len(records)
-        if i == k:
-            break
         options = [int(u) for u in order[0, :counts[0]]]
         options += dummies[:k - len(options)]
         u = options[int(_round_rng(seed, i).integers(len(options)))]

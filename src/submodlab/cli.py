@@ -1,10 +1,11 @@
 """Command-line entry point: instance generation, algorithm runs, guarantee
 verification, and audits, all replayable from (config, seed).
 
-Each of the five problems is defined once, in verify's PROBLEMS table: how
-its instance is built, run and checked. `gen --family problem<k>` adds its
-own measurements to the built instance, and `run`, `verify` and the audits
-go through the same entries. FAMILIES holds the seven other `gen` families.
+Each of the five problems is defined once, in verify's PROBLEMS table: its
+components, and how its instance is built, measured, run and checked.
+`gen --family problem<k>` records what the entry's `measure` gives, `run`
+and `verify` exit 1 on a bundle component that is missing or not of the
+class the entry declares, and the audits go through the same entries.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved
@@ -44,11 +45,10 @@ from typing import Callable, NamedTuple
 
 from . import serialization, verify
 from .continuous import (random_quadratic_dr, random_sqrt_linear,
-                         random_weak_quadratic, weak_dr_gamma)
-from .oracles import (GAMMA_LIMIT, MONOTONICITY_LIMIT, CapabilityError,
-                      measure_ratios, random_coverage, random_cut,
+                         random_weak_quadratic)
+from .oracles import (CapabilityError, random_coverage, random_cut,
                       random_modular, random_perturbed)
-from .verify import PROBLEMS, _or
+from .verify import PROBLEMS, _or, exact_ratios, sampled_gamma
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -72,14 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _measure_if_small(f):
-    if f.n <= min(GAMMA_LIMIT, MONOTONICITY_LIMIT):
-        r = measure_ratios(f)
-        return {"gamma": r.gamma, "m": r.m,
-                "nonmonotone_caveat": r.nonmonotone_caveat}
-    return {}
-
-
 # ---------------------------------------------------------------------------
 # the `gen` families: seven plain ones, then one per problem
 
@@ -87,16 +79,15 @@ def _measure_if_small(f):
 def _set_function_family(make):
     def gen(a):
         f = make(a)
-        return serialization.to_doc(f) | {"measured": _measure_if_small(f)}
+        return serialization.to_doc(f) | {"measured": exact_ratios(f)}
     return gen
 
 
 def _weak_dr_family(make):
     def gen(a):
         f = make(a)
-        gamma = weak_dr_gamma(f, samples=1500, seed=a.seed)
-        return serialization.to_doc(f) | {
-            "measured": {"monotone": True, "gamma": gamma}}
+        return serialization.to_doc(f) | {"measured": {
+            "monotone": True, "gamma": sampled_gamma(f, a.seed)}}
     return gen
 
 
@@ -106,11 +97,18 @@ def _gen_quadratic_dr(a):
         raise ValueError("generated quadratic has a positive interaction")
     measured = {"monotone": f.monotone, "dr": True}
     if f.monotone:
-        measured["gamma"] = weak_dr_gamma(f, samples=1500, seed=a.seed)
+        measured["gamma"] = sampled_gamma(f, a.seed)
     return serialization.to_doc(f) | {"measured": measured}
 
 
-FAMILIES = {
+def _problem_family(k):
+    def gen(a):
+        c = PROBLEMS[k].build(a)
+        return verify.problem_bundle(k, c, a, PROBLEMS[k].measure(c, a))
+    return gen
+
+
+GENERATORS = {
     "modular": _set_function_family(lambda a: random_modular(a.n, a.seed)),
     "coverage": _set_function_family(lambda a: random_coverage(a.n, a.seed)),
     "cut": _set_function_family(lambda a: random_cut(a.n, a.seed)),
@@ -120,30 +118,7 @@ FAMILIES = {
     "quadratic-weak": _weak_dr_family(
         lambda a: random_weak_quadratic(a.n, a.seed)),
     "sqrt-linear": _weak_dr_family(lambda a: random_sqrt_linear(a.n, a.seed)),
-}
-
-
-def _objective_ratios(c, a):
-    return _measure_if_small(c["objective"])
-
-
-def _problem_family(k, measure=_objective_ratios):
-    """`gen --family problem<k>`: PROBLEMS[k]'s built instance, with what
-    ``measure`` measures on it and the flags PROBLEMS[k] records."""
-    def gen(a):
-        c = PROBLEMS[k].build(a)
-        return verify.problem_bundle(k, c, a, measure(c, a))
-    return gen
-
-
-GENERATORS = FAMILIES | {
-    "problem1": _problem_family(1, lambda c, a: {}),
-    "problem2": _problem_family(2),
-    "problem3": _problem_family(3, lambda c, a: {"gamma": weak_dr_gamma(
-        c["objective"], samples=1500, seed=a.seed)}),
-    "problem4": _problem_family(4),
-    "problem5": _problem_family(5),
-}
+} | {f"problem{k}": _problem_family(k) for k in PROBLEMS}
 
 
 def _audit_row(r) -> list:
@@ -296,18 +271,24 @@ def cmd_gen(args) -> int:
 
 
 def _load_problem_components(args):
+    problem = PROBLEMS[args.problem]
     doc = serialization.load_doc(args.instance)
     if doc.get("kind") == "bundle":
         if doc.get("problem") != args.problem:
             raise UsageError(
                 f"instance file is a problem-{doc.get('problem')} bundle")
-        return serialization.load_bundle(doc)
-    if PROBLEMS[args.problem].bare_objective and \
-            doc.get("kind") == "set-function":
-        return {"objective": serialization.from_doc(doc),
+        comp = serialization.load_bundle(doc)
+    elif problem.bare_objective and doc.get("kind") == "set-function":
+        comp = {"objective": serialization.from_doc(doc),
                 "_measured": serialization.object_field(doc, "measured", {}),
                 "_meta": {}}
-    raise UsageError("instance file does not match the selected problem")
+    else:
+        raise UsageError("instance file does not match the selected problem")
+    for name, cls in problem.components.items():
+        if not isinstance(comp.get(name), cls):
+            raise ValueError(
+                f"bundle component {name!r} must be a {cls.__name__}")
+    return comp
 
 
 def cmd_run(args) -> int:
@@ -371,6 +352,10 @@ def cmd_audit(args) -> int:
     return _exit_code(report.rows)
 
 
+COMMANDS = {"gen": cmd_gen, "run": cmd_run, "verify": cmd_verify,
+            "audit": cmd_audit}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -378,15 +363,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(argv, args.config))
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "audit":
-            return cmd_audit(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,8 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .matroids import checked_partition
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
-                      subset_bits)
+                      clamp_ratio, subset_bits)
 
 MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
@@ -200,7 +201,7 @@ class MultilinearOracle(ContinuousOracle):
     """Exact multilinear extension of a set-function oracle (no sampling).
 
     F(1_S) = f(S) holds bit-for-bit; partial derivatives are the exact
-    differences F(x; x_u = 1) - F(x; x_u = 0).
+    differences F(x; x_u = 1) - F(x; x_u = 0), all valued by ``value_many``.
     """
 
     family = "multilinear"
@@ -231,29 +232,18 @@ class MultilinearOracle(ContinuousOracle):
                 pair_bound[u, v] = pair_bound[v, u] = float(np.abs(second).max())
         self.smoothness = float(pair_bound.sum(axis=1).max(initial=0.0))
 
-    def _weights(self, x: np.ndarray) -> np.ndarray:
-        w = np.ones(1 << self.n)
-        for u in range(self.n):
-            col = self._bits[:, u]
-            w *= col * x[u] + (1.0 - col) * (1.0 - x[u])
-        return w
-
     def value(self, x) -> float:
         x = _as_point(x, self.n)
-        return float(self._tab @ self._weights(x))
+        return float(self.value_many(x[None])[0])
 
     def grad(self, x) -> np.ndarray:
         x = _as_point(x, self.n)
-        out = np.empty(self.n)
-        for u in range(self.n):
-            partial = np.ones(1 << self.n)
-            for v in range(self.n):
-                if v == u:
-                    continue
-                col = self._bits[:, v]
-                partial *= col * x[v] + (1.0 - col) * (1.0 - x[v])
-            out[u] = float(self._tab @ (partial * (2.0 * self._bits[:, u] - 1.0)))
-        return out
+        ends = np.repeat(x[None], 2 * self.n, axis=0)
+        u = np.arange(self.n)
+        ends[u, u] = 1.0
+        ends[self.n + u, u] = 0.0
+        vals = self.value_many(ends)
+        return vals[:self.n] - vals[self.n:]
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -406,19 +396,10 @@ class PartitionPolytope(Polytope):
     family = "partition"
 
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
-        blocks = tuple(tuple(sorted(int(u) for u in b)) for b in blocks)
-        caps = tuple(int(cc) for cc in caps)
-        if len(blocks) != len(caps) or any(cc < 0 for cc in caps):
-            raise ValueError("bad partition polytope parameters")
-        all_elems = [u for b in blocks for u in b]
-        n = len(all_elems)
-        if n == 0 or sorted(all_elems) != list(range(n)):
-            raise ValueError("blocks must partition {0..n-1}")
-        self.n = n
-        self.blocks = blocks
-        self.caps = caps
+        self.blocks, self.caps = checked_partition(blocks, caps)
+        self.n = sum(len(b) for b in self.blocks)
         self.diameter = math.sqrt(
-            sum(min(cc, len(b)) for b, cc in zip(blocks, caps)))
+            sum(min(cc, len(b)) for b, cc in zip(self.blocks, self.caps)))
 
     def member_many(self, points):
         pts = np.asarray(points, dtype=float)
@@ -581,9 +562,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     for i in rows:
         ratio = float((hi[i] - lo[i]) @ f.grad(lo[i])) / float(denom[i])
         best = min(best, ratio)
-    if best is math.inf or best >= 1.0 - REL_TOL:
-        return 1.0
-    return max(0.0, best)
+    return clamp_ratio(best)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,21 @@ def _within_caps(n: int, labels: Sequence[int],
     return (cnt <= caps[:, None]).all(axis=0)
 
 
+def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:
+    """(blocks, caps) as sorted int tuples, checked: one nonnegative cap
+    per block, and blocks that partition {0..n-1} for some n >= 1."""
+    blocks = tuple(tuple(sorted(int(u) for u in b)) for b in blocks)
+    caps = tuple(int(c) for c in caps)
+    if len(blocks) != len(caps):
+        raise ValueError("need one capacity per block")
+    if any(c < 0 for c in caps):
+        raise ValueError("capacities must be nonnegative")
+    all_elems = sorted(u for b in blocks for u in b)
+    if not all_elems or all_elems != list(range(len(all_elems))):
+        raise ValueError("blocks must partition {0..n-1}")
+    return blocks, caps
+
+
 class IndependenceSystem:
     """Independence oracle over ground set {0..n-1}, answered from a cached
     2^n independence table that subclasses build."""
@@ -108,17 +123,8 @@ class PartitionMatroid(Matroid):
     family = "partition"
 
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
-        blocks = tuple(tuple(sorted(int(u) for u in b)) for b in blocks)
-        caps = tuple(int(c) for c in caps)
-        if len(blocks) != len(caps):
-            raise ValueError("need one capacity per block")
-        if any(c < 0 for c in caps):
-            raise ValueError("capacities must be nonnegative")
-        all_elems = [u for b in blocks for u in b]
-        n = len(all_elems)
-        if n == 0 or sorted(all_elems) != list(range(n)):
-            raise ValueError("blocks must partition {0..n-1}")
-        super().__init__(n)
+        blocks, caps = checked_partition(blocks, caps)
+        super().__init__(sum(len(b) for b in blocks))
         self.blocks = blocks
         self.caps = caps
 

@@ -24,7 +24,6 @@ REL_TOL = 1e-9
 
 TABLE_LIMIT = 20          # 2^n value-table entries
 GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
-MONOTONICITY_LIMIT = 14   # all nested pairs via superset-min sweep
 
 _GAMMA_CHUNK = 1 << 15    # (A, B) entries per gamma sweep chunk
 
@@ -234,6 +233,11 @@ def subset_bits(n: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
+def clamp_ratio(best: float) -> float:
+    """A minimum ratio clamped to [0, 1], and 1.0 from 1 - REL_TOL up."""
+    return 1.0 if best >= 1.0 - REL_TOL else max(0.0, best)
+
+
 @functools.lru_cache(maxsize=None)
 def _gamma_chunks(n: int, chunk: int) -> tuple:
     """The gamma sweep's chunks for ground-set size n: per complement size c
@@ -306,18 +310,12 @@ def _gamma_with_witness(f: SetFunctionOracle, witness: bool = True):
             cand = (int(a[j]), int(masks[i, j] ^ a[j]))
             if value < best or cand < pair:
                 best, pair = value, cand
-    if best == math.inf:
-        return 1.0, None
     pair = pair and (elements_of(pair[0]), elements_of(pair[1]))
-    if best >= 1.0 - REL_TOL:
-        return 1.0, pair
-    return max(0.0, best), pair
+    return clamp_ratio(best), pair
 
 
 def _m_with_witness(f: SetFunctionOracle):
-    if f.n > MONOTONICITY_LIMIT:
-        raise CapabilityError(
-            f"monotonicity ratio needs n <= {MONOTONICITY_LIMIT}")
+    # uncapped: measure_ratios runs it only after the capped gamma sweep
     tab = f.table()
     scale = float(tab.max())
     if scale <= 0.0:
@@ -337,10 +335,7 @@ def _m_with_witness(f: SetFunctionOracle):
     target = sup_min[s_mask]
     idx = np.arange(1 << f.n)
     t_mask = int(np.nonzero(((idx & s_mask) == s_mask) & (tab == target))[0][0])
-    pair = (elements_of(s_mask), elements_of(t_mask))
-    if best >= 1.0 - REL_TOL:
-        return 1.0, pair
-    return max(0.0, best), pair
+    return clamp_ratio(best), (elements_of(s_mask), elements_of(t_mask))
 
 
 @dataclass(frozen=True)
@@ -376,9 +371,10 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
     oracle. The gamma sweep stops at the first ratio <= 0, where gamma
     reaches its floor 0; the gamma witness is computed only when read.
+    n > GAMMA_LIMIT raises CapabilityError before any m sweep.
     """
-    m, m_wit = _m_with_witness(f)
     gamma = _gamma_with_witness(f, witness=False)[0]
+    m, m_wit = _m_with_witness(f)
     return RatioMeasurement(gamma=gamma, m=m, m_witness=m_wit,
                             nonmonotone_caveat=m < 1.0, oracle=f)
 

@@ -1,6 +1,6 @@
 """Ground-truth optimum oracles, guarantee checking against closed-form
 bounds, exact expectations over uniform choice trees, the five problems'
-build/run/check table (PROBLEMS), and audits over its built instances.
+table (PROBLEMS, see ``Problem``), and audits over its built instances.
 
 Bound provenance matters: only "proved" bounds may fail a suite or flip an
 exit code; "claimed-flawed" and "authors-conjecture" bounds are audited and
@@ -27,9 +27,9 @@ from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
-from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
-                      elements_of, measure_ratios, random_coverage,
-                      random_perturbed)
+from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
+                      SetFunctionOracle, elements_of, measure_ratios,
+                      random_coverage, random_perturbed)
 
 OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
@@ -396,10 +396,11 @@ def _reaches(measured: float, threshold: float) -> bool:
 
 
 def check_bound(measured: float, bound: BoundFormula, params: dict,
-                instance_id: str = "", algorithm_id: str = ""
-                ) -> GuaranteeReport:
+                instance_id: str = "", algorithm_id: str = "",
+                feasible: bool = True) -> GuaranteeReport:
     """Compare an exact measured value against a bound threshold: 'holds'
-    when it ``_reaches`` the threshold, else 'violated'."""
+    when the output is ``feasible`` (its polytope membership or bicriteria
+    certificate) and ``_reaches`` the threshold, else 'violated'."""
     threshold = bound.threshold(params)
     return GuaranteeReport(
         instance_id=instance_id,
@@ -409,17 +410,10 @@ def check_bound(measured: float, bound: BoundFormula, params: dict,
         measured=float(measured),
         threshold=threshold,
         slack=float(measured - threshold),
-        verdict=HOLDS if _reaches(measured, threshold) else VIOLATED,
+        verdict=HOLDS if feasible and _reaches(measured, threshold)
+        else VIOLATED,
         params=dict(params),
     )
-
-
-def _inside(report: GuaranteeReport, polytope: Polytope,
-            final) -> GuaranteeReport:
-    """The report, made 'violated' when the final point lies outside the
-    polytope."""
-    return report if polytope.member(final) \
-        else replace(report, verdict=VIOLATED)
 
 
 def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
@@ -439,10 +433,9 @@ def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
         "diameter": polytope.diameter,
         "radius": cert.radius,
     }
-    return _inside(check_bound(measured, BOUNDS["problem1-split"], params,
-                               instance_id=instance_id,
-                               algorithm_id=trace.algorithm),
-                   polytope, trace.final)
+    return check_bound(measured, BOUNDS["problem1-split"], params,
+                       instance_id=instance_id, algorithm_id=trace.algorithm,
+                       feasible=polytope.member(trace.final))
 
 
 def problem2_report(trace: RunTrace, f: SetFunctionOracle,
@@ -454,13 +447,12 @@ def problem2_report(trace: RunTrace, f: SetFunctionOracle,
     ``system``, and a broken certificate makes the verdict 'violated' no
     matter the value."""
     params = {"epsilon": trace.params["epsilon"], "opt": opt.value}
-    report = check_bound(f.value(trace.final), BOUNDS["problem2-bicriteria"],
-                         params, instance_id=instance_id,
-                         algorithm_id=trace.algorithm)
-    parts = trace.meta.get("independent_sets", [])
-    if not certificate_holds(system, parts, trace.final):
-        report = replace(report, verdict=VIOLATED)
-    return report
+    return check_bound(f.value(trace.final), BOUNDS["problem2-bicriteria"],
+                       params, instance_id=instance_id,
+                       algorithm_id=trace.algorithm,
+                       feasible=certificate_holds(
+                           system, trace.meta.get("independent_sets", []),
+                           trace.final))
 
 
 def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
@@ -478,11 +470,10 @@ def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
         "iterations": trace.params["iterations"],
         "radius": cert.radius,
     }
-    return _inside(check_bound(f.value(trace.final),
-                               BOUNDS["problem3-weak-dr"], params,
-                               instance_id=instance_id,
-                               algorithm_id=trace.algorithm),
-                   cert.polytope, trace.final)
+    return check_bound(f.value(trace.final), BOUNDS["problem3-weak-dr"],
+                       params, instance_id=instance_id,
+                       algorithm_id=trace.algorithm,
+                       feasible=cert.polytope.member(trace.final))
 
 
 def problem4_report(f: SetFunctionOracle, k: int,
@@ -517,13 +508,18 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 
 # ---------------------------------------------------------------------------
-# the five problems: how each instance is built, run and checked
+# the five problems: components, and how each is built, measured, run, checked
 
 
 class Problem(NamedTuple):
+    """One problem's bundle components and its build, run, check and
+    measure rules; ``measure(components, flags)``, by default the exact
+    ratios of the objective, is the measured dict ``gen`` records."""
+    components: dict    # name -> class of each component a bundle must hold
     build: Callable     # flags -> components (no ratio is measured)
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
+    measure: Callable = lambda c, a: exact_ratios(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
     traced: bool = True           # check reads run's traces
     bare_objective: bool = False  # a plain set-function file also loads
@@ -558,6 +554,21 @@ def _bundle_number(c, key):
     return value
 
 
+def exact_ratios(f: SetFunctionOracle) -> dict:
+    """f's exact gamma and m as documents record them; {} past GAMMA_LIMIT."""
+    if f.n > GAMMA_LIMIT:
+        return {}
+    r = measure_ratios(f)
+    return {"gamma": r.gamma, "m": r.m,
+            "nonmonotone_caveat": r.nonmonotone_caveat}
+
+
+def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
+    """The weak-DR gamma over 1500 sampled pairs that documents record and
+    problem 3 falls back to: sampled, so not a certified lower bound."""
+    return weak_dr_gamma(f, samples=1500, seed=seed)
+
+
 def _build_problem1(a):
     return {"g": random_quadratic_dr(a.n, a.seed, monotone=True),
             "h": random_quadratic_dr(a.n, a.seed + 1, monotone=False),
@@ -588,7 +599,7 @@ def _check_problem3(c, traces, a, stem):
     cert = grid_opt(c["objective"], c["polytope"], a.resolution)
     gamma = _bundle_number(c, "gamma")
     if gamma is None:
-        gamma = weak_dr_gamma(c["objective"], samples=1500, seed=a.seed)
+        gamma = sampled_gamma(c["objective"], a.seed)
     return [problem3_report(t, gamma, c["objective"], cert,
                             instance_id=stem) for t in traces]
 
@@ -606,23 +617,30 @@ def _build_problem5(a):
 
 
 PROBLEMS = {
-    1: Problem(_build_problem1,
+    1: Problem({"g": ContinuousOracle, "h": ContinuousOracle,
+                "polytope": Polytope},
+               _build_problem1,
                lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
                                                 _or(a.epsilon, 0.02))],
-               _check_problem1),
-    2: Problem(lambda a: {"objective": random_coverage(a.n, a.seed),
+               _check_problem1, measure=lambda c, a: {}),
+    2: Problem({"objective": SetFunctionOracle, "system": PSystem},
+               lambda a: {"objective": random_coverage(a.n, a.seed),
                           "system": random_partition_psystem(a.n, a.p,
                                                              a.seed)},
                lambda c, a: [multipass_greedy(
                    c["objective"], c["system"],
                    _or(a.epsilon, _or(_bundle_number(c, "epsilon"), 0.25)))],
                _check_problem2, meta=("seed", "p", "epsilon")),
-    3: Problem(_build_problem3,
+    3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
+               _build_problem3,
                lambda c, a: [frank_wolfe(
                    c["objective"], c["polytope"], _or(a.iterations, 200),
                    declared_gamma=_bundle_number(c, "gamma"))],
-               _check_problem3),
-    4: Problem(lambda a: {"objective": random_perturbed(
+               _check_problem3,
+               measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
+                                                            a.seed)}),
+    4: Problem({"objective": SetFunctionOracle},
+               lambda a: {"objective": random_perturbed(
                    a.n, a.delta, a.seed, monotone=a.monotone)},
                lambda c, a: [random_greedy_dummies(c["objective"],
                                                    _budget(c, a),
@@ -631,7 +649,9 @@ PROBLEMS = {
                lambda c, traces, a, stem: [problem4_report(
                    c["objective"], _budget(c, a), instance_id=stem)],
                meta=("seed", "k"), traced=False, bare_objective=True),
-    5: Problem(_build_problem5,
+    5: Problem({"objective": SetFunctionOracle, "matroid1": Matroid,
+                "matroid2": Matroid},
+               _build_problem5,
                lambda c, a: [random_greedy_intersection(
                    c["objective"], c["matroid1"], c["matroid2"],
                    seed=a.seed + t) for t in range(a.trials)],

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from submodlab.cli import AUDITS, main
+from submodlab.cli import AUDITS, _build_parser, main
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save)
-from submodlab.verify import audit_problem2, audit_problem4
+from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
 
 from helpers import DummyGreedyProcess, dag_walk
 
@@ -41,6 +41,47 @@ def test_gen_quadratic_dr_passes_prechecks(tmp_path):
                "--monotone", "--seed", "5", "--out", str(out)) == 0
     doc = load_doc(out)
     assert doc["measured"]["monotone"] and doc["measured"]["dr"]
+
+
+@pytest.mark.parametrize("k", list(PROBLEMS))
+def test_gen_problem_records_its_measure(tmp_path, k):
+    argv = ["gen", "--family", f"problem{k}", "--n", "5", "--seed", "3"]
+    out = tmp_path / "inst.json"
+    assert run(tmp_path, *argv, "--out", str(out)) == 0
+    flags = _build_parser().parse_args(argv)
+    built = PROBLEMS[k].build(flags)
+    assert load_doc(out)["measured"] == PROBLEMS[k].measure(built, flags)
+    # the built components are the ones the entry declares
+    declared = PROBLEMS[k].components
+    assert list(built) == list(declared)
+    assert all(isinstance(built[name], cls) for name, cls in declared.items())
+
+
+@pytest.mark.parametrize("problem, name, cls", [
+    (2, "system", "PSystem"),
+    (4, "objective", "SetFunctionOracle"),
+    (5, "matroid2", "Matroid"),
+])
+def test_bundle_component_of_the_wrong_class_exits_one(tmp_path, capsys,
+                                                       problem, name, cls):
+    inst = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "5",
+               "--seed", "1", "--out", str(inst)) == 0
+    doc = load_doc(inst)
+    components = doc["components"]
+    if problem == 2:  # a single matroid where a p-system belongs
+        components["system"] = components["system"]["matroids"][0]
+    elif problem == 4:  # a matroid where the objective belongs
+        components["objective"] = {"schema": "submodlab/1", "kind": "matroid",
+                                   "family": "uniform", "n": 5, "k": 2}
+    else:
+        del components[name]
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", str(problem),
+               "--instance", str(inst)) == 1
+    assert capsys.readouterr().err == \
+        f"error: bundle component {name!r} must be a {cls}\n"
 
 
 def test_run_problem2_logs_two_passes(tmp_path, capsys):

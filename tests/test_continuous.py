@@ -262,6 +262,14 @@ def test_value_many_rows_do_not_depend_on_the_batch(n):
         for i in range(len(pts)):
             pair = f.value_many(pts[[i, (i + 1) % len(pts)]])
             assert pair[0] == batch[i], (f.family, i)
+    # the multilinear extension values one point as a batch of one, and
+    # its gradient as the differences of its 2n endpoint values
+    ml = families[-1]
+    for x in rng.uniform(0.0, 1.0, (500, n)):
+        assert ml.value(x) == ml.value_many(x[None])[0]
+        ends = [ml.value(np.where(np.arange(n) == u, end, x))
+                for end in (1.0, 0.0) for u in range(n)]
+        assert (ml.grad(x) == np.subtract(ends[:n], ends[n:])).all()
 
 
 # in [0, 1], both tolerance bands, just outside them, and the special floats

@@ -305,6 +305,19 @@ def test_gamma_witness_comes_from_the_full_sweep_after_an_early_stop():
     assert "oracle" not in repr(r)
 
 
+def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
+    # past GAMMA_LIMIT the gamma sweep raises before m is swept
+    calls = []
+    real = oracles._m_with_witness
+    monkeypatch.setattr(oracles, "_m_with_witness",
+                        lambda f: calls.append(f) or real(f))
+    with pytest.raises(oracles.CapabilityError, match="submodularity"):
+        measure_ratios(random_modular(oracles.GAMMA_LIMIT + 1, 0))
+    assert calls == []
+    measure_ratios(random_modular(oracles.GAMMA_LIMIT, 0))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("t", [1e-300, 1e-12, 0.25])
 def test_gamma_value_sweep_does_not_stop_above_the_floor(t):
     # the one ratio below 1 is (f({0}) + f({1})) / f({0, 1}) = t > 0

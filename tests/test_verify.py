@@ -555,6 +555,11 @@ def test_check_bound_optimal_output_slack():
                       {"epsilon": eps, "opt": opt})
     assert rep.verdict == "holds"
     assert rep.slack == pytest.approx(eps * opt)
+    # an infeasible output is violated whatever its value
+    for measured in (0.0, opt, 1e9):
+        rep = check_bound(measured, BOUNDS["problem2-bicriteria"],
+                          {"epsilon": eps, "opt": opt}, feasible=False)
+        assert rep.verdict == "violated" and rep.measured == measured
 
 
 def test_check_bound_missing_parameter():
