@@ -113,6 +113,78 @@ def test_down_closedness_sampled():
             assert polytope.member(y)
 
 
+def _rows_and_slack(polytope):
+    """The rows M x <= c beyond the box, each as (M, c, slack), written out
+    from the polytope's own parameters."""
+    tol = continuous.MEMBER_TOL
+    if isinstance(polytope, CardinalityPolytope):
+        return [(np.ones(polytope.n), polytope.k, tol)]
+    if isinstance(polytope, PartitionPolytope):
+        out = []
+        for b, cap in zip(polytope.blocks, polytope.caps):
+            row = np.zeros(polytope.n)
+            row[list(b)] = 1.0
+            out.append((row, cap, tol))
+        return out
+    if isinstance(polytope, KnapsackPolytope):
+        budget = polytope.budget
+        return [(polytope.costs, budget, tol * max(1.0, budget))]
+    return []
+
+
+@pytest.mark.parametrize("polytope", POLYTOPE_FAMILIES + [
+    KnapsackPolytope([0.25, 0.5], 0.5)], ids=lambda p: p.family)
+def test_membership_slack_at_box_faces_and_rows(polytope):
+    # on a face or a row: in; half the slack past it: in; twice: out
+    n, tol = polytope.n, continuous.MEMBER_TOL
+    upper = polytope.upper if isinstance(polytope, BoxPolytope) \
+        else np.ones(n)
+    points, want = [], []
+    for j in range(n):
+        top = np.zeros(n)
+        top[j] = upper[j]
+        points += [np.zeros(n), top]
+        want += [True, True]
+        for t, inside in ((0.5, True), (2.0, False)):
+            below, above = np.zeros(n), top.copy()
+            below[j] -= t * tol
+            above[j] += t * tol
+            points += [below, above]
+            want += [inside, inside]
+    for row, cap, slack in _rows_and_slack(polytope):
+        edge = polytope.lmo(row)
+        assert float(edge @ row) == cap
+        j = int(np.flatnonzero((edge < 1.0) & (row > 0.0))[0])
+        points.append(edge)
+        want.append(True)
+        for t, inside in ((0.5, True), (2.0, False)):
+            past = edge.copy()
+            past[j] += t * slack / row[j]
+            points.append(past)
+            want.append(inside)
+    assert polytope.member_many(np.array(points)).tolist() == want
+    assert [polytope.member(x) for x in points] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.data(), st.integers(0, 10_000))
+def test_cardinality_is_a_one_block_partition(n, data, seed):
+    k = data.draw(st.integers(0, n + 1))
+    card = CardinalityPolytope(n, k)
+    part = PartitionPolytope([range(n)], [k])
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (60, n))
+    near = x * ((k + rng.uniform(-3e-9, 3e-9, (60, 1)))
+                / np.maximum(x.sum(axis=1, keepdims=True), 1e-12))
+    pts = np.vstack([x, near, rng.uniform(-3e-9, 1.0 + 3e-9, (60, n))])
+    assert np.array_equal(card.member_many(pts), part.member_many(pts))
+    for c in np.round(rng.normal(size=(20, n)), 1):
+        assert np.array_equal(card.lmo(c), part.lmo(c))
+    assert card.diameter == part.diameter
+    for got, want in zip(card.linear_rows(), part.linear_rows()):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 def test_lmo_vertices_within_diameter():
     rng = np.random.default_rng(11)
     for polytope in POLYTOPE_FAMILIES:

@@ -253,6 +253,15 @@ def test_indep_table_matches_per_mask_reference(system):
         assert system.indep_mask(mask) == ref[mask]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_uniform_is_a_one_block_partition(n, data):
+    k = data.draw(st.integers(0, n + 1))
+    got = UniformMatroid(n, k).indep_table()
+    want = PartitionMatroid([range(n)], [k]).indep_table()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_indep_table_built_once_and_read_only(monkeypatch):
     builds = []
     build = PartitionMatroid._build_indep_table
