@@ -6,7 +6,7 @@ the four `audit --bound` tables, the replay documents of a few audit rows,
 the stdout and exit code of each command, the stdout of the three
 `scripts/` at tiny sizes, under `docs/` the document of one seeded
 object of each serializable class that those runs do not write, and in
-`ratios.json` the exact gamma and m (with witnesses) of seeded oracles at
+`ratios.json` the exact gamma and m of seeded oracles at
 n = 8-12 (from n = 11 on, the gamma sweep splits groups over several
 chunks). The test regenerates all of it into a temporary directory and
 compares bytes, which catches both refactor drift and drift in numpy's
@@ -107,8 +107,9 @@ def _doc_objects() -> list:
 def _ratio_oracles() -> dict:
     """Seeded oracles of each kind the gamma kernel must get bit-exact:
     submodular, perturbed (monotone and not), modular plus small noise (gamma
-    strictly inside (0, 1)), supermodular w(S)^2 (whose witness B is large,
-    so the singleton-sum order shows), tie-heavy small integers, and cut."""
+    strictly inside (0, 1)), supermodular w(S)^2 (whose minimizing B is
+    large, so the singleton-sum order shows), tie-heavy small integers, and
+    cut."""
     def noisy_modular(n, seed):
         rng = np.random.default_rng(seed)
         return TableOracle(random_modular(n, seed).table()
@@ -142,9 +143,7 @@ def write_ratios(path: Path) -> None:
     doc = {}
     for name, f in _ratio_oracles().items():
         r = measure_ratios(f)
-        doc[name] = {"gamma": repr(r.gamma), "m": repr(r.m),
-                     "gamma_witness": r.gamma_witness,
-                     "m_witness": r.m_witness}
+        doc[name] = {"gamma": repr(r.gamma), "m": repr(r.m)}
     serialization.save(doc, path)
 
 
