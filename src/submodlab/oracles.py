@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -260,7 +260,7 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
     return tuple(out)
 
 
-def _gamma_with_witness(f: SetFunctionOracle, witness: bool = True):
+def _gamma(f: SetFunctionOracle) -> float:
     # Sweeps every A against all 2^c sets B of its complement, one chunk of
     # _gamma_chunks at a time. A chunk holds one column per A and one row
     # per B, B ascending; row 0 is A itself, and each doubling over a
@@ -268,18 +268,13 @@ def _gamma_with_witness(f: SetFunctionOracle, witness: bool = True):
     # and the singleton sum (a left fold from 0.0 in ascending element
     # order) side by side. The ratios are a plain divide, with the skipped
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
-    # chunk; the witness is searched for only in a chunk whose min can win.
-    # Ties go to the smallest (A, B) bitmask pair among the minimizers, A
-    # first: the first column holding a chunk's min, then its first row.
-    # With witness=False no witness is searched for (it comes back None),
-    # and the sweep stops at the first chunk whose min is <= 0: gamma is
+    # chunk. The sweep stops at the first chunk whose min is <= 0: gamma is
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
     if f.n > GAMMA_LIMIT:
         raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
     tab = f.table()
     thr = REL_TOL * max(1.0, float(np.abs(tab).max()))
     best = math.inf
-    pair = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for c, a, bits in _gamma_chunks(f.n, _GAMMA_CHUNK):
             base = tab[a]
@@ -296,30 +291,18 @@ def _gamma_with_witness(f: SetFunctionOracle, witness: bool = True):
             denom -= base
             ratios = np.divide(sums, denom, out=sums)
             np.copyto(ratios, math.inf, where=denom <= thr)
-            value = float(ratios.min())
-            if value == math.inf or value > best:
-                continue
-            if not witness:
-                if value <= 0.0:
-                    return 0.0, None
-                best = value
-                continue
-            hit = ratios == value
-            j = int(np.argmax(hit.any(axis=0)))
-            i = int(np.argmax(hit[:, j]))
-            cand = (int(a[j]), int(masks[i, j] ^ a[j]))
-            if value < best or cand < pair:
-                best, pair = value, cand
-    pair = pair and (elements_of(pair[0]), elements_of(pair[1]))
-    return clamp_ratio(best), pair
+            best = min(best, float(ratios.min()))
+            if best <= 0.0:
+                return 0.0
+    return clamp_ratio(best)
 
 
-def _m_with_witness(f: SetFunctionOracle):
+def _m(f: SetFunctionOracle) -> float:
     # uncapped: measure_ratios runs it only after the capped gamma sweep
     tab = f.table()
     scale = float(tab.max())
     if scale <= 0.0:
-        return 1.0, None  # identically zero: degenerate convention
+        return 1.0  # identically zero: degenerate convention
     sup_min = tab.copy()
     for u in range(f.n):
         bit = 1 << u
@@ -327,38 +310,21 @@ def _m_with_witness(f: SetFunctionOracle):
         np.minimum(view[:, :bit], view[:, bit:], out=view[:, :bit])
     pos = tab > REL_TOL * max(1.0, scale)
     if not bool(pos.any()):
-        return 1.0, None
-    ratios = sup_min[pos] / tab[pos]
-    j = int(np.argmin(ratios))
-    best = float(ratios[j])
-    s_mask = int(np.nonzero(pos)[0][j])
-    target = sup_min[s_mask]
-    idx = np.arange(1 << f.n)
-    t_mask = int(np.nonzero(((idx & s_mask) == s_mask) & (tab == target))[0][0])
-    return clamp_ratio(best), (elements_of(s_mask), elements_of(t_mask))
+        return 1.0
+    return clamp_ratio(float((sup_min[pos] / tab[pos]).min()))
 
 
 @dataclass(frozen=True)
 class RatioMeasurement:
     """Measured submodularity ratio gamma and monotonicity ratio m.
 
-    Witnesses are the (smaller set, larger set) pairs attaining each minimum,
-    or None when the minimum is vacuous. ``gamma_witness`` is computed on
-    first read, by the full 3^n sweep over ``oracle``, and cached; reading it
-    never changes ``gamma``. ``nonmonotone_caveat`` flags that gamma was
-    measured on a non-monotone oracle over positive-marginal pairs only.
-    The oracle takes no part in ``==`` or ``repr``.
+    ``nonmonotone_caveat`` flags that gamma was measured on a non-monotone
+    oracle over positive-marginal pairs only.
     """
 
     gamma: float
     m: float
-    m_witness: tuple[list[int], list[int]] | None
     nonmonotone_caveat: bool
-    oracle: SetFunctionOracle = field(compare=False, repr=False)
-
-    @functools.cached_property
-    def gamma_witness(self) -> tuple[list[int], list[int]] | None:
-        return _gamma_with_witness(self.oracle)[1]
 
 
 def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
@@ -370,13 +336,12 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     (vacuous for monotone f, where f(B|A) <= 0). m is the minimum of
     f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
     oracle. The gamma sweep stops at the first ratio <= 0, where gamma
-    reaches its floor 0; the gamma witness is computed only when read.
-    n > GAMMA_LIMIT raises CapabilityError before any m sweep.
+    reaches its floor 0. n > GAMMA_LIMIT raises CapabilityError before any
+    m sweep.
     """
-    gamma = _gamma_with_witness(f, witness=False)[0]
-    m, m_wit = _m_with_witness(f)
-    return RatioMeasurement(gamma=gamma, m=m, m_witness=m_wit,
-                            nonmonotone_caveat=m < 1.0, oracle=f)
+    gamma = _gamma(f)
+    m = _m(f)
+    return RatioMeasurement(gamma=gamma, m=m, nonmonotone_caveat=m < 1.0)
 
 
 # ---------------------------------------------------------------------------

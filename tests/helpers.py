@@ -398,9 +398,10 @@ def tree_walk(process):
 
 
 def gamma_loop(f, tol=1e-9):
-    """Reference for ``oracles._gamma_with_witness``: one pass per set A,
-    with the singleton sums built by doubling over A's complement bits and
-    a strictly-less update across A (ties keep the smaller A)."""
+    """(gamma, witness) for ``oracles._gamma``, which returns the gamma:
+    one pass per set A, with the singleton sums built by doubling over A's
+    complement bits and a strictly-less update across A (ties keep the
+    smaller A)."""
     tab = f.table()
     scale = max(1.0, float(np.abs(tab).max()))
     best = math.inf
@@ -434,9 +435,9 @@ def gamma_loop(f, tol=1e-9):
 
 
 def m_loop(f, tol=1e-9):
-    """Reference for ``oracles._m_with_witness``: for each S in ascending
-    order, the first superset T of least value, with a strictly-less update
-    across S (ties keep the smaller S)."""
+    """(m, witness) for ``oracles._m``, which returns the m: for each S in
+    ascending order, the first superset T of least value, with a
+    strictly-less update across S (ties keep the smaller S)."""
     tab = f.table()
     scale = float(tab.max())
     if scale <= 0.0:

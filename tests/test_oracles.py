@@ -101,7 +101,6 @@ def test_monotonicity_ratio_zero_function_is_one():
 def test_measure_ratios_flags_nonmonotone():
     r = measure_ratios(random_cut(6, 9))
     assert r.m < 1.0 and r.nonmonotone_caveat
-    assert r.m_witness is not None
     rc = measure_ratios(random_coverage(6, 9))
     assert rc.m == 1.0 and rc.gamma == 1.0 and not rc.nonmonotone_caveat
 
@@ -191,7 +190,7 @@ def test_measurements_agree_with_naive_references():
 @st.composite
 def small_oracles(draw):
     """Tie-heavy small-integer tables, supermodular tables (whose gamma
-    witness has a large B, so the order of the singleton sum shows in the
+    minimum has a large B, so the order of the singleton sum shows in the
     last bits) and every generated family, n <= 8."""
     n = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10_000))
@@ -217,31 +216,35 @@ def small_oracles(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_oracles(), st.sampled_from([oracles._GAMMA_CHUNK, 8, 1]))
 def test_ratio_kernels_match_reference_loops_exactly(f, chunk):
-    # measure_ratios' value sweep, which may stop at the floor 0, must give
-    # the full sweep's gamma bit for bit
+    # the gamma sweep, which may stop at the floor 0, must give the
+    # reference loop's full-sweep gamma bit for bit
     with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
-        full = oracles._gamma_with_witness(f)
-        assert full == gamma_loop(f)
-        assert measure_ratios(f).gamma == full[0]
-    assert oracles._m_with_witness(f) == m_loop(f)
+        assert oracles._gamma(f) == gamma_loop(f)[0]
+    assert oracles._m(f) == m_loop(f)[0]
 
 
-def test_gamma_kernel_ties_go_to_smallest_pair_across_groups():
-    # Every positive pair of a modular oracle ties at ratio 1; A = {} comes
-    # last in the sweep (its group has the largest complement) yet must win.
+def test_gamma_kernel_value_under_ties():
+    # Every positive pair of a modular oracle ties at ratio 1, in every
+    # group and chunk. In the second table's |A| = 1 chunk, A = {0} reaches
+    # the minimum 0 only at its last row, B = {1, 2, 3}, and A = {1} at an
+    # earlier row, B = {2, 3}.
     f = ModularOracle(np.ones(6))
     for chunk in (oracles._GAMMA_CHUNK, 8, 1):
         with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
-            assert oracles._gamma_with_witness(f) == (1.0, ([], [0]))
+            assert oracles._gamma(f) == 1.0
+    values = {0b0000: 0, 0b0001: 2, 0b0010: 1, 0b0100: 1, 0b1000: 1,
+              0b0110: 1, 0b1010: 1, 0b1100: 2, 0b1110: 2, 0b1111: 3}
+    f = TableOracle([values.get(s, 2) for s in range(16)])
+    assert oracles._gamma(f) == gamma_loop(f)[0] == 0.0
 
 
 def test_gamma_kernel_sums_singletons_in_ascending_order():
-    # f = w(S)^2 puts the gamma witness at A = {}, B = N, where the order of
+    # f = w(S)^2 puts the gamma minimum at A = {}, B = N, where the order of
     # the n-term singleton sum decides the last bits of gamma.
     for seed in range(10):
         f = TableOracle(random_modular(8, seed).table() ** 2)
         with mock.patch.object(oracles, "_GAMMA_CHUNK", 8):
-            assert oracles._gamma_with_witness(f) == gamma_loop(f)
+            assert oracles._gamma(f) == gamma_loop(f)[0]
 
 
 def _kernel_case(kind, n):
@@ -265,51 +268,37 @@ def _kernel_case(kind, n):
 def test_gamma_kernel_matches_reference_loop_at_benchmark_sizes(kind, n):
     # at n = 11-12 the middle groups span several chunks of _GAMMA_CHUNK
     f = _kernel_case(kind, n)
-    want = gamma_loop(f)
+    want = gamma_loop(f)[0]
     for chunk in (oracles._GAMMA_CHUNK, 8):
         with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
-            assert oracles._gamma_with_witness(f) == want
-            assert measure_ratios(f).gamma == want[0]
-
-
-def test_gamma_kernel_witness_takes_smallest_a_before_earliest_b():
-    # In the |A| = 1 chunk, A = {0} reaches the minimum 0 only at its last
-    # row, B = {1, 2, 3}, and A = {1} reaches it at an earlier row,
-    # B = {2, 3}. The witness is the smaller A, whatever its row.
-    values = {0b0000: 0, 0b0001: 2, 0b0010: 1, 0b0100: 1, 0b1000: 1,
-              0b0110: 1, 0b1010: 1, 0b1100: 2, 0b1110: 2, 0b1111: 3}
-    f = TableOracle([values.get(s, 2) for s in range(16)])
-    assert oracles._gamma_with_witness(f) == (0.0, ([0], [1, 2, 3]))
-    assert gamma_loop(f) == (0.0, ([0], [1, 2, 3]))
+            assert measure_ratios(f).gamma == want
 
 
 def test_gamma_kernel_skips_denominators_within_tolerance():
     # f(B|A) = 1e-12 at A = {0}, B = {1, 2}, where the singleton sum is
     # -0.3; the pair is skipped, so every remaining ratio is at least 1
     f = TableOracle([0.0, 1.0, 1.0, 0.5, 1.0, 1.2, 2.0, 1.0 + 1e-12])
-    assert oracles._gamma_with_witness(f) == (1.0, ([], [0]))
+    assert oracles._gamma(f) == gamma_loop(f)[0] == 1.0
 
 
-def test_gamma_witness_comes_from_the_full_sweep_after_an_early_stop():
+def test_gamma_early_stop_gives_the_full_sweep_value():
     # Every |A| = 2 set has a pair with ratio 0 (singleton marginals 0,
-    # f(B|A) = 3), so the value sweep stops in that chunk, before the
-    # |A| = 1 chunk holds the exact minimum -6 at A = {3}, B = {0, 1, 2}.
+    # f(B|A) = 3), so the sweep stops in that chunk, before the |A| = 1
+    # chunk holds the exact minimum -6 at A = {3}, B = {0, 1, 2}; both
+    # clamp to 0.
     values = {0b0000: 0, 0b1000: 6, 0b1111: 7}
     f = TableOracle([values.get(s, 4) for s in range(16)])
-    assert gamma_loop(f) == (0.0, ([3], [0, 1, 2]))
+    assert gamma_loop(f)[0] == 0.0
     r = measure_ratios(f)
     assert r.gamma == 0.0
-    assert r.gamma_witness == gamma_loop(f)[1]
-    assert r.gamma == 0.0  # reading the witness leaves gamma as it was
     assert r == measure_ratios(f)
-    assert "oracle" not in repr(r)
 
 
 def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
     # past GAMMA_LIMIT the gamma sweep raises before m is swept
     calls = []
-    real = oracles._m_with_witness
-    monkeypatch.setattr(oracles, "_m_with_witness",
+    real = oracles._m
+    monkeypatch.setattr(oracles, "_m",
                         lambda f: calls.append(f) or real(f))
     with pytest.raises(oracles.CapabilityError, match="submodularity"):
         measure_ratios(random_modular(oracles.GAMMA_LIMIT + 1, 0))
@@ -322,14 +311,14 @@ def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
 def test_gamma_value_sweep_does_not_stop_above_the_floor(t):
     # the one ratio below 1 is (f({0}) + f({1})) / f({0, 1}) = t > 0
     f = TableOracle([0.0, t / 2, t / 2, 1.0])
-    assert measure_ratios(f).gamma == oracles._gamma_with_witness(f)[0] == t
+    assert measure_ratios(f).gamma == gamma_loop(f)[0] == t
 
 
 @contextlib.contextmanager
 def _counted_sweeps():
-    """Patches the gamma sweep to log (witness, gamma, (A, B) entries
-    visited) per call; the entries are counted as chunks are handed out."""
-    sweep, chunks = oracles._gamma_with_witness, oracles._gamma_chunks
+    """Patches the gamma sweep to log (gamma, (A, B) entries visited) per
+    call; the entries are counted as chunks are handed out."""
+    sweep, chunks = oracles._gamma, oracles._gamma_chunks
     visited, calls = [0], []
 
     def counted_chunks(n, chunk):
@@ -337,31 +326,27 @@ def _counted_sweeps():
             visited[0] += a.size << c
             yield c, a, bits
 
-    def logged_sweep(f, witness=True):
+    def logged_sweep(f):
         before = visited[0]
-        out = sweep(f, witness=witness)
-        calls.append((witness, out[0], visited[0] - before))
+        out = sweep(f)
+        calls.append((out, visited[0] - before))
         return out
 
     with mock.patch.object(oracles, "_gamma_chunks", counted_chunks), \
-            mock.patch.object(oracles, "_gamma_with_witness", logged_sweep):
+            mock.patch.object(oracles, "_gamma", logged_sweep):
         yield calls
 
 
-def test_gamma_sweep_stops_at_the_floor_and_sweeps_fully_for_witnesses():
+def test_gamma_sweep_stops_at_the_floor_and_sweeps_fully_above_it():
     full = 3 ** 10 - 1  # every A != N with each B outside it, B = {} too
     with _counted_sweeps() as calls:
         audit_problem4(3, 0, n=10, k=6)
         assert len(calls) == 3
-        assert all(witness is False for witness, _, _ in calls)
-        floored = [seen for _, gamma, seen in calls if gamma == 0.0]
+        floored = [seen for gamma, seen in calls if gamma == 0.0]
         assert floored and all(seen < full for seen in floored)
         calls.clear()
-        r = measure_ratios(random_coverage(10, 1))
-        assert calls == [(False, 1.0, full)]
-        assert r.gamma_witness is not None
-        assert r.gamma_witness is r.gamma_witness
-        assert calls[1:] == [(True, 1.0, full)]
+        measure_ratios(random_coverage(10, 1))
+        assert calls == [(1.0, full)]
 
 
 @st.composite
