@@ -301,7 +301,8 @@ class SumOracle(ContinuousOracle):
 
 
 class Polytope:
-    """Down-closed convex subset of [0,1]^n containing the origin.
+    """Down-closed convex subset of [0,1]^n containing the origin: the box
+    [0, upper] cut by the rows of ``linear_rows``.
 
     ``diameter`` is max ||x||_2 over the polytope, computed in closed form
     (or over the cube's vertex matrix for knapsacks at desk scale).
@@ -309,18 +310,26 @@ class Polytope:
 
     family = "abstract"
     n: int
+    upper: np.ndarray
     diameter: float
 
     def member_many(self, points) -> np.ndarray:
-        """Membership of each row of ``points``, up to MEMBER_TOL."""
-        raise NotImplementedError
+        """Membership of each row of ``points``: within MEMBER_TOL of the
+        box [0, upper], and within each row of ``linear_rows``, whose
+        bounds carry their slack."""
+        pts = np.asarray(points, dtype=float)
+        ok = ((pts >= -MEMBER_TOL)
+              & (pts <= self.upper + MEMBER_TOL)).all(axis=1)
+        for row, bound in zip(*self.linear_rows()):
+            ok &= pts @ row <= bound
+        return ok
 
     def member(self, x) -> bool:
         return bool(self.member_many(np.asarray(x, dtype=float)[None])[0])
 
     def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows (M, c) of the constraints M x <= c beyond the box, with
-        the slack ``member_many`` allows in c. M is nonnegative."""
+        the membership slack included in c. M is nonnegative."""
         return np.zeros((0, self.n)), np.zeros(0)
 
     def lmo(self, c) -> np.ndarray:
@@ -346,11 +355,6 @@ class BoxPolytope(Polytope):
         self.upper = upper
         self.diameter = float(np.linalg.norm(upper))
 
-    def member_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        return ((pts >= -MEMBER_TOL)
-                & (pts <= self.upper[None, :] + MEMBER_TOL)).all(axis=1)
-
     def lmo(self, c) -> np.ndarray:
         c = self._clean_c(c)
         return np.where(c > 0.0, self.upper, 0.0)
@@ -358,36 +362,6 @@ class BoxPolytope(Polytope):
 
 def unit_box(n: int) -> BoxPolytope:
     return BoxPolytope(np.ones(n))
-
-
-class CardinalityPolytope(Polytope):
-    """{x in [0,1]^n : sum x <= k}."""
-
-    family = "cardinality"
-
-    def __init__(self, n: int, k: int):
-        if n < 1 or k < 0:
-            raise ValueError("bad cardinality polytope parameters")
-        self.n = int(n)
-        self.k = int(k)
-        self.diameter = math.sqrt(min(self.k, self.n))
-
-    def member_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
-        return box & (pts.sum(axis=1) <= self.k + MEMBER_TOL)
-
-    def linear_rows(self):
-        return np.ones((1, self.n)), np.array([self.k + MEMBER_TOL])
-
-    def lmo(self, c) -> np.ndarray:
-        c = self._clean_c(c)
-        x = np.zeros(self.n)
-        order = np.lexsort((np.arange(self.n), -c))
-        for u in order[:self.k]:
-            if c[u] > 0.0:
-                x[u] = 1.0
-        return x
 
 
 class PartitionPolytope(Polytope):
@@ -398,15 +372,9 @@ class PartitionPolytope(Polytope):
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
         self.blocks, self.caps = checked_partition(blocks, caps)
         self.n = sum(len(b) for b in self.blocks)
+        self.upper = np.ones(self.n)
         self.diameter = math.sqrt(
             sum(min(cc, len(b)) for b, cc in zip(self.blocks, self.caps)))
-
-    def member_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        ok = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
-        for b, cc in zip(self.blocks, self.caps):
-            ok &= pts[:, list(b)].sum(axis=1) <= cc + MEMBER_TOL
-        return ok
 
     def linear_rows(self):
         rows = np.zeros((len(self.blocks), self.n))
@@ -425,6 +393,16 @@ class PartitionPolytope(Polytope):
         return x
 
 
+class CardinalityPolytope(PartitionPolytope):
+    """{x in [0,1]^n : sum x <= k}: the partition polytope of one block."""
+
+    family = "cardinality"
+
+    def __init__(self, n: int, k: int):
+        super().__init__([range(n)], [k])
+        self.k = self.caps[0]
+
+
 class KnapsackPolytope(Polytope):
     """{x in [0,1]^n : costs·x <= budget} with strictly positive costs."""
 
@@ -440,6 +418,7 @@ class KnapsackPolytope(Polytope):
         self.n = costs.size
         self.costs = costs
         self.budget = float(budget)
+        self.upper = np.ones(self.n)
         self.diameter = self._exact_diameter() if self.n <= VERTEX_CHECK_LIMIT \
             else float(np.linalg.norm(np.minimum(1.0, budget / costs)))
 
@@ -457,12 +436,6 @@ class KnapsackPolytope(Polytope):
         frac = np.where(bits == 0.0, np.minimum(
             1.0, residual[:, None] / self.costs), 0.0).max(axis=1, initial=0.0)
         return math.sqrt(float((bits.sum(axis=1) + frac * frac).max()))
-
-    def member_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        scale = max(1.0, self.budget)
-        box = ((pts >= -MEMBER_TOL) & (pts <= 1.0 + MEMBER_TOL)).all(axis=1)
-        return box & (pts @ self.costs <= self.budget + MEMBER_TOL * scale)
 
     def linear_rows(self):
         scale = max(1.0, self.budget)

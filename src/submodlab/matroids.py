@@ -104,19 +104,6 @@ class Matroid(IndependenceSystem):
         super().__init__(n)
 
 
-class UniformMatroid(Matroid):
-    family = "uniform"
-
-    def __init__(self, n: int, k: int):
-        super().__init__(n)
-        if k < 0:
-            raise ValueError("rank bound must be nonnegative")
-        self.k = int(k)
-
-    def _build_indep_table(self) -> np.ndarray:
-        return _within_caps(self.n, [0] * self.n, [self.k])
-
-
 class PartitionMatroid(Matroid):
     """Blocks partition the ground set; block j may contribute <= caps[j]."""
 
@@ -134,6 +121,16 @@ class PartitionMatroid(Matroid):
             for u in block:
                 labels[u] = j
         return _within_caps(self.n, labels, self.caps)
+
+
+class UniformMatroid(PartitionMatroid):
+    """Any k of the n elements: the partition matroid of one block."""
+
+    family = "uniform"
+
+    def __init__(self, n: int, k: int):
+        super().__init__([range(n)], [k])
+        self.k = self.caps[0]
 
 
 class GraphicMatroid(Matroid):

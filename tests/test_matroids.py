@@ -263,18 +263,22 @@ def test_uniform_is_a_one_block_partition(n, data):
 
 
 def test_indep_table_built_once_and_read_only(monkeypatch):
+    # UniformMatroid builds with PartitionMatroid's builder, so the builds
+    # are logged per object: each matroid's table is built exactly once
     builds = []
     build = PartitionMatroid._build_indep_table
     monkeypatch.setattr(PartitionMatroid, "_build_indep_table",
-                        lambda self: builds.append(1) or build(self))
+                        lambda self: builds.append(self) or build(self))
     m = random_partition_matroid(9, 3)
-    system = PSystem([m, UniformMatroid(9, 4)])
+    uniform = UniformMatroid(9, 4)
+    system = PSystem([m, uniform])
     tab = system.indep_table()
     for mask in range(1 << 9):
         system.indep_mask(mask)
         m.indep_mask(mask)
+        uniform.indep_mask(mask)
     assert system.indep_table() is tab and m.indep_table() is m.indep_table()
-    assert builds == [1]
+    assert builds == [m, uniform]
     for t in (tab, m.indep_table()):
         assert not t.flags.writeable
         with pytest.raises(ValueError):
