@@ -26,6 +26,7 @@ first optimum found in weight-sorted include-first order.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,11 +51,24 @@ def _within_caps(n: int, labels: Sequence[int],
     return (cnt <= caps[:, None]).all(axis=0)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is an integer (not a bool), else
+    ValueError: a float or a string is never truncated or parsed."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers, not {value!r}")
+
+
 def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:
-    """(blocks, caps) as sorted int tuples, checked: one nonnegative cap
-    per block, and blocks that partition {0..n-1} for some n >= 1."""
-    blocks = tuple(tuple(sorted(int(u) for u in b)) for b in blocks)
-    caps = tuple(int(c) for c in caps)
+    """(blocks, caps) as sorted int tuples, checked: integer elements, one
+    nonnegative integer cap per block, and blocks that partition {0..n-1}
+    for some n >= 1."""
+    blocks = tuple(tuple(sorted(_integer(u, "partition elements") for u in b))
+                   for b in blocks)
+    caps = tuple(_integer(c, "capacities") for c in caps)
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
     if any(c < 0 for c in caps):

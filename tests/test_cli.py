@@ -451,6 +451,25 @@ def test_non_finite_bundle_parameter_exits_one(tmp_path, capsys, problem,
     assert capsys.readouterr().err == f"error: {key} must be finite\n"
 
 
+def test_non_integer_cardinality_bound_exits_one(tmp_path, capsys):
+    # seed 1 draws the cardinality polytope; k = 2.5 was read as k = 2
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", "problem1", "--n", "3", "--seed", "1",
+        "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "1",
+               "--instance", str(inst)) == 0
+    trace = next((tmp_path / "traces").glob("*.json"))
+    doc = load_doc(inst)
+    assert doc["components"]["polytope"]["family"] == "cardinality"
+    doc["components"]["polytope"]["k"] = 2.5
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "1", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: capacities must be integers, not 2.5\n"
+
+
 def test_capability_error_exit_three(tmp_path):
     inst = tmp_path / "big.json"
     doc = {"schema": "submodlab/1", "kind": "bundle", "problem": 4,

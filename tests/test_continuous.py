@@ -185,6 +185,26 @@ def test_cardinality_is_a_one_block_partition(n, data, seed):
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
+NON_INTEGERS = [2.5, 2.0, True, np.True_, "2"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_cardinality_polytope_takes_an_integer_k_only(bad):
+    assert CardinalityPolytope(3, np.int64(2)).k == 2
+    with pytest.raises(ValueError, match="must be integers"):
+        CardinalityPolytope(3, bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_partition_polytope_takes_integer_elements_and_caps_only(bad):
+    p = PartitionPolytope([[np.int64(1)], [0]], [np.int64(1), 2])
+    assert p.blocks == ((1,), (0,)) and p.caps == (1, 2)
+    for blocks, caps in (([[0], [1]], [1.7, True]), ([[0], [1]], [1, bad]),
+                         ([[bad], [0]], [1, 1])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PartitionPolytope(blocks, caps)
+
+
 def test_lmo_vertices_within_diameter():
     rng = np.random.default_rng(11)
     for polytope in POLYTOPE_FAMILIES:

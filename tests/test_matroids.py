@@ -262,6 +262,26 @@ def test_uniform_is_a_one_block_partition(n, data):
     assert got.tobytes() == want.tobytes()
 
 
+NON_INTEGERS = [2.5, 2.0, True, np.True_, "2"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_uniform_matroid_takes_an_integer_k_only(bad):
+    assert UniformMatroid(3, np.int64(2)).k == 2
+    with pytest.raises(ValueError, match="must be integers"):
+        UniformMatroid(3, bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_partition_matroid_takes_integer_elements_and_caps_only(bad):
+    m = PartitionMatroid([[np.int64(1)], [0]], [np.int64(1), 2])
+    assert m.blocks == ((1,), (0,)) and m.caps == (1, 2)
+    for blocks, caps in (([[0], [1]], [1.7, True]), ([[0], [1]], [1, bad]),
+                         ([[bad], [0]], [1, 1])):
+        with pytest.raises(ValueError, match="must be integers"):
+            PartitionMatroid(blocks, caps)
+
+
 def test_indep_table_built_once_and_read_only(monkeypatch):
     # UniformMatroid builds with PartitionMatroid's builder, so the builds
     # are logged per object: each matroid's table is built exactly once
