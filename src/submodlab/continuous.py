@@ -11,6 +11,10 @@ Exact work over the cube's 2^n vertices reads one vertex matrix,
 ``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
 (``value_many`` at every vertex), the knapsack diameter, and the
 multilinear extension's weights.
+
+Polytope membership is one rule, ``Polytope.member_many``: the box
+[0, upper], then each row of ``linear_rows``, the rows that ``grid_opt``'s
+pruning reads. The cardinality polytope is the one-block partition polytope.
 """
 
 from __future__ import annotations

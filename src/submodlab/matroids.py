@@ -7,10 +7,12 @@ independence from a dense table, a cached, read-only bool array of length
 2^n indexed by subset bitmask, built once on first use (``indep_table()``),
 the way a set-function oracle caches its value table. The base class owns
 the cache, the TABLE_LIMIT cap and the point queries (``indep_mask``,
-lookups in the table); a subclass only builds its table. Uniform and
-partition tables come from per-block counts and graphic tables from
-per-subset component labels, both built by subset doubling, and a
-p-system's table is the AND of its matroids' tables.
+lookups in the table); a subclass only builds its table. A uniform
+matroid is the one-block partition matroid. Partition tables come from
+per-block counts and graphic tables from per-subset component labels, both
+built by subset doubling, and a p-system's table is the AND of its
+matroids' tables. ``checked_partition`` takes integer elements and caps
+only.
 
 The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
@@ -35,20 +37,6 @@ from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
                       elements_of, mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
-
-
-def _within_caps(n: int, labels: Sequence[int],
-                 caps: Sequence[int]) -> np.ndarray:
-    """Bool table over all 2^n masks: True where, for every label j, the
-    mask holds at most caps[j] elements u with labels[u] == j. The per-label
-    counts are built by subset doubling."""
-    cnt = np.zeros((len(caps), 1 << n), dtype=np.uint8)
-    for u in range(n):
-        half = 1 << u
-        cnt[:, half:2 * half] = cnt[:, :half]
-        cnt[labels[u], half:2 * half] += 1
-    caps = np.array([min(int(c), n) for c in caps])
-    return (cnt <= caps[:, None]).all(axis=0)
 
 
 def _integer(value, what: str) -> int:
@@ -130,11 +118,18 @@ class PartitionMatroid(Matroid):
         self.caps = caps
 
     def _build_indep_table(self) -> np.ndarray:
+        # each mask's per-block counts, built by subset doubling
         labels = [0] * self.n
         for j, block in enumerate(self.blocks):
             for u in block:
                 labels[u] = j
-        return _within_caps(self.n, labels, self.caps)
+        cnt = np.zeros((len(self.caps), 1 << self.n), dtype=np.uint8)
+        for u in range(self.n):
+            half = 1 << u
+            cnt[:, half:2 * half] = cnt[:, :half]
+            cnt[labels[u], half:2 * half] += 1
+        caps = np.array([min(c, self.n) for c in self.caps])
+        return (cnt <= caps[:, None]).all(axis=0)
 
 
 class UniformMatroid(PartitionMatroid):
