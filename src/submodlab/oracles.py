@@ -9,7 +9,7 @@ the exhaustive measurements exact and cheap at desk scale.
 Oracles are immutable after construction (the table cache fills once,
 idempotently) and safe to share across concurrent evaluators; every
 measurement here is a pure function of the oracle. Each ratio has one exact
-path, ``_gamma`` and ``_m``, and is reported as a value, without a witness.
+path, ``_gamma`` and ``_m``, which returns the ratio's value alone.
 """
 
 from __future__ import annotations
