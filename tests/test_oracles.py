@@ -223,19 +223,29 @@ def test_ratio_kernels_match_reference_loops_exactly(f, chunk):
     assert oracles._m(f) == m_loop(f)[0]
 
 
-def test_gamma_kernel_value_under_ties():
+def test_gamma_kernel_ties_go_to_smallest_pair_across_groups():
     # Every positive pair of a modular oracle ties at ratio 1, in every
-    # group and chunk. In the second table's |A| = 1 chunk, A = {0} reaches
-    # the minimum 0 only at its last row, B = {1, 2, 3}, and A = {1} at an
-    # earlier row, B = {2, 3}.
+    # group and chunk; in the reference loop A = {} comes first and keeps
+    # the witness.
     f = ModularOracle(np.ones(6))
     for chunk in (oracles._GAMMA_CHUNK, 8, 1):
         with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
             assert oracles._gamma(f) == 1.0
+    assert gamma_loop(f) == (1.0, ([], [0]))
+
+
+def test_gamma_kernel_witness_takes_smallest_a_before_earliest_b():
+    # In the |A| = 1 chunk, A = {0} reaches the minimum 0 only at its last
+    # row, B = {1, 2, 3}, and A = {1} reaches it at an earlier row,
+    # B = {2, 3}. The kernel's value is the reference loop's, whose witness
+    # is the smaller A, whatever its row.
     values = {0b0000: 0, 0b0001: 2, 0b0010: 1, 0b0100: 1, 0b1000: 1,
               0b0110: 1, 0b1010: 1, 0b1100: 2, 0b1110: 2, 0b1111: 3}
     f = TableOracle([values.get(s, 2) for s in range(16)])
-    assert oracles._gamma(f) == gamma_loop(f)[0] == 0.0
+    for chunk in (oracles._GAMMA_CHUNK, 8, 1):
+        with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
+            assert oracles._gamma(f) == 0.0
+    assert gamma_loop(f) == (0.0, ([0], [1, 2, 3]))
 
 
 def test_gamma_kernel_sums_singletons_in_ascending_order():
