@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .matroids import checked_partition
+from .matroids import _integer, checked_partition
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
                       clamp_ratio, subset_bits)
 
@@ -403,7 +403,7 @@ class CardinalityPolytope(PartitionPolytope):
     family = "cardinality"
 
     def __init__(self, n: int, k: int):
-        super().__init__([range(n)], [k])
+        super().__init__([range(_integer(n, "ground-set sizes"))], [k])
         self.k = self.caps[0]
 
 

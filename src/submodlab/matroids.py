@@ -138,7 +138,7 @@ class UniformMatroid(PartitionMatroid):
     family = "uniform"
 
     def __init__(self, n: int, k: int):
-        super().__init__([range(n)], [k])
+        super().__init__([range(_integer(n, "ground-set sizes"))], [k])
         self.k = self.caps[0]
 
 

@@ -9,7 +9,11 @@ the exhaustive measurements exact and cheap at desk scale.
 Oracles are immutable after construction (the table cache fills once,
 idempotently) and safe to share across concurrent evaluators; every
 measurement here is a pure function of the oracle. Each ratio has one exact
-path, ``_gamma`` and ``_m``, which returns the ratio's value alone.
+path, ``_gamma`` and ``_m``, which returns the ratio's value alone. The
+modular, coverage and cut families are submodular by construction and
+certify it (``submodular = True``), so ``measure_ratios`` takes their gamma
+as exactly 1 without the 3^n sweep; the ``GAMMA_LIMIT`` cap still applies
+to them.
 """
 
 from __future__ import annotations
@@ -60,9 +64,14 @@ class SetFunctionOracle:
     ``monotone`` is a certified hint: True only when the construction
     guarantees monotonicity, False when it guarantees the opposite, None when
     unknown (measure it with :func:`measure_ratios` instead).
+
+    ``submodular`` is a certificate of the class: True only when every
+    instance of the family is submodular, so that its submodularity ratio is
+    exactly 1 and :func:`measure_ratios` does not sweep for it.
     """
 
     family = "abstract"
+    submodular = False
 
     def __init__(self, n: int, monotone: bool | None = None):
         if n < 1:
@@ -107,6 +116,7 @@ class ModularOracle(SetFunctionOracle):
     """f(S) = sum of per-element weights; weights must be nonnegative."""
 
     family = "modular"
+    submodular = True
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
@@ -129,6 +139,7 @@ class CoverageOracle(SetFunctionOracle):
     """Weighted coverage: element u covers a subset of a weighted universe."""
 
     family = "coverage"
+    submodular = True
 
     def __init__(self, n: int, covers: Sequence[Iterable[int]],
                  universe_weights: Sequence[float]):
@@ -164,6 +175,7 @@ class CutOracle(SetFunctionOracle):
     """Undirected weighted cut: f(S) = total weight crossing (S, complement)."""
 
     family = "cut"
+    submodular = True
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
         super().__init__(n, monotone=False)
@@ -261,6 +273,11 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
     return tuple(out)
 
 
+def _check_gamma_size(f: SetFunctionOracle) -> None:
+    if f.n > GAMMA_LIMIT:
+        raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
+
+
 def _gamma(f: SetFunctionOracle) -> float:
     # Sweeps every A against all 2^c sets B of its complement, one chunk of
     # _gamma_chunks at a time. A chunk holds one column per A and one row
@@ -271,8 +288,7 @@ def _gamma(f: SetFunctionOracle) -> float:
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
     # chunk. The sweep stops at the first chunk whose min is <= 0: gamma is
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
-    if f.n > GAMMA_LIMIT:
-        raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
+    _check_gamma_size(f)
     tab = f.table()
     thr = REL_TOL * max(1.0, float(np.abs(tab).max()))
     best = math.inf
@@ -299,7 +315,7 @@ def _gamma(f: SetFunctionOracle) -> float:
 
 
 def _m(f: SetFunctionOracle) -> float:
-    # uncapped: measure_ratios runs it only after the capped gamma sweep
+    # uncapped: measure_ratios runs it only after the GAMMA_LIMIT check
     tab = f.table()
     scale = float(tab.max())
     if scale <= 0.0:
@@ -336,11 +352,14 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     for all A, B, skipping pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|)
     (vacuous for monotone f, where f(B|A) <= 0). m is the minimum of
     f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
-    oracle. The gamma sweep stops at the first ratio <= 0, where gamma
+    oracle. A certified submodular family (``f.submodular``: modular,
+    coverage, cut) has gamma = 1.0 exactly, with no sweep; any other oracle
+    is swept, and the sweep stops at the first ratio <= 0, where gamma
     reaches its floor 0. n > GAMMA_LIMIT raises CapabilityError before any
-    m sweep.
+    gamma or m sweep, certified families included.
     """
-    gamma = _gamma(f)
+    _check_gamma_size(f)
+    gamma = 1.0 if f.submodular else _gamma(f)
     m = _m(f)
     return RatioMeasurement(gamma=gamma, m=m, nonmonotone_caveat=m < 1.0)
 

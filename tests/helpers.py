@@ -435,29 +435,21 @@ def gamma_loop(f, tol=1e-9):
 
 
 def m_loop(f, tol=1e-9):
-    """(m, witness) for ``oracles._m``, which returns the m: for each S in
-    ascending order, the first superset T of least value, with a
-    strictly-less update across S (ties keep the smaller S)."""
+    """The m of ``oracles._m``: for each S with f(S) > 0, the least value of
+    a superset T over f(S), minimised over S, clamped as ``_m`` clamps."""
     tab = f.table()
     scale = float(tab.max())
     if scale <= 0.0:
-        return 1.0, None
+        return 1.0
     best = math.inf
-    witness = None
     for s in range(1 << f.n):
         if not tab[s] > tol * max(1.0, scale):
             continue
-        t = min((t for t in range(1 << f.n) if (t & s) == s),
-                key=lambda t: tab[t])
-        if float(tab[t] / tab[s]) < best:
-            best = float(tab[t] / tab[s])
-            witness = (s, t)
-    if witness is None:
-        return 1.0, None
-    pair = (elements_of(witness[0]), elements_of(witness[1]))
-    if best >= 1.0 - tol:
-        return 1.0, pair
-    return max(0.0, best), pair
+        least = min(tab[t] for t in range(1 << f.n) if (t & s) == s)
+        best = min(best, float(least / tab[s]))
+    if best >= 1.0 - tol:  # also when no S has f(S) > 0
+        return 1.0
+    return max(0.0, best)
 
 
 def coverage_table_lsb(f):

@@ -470,6 +470,22 @@ def test_non_integer_cardinality_bound_exits_one(tmp_path, capsys):
     assert err == "error: capacities must be integers, not 2.5\n"
 
 
+def test_bool_cardinality_ground_set_exits_one(tmp_path, capsys):
+    # seed 1 draws the cardinality polytope; n = true was read as n = 1
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", "problem1", "--n", "3", "--seed", "1",
+        "--out", str(inst))
+    doc = load_doc(inst)
+    assert doc["components"]["polytope"]["family"] == "cardinality"
+    doc["components"]["polytope"]["n"] = True
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "1",
+               "--instance", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ground-set sizes must be integers, not True\n"
+
+
 def test_capability_error_exit_three(tmp_path):
     inst = tmp_path / "big.json"
     doc = {"schema": "submodlab/1", "kind": "bundle", "problem": 4,

@@ -196,6 +196,14 @@ def test_cardinality_polytope_takes_an_integer_k_only(bad):
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_cardinality_polytope_takes_an_integer_n_only(bad):
+    # n = True was read as a one-element ground set
+    assert CardinalityPolytope(np.int64(3), 2).n == 3
+    with pytest.raises(ValueError, match="ground-set sizes must be integers"):
+        CardinalityPolytope(bad, 1)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
 def test_partition_polytope_takes_integer_elements_and_caps_only(bad):
     p = PartitionPolytope([[np.int64(1)], [0]], [np.int64(1), 2])
     assert p.blocks == ((1,), (0,)) and p.caps == (1, 2)

@@ -273,6 +273,14 @@ def test_uniform_matroid_takes_an_integer_k_only(bad):
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_uniform_matroid_takes_an_integer_n_only(bad):
+    # n = True was read as a one-element ground set
+    assert UniformMatroid(np.int64(3), 2).n == 3
+    with pytest.raises(ValueError, match="ground-set sizes must be integers"):
+        UniformMatroid(bad, 1)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
 def test_partition_matroid_takes_integer_elements_and_caps_only(bad):
     m = PartitionMatroid([[np.int64(1)], [0]], [np.int64(1), 2])
     assert m.blocks == ((1,), (0,)) and m.caps == (1, 2)

@@ -220,7 +220,7 @@ def test_ratio_kernels_match_reference_loops_exactly(f, chunk):
     # reference loop's full-sweep gamma bit for bit
     with mock.patch.object(oracles, "_GAMMA_CHUNK", chunk):
         assert oracles._gamma(f) == gamma_loop(f)[0]
-    assert oracles._m(f) == m_loop(f)[0]
+    assert oracles._m(f) == m_loop(f)
 
 
 def test_gamma_kernel_ties_go_to_smallest_pair_across_groups():
@@ -261,7 +261,9 @@ def _kernel_case(kind, n):
     """One seeded oracle of each kind the gamma kernel must get bit-exact."""
     seed = 100 + n
     if kind == "coverage":
-        return random_coverage(n, seed)
+        # as a plain table: measure_ratios certifies a coverage oracle
+        # without sweeping
+        return TableOracle(random_coverage(n, seed).table())
     if kind == "perturbed-monotone":
         return random_perturbed(n, 0.3, seed, monotone=True)
     if kind == "perturbed":
@@ -305,13 +307,19 @@ def test_gamma_early_stop_gives_the_full_sweep_value():
 
 
 def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
-    # past GAMMA_LIMIT the gamma sweep raises before m is swept
+    # past GAMMA_LIMIT measure_ratios raises before m is swept, for the
+    # certified families, which skip the gamma sweep, too
     calls = []
     real = oracles._m
     monkeypatch.setattr(oracles, "_m",
                         lambda f: calls.append(f) or real(f))
-    with pytest.raises(oracles.CapabilityError, match="submodularity"):
-        measure_ratios(random_modular(oracles.GAMMA_LIMIT + 1, 0))
+    n = oracles.GAMMA_LIMIT + 1
+    for f in (random_modular(n, 0), random_coverage(n, 0), random_cut(n, 0),
+              random_perturbed(n, 0.3, 0)):
+        with pytest.raises(oracles.CapabilityError) as info:
+            measure_ratios(f)
+        assert str(info.value) == \
+            f"submodularity ratio needs n <= {oracles.GAMMA_LIMIT}"
     assert calls == []
     measure_ratios(random_modular(oracles.GAMMA_LIMIT, 0))
     assert len(calls) == 1
@@ -355,8 +363,39 @@ def test_gamma_sweep_stops_at_the_floor_and_sweeps_fully_above_it():
         floored = [seen for gamma, seen in calls if gamma == 0.0]
         assert floored and all(seen < full for seen in floored)
         calls.clear()
-        measure_ratios(random_coverage(10, 1))
+        measure_ratios(TableOracle(random_coverage(10, 1).table()))
         assert calls == [(1.0, full)]
+        calls.clear()
+        # the same function as a certified coverage oracle is not swept
+        assert measure_ratios(random_coverage(10, 1)).gamma == 1.0
+        assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_coverage, random_modular, random_cut]),
+       st.integers(1, 12), st.integers(0, 10_000))
+def test_certified_gamma_is_the_sweep_value_on_generated_families(
+        make, n, seed):
+    # the certificate and the sweep agree bit for bit on generated inputs
+    f = make(max(n, 2) if make is random_cut else n, seed)
+    assert f.submodular
+    assert measure_ratios(f).gamma == oracles._gamma(f) == 1.0
+
+
+def test_certificate_gives_exactly_one_where_the_sweep_reads_below():
+    # weights over eleven decades: the float sweep's minimum ratio falls
+    # 1.7e-8 short of 1, past the 1e-9 snap; the family's construction
+    # gives gamma = 1 exactly
+    f = ModularOracle([1.3121149754452467e-12, 6.689204983108358e-09,
+                       1.1104217009589592e-08, 0.5004510351603844])
+    assert oracles._gamma(f) == 0.9999999834060208
+    assert measure_ratios(f).gamma == 1.0
+
+
+def test_only_the_submodular_families_are_certified():
+    assert not PerturbedOracle.submodular and not TableOracle.submodular
+    assert all(cls.submodular for cls in (ModularOracle, CoverageOracle,
+                                          CutOracle))
 
 
 @st.composite
