@@ -8,11 +8,16 @@ import math
 import numpy as np
 
 from submodlab.algorithms import bicriteria_rounds, intersection_candidates
-from submodlab.continuous import _sample_ordered_pairs
+from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
+                                  KnapsackPolytope, MultilinearOracle,
+                                  PartitionPolytope, SumOracle,
+                                  _sample_ordered_pairs, random_quadratic_dr,
+                                  random_sqrt_linear, random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
 from submodlab.oracles import (REL_TOL, CapabilityError,
-                               SetFunctionOracle, elements_of, mask_of)
+                               SetFunctionOracle, elements_of, mask_of,
+                               random_coverage)
 from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
@@ -504,8 +509,8 @@ def grid_opt_ref(f, polytope, resolution):
     replaces the best only with a strictly larger value."""
     if f.n > GRID_DIM_LIMIT:
         raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
     steps = int(math.floor(1.0 / resolution + 1e-9))
@@ -544,6 +549,38 @@ def grid_opt_ref(f, polytope, resolution):
                                      polytope.diameter)
     return OptimumCertificate(value=best_val, maximizer=best_point.tolist(),
                               method="grid", radius=float(radius))
+
+
+def grid_oracle(family, n, seed):
+    """A seeded objective of one of grid_opt's four test families:
+    "quadratic", "sqrt-linear", "multilinear" or "sum"."""
+    if family == "quadratic":
+        return random_quadratic_dr(n, seed, monotone=seed % 2 == 0) \
+            if seed % 3 else random_weak_quadratic(n, seed)
+    if family == "sqrt-linear":
+        return random_sqrt_linear(n, seed)
+    if family == "multilinear":
+        return MultilinearOracle(random_coverage(n, seed))
+    return SumOracle([random_quadratic_dr(n, seed),
+                      random_quadratic_dr(n, seed + 1, monotone=False)])
+
+
+def grid_polytope(family, n, seed):
+    """A seeded polytope of one of the four families: "box",
+    "cardinality", "partition" or "knapsack"."""
+    rng = np.random.default_rng(seed)
+    if family == "box":
+        return BoxPolytope(rng.uniform(0.0, 1.0, n))
+    if family == "cardinality":
+        return CardinalityPolytope(n, int(rng.integers(0, n + 1)))
+    if family == "partition":
+        cut = int(rng.integers(1, n + 1))
+        blocks = [list(range(cut)), list(range(cut, n))]
+        caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
+        return PartitionPolytope([b for b in blocks if b],
+                                 [c for b, c in zip(blocks, caps) if b])
+    costs = rng.uniform(0.2, 1.0, n)
+    return KnapsackPolytope(costs, float(rng.uniform(0.0, costs.sum())))
 
 
 def relabel(f, perm):

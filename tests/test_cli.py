@@ -195,6 +195,19 @@ def test_verify_final_outside_the_cube_exits_one(tmp_path, capsys):
     assert "outside the unit cube" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", ["inf", "nan"])
+def test_verify_non_finite_resolution_exits_one(tmp_path, capsys,
+                                                resolution):
+    # before, inf printed a numpy warning and a false "contains no grid
+    # point", and nan failed to convert to an integer
+    inst, trace, _ = _forged_problem3_trace(tmp_path, 4)
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace), "--resolution", resolution) == 1
+    err = capsys.readouterr().err
+    assert err == "error: resolution must be a positive finite number\n"
+
+
 def test_verify_measures_the_final_point_not_the_claimed_value(tmp_path,
                                                                capsys):
     inst, trace, value = _forged_problem3_trace(tmp_path, 4)

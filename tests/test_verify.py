@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -11,15 +12,13 @@ from submodlab.algorithms import (certificate_holds, frank_wolfe,
                                   intersection_candidates, multipass_greedy,
                                   random_greedy_dummies)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  ContinuousOracle, KnapsackPolytope,
-                                  MultilinearOracle, PartitionPolytope,
-                                  QuadraticOracle, SumOracle,
-                                  random_quadratic_dr, random_sqrt_linear,
+                                  ContinuousOracle, QuadraticOracle,
+                                  SumOracle, random_quadratic_dr,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
                                 random_partition_matroid)
-from submodlab.oracles import (CapabilityError, CoverageOracle,
+from submodlab.oracles import (REL_TOL, CapabilityError, CoverageOracle,
                                ModularOracle, elements_of, random_coverage,
                                random_perturbed)
 from submodlab.serialization import canonical_json, load_bundle
@@ -35,8 +34,9 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               problem4_report)
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
-                     brute_force_loop, dag_walk, grid_opt_ref, mean_and_se,
-                     recursive_best_subset, relabel, tree_walk)
+                     brute_force_loop, dag_walk, grid_opt_ref, grid_oracle,
+                     grid_polytope, mean_and_se, recursive_best_subset,
+                     relabel, tree_walk)
 
 
 def linear_oracle(b):
@@ -134,7 +134,7 @@ def test_grid_opt_degenerate_resolution():
     assert cert.maximizer == [0.0, 0.0] and cert.value == 0.0
     assert cert.radius == pytest.approx(f.value_lipschitz * p.diameter)
     for family in ("quadratic", "sqrt-linear", "multilinear", "sum"):
-        cert = assert_same_certificate(_grid_oracle(family, 3, 7),
+        cert = assert_same_certificate(grid_oracle(family, 3, 7),
                                        unit_box(3), 2.0)
         assert cert.maximizer == [0.0, 0.0, 0.0]
 
@@ -145,9 +145,22 @@ def test_grid_opt_dimension_limit():
         grid_opt(f, unit_box(6), 0.5)
 
 
+@pytest.mark.parametrize("resolution",
+                         [math.inf, -math.inf, math.nan, 0.0, -0.5])
+def test_grid_opt_rejects_a_resolution_not_positive_and_finite(resolution):
+    f = linear_oracle(np.ones(2))
+    for opt in (grid_opt, grid_opt_ref):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^resolution must be a "
+                               "positive finite number$"):
+                opt(f, unit_box(2), resolution)
+
+
 class CountingOracle(ContinuousOracle):
-    """Wraps an oracle, counting the points it values in batches; the
-    Lipschitz constant may be declared looser than the wrapped one's."""
+    """Wraps an oracle, counting the points it values in batches and
+    keeping each batch and each gradient row; the Lipschitz constant may be
+    declared looser than the wrapped one's."""
 
     def __init__(self, f, value_lipschitz=None):
         self.f, self.n, self.monotone = f, f.n, f.monotone
@@ -155,12 +168,15 @@ class CountingOracle(ContinuousOracle):
         self.value_lipschitz = f.value_lipschitz if value_lipschitz is None \
             else value_lipschitz
         self.points = 0
+        self.batches, self.grad_rows = [], []
 
     def value_many(self, points):
         self.points += len(points)
+        self.batches.append(np.array(points))
         return self.f.value_many(points)
 
     def grad_many(self, points):
+        self.grad_rows += np.asarray(points).tolist()
         return self.f.grad_many(points)
 
 
@@ -190,34 +206,6 @@ def assert_same_certificate(f, polytope, resolution):
     return got
 
 
-def _grid_oracle(family, n, seed):
-    if family == "quadratic":
-        return random_quadratic_dr(n, seed, monotone=seed % 2 == 0) \
-            if seed % 3 else random_weak_quadratic(n, seed)
-    if family == "sqrt-linear":
-        return random_sqrt_linear(n, seed)
-    if family == "multilinear":
-        return MultilinearOracle(random_coverage(n, seed))
-    return SumOracle([random_quadratic_dr(n, seed),
-                      random_quadratic_dr(n, seed + 1, monotone=False)])
-
-
-def _grid_polytope(family, n, seed):
-    rng = np.random.default_rng(seed)
-    if family == "box":
-        return BoxPolytope(rng.uniform(0.0, 1.0, n))
-    if family == "cardinality":
-        return CardinalityPolytope(n, int(rng.integers(0, n + 1)))
-    if family == "partition":
-        cut = int(rng.integers(1, n + 1))
-        blocks = [list(range(cut)), list(range(cut, n))]
-        caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
-        return PartitionPolytope([b for b in blocks if b],
-                                 [c for b, c in zip(blocks, caps) if b])
-    costs = rng.uniform(0.2, 1.0, n)
-    return KnapsackPolytope(costs, float(rng.uniform(0.0, costs.sum())))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5),
        st.sampled_from(["quadratic", "sqrt-linear", "multilinear", "sum"]),
@@ -228,8 +216,8 @@ def test_grid_opt_matches_the_full_grid_bit_for_bit(n, oracle, polytope,
                                                     resolution, seed):
     if n == 5:
         resolution = max(resolution, 0.1)
-    assert_same_certificate(_grid_oracle(oracle, n, seed),
-                            _grid_polytope(polytope, n, seed), resolution)
+    assert_same_certificate(grid_oracle(oracle, n, seed),
+                            grid_polytope(polytope, n, seed), resolution)
 
 
 @settings(max_examples=80, deadline=None)
@@ -241,7 +229,7 @@ def test_cell_bound_covers_every_member_of_its_cell(n, oracle, polytope,
                                                     seed):
     # cells of random reach around random representatives; every corner
     # of a cell and random points inside it, where members, lie below it
-    f, poly = _grid_oracle(oracle, n, seed), _grid_polytope(polytope, n, seed)
+    f, poly = grid_oracle(oracle, n, seed), grid_polytope(polytope, n, seed)
     rng = np.random.default_rng(seed)
     reps = rng.uniform(0.0, 1.0, (100, n))
     lo = -np.minimum(reps, rng.uniform(0.0, 0.3, (100, n)))
@@ -277,10 +265,37 @@ def test_grid_opt_ties_go_to_the_first_point_in_row_major_order():
     cert = assert_same_certificate(f, unit_box(5), 0.05)
     assert cert.maximizer == [1.0, 0.0, 0.0, 0.0, 0.0]
     # p = (0, 0.5) comes first in row-major order, but q = (0.1, 0) lies
-    # in the cell searched first
+    # in the first cell in row-major order
     p, q = [0.0, 0.5], [0.1, 0.0]
     cert = assert_same_certificate(NearestOf(p, q), unit_box(2), 0.1)
     assert cert.maximizer == p and cert.value == 0.0
+
+
+def test_grid_opt_tie_in_a_cell_searched_later():
+    # q is the representative of cell (1, 0), whose bound 0 + dist is the
+    # highest, so its cell is searched first; p, the lower corner of cell
+    # (0, 1), comes first in row-major order, but its cell's bound is about
+    # -dist + dist = 0, so it is searched after q's
+    axis = np.minimum(1.0, 0.1 * np.arange(11))
+    p, q = axis[[0, 3]], axis[[4, 1]]
+    f = CountingOracle(NearestOf(p, q))
+    cert = assert_same_certificate(f, unit_box(2), 0.1)
+    assert cert.maximizer == p.tolist() and cert.value == 0.0
+
+    def first_batch_with(x):
+        return next(i for i, b in enumerate(f.batches[1:], 1)
+                    if (b == x).all(axis=1).any())
+
+    f.batches = []
+    grid_opt(f, unit_box(2), 0.1)
+    assert f.batches[0].shape == (16, 2)  # the representatives
+    assert first_batch_with(q) == 1 < first_batch_with(p)
+    # x0 + x1 + x2 = 2.2272727272727275 at several grid points of this
+    # knapsack; the first one's cell bound rounds below that value, and
+    # only the margin keeps it in the search
+    cert = assert_same_certificate(linear_oracle(np.ones(3)),
+                                   grid_polytope("knapsack", 3, 88), 1 / 22)
+    assert cert.maximizer == [1.0, 0.2272727272727273, 1.0]
 
 
 def test_grid_opt_tie_across_batches():
@@ -307,8 +322,8 @@ def test_grid_opt_small_batches_match(monkeypatch, batch):
                                 (3, "quadratic", "knapsack"),
                                 (3, "sqrt-linear", "partition"),
                                 (4, "sum", "cardinality")]:
-        assert_same_certificate(_grid_oracle(oracle, n, 11),
-                                _grid_polytope(polytope, n, 11), 0.1)
+        assert_same_certificate(grid_oracle(oracle, n, 11),
+                                grid_polytope(polytope, n, 11), 0.1)
     # the maximizer (0.3, 0.3, 0.3) is the only member of its cell, so
     # with one cell per batch it is valued in a batch of its own
     for seed in range(20):
@@ -323,6 +338,22 @@ class NaNGradient(CountingOracle):
         return np.full((len(points), self.n), np.nan)
 
 
+class NaNRepresentative(CountingOracle):
+    """Values the point x as NaN in the first batch, the representatives,
+    and as the wrapped oracle does in every later one."""
+
+    def __init__(self, f, x):
+        super().__init__(f)
+        self.x = np.asarray(x)
+
+    def value_many(self, points):
+        vals = super().value_many(points)
+        if len(self.batches) > 1:
+            return vals
+        return np.where((np.asarray(points) == self.x).all(axis=1),
+                        np.nan, vals)
+
+
 def test_grid_opt_non_finite_bounds_never_prune():
     # 13 grid points per axis, so the last cell on each axis is a single
     # point, with no reach: there smoothness * reach^2 would be inf * 0
@@ -333,34 +364,99 @@ def test_grid_opt_non_finite_bounds_never_prune():
             assert_same_certificate(NearestOf(p, q), polytope, 1 / 12)
     # a NaN second-order bound leaves the Lipschitz bound in charge
     for seed in range(4):
-        f = NaNGradient(_grid_oracle("sum", 3, seed))
+        f = NaNGradient(grid_oracle("sum", 3, seed))
         assert_same_certificate(f, CardinalityPolytope(3, 2), 1 / 12)
+    # a NaN representative value gives its cell a NaN bound, so that cell
+    # is searched first, and there lies the maximizer p
+    axis = np.minimum(1.0, 0.1 * np.arange(11))
+    p = axis[[0, 3]]
+    cert = grid_opt(NaNRepresentative(NearestOf(p, p), axis[[1, 4]]),
+                    unit_box(2), 0.1)
+    assert cert.maximizer == p.tolist() and cert.value == 0.0
 
 
 def test_grid_opt_only_the_origin():
     for n in (1, 3, 5):
-        for f in (_grid_oracle("multilinear", n, n),
-                  _grid_oracle("sum", n, n)):
+        for f in (grid_oracle("multilinear", n, n),
+                  grid_oracle("sum", n, n)):
             cert = assert_same_certificate(f, CardinalityPolytope(n, 0), 0.1)
             assert cert.maximizer == [0.0] * n
 
 
-@pytest.mark.parametrize("seed", [2, 5])  # dimension 5: box, cardinality
-def test_grid_opt_benchmark_instances_match_and_prune(seed):
-    # the problem-1 and problem-3 objectives of the proved-continuous
-    # benchmark workload at resolution 0.05 (21^5 = 4,084,101 grid points)
+def _benchmark_grid(seed):
+    """The polytope and the problem-1 and problem-3 objectives of the
+    proved-continuous benchmark workload at dimension 5."""
     poly = CardinalityPolytope(5, 2) if seed % 2 else unit_box(5)
     p1 = SumOracle([random_quadratic_dr(5, seed, monotone=True),
                     random_quadratic_dr(5, seed + 1, monotone=False)])
     p3 = random_quadratic_dr(5, seed + 5, monotone=True) if seed % 2 \
         else random_weak_quadratic(5, seed + 5)
-    for f in (CountingOracle(p1), CountingOracle(p3)):
+    return poly, (p1, p3)
+
+
+@pytest.mark.parametrize("seed", [2, 5])  # dimension 5: box, cardinality
+def test_grid_opt_benchmark_instances_match_and_prune(seed):
+    # at resolution 0.05 (21^5 = 4,084,101 grid points)
+    poly, objectives = _benchmark_grid(seed)
+    for f in map(CountingOracle, objectives):
         assert_same_certificate(f, poly, 0.05)
         f.points = 0
         grid_opt(f, poly, 0.05)
-        # the second-order, constraint-aware cell bound values 0.47-1.25%
-        # of them; the Lipschitz bound alone up to 8.4%
-        assert f.points < 0.02 * 21 ** 5
+        # the 7^5 = 16,807 representatives, then 96-2,187 points of the
+        # best-first search: 0.41-0.47% of the grid
+        assert f.points < 0.005 * 21 ** 5
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_grid_opt_second_order_bound_only_where_the_lipschitz_bound_keeps(
+        seed):
+    # grad_many sees exactly the representatives of the cells whose lower
+    # corner is a member and whose Lipschitz bound reaches the incumbent,
+    # in row-major order: 17-3,414 of the 7^5 = 16,807 cells
+    poly, objectives = _benchmark_grid(seed)
+    axis = np.minimum(1.0, 0.05 * np.arange(21))
+    low = np.arange(0, 21, 3)
+    mid, high = low + 1, np.minimum(low + 2, 20)
+    cells = np.indices((7,) * 5).reshape(5, -1).T
+    reps = axis[mid[cells]]
+    reach = np.maximum(axis[mid] - axis[low], axis[high] - axis[mid])[cells]
+    dist = np.sqrt((reach * reach).sum(axis=1))
+    for base in objectives:
+        vals = base.value_many(reps)
+        incumbent = float(vals[poly.member_many(reps)].max())
+        margin = REL_TOL * max(1.0, abs(incumbent),
+                               base.value_lipschitz + base.smoothness)
+        lipschitz = vals + base.value_lipschitz * dist
+        keep = poly.member_many(axis[low[cells]]) \
+            & ~(lipschitz + margin < incumbent)
+        f = CountingOracle(base)
+        grid_opt(f, poly, 0.05)
+        assert f.grad_rows == reps[keep].tolist()
+        assert 0 < keep.sum() < 0.25 * len(cells)
+
+
+def test_grid_cells_are_cached_read_only_and_bounded(monkeypatch):
+    f = grid_oracle("sum", 3, 1)
+    verify._grid_cells.cache_clear()
+    assert_same_certificate(f, unit_box(3), 0.1)  # 4^3 cells
+    assert_same_certificate(f, CardinalityPolytope(3, 1), 0.1)
+    info = verify._grid_cells.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    for a in verify._grid_cells(3, 0.1):
+        assert len(a) == 4 ** 3 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    # a grid of more than _GRID_BATCH cells is built per batch, not kept
+    monkeypatch.setattr(verify, "_GRID_BATCH", 4 ** 3 - 1)
+    verify._grid_cells.cache_clear()
+    assert_same_certificate(f, unit_box(3), 0.1)
+    assert verify._grid_cells.cache_info().currsize == 0
+    # whichever grids were searched, at most maxsize stay
+    monkeypatch.undo()
+    for k in range(12):
+        grid_opt(f, unit_box(3), 0.05 + k / 100)
+    info = verify._grid_cells.cache_info()
+    assert info.currsize == info.maxsize == 4
 
 
 # ---------------------------------------------------------------------------
