@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .matroids import _integer, checked_partition
+from .matroids import checked_partition
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
-                      clamp_ratio, subset_bits)
+                      _integer, clamp_ratio, subset_bits)
 
 MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
@@ -62,7 +62,7 @@ def _in_cube(x: np.ndarray) -> np.ndarray:
     if (x.flags.c_contiguous and 0.0 <= np.minimum.reduce(x, axis=None)
             and np.maximum.reduce(x, axis=None) <= 1.0):
         return x
-    if float(x.min()) < -1e-9 or float(x.max()) > 1.0 + 1e-9:
+    if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
 

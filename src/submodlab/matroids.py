@@ -28,26 +28,14 @@ first optimum found in weight-sorted include-first order.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      elements_of, mask_of, popcounts)
+                      _integer, elements_of, mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int if it is an integer (not a bool), else
-    ValueError: a float or a string is never truncated or parsed."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be integers, not {value!r}")
 
 
 def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,10 +38,21 @@ class CapabilityError(RuntimeError):
     """An exact enumeration was requested beyond its supported size."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is an integer (not a bool), else
+    ValueError: a float or a string is never truncated or parsed."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers, not {value!r}")
+
+
 def mask_of(subset: Iterable[int], n: int) -> int:
     mask = 0
     for u in subset:
-        u = int(u)
+        u = _integer(u, "elements")
         if not 0 <= u < n:
             raise ValueError(f"element {u} outside ground set of size {n}")
         mask |= 1 << u

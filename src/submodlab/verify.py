@@ -117,15 +117,19 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     equal maxima the first grid point in row-major order wins, whatever
     the search order.
 
-    A grid of at most ``_GRID_BATCH`` cells reuses its cached geometry
-    (``_grid_cells``). A larger one is built and bounded in batches of
-    ``_GRID_BATCH`` cells, in two passes, the first only for the incumbent.
-    Points are valued in batches of at most ``_GRID_BATCH`` (never one
-    row, see ``_value_rows``). Memory is one batch plus the kept cells'
-    ids and bounds: at dimension 5 and resolution 0.01 (45.4M cells) a
-    call of the benchmark's objectives peaked 49 MB above the process. If
-    nothing is pruned, every cell is kept, at about 50 bytes each with the
-    sort.
+    The cells are bounded in one pass over batches of ``_GRID_BATCH``,
+    each built and valued once (a grid of at most ``_GRID_BATCH`` cells is
+    one batch, with its geometry cached by ``_grid_cells``). Each batch
+    raises the incumbent to its best member representative and keeps its
+    cells against that running incumbent. As incumbent - margin only rises
+    with the incumbent, a cell pruned early would be pruned at the end, so
+    one last filter against the final incumbent leaves the cells that it
+    alone keeps. Points are valued in batches of at most ``_GRID_BATCH``
+    (never one row, see ``_value_rows``). Memory is one batch plus the kept
+    cells' ids and bounds: at dimension 5 and resolution 0.01 (45.4M
+    cells, 228 batches) a call of the benchmark's problem-1 objective
+    peaked 103 MiB above the process. If nothing is pruned, every cell is
+    kept, at about 50 bytes each with the sort.
     """
     if f.n > GRID_DIM_LIMIT:
         raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
@@ -136,28 +140,6 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     axis = _grid_axis(resolution)
     cell_shape = (-(-axis.size // _GRID_CELL),) * f.n
     total = math.prod(cell_shape)
-    whole = None
-    if total <= _GRID_BATCH:
-        cells = _grid_cells(f.n, resolution)
-        whole = (np.arange(total), cells, _value_rows(f, cells.rep))
-
-    def batch(start):
-        # (ids, geometry, representative values) of a batch of cells; a
-        # large grid's are rebuilt and revalued on each of the two passes
-        if whole is not None:
-            return whole
-        ids = np.arange(start, min(start + _GRID_BATCH, total))
-        cells = _cell_geometry(f.n, resolution, ids)
-        return ids, cells, _value_rows(f, cells.rep)
-
-    def best_member(ids, cells, vals):
-        inside = polytope.member_many(cells.rep)
-        return float(vals[inside].max()) if bool(inside.any()) else -math.inf
-
-    starts = range(0, total, _GRID_BATCH)
-    incumbent = -math.inf
-    for start in starts:
-        incumbent = max(incumbent, best_member(*batch(start)))
     scale = f.value_lipschitz + f.smoothness \
         if math.isfinite(f.smoothness) else f.value_lipschitz
 
@@ -165,21 +147,31 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         return REL_TOL * max(1.0, scale, *(abs(v) for v in values
                                             if math.isfinite(v)))
 
-    def kept_cells(ids, cells, vals):
+    incumbent, kept, bounds = -math.inf, [], []
+    for start in range(0, total, _GRID_BATCH):
+        ids = np.arange(start, min(start + _GRID_BATCH, total))
+        cells = _grid_cells(f.n, resolution) if total <= _GRID_BATCH \
+            else _cell_geometry(f.n, resolution, ids)
+        vals = _value_rows(f, cells.rep)
+        inside = polytope.member_many(cells.rep)
+        if bool(inside.any()):
+            incumbent = max(incumbent, float(vals[inside].max()))
         lipschitz = vals + f.value_lipschitz * cells.dist
         rows = np.flatnonzero(polytope.member_many(cells.lower)
                               & ~(lipschitz + margin(incumbent) < incumbent))
         bound = _cell_bounds(f, polytope, cells.rep[rows], vals[rows],
                              cells.lo[rows], cells.hi[rows])
         keep = ~(bound + margin(incumbent) < incumbent)
-        return ids[rows[keep]], bound[keep]
-
-    kept, bounds = zip(*(kept_cells(*batch(start)) for start in starts))
-    bound = np.concatenate(bounds)
+        kept.append(ids[rows[keep]])
+        bounds.append(bound[keep])
+    # a running incumbent keeps a superset of the final one's cells
+    kept, bound = np.concatenate(kept), np.concatenate(bounds)
+    keep = ~(bound + margin(incumbent) < incumbent)
+    kept, bound = kept[keep], bound[keep]
     # best-first; a NaN bound never prunes, so it goes first
     order = np.argsort(-np.where(np.isnan(bound), math.inf, bound),
                        kind="stable")
-    kept, bound = np.concatenate(kept)[order], bound[order]
+    kept, bound = kept[order], bound[order]
     offsets = np.indices((_GRID_CELL,) * f.n,
                          dtype=np.int32).reshape(f.n, -1).T
     per_batch = max(1, _GRID_BATCH // len(offsets))

@@ -144,7 +144,7 @@ def grad_check(f, x, step=1e-4):
 def in_cube_ref(x):
     """Reference for ``continuous._in_cube``: the cube check with its clip
     always taken."""
-    if float(x.min()) < -1e-9 or float(x.max()) > 1.0 + 1e-9:
+    if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
 

@@ -195,6 +195,43 @@ def test_verify_final_outside_the_cube_exits_one(tmp_path, capsys):
     assert "outside the unit cube" in capsys.readouterr().err
 
 
+def test_verify_nan_final_point_exits_one(tmp_path, capsys):
+    # a NaN coordinate failed neither cube comparison, and the trace
+    # verified as violated with exit 2
+    inst, trace, _ = _forged_problem3_trace(tmp_path, 4,
+                                            final=[float("nan"), 0.1, 0.1])
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: point lies outside the unit cube\n"
+
+
+@pytest.mark.parametrize("element", [lambda u: u + 0.5, str],
+                         ids=["float", "string"])
+def test_verify_non_integer_elements_exit_one(tmp_path, capsys, element):
+    # elements 0.5, 1.5, ... were truncated and "0", "1", ... parsed, so
+    # such a trace verified as holds
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "6", "--p", "2",
+        "--seed", "1", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "2", "--instance",
+               str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    doc = load_doc(trace)
+    assert doc["final"]
+    doc["final"] = [element(u) for u in doc["final"]]
+    doc["meta"]["independent_sets"] = [
+        [element(u) for u in part] for part in doc["meta"]["independent_sets"]]
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: elements must be integers, not ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("resolution", ["inf", "nan"])
 def test_verify_non_finite_resolution_exits_one(tmp_path, capsys,
                                                 resolution):

@@ -46,6 +46,16 @@ def test_marginal_rejects_member_element():
         marginal(f, 0, {0})
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", True, np.True_], ids=repr)
+def test_mask_of_takes_integer_elements_only(bad):
+    # 0.5 was truncated to element 0 and "1" parsed as element 1
+    assert mask_of([np.int64(1), 2], 3) == 0b110
+    with pytest.raises(ValueError, match="^elements must be integers"):
+        mask_of([2, bad], 3)
+    with pytest.raises(ValueError, match="^elements must be integers"):
+        ModularOracle([1.0, 2.0, 3.0]).value([bad])
+
+
 def test_marginal_can_be_negative_for_cut():
     f = CutOracle(2, [(0, 1, 2.0)])
     assert marginal(f, 1, {0}) == -2.0

@@ -331,6 +331,32 @@ def test_grid_opt_small_batches_match(monkeypatch, batch):
                                 BoxPolytope([0.3] * 3), 0.1)
 
 
+def test_grid_opt_builds_and_values_each_cell_batch_once(monkeypatch):
+    # 4^3 = 64 cells in batches of 10: one geometry build and one value
+    # batch of representatives per batch of cells, then the search, one
+    # cell per batch (10 // 27 rounds up to one), each holding its own
+    # cell's representative again
+    reps = verify._cell_geometry(3, 0.1, np.arange(64)).rep
+    geometry, built = verify._cell_geometry, []
+    monkeypatch.setattr(verify, "_GRID_BATCH", 10)
+    monkeypatch.setattr(verify, "_cell_geometry", lambda n, resolution, ids:
+                        built.append(ids.tolist())
+                        or geometry(n, resolution, ids))
+    for seed in range(4):
+        base = grid_oracle("sum", 3, seed)
+        f = CountingOracle(base)
+        built.clear()
+        cert = grid_opt(f, unit_box(3), 0.1)
+        want = grid_opt_ref(base, unit_box(3), 0.1)
+        assert (cert.value, cert.maximizer) == (want.value, want.maximizer)
+        assert built == [list(range(s, min(s + 10, 64)))
+                         for s in range(0, 64, 10)]
+        assert np.array_equal(np.concatenate(f.batches[:7]), reps)
+        for batch in f.batches[7:]:
+            assert (batch[:, None, :] == reps).all(axis=2).any(axis=1) \
+                .sum() == 1
+
+
 class NaNGradient(CountingOracle):
     """A smooth oracle whose gradients all read NaN."""
 
