@@ -226,6 +226,12 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
 # randomized greedy with dummy padding (cardinality constraint)
 
 
+def check_budget(k: int, n: int) -> None:
+    """The cardinality budget of random greedy with dummies: 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise ValueError("budget k must satisfy 1 <= k <= n")
+
+
 def dummy_candidates(f: SetFunctionOracle, k: int, masks):
     """The dummy tie rule of random greedy under the budget k, for an int
     array of real masks R.
@@ -238,8 +244,7 @@ def dummy_candidates(f: SetFunctionOracle, k: int, masks):
     slots, so a real element with zero marginal comes before every dummy
     and one with negative marginal is never offered.
     """
-    if not 1 <= k <= f.n:
-        raise ValueError("budget k must satisfy 1 <= k <= n")
+    check_budget(k, f.n)
     tab = f.table()
     masks = np.asarray(masks)
     bits = 1 << np.arange(f.n)
@@ -256,8 +261,7 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
     Each of the k rounds offers the real candidates of ``dummy_candidates``
     padded to k by the lowest untaken dummy ids, and draws one uniformly.
     """
-    if not 1 <= k <= f.n:
-        raise ValueError("budget k must satisfy 1 <= k <= n")
+    check_budget(k, f.n)
     real = 0
     dummies = list(range(f.n, f.n + 2 * k))  # untaken, ascending
     records = []

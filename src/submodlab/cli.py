@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -161,6 +162,7 @@ AUDITS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="submodlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

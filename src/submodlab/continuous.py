@@ -41,6 +41,15 @@ def _require_finite(**params) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _vector(values) -> np.ndarray:
+    """values as a float array with at least one entry: every oracle and
+    polytope here has dimension n >= 1."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("dimension needs at least one coordinate")
+    return v
+
+
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -114,7 +123,7 @@ class QuadraticOracle(ContinuousOracle):
     family = "quadratic"
 
     def __init__(self, b: Sequence[float], a: Sequence[Sequence[float]]):
-        b = np.asarray(b, dtype=float)
+        b = _vector(b)
         a = np.asarray(a, dtype=float)
         n = b.size
         if a.shape != (n, n):
@@ -169,7 +178,7 @@ class SqrtLinearOracle(ContinuousOracle):
     family = "sqrt-linear"
 
     def __init__(self, b: Sequence[float], shift: float = 0.5):
-        b = np.asarray(b, dtype=float)
+        b = _vector(b)
         _require_finite(b=b, shift=shift)
         if float(b.min()) < 0.0:
             raise ValueError("coefficients must be nonnegative")
@@ -351,7 +360,7 @@ class BoxPolytope(Polytope):
     family = "box"
 
     def __init__(self, upper: Sequence[float]):
-        upper = np.asarray(upper, dtype=float)
+        upper = _vector(upper)
         _require_finite(upper=upper)
         if float(upper.min()) < 0.0 or float(upper.max()) > 1.0:
             raise ValueError("upper bounds must lie in [0, 1]")
@@ -413,7 +422,7 @@ class KnapsackPolytope(Polytope):
     family = "knapsack"
 
     def __init__(self, costs: Sequence[float], budget: float):
-        costs = np.asarray(costs, dtype=float)
+        costs = _vector(costs)
         _require_finite(costs=costs, budget=budget)
         if float(costs.min()) <= 0.0:
             raise ValueError("knapsack costs must be positive")
@@ -469,7 +478,7 @@ def masked_update(y, s, step: float) -> np.ndarray:
     if y.shape != s.shape:
         raise ValueError("point and direction must share the dimension")
     for v in (y, s):
-        if float(v.min()) < -1e-12 or float(v.max()) > 1.0 + 1e-12:
+        if not (float(v.min()) >= -1e-12 and float(v.max()) <= 1.0 + 1e-12):
             raise ValueError("inputs must lie in the unit cube")
     return np.minimum(1.0, y + step * (1.0 - y) * s)
 
@@ -544,6 +553,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
 
 # ---------------------------------------------------------------------------
 # seeded instance generators
+# (their minima start from inf, so that n = 0 reaches the constructor's check)
 
 
 def random_quadratic_dr(n: int, seed: int,
@@ -558,10 +568,10 @@ def random_quadratic_dr(n: int, seed: int,
     np.fill_diagonal(a, -rng.uniform(0.05, 0.3, n))
     row = a.sum(axis=1)  # strictly negative by construction
     if monotone:
-        t = 0.8 * float((b / -row).min())
+        t = 0.8 * float((b / -row).min(initial=np.inf))
         a = a * min(1.0, t)
     else:
-        t = 1.5 * float((b / -row).min())
+        t = 1.5 * float((b / -row).min(initial=np.inf))
         a = a * t
     return QuadraticOracle(b, a)
 
@@ -577,7 +587,7 @@ def random_weak_quadratic(n: int, seed: int) -> QuadraticOracle:
     neg_row = np.minimum(a, 0.0).sum(axis=1)
     with np.errstate(divide="ignore"):
         limits = np.where(neg_row < 0.0, b / -neg_row, np.inf)
-    t = 0.9 * float(limits.min())
+    t = 0.9 * float(limits.min(initial=np.inf))
     a = a * min(1.0, t)
     return QuadraticOracle(b, a)
 

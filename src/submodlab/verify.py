@@ -19,10 +19,10 @@ import numpy as np
 
 from . import serialization
 from .algorithms import (RunTrace, authors_conjecture_rounds,
-                         certificate_holds, dummy_candidates, frank_wolfe,
-                         intersection_candidates, masked_frank_wolfe,
-                         multipass_greedy, random_greedy_dummies,
-                         random_greedy_intersection)
+                         certificate_holds, check_budget, dummy_candidates,
+                         frank_wolfe, intersection_candidates,
+                         masked_frank_wolfe, multipass_greedy,
+                         random_greedy_dummies, random_greedy_intersection)
 from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          SumOracle, random_quadratic_dr,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
@@ -685,6 +685,12 @@ def _budget(c, a) -> int:
     return _or(a.k, _or(_bundle_number(c, "k"), 2))
 
 
+def _build_problem4(a):
+    f = random_perturbed(a.n, a.delta, a.seed, monotone=a.monotone)
+    check_budget(a.k, f.n)
+    return {"objective": f}
+
+
 def _build_problem5(a):
     # a delta of None gives a coverage objective, which only audits draw
     return {"objective": random_coverage(a.n, a.seed) if a.delta is None
@@ -717,8 +723,7 @@ PROBLEMS = {
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),
     4: Problem({"objective": SetFunctionOracle},
-               lambda a: {"objective": random_perturbed(
-                   a.n, a.delta, a.seed, monotone=a.monotone)},
+               _build_problem4,
                lambda c, a: [random_greedy_dummies(c["objective"],
                                                    _budget(c, a),
                                                    seed=a.seed + t)

@@ -1,9 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import submodlab
+from submodlab import cli
 from submodlab.cli import AUDITS, _build_parser, main
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save)
@@ -382,6 +388,27 @@ def test_audit_empty_ground_set_exits_one(tmp_path, capsys, bound):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", ["quadratic-dr", "sqrt-linear", "problem1"])
+def test_gen_dimension_zero_exits_one(tmp_path, capsys, family):
+    out = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", family, "--n", "0",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        "error: dimension needs at least one coordinate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, k", [(6, 0), (4, 5)])
+def test_gen_problem4_budget_outside_one_to_n_exits_one(tmp_path, capsys,
+                                                        n, k):
+    # as run and verify would on the bundle: one line, and no file
+    assert run(tmp_path, "gen", "--family", "problem4", "--n", str(n),
+               "--k", str(k)) == 1
+    assert capsys.readouterr().err == \
+        "error: budget k must satisfy 1 <= k <= n\n"
+    assert not (tmp_path / "instances").exists()
+
+
 def test_usage_error_exit_one(tmp_path):
     assert main(["run", "--problem", "9", "--instance", "x.json"]) == 1
     assert main(["gen", "--family", "nonsense"]) == 1
@@ -754,3 +781,95 @@ def test_audit_instances_are_gen_instances(tmp_path):
                    *flags, "--out", str(out)) == 0
         assert canonical_json(load_doc(out)["components"]) == \
             canonical_json(row.doc["components"])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: main may be called again and again in process
+
+
+def test_parser_is_shared():
+    assert _build_parser() is _build_parser()
+
+
+def test_main_calls_build_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    _build_parser.cache_clear()
+    assert run(tmp_path, "gen", "--family", "coverage", "--n", "5") == 0
+    assert built  # the first call builds it
+    once = len(built)
+    inst = str(tmp_path / "instances" / "coverage-n5-s0.json")
+    assert run(tmp_path, "run", "--problem", "4", "--instance", inst) == 0
+    assert run(tmp_path, "gen", "--family", "modular", "--n", "4") == 0
+    assert len(built) == once
+
+
+def _problem2_run(tmp_path):
+    """A problem-2 instance and its trace, written by gen and run."""
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "6",
+               "--seed", "1") == 0
+    inst = str(tmp_path / "instances" / "problem2-n6-s1.json")
+    assert run(tmp_path, "run", "--problem", "2", "--instance", inst) == 0
+    return inst, str(tmp_path / "traces" / "problem2-n6-s1-p2-t0.json")
+
+
+def test_repeated_trace_flags_do_not_accumulate(tmp_path, monkeypatch):
+    inst, trace = _problem2_run(tmp_path)
+    p4 = tmp_path / "p4.json"
+    assert run(tmp_path, "gen", "--family", "problem4", "--n", "5",
+               "--out", str(p4)) == 0
+    seen = []
+
+    def recording(args):
+        seen.append(list(args.trace))
+        return cli.cmd_verify(args)
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", recording)
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
+               "--trace", trace, "--trace", trace) == 0
+    assert run(tmp_path, "verify", "--problem", "4",
+               "--instance", str(p4)) == 0
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
+               "--trace", trace) == 0
+    assert seen == [[trace, trace], [], [trace]]
+
+
+def test_config_run_bytes_do_not_depend_on_earlier_commands(tmp_path):
+    inst, trace = _problem2_run(tmp_path)
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"trace": [trace, trace], "seed": 4}))
+
+    def config_verify(out):
+        assert main(["--config", str(cfg), "--out-dir", str(out), "verify",
+                     "--problem", "2", "--instance", inst]) == 0
+        return (out / "verify-problem2-n6-s1-p2.csv").read_bytes()
+
+    _build_parser.cache_clear()
+    first = config_verify(tmp_path / "first")
+    assert run(tmp_path, "gen", "--family", "problem4", "--n", "5",
+               "--k", "3") == 0
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
+               "--trace", trace) == 0
+    assert run(tmp_path, "audit", "--bound", "problem4-claimed",
+               "--trials", "1") == 0
+    assert config_verify(tmp_path / "second") == first
+    assert len(first.splitlines()) == 3
+
+
+def test_python_m_submodlab_writes_the_gen_bytes(tmp_path):
+    root = Path(submodlab.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "submodlab", "--out-dir", str(tmp_path),
+         "gen", "--family", "coverage", "--n", "6", "--seed", "2"],
+        env=os.environ | {"PYTHONPATH": str(root)}, capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stderr
+    doc = "instances/coverage-n6-s2.json"
+    golden = Path(__file__).parent / "golden" / "cli" / doc
+    assert (tmp_path / doc).read_bytes() == golden.read_bytes()

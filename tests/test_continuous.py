@@ -238,6 +238,17 @@ def test_masked_update_rejects_bad_inputs():
         masked_update(np.array([0.5]), np.array([0.5]), 0.0)
 
 
+@pytest.mark.parametrize("y, s", [
+    ([np.nan, 0.2], [1.0, 1.0]),
+    ([0.2, 0.4], [1.0, np.nan]),
+])
+def test_masked_update_rejects_nan(y, s):
+    # a NaN fails every comparison, so the cube check must not read a
+    # comparison's False as "inside"
+    with pytest.raises(ValueError, match="unit cube"):
+        masked_update(np.array(y), np.array(s), 0.5)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.05, 1.0), st.integers(1, 30))
 def test_mask_bound_invariant(seed, eps, rounds):
@@ -439,6 +450,22 @@ def test_value_and_grad_bits_match_the_clipping_reference(n, family, seed,
 def test_constructors_reject_non_finite_parameters(build, name):
     # the certified constants, and grid_opt's pruning bound, must be finite
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuadraticOracle([], np.zeros((0, 0))),
+    lambda: SqrtLinearOracle([]),
+    lambda: BoxPolytope([]),
+    lambda: KnapsackPolytope([], 1.0),
+    lambda: random_quadratic_dr(0, 1, monotone=True),
+    lambda: random_quadratic_dr(0, 1, monotone=False),
+    lambda: random_weak_quadratic(0, 1),
+    lambda: random_sqrt_linear(0, 1),
+])
+def test_constructors_reject_dimension_zero(build):
+    with pytest.raises(ValueError,
+                       match="^dimension needs at least one coordinate$"):
         build()
 
 
