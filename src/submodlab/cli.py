@@ -12,10 +12,10 @@ round-count conjecture), 1 usage error or unreadable input, 2 a proved
 bound violated (by `verify`, or by `audit --bound problem2-bicriteria`), 3
 capability limit. The default output directory is ./submodlab-out,
 overridable with --out-dir or the SUBMODLAB_OUT environment variable. A
---config JSON file maps flag names to values; they are read as if given
-ahead of the command line's own flags, so argparse checks them and explicit
-flags win. A list value is allowed only for the repeatable --trace, and a
-nested "config" key is a usage error.
+--config JSON file maps flag names, required ones included, to values read
+as if given ahead of the command line's own flags in one parse: argparse
+checks them and explicit flags win. A list value is allowed only for the
+repeatable --trace, and a nested "config" key is a usage error.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -164,7 +164,7 @@ AUDITS = {
 
 @functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="submodlab", description=__doc__,
+    parser = _Parser(prog="submodlab", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out-dir", help="output directory "
@@ -212,12 +212,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _with_config(argv: list[str], path: str) -> list[str]:
-    """argv with the config file's values spliced in as flags: top-level
-    ones first, the command's own right after the command token. The
-    command line's flags come later, so they win. A list gives a
-    repeatable flag once per item and is rejected for any other flag. A
-    config file cannot name another config file."""
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the values of the --config file ahead of its command (the
+    top-level parser takes no abbreviation) spliced in as flags: top-level
+    ones first, the command's own right after the command token, the
+    command line's own later, so they win. A list gives a repeatable flag
+    once per item and is rejected for any other flag. A config file cannot
+    name another config file. Without a config or a command, argv stays."""
+    i, path = 0, None  # the command is the first token that is no option
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, value = argv[i].partition("=")
+        if flag == "--config":
+            path = value if eq else argv[i + 1] if i + 1 < len(argv) else None
+        i += 1 if eq else 2
+    if path is None or i >= len(argv):
+        return argv
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -234,9 +243,6 @@ def _with_config(argv: list[str], path: str) -> list[str]:
             values = value if isinstance(value, list) else [value]
             tokens = [t for v in values for t in (flag, str(v))]
         (top if flag in TOP_LEVEL_FLAGS else below).extend(tokens)
-    i = 0  # the command is the first token that is no top-level option
-    while argv[i].startswith("-"):
-        i += 1 if "=" in argv[i] else 2
     return top + argv[:i + 1] + below + argv[i + 1:]
 
 
@@ -360,11 +366,8 @@ COMMANDS = {"gen": cmd_gen, "run": cmd_run, "verify": cmd_verify,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(_with_config(argv, args.config))
+        args = _build_parser().parse_args(_with_config(argv))
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -470,16 +470,12 @@ class KnapsackPolytope(Polytope):
 
 
 def masked_update(y, s, step: float) -> np.ndarray:
-    """y + step * (1 - y) ⊙ s; the measured-greedy step staying in the cube."""
+    """y + step * (1 - y) ⊙ s for cube points y and s (see ``_as_point``):
+    the measured-greedy step staying in the cube."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if y.shape != s.shape:
-        raise ValueError("point and direction must share the dimension")
-    for v in (y, s):
-        if not (float(v.min()) >= -1e-12 and float(v.max()) <= 1.0 + 1e-12):
-            raise ValueError("inputs must lie in the unit cube")
+    y = _vector(y)
+    y, s = _as_point(y, y.size), _as_point(s, y.size)
     return np.minimum(1.0, y + step * (1.0 - y) * s)
 
 

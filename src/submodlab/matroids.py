@@ -136,16 +136,17 @@ class GraphicMatroid(Matroid):
     family = "graphic"
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
-        if num_vertices < 2:
+        self.num_vertices = _integer(num_vertices, "vertex counts")
+        if self.num_vertices < 2:
             raise ValueError("graph needs at least two vertices")
-        edges = tuple((int(a), int(b)) for a, b in edges)
+        edges = tuple(tuple(_integer(v, "edge endpoints") for v in edge)
+                      for edge in edges)
         for a, b in edges:
             if a == b:
                 raise ValueError("self-loops are never independent; drop them")
-            if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+            if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise ValueError("edge endpoint outside vertex range")
         super().__init__(len(edges))
-        self.num_vertices = int(num_vertices)
         self.edges = edges
 
     def _build_indep_table(self) -> np.ndarray:

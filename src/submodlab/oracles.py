@@ -86,9 +86,9 @@ class SetFunctionOracle:
     submodular = False
 
     def __init__(self, n: int, monotone: bool | None = None):
-        if n < 1:
+        self.n = _integer(n, "ground-set sizes")
+        if self.n < 1:
             raise ValueError("ground set needs at least one element")
-        self.n = int(n)
         self.monotone = monotone
         self._table: np.ndarray | None = None
 
@@ -155,18 +155,18 @@ class CoverageOracle(SetFunctionOracle):
 
     def __init__(self, n: int, covers: Sequence[Iterable[int]],
                  universe_weights: Sequence[float]):
-        if len(covers) != n:
+        super().__init__(n, monotone=True)
+        if len(covers) != self.n:
             raise ValueError("need one cover per ground element")
         w = np.asarray(universe_weights, dtype=float)
         if w.ndim != 1 or (w.size and float(w.min()) < 0.0):
             raise ValueError("universe weights must be nonnegative")
         if w.size > 62:
             raise ValueError("universe too large for bitmask covers")
-        super().__init__(n, monotone=True)
-        self.covers = tuple(frozenset(int(i) for i in c) for c in covers)
-        for cov in self.covers:
-            if any(not 0 <= i < w.size for i in cov):
-                raise ValueError("cover refers to an unknown universe item")
+        self.covers = tuple(frozenset(_integer(i, "cover items") for i in c)
+                            for c in covers)
+        if not all(0 <= i < w.size for cov in self.covers for i in cov):
+            raise ValueError("cover refers to an unknown universe item")
         self.universe_weights = w
         self._cover_masks = tuple(
             sum(1 << i for i in cov) for cov in self.covers)
@@ -193,10 +193,11 @@ class CutOracle(SetFunctionOracle):
         super().__init__(n, monotone=False)
         cleaned = []
         for a, b, w in edges:
-            a, b, w = int(a), int(b), float(w)
+            a, b = (_integer(v, "edge endpoints") for v in (a, b))
+            w = float(w)
             if a == b:
                 raise ValueError("self-loops carry no cut weight")
-            if not (0 <= a < n and 0 <= b < n):
+            if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError("edge endpoint outside ground set")
             if w < 0.0:
                 raise ValueError("edge weights must be nonnegative")
@@ -228,7 +229,7 @@ class PerturbedOracle(SetFunctionOracle):
         super().__init__(base.n, monotone=True if monotone_noise else None)
         self.base = base
         self.delta = float(delta)
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seeds")
         self.monotone_noise = bool(monotone_noise)
 
     def _build_table(self) -> np.ndarray:

@@ -121,15 +121,12 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     each built and valued once (a grid of at most ``_GRID_BATCH`` cells is
     one batch, with its geometry cached by ``_grid_cells``). Each batch
     raises the incumbent to its best member representative and keeps its
-    cells against that running incumbent. As incumbent - margin only rises
-    with the incumbent, a cell pruned early would be pruned at the end, so
-    one last filter against the final incumbent leaves the cells that it
-    alone keeps. Points are valued in batches of at most ``_GRID_BATCH``
-    (never one row, see ``_value_rows``). Memory is one batch plus the kept
-    cells' ids and bounds: at dimension 5 and resolution 0.01 (45.4M
-    cells, 228 batches) a call of the benchmark's problem-1 objective
-    peaked 103 MiB above the process. If nothing is pruned, every cell is
-    kept, at about 50 bytes each with the sort.
+    cells against that running incumbent. Points are valued in batches of
+    at most ``_GRID_BATCH`` (never one row, see ``_value_rows``). Memory is
+    one batch plus the kept cells' ids and bounds: at dimension 5 and
+    resolution 0.01 (45.4M cells, 228 batches) a call of the benchmark's
+    problem-1 objective peaked 103 MiB above the process. If nothing is
+    pruned, every cell is kept, at about 50 bytes each with the sort.
     """
     if f.n > GRID_DIM_LIMIT:
         raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
@@ -164,10 +161,7 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         keep = ~(bound + margin(incumbent) < incumbent)
         kept.append(ids[rows[keep]])
         bounds.append(bound[keep])
-    # a running incumbent keeps a superset of the final one's cells
     kept, bound = np.concatenate(kept), np.concatenate(bounds)
-    keep = ~(bound + margin(incumbent) < incumbent)
-    kept, bound = kept[keep], bound[keep]
     # best-first; a NaN bound never prunes, so it goes first
     order = np.argsort(-np.where(np.isnan(bound), math.inf, bound),
                        kind="stable")
@@ -504,7 +498,7 @@ def problem1_report(trace: RunTrace, g: ContinuousOracle, h: ContinuousOracle,
     params = {
         "g_at_opt": g.value(cert.maximizer),
         "h_at_opt": h.value(cert.maximizer),
-        "epsilon": trace.meta["step"],
+        "epsilon": _number(trace, "meta.step"),
         "smooth_g": g.smoothness,
         "smooth_h": h.smoothness,
         "diameter": polytope.diameter,
@@ -523,7 +517,7 @@ def problem2_report(trace: RunTrace, f: SetFunctionOracle,
     feasibility certificate is recomputed from the trace against
     ``system``, and a broken certificate makes the verdict 'violated' no
     matter the value."""
-    params = {"epsilon": trace.params["epsilon"], "opt": opt.value}
+    params = {"epsilon": _number(trace, "params.epsilon"), "opt": opt.value}
     return check_bound(f.value(trace.final), BOUNDS["problem2-bicriteria"],
                        params, instance_id=instance_id,
                        algorithm_id=trace.algorithm,
@@ -544,7 +538,7 @@ def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
         "gamma": gamma,
         "opt_upper": cert.upper,
         "smoothness": f.smoothness,
-        "iterations": trace.params["iterations"],
+        "iterations": _number(trace, "params.iterations"),
         "radius": cert.radius,
     }
     return check_bound(f.value(trace.final), BOUNDS["problem3-weak-dr"],
@@ -606,28 +600,35 @@ def _or(value, default):
     return default if value is None else value
 
 
-# bundle numbers that run and verify read: key -> (field, test, what)
+# the numbers run and verify read from a bundle's components dict or from a
+# trace: "field.key" -> (source, test, what); NaN fails every range test
 NUMBERS = {
-    "k": ("_meta", lambda v: type(v) is int, "an integer"),
-    "epsilon": ("_meta",
-                lambda v: type(v) in (int, float) and math.isfinite(v),
-                "a finite number"),
-    "gamma": ("_measured",
-              lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
-              "a finite number in [0, 1]"),
+    "meta.k": ("bundle", lambda v: type(v) is int, "an integer"),
+    "meta.epsilon": ("bundle",
+                     lambda v: type(v) in (int, float) and math.isfinite(v),
+                     "a finite number"),
+    "measured.gamma": ("bundle",
+                       lambda v: type(v) in (int, float) and 0 <= v <= 1,
+                       "a finite number in [0, 1]"),
+    "meta.step": ("trace", lambda v: type(v) in (int, float) and 0 < v <= 1,
+                  "a number in (0, 1]"),
+    "params.epsilon": ("trace",
+                       lambda v: type(v) in (int, float) and 0 < v < 1,
+                       "a number in (0, 1)"),
+    "params.iterations": ("trace", lambda v: type(v) is int and v >= 1,
+                          "an integer >= 1"),
 }
 
 
-def _bundle_number(c, key):
-    """The bundle's meta.k, meta.epsilon or measured.gamma, or None when
-    absent (always so for freshly built components). Any other type or
-    range raises ValueError: a bool is no integer, and neither a string nor
-    NaN is a finite number."""
-    field_name, ok, what = NUMBERS[key]
-    value = c.get(field_name, {}).get(key)
-    if value is not None and not ok(value):
-        raise ValueError(
-            f"bundle {field_name[1:]}.{key} must be {what}, not {value!r}")
+def _number(owner, name: str):
+    """NUMBERS[name] from a trace, or from a bundle's components dict, where
+    it may be absent (None, as for built components); else ValueError."""
+    source, ok, what = NUMBERS[name]
+    field_name, key = name.split(".")
+    value = (owner.get("_" + field_name, {}) if source == "bundle" else
+             serialization.object_field(vars(owner), field_name)).get(key)
+    if (value is not None or source == "trace") and not ok(value):
+        raise ValueError(f"{source} {name} must be {what}, not {value!r}")
     return value
 
 
@@ -674,7 +675,7 @@ def _build_problem3(a):
 
 def _check_problem3(c, traces, a, stem):
     cert = grid_opt(c["objective"], c["polytope"], a.resolution)
-    gamma = _bundle_number(c, "gamma")
+    gamma = _number(c, "measured.gamma")
     if gamma is None:
         gamma = sampled_gamma(c["objective"], a.seed)
     return [problem3_report(t, gamma, c["objective"], cert,
@@ -682,7 +683,7 @@ def _check_problem3(c, traces, a, stem):
 
 
 def _budget(c, a) -> int:
-    return _or(a.k, _or(_bundle_number(c, "k"), 2))
+    return _or(a.k, _or(_number(c, "meta.k"), 2))
 
 
 def _build_problem4(a):
@@ -712,13 +713,13 @@ PROBLEMS = {
                                                              a.seed)},
                lambda c, a: [multipass_greedy(
                    c["objective"], c["system"],
-                   _or(a.epsilon, _or(_bundle_number(c, "epsilon"), 0.25)))],
+                   _or(a.epsilon, _or(_number(c, "meta.epsilon"), 0.25)))],
                _check_problem2, meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
                _build_problem3,
                lambda c, a: [frank_wolfe(
                    c["objective"], c["polytope"], _or(a.iterations, 200),
-                   declared_gamma=_bundle_number(c, "gamma"))],
+                   declared_gamma=_number(c, "measured.gamma"))],
                _check_problem3,
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),
@@ -815,8 +816,6 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
                             verdict=verdict))
     return AuditReport(bound_id=bound.bound_id, provenance=bound.provenance,
                        seed=seed, rows=rows)
-
-
 
 
 def instance_seed(seed: int, t: int) -> int:

@@ -11,8 +11,10 @@ import pytest
 import submodlab
 from submodlab import cli
 from submodlab.cli import AUDITS, _build_parser, main
+from submodlab.matroids import random_graphic_matroid
+from submodlab.oracles import random_coverage, random_cut, random_perturbed
 from submodlab.serialization import (canonical_json, from_doc, load,
-                                     load_bundle, load_doc, save)
+                                     load_bundle, load_doc, save, to_doc)
 from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
 
 from helpers import DummyGreedyProcess, dag_walk
@@ -506,6 +508,83 @@ def test_malformed_bundle_number_exits_one(tmp_path, capsys, command,
     assert err.startswith("error: ") and f"{field}.{key}" in err
 
 
+@pytest.mark.parametrize("problem, field, key, value", [
+    (1, "meta", "step", -0.5),
+    (1, "meta", "step", float("nan")),
+    (1, "meta", "step", "abc"),
+    (1, "meta", "step", None),  # None: the key is deleted
+    (2, "params", "epsilon", -0.5),
+    (2, "params", "epsilon", float("nan")),
+    (2, "params", "epsilon", True),
+    (2, "params", "epsilon", "abc"),
+    (3, "params", "iterations", 0),
+    (3, "params", "iterations", -3),
+    (3, "params", "iterations", 2.5),
+    (3, "params", "iterations", True),
+    (3, "params", "iterations", "abc"),
+])
+def test_malformed_trace_number_exits_one(tmp_path, capsys, problem, field,
+                                          key, value):
+    # each number feeds a proved threshold: a step or epsilon of -0.5 or NaN
+    # verified as violated (exit 2), and a string raised a traceback
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "3",
+        "--seed", "4", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", str(problem),
+               "--instance", str(inst)) == 0
+    trace = next((tmp_path / "traces").glob("*.json"))
+    doc = load_doc(trace)
+    if value is None:
+        del doc[field][key]
+    else:
+        doc[field][key] = value
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", str(problem),
+               "--instance", str(inst), "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace {field}.{key} must be ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("verify-*.csv"))
+
+
+@pytest.mark.parametrize("component, make, path, value", [
+    ("objective", lambda: random_cut(5, 1), ("edges", 0), [0.5, 1.7, 1.0]),
+    ("objective", lambda: random_coverage(5, 1), ("n",), True),
+    ("objective", lambda: random_coverage(5, 1), ("covers", 0, 0), "1"),
+    ("objective", lambda: random_perturbed(5, 0.3, 1), ("seed",), 1.5),
+    ("matroid1", lambda: random_graphic_matroid(5, 1), ("edges", 0),
+     [0.2, 1.9]),
+    ("matroid1", lambda: random_graphic_matroid(5, 1), ("num_vertices",),
+     2.5),
+], ids=["cut-edge", "coverage-n", "cover-item", "perturbed-seed",
+        "graphic-edge", "graphic-vertices"])
+def test_non_integer_document_value_exits_one(tmp_path, capsys, component,
+                                              make, path, value):
+    # such values were truncated (edge [0.5, 1.7] read as (0, 1), seed 1.5
+    # as 1, n = true as 1) or parsed (cover item "1" as 1)
+    doc = to_doc(make())
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    target[last] = value
+    with pytest.raises(ValueError, match="must be integers, not "):
+        from_doc(doc)
+    inst = tmp_path / "p5.json"
+    run(tmp_path, "gen", "--family", "problem5", "--n", "5", "--seed", "1",
+        "--out", str(inst))
+    bundle = load_doc(inst)
+    bundle["components"][component] = doc
+    inst.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "5",
+               "--instance", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be integers" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("problem, component, key", [
     (3, "objective", "b"),
     (1, "polytope", "upper"),
@@ -670,6 +749,38 @@ def test_config_list_only_for_repeatable_flags(tmp_path, capsys):
                  "--problem", "2", "--instance", inst]) == 0
     assert table.read_text() == by_flags
     assert len(by_flags.splitlines()) == 3
+
+
+def test_config_may_supply_required_flags(tmp_path, capsys):
+    # argv alone was parsed first, so a required flag given only in the
+    # config failed with "the following arguments are required"
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "6",
+               "--seed", "1") == 0
+    inst = str(tmp_path / "instances" / "problem2-n6-s1.json")
+    assert run(tmp_path, "run", "--problem", "2", "--instance", inst) == 0
+    trace = str(tmp_path / "traces" / "problem2-n6-s1-p2-t0.json")
+    table = tmp_path / "verify-problem2-n6-s1-p2.csv"
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
+               "--trace", trace) == 0
+    by_flags = table.read_text()
+    table.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": 2, "instance": inst,
+                               "trace": [trace]}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                 "verify"]) == 0
+    assert table.read_text() == by_flags
+    table.unlink()
+    assert main([f"--config={cfg}", f"--out-dir={tmp_path}", "verify"]) == 0
+    assert table.read_text() == by_flags
+    capsys.readouterr()
+    # no abbreviation of --config is taken for another token, and without
+    # a command the config is never read
+    assert main(["--conf", str(cfg), "--out-dir", str(tmp_path),
+                 "verify"]) == 1
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error: ") == 2 and "Traceback" not in err
 
 
 def test_config_out_dir_and_store_true_flags(tmp_path):

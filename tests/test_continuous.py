@@ -236,6 +236,14 @@ def test_masked_update_rejects_bad_inputs():
         masked_update(np.array([1.5]), np.array([0.5]), 0.5)
     with pytest.raises(ValueError):
         masked_update(np.array([0.5]), np.array([0.5]), 0.0)
+    with pytest.raises(ValueError, match="^dimension needs at least one "
+                       "coordinate$"):
+        masked_update(np.array([]), np.array([]), 0.5)
+    with pytest.raises(ValueError, match="^expected a point in dimension 2$"):
+        masked_update(np.zeros(2), np.zeros(3), 0.5)
+    # the cube rule of every oracle point: 1e-9 of slack, then a clip
+    assert np.array_equal(
+        masked_update(np.array([1.0 + 1e-10]), np.array([-1e-10]), 0.5), [1.0])
 
 
 @pytest.mark.parametrize("y, s", [
