@@ -177,9 +177,12 @@ def authors_conjecture_rounds(p: int, epsilon: float) -> int:
 def certificate_holds(system: PSystem, parts, final) -> bool:
     """The bicriteria feasibility certificate: every recorded part is
     independent in ``system`` and the parts' union is exactly ``final``, so
-    no parts certify only an empty output."""
-    union = sorted(set().union(*map(set, parts)))
-    return all(system.indep(t) for t in parts) and union == sorted(final)
+    no parts certify only an empty output. Each part is an element list."""
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError(f"{parts!r} is not a list of element lists")
+    masks = [mask_of(t, system.n) for t in parts]
+    union = set().union(*map(elements_of, masks))
+    return all(map(system.indep_mask, masks)) and sorted(union) == sorted(final)
 
 
 def multipass_greedy(f: SetFunctionOracle, system: PSystem,

@@ -26,32 +26,15 @@ import numpy as np
 
 from .matroids import checked_partition
 from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
-                      _integer, clamp_ratio, subset_bits)
+                      _finite, _integer, _reals, clamp_ratio, subset_bits)
 
 MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
 
 
-def _require_finite(**params) -> None:
-    """Reject a NaN or infinite entry in any named parameter: the certified
-    constants, and the grid bounds built on them, must be finite."""
-    for name, value in params.items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValueError(f"{name} must be finite")
-
-
-def _vector(values) -> np.ndarray:
-    """values as a float array with at least one entry: every oracle and
-    polytope here has dimension n >= 1."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("dimension needs at least one coordinate")
-    return v
-
-
 def _as_point(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "points")
     if x.shape != (n,):
         raise ValueError(f"expected a point in dimension {n}")
     return _in_cube(x)
@@ -123,12 +106,11 @@ class QuadraticOracle(ContinuousOracle):
     family = "quadratic"
 
     def __init__(self, b: Sequence[float], a: Sequence[Sequence[float]]):
-        b = _vector(b)
-        a = np.asarray(a, dtype=float)
+        b = _finite(b, "b", 1)
+        a = _finite(a, "a")
         n = b.size
         if a.shape != (n, n):
             raise ValueError("interaction matrix shape mismatch")
-        _require_finite(b=b, a=a)
         if not np.allclose(a, a.T, atol=1e-12):
             raise ValueError("interaction matrix must be symmetric")
         if float(np.diag(a).max(initial=0.0)) > 1e-12:
@@ -178,15 +160,15 @@ class SqrtLinearOracle(ContinuousOracle):
     family = "sqrt-linear"
 
     def __init__(self, b: Sequence[float], shift: float = 0.5):
-        b = _vector(b)
-        _require_finite(b=b, shift=shift)
+        b = _finite(b, "b", 1)
+        shift = float(_finite(shift, "shift", 0))
         if float(b.min()) < 0.0:
             raise ValueError("coefficients must be nonnegative")
         if shift <= 0.0:
             raise ValueError("shift must be positive for smoothness")
         self.n = b.size
         self.b = b
-        self.shift = float(shift)
+        self.shift = shift
         self.monotone = True
         self.dr = True
         norm_sq = float(b @ b)
@@ -338,7 +320,7 @@ class Polytope:
         return ok
 
     def member(self, x) -> bool:
-        return bool(self.member_many(np.asarray(x, dtype=float)[None])[0])
+        return bool(self.member_many(_reals(x, "points")[None])[0])
 
     def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows (M, c) of the constraints M x <= c beyond the box, with
@@ -350,7 +332,7 @@ class Polytope:
         raise NotImplementedError
 
     def _clean_c(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
+        c = _reals(c, "objective vectors")
         if c.shape != (self.n,) or not np.isfinite(c).all():
             raise ValueError("objective vector must be finite of matching size")
         return c
@@ -360,8 +342,7 @@ class BoxPolytope(Polytope):
     family = "box"
 
     def __init__(self, upper: Sequence[float]):
-        upper = _vector(upper)
-        _require_finite(upper=upper)
+        upper = _finite(upper, "upper", 1)
         if float(upper.min()) < 0.0 or float(upper.max()) > 1.0:
             raise ValueError("upper bounds must lie in [0, 1]")
         self.n = upper.size
@@ -422,15 +403,15 @@ class KnapsackPolytope(Polytope):
     family = "knapsack"
 
     def __init__(self, costs: Sequence[float], budget: float):
-        costs = _vector(costs)
-        _require_finite(costs=costs, budget=budget)
+        costs = _finite(costs, "costs", 1)
+        budget = float(_finite(budget, "budget", 0))
         if float(costs.min()) <= 0.0:
             raise ValueError("knapsack costs must be positive")
         if budget < 0.0:
             raise ValueError("budget must be nonnegative")
         self.n = costs.size
         self.costs = costs
-        self.budget = float(budget)
+        self.budget = budget
         self.upper = np.ones(self.n)
         self.diameter = self._exact_diameter() if self.n <= VERTEX_CHECK_LIMIT \
             else float(np.linalg.norm(np.minimum(1.0, budget / costs)))
@@ -474,8 +455,10 @@ def masked_update(y, s, step: float) -> np.ndarray:
     the measured-greedy step staying in the cube."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
-    y = _vector(y)
-    y, s = _as_point(y, y.size), _as_point(s, y.size)
+    n = np.size(y)
+    if n == 0:
+        raise ValueError("dimension needs at least one coordinate")
+    y, s = _as_point(y, n), _as_point(s, n)
     return np.minimum(1.0, y + step * (1.0 - y) * s)
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      _integer, elements_of, mask_of, popcounts)
+                      _finite, _integer, elements_of, mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 
@@ -60,7 +60,7 @@ class IndependenceSystem:
     2^n independence table that subclasses build."""
 
     def __init__(self, n: int):
-        self.n = int(n)
+        self.n = _integer(n, "ground-set sizes")
         self._indep_table: np.ndarray | None = None
 
     def _build_indep_table(self) -> np.ndarray:
@@ -247,11 +247,9 @@ def max_weight_common_independent(system: IndependenceSystem,
     if len(elems) > INTERSECTION_LIMIT:
         raise CapabilityError(
             f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
+    w = _finite(weights, "weights", 1)
+    if w.size != n:
         raise ValueError("need one weight per element")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
     tab = system.indep_table()
     if not 0 <= base < 1 << n or not tab[base]:
         raise ValueError("base is not an independent set")

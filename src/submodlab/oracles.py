@@ -22,7 +22,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ TABLE_LIMIT = 20          # 2^n value-table entries
 GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
 
 _GAMMA_CHUNK = 1 << 15    # (A, B) entries per gamma sweep chunk
+_FLOAT = np.dtype(float)  # one object, shared by numpy's float64 arrays
 
 
 class CapabilityError(RuntimeError):
@@ -49,7 +50,36 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be integers, not {value!r}")
 
 
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array if every entry is an int or a float
+    (numpy ones included), else ValueError: a bool, a string or None is
+    never parsed. A float ndarray is returned as it is, unwalked: the hot
+    path of every oracle point."""
+    if type(values) is not np.ndarray or values.dtype is not _FLOAT:
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{what}: {v!r} is not a number")
+    return np.asarray(values, dtype=float)
+
+
+def _finite(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """``_reals(values, what)`` with at least one entry, every entry finite
+    and, if ``ndim`` is given, that many axes: 0 for a number, 1 for a
+    vector. Every oracle and polytope here has dimension n >= 1."""
+    v = _reals(values, what)
+    if ndim is not None and v.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-dimensional, not {values!r}")
+    if v.size == 0:
+        raise ValueError("dimension needs at least one coordinate")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite")
+    return v
+
+
 def mask_of(subset: Iterable[int], n: int) -> int:
+    if not isinstance(subset, Iterable):
+        raise ValueError(f"{subset!r} is not an element list")
     mask = 0
     for u in subset:
         u = _integer(u, "elements")
@@ -131,9 +161,7 @@ class ModularOracle(SetFunctionOracle):
     submodular = True
 
     def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty vector")
+        w = _finite(weights, "weights", 1)
         if float(w.min()) < 0.0:
             raise ValueError("modular oracle weights must be nonnegative")
         super().__init__(w.size, monotone=True)
@@ -158,9 +186,10 @@ class CoverageOracle(SetFunctionOracle):
         super().__init__(n, monotone=True)
         if len(covers) != self.n:
             raise ValueError("need one cover per ground element")
-        w = np.asarray(universe_weights, dtype=float)
-        if w.ndim != 1 or (w.size and float(w.min()) < 0.0):
-            raise ValueError("universe weights must be nonnegative")
+        w = _reals(universe_weights, "universe weights")
+        if (w.ndim != 1 or not np.isfinite(w).all()
+                or float(w.min(initial=0.0)) < 0.0):
+            raise ValueError("universe weights must be finite and nonnegative")
         if w.size > 62:
             raise ValueError("universe too large for bitmask covers")
         self.covers = tuple(frozenset(_integer(i, "cover items") for i in c)
@@ -194,7 +223,7 @@ class CutOracle(SetFunctionOracle):
         cleaned = []
         for a, b, w in edges:
             a, b = (_integer(v, "edge endpoints") for v in (a, b))
-            w = float(w)
+            w = float(_finite(w, "edge weights", 0))
             if a == b:
                 raise ValueError("self-loops carry no cut weight")
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -224,11 +253,14 @@ class PerturbedOracle(SetFunctionOracle):
 
     def __init__(self, base: CoverageOracle, delta: float, seed: int,
                  monotone_noise: bool = False):
+        delta = float(_finite(delta, "noise amplitudes", 0))
         if delta < 0.0:
             raise ValueError("noise amplitude must be nonnegative")
+        if not isinstance(monotone_noise, (bool, np.bool_)):
+            raise ValueError(f"monotone_noise: {monotone_noise!r} is not a bool")
         super().__init__(base.n, monotone=True if monotone_noise else None)
         self.base = base
-        self.delta = float(delta)
+        self.delta = delta
         self.seed = _integer(seed, "seeds")
         self.monotone_noise = bool(monotone_noise)
 

@@ -103,13 +103,14 @@ def from_doc(doc: dict):
     cls = _CLASSES.get((kind, family))
     if cls is None:
         raise ValueError(f"unknown document kind {kind!r} / family {family!r}")
-    args = {name: _rebuild(doc[name]) if name in NESTED else doc[name]
-            for name in CODECS[cls][1]}
     try:
-        return cls(**args)
+        return cls(**{name: _rebuild(doc[name]) if name in NESTED
+                      else doc[name] for name in CODECS[cls][1]})
+    except KeyError as exc:
+        why = f"missing field {exc}"
     except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(
-            f"malformed {kind!r} / {family!r} document: {exc}") from exc
+        why = str(exc)
+    raise ValueError(f"malformed {kind!r} / {family!r} document: {why}")
 
 
 def bundle_doc(problem: int, components: dict, measured: dict | None = None,

@@ -29,8 +29,8 @@ from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
 from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
-                      SetFunctionOracle, elements_of, measure_ratios,
-                      random_coverage, random_perturbed)
+                      SetFunctionOracle, _integer, _reals, elements_of,
+                      measure_ratios, random_coverage, random_perturbed)
 
 OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
@@ -385,52 +385,32 @@ class BoundFormula:
         return float(self.expr(params))
 
 
-BOUNDS = {
-    "problem1-split": BoundFormula(
-        bound_id="problem1-split",
-        provenance=PROVED,
-        requires=("g_at_opt", "h_at_opt", "epsilon", "smooth_g", "smooth_h",
+BOUNDS = {b.bound_id: b for b in (
+    BoundFormula("problem1-split", PROVED,
+                 ("g_at_opt", "h_at_opt", "epsilon", "smooth_g", "smooth_h",
                   "diameter", "radius"),
-        expr=lambda p: ((1.0 - 1.0 / math.e) * p["g_at_opt"]
-                        + (1.0 / math.e) * p["h_at_opt"]
-                        - p["epsilon"] * (p["smooth_g"] + p["smooth_h"])
-                        * p["diameter"] ** 2
-                        - p["radius"]),
-    ),
-    "problem2-bicriteria": BoundFormula(
-        bound_id="problem2-bicriteria",
-        provenance=PROVED,
-        requires=("epsilon", "opt"),
-        expr=lambda p: (1.0 - p["epsilon"]) * p["opt"],
-    ),
-    "problem2-authors-conjecture": BoundFormula(
-        bound_id="problem2-authors-conjecture",
-        provenance=AUTHORS_CONJECTURE,
-        requires=("epsilon", "opt"),
-        expr=lambda p: (1.0 - p["epsilon"]) * p["opt"],
-    ),
-    "problem3-weak-dr": BoundFormula(
-        bound_id="problem3-weak-dr",
-        provenance=PROVED,
-        requires=("gamma", "opt_upper", "smoothness", "iterations", "radius"),
-        expr=lambda p: ((1.0 - math.exp(-p["gamma"])) * p["opt_upper"]
-                        - p["smoothness"] / (2.0 * p["iterations"])
-                        - p["radius"]),
-    ),
-    "problem4-claimed": BoundFormula(
-        bound_id="problem4-claimed",
-        provenance=CLAIMED_FLAWED,
-        requires=("m", "gamma", "opt"),
-        expr=lambda p: ((p["m"] * (1.0 - math.exp(-p["gamma"]))
-                         + (1.0 - p["m"]) * p["gamma"] / math.e) * p["opt"]),
-    ),
-    "problem5-claimed": BoundFormula(
-        bound_id="problem5-claimed",
-        provenance=CLAIMED_FLAWED,
-        requires=("gamma", "opt"),
-        expr=lambda p: (p["gamma"] / (p["gamma"] + 2.0)) ** 2 * p["opt"],
-    ),
-}
+                 lambda p: ((1.0 - 1.0 / math.e) * p["g_at_opt"]
+                            + (1.0 / math.e) * p["h_at_opt"]
+                            - p["epsilon"] * (p["smooth_g"] + p["smooth_h"])
+                            * p["diameter"] ** 2
+                            - p["radius"])),
+    BoundFormula("problem2-bicriteria", PROVED, ("epsilon", "opt"),
+                 lambda p: (1.0 - p["epsilon"]) * p["opt"]),
+    BoundFormula("problem2-authors-conjecture", AUTHORS_CONJECTURE,
+                 ("epsilon", "opt"),
+                 lambda p: (1.0 - p["epsilon"]) * p["opt"]),
+    BoundFormula("problem3-weak-dr", PROVED,
+                 ("gamma", "opt_upper", "smoothness", "iterations", "radius"),
+                 lambda p: ((1.0 - math.exp(-p["gamma"])) * p["opt_upper"]
+                            - p["smoothness"] / (2.0 * p["iterations"])
+                            - p["radius"])),
+    BoundFormula("problem4-claimed", CLAIMED_FLAWED, ("m", "gamma", "opt"),
+                 lambda p: ((p["m"] * (1.0 - math.exp(-p["gamma"]))
+                             + (1.0 - p["m"]) * p["gamma"] / math.e)
+                            * p["opt"])),
+    BoundFormula("problem5-claimed", CLAIMED_FLAWED, ("gamma", "opt"),
+                 lambda p: (p["gamma"] / (p["gamma"] + 2.0)) ** 2 * p["opt"]),
+)}
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -601,21 +581,18 @@ def _or(value, default):
 
 
 # the numbers run and verify read from a bundle's components dict or from a
-# trace: "field.key" -> (source, test, what); NaN fails every range test
+# trace: "field.key" -> (source, reader, range, what). The reader,
+# oracles._integer or _reals, checks the kind; NaN fails every range test
 NUMBERS = {
-    "meta.k": ("bundle", lambda v: type(v) is int, "an integer"),
-    "meta.epsilon": ("bundle",
-                     lambda v: type(v) in (int, float) and math.isfinite(v),
-                     "a finite number"),
-    "measured.gamma": ("bundle",
-                       lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    "meta.k": ("bundle", _integer, lambda v: True, "an integer"),
+    "meta.epsilon": ("bundle", _reals, math.isfinite, "a finite number"),
+    "measured.gamma": ("bundle", _reals, lambda v: 0 <= v <= 1,
                        "a finite number in [0, 1]"),
-    "meta.step": ("trace", lambda v: type(v) in (int, float) and 0 < v <= 1,
+    "meta.step": ("trace", _reals, lambda v: 0 < v <= 1,
                   "a number in (0, 1]"),
-    "params.epsilon": ("trace",
-                       lambda v: type(v) in (int, float) and 0 < v < 1,
+    "params.epsilon": ("trace", _reals, lambda v: 0 < v < 1,
                        "a number in (0, 1)"),
-    "params.iterations": ("trace", lambda v: type(v) is int and v >= 1,
+    "params.iterations": ("trace", _integer, lambda v: v >= 1,
                           "an integer >= 1"),
 }
 
@@ -623,12 +600,17 @@ NUMBERS = {
 def _number(owner, name: str):
     """NUMBERS[name] from a trace, or from a bundle's components dict, where
     it may be absent (None, as for built components); else ValueError."""
-    source, ok, what = NUMBERS[name]
+    source, read, ok, what = NUMBERS[name]
     field_name, key = name.split(".")
     value = (owner.get("_" + field_name, {}) if source == "bundle" else
              serialization.object_field(vars(owner), field_name)).get(key)
-    if (value is not None or source == "trace") and not ok(value):
-        raise ValueError(f"{source} {name} must be {what}, not {value!r}")
+    if value is not None or source == "trace":
+        try:
+            valid = np.ndim(value) == 0 and ok(read(value, name))
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{source} {name} must be {what}, not {value!r}")
     return value
 
 

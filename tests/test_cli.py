@@ -240,6 +240,97 @@ def test_verify_non_integer_elements_exit_one(tmp_path, capsys, element):
     assert err.count("\n") == 1
 
 
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+
+@pytest.mark.parametrize("problem, stem", [(1, "problem1-n3-s2"),
+                                           (3, "problem3-n3-s4")])
+@pytest.mark.parametrize("entry", [str, bool], ids=["string", "bool"])
+def test_verify_non_number_final_point_exits_one(tmp_path, capsys, problem,
+                                                 stem, entry):
+    # such coordinates were parsed, so the trace verified as holds
+    doc = load_doc(GOLDEN_CLI / "traces" / f"{stem}-p{problem}-t0.json")
+    doc["final"] = [entry(x) for x in doc["final"]]
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", str(problem), "--instance",
+               str(GOLDEN_CLI / "instances" / f"{stem}.json"),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: points: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("verify-*.csv"))
+
+
+@pytest.mark.parametrize("parts", [5, [5], "015"],
+                         ids=["number", "number-part", "string"])
+def test_verify_malformed_independent_sets_exit_one(tmp_path, capsys, parts):
+    # 5 and [5] ended verify with a TypeError traceback
+    doc = load_doc(GOLDEN_CLI / "traces" / "problem2-n7-s11-p2-t0.json")
+    doc["meta"]["independent_sets"] = parts
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance",
+               str(GOLDEN_CLI / "instances" / "problem2-n7-s11.json"),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a" in err
+    assert not list(tmp_path.glob("verify-*.csv"))
+
+
+@pytest.mark.parametrize("stem, path, value, message", [
+    ("modular-n5-s1", ("weights",), ["0.5", True], "weights: '0.5'"),
+    ("cut-n5-s3", ("edges", 0, 2), "0.7", "edge weights: '0.7'"),
+    ("cut-n5-s3", ("edges", 0, 2), True, "edge weights: True"),
+    ("perturbed-n6-s4", ("delta",), True, "noise amplitudes: True"),
+    ("perturbed-n6-s4", ("monotone_noise",), "no", "monotone_noise: 'no'"),
+    ("sqrt-linear-n3-s7", ("shift",), True, "shift: True"),
+], ids=["modular-weights", "cut-weight-string", "cut-weight-bool",
+        "perturbed-delta", "perturbed-monotone-noise", "sqrt-linear-shift"])
+def test_non_number_document_value_exits_one(tmp_path, capsys, stem, path,
+                                             value, message):
+    # each loaded: weights ["0.5", true] as [0.5, 1.0], a cut weight "0.7"
+    # as 0.7, delta and shift true as 1.0, monotone_noise "no" as true
+    doc = load_doc(GOLDEN_CLI / "instances" / f"{stem}.json")
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    target[last] = value
+    if doc["kind"] == "set-function":  # problem 4 reads a bare objective
+        problem = 4
+    else:
+        problem = 3
+        bundle = load_doc(GOLDEN_CLI / "instances" / "problem3-n3-s4.json")
+        bundle["components"]["objective"] = doc
+        doc = bundle
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", str(problem), "--instance",
+               str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} is not a")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*.csv"))
+
+
+def test_missing_document_field_is_named(tmp_path, capsys):
+    # a bare KeyError repr, "error: 'universe_weights'", named nothing else
+    bundle = load_doc(GOLDEN_CLI / "instances" / "problem2-n7-s11.json")
+    del bundle["components"]["objective"]["universe_weights"]
+    inst = tmp_path / "p2.json"
+    inst.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "2", "--instance",
+               str(inst)) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed 'set-function' / 'coverage' document: "
+        "missing field 'universe_weights'\n")
+
+
 @pytest.mark.parametrize("resolution", ["inf", "nan"])
 def test_verify_non_finite_resolution_exits_one(tmp_path, capsys,
                                                 resolution):

@@ -449,3 +449,14 @@ def test_relabelling_preserves_opt_gamma_and_m(case):
         # lists map onto each other; a tie would only reorder a sum
         assert dummy_greedy_expectation(g, rank) == pytest.approx(
             dummy_greedy_expectation(f, rank), rel=1e-12)
+
+
+def test_reals_reads_numbers_only():
+    x = np.array([0.5, 1.0])
+    assert oracles._reals(x, "x") is x  # not walked, not copied
+    assert oracles._reals([1, np.int64(2), np.float32(0.5)], "x").tolist() == [
+        1.0, 2.0, 0.5]
+    for bad in (["0.5"], [1.0, True], np.array([True]), None,
+                [[1.0], [None]], np.array(["1"])):
+        with pytest.raises(ValueError, match="^x: .* is not a number$"):
+            oracles._reals(bad, "x")

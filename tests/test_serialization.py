@@ -1,3 +1,9 @@
+import copy
+import functools
+import math
+import operator
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +16,9 @@ from submodlab.matroids import (PSystem, random_graphic_matroid,
                                 random_partition_matroid)
 from submodlab.oracles import (random_coverage, random_cut, random_modular,
                                random_perturbed)
-from submodlab.serialization import (bundle_doc, canonical_json, from_doc,
-                                     load, load_bundle, save, to_doc)
+from submodlab.serialization import (_CLASSES, CODECS, bundle_doc,
+                                     canonical_json, from_doc, load,
+                                     load_bundle, load_doc, save, to_doc)
 
 from helpers import random_uniform_matroid
 
@@ -111,3 +118,59 @@ def test_unknown_docs_rejected():
         from_doc({"kind": "matroid", "family": "nonsense"})
     with pytest.raises(TypeError):
         to_doc(object())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+DOCUMENTS = sorted([*GOLDEN.glob("docs/*.json"),
+                    *GOLDEN.glob("cli/instances/*.json")])
+
+
+def _number_paths(doc, path=()):
+    """The paths of the numeric leaves of every field the loader reads: the
+    CODECS fields of a document, nested documents included, and those of
+    each bundle component."""
+    if doc["kind"] == "bundle":
+        for name, sub in doc["components"].items():
+            yield from _number_paths(sub, path + ("components", name))
+        return
+    for name in CODECS[_CLASSES[doc["kind"], doc.get("family")]][1]:
+        yield from _leaf_paths(doc[name], path + (name,))
+
+
+def _leaf_paths(value, path):
+    if isinstance(value, dict):
+        yield from _number_paths(value, path)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaf_paths(v, path + (i,))
+    elif type(value) in (int, float):
+        yield path
+
+
+@pytest.mark.parametrize("mutate", [lambda v: True, str, lambda v: math.nan],
+                         ids=["bool", "string", "nan"])
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.name)
+def test_every_document_number_is_checked(path, mutate):
+    # a bool, a string or NaN in any number slot is a ValueError, never a
+    # TypeError and never a silent load: modular weights ["0.5", true]
+    # loaded as [0.5, 1.0], and delta true as 1.0
+    doc = load_doc(path)
+    read = load_bundle if doc["kind"] == "bundle" else from_doc
+    read(doc)
+    leaves = list(_number_paths(doc))
+    assert leaves
+    for *head, last in leaves:
+        bad = copy.deepcopy(doc)
+        target = functools.reduce(operator.getitem, head, bad)
+        target[last] = mutate(target[last])
+        with pytest.raises(ValueError):
+            read(bad)
+
+
+@pytest.mark.parametrize("value", ["no", "false", 1, None])
+def test_monotone_noise_must_be_a_bool(value):
+    # bool() read "no" and 1 as True, which changes the table that is built
+    doc = to_doc(random_perturbed(5, 0.3, 1))
+    doc["monotone_noise"] = value
+    with pytest.raises(ValueError, match="^monotone_noise: .* is not a bool$"):
+        from_doc(doc)
