@@ -16,11 +16,11 @@ from .matroids import (GraphicMatroid, IndependenceSystem, Matroid,
                        psystem_greedy_marginal, random_graphic_matroid,
                        random_partition_matroid)
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,
-                         KnapsackPolytope, MultilinearOracle,
-                         PartitionPolytope, Polytope, QuadraticOracle,
-                         SqrtLinearOracle, SumOracle, masked_update,
-                         random_quadratic_dr, random_sqrt_linear,
-                         random_weak_quadratic, unit_box, weak_dr_gamma)
+                         KnapsackPolytope, PartitionPolytope, Polytope,
+                         QuadraticOracle, SqrtLinearOracle, SumOracle,
+                         masked_update, random_quadratic_dr,
+                         random_sqrt_linear, random_weak_quadratic, unit_box,
+                         weak_dr_gamma)
 from .algorithms import (RunTrace, authors_conjecture_rounds,
                          bicriteria_rounds, dummy_candidates, frank_wolfe,
                          intersection_candidates, masked_frank_wolfe,

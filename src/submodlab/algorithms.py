@@ -21,7 +21,7 @@ import numpy as np
 from .continuous import ContinuousOracle, Polytope, masked_update
 from .matroids import (Matroid, PSystem, contracted_ranks,
                        max_weight_common_independent, psystem_greedy_marginal)
-from .oracles import SetFunctionOracle, elements_of, mask_of
+from .oracles import SetFunctionOracle, _integer, elements_of, mask_of
 
 CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
                    # integral (e.g. ln 4 / ln 2) must not round up
@@ -107,13 +107,13 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     masses add up to exactly 1 (making x a convex combination of polytope
     members and the origin).
     """
-    if iterations < 1:
+    k_total = _integer(iterations, "iteration counts")
+    if k_total < 1:
         raise ValueError("need at least one iteration")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
     if not f.monotone:
         raise ValueError("objective must be certified monotone")
-    k_total = int(iterations)
     x = np.zeros(f.n)
     mass = 0.0
     records = []

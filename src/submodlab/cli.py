@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 from . import serialization, verify
 from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
-from .oracles import (CapabilityError, random_coverage, random_cut,
+from .oracles import (CapabilityError, _integer, random_coverage, random_cut,
                       random_modular, random_perturbed)
 from .verify import PROBLEMS, _or, exact_ratios, sampled_gamma
 
@@ -282,9 +282,9 @@ def _load_problem_components(args):
     problem = PROBLEMS[args.problem]
     doc = serialization.load_doc(args.instance)
     if doc.get("kind") == "bundle":
-        if doc.get("problem") != args.problem:
-            raise UsageError(
-                f"instance file is a problem-{doc.get('problem')} bundle")
+        kind = _integer(doc.get("problem"), "bundle problem numbers")
+        if kind != args.problem:
+            raise UsageError(f"instance file is a problem-{kind} bundle")
         comp = serialization.load_bundle(doc)
     elif problem.bare_objective and doc.get("kind") == "set-function":
         comp = {"objective": serialization.from_doc(doc),

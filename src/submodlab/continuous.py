@@ -9,8 +9,7 @@ Euclidean norm; see ``ContinuousOracle``.
 
 Exact work over the cube's 2^n vertices reads one vertex matrix,
 ``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
-(``value_many`` at every vertex), the knapsack diameter, and the
-multilinear extension's weights.
+(``value_many`` at every vertex) and the knapsack diameter.
 
 Polytope membership is one rule, ``Polytope.member_many``: the box
 [0, upper], then each row of ``linear_rows``, the rows that ``grid_opt``'s
@@ -25,10 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .matroids import checked_partition
-from .oracles import (REL_TOL, CapabilityError, SetFunctionOracle,
-                      _finite, _integer, _reals, clamp_ratio, subset_bits)
+from .oracles import (REL_TOL, CapabilityError, _finite, _integer, _reals,
+                      clamp_ratio, subset_bits)
 
-MULTILINEAR_LIMIT = 15
 VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
 
@@ -190,66 +188,6 @@ class SqrtLinearOracle(ContinuousOracle):
     def grad_many(self, points: np.ndarray) -> np.ndarray:
         pts = _as_points(points, self.n)
         return self.b / (2.0 * np.sqrt(self.shift + pts @ self.b))[:, None]
-
-
-class MultilinearOracle(ContinuousOracle):
-    """Exact multilinear extension of a set-function oracle (no sampling).
-
-    F(1_S) = f(S) holds bit-for-bit; partial derivatives are the exact
-    differences F(x; x_u = 1) - F(x; x_u = 0), all valued by ``value_many``.
-    """
-
-    family = "multilinear"
-
-    def __init__(self, base: SetFunctionOracle):
-        if base.n > MULTILINEAR_LIMIT:
-            raise CapabilityError(
-                f"multilinear extension needs n <= {MULTILINEAR_LIMIT}")
-        self.n = base.n
-        self.base = base
-        self._tab = base.table()
-        masks = np.arange(1 << self.n)
-        self._bits = subset_bits(self.n)
-        self.monotone = base.monotone is True
-        diffs = np.zeros(self.n)
-        for u in range(self.n):
-            bit = 1 << u
-            lows = masks[(masks & bit) == 0]
-            diffs[u] = float(np.abs(self._tab[lows | bit] - self._tab[lows]).max())
-        self.value_lipschitz = float(np.linalg.norm(diffs))
-        pair_bound = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                bu, bv = 1 << u, 1 << v
-                lows = masks[(masks & (bu | bv)) == 0]
-                second = (self._tab[lows | bu | bv] - self._tab[lows | bu]
-                          - self._tab[lows | bv] + self._tab[lows])
-                pair_bound[u, v] = pair_bound[v, u] = float(np.abs(second).max())
-        self.smoothness = float(pair_bound.sum(axis=1).max(initial=0.0))
-
-    def value(self, x) -> float:
-        x = _as_point(x, self.n)
-        return float(self.value_many(x[None])[0])
-
-    def grad(self, x) -> np.ndarray:
-        x = _as_point(x, self.n)
-        ends = np.repeat(x[None], 2 * self.n, axis=0)
-        u = np.arange(self.n)
-        ends[u, u] = 1.0
-        ends[self.n + u, u] = 0.0
-        vals = self.value_many(ends)
-        return vals[:self.n] - vals[self.n:]
-
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w = np.ones((pts.shape[0], 1 << self.n))
-        for u in range(self.n):
-            col = self._bits[:, u][None, :]
-            w *= col * pts[:, u:u + 1] + (1.0 - col) * (1.0 - pts[:, u:u + 1])
-        # a row-wise sum, not a matrix-vector product, so that each row's
-        # bits do not depend on the batch it is valued in
-        w *= self._tab
-        return w.sum(axis=1)
 
 
 class SumOracle(ContinuousOracle):

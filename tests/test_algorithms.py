@@ -222,6 +222,14 @@ def test_fw_requires_monotone():
         frank_wolfe(h, unit_box(3), 10)
 
 
+@pytest.mark.parametrize("iterations", [2.5, True, "3", 0, -1])
+def test_fw_iterations_must_be_a_positive_integer(iterations):
+    # int() ran 2.5 as 2 iterations (and recorded 2), and True as 1
+    f = random_quadratic_dr(3, 53, monotone=True)
+    with pytest.raises(ValueError):
+        frank_wolfe(f, unit_box(3), iterations)
+
+
 # ---------------------------------------------------------------------------
 # random greedy with dummies
 

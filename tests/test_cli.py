@@ -317,6 +317,22 @@ def test_non_number_document_value_exits_one(tmp_path, capsys, stem, path,
     assert not list(tmp_path.glob("run-*.csv"))
 
 
+@pytest.mark.parametrize("problem", [True, 1.0, "1", None])
+def test_bundle_problem_must_be_an_integer(tmp_path, capsys, problem):
+    # compared with !=, "problem": true ran as problem 1 and wrote a trace
+    bundle = load_doc(GOLDEN_CLI / "instances" / "problem1-n3-s2.json")
+    bundle["problem"] = problem
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert run(tmp_path / "out", "run", "--problem", "1",
+               "--instance", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bundle problem numbers must be integers")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_document_field_is_named(tmp_path, capsys):
     # a bare KeyError repr, "error: 'universe_weights'", named nothing else
     bundle = load_doc(GOLDEN_CLI / "instances" / "problem2-n7-s11.json")

@@ -5,7 +5,9 @@
 the four `audit --bound` tables, the replay documents of a few audit rows,
 the stdout and exit code of each command, the stdout of the three
 `scripts/` at tiny sizes, under `docs/` the document of one seeded
-object of each serializable class that those runs do not write, and in
+object of each serializable class that those runs do not write, under
+`counterexamples/` a hand-built problem-2 bundle that refutes the
+round-count conjecture at p = 3, eps = 0.1, and in
 `ratios.json` the exact gamma and m of seeded oracles at
 n = 8-12 (from n = 11 on, the gamma sweep splits groups over several
 chunks). The test regenerates all of it into a temporary directory and
@@ -27,18 +29,20 @@ import io
 import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from submodlab import serialization
+from submodlab import serialization, verify
 from submodlab.cli import main
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  KnapsackPolytope, MultilinearOracle,
-                                  PartitionPolytope)
-from submodlab.matroids import (PSystem, random_graphic_matroid,
+                                  KnapsackPolytope, PartitionPolytope)
+from submodlab.matroids import (PartitionMatroid, PSystem,
+                                random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import (measure_ratios, random_coverage, random_cut,
-                               random_modular, random_perturbed)
+from submodlab.oracles import (ModularOracle, measure_ratios, random_coverage,
+                               random_cut, random_modular, random_perturbed)
 from submodlab.verify import audit_problem4, audit_problem5
 
 from helpers import TableOracle, random_uniform_matroid
@@ -100,8 +104,26 @@ def _doc_objects() -> list:
         CardinalityPolytope(5, 2),
         PartitionPolytope(blocks.blocks, blocks.caps),
         KnapsackPolytope(rng.uniform(0.2, 1.0, 5), 1.3),
-        MultilinearOracle(random_coverage(4, 7)),
     ]
+
+
+COUNTEREXAMPLE = "counterexamples/problem2-conjecture-p3-eps0.1.json"
+
+
+def _stacked_decoys() -> dict:
+    """A problem-2 bundle on which the authors' conjectured
+    ceil(log_4(1/0.1)) = 2 passes fall short of 0.9 * OPT at p = 3.
+    Decoys 0 and 1 weigh 1.02 and 1.01, elements 2-4 weigh 1. Matroid j
+    (cap 1 per block) puts both decoys and element 2 + j in one block and
+    every other element alone, so each pass takes one decoy, which blocks
+    the rest: two passes give 2.03, while OPT = {2, 3, 4} gives 3."""
+    matroids = [PartitionMatroid(
+        [[0, 1, 2 + j]] + [[u] for u in range(2, 5) if u != 2 + j], [1] * 3)
+        for j in range(3)]
+    return serialization.bundle_doc(
+        2, {"objective": ModularOracle([1.02, 1.01, 1.0, 1.0, 1.0]),
+            "system": PSystem(matroids)},
+        meta={"p": 3, "epsilon": 0.1})
 
 
 def _ratio_oracles() -> dict:
@@ -221,6 +243,7 @@ def write_corpus(root: Path) -> None:
         doc = serialization.to_doc(obj)
         name = "-".join(filter(None, (doc["kind"], doc.get("family"))))
         serialization.save(doc, root / "docs" / f"{name}.json")
+    serialization.save(_stacked_decoys(), root / COUNTEREXAMPLE)
 
     log = _Log(root)
     for name, argv in SCRIPT_RUNS:
@@ -286,3 +309,29 @@ if __name__ == "__main__":
     shutil.rmtree(GOLDEN, ignore_errors=True)
     write_corpus(GOLDEN)
     print(f"wrote {len(_files(GOLDEN))} files under {GOLDEN}")
+
+
+def test_stacked_decoys_refute_the_conjecture():
+    doc = serialization.load_doc(GOLDEN / COUNTEREXAMPLE)
+    c = serialization.load_bundle(doc)
+    flags = SimpleNamespace(**doc["meta"])
+    traces = verify.PROBLEMS[2].run(c, flags)
+    report, = verify._check_conjecture(c, traces, flags, "p2c")
+    assert report.verdict == verify.VIOLATED
+    assert report.measured == pytest.approx(2.03)
+    assert report.threshold == pytest.approx(2.7)
+    assert report.params["rounds_conjecture"] == 2
+    assert report.params["first_round_reaching"] == 3
+
+
+def test_stacked_decoys_hold_the_proved_bound(tmp_path):
+    # the proved bicriteria bound still holds after all the passes
+    instance = str(GOLDEN / COUNTEREXAMPLE)
+    out = ["--out-dir", str(tmp_path)]
+    assert main([*out, "run", "--problem", "2", "--instance", instance]) == 0
+    trace = tmp_path / "traces" / "problem2-conjecture-p3-eps0.1-p2-t0.json"
+    assert main([*out, "verify", "--problem", "2", "--instance", instance,
+                 "--trace", str(trace)]) == 0
+    row = (tmp_path / "verify-problem2-conjecture-p3-eps0.1-p2.csv"
+           ).read_text().splitlines()[1].split(",")
+    assert float(row[4]) == pytest.approx(5.03) and row[8] == verify.HOLDS

@@ -9,9 +9,9 @@ import pytest
 
 from submodlab.algorithms import random_greedy_dummies
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  KnapsackPolytope, MultilinearOracle,
-                                  PartitionPolytope, random_quadratic_dr,
-                                  random_sqrt_linear, random_weak_quadratic)
+                                  KnapsackPolytope, PartitionPolytope,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic)
 from submodlab.matroids import (PSystem, random_graphic_matroid,
                                 random_partition_matroid)
 from submodlab.oracles import (random_coverage, random_cut, random_modular,
@@ -71,8 +71,7 @@ def test_continuous_roundtrips_bit_exact():
     oracles = [random_quadratic_dr(4, 10, monotone=True),
                random_quadratic_dr(4, 11, monotone=False),
                random_weak_quadratic(4, 12),
-               random_sqrt_linear(4, 13),
-               MultilinearOracle(random_coverage(5, 14))]
+               random_sqrt_linear(4, 13)]
     for f in oracles:
         g = roundtrip(f)
         assert g.smoothness == f.smoothness
@@ -147,13 +146,14 @@ def _leaf_paths(value, path):
         yield path
 
 
-@pytest.mark.parametrize("mutate", [lambda v: True, str, lambda v: math.nan],
-                         ids=["bool", "string", "nan"])
+@pytest.mark.parametrize("mutate", [lambda v: True, str, lambda v: math.nan,
+                                    lambda v: [v]],
+                         ids=["bool", "string", "nan", "list"])
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.name)
 def test_every_document_number_is_checked(path, mutate):
-    # a bool, a string or NaN in any number slot is a ValueError, never a
-    # TypeError and never a silent load: modular weights ["0.5", true]
-    # loaded as [0.5, 1.0], and delta true as 1.0
+    # a bool, a string, NaN or a one-entry list in any number slot is a
+    # ValueError, never a TypeError and never a silent load: modular weights
+    # ["0.5", true] loaded as [0.5, 1.0], and delta true as 1.0
     doc = load_doc(path)
     read = load_bundle if doc["kind"] == "bundle" else from_doc
     read(doc)

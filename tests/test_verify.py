@@ -133,7 +133,7 @@ def test_grid_opt_degenerate_resolution():
     cert = grid_opt(f, p, 2.0)
     assert cert.maximizer == [0.0, 0.0] and cert.value == 0.0
     assert cert.radius == pytest.approx(f.value_lipschitz * p.diameter)
-    for family in ("quadratic", "sqrt-linear", "multilinear", "sum"):
+    for family in ("quadratic", "sqrt-linear", "sum"):
         cert = assert_same_certificate(grid_oracle(family, 3, 7),
                                        unit_box(3), 2.0)
         assert cert.maximizer == [0.0, 0.0, 0.0]
@@ -208,7 +208,7 @@ def assert_same_certificate(f, polytope, resolution):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5),
-       st.sampled_from(["quadratic", "sqrt-linear", "multilinear", "sum"]),
+       st.sampled_from(["quadratic", "sqrt-linear", "sum"]),
        st.sampled_from(["box", "cardinality", "partition", "knapsack"]),
        st.one_of(st.floats(0.05, 0.15), st.floats(0.05, 2.0)),
        st.integers(0, 10_000))
@@ -222,7 +222,7 @@ def test_grid_opt_matches_the_full_grid_bit_for_bit(n, oracle, polytope,
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4),
-       st.sampled_from(["quadratic", "sqrt-linear", "multilinear", "sum"]),
+       st.sampled_from(["quadratic", "sqrt-linear", "sum"]),
        st.sampled_from(["box", "cardinality", "partition", "knapsack"]),
        st.integers(0, 10_000))
 def test_cell_bound_covers_every_member_of_its_cell(n, oracle, polytope,
@@ -318,7 +318,7 @@ def test_grid_opt_tie_across_batches():
 def test_grid_opt_small_batches_match(monkeypatch, batch):
     # many representative and cell batches, with one-row ones among them
     monkeypatch.setattr(verify, "_GRID_BATCH", batch)
-    for n, oracle, polytope in [(1, "sum", "box"), (2, "multilinear", "box"),
+    for n, oracle, polytope in [(1, "sum", "box"), (2, "quadratic", "box"),
                                 (3, "quadratic", "knapsack"),
                                 (3, "sqrt-linear", "partition"),
                                 (4, "sum", "cardinality")]:
@@ -403,7 +403,7 @@ def test_grid_opt_non_finite_bounds_never_prune():
 
 def test_grid_opt_only_the_origin():
     for n in (1, 3, 5):
-        for f in (grid_oracle("multilinear", n, n),
+        for f in (grid_oracle("quadratic", n, n),
                   grid_oracle("sum", n, n)):
             cert = assert_same_certificate(f, CardinalityPolytope(n, 0), 0.1)
             assert cert.maximizer == [0.0] * n
