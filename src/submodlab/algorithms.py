@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import ContinuousOracle, Polytope, masked_update
+from .continuous import ContinuousOracle, Polytope, _as_point, _masked_step
 from .matroids import (Matroid, PSystem, contracted_ranks,
                        max_weight_common_independent, psystem_greedy_marginal)
-from .oracles import SetFunctionOracle, _integer, elements_of, mask_of
+from .oracles import (SetFunctionOracle, _finite, _integer, elements_of,
+                      mask_of)
 
 CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
                    # integral (e.g. ln 4 / ln 2) must not round up
@@ -61,8 +62,10 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
 
     ``g`` must be certified monotone; both components must be nonnegative
     (our oracle constructors certify this). The trace records the running
-    coordinate cap 1 - (1-step)^i alongside each iterate.
+    coordinate cap 1 - (1-step)^i alongside each iterate. Each iterate is
+    checked once and read through the oracle kernels; it stays in the cube.
     """
+    epsilon = float(_finite(epsilon, "epsilon", 0))
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     if g.n != h.n or polytope.n != g.n:
@@ -74,14 +77,14 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
     y = np.zeros(g.n)
     records = []
     for i in range(rounds):
-        gradient = g.grad(y) + h.grad(y)
+        gradient = g._grad(y) + h._grad(y)
         direction = polytope.lmo((1.0 - y) * gradient)
-        y = masked_update(y, direction, step)
+        y = _as_point(_masked_step(y, direction, step), g.n)
         records.append({
             "round": i,
             "direction": direction.tolist(),
             "point": y.tolist(),
-            "value": float(g.value(y) + h.value(y)),
+            "value": float(g._value(y) + h._value(y)),
             "mask_cap": 1.0 - (1.0 - step) ** (i + 1),
         })
     return RunTrace(
@@ -105,7 +108,8 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     """Projection-free conditional gradient from 0 with constant steps 1/K:
     v = lmo(grad F(x)), x += step * v, the final step clipped so the step
     masses add up to exactly 1 (making x a convex combination of polytope
-    members and the origin).
+    members and the origin). Each new x is checked once, for the record's
+    value and the next gradient, and never clipped: the masses sum to 1.
     """
     k_total = _integer(iterations, "iteration counts")
     if k_total < 1:
@@ -114,22 +118,23 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("oracle and polytope must share the dimension")
     if not f.monotone:
         raise ValueError("objective must be certified monotone")
-    x = np.zeros(f.n)
+    x = point = np.zeros(f.n)
     mass = 0.0
     records = []
     for k in range(k_total):
-        direction = polytope.lmo(f.grad(x))
+        direction = polytope.lmo(f._grad(point))
         # last round takes exactly the remaining mass; for k >= 2 this makes
         # the final total bit-exactly 1.0
         step = (1.0 - mass) if k == k_total - 1 else 1.0 / k_total
         x = x + step * direction
+        point = _as_point(x, f.n)
         mass = mass + step
         records.append({
             "round": k,
             "direction": direction.tolist(),
             "step": step,
             "point": x.tolist(),
-            "value": float(f.value(x)),
+            "value": float(f._value(point)),
             "mass": mass,
         })
     meta = {
@@ -139,7 +144,8 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
         "in_polytope": bool(polytope.member(x)),
     }
     if declared_gamma is not None:
-        meta["declared_gamma"] = float(declared_gamma)
+        meta["declared_gamma"] = float(
+            _finite(declared_gamma, "declared gamma", 0))
     return RunTrace(
         algorithm="frank-wolfe",
         params={"iterations": k_total},
@@ -230,8 +236,8 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
 
 
 def check_budget(k: int, n: int) -> None:
-    """The cardinality budget of random greedy with dummies: 1 <= k <= n."""
-    if not 1 <= k <= n:
+    """The budget of random greedy with dummies: an integer 1 <= k <= n."""
+    if not 1 <= _integer(k, "budgets") <= n:
         raise ValueError("budget k must satisfy 1 <= k <= n")
 
 
@@ -265,6 +271,7 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
     padded to k by the lowest untaken dummy ids, and draws one uniformly.
     """
     check_budget(k, f.n)
+    seed = _integer(seed, "seeds")
     real = 0
     dummies = list(range(f.n, f.n + 2 * k))  # untaken, ascending
     records = []
@@ -339,6 +346,7 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     proceeded; ``meta["fixed_rounds_would_crash"]`` flags traces where that
     variant would have run out of feasible sets.
     """
+    seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
     ranks = contracted_ranks(system)
     rank = int(ranks[0])

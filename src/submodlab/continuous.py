@@ -67,7 +67,8 @@ class ContinuousOracle:
 
     ``grid_opt``'s cell bound rests on both. An oracle that is not
     differentiable declares ``smoothness = math.inf`` and keeps the
-    Lipschitz bound alone.
+    Lipschitz bound alone. ``value`` and ``grad`` check the point once and
+    call the kernels ``_value`` and ``_grad``, which read checked points.
     """
 
     family = "abstract"
@@ -77,10 +78,10 @@ class ContinuousOracle:
     value_lipschitz: float
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self._value(_as_point(x, self.n))
 
     def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._grad(_as_point(x, self.n))
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([self.value(p) for p in points])
@@ -135,12 +136,10 @@ class QuadraticOracle(ContinuousOracle):
         if float(self.value_many(subset_bits(self.n)).min()) < -1e-9:
             raise ValueError("quadratic oracle is negative at a cube vertex")
 
-    def value(self, x) -> float:
-        x = _as_point(x, self.n)
+    def _value(self, x: np.ndarray) -> float:
         return float(self.b @ x + 0.5 * x @ self.a @ x)
 
-    def grad(self, x) -> np.ndarray:
-        x = _as_point(x, self.n)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         return self.b + self.a @ x
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
@@ -173,12 +172,10 @@ class SqrtLinearOracle(ContinuousOracle):
         self.smoothness = norm_sq / (4.0 * self.shift ** 1.5)
         self.value_lipschitz = math.sqrt(norm_sq) / (2.0 * math.sqrt(self.shift))
 
-    def value(self, x) -> float:
-        x = _as_point(x, self.n)
+    def _value(self, x: np.ndarray) -> float:
         return float(math.sqrt(self.shift + self.b @ x) - math.sqrt(self.shift))
 
-    def grad(self, x) -> np.ndarray:
-        x = _as_point(x, self.n)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         return self.b / (2.0 * math.sqrt(self.shift + self.b @ x))
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
@@ -207,13 +204,13 @@ class SumOracle(ContinuousOracle):
         self.smoothness = float(sum(p.smoothness for p in parts))
         self.value_lipschitz = float(sum(p.value_lipschitz for p in parts))
 
-    def value(self, x) -> float:
-        return float(sum(p.value(x) for p in self.parts))
+    def _value(self, x: np.ndarray) -> float:
+        return float(sum(p._value(x) for p in self.parts))
 
-    def grad(self, x) -> np.ndarray:
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n)
         for p in self.parts:
-            out += p.grad(x)
+            out += p._grad(x)
         return out
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
@@ -269,11 +266,13 @@ class Polytope:
         """argmax of <c, x> over the polytope, exact per family."""
         raise NotImplementedError
 
-    def _clean_c(self, c) -> np.ndarray:
+    def _clean_c(self, c) -> list[float]:
+        """``c`` as a list of n finite floats, which the LMOs compare."""
         c = _reals(c, "objective vectors")
-        if c.shape != (self.n,) or not np.isfinite(c).all():
+        values = c.tolist()
+        if c.shape != (self.n,) or not all(map(math.isfinite, values)):
             raise ValueError("objective vector must be finite of matching size")
-        return c
+        return values
 
 
 class BoxPolytope(Polytope):
@@ -288,8 +287,8 @@ class BoxPolytope(Polytope):
         self.diameter = float(np.linalg.norm(upper))
 
     def lmo(self, c) -> np.ndarray:
-        c = self._clean_c(c)
-        return np.where(c > 0.0, self.upper, 0.0)
+        return np.array([u if v > 0.0 else 0.0 for u, v in
+                         zip(self.upper.tolist(), self._clean_c(c))])
 
 
 def unit_box(n: int) -> BoxPolytope:
@@ -374,17 +373,17 @@ class KnapsackPolytope(Polytope):
         return self.costs[None, :], np.array([self.budget + MEMBER_TOL * scale])
 
     def lmo(self, c) -> np.ndarray:
-        c = self._clean_c(c)
+        c, costs = self._clean_c(c), self.costs.tolist()
         x = np.zeros(self.n)
         order = sorted((u for u in range(self.n) if c[u] > 0.0),
-                       key=lambda u: (-c[u] / self.costs[u], u))
+                       key=lambda u: (-c[u] / costs[u], u))
         left = self.budget
         for u in order:
             if left <= 0.0:
                 break
-            take = min(1.0, left / self.costs[u])
+            take = min(1.0, left / costs[u])
             x[u] = take
-            left -= take * self.costs[u]
+            left -= take * costs[u]
         return x
 
 
@@ -396,7 +395,11 @@ def masked_update(y, s, step: float) -> np.ndarray:
     n = np.size(y)
     if n == 0:
         raise ValueError("dimension needs at least one coordinate")
-    y, s = _as_point(y, n), _as_point(s, n)
+    return _masked_step(_as_point(y, n), _as_point(s, n), step)
+
+
+def _masked_step(y: np.ndarray, s: np.ndarray, step: float) -> np.ndarray:
+    """``masked_update``'s kernel, for checked points and step."""
     return np.minimum(1.0, y + step * (1.0 - y) * s)
 
 

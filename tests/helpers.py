@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 
-from submodlab.algorithms import bicriteria_rounds, intersection_candidates
+from submodlab.algorithms import (CEIL_GUARD, RunTrace, bicriteria_rounds,
+                                  intersection_candidates)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   KnapsackPolytope, PartitionPolytope,
                                   SumOracle, _sample_ordered_pairs,
+                                  masked_update,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
@@ -184,6 +186,54 @@ def weak_dr_gamma_ref(f, samples=2000, seed=0):
     if best is math.inf or best >= 1.0 - REL_TOL:
         return 1.0
     return max(0.0, best)
+
+
+def masked_frank_wolfe_ref(g, h, polytope, epsilon):
+    """Reference for ``algorithms.masked_frank_wolfe`` on valid inputs: the
+    same loop through the checking ``grad``, ``value`` and
+    ``masked_update``, which check every point they are given."""
+    rounds = max(1, math.ceil(1.0 / epsilon - CEIL_GUARD))
+    step = 1.0 / rounds
+    y = np.zeros(g.n)
+    records = []
+    for i in range(rounds):
+        gradient = g.grad(y) + h.grad(y)
+        direction = polytope.lmo((1.0 - y) * gradient)
+        y = masked_update(y, direction, step)
+        records.append({
+            "round": i,
+            "direction": direction.tolist(),
+            "point": y.tolist(),
+            "value": float(g.value(y) + h.value(y)),
+            "mask_cap": 1.0 - (1.0 - step) ** (i + 1),
+        })
+    meta = {"rounds": rounds, "step": step, "value": records[-1]["value"],
+            "in_polytope": bool(polytope.member(y))}
+    return RunTrace("masked-frank-wolfe", {"epsilon": float(epsilon)}, None,
+                    records, y.tolist(), meta)
+
+
+def frank_wolfe_ref(f, polytope, iterations, declared_gamma=None):
+    """Reference for ``algorithms.frank_wolfe`` on valid inputs: the same
+    loop through the checking ``grad`` and ``value``."""
+    x = np.zeros(f.n)
+    mass = 0.0
+    records = []
+    for k in range(iterations):
+        direction = polytope.lmo(f.grad(x))
+        step = (1.0 - mass) if k == iterations - 1 else 1.0 / iterations
+        x = x + step * direction
+        mass = mass + step
+        records.append({"round": k, "direction": direction.tolist(),
+                        "step": step, "point": x.tolist(),
+                        "value": float(f.value(x)), "mass": mass})
+    meta = {"iterations": iterations, "step_mass": mass,
+            "value": records[-1]["value"],
+            "in_polytope": bool(polytope.member(x))}
+    if declared_gamma is not None:
+        meta["declared_gamma"] = float(declared_gamma)
+    return RunTrace("frank-wolfe", {"iterations": iterations}, None, records,
+                    x.tolist(), meta)
 
 
 def multipass_reference(f, system, eps):

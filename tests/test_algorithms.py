@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from submodlab import algorithms, continuous
 from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
-                                  frank_wolfe, masked_frank_wolfe,
-                                  multipass_greedy, random_greedy_dummies,
+                                  check_budget, frank_wolfe,
+                                  masked_frank_wolfe, multipass_greedy,
+                                  random_greedy_dummies,
                                   random_greedy_intersection)
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
-                                  random_quadratic_dr, unit_box)
+                                  SumOracle, random_quadratic_dr,
+                                  random_sqrt_linear, random_weak_quadratic,
+                                  unit_box)
 from submodlab.matroids import (PSystem, UniformMatroid,
                                 random_graphic_matroid,
                                 random_partition_matroid,
@@ -20,7 +24,8 @@ from submodlab.serialization import canonical_json, to_doc
 from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
                               intersection_greedy_expectation)
 
-from helpers import (TableOracle, free_matroid, mean_and_se,
+from helpers import (TableOracle, frank_wolfe_ref, free_matroid,
+                     grid_polytope, masked_frank_wolfe_ref, mean_and_se,
                      multipass_reference)
 
 
@@ -74,6 +79,95 @@ def test_masked_fw_round_count_uses_tolerant_ceiling():
     g = linear_oracle(np.ones(2))
     trace = masked_frank_wolfe(g, zero_oracle(2), unit_box(2), 0.1)
     assert trace.meta["rounds"] == 10
+
+
+@pytest.mark.parametrize("epsilon", [True, "0.5", math.nan, [0.5]])
+def test_masked_fw_epsilon_must_be_a_number(epsilon):
+    # True ran as epsilon = 1.0
+    g = random_quadratic_dr(3, 33, monotone=True)
+    with pytest.raises(ValueError):
+        masked_frank_wolfe(g, zero_oracle(3), unit_box(3), epsilon)
+
+
+# ---------------------------------------------------------------------------
+# both Frank-Wolfe loops against the reference loops, which check every
+# point at every call
+
+
+POLYTOPES = ("box", "cardinality", "partition", "knapsack")
+
+
+def fw_objectives(n, seed):
+    """One monotone objective of each kind the Frank-Wolfe loops take: a DR
+    and a weak quadratic, a sqrt-linear and a sum."""
+    return [random_quadratic_dr(n, seed), random_weak_quadratic(n, seed),
+            random_sqrt_linear(n, seed),
+            SumOracle([random_quadratic_dr(n, seed + 1),
+                       random_sqrt_linear(n, seed + 2)])]
+
+
+def fw_runs(n, seed, polytope, k):
+    """(frank_wolfe's trace, the reference's) for each objective, then
+    (masked_frank_wolfe's, the reference's) with that objective as g and a
+    non-monotone quadratic as h, each run k rounds."""
+    poly = grid_polytope(polytope, n, seed)
+    h = random_quadratic_dr(n, seed + 3, monotone=False)
+    for f in fw_objectives(n, seed):
+        yield frank_wolfe(f, poly, k), frank_wolfe_ref(f, poly, k)
+        yield (masked_frank_wolfe(f, h, poly, 1.0 / k),
+               masked_frank_wolfe_ref(f, h, poly, 1.0 / k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 200])
+@pytest.mark.parametrize("polytope", POLYTOPES)
+def test_fw_loops_match_reference_loops_bit_for_bit(polytope, k):
+    seeds = range(3 if k < 200 else 1)
+    compared = 0
+    for n in range(1, 7):
+        for seed in seeds:
+            for got, want in fw_runs(n, seed, polytope, k):
+                assert repr(got) == repr(want), (n, seed)
+                compared += 1
+    assert compared == 6 * len(seeds) * 8
+
+
+def unclipped_runs(n, seed, polytope, k):
+    """The traces of ``fw_runs``, with every point the loops check asserted
+    to pass ``_in_cube`` as it is, unclipped."""
+    checked = []
+
+    def check(x, dim):
+        assert continuous._in_cube(x) is x
+        checked.append(x)
+        return continuous._as_point(x, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_as_point", check)
+        traces = [got for got, _ in fw_runs(n, seed, polytope, k)]
+    # one check per iterate of each of the four runs of either loop
+    assert len(checked) == 8 * k
+    return traces
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10_000), st.sampled_from(POLYTOPES),
+       st.sampled_from([1, 2, 3, 50]))
+def test_fw_iterates_are_never_clipped(n, seed, polytope, k):
+    for trace in unclipped_runs(n, seed, polytope, k):
+        for rec in trace.iterations:
+            point = np.array(rec["point"])
+            assert continuous._in_cube(point) is point
+        if trace.algorithm == "frank-wolfe":
+            assert trace.meta["step_mass"] == 1.0
+
+
+def test_fw_knapsack_iterates_with_fractional_directions_are_never_clipped():
+    fractional = 0
+    for seed in range(4):
+        for trace in unclipped_runs(5, seed, "knapsack", 20):
+            fractional += any(0.0 < d < 1.0 for rec in trace.iterations
+                              for d in rec["direction"])
+    assert fractional == 4 * 8  # every run takes a fractional direction
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +316,14 @@ def test_fw_requires_monotone():
         frank_wolfe(h, unit_box(3), 10)
 
 
+@pytest.mark.parametrize("gamma", ["0.5", True, math.nan, [0.5]])
+def test_fw_declared_gamma_must_be_a_number(gamma):
+    # float() recorded the string "0.5" as meta.declared_gamma = 0.5
+    f = random_quadratic_dr(3, 54, monotone=True)
+    with pytest.raises(ValueError):
+        frank_wolfe(f, unit_box(3), 3, declared_gamma=gamma)
+
+
 @pytest.mark.parametrize("iterations", [2.5, True, "3", 0, -1])
 def test_fw_iterations_must_be_a_positive_integer(iterations):
     # int() ran 2.5 as 2 iterations (and recorded 2), and True as 1
@@ -283,6 +385,28 @@ def test_dummy_greedy_budget_validation():
     for k in (-1, 0, 4):
         with pytest.raises(ValueError):
             random_greedy_dummies(f, k, seed=0)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", np.bool_(True)])
+def test_dummy_greedy_budget_must_be_an_integer(k):
+    # check_budget compared True with 1 <= k <= n, and the run took k = 1
+    f = random_modular(3, 57)
+    with pytest.raises(ValueError):
+        check_budget(k, f.n)
+    with pytest.raises(ValueError):
+        random_greedy_dummies(f, k, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, "1", None])
+def test_randomized_runners_read_integer_seeds(seed):
+    # int() ran seed 1.7 as seed 1 and recorded 1
+    f = random_coverage(5, 1)
+    with pytest.raises(ValueError):
+        random_greedy_dummies(f, 2, seed=seed)
+    with pytest.raises(ValueError):
+        random_greedy_intersection(f, UniformMatroid(5, 2), free_matroid(5),
+                                   seed=seed)
+    assert random_greedy_dummies(f, 2, seed=np.int64(3)).seed == 3
 
 
 # ---------------------------------------------------------------------------
