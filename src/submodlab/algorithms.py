@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import ContinuousOracle, Polytope, _as_point, _masked_step
-from .matroids import (Matroid, PSystem, contracted_ranks,
-                       max_weight_common_independent, psystem_greedy_marginal)
+from .matroids import (Matroid, PSystem, _check_search_size, _heaviest,
+                       contracted_ranks, psystem_greedy_marginal)
 from .oracles import (SetFunctionOracle, _finite, _integer, elements_of,
                       mask_of)
 
@@ -164,7 +164,8 @@ def _log_rounds(p: int, epsilon: float, base) -> int:
     """ceil(log_b(1/eps)) with b = base(p), floored at one pass."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if int(p) != p or p < 1:
+    p = _integer(p, "matroid counts")
+    if p < 1:
         raise ValueError("p must be a positive integer")
     ratio = math.log(1.0 / epsilon) / math.log(base(p))
     return max(1, math.ceil(ratio - CEIL_GUARD))
@@ -308,31 +309,54 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
 # random greedy for the intersection of two matroids
 
 
+def _check_intersection(f: SetFunctionOracle, system: PSystem) -> None:
+    if f.n != system.n:
+        raise ValueError("oracle and matroids must share the ground set")
+    if f.monotone is not True:
+        raise ValueError("objective must be certified monotone")
+
+
 def intersection_candidates(f: SetFunctionOracle, system: PSystem,
                             mask: int) -> tuple | None:
     """The candidates of two-matroid random greedy at the set S = ``mask``,
-    or None once no element extends S in ``system``.
+    an independent int mask, or None once no element extends S in
+    ``system``.
 
     Weight the remaining elements by their marginals and take the
     maximum-weight T outside S with S | T common-independent (the search
     over the intersection's table with ``base=S``, no size target).
     """
-    if f.n != system.n:
-        raise ValueError("oracle and matroids must share the ground set")
-    if f.monotone is not True:
-        raise ValueError("objective must be certified monotone")
-    tab = system.indep_table()
-    ground = [u for u in range(f.n) if not mask >> u & 1]
-    if not any(tab[mask | 1 << u] for u in ground):
+    _check_intersection(f, system)
+    mask = _integer(mask, "masks")
+    if not 0 <= mask < 1 << f.n:
+        raise ValueError("mask is not a subset of the ground set")
+    indep = system.indep_table()
+    if not indep[mask]:
+        raise ValueError("mask is not an independent set")
+    return _candidates(f.table(), indep, f.n, mask)
+
+
+def _candidates(values, indep, n: int, mask: int) -> tuple | None:
+    """``intersection_candidates`` unchecked: ``mask`` must be independent.
+    ``values`` and ``indep`` are the value and independence tables indexed
+    by mask: numpy arrays, or a list of floats and bytes, on which each
+    search node is cheaper but which take a pass over all 2^n entries to
+    build. Past INTERSECTION_LIMIT elements outside ``mask`` it raises
+    CapabilityError, as the search does, once some element extends
+    ``mask``."""
+    ground = [u for u in range(n) if not mask >> u & 1]
+    if not any(indep[mask | 1 << u] for u in ground):
         return None
-    weights = np.zeros(f.n)
+    _check_search_size(ground)
+    here = values[mask]
+    weights = [0.0] * n
     for u in ground:
-        weights[u] = f.marginal_mask(u, mask)
-    best = max_weight_common_independent(system, weights, base=mask)
+        weights[u] = values[mask | 1 << u] - here
+    best = _heaviest(indep, weights, mask, ground)
     if not best:
         raise ValueError(
             "all feasible marginals are negative; oracle is not monotone")
-    return tuple(best)
+    return tuple(elements_of(best))
 
 
 def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
@@ -348,11 +372,13 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     """
     seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
+    _check_intersection(f, system)
+    values, indep = f.table(), system.indep_table()
     ranks = contracted_ranks(system)
     rank = int(ranks[0])
     state = 0
     records = []
-    while (options := intersection_candidates(f, system, state)) is not None:
+    while (options := _candidates(values, indep, f.n, state)) is not None:
         i = len(records)
         u = options[int(_round_rng(seed, i).integers(len(options)))]
         needed = rank - i

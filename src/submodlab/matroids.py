@@ -23,7 +23,11 @@ on its own, scored by f(u | given ∪ T).
 
 Everything here is exact and deterministic: the greedy pass breaks ties
 toward the lowest element id, and the branch-and-prune search returns the
-first optimum found in weight-sorted include-first order.
+first optimum found in weight-sorted include-first order. The search is
+one checked entry point, ``max_weight_common_independent``, over the
+unchecked ``_heaviest``, which the two-matroid random greedy's candidate
+rule runs at each state; the exact walk hands it the table as bytes, so a
+search makes no numpy lookups.
 """
 
 from __future__ import annotations
@@ -204,6 +208,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
     """
     if system.n != f.n:
         raise ValueError("oracle and independence system sizes differ")
+    given = _integer(given, "masks")
     if not 0 <= given < 1 << f.n:
         raise ValueError("given is not a subset of the ground set")
     tab = system.indep_table()
@@ -243,41 +248,61 @@ def max_weight_common_independent(system: IndependenceSystem,
     single element is feasible with weight >= 0.
     """
     n = system.n
+    base = _integer(base, "masks")
+    if not 0 <= base < 1 << n:
+        raise ValueError("base is not a subset of the ground set")
     elems = [u for u in range(n) if not base >> u & 1]
-    if len(elems) > INTERSECTION_LIMIT:
-        raise CapabilityError(
-            f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
+    _check_search_size(elems)
     w = _finite(weights, "weights", 1)
     if w.size != n:
         raise ValueError("need one weight per element")
     tab = system.indep_table()
-    if not 0 <= base < 1 << n or not tab[base]:
+    if not tab[base]:
         raise ValueError("base is not an independent set")
+    return elements_of(_heaviest(tab.tobytes(), w.tolist(), base, elems))
 
+
+def _check_search_size(elems: list) -> None:
+    if len(elems) > INTERSECTION_LIMIT:
+        raise CapabilityError(
+            f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
+
+
+def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
+    """The search of ``max_weight_common_independent``, unchecked: the mask
+    of the heaviest T over ``elems`` (the elements outside ``base``) with
+    ``indep[base | T]`` true, for an independence table indexed by mask
+    (bytes or the bool array) and a list of weights.
+
+    Include-first depth-first search in (-w, u) order on an explicit stack:
+    a node is pruned when its weight plus the positive weight still to come
+    is <= the best, and a leaf replaces the best only when heavier.
+    """
     order = sorted(elems, key=lambda u: (-w[u], u))
     k = len(order)
     pos_suffix = [0.0] * (k + 1)
     for i in range(k - 1, -1, -1):
-        pos_suffix[i] = pos_suffix[i + 1] + max(float(w[order[i]]), 0.0)
+        pos_suffix[i] = pos_suffix[i + 1] + max(w[order[i]], 0.0)
 
     best_w = -np.inf
     best_set = base
-
-    def rec(idx: int, mask: int, cur_w: float) -> None:
-        nonlocal best_w, best_set
-        if idx == k:
-            if cur_w > best_w:
-                best_w, best_set = cur_w, mask
-            return
-        if cur_w + pos_suffix[idx] <= best_w:
-            return
-        u = order[idx]
-        if tab[mask | 1 << u]:
-            rec(idx + 1, mask | 1 << u, cur_w + float(w[u]))
-        rec(idx + 1, mask, cur_w)
-
-    rec(0, base, 0.0)
-    return elements_of(best_set ^ base)
+    stack = [(0, base, 0.0)]  # the exclude branches still to visit
+    while stack:
+        idx, mask, cur_w = stack.pop()
+        while True:
+            if idx == k:
+                if cur_w > best_w:
+                    best_w, best_set = cur_w, mask
+                break
+            if cur_w + pos_suffix[idx] <= best_w:
+                break
+            u = order[idx]
+            idx += 1
+            if indep[mask | 1 << u]:
+                stack.append((idx, mask, cur_w))
+                mask |= 1 << u
+                cur_w += w[u]
+    return best_set ^ base
 
 
 def contracted_ranks(system: IndependenceSystem) -> np.ndarray:

@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import serialization
-from .algorithms import (RunTrace, authors_conjecture_rounds,
-                         certificate_holds, check_budget, dummy_candidates,
-                         frank_wolfe, intersection_candidates,
+from .algorithms import (RunTrace, _candidates, _check_intersection,
+                         authors_conjecture_rounds, certificate_holds,
+                         check_budget, dummy_candidates, frank_wolfe,
                          masked_frank_wolfe, multipass_greedy,
                          random_greedy_dummies, random_greedy_intersection)
 from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
@@ -337,15 +337,22 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
     common-independent masks, so there are at most 2^n of them, and the
     candidate search at the root raises ``CapabilityError`` past
     INTERSECTION_LIMIT = 18 elements, which caps the walk at 2^18 states.
+    The inputs are checked once and both tables converted once, to a list
+    of floats and bytes: every search node reads the independence table and
+    every weight takes float arithmetic, both cheaper on native values than
+    on numpy scalars. Each state then costs one ``_candidates`` call.
     """
+    _check_intersection(f, system)
+    values, indep = f.table().tolist(), system.indep_table().tobytes()
+    n = f.n
     memo: dict[int, float] = {}
 
     def rec(mask: int) -> float:
         value = memo.get(mask)
         if value is None:
-            options = intersection_candidates(f, system, mask)
+            options = _candidates(values, indep, n, mask)
             if options is None:
-                value = f.value_mask(mask)
+                value = values[mask]
             else:
                 total = 0.0
                 for u in options:
@@ -354,7 +361,10 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
             memo[mask] = value
         return value
 
-    return rec(0)
+    try:
+        return rec(0)
+    finally:
+        del rec  # rec refers to itself: break the cycle that holds the tables
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
-                                PSystem, UniformMatroid)
+                                PSystem, UniformMatroid, contracted_ranks)
 from submodlab.oracles import (REL_TOL, CapabilityError,
                                SetFunctionOracle, elements_of, mask_of)
 from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
@@ -411,6 +411,102 @@ class IntersectionProcess:
 
     def final_value(self, mask: int) -> float:
         return self.f.value_mask(mask)
+
+
+def max_weight_common_independent_ref(system, weights, base=0):
+    """Reference for ``matroids.max_weight_common_independent`` on valid
+    input: the recursive include-first branch-and-prune in (-w, u) order
+    over the numpy independence table, pruning at ``<=`` and replacing the
+    best only when strictly heavier."""
+    tab = system.indep_table()
+    w = np.asarray(weights, dtype=float)
+    order = sorted((u for u in range(system.n) if not base >> u & 1),
+                   key=lambda u: (-w[u], u))
+    k = len(order)
+    pos_suffix = [0.0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        pos_suffix[i] = pos_suffix[i + 1] + max(float(w[order[i]]), 0.0)
+    best = [-np.inf, base]
+
+    def rec(idx, mask, cur_w):
+        if idx == k:
+            if cur_w > best[0]:
+                best[:] = [cur_w, mask]
+            return
+        if cur_w + pos_suffix[idx] <= best[0]:
+            return
+        u = order[idx]
+        if tab[mask | 1 << u]:
+            rec(idx + 1, mask | 1 << u, cur_w + float(w[u]))
+        rec(idx + 1, mask, cur_w)
+
+    rec(0, base, 0.0)
+    return elements_of(best[1] ^ base)
+
+
+def intersection_candidates_ref(f, system, mask):
+    """Reference for ``algorithms._candidates`` at an independent ``mask``:
+    the numpy marginals f(u | mask) as weights of the reference search with
+    ``base=mask``; None once no element extends the mask."""
+    tab = system.indep_table()
+    ground = [u for u in range(f.n) if not mask >> u & 1]
+    if not any(tab[mask | 1 << u] for u in ground):
+        return None
+    weights = np.zeros(f.n)
+    for u in ground:
+        weights[u] = f.marginal_mask(u, mask)
+    best = max_weight_common_independent_ref(system, weights, base=mask)
+    if not best:
+        raise ValueError(
+            "all feasible marginals are negative; oracle is not monotone")
+    return tuple(best)
+
+
+class ReferenceIntersectionProcess(IntersectionProcess):
+    """``IntersectionProcess`` with ``intersection_candidates_ref`` as its
+    choices, each recorded in ``seen`` by mask."""
+
+    def __init__(self, f, system):
+        self.f = f
+        self.system = system
+        self.seen = {}
+
+    def choices(self, mask):
+        self.seen[mask] = intersection_candidates_ref(self.f, self.system,
+                                                      mask)
+        return self.seen[mask]
+
+
+def random_greedy_intersection_ref(f, m1, m2, seed):
+    """Reference for ``algorithms.random_greedy_intersection``: its loop
+    over ``intersection_candidates_ref``, with every marginal and value read
+    through the oracle's checked lookups."""
+    system = PSystem([m1, m2])
+    ranks = contracted_ranks(system)
+    rank = int(ranks[0])
+    state = 0
+    records = []
+    while (options := intersection_candidates_ref(f, system, state)) \
+            is not None:
+        i = len(records)
+        rng = np.random.default_rng([int(seed), i])
+        u = options[int(rng.integers(len(options)))]
+        marg = f.marginal_mask(u, state)
+        records.append({
+            "round": i,
+            "candidates": list(options),
+            "chosen": u,
+            "marginal": marg,
+            "value": f.value_mask(state | 1 << u),
+            "fixed_round_size": rank - i,
+            "fixed_round_feasible": bool(int(ranks[state]) >= rank - i),
+        })
+        state |= 1 << u
+    return RunTrace("random-greedy-intersection", {}, int(seed), records,
+                    elements_of(state),
+                    {"value": f.value_mask(state), "rounds": len(records),
+                     "max_common_rank": rank,
+                     "fixed_rounds_would_crash": len(records) < rank})
 
 
 def dag_walk(process):

@@ -26,7 +26,7 @@ from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
 
 from helpers import (TableOracle, frank_wolfe_ref, free_matroid,
                      grid_polytope, masked_frank_wolfe_ref, mean_and_se,
-                     multipass_reference)
+                     multipass_reference, random_greedy_intersection_ref)
 
 
 def linear_oracle(b):
@@ -192,6 +192,17 @@ def test_bicriteria_rounds_rejects_bad_epsilon():
             bicriteria_rounds(1, eps)
     with pytest.raises(ValueError):
         bicriteria_rounds(0, 0.5)
+
+
+@pytest.mark.parametrize("rounds", [bicriteria_rounds,
+                                    authors_conjecture_rounds])
+def test_round_counts_read_p_as_an_integer(rounds):
+    # int(p) != p read True as p = 1 (two bicriteria passes at eps = 0.25)
+    # and accepted p = 2.0
+    for p in (True, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            rounds(p, 0.25)
+    assert rounds(np.int64(2), 0.25) == rounds(2, 0.25)
 
 
 def test_authors_conjecture_rounds():
@@ -485,6 +496,33 @@ def test_intersection_greedy_seed_determinism():
     a = random_greedy_intersection(f, m1, m2, seed=7)
     b = random_greedy_intersection(f, m1, m2, seed=7)
     assert canonical_json(to_doc(a)) == canonical_json(to_doc(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10_000), st.booleans(),
+       st.booleans(), st.integers(0, 10_000))
+def test_intersection_greedy_matches_the_reference_loop(n, seed, graphic,
+                                                        coverage, run_seed):
+    # the runner reads its native tables through _candidates; the reference
+    # loop reads the numpy tables through the recursive search
+    make = random_graphic_matroid if graphic else random_partition_matroid
+    f = random_coverage(n, seed) if coverage \
+        else random_perturbed(n, 0.3, seed, monotone=True)
+    m1, m2 = make(n, seed + 1), make(n, seed + 2)
+    assert repr(random_greedy_intersection(f, m1, m2, run_seed)) == \
+        repr(random_greedy_intersection_ref(f, m1, m2, run_seed))
+
+
+@pytest.mark.parametrize("mask", [1 << 4, -1, 0b111, True, 2.0, "1"])
+def test_intersection_candidates_reject_bad_masks(mask):
+    # 1 << 4 raised a numpy IndexError; -1 and the dependent 0b111 returned
+    # None; True and 2.0 raised TypeError
+    system = PSystem([UniformMatroid(4, 2)] * 2)
+    with pytest.raises(ValueError):
+        algorithms.intersection_candidates(random_coverage(4, 1), system,
+                                           mask)
+    assert algorithms.intersection_candidates(
+        random_coverage(4, 1), system, np.int64(0b11)) is None
 
 
 def test_intersection_greedy_requires_monotone():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from submodlab.algorithms import _candidates
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 UniformMatroid, contracted_ranks,
                                 max_weight_common_independent,
@@ -12,8 +13,10 @@ from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
                                mask_of,
                                random_coverage, random_modular)
 
-from helpers import (TableMatroid, free_matroid, indep_ref, indep_table_ref,
+from helpers import (TableMatroid, TableOracle, free_matroid, indep_ref,
+                     indep_table_ref, intersection_candidates_ref,
                      matroid_greedy, max_bipartite_matching,
+                     max_weight_common_independent_ref,
                      random_uniform_matroid, verify_matroid_axioms)
 
 
@@ -376,6 +379,68 @@ def test_contracted_ranks_match_branch_and_prune_at_n12():
             base = int(base)
             assert ranks[base] == len(max_weight_common_independent(
                 system, np.ones(12), base))
+
+
+@st.composite
+def intersection_states(draw):
+    """A partition or graphic pair at n <= 10, an independent base, float
+    weights with ties and negative entries, and an oracle whose value table
+    has ties and, unless it is a coverage one, negative marginals."""
+    n = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 10_000))
+    make = draw(st.sampled_from([random_partition_matroid,
+                                 random_graphic_matroid]))
+    system = PSystem([make(n, seed), make(n, seed + 1)])
+    base = 0
+    for u in draw(st.permutations(range(n)))[:draw(st.integers(0, n))]:
+        if indep_ref(system, base | 1 << u):
+            base |= 1 << u
+    weights = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+                            | st.floats(-1.0, 2.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        f = random_coverage(n, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        f = TableOracle(rng.integers(0, 4, 1 << n).astype(float))
+    return system, base, weights, f
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(intersection_states())
+def test_search_and_candidates_match_the_recursive_reference(case):
+    system, base, weights, f = case
+    assert max_weight_common_independent(system, weights, base) == \
+        max_weight_common_independent_ref(system, weights, base)
+    want = _outcome(intersection_candidates_ref, f, system, base)
+    # the walk's native tables and the runner's numpy ones
+    assert _outcome(_candidates, f.table().tolist(),
+                    system.indep_table().tobytes(), f.n, base) == want
+    assert _outcome(_candidates, f.table(), system.indep_table(), f.n,
+                    base) == want
+
+
+@pytest.mark.parametrize("base", [1 << 4, -1, 0b111, True, 2.0])
+def test_mwci_rejects_bad_bases(base):
+    # 1 << 4 raised a numpy IndexError, True numpy's truth-value error, and
+    # -1 returned []
+    with pytest.raises(ValueError):
+        max_weight_common_independent(PSystem([UniformMatroid(4, 2)] * 2),
+                                      np.ones(4), base)
+
+
+@pytest.mark.parametrize("given_mask", [True, 2.0, "1"])
+def test_psystem_greedy_reads_given_as_an_integer(given_mask):
+    with pytest.raises(ValueError):
+        psystem_greedy_marginal(random_modular(3, 1),
+                                PSystem([UniformMatroid(3, 1)]),
+                                given=given_mask)
 
 
 def test_mwci_rejects_dependent_base():

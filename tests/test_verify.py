@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import warnings
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.algorithms import (certificate_holds, frank_wolfe,
-                                  intersection_candidates, multipass_greedy,
+from submodlab.algorithms import (_candidates, certificate_holds,
+                                  frank_wolfe, multipass_greedy,
                                   random_greedy_dummies)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   ContinuousOracle, QuadraticOracle,
@@ -534,6 +535,22 @@ def test_expected_value_node_limit():
         intersection_greedy_expectation(f, system)
 
 
+def test_intersection_walk_leaves_no_cycle():
+    # the memo closure refers to itself; the walk breaks that cycle on
+    # return, so its tables are freed without waiting for a collection
+    f = random_coverage(8, 3)
+    system = PSystem([random_partition_matroid(8, 4),
+                      random_partition_matroid(8, 5)])
+    intersection_greedy_expectation(f, system)
+    gc.disable()
+    try:
+        gc.collect()
+        intersection_greedy_expectation(f, system)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class CountingProcess:
     """Delegates to a choice process and counts ``choices`` calls per
     canonical state."""
@@ -600,12 +617,12 @@ def test_expected_value_exact_queries_each_state_once(proc):
     tree_walk(tree)
     calls = Counter()
 
-    def counting(f, system, mask):
+    def counting(values, indep, n, mask):
         calls[mask] += 1
-        return intersection_candidates(f, system, mask)
+        return _candidates(values, indep, n, mask)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "intersection_candidates", counting)
+        patch.setattr(verify, "_candidates", counting)
         intersection_greedy_expectation(proc.f, proc.system)
     assert set(calls) == set(tree.calls)
     assert set(calls.values()) == {1}
