@@ -49,9 +49,18 @@ def _as_points(points, n: int) -> np.ndarray:
 def _in_cube(x: np.ndarray) -> np.ndarray:
     # A C-contiguous x already in [0, 1] is what the clip would copy, -0.0
     # included, so it is returned as it is; no caller writes to the result.
-    if (x.flags.c_contiguous and 0.0 <= np.minimum.reduce(x, axis=None)
-            and np.maximum.reduce(x, axis=None) <= 1.0):
-        return x
+    # One point is tested by a loop over its floats (NaN fails), a matrix
+    # by two reductions.
+    if x.flags.c_contiguous:
+        if x.ndim == 1:
+            for v in x.tolist():
+                if not 0.0 <= v <= 1.0:
+                    break
+            else:
+                return x
+        elif (0.0 <= np.minimum.reduce(x, axis=None)
+                and np.maximum.reduce(x, axis=None) <= 1.0):
+            return x
     if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)

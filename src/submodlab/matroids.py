@@ -9,9 +9,11 @@ the way a set-function oracle caches its value table. The base class owns
 the cache, the TABLE_LIMIT cap and the point queries (``indep_mask``,
 lookups in the table); a subclass only builds its table. A uniform
 matroid is the one-block partition matroid. Partition tables come from
-per-block counts and graphic tables from per-subset component labels, both
-built by subset doubling, and a p-system's table is the AND of its
-matroids' tables. ``checked_partition`` takes integer elements and caps
+per-block counts packed into one integer per subset, with a guard bit that
+a count over its block's cap carries into, and graphic tables from
+per-subset component labels, both built by subset doubling. A p-system is
+built from matroids only, and its table is theirs ANDed in place into a
+copy of the first. ``checked_partition`` takes integer elements and caps
 only.
 
 The common-independent search's int mask ``base`` is an independent set S
@@ -110,18 +112,27 @@ class PartitionMatroid(Matroid):
         self.caps = caps
 
     def _build_indep_table(self) -> np.ndarray:
-        # each mask's per-block counts, built by subset doubling
-        labels = [0] * self.n
-        for j, block in enumerate(self.blocks):
-            for u in block:
-                labels[u] = j
-        cnt = np.zeros((len(self.caps), 1 << self.n), dtype=np.uint8)
+        # Each mask's per-block counts packed into one integer by subset
+        # doubling: a block with cap < size gets size.bit_length() bits,
+        # started at 2^width - 1 - cap so a count over the cap carries into
+        # the guard bit above them: at most 2n <= 40 bits in all, kept in
+        # the narrowest unsigned type that holds them.
+        unit = [0] * self.n
+        start = guard = shift = 0
+        for block, cap in zip(self.blocks, self.caps):
+            if cap < len(block):
+                width = len(block).bit_length()
+                for u in block:
+                    unit[u] = 1 << shift
+                start |= ((1 << width) - 1 - cap) << shift
+                guard |= 1 << (shift + width)
+                shift += width + 1
+        codes = np.empty(1 << self.n, dtype=np.min_scalar_type(guard))
+        codes[0] = start
         for u in range(self.n):
             half = 1 << u
-            cnt[:, half:2 * half] = cnt[:, :half]
-            cnt[labels[u], half:2 * half] += 1
-        caps = np.array([min(c, self.n) for c in self.caps])
-        return (cnt <= caps[:, None]).all(axis=0)
+            np.add(codes[:half], unit[u], out=codes[half:2 * half])
+        return (codes & guard) == 0
 
 
 class UniformMatroid(PartitionMatroid):
@@ -185,6 +196,10 @@ class PSystem(IndependenceSystem):
         matroids = tuple(matroids)
         if not matroids:
             raise ValueError("need at least one matroid")
+        for m in matroids:
+            if not isinstance(m, Matroid):
+                raise ValueError(f"p-system members must be matroids, not "
+                                 f"{type(m).__name__!r}")
         if any(m.n != matroids[0].n for m in matroids):
             raise ValueError("matroids must share the ground set")
         super().__init__(matroids[0].n)
@@ -192,7 +207,10 @@ class PSystem(IndependenceSystem):
         self.p = len(matroids)
 
     def _build_indep_table(self) -> np.ndarray:
-        return np.logical_and.reduce([m.indep_table() for m in self.matroids])
+        tab = self.matroids[0].indep_table().copy()
+        for m in self.matroids[1:]:
+            tab &= m.indep_table()
+        return tab
 
 
 def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,

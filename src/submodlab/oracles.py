@@ -4,7 +4,8 @@ ground sets.
 
 Subsets are iterables of element ids (0..n-1) at the API surface. Internally
 every oracle materializes a dense value table indexed by bitmask, which keeps
-the exhaustive measurements exact and cheap at desk scale.
+the exhaustive measurements exact and cheap at desk scale. A coverage table
+folds its first min(m, n) universe items by one modular-table lookup.
 
 Oracles are immutable after construction (the table cache fills once,
 idempotently) and safe to share across concurrent evaluators; every
@@ -201,14 +202,24 @@ class CoverageOracle(SetFunctionOracle):
             sum(1 << i for i in cov) for cov in self.covers)
 
     def _build_table(self) -> np.ndarray:
+        # Each mask's union of covers by subset doubling, then its items'
+        # weights folded from 0.0 upward: the first k by one lookup into
+        # their modular table (doubling adds the highest item last, so the
+        # sums are a per-item pass's bit for bit), the rest by a pass each.
         size = 1 << self.n
         unions = np.zeros(size, dtype=np.int64)
         for u, cover in enumerate(self._cover_masks):
             half = 1 << u
             unions[half:2 * half] = unions[:half] | cover
-        tab = np.zeros(size)
-        for j in range(self.universe_weights.size):
-            tab += self.universe_weights[j] * ((unions >> j) & 1)
+        w = self.universe_weights
+        k = min(w.size, self.n)
+        low = np.zeros(1 << k)
+        for j in range(k):
+            half = 1 << j
+            low[half:2 * half] = low[:half] + w[j]
+        tab = low[unions & ((1 << k) - 1)]
+        for j in range(k, w.size):
+            tab += w[j] * ((unions >> j) & 1)
         return tab
 
 

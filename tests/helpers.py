@@ -616,6 +616,23 @@ def coverage_table_lsb(f):
     return tab
 
 
+def partition_table_counts(m):
+    """Reference partition-matroid table: each mask's per-block counts,
+    one row per block, built by subset doubling and compared with the
+    caps."""
+    labels = [0] * m.n
+    for j, block in enumerate(m.blocks):
+        for u in block:
+            labels[u] = j
+    cnt = np.zeros((len(m.caps), 1 << m.n), dtype=np.uint8)
+    for u in range(m.n):
+        half = 1 << u
+        cnt[:, half:2 * half] = cnt[:, :half]
+        cnt[labels[u], half:2 * half] += 1
+    caps = np.array([min(c, m.n) for c in m.caps])
+    return (cnt <= caps[:, None]).all(axis=0)
+
+
 def quadratic_vertex_values_ref(b, a):
     """Reference vertex values of F(x) = b·x + x·A·x / 2: each mask's value
     from the mask without its lowest bit."""

@@ -92,6 +92,25 @@ def test_bundle_component_of_the_wrong_class_exits_one(tmp_path, capsys,
         f"error: bundle component {name!r} must be a {cls}\n"
 
 
+def test_nested_p_system_exits_one(tmp_path, capsys):
+    # a p-system document among a p-system's matroids was rebuilt as one
+    # matroid: p = 1's pass count, recorded as params.p = 1
+    inst = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "6", "--p",
+               "3", "--seed", "1", "--out", str(inst)) == 0
+    doc = load_doc(inst)
+    system = doc["components"]["system"]
+    doc["components"]["system"] = dict(system, matroids=[system])
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "2",
+               "--instance", str(inst)) == 1
+    assert capsys.readouterr().err == \
+        "error: p-system members must be matroids, not 'PSystem'\n"
+    assert not (tmp_path / "traces").exists()
+    assert not list(tmp_path.glob("run-*.csv"))
+
+
 def test_run_problem2_logs_two_passes(tmp_path, capsys):
     inst = tmp_path / "p2.json"
     run(tmp_path, "gen", "--family", "problem2", "--n", "8", "--p", "1",

@@ -382,6 +382,22 @@ def test_in_cube_matches_the_clipping_reference(n, rows, data, layout):
     assert x.tobytes() == before
 
 
+@pytest.mark.parametrize("coords", [
+    [0.25, 1.0, 0.0], [0.5, -0.0, 1.0], [0.5, np.nan, 0.5],
+    [np.nan, 0.5, 0.5], [0.5, -1e-10, 0.5], [1.0 + 2e-9, 0.5, 0.5]],
+    ids=["in cube", "-0.0", "nan", "leading nan", "clipped", "raises"])
+@pytest.mark.parametrize("layout", ["point", "strided", "matrix"])
+def test_in_cube_cases_match_the_clipping_reference(coords, layout):
+    # one point is tested by a loop over its floats, a matrix or a strided
+    # view as before
+    x = {"point": np.array(coords),
+         "strided": np.array([[v, 0.5] for v in coords])[:, 0],
+         "matrix": np.array([coords, [0.5] * len(coords)])}[layout]
+    assert _cube_result(continuous._in_cube, x) == _cube_result(in_cube_ref, x)
+    if layout != "strided" and all(0.0 <= v <= 1.0 for v in coords):
+        assert continuous._in_cube(x) is x
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.sampled_from(MONOTONE_FAMILIES),
        st.integers(0, 10_000), st.data())

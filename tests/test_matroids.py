@@ -17,7 +17,8 @@ from helpers import (TableMatroid, TableOracle, free_matroid, indep_ref,
                      indep_table_ref, intersection_candidates_ref,
                      matroid_greedy, max_bipartite_matching,
                      max_weight_common_independent_ref,
-                     random_uniform_matroid, verify_matroid_axioms)
+                     partition_table_counts, random_uniform_matroid,
+                     verify_matroid_axioms)
 
 
 def test_matroid_greedy_uniform_top_k():
@@ -219,17 +220,30 @@ def test_graphic_matroid_cycle_detection():
 
 
 @st.composite
+def partition_matroids(draw, n):
+    """Up to four blocks, n singleton blocks (the widest packing of the
+    counts) or one block of all n elements, with caps from 0 to above n."""
+    layout = draw(st.sampled_from(["labels", "singletons", "one block"]))
+    if layout == "singletons":
+        blocks = [[u] for u in range(n)]
+    elif layout == "one block":
+        blocks = [list(range(n))]
+    else:
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [[u for u in range(n) if labels[u] == j]
+                  for j in sorted(set(labels))]
+    caps = draw(st.lists(st.integers(0, n + 2), min_size=len(blocks),
+                         max_size=len(blocks)))
+    return PartitionMatroid(blocks, caps)
+
+
+@st.composite
 def matroids(draw, n, kinds=("uniform", "partition", "graphic")):
     kind = draw(st.sampled_from(kinds))
     if kind == "uniform":
         return UniformMatroid(n, draw(st.integers(0, n + 1)))
     if kind == "partition":
-        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        used = sorted(set(labels))
-        blocks = [[u for u in range(n) if labels[u] == j] for j in used]
-        caps = draw(st.lists(st.integers(0, 3), min_size=len(blocks),
-                             max_size=len(blocks)))
-        return PartitionMatroid(blocks, caps)
+        return draw(partition_matroids(n))
     num_vertices = draw(st.integers(2, 6))
     ends = st.integers(0, num_vertices - 1)
     edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
@@ -254,6 +268,32 @@ def test_indep_table_matches_per_mask_reference(system):
     assert (tab == ref).all()
     for mask in range(1 << system.n):
         assert system.indep_mask(mask) == ref[mask]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(partition_matroids))
+def test_partition_table_matches_the_count_build(m):
+    assert m.indep_table().tobytes() == partition_table_counts(m).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_packed_counts_at_32_and_34_bits(n):
+    # n singleton blocks with cap 0 take 2n bits: 32 fill the narrower
+    # packing, 34 need the widest
+    for caps in ([0] * n, [u % 2 for u in range(n)]):
+        m = PartitionMatroid([[u] for u in range(n)], caps)
+        assert m.indep_table().tobytes() == \
+            partition_table_counts(m).tobytes()
+
+
+@pytest.mark.parametrize("member", [PSystem([UniformMatroid(3, 1)]), 3,
+                                    None], ids=["p-system", "int", "None"])
+def test_psystem_members_must_be_matroids(member):
+    # a nested p-system was taken as one matroid, so p counted it once
+    with pytest.raises(ValueError, match="p-system members must be matroids"):
+        PSystem([member])
+    with pytest.raises(ValueError, match="p-system members must be matroids"):
+        PSystem([UniformMatroid(3, 2), member])
 
 
 @settings(max_examples=60, deadline=None)

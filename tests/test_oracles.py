@@ -410,21 +410,26 @@ def test_only_the_submodular_families_are_certified():
 
 @st.composite
 def coverage_instances(draw):
-    n = draw(st.integers(1, 10))
-    m = draw(st.integers(0, 12))
-    shape = draw(st.sampled_from(["random", "empty", "overlap"]))
+    """Universes of up to 62 items, fewer or more than n; "high" covers use
+    only the items at or above n, which the table's lookup does not fold."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["random", "empty", "overlap", "high"]))
+    m = draw(st.integers(n + 1 if shape == "high" else 0, 62))
+    low = n if shape == "high" else 0
     if shape == "empty" or m == 0:
         covers = [[] for _ in range(n)]
     elif shape == "overlap":
         covers = [list(range(m)) for _ in range(n)]
     else:
-        covers = draw(st.lists(st.lists(st.integers(0, m - 1), max_size=m),
+        covers = draw(st.lists(st.lists(st.integers(low, m - 1), max_size=m),
                                min_size=n, max_size=n))
-    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+    weight = st.one_of(st.floats(0.0, 2.0),
+                       st.sampled_from([0.0, -0.0, 5e-324, 1e-300]))
+    weights = draw(st.lists(weight, min_size=m, max_size=m))
     return CoverageOracle(n, covers, weights)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(coverage_instances())
 def test_coverage_table_matches_lsb_build(f):
     assert f.table().tobytes() == coverage_table_lsb(f).tobytes()
