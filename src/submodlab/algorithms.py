@@ -181,15 +181,17 @@ def authors_conjecture_rounds(p: int, epsilon: float) -> int:
     return _log_rounds(p, epsilon, lambda p: p + 1.0)
 
 
-def certificate_holds(system: PSystem, parts, final) -> bool:
-    """The bicriteria feasibility certificate: every recorded part is
-    independent in ``system`` and the parts' union is exactly ``final``, so
-    no parts certify only an empty output. Each part is an element list."""
+def certificate_holds(system: PSystem, parts, final, rounds: int) -> bool:
+    """The bicriteria feasibility certificate: at most ``rounds`` recorded
+    parts, each independent in ``system``, whose union is exactly
+    ``final``, so no parts certify only an empty output. Each part is an
+    element list."""
     if not isinstance(parts, (list, tuple)):
         raise ValueError(f"{parts!r} is not a list of element lists")
     masks = [mask_of(t, system.n) for t in parts]
     union = set().union(*map(elements_of, masks))
-    return all(map(system.indep_mask, masks)) and sorted(union) == sorted(final)
+    return (len(masks) <= rounds and all(map(system.indep_mask, masks))
+            and sorted(union) == sorted(final))
 
 
 def multipass_greedy(f: SetFunctionOracle, system: PSystem,
@@ -227,7 +229,7 @@ def multipass_greedy(f: SetFunctionOracle, system: PSystem,
             "rounds": rounds,
             "value": f.value_mask(chosen),
             "independent_sets": passes,
-            "certificate_ok": certificate_holds(system, passes, final),
+            "certificate_ok": certificate_holds(system, passes, final, rounds),
         },
     )
 

@@ -9,7 +9,8 @@ Euclidean norm; see ``ContinuousOracle``.
 
 Exact work over the cube's 2^n vertices reads one vertex matrix,
 ``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
-(``value_many`` at every vertex) and the knapsack diameter.
+(``value_many`` at every vertex) and the knapsack diameter, whose vertex
+costs are the modular table that ``oracles._doubled`` builds.
 
 Polytope membership is one rule, ``Polytope.member_many``: the box
 [0, upper], then each row of ``linear_rows``, the rows that ``grid_opt``'s
@@ -24,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .matroids import checked_partition
-from .oracles import (REL_TOL, CapabilityError, _finite, _integer, _reals,
-                      clamp_ratio, subset_bits)
+from .oracles import (REL_TOL, CapabilityError, _doubled, _finite, _integer,
+                      _reals, clamp_ratio, subset_bits)
 
 VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
@@ -365,12 +366,8 @@ class KnapsackPolytope(Polytope):
     def _exact_diameter(self) -> float:
         # max ||x||_2 is attained at a vertex: a full-1 set plus at most one
         # fractional coordinate.
-        # Each vertex's cost is the left fold of its elements' costs in
-        # ascending order, as a plain sum over the set would give.
         bits = subset_bits(self.n)
-        cost = np.zeros(bits.shape[0])
-        for u in range(self.n):
-            cost += bits[:, u] * self.costs[u]
+        cost = _doubled(0.0, self.costs)
         fits = cost <= self.budget + 1e-12
         bits, residual = bits[fits], self.budget - cost[fits]
         frac = np.where(bits == 0.0, np.minimum(

@@ -10,18 +10,18 @@ the cache, the TABLE_LIMIT cap and the point queries (``indep_mask``,
 lookups in the table); a subclass only builds its table. A uniform
 matroid is the one-block partition matroid. Partition tables come from
 per-block counts packed into one integer per subset, with a guard bit that
-a count over its block's cap carries into, and graphic tables from
-per-subset component labels, both built by subset doubling. A p-system is
-built from matroids only, and its table is theirs ANDed in place into a
-copy of the first. ``checked_partition`` takes integer elements and caps
-only.
+a count over its block's cap carries into, by ``oracles._doubled``; graphic
+tables from per-subset component labels, by a doubling whose every step
+reads the labels just built. A p-system is built from matroids only, and
+its table is theirs ANDed in place into a copy of the first.
+``checked_partition`` takes integer elements and caps only.
 
 The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
 the contraction by S. ``contracted_ranks`` gives the common rank of every
-contraction at once, by a superset-max sweep over the table. The greedy
-pass's int mask ``given`` shifts the marginals only: T stays independent
-on its own, scored by f(u | given ∪ T).
+contraction at once, by a superset-max ``oracles._sweep`` over the
+table. The greedy pass's int mask ``given`` shifts the marginals only: T
+stays independent on its own, scored by f(u | given ∪ T).
 
 Everything here is exact and deterministic: the greedy pass breaks ties
 toward the lowest element id, and the branch-and-prune search returns the
@@ -39,7 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      _finite, _integer, elements_of, mask_of, popcounts)
+                      _doubled, _finite, _integer, _sweep, elements_of,
+                      mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 
@@ -112,11 +113,11 @@ class PartitionMatroid(Matroid):
         self.caps = caps
 
     def _build_indep_table(self) -> np.ndarray:
-        # Each mask's per-block counts packed into one integer by subset
-        # doubling: a block with cap < size gets size.bit_length() bits,
-        # started at 2^width - 1 - cap so a count over the cap carries into
-        # the guard bit above them: at most 2n <= 40 bits in all, kept in
-        # the narrowest unsigned type that holds them.
+        # Each mask's per-block counts packed into one integer: a block
+        # with cap < size gets size.bit_length() bits, started at 2^width -
+        # 1 - cap so a count over the cap carries into the guard bit above
+        # them: at most 2n <= 40 bits in all, kept in the narrowest
+        # unsigned type that holds them.
         unit = [0] * self.n
         start = guard = shift = 0
         for block, cap in zip(self.blocks, self.caps):
@@ -127,11 +128,7 @@ class PartitionMatroid(Matroid):
                 start |= ((1 << width) - 1 - cap) << shift
                 guard |= 1 << (shift + width)
                 shift += width + 1
-        codes = np.empty(1 << self.n, dtype=np.min_scalar_type(guard))
-        codes[0] = start
-        for u in range(self.n):
-            half = 1 << u
-            np.add(codes[:half], unit[u], out=codes[half:2 * half])
+        codes = _doubled(start, unit, dtype=np.min_scalar_type(guard))
         return (codes & guard) == 0
 
 
@@ -334,10 +331,7 @@ def contracted_ranks(system: IndependenceSystem) -> np.ndarray:
     """
     counts = popcounts(system.n)
     sizes = np.where(system.indep_table(), counts, -1)
-    for u in range(system.n):
-        bit = 1 << u
-        view = sizes.reshape(-1, 2 * bit)
-        np.maximum(view[:, :bit], view[:, bit:], out=view[:, :bit])
+    _sweep(sizes, np.maximum, upward=False)
     return np.where(sizes >= 0, sizes - counts, -1)
 
 

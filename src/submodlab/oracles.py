@@ -4,8 +4,11 @@ ground sets.
 
 Subsets are iterables of element ids (0..n-1) at the API surface. Internally
 every oracle materializes a dense value table indexed by bitmask, which keeps
-the exhaustive measurements exact and cheap at desk scale. A coverage table
-folds its first min(m, n) universe items by one modular-table lookup.
+the exhaustive measurements exact and cheap at desk scale. Every table
+built by subset doubling (graphic matroid labels aside) comes from one
+kernel, ``_doubled``, and every max or min over subsets or supersets from
+one sweep, ``_sweep``. A coverage table folds its first min(m, n) universe
+items by one modular-table lookup.
 
 Oracles are immutable after construction (the table cache fills once,
 idempotently) and safe to share across concurrent evaluators; every
@@ -169,11 +172,7 @@ class ModularOracle(SetFunctionOracle):
         self.weights = w
 
     def _build_table(self) -> np.ndarray:
-        tab = np.zeros(1 << self.n)
-        for u in range(self.n):
-            half = 1 << u
-            tab[half:2 * half] = tab[:half] + self.weights[u]
-        return tab
+        return _doubled(0.0, self.weights)
 
 
 class CoverageOracle(SetFunctionOracle):
@@ -202,22 +201,14 @@ class CoverageOracle(SetFunctionOracle):
             sum(1 << i for i in cov) for cov in self.covers)
 
     def _build_table(self) -> np.ndarray:
-        # Each mask's union of covers by subset doubling, then its items'
-        # weights folded from 0.0 upward: the first k by one lookup into
-        # their modular table (doubling adds the highest item last, so the
-        # sums are a per-item pass's bit for bit), the rest by a pass each.
-        size = 1 << self.n
-        unions = np.zeros(size, dtype=np.int64)
-        for u, cover in enumerate(self._cover_masks):
-            half = 1 << u
-            unions[half:2 * half] = unions[:half] | cover
+        # Each mask's union of covers, then its items' weights folded from
+        # 0.0 upward: the first k by one lookup into their modular table (a
+        # per-item pass adds the same weights in the same order), the rest
+        # by a pass each.
+        unions = _doubled(0, self._cover_masks, np.bitwise_or, np.int64)
         w = self.universe_weights
         k = min(w.size, self.n)
-        low = np.zeros(1 << k)
-        for j in range(k):
-            half = 1 << j
-            low[half:2 * half] = low[:half] + w[j]
-        tab = low[unions & ((1 << k) - 1)]
+        tab = _doubled(0.0, w[:k])[unions & ((1 << k) - 1)]
         for j in range(k, w.size):
             tab += w[j] * ((unions >> j) & 1)
         return tab
@@ -279,27 +270,46 @@ class PerturbedOracle(SetFunctionOracle):
         noise = np.random.default_rng(self.seed).uniform(
             -self.delta, self.delta, 1 << self.n)
         if self.monotone_noise:
-            for u in range(self.n):
-                bit = 1 << u
-                view = noise.reshape(-1, 2 * bit)
-                np.maximum(view[:, bit:], view[:, :bit], out=view[:, bit:])
+            _sweep(noise, np.maximum, upward=True)
         return np.maximum(0.0, self.base.table() + noise)
+
+
+def _doubled(start, steps, op=np.add, dtype=float) -> np.ndarray:
+    """The 2^len(steps) table of each mask's left fold by ``op`` from
+    ``start`` over ``steps[u]`` for its elements u, in ascending order, by
+    subset doubling: out[0] = start, then out[2^u:2^(u+1)] = op(out[:2^u],
+    steps[u]) for u = 0, 1, .... A row ``start`` and row steps give one
+    row per mask."""
+    out = np.empty((1 << len(steps),) + np.shape(start), dtype=dtype)
+    out[0] = start
+    for u, step in enumerate(steps):
+        half = 1 << u
+        op(out[:half], step, out=out[half:2 * half])
+    return out
+
+
+def _sweep(tab: np.ndarray, op, upward: bool) -> None:
+    """In place over a 2^n table, for u = 0, 1, ...: each mask's entry
+    becomes op(its entry, the entry of the mask with bit u flipped), for
+    the masks that hold u if ``upward`` (op = max gives the max over
+    subsets) and for those without u otherwise (over supersets). The
+    entry's own value is op's first argument."""
+    for u in range(tab.size.bit_length() - 1):
+        view = tab.reshape(-1, 2 << u)
+        lo, hi = view[:, :1 << u], view[:, 1 << u:]
+        target, other = (hi, lo) if upward else (lo, hi)
+        op(target, other, out=target)
 
 
 def popcounts(n: int) -> np.ndarray:
     """|S| for every subset S of an n-element ground set, by bitmask."""
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for u in range(n):
-        half = 1 << u
-        counts[half:2 * half] = counts[:half] + 1
-    return counts
+    return _doubled(0, [1] * n, dtype=np.int64)
 
 
 def subset_bits(n: int) -> np.ndarray:
     """The (2^n, n) 0/1 float matrix of the cube's vertices: row S is the
     indicator vector of the subset with bitmask S."""
-    masks = np.arange(1 << n)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    return _doubled(np.zeros(n), np.eye(n))
 
 
 def clamp_ratio(best: float) -> float:
@@ -337,10 +347,9 @@ def _check_gamma_size(f: SetFunctionOracle) -> None:
 def _gamma(f: SetFunctionOracle) -> float:
     # Sweeps every A against all 2^c sets B of its complement, one chunk of
     # _gamma_chunks at a time. A chunk holds one column per A and one row
-    # per B, B ascending; row 0 is A itself, and each doubling over a
-    # complement bit writes a contiguous block of rows, building S = A | B
-    # and the singleton sum (a left fold from 0.0 in ascending element
-    # order) side by side. The ratios are a plain divide, with the skipped
+    # per B, B ascending; row 0 is A itself, and doubling over the
+    # complement bits builds S = A | B and the singleton sum side by side,
+    # one row per B. The ratios are a plain divide, with the skipped
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
     # chunk. The sweep stops at the first chunk whose min is <= 0: gamma is
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
@@ -352,14 +361,8 @@ def _gamma(f: SetFunctionOracle) -> float:
         for c, a, bits in _gamma_chunks(f.n, _GAMMA_CHUNK):
             base = tab[a]
             marg = tab[a | bits] - base
-            masks = np.empty((1 << c, a.size), dtype=np.int64)
-            sums = np.empty((1 << c, a.size))
-            masks[0] = a
-            sums[0] = 0.0
-            for i in range(c):
-                half = 1 << i
-                np.bitwise_or(masks[:half], bits[i], out=masks[half:2 * half])
-                np.add(sums[:half], marg[i], out=sums[half:2 * half])
+            masks = _doubled(a, bits, np.bitwise_or, np.int64)
+            sums = _doubled(np.zeros(a.size), marg)
             denom = tab[masks]
             denom -= base
             ratios = np.divide(sums, denom, out=sums)
@@ -377,10 +380,7 @@ def _m(f: SetFunctionOracle) -> float:
     if scale <= 0.0:
         return 1.0  # identically zero: degenerate convention
     sup_min = tab.copy()
-    for u in range(f.n):
-        bit = 1 << u
-        view = sup_min.reshape(-1, 2 * bit)
-        np.minimum(view[:, :bit], view[:, bit:], out=view[:, :bit])
+    _sweep(sup_min, np.minimum, upward=False)
     pos = tab > REL_TOL * max(1.0, scale)
     if not bool(pos.any()):
         return 1.0

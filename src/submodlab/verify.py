@@ -19,9 +19,9 @@ import numpy as np
 
 from . import serialization
 from .algorithms import (RunTrace, _candidates, _check_intersection,
-                         authors_conjecture_rounds, certificate_holds,
-                         check_budget, dummy_candidates, frank_wolfe,
-                         masked_frank_wolfe, multipass_greedy,
+                         authors_conjecture_rounds, bicriteria_rounds,
+                         certificate_holds, check_budget, dummy_candidates,
+                         frank_wolfe, masked_frank_wolfe, multipass_greedy,
                          random_greedy_dummies, random_greedy_intersection)
 from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          SumOracle, random_quadratic_dr,
@@ -503,17 +503,17 @@ def problem2_report(trace: RunTrace, f: SetFunctionOracle,
                     opt: OptimumCertificate, system: PSystem,
                     instance_id: str = "") -> GuaranteeReport:
     """Bicriteria check. The guarantee has two halves: f(final) at least
-    (1-eps)*OPT, and output covered by the recorded independent sets. The
-    feasibility certificate is recomputed from the trace against
-    ``system``, and a broken certificate makes the verdict 'violated' no
-    matter the value."""
-    params = {"epsilon": _number(trace, "params.epsilon"), "opt": opt.value}
+    (1-eps)*OPT, and output covered by at most bicriteria_rounds(p, eps)
+    recorded independent sets. The feasibility certificate is recomputed
+    from the trace against ``system``, and a broken certificate makes the
+    verdict 'violated' no matter the value."""
+    eps = _number(trace, "params.epsilon")
     return check_bound(f.value(trace.final), BOUNDS["problem2-bicriteria"],
-                       params, instance_id=instance_id,
-                       algorithm_id=trace.algorithm,
+                       {"epsilon": eps, "opt": opt.value},
+                       instance_id=instance_id, algorithm_id=trace.algorithm,
                        feasible=certificate_holds(
                            system, trace.meta.get("independent_sets", []),
-                           trace.final))
+                           trace.final, bicriteria_rounds(system.p, eps)))
 
 
 def problem3_report(trace: RunTrace, gamma: float, f: ContinuousOracle,
@@ -598,6 +598,7 @@ NUMBERS = {
     "meta.epsilon": ("bundle", _reals, math.isfinite, "a finite number"),
     "measured.gamma": ("bundle", _reals, lambda v: 0 <= v <= 1,
                        "a finite number in [0, 1]"),
+    "meta.seed": ("bundle", _integer, lambda v: True, "an integer"),
     "meta.step": ("trace", _reals, lambda v: 0 < v <= 1,
                   "a number in (0, 1]"),
     "params.epsilon": ("trace", _reals, lambda v: 0 < v < 1,
@@ -635,7 +636,7 @@ def exact_ratios(f: SetFunctionOracle) -> dict:
 
 def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
     """The weak-DR gamma over 1500 sampled pairs that documents record and
-    problem 3 falls back to: sampled, so not a certified lower bound."""
+    problem 3's check recomputes: sampled, not a certified lower bound."""
     return weak_dr_gamma(f, samples=1500, seed=seed)
 
 
@@ -666,10 +667,13 @@ def _build_problem3(a):
 
 
 def _check_problem3(c, traces, a, stem):
+    # never the bundle's gamma: at 0 it lets every final point hold
+    gamma = sampled_gamma(c["objective"], _or(_number(c, "meta.seed"), a.seed))
+    declared = _number(c, "measured.gamma")
+    if declared is not None and declared != gamma:
+        raise ValueError(f"bundle measured.gamma is {declared!r}, but the "
+                         f"objective's sampled gamma is {gamma!r}")
     cert = grid_opt(c["objective"], c["polytope"], a.resolution)
-    gamma = _number(c, "measured.gamma")
-    if gamma is None:
-        gamma = sampled_gamma(c["objective"], a.seed)
     return [problem3_report(t, gamma, c["objective"], cert,
                             instance_id=stem) for t in traces]
 

@@ -537,6 +537,83 @@ def test_gen_problem4_budget_outside_one_to_n_exits_one(tmp_path, capsys,
     assert not (tmp_path / "instances").exists()
 
 
+def test_verify_certificate_with_more_parts_than_rounds_exits_two(tmp_path,
+                                                                 capsys):
+    # every singleton is independent, so 8 singleton parts certified all 8
+    # elements although bicriteria_rounds(2, 0.25) = 4 parts are allowed
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "8", "--seed", "3",
+        "--p", "2", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "2", "--instance",
+               str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    doc = load_doc(trace)
+    assert len(doc["meta"]["independent_sets"]) == doc["meta"]["rounds"] == 4
+    doc["final"] = list(range(8))
+    doc["meta"]["independent_sets"] = [[u] for u in range(8)]
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 2
+    assert "verdict=violated" in capsys.readouterr().out
+
+
+def _problem3_bundle_and_zero_trace(tmp_path):
+    inst = tmp_path / "p3.json"
+    run(tmp_path, "gen", "--family", "problem3", "--n", "3", "--seed", "1",
+        "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "3", "--instance",
+               str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    doc = load_doc(trace)
+    doc["final"] = [0.0, 0.0, 0.0]
+    trace.write_text(json.dumps(doc))
+    return inst, trace
+
+
+@pytest.mark.parametrize("gamma", [0, 0.5])
+def test_verify_bundle_gamma_other_than_the_sampled_one_exits_one(
+        tmp_path, capsys, gamma):
+    # a bundle gamma of 0 dropped the threshold to zero, so the final point
+    # 0 verified as holds
+    inst, trace = _problem3_bundle_and_zero_trace(tmp_path)
+    argv = ["verify", "--problem", "3", "--instance", str(inst),
+            "--trace", str(trace)]
+    assert run(tmp_path, *argv) == 2
+    doc = load_doc(inst)
+    doc["measured"]["gamma"] = gamma
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "measured.gamma" in err
+
+
+@pytest.mark.parametrize("seed", [None, 2, "1", 1.0, True])
+def test_verify_problem3_samples_gamma_from_the_bundle_seed(tmp_path, capsys,
+                                                           seed):
+    # without meta.seed, --seed (0 here) stands in for it; any other seed
+    # samples another gamma than gen recorded, and a non-integer is an error
+    inst, trace = _problem3_bundle_and_zero_trace(tmp_path)
+    doc = load_doc(inst)
+    if seed is None:
+        del doc["meta"]["seed"]
+    else:
+        doc["meta"]["seed"] = seed
+    inst.write_text(json.dumps(doc))
+    argv = ["verify", "--problem", "3", "--instance", str(inst),
+            "--trace", str(trace)]
+    if seed is None:
+        assert run(tmp_path, *argv, "--seed", "1") == 2
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("meta.seed" if seed in ("1", 1.0, True) else
+            "measured.gamma") in err
+
+
 def test_usage_error_exit_one(tmp_path):
     assert main(["run", "--problem", "9", "--instance", "x.json"]) == 1
     assert main(["gen", "--family", "nonsense"]) == 1

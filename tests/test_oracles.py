@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import operator
 from unittest import mock
 
 import numpy as np
@@ -8,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from submodlab import oracles
 from submodlab.matroids import UniformMatroid
 from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
-                               PerturbedOracle, mask_of, measure_ratios,
-                               random_coverage, random_cut, random_modular,
-                               random_perturbed)
+                               PerturbedOracle, elements_of, mask_of,
+                               measure_ratios, random_coverage, random_cut,
+                               random_modular, random_perturbed)
 from submodlab.verify import (audit_problem4, brute_force_opt_set,
                               dummy_greedy_expectation)
 
@@ -465,3 +467,93 @@ def test_reals_reads_numbers_only():
                 [[1.0], [None]], np.array(["1"])):
         with pytest.raises(ValueError, match="^x: .* is not a number$"):
             oracles._reals(bad, "x")
+
+
+# the two table kernels against per-mask references, compared bit for bit:
+# the values repeat and hold both signed zeros, so ties are common
+
+_TIED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 3.0, 1e-300])
+_VALUES = st.one_of(_TIED, st.floats(-1e3, 1e3))
+
+
+def _masks_of(n):
+    return [elements_of(mask) for mask in range(1 << n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_VALUES, st.lists(_VALUES, max_size=8))
+def test_doubled_add_is_each_masks_ascending_left_fold(start, steps):
+    want = []
+    for elems in _masks_of(len(steps)):
+        acc = np.float64(start)
+        for u in elems:
+            acc = acc + np.float64(steps[u])
+        want.append(acc)
+    got = oracles._doubled(start, steps)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 40), st.lists(st.integers(0, 1 << 62), max_size=8))
+def test_doubled_or_is_each_masks_union(start, steps):
+    want = [functools.reduce(operator.or_, (steps[u] for u in elems), start)
+            for elems in _masks_of(len(steps))]
+    got = oracles._doubled(start, steps, np.bitwise_or, np.int64)
+    assert got.tobytes() == np.array(want, dtype=np.int64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda w: st.tuples(st.lists(_VALUES, min_size=w, max_size=w),
+                        st.lists(st.lists(_VALUES, min_size=w, max_size=w),
+                                 min_size=n, max_size=n)))))
+def test_doubled_rows_are_the_columns_side_by_side(case):
+    start = np.array(case[0])
+    steps = np.array(case[1]).reshape(-1, start.size)
+    for op, dtype in ((np.add, float), (np.bitwise_or, np.int64)):
+        row, rows = start.astype(dtype), steps.astype(dtype)
+        got = oracles._doubled(row, rows, op, dtype)
+        want = np.stack([oracles._doubled(row[j], rows[:, j], op, dtype)
+                         for j in range(row.size)], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def _extreme(tab, op, masks):
+    """op over tab[masks] (np.maximum or np.minimum), the tie among equal
+    values going to the first of ``masks``: the signed zero a sweep keeps."""
+    values = [tab[t] for t in masks]
+    best = max(values) if op is np.maximum else min(values)
+    return next(v for v in values if v == best)
+
+
+def _first_wins(op) -> bool:
+    """Whether op returns its first argument on a signed-zero tie: numpy
+    leaves the choice to the platform (x86's maxpd returns the second)."""
+    return bool(np.signbit(op(np.array([-0.0]), np.array([0.0])))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(_VALUES, min_size=1 << n, max_size=1 << n)),
+    st.sampled_from([(np.maximum, True), (np.maximum, False),
+                     (np.minimum, False)]))
+def test_sweep_is_the_extreme_over_subsets_or_supersets(values, case):
+    # the sweep decides bit n-1 last, so a tie goes to the side the op
+    # prefers at the highest bit where two candidates differ: the entry's
+    # own side if op keeps its first argument, the flipped side otherwise
+    op, upward = case
+    tab = np.array(values)
+    size = tab.size
+    own_first = _first_wins(op)
+    want = []
+    for s in range(size):
+        if upward:
+            cands = [t for t in range(size) if t & ~s == 0]
+        else:
+            cands = [t for t in range(size) if s & ~t == 0]
+        # own side first: the largest subset, or the smallest superset
+        cands.sort(reverse=upward == own_first)
+        want.append(_extreme(tab, op, cands))
+    got = tab.copy()
+    oracles._sweep(got, op, upward)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()

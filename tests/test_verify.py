@@ -764,10 +764,23 @@ def test_bicriteria_certificate_without_parts_covers_only_empty_output():
     trace = multipass_greedy(f, system, 0.25)
     opt = brute_force_opt_set(f, system.indep_table())
     assert trace.final and trace.meta["certificate_ok"]
-    assert certificate_holds(system, [], [])
-    assert not certificate_holds(system, [], trace.final)
+    rounds = trace.meta["rounds"]
+    assert certificate_holds(system, [], [], rounds)
+    assert not certificate_holds(system, [], trace.final, rounds)
     trace.meta["independent_sets"] = []
     assert problem2_report(trace, f, opt, system).verdict == VIOLATED
+
+
+def test_bicriteria_certificate_counts_its_parts():
+    f = random_coverage(7, 82)
+    system = PSystem([random_partition_matroid(7, 83)])
+    trace = multipass_greedy(f, system, 0.25)
+    parts, rounds = trace.meta["independent_sets"], trace.meta["rounds"]
+    assert len(parts) == rounds == 2
+    assert certificate_holds(system, parts, trace.final, rounds)
+    assert not certificate_holds(system, parts, trace.final, rounds - 1)
+    with pytest.raises(ValueError, match="is not a list of element lists"):
+        certificate_holds(system, 5, trace.final, rounds)
 
 
 def test_problem5_verdict_recorded_without_failing():
