@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import serialization, verify
+from .algorithms import RunTrace
 from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
 from .oracles import (CapabilityError, _integer, random_coverage, random_cut,
@@ -329,6 +330,8 @@ def cmd_verify(args) -> int:
     if problem.traced and not args.trace:
         raise UsageError("problems 1-3 need --trace files to verify")
     traces = [serialization.load(p) for p in args.trace]
+    if not all(isinstance(t, RunTrace) for t in traces):
+        raise ValueError("a --trace file does not hold a run trace")
     stem = Path(args.instance).stem
     reports = problem.check(comp, traces, args, stem)
     out = _out_dir(args)

@@ -3,11 +3,9 @@ p-system, and exact maximum-weight common independent sets via
 branch-and-prune.
 
 Matroids and p-systems are ``IndependenceSystem``s: each answers
-independence from a dense table, a cached, read-only bool array of length
-2^n indexed by subset bitmask, built once on first use (``indep_table()``),
-the way a set-function oracle caches its value table. The base class owns
-the cache, the TABLE_LIMIT cap and the point queries (``indep_mask``,
-lookups in the table); a subclass only builds its table. A uniform
+independence (``indep_mask``) from its 2^n bool table, ``indep_table()``,
+which ``oracles._Table``, the one base of the value tables too, caps,
+builds once and caches read-only; a subclass only builds it. A uniform
 matroid is the one-block partition matroid. Partition tables come from
 per-block counts packed into one integer per subset, with a guard bit that
 a count over its block's cap carries into, by ``oracles._doubled``; graphic
@@ -38,8 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracles import (TABLE_LIMIT, CapabilityError, SetFunctionOracle,
-                      _doubled, _finite, _integer, _sweep, elements_of,
+from .oracles import (CapabilityError, SetFunctionOracle, _doubled,
+                      _finite, _integer, _sweep, _Table, elements_of,
                       mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
@@ -62,28 +60,14 @@ def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:
     return blocks, caps
 
 
-class IndependenceSystem:
+class IndependenceSystem(_Table):
     """Independence oracle over ground set {0..n-1}, answered from a cached
     2^n independence table that subclasses build."""
 
-    def __init__(self, n: int):
-        self.n = _integer(n, "ground-set sizes")
-        self._indep_table: np.ndarray | None = None
+    _DTYPE = bool
+    _WHAT = "independence table"
 
-    def _build_indep_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def indep_table(self) -> np.ndarray:
-        """Independence of all 2^n subsets, indexed by subset bitmask.
-        Cached, read-only; n > TABLE_LIMIT raises CapabilityError."""
-        if self._indep_table is None:
-            if self.n > TABLE_LIMIT:
-                raise CapabilityError(f"independence table needs n <= "
-                                      f"{TABLE_LIMIT}, got n = {self.n}")
-            tab = np.ascontiguousarray(self._build_indep_table(), dtype=bool)
-            tab.setflags(write=False)
-            self._indep_table = tab
-        return self._indep_table
+    indep_table = _Table._cached
 
     def indep_mask(self, mask: int) -> bool:
         return bool(self.indep_table()[mask])
@@ -94,11 +78,6 @@ class IndependenceSystem:
 
 class Matroid(IndependenceSystem):
     family = "abstract"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("matroid needs at least one element")
-        super().__init__(n)
 
 
 class PartitionMatroid(Matroid):
@@ -112,7 +91,7 @@ class PartitionMatroid(Matroid):
         self.blocks = blocks
         self.caps = caps
 
-    def _build_indep_table(self) -> np.ndarray:
+    def _build_table(self) -> np.ndarray:
         # Each mask's per-block counts packed into one integer: a block
         # with cap < size gets size.bit_length() bits, started at 2^width -
         # 1 - cap so a count over the cap carries into the guard bit above
@@ -161,7 +140,7 @@ class GraphicMatroid(Matroid):
         super().__init__(len(edges))
         self.edges = edges
 
-    def _build_indep_table(self) -> np.ndarray:
+    def _build_table(self) -> np.ndarray:
         # Subset doubling over per-mask component labels: lab[mask, v] names
         # the component of v in the graph of mask's edges. Adding edge u =
         # (a, b) to a mask below 2^u merges b's component into a's, and keeps
@@ -203,7 +182,7 @@ class PSystem(IndependenceSystem):
         self.matroids = matroids
         self.p = len(matroids)
 
-    def _build_indep_table(self) -> np.ndarray:
+    def _build_table(self) -> np.ndarray:
         tab = self.matroids[0].indep_table().copy()
         for m in self.matroids[1:]:
             tab &= m.indep_table()

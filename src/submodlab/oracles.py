@@ -10,8 +10,9 @@ kernel, ``_doubled``, and every max or min over subsets or supersets from
 one sweep, ``_sweep``. A coverage table folds its first min(m, n) universe
 items by one modular-table lookup.
 
-Oracles are immutable after construction (the table cache fills once,
-idempotently) and safe to share across concurrent evaluators; every
+Oracles are immutable after construction (``_Table``, the one base of the
+value and independence tables, caps each, builds it once and serves it
+read-only) and safe to share across concurrent evaluators; every
 measurement here is a pure function of the oracle. Each ratio has one exact
 path, ``_gamma`` and ``_m``, which returns the ratio's value alone. The
 modular, coverage and cut families are submodular by construction and
@@ -104,7 +105,36 @@ def elements_of(mask: int) -> list[int]:
     return out
 
 
-class SetFunctionOracle:
+class _Table:
+    """A ground set {0..n-1}, n >= 1, and its 2^n table by subset bitmask,
+    which the subclass builds (``_build_table``) and serves as ``_cached``
+    under its own name: capped at TABLE_LIMIT before the build (the error
+    names the table ``_WHAT``), converted to ``_DTYPE``, passed to
+    ``_check``, cached read-only."""
+
+    def __init__(self, n: int):
+        self.n = _integer(n, "ground-set sizes")
+        if self.n < 1:
+            raise ValueError("ground set needs at least one element")
+        self._table: np.ndarray | None = None
+
+    def _check(self, tab: np.ndarray) -> None:
+        """ValueError if ``tab`` breaks the subclass's rules."""
+
+    def _cached(self) -> np.ndarray:
+        """All 2^n entries by subset bitmask. Cached, read-only."""
+        if self._table is None:
+            if self.n > TABLE_LIMIT:
+                raise CapabilityError(f"{self._WHAT} needs n <= "
+                                      f"{TABLE_LIMIT}, got n = {self.n}")
+            tab = np.ascontiguousarray(self._build_table(), dtype=self._DTYPE)
+            self._check(tab)
+            tab.setflags(write=False)
+            self._table = tab
+        return self._table
+
+
+class SetFunctionOracle(_Table):
     """Nonnegative set-function value oracle backed by a dense value table.
 
     ``monotone`` is a certified hint: True only when the construction
@@ -118,31 +148,20 @@ class SetFunctionOracle:
 
     family = "abstract"
     submodular = False
+    _DTYPE = float
+    _WHAT = "value table"
 
     def __init__(self, n: int, monotone: bool | None = None):
-        self.n = _integer(n, "ground-set sizes")
-        if self.n < 1:
-            raise ValueError("ground set needs at least one element")
+        super().__init__(n)
         self.monotone = monotone
-        self._table: np.ndarray | None = None
 
-    def _build_table(self) -> np.ndarray:
-        raise NotImplementedError
+    def _check(self, tab: np.ndarray) -> None:
+        if not bool(np.isfinite(tab).all()):
+            raise ValueError("oracle produced a non-finite value")
+        if float(tab.min()) < 0.0:
+            raise ValueError("oracle produced a negative value")
 
-    def table(self) -> np.ndarray:
-        """All 2^n values, indexed by subset bitmask. Cached, read-only."""
-        if self._table is None:
-            if self.n > TABLE_LIMIT:
-                raise CapabilityError(
-                    f"value table needs n <= {TABLE_LIMIT}, got n = {self.n}")
-            tab = np.ascontiguousarray(self._build_table(), dtype=float)
-            if not bool(np.isfinite(tab).all()):
-                raise ValueError("oracle produced a non-finite value")
-            if float(tab.min()) < 0.0:
-                raise ValueError("oracle produced a negative value")
-            tab.setflags(write=False)
-            self._table = tab
-        return self._table
+    table = _Table._cached
 
     def value_mask(self, mask: int) -> float:
         return float(self.table()[mask])
@@ -255,6 +274,9 @@ class PerturbedOracle(SetFunctionOracle):
 
     def __init__(self, base: CoverageOracle, delta: float, seed: int,
                  monotone_noise: bool = False):
+        if not isinstance(base, CoverageOracle):
+            raise ValueError(f"perturbed base must be a coverage oracle, "
+                             f"not {type(base).__name__!r}")
         delta = float(_finite(delta, "noise amplitudes", 0))
         if delta < 0.0:
             raise ValueError("noise amplitude must be nonnegative")

@@ -96,8 +96,6 @@ def from_doc(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError(f"a {type(doc).__name__} is not a document object")
     kind, family = doc.get("kind"), doc.get("family")
-    if kind == "bundle":
-        return doc  # bundles stay documents; use load_bundle for components
     cls = _CLASSES.get((kind, family))
     if cls is None:
         raise ValueError(f"unknown document kind {kind!r} / family {family!r}")

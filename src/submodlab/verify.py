@@ -508,11 +508,12 @@ def problem2_report(trace: RunTrace, f: SetFunctionOracle,
     from the trace against ``system``, and a broken certificate makes the
     verdict 'violated' no matter the value."""
     eps = _number(trace, "params.epsilon")
+    meta = serialization.object_field(vars(trace), "meta")
     return check_bound(f.value(trace.final), BOUNDS["problem2-bicriteria"],
                        {"epsilon": eps, "opt": opt.value},
                        instance_id=instance_id, algorithm_id=trace.algorithm,
                        feasible=certificate_holds(
-                           system, trace.meta.get("independent_sets", []),
+                           system, meta.get("independent_sets", []),
                            trace.final, bicriteria_rounds(system.p, eps)))
 
 
@@ -666,13 +667,19 @@ def _build_problem3(a):
             if a.seed % 4 >= 2 else unit_box(a.n)}
 
 
-def _check_problem3(c, traces, a, stem):
-    # never the bundle's gamma: at 0 it lets every final point hold
+def _problem3_gammas(c, a) -> tuple:
+    # the objective's sampled gamma, which the check uses, never the
+    # bundle's (at 0 it lets every final point hold), and the bundle's own
     gamma = sampled_gamma(c["objective"], _or(_number(c, "meta.seed"), a.seed))
     declared = _number(c, "measured.gamma")
     if declared is not None and declared != gamma:
         raise ValueError(f"bundle measured.gamma is {declared!r}, but the "
                          f"objective's sampled gamma is {gamma!r}")
+    return gamma, declared
+
+
+def _check_problem3(c, traces, a, stem):
+    gamma, _ = _problem3_gammas(c, a)
     cert = grid_opt(c["objective"], c["polytope"], a.resolution)
     return [problem3_report(t, gamma, c["objective"], cert,
                             instance_id=stem) for t in traces]
@@ -715,7 +722,7 @@ PROBLEMS = {
                _build_problem3,
                lambda c, a: [frank_wolfe(
                    c["objective"], c["polytope"], _or(a.iterations, 200),
-                   declared_gamma=_number(c, "measured.gamma"))],
+                   declared_gamma=_problem3_gammas(c, a)[1])],
                _check_problem3,
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),

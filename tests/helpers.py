@@ -52,7 +52,7 @@ class TableMatroid(Matroid):
         super().__init__(indep.size.bit_length() - 1)
         self._indep = indep
 
-    def _build_indep_table(self):
+    def _build_table(self):
         return self._indep
 
 

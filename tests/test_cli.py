@@ -11,8 +11,10 @@ import pytest
 import submodlab
 from submodlab import cli
 from submodlab.cli import AUDITS, _build_parser, main
-from submodlab.matroids import random_graphic_matroid
-from submodlab.oracles import random_coverage, random_cut, random_perturbed
+from submodlab.matroids import (random_graphic_matroid,
+                                random_partition_matroid)
+from submodlab.oracles import (random_coverage, random_cut, random_modular,
+                               random_perturbed)
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
 from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
@@ -109,6 +111,64 @@ def test_nested_p_system_exits_one(tmp_path, capsys):
         "error: p-system members must be matroids, not 'PSystem'\n"
     assert not (tmp_path / "traces").exists()
     assert not list(tmp_path.glob("run-*.csv"))
+
+
+def _perturbed_doc(base: dict) -> dict:
+    """A perturbed objective with monotone noise over the document ``base``."""
+    return {"schema": "submodlab/1", "kind": "set-function",
+            "family": "synthetic-perturbed", "base": base, "delta": 0.01,
+            "seed": 36, "monotone_noise": True}
+
+
+_NOT_COVERAGE = {
+    "cut": lambda inst: to_doc(random_cut(6, 36)),
+    "modular": lambda inst: to_doc(random_modular(6, 36)),
+    "matroid": lambda inst: to_doc(random_partition_matroid(6, 36)),
+    "bundle": load_doc,
+}
+
+
+@pytest.mark.parametrize("problem", [2, 4])
+@pytest.mark.parametrize("base", list(_NOT_COVERAGE))
+def test_perturbed_objective_over_a_non_coverage_base_exits_one(
+        tmp_path, capsys, problem, base):
+    # monotone noise certified a cut base monotone, and problem 2's run went
+    # on to a proved violation; a matroid or bundle base raised
+    # AttributeError
+    inst = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "6",
+               "--seed", "36", "--out", str(inst)) == 0
+    doc = load_doc(inst)
+    doc["components"]["objective"] = _perturbed_doc(_NOT_COVERAGE[base](inst))
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", str(problem),
+               "--instance", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("unknown document kind 'bundle'" if base == "bundle" else
+            "perturbed base must be a coverage oracle") in err
+    assert not (tmp_path / "traces").exists()
+
+
+def test_perturbed_cut_objective_no_longer_verifies_as_violated(tmp_path,
+                                                                capsys):
+    # gen -> run on the coverage bundle, then the objective swapped for a
+    # perturbed cut: verify read it as certified monotone and exited 2
+    inst = tmp_path / "p2.json"
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "6", "--p",
+               "2", "--seed", "36", "--out", str(inst)) == 0
+    assert run(tmp_path, "run", "--problem", "2", "--epsilon", "0.25",
+               "--instance", str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    doc = load_doc(inst)
+    doc["components"]["objective"] = _perturbed_doc(to_doc(random_cut(6, 36)))
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == \
+        "error: perturbed base must be a coverage oracle, not 'CutOracle'\n"
 
 
 def test_run_problem2_logs_two_passes(tmp_path, capsys):
@@ -612,6 +672,115 @@ def test_verify_problem3_samples_gamma_from_the_bundle_seed(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("meta.seed" if seed in ("1", 1.0, True) else
             "measured.gamma") in err
+
+
+@pytest.mark.parametrize("gamma", [0, 0.5])
+def test_run_problem3_checks_the_bundle_gamma(tmp_path, capsys, gamma):
+    # run copied an edited measured.gamma into meta.declared_gamma and
+    # exited 0; only verify rejected the bundle
+    inst = tmp_path / "p3.json"
+    run(tmp_path, "gen", "--family", "problem3", "--n", "3", "--seed", "1",
+        "--out", str(inst))
+    doc = load_doc(inst)
+    doc["measured"]["gamma"] = gamma
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "3", "--instance",
+               str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bundle measured.gamma is ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "traces").exists()
+
+
+def _problem2_bundle_and_trace(tmp_path):
+    inst = tmp_path / "p2.json"
+    run(tmp_path, "gen", "--family", "problem2", "--n", "6", "--p", "2",
+        "--seed", "1", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", "2", "--instance",
+               str(inst)) == 0
+    return inst, next(tmp_path.glob("traces/*.json"))
+
+
+@pytest.mark.parametrize("other", ["bundle", "matroid"])
+def test_verify_trace_that_is_no_run_trace_exits_one(tmp_path, capsys,
+                                                     other):
+    # a bundle came back from from_doc as a dict, and vars() of it raised
+    # TypeError
+    inst, _ = _problem2_bundle_and_trace(tmp_path)
+    trace = inst if other == "bundle" else tmp_path / "matroid.json"
+    if other == "matroid":
+        save(random_partition_matroid(6, 1), trace)
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("unknown document kind 'bundle'" if other == "bundle" else
+            "does not hold a run trace") in err
+
+
+@pytest.mark.parametrize("meta", [[], 5, "x", None])
+def test_verify_problem2_trace_meta_not_an_object_exits_one(tmp_path, capsys,
+                                                             meta):
+    # trace.meta.get raised AttributeError
+    inst, trace = _problem2_bundle_and_trace(tmp_path)
+    doc = load_doc(trace)
+    doc["meta"] = meta
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == \
+        "error: document field 'meta' must be a JSON object\n"
+
+
+@pytest.mark.parametrize("family", ["problem2", "coverage"])
+def test_gen_past_the_gamma_cap_records_no_ratios(tmp_path, family):
+    # every benchmark bicriteria bundle (n = 14) goes this way
+    out = tmp_path / "inst.json"
+    for n, empty in ((12, False), (13, True)):
+        assert run(tmp_path, "gen", "--family", family, "--n", str(n),
+                   "--seed", "1", "--out", str(out)) == 0
+        assert (load_doc(out)["measured"] == {}) == empty
+
+
+def _usage_error(capsys, code, message):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {message}\n"
+
+
+def test_cli_usage_errors(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    _usage_error(capsys, main(["--config", str(config), "gen", "--family",
+                               "coverage"]),
+                 "config file must hold a JSON object")
+    inst = tmp_path / "p4.json"
+    run(tmp_path, "gen", "--family", "problem4", "--n", "5", "--seed", "1",
+        "--out", str(inst))
+    capsys.readouterr()
+    _usage_error(capsys, run(tmp_path, "run", "--problem", "5",
+                             "--instance", str(inst)),
+                 "instance file is a problem-4 bundle")
+    matroid, coverage = tmp_path / "matroid.json", tmp_path / "cov.json"
+    save(random_partition_matroid(5, 1), matroid)
+    run(tmp_path, "gen", "--family", "coverage", "--n", "5",
+        "--out", str(coverage))
+    capsys.readouterr()
+    for problem, instance in ((4, matroid), (2, coverage)):
+        _usage_error(capsys, run(tmp_path, "run", "--problem", str(problem),
+                                 "--instance", str(instance)),
+                     "instance file does not match the selected problem")
+    for problem in (1, 2, 3):
+        bundle = tmp_path / f"p{problem}.json"
+        run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "3",
+            "--seed", "1", "--out", str(bundle))
+        capsys.readouterr()
+        _usage_error(capsys, run(tmp_path, "verify", "--problem",
+                                 str(problem), "--instance", str(bundle)),
+                     "problems 1-3 need --trace files to verify")
 
 
 def test_usage_error_exit_one(tmp_path):

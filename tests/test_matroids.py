@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import _candidates
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
-                                UniformMatroid, contracted_ranks,
+                                UniformMatroid, checked_partition,
+                                contracted_ranks,
                                 max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
@@ -146,7 +147,7 @@ def test_mwci_capability_limit():
     system = PSystem([m, m])
     with pytest.raises(CapabilityError):
         max_weight_common_independent(system, np.ones(n))
-    assert system._indep_table is None  # the cap is checked before the table
+    assert system._table is None  # the cap is checked before the table
 
 
 def test_mwci_nonempty_with_zero_weights():
@@ -286,6 +287,32 @@ def test_packed_counts_at_32_and_34_bits(n):
             partition_table_counts(m).tobytes()
 
 
+@pytest.mark.parametrize("blocks, caps, message", [
+    ([[0, 1], [2]], [1], "need one capacity per block"),
+    ([[0, 1], [2]], [1, -1], "capacities must be nonnegative"),
+    ([[0, 1], [3]], [1, 1], "blocks must partition"),
+    ([[0, 1], [1, 2]], [1, 1], "blocks must partition"),
+    ([], [], "blocks must partition"),
+])
+def test_checked_partition_messages(blocks, caps, message):
+    with pytest.raises(ValueError, match=message):
+        checked_partition(blocks, caps)
+
+
+def test_psystem_constructor_messages():
+    with pytest.raises(ValueError, match="need at least one matroid"):
+        PSystem([])
+    with pytest.raises(ValueError, match="matroids must share the ground set"):
+        PSystem([UniformMatroid(3, 1), UniformMatroid(4, 1)])
+
+
+def test_graphic_matroid_without_edges_has_no_ground_set():
+    # the table base's rule, as for every other table
+    with pytest.raises(ValueError,
+                       match="^ground set needs at least one element$"):
+        GraphicMatroid(3, [])
+
+
 @pytest.mark.parametrize("member", [PSystem([UniformMatroid(3, 1)]), 3,
                                     None], ids=["p-system", "int", "None"])
 def test_psystem_members_must_be_matroids(member):
@@ -337,8 +364,8 @@ def test_indep_table_built_once_and_read_only(monkeypatch):
     # UniformMatroid builds with PartitionMatroid's builder, so the builds
     # are logged per object: each matroid's table is built exactly once
     builds = []
-    build = PartitionMatroid._build_indep_table
-    monkeypatch.setattr(PartitionMatroid, "_build_indep_table",
+    build = PartitionMatroid._build_table
+    monkeypatch.setattr(PartitionMatroid, "_build_table",
                         lambda self: builds.append(self) or build(self))
     m = random_partition_matroid(9, 3)
     uniform = UniformMatroid(9, 4)
@@ -359,7 +386,7 @@ def test_indep_table_built_once_and_read_only(monkeypatch):
 def test_indep_table_capability_limit(monkeypatch):
     n = TABLE_LIMIT + 1
     for cls in (UniformMatroid, PartitionMatroid, GraphicMatroid):
-        monkeypatch.setattr(cls, "_build_indep_table", lambda self: 1 / 0)
+        monkeypatch.setattr(cls, "_build_table", lambda self: 1 / 0)
     uniform = UniformMatroid(n, 2)
     for system in (uniform, PartitionMatroid([list(range(n))], [2]),
                    GraphicMatroid(n + 1, [(u, u + 1) for u in range(n)]),

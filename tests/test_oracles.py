@@ -16,7 +16,7 @@ from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
 from submodlab.verify import (audit_problem4, brute_force_opt_set,
                               dummy_greedy_expectation)
 
-from helpers import (TableOracle, coverage_table_lsb, gamma_loop, m_loop,
+from helpers import (TableMatroid, TableOracle, coverage_table_lsb, gamma_loop, m_loop,
                      naive_is_submodular, relabel)
 
 
@@ -146,6 +146,48 @@ def test_perturbed_monotone_noise_certifies_monotone():
     assert measure_ratios(p).m == 1.0
     q = random_perturbed(7, 0.3, 5)
     assert q.monotone is None
+
+
+@pytest.mark.parametrize("base", [
+    random_cut(6, 36), random_modular(6, 1),
+    UniformMatroid(6, 2), random_perturbed(6, 0.1, 2),
+    {"kind": "bundle"}], ids=["cut", "modular", "matroid", "perturbed",
+                              "bundle"])
+def test_perturbed_base_must_be_a_coverage_oracle(base):
+    # a cut base with monotone noise was certified monotone (m = 0.0026),
+    # and a bundle or matroid base raised AttributeError on first use
+    with pytest.raises(ValueError,
+                       match="perturbed base must be a coverage oracle"):
+        PerturbedOracle(base, 0.01, 36, monotone_noise=True)
+
+
+def test_value_and_independence_tables_share_one_rule(monkeypatch):
+    # one cap, checked before any build and named by each table's own
+    # word, one build-once cache and one read-only rule for both kinds
+    n = oracles.TABLE_LIMIT + 1
+    monkeypatch.setattr(ModularOracle, "_build_table", lambda self: 1 / 0)
+    monkeypatch.setattr(UniformMatroid, "_build_table", lambda self: 1 / 0)
+    for table, what in ((ModularOracle(np.ones(n)).table, "value table"),
+                        (UniformMatroid(n, 2).indep_table,
+                         "independence table")):
+        with pytest.raises(oracles.CapabilityError) as info:
+            table()
+        assert str(info.value) == \
+            f"{what} needs n <= {oracles.TABLE_LIMIT}, got n = {n}"
+        assert table.__self__._table is None
+    monkeypatch.undo()
+    f, m = random_modular(5, 0), UniformMatroid(5, 2)
+    for tab, dtype in ((f.table(), float), (m.indep_table(), bool)):
+        assert tab.dtype == dtype and tab.flags.c_contiguous
+        assert not tab.flags.writeable
+    assert f.table() is f._table and m.indep_table() is m._table
+    for bad in ([0.0, -1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="oracle produced a"):
+            TableOracle(bad).table()
+    for make in (lambda: TableOracle([0.0]), lambda: TableMatroid([True])):
+        with pytest.raises(ValueError,
+                           match="ground set needs at least one element"):
+            make()
 
 
 def test_all_generated_tables_nonnegative():

@@ -101,6 +101,15 @@ def test_bundle_roundtrip():
     assert set(bundle) == {"objective", "system", "_measured", "_meta"}
 
 
+def test_a_bundle_is_not_read_as_one_object():
+    # a bundle came back as its own dict, which no caller can use as a
+    # component or a trace; load_bundle reads its components
+    doc = bundle_doc(4, {"objective": random_coverage(4, 1)})
+    with pytest.raises(ValueError, match="unknown document kind 'bundle'"):
+        from_doc(doc)
+    assert load_bundle(doc)["objective"].n == 4
+
+
 def test_file_roundtrip(tmp_path):
     f = random_perturbed(6, 0.2, 18)
     path = save(f, tmp_path / "inst.json")
