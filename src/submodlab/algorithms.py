@@ -13,7 +13,9 @@ seeds may execute concurrently without shared state.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,14 +186,14 @@ def authors_conjecture_rounds(p: int, epsilon: float) -> int:
 def certificate_holds(system: PSystem, parts, final, rounds: int) -> bool:
     """The bicriteria feasibility certificate: at most ``rounds`` recorded
     parts, each independent in ``system``, whose union is exactly
-    ``final``, so no parts certify only an empty output. Each part is an
-    element list."""
+    ``final``, so no parts certify only an empty output. Each part and
+    ``final`` are element lists, read as sets by ``mask_of``."""
     if not isinstance(parts, (list, tuple)):
         raise ValueError(f"{parts!r} is not a list of element lists")
     masks = [mask_of(t, system.n) for t in parts]
-    union = set().union(*map(elements_of, masks))
     return (len(masks) <= rounds and all(map(system.indep_mask, masks))
-            and sorted(union) == sorted(final))
+            and functools.reduce(operator.or_, masks, 0)
+            == mask_of(final, system.n))
 
 
 def multipass_greedy(f: SetFunctionOracle, system: PSystem,

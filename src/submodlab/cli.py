@@ -3,9 +3,13 @@ verification, and audits, all replayable from (config, seed).
 
 Each of the five problems is defined once, in verify's PROBLEMS table: its
 components, and how its instance is built, measured, run and checked.
-`gen --family problem<k>` records what the entry's `measure` gives, `run`
-and `verify` exit 1 on a bundle component that is missing or not of the
-class the entry declares, and the audits go through the same entries.
+`gen --family problem<k>` builds through the entry and records what its
+`measure` gives, `run` and `verify` exit 1 on a bundle component that is
+missing or not of the class the entry declares, `verify` takes --trace
+files for the traced problems (1-3) only, and the audits go through the
+same entries. The seven plain `gen` families are one table, FAMILIES, of
+(build, measure) pairs: the built oracle's document records what
+`measure` gives as its `measured`.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved
@@ -78,49 +82,37 @@ class _Parser(argparse.ArgumentParser):
 # the `gen` families: seven plain ones, then one per problem
 
 
-def _set_function_family(make):
-    def gen(a):
-        f = make(a)
-        return serialization.to_doc(f) | {"measured": exact_ratios(f)}
-    return gen
+def _exact(f, a):
+    return exact_ratios(f)
 
 
-def _weak_dr_family(make):
-    def gen(a):
-        f = make(a)
-        return serialization.to_doc(f) | {"measured": {
-            "monotone": True, "gamma": sampled_gamma(f, a.seed)}}
-    return gen
-
-
-def _gen_quadratic_dr(a):
-    f = random_quadratic_dr(a.n, a.seed, monotone=a.monotone)
+def _dr(f, a):
     if not f.dr:
         raise ValueError("generated quadratic has a positive interaction")
-    measured = {"monotone": f.monotone, "dr": True}
-    if f.monotone:
-        measured["gamma"] = sampled_gamma(f, a.seed)
-    return serialization.to_doc(f) | {"measured": measured}
+    return {"monotone": f.monotone, "dr": True} | (
+        {"gamma": sampled_gamma(f, a.seed)} if f.monotone else {})
 
 
-def _problem_family(k):
-    def gen(a):
-        c = PROBLEMS[k].build(a)
-        return verify.problem_bundle(k, c, a, PROBLEMS[k].measure(c, a))
-    return gen
+def _weak_dr(f, a):
+    return {"monotone": True, "gamma": sampled_gamma(f, a.seed)}
 
 
-GENERATORS = {
-    "modular": _set_function_family(lambda a: random_modular(a.n, a.seed)),
-    "coverage": _set_function_family(lambda a: random_coverage(a.n, a.seed)),
-    "cut": _set_function_family(lambda a: random_cut(a.n, a.seed)),
-    "perturbed": _set_function_family(
-        lambda a: random_perturbed(a.n, a.delta, a.seed, monotone=a.monotone)),
-    "quadratic-dr": _gen_quadratic_dr,
-    "quadratic-weak": _weak_dr_family(
-        lambda a: random_weak_quadratic(a.n, a.seed)),
-    "sqrt-linear": _weak_dr_family(lambda a: random_sqrt_linear(a.n, a.seed)),
-} | {f"problem{k}": _problem_family(k) for k in PROBLEMS}
+# family -> (build: flags -> oracle, measure: (oracle, flags) -> the
+# document's measured dict)
+FAMILIES = {
+    "modular": (lambda a: random_modular(a.n, a.seed), _exact),
+    "coverage": (lambda a: random_coverage(a.n, a.seed), _exact),
+    "cut": (lambda a: random_cut(a.n, a.seed), _exact),
+    "perturbed": (lambda a: random_perturbed(a.n, a.delta, a.seed,
+                                             monotone=a.monotone), _exact),
+    "quadratic-dr": (lambda a: random_quadratic_dr(a.n, a.seed,
+                                                   monotone=a.monotone), _dr),
+    "quadratic-weak": (lambda a: random_weak_quadratic(a.n, a.seed),
+                       _weak_dr),
+    "sqrt-linear": (lambda a: random_sqrt_linear(a.n, a.seed), _weak_dr),
+}
+# family -> k: built and measured by PROBLEMS[k]
+PROBLEM_FAMILIES = {f"problem{k}": k for k in PROBLEMS}
 
 
 def _audit_row(r) -> list:
@@ -173,7 +165,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate and serialize instances")
-    gen.add_argument("--family", required=True, choices=list(GENERATORS))
+    gen.add_argument("--family", required=True,
+                     choices=list(FAMILIES | PROBLEM_FAMILIES))
     gen.add_argument("--n", type=int, default=6)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--delta", type=float, default=0.4)
@@ -197,7 +190,7 @@ def _build_parser() -> _Parser:
                      choices=list(PROBLEMS))
     ver.add_argument("--instance", required=True)
     ver.add_argument("--trace", action="append", default=[],
-                     help="trace file (repeatable); required for problems 1-3")
+                     help="trace file (repeatable), for problems 1-3 only")
     ver.add_argument("--k", type=int, help="cardinality budget (problem 4)")
     ver.add_argument("--resolution", type=float, default=0.05)
     ver.add_argument("--seed", type=int, default=0)
@@ -271,7 +264,14 @@ def _exit_code(reports) -> int:
 
 
 def cmd_gen(args) -> int:
-    doc = GENERATORS[args.family](args)
+    if args.family in FAMILIES:
+        build, measure = FAMILIES[args.family]
+        f = build(args)
+        doc = serialization.to_doc(f) | {"measured": measure(f, args)}
+    else:
+        k = PROBLEM_FAMILIES[args.family]
+        c = PROBLEMS[k].build(args)
+        doc = verify.problem_bundle(k, c, args, PROBLEMS[k].measure(c, args))
     out = Path(args.out) if args.out else \
         _out_dir(args) / "instances" / f"{args.family}-n{args.n}-s{args.seed}.json"
     serialization.save(doc, out)
@@ -327,8 +327,10 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     problem = PROBLEMS[args.problem]
     comp = _load_problem_components(args)
-    if problem.traced and not args.trace:
-        raise UsageError("problems 1-3 need --trace files to verify")
+    if problem.traced != bool(args.trace):
+        raise UsageError("problems 1-3 need --trace files to verify"
+                         if problem.traced else
+                         f"problem {args.problem} reads no --trace file")
     traces = [serialization.load(p) for p in args.trace]
     if not all(isinstance(t, RunTrace) for t in traces):
         raise ValueError("a --trace file does not hold a run trace")

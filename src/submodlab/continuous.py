@@ -79,6 +79,10 @@ class ContinuousOracle:
     differentiable declares ``smoothness = math.inf`` and keeps the
     Lipschitz bound alone. ``value`` and ``grad`` check the point once and
     call the kernels ``_value`` and ``_grad``, which read checked points.
+    A subclass also defines ``value_many(points)``, the value at each row,
+    and ``grad_many(points)``, the gradient at each row, when ``grid_opt``
+    or ``weak_dr_gamma`` needs it; either may differ from the one-point
+    form in the last bits.
     """
 
     family = "abstract"
@@ -92,14 +96,6 @@ class ContinuousOracle:
 
     def grad(self, x) -> np.ndarray:
         return self._grad(_as_point(x, self.n))
-
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.value(p) for p in points])
-
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        """The gradient at each row of ``points``, one row each. It may
-        differ from ``grad`` in the last bits."""
-        return np.array([self.grad(p) for p in points]).reshape(-1, self.n)
 
 
 class QuadraticOracle(ContinuousOracle):
@@ -450,8 +446,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     gradient entry's rounding is at most about (n + 1) * 2^-53 times
     |b_j| + sum_k |a_jk| <= value_lipschitz + smoothness for a quadratic,
     a few units of 2^-53 times |grad_j| <= value_lipschitz for the other
-    closed forms, and sums add; an oracle without a batched form returns
-    ``grad``'s own bits. So each numerator is within about
+    closed forms, and sums add. So each numerator is within about
     (2n + 2) * 2^-53 * |y - x|_1 * (value_lipschitz + smoothness) of the
     exact one, and each ratio, after one more rounding, within w / 2 of R
     for any n below about a thousand. The pair that attains the loop's

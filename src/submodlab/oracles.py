@@ -398,14 +398,11 @@ def _gamma(f: SetFunctionOracle) -> float:
 def _m(f: SetFunctionOracle) -> float:
     # uncapped: measure_ratios runs it only after the GAMMA_LIMIT check
     tab = f.table()
-    scale = float(tab.max())
-    if scale <= 0.0:
-        return 1.0  # identically zero: degenerate convention
+    pos = tab > REL_TOL * max(1.0, float(tab.max()))
+    if not bool(pos.any()):
+        return 1.0  # no positive value (identically zero): by convention
     sup_min = tab.copy()
     _sweep(sup_min, np.minimum, upward=False)
-    pos = tab > REL_TOL * max(1.0, scale)
-    if not bool(pos.any()):
-        return 1.0
     return clamp_ratio(float((sup_min[pos] / tab[pos]).min()))
 
 

@@ -32,7 +32,6 @@ from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
                       SetFunctionOracle, _integer, _reals, elements_of,
                       measure_ratios, random_coverage, random_perturbed)
 
-OPT_SET_LIMIT = 18
 GRID_DIM_LIMIT = 5
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
 _GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
@@ -63,9 +62,8 @@ def brute_force_opt_set(f: SetFunctionOracle, feasible=None
     (2^n,) indexed by subset bitmask, such as a matroid's or p-system's
     ``indep_table()``. The optimum is one masked argmax over the value
     table; ties resolve to the first maximizer in ascending mask order.
+    Its only size limit is the value table's, ``TABLE_LIMIT``.
     """
-    if f.n > OPT_SET_LIMIT:
-        raise CapabilityError(f"exhaustive optimum needs n <= {OPT_SET_LIMIT}")
     tab = f.table()
     if feasible is not None:
         feasible = np.asarray(feasible)

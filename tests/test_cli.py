@@ -702,6 +702,51 @@ def _problem2_bundle_and_trace(tmp_path):
     return inst, next(tmp_path.glob("traces/*.json"))
 
 
+def test_problem2_verifies_and_audits_up_to_the_table_cap(tmp_path, capsys):
+    # the exhaustive optimum is capped by the value table alone (n <= 20)
+    inst = tmp_path / "p2.json"
+    assert run(tmp_path, "gen", "--family", "problem2", "--n", "20", "--p",
+               "2", "--seed", "1", "--out", str(inst)) == 0
+    assert run(tmp_path, "run", "--problem", "2", "--instance",
+               str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 0
+    assert run(tmp_path, "audit", "--bound", "problem2-authors-conjecture",
+               "--n", "19", "--trials", "2") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_problem2_final_with_a_repeat_verifies_holds(tmp_path, capsys):
+    # final is valued as a set and certified as one: a repeated element
+    # once read as a broken certificate, verdict violated and exit 2
+    inst, trace = _problem2_bundle_and_trace(tmp_path)
+    doc = load_doc(trace)
+    doc["final"] = doc["final"] + doc["final"][:1]
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "2", "--instance", str(inst),
+               "--trace", str(trace)) == 0
+    assert "verdict=holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", [4, 5])
+def test_verify_untraced_problem_with_a_trace_exits_one(tmp_path, capsys,
+                                                        problem):
+    # the trace was loaded and never read, and the report exited 0
+    inst = tmp_path / "inst.json"
+    run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "5",
+        "--seed", "1", "--out", str(inst))
+    assert run(tmp_path, "run", "--problem", str(problem), "--instance",
+               str(inst)) == 0
+    trace = next(tmp_path.glob("traces/*.json"))
+    capsys.readouterr()
+    _usage_error(capsys, run(tmp_path, "verify", "--problem", str(problem),
+                             "--instance", str(inst), "--trace", str(trace)),
+                 f"problem {problem} reads no --trace file")
+    assert not list(tmp_path.glob("verify-*.csv"))
+
+
 @pytest.mark.parametrize("other", ["bundle", "matroid"])
 def test_verify_trace_that_is_no_run_trace_exits_one(tmp_path, capsys,
                                                      other):
@@ -873,7 +918,7 @@ def test_malformed_bundle_number_exits_one(tmp_path, capsys, command,
     inst.write_text(json.dumps(doc))
     capsys.readouterr()
     argv = [command, "--problem", str(problem), "--instance", str(inst)]
-    if command == "verify":
+    if command == "verify" and problem != 4:  # problem 4 reads no trace
         argv += ["--trace", str(trace)]
     assert run(tmp_path, *argv) == 1
     err = capsys.readouterr().err

@@ -100,8 +100,9 @@ def test_brute_force_rejects_malformed_feasibility():
 
 
 def test_brute_force_capability_limit():
-    f = ModularOracle(np.ones(19))
-    with pytest.raises(CapabilityError):
+    # the value table's cap is the optimum's only one
+    f = ModularOracle(np.ones(21))
+    with pytest.raises(CapabilityError, match="value table needs n <= 20"):
         brute_force_opt_set(f)
 
 
@@ -781,6 +782,22 @@ def test_bicriteria_certificate_counts_its_parts():
     assert not certificate_holds(system, parts, trace.final, rounds - 1)
     with pytest.raises(ValueError, match="is not a list of element lists"):
         certificate_holds(system, 5, trace.final, rounds)
+
+
+def test_bicriteria_certificate_reads_element_lists_as_sets():
+    # final is valued as a set, so it is certified as one; a repeat in
+    # final once read as a broken certificate
+    f = random_coverage(7, 82)
+    system = PSystem([random_partition_matroid(7, 83)])
+    trace = multipass_greedy(f, system, 0.25)
+    parts, rounds = trace.meta["independent_sets"], trace.meta["rounds"]
+    final = trace.final
+    assert certificate_holds(system, parts, final + final[:1], rounds)
+    repeated = [part + part[:1] for part in parts]
+    assert certificate_holds(system, repeated, final, rounds)
+    assert not certificate_holds(system, parts, final[1:], rounds)
+    assert not certificate_holds(system, parts, final[1:] + final[1:2],
+                                 rounds)
 
 
 def test_problem5_verdict_recorded_without_failing():
