@@ -345,17 +345,22 @@ def _candidates(values, indep, n: int, mask: int) -> tuple | None:
     ``values`` and ``indep`` are the value and independence tables indexed
     by mask: numpy arrays, or a list of floats and bytes, on which each
     search node is cheaper but which take a pass over all 2^n entries to
-    build. Past INTERSECTION_LIMIT elements outside ``mask`` it raises
-    CapabilityError, as the search does, once some element extends
-    ``mask``."""
-    ground = [u for u in range(n) if not mask >> u & 1]
-    if not any(indep[mask | 1 << u] for u in ground):
-        return None
-    _check_search_size(ground)
+    build. Once some element extends ``mask``, it raises CapabilityError
+    past INTERSECTION_LIMIT elements outside ``mask``, feasible or not, as
+    the search does."""
     here = values[mask]
     weights = [0.0] * n
-    for u in ground:
-        weights[u] = values[mask | 1 << u] - here
+    ground = []
+    extends = False
+    for u in range(n):
+        bit = 1 << u
+        if not mask & bit:
+            ground.append(u)
+            weights[u] = values[mask | bit] - here
+            extends = extends or indep[mask | bit]
+    if not extends:
+        return None
+    _check_search_size(ground)
     best = _heaviest(indep, weights, mask, ground)
     if not best:
         raise ValueError(

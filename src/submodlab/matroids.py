@@ -264,19 +264,31 @@ def _check_search_size(elems: list) -> None:
 
 def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
     """The search of ``max_weight_common_independent``, unchecked: the mask
-    of the heaviest T over ``elems`` (the elements outside ``base``) with
-    ``indep[base | T]`` true, for an independence table indexed by mask
-    (bytes or the bool array) and a list of weights.
+    of the heaviest T over ``elems`` (the elements outside ``base``,
+    ascending) with ``indep[base | T]`` true, for an independence table
+    indexed by mask (bytes or the bool array) and a list of weights.
 
     Include-first depth-first search in (-w, u) order on an explicit stack:
     a node is pruned when its weight plus the positive weight still to come
-    is <= the best, and a leaf replaces the best only when heavier.
+    is <= the best, and a leaf replaces the best only when heavier. The
+    positive weight to come sums over every element of ``elems``, but the
+    search visits only the feasible singletons, u with ``indep[base | 1 <<
+    u]`` true: the table is down-closed, so no other element joins any T.
+    The sums never increase along the order, so a prune at a skipped
+    element is a prune at the next visited one, or a leaf no heavier than
+    the best: every decision and the result are those of a search that
+    visits every element.
     """
-    order = sorted(elems, key=lambda u: (-w[u], u))
-    k = len(order)
-    pos_suffix = [0.0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        pos_suffix[i] = pos_suffix[i + 1] + max(w[order[i]], 0.0)
+    order = sorted(elems, key=w.__getitem__, reverse=True)  # stable: ties by u
+    visit = []  # (u, positive weight from u on) of each feasible u
+    pos_suffix = 0.0
+    for u in reversed(order):
+        if w[u] > 0.0:  # adding a zero would leave the sum's bits as they are
+            pos_suffix += w[u]
+        if indep[base | 1 << u]:
+            visit.append((u, pos_suffix))
+    visit.reverse()
+    k = len(visit)
 
     best_w = -np.inf
     best_set = base
@@ -288,9 +300,9 @@ def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
                 if cur_w > best_w:
                     best_w, best_set = cur_w, mask
                 break
-            if cur_w + pos_suffix[idx] <= best_w:
+            u, rest = visit[idx]
+            if cur_w + rest <= best_w:
                 break
-            u = order[idx]
             idx += 1
             if indep[mask | 1 << u]:
                 stack.append((idx, mask, cur_w))

@@ -17,8 +17,9 @@ measurement here is a pure function of the oracle. Each ratio has one exact
 path, ``_gamma`` and ``_m``, which returns the ratio's value alone. The
 modular, coverage and cut families are submodular by construction and
 certify it (``submodular = True``), so ``measure_ratios`` takes their gamma
-as exactly 1 without the 3^n sweep; the ``GAMMA_LIMIT`` cap still applies
-to them.
+as exactly 1 without the 3^n sweep; likewise it takes m as exactly 1
+without the superset sweep for an oracle certified monotone. The
+``GAMMA_LIMIT`` cap still applies to both.
 """
 
 from __future__ import annotations
@@ -430,12 +431,20 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     oracle. A certified submodular family (``f.submodular``: modular,
     coverage, cut) has gamma = 1.0 exactly, with no sweep; any other oracle
     is swept, and the sweep stops at the first ratio <= 0, where gamma
-    reaches its floor 0. n > GAMMA_LIMIT raises CapabilityError before any
-    gamma or m sweep, certified families included.
+    reaches its floor 0. A certified monotone oracle (``f.monotone is
+    True``: modular, coverage, perturbed with monotone noise) has m = 1.0
+    exactly, with no sweep. That is exact in floats: a modular or coverage
+    table folds nonnegative terms in ascending order, a superset's fold
+    only adds terms, and rounding is monotone; monotone noise adds a
+    running max over subsets to such a table and takes a max with 0. So
+    f(S) <= f(T) bit for bit whenever S ⊆ T, the least superset value of
+    each S is f(S) itself, and the sweep's m is 1.0. n > GAMMA_LIMIT raises
+    CapabilityError before any gamma or m sweep, certified families
+    included.
     """
     _check_gamma_size(f)
     gamma = 1.0 if f.submodular else _gamma(f)
-    m = _m(f)
+    m = 1.0 if f.monotone is True else _m(f)
     return RatioMeasurement(gamma=gamma, m=m, nonmonotone_caveat=m < 1.0)
 
 

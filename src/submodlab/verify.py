@@ -574,12 +574,13 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 class Problem(NamedTuple):
     """One problem's bundle components and its build, run, check and
     measure rules; ``measure(components, flags)``, by default the exact
-    ratios of the objective, is the measured dict ``gen`` records."""
+    ratios of the objective (CapabilityError past GAMMA_LIMIT, as the
+    check would raise), is the measured dict ``gen`` records."""
     components: dict    # name -> class of each component a bundle must hold
     build: Callable     # flags -> components (no ratio is measured)
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
-    measure: Callable = lambda c, a: exact_ratios(c["objective"])
+    measure: Callable = lambda c, a: ratios_doc(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
     traced: bool = True           # check reads run's traces
     bare_objective: bool = False  # a plain set-function file also loads
@@ -624,13 +625,18 @@ def _number(owner, name: str):
     return value
 
 
-def exact_ratios(f: SetFunctionOracle) -> dict:
-    """f's exact gamma and m as documents record them; {} past GAMMA_LIMIT."""
-    if f.n > GAMMA_LIMIT:
-        return {}
+def ratios_doc(f: SetFunctionOracle) -> dict:
+    """f's exact gamma and m as documents record them; past GAMMA_LIMIT
+    ``measure_ratios`` raises CapabilityError."""
     r = measure_ratios(f)
     return {"gamma": r.gamma, "m": r.m,
             "nonmonotone_caveat": r.nonmonotone_caveat}
+
+
+def exact_ratios(f: SetFunctionOracle) -> dict:
+    """``ratios_doc(f)``, or {} past GAMMA_LIMIT, for a document whose
+    checks do not read the ratios."""
+    return {} if f.n > GAMMA_LIMIT else ratios_doc(f)
 
 
 def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
@@ -715,7 +721,10 @@ PROBLEMS = {
                lambda c, a: [multipass_greedy(
                    c["objective"], c["system"],
                    _or(a.epsilon, _or(_number(c, "meta.epsilon"), 0.25)))],
-               _check_problem2, meta=("seed", "p", "epsilon")),
+               _check_problem2,
+               # the check reads no ratio: past GAMMA_LIMIT none is recorded
+               measure=lambda c, a: exact_ratios(c["objective"]),
+               meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
                _build_problem3,
                lambda c, a: [frank_wolfe(

@@ -13,8 +13,8 @@ from submodlab import cli
 from submodlab.cli import AUDITS, _build_parser, main
 from submodlab.matroids import (random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import (random_coverage, random_cut, random_modular,
-                               random_perturbed)
+from submodlab.oracles import (GAMMA_LIMIT, random_coverage, random_cut,
+                               random_modular, random_perturbed)
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
 from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
@@ -1069,6 +1069,25 @@ def test_capability_error_exit_three(tmp_path):
     inst.write_text(json.dumps(doc))
     assert run(tmp_path, "verify", "--problem", "4", "--instance", str(inst),
                "--k", "2") == 3
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_gen_problem_past_gamma_limit_exits_three(tmp_path, capsys, k):
+    # problems 4 and 5 check against the measured gamma, so gen refuses a
+    # bundle that verify and audit would refuse, and writes no file
+    def gen(n):
+        return run(tmp_path, "gen", "--family", f"problem{k}", "--n", str(n),
+                   "--seed", "1")
+
+    assert gen(GAMMA_LIMIT + 1) == 3
+    err = capsys.readouterr().err
+    assert err == f"capability limit: submodularity ratio needs n <= " \
+        f"{GAMMA_LIMIT}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert gen(GAMMA_LIMIT) == 0
+    inst, = (tmp_path / "instances").iterdir()
+    assert set(load_doc(inst)["measured"]) == {"gamma", "m",
+                                               "nonmonotone_caveat"}
 
 
 def test_verify_problem4_deep_tree_is_exact(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import _candidates
-from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
+from submodlab.matroids import (INTERSECTION_LIMIT, GraphicMatroid,
+                                PartitionMatroid, PSystem,
                                 UniformMatroid, checked_partition,
                                 contracted_ranks,
                                 max_weight_common_independent,
@@ -448,15 +449,26 @@ def test_contracted_ranks_match_branch_and_prune_at_n12():
                 system, np.ones(12), base))
 
 
+def partition_with_loops(n: int, seed: int) -> PartitionMatroid:
+    """``random_partition_matroid`` with one block's cap set to 0: its
+    elements are loops, never independent, which the search skips."""
+    m = random_partition_matroid(n, seed)
+    caps = list(m.caps)
+    caps[seed % len(caps)] = 0
+    return PartitionMatroid(m.blocks, caps)
+
+
 @st.composite
 def intersection_states(draw):
-    """A partition or graphic pair at n <= 10, an independent base, float
-    weights with ties and negative entries, and an oracle whose value table
-    has ties and, unless it is a coverage one, negative marginals."""
+    """A partition or graphic pair at n <= 10, the partition ones with or
+    without a block of loops, an independent base, float weights with ties
+    and negative entries, and an oracle whose value table has ties and,
+    unless it is a coverage one, negative marginals."""
     n = draw(st.integers(1, 10))
     seed = draw(st.integers(0, 10_000))
     make = draw(st.sampled_from([random_partition_matroid,
-                                 random_graphic_matroid]))
+                                 random_graphic_matroid,
+                                 partition_with_loops]))
     system = PSystem([make(n, seed), make(n, seed + 1)])
     base = 0
     for u in draw(st.permutations(range(n)))[:draw(st.integers(0, n))]:
@@ -491,6 +503,24 @@ def test_search_and_candidates_match_the_recursive_reference(case):
                     system.indep_table().tobytes(), f.n, base) == want
     assert _outcome(_candidates, f.table(), system.indep_table(), f.n,
                     base) == want
+
+
+def test_candidates_cap_counts_every_element_outside_the_mask():
+    # INTERSECTION_LIMIT + 1 elements outside the empty mask, all but two of
+    # them loops: the cap still counts the loops once some element extends
+    # the mask, and with none that does the state is final
+    n = INTERSECTION_LIMIT + 1
+    values = random_modular(n, 0).table()
+    blocks = [[0, 1], list(range(2, n))]
+    for caps, want in (([1, 0], CapabilityError), ([0, 0], None)):
+        system = PSystem([PartitionMatroid(blocks, caps), free_matroid(n)])
+        indep = system.indep_table()
+        for tables in ((values, indep), (values.tolist(), indep.tobytes())):
+            if want is None:
+                assert _candidates(*tables, n, 0) is None
+            else:
+                with pytest.raises(want):
+                    _candidates(*tables, n, 0)
 
 
 @pytest.mark.parametrize("base", [1 << 4, -1, 0b111, True, 2.0])

@@ -375,7 +375,13 @@ def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
         assert str(info.value) == \
             f"submodularity ratio needs n <= {oracles.GAMMA_LIMIT}"
     assert calls == []
-    measure_ratios(random_modular(oracles.GAMMA_LIMIT, 0))
+    # at the cap only an oracle not certified monotone is swept for m
+    n = oracles.GAMMA_LIMIT
+    for f in (random_modular(n, 0), random_coverage(n, 0),
+              random_perturbed(n, 0.3, 0, monotone=True)):
+        assert measure_ratios(f).m == 1.0
+    assert calls == []
+    measure_ratios(random_cut(n, 0))
     assert len(calls) == 1
 
 
@@ -477,6 +483,35 @@ def coverage_instances(draw):
 @given(coverage_instances())
 def test_coverage_table_matches_lsb_build(f):
     assert f.table().tobytes() == coverage_table_lsb(f).tobytes()
+
+
+@st.composite
+def certified_monotone(draw):
+    """Every family certified monotone: modular (ties, -0.0, subnormal
+    weights), coverage, and perturbed with monotone noise over a coverage
+    base at n <= 10, delta = 0 included."""
+    kind = draw(st.sampled_from(["modular", "coverage", "perturbed"]))
+    if kind == "modular":
+        weight = st.one_of(st.floats(0.0, 2.0),
+                           st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+        return ModularOracle(draw(st.lists(weight, min_size=1, max_size=10)))
+    base = draw(coverage_instances().filter(lambda f: f.n <= 10))
+    if kind == "coverage":
+        return base
+    delta = draw(st.sampled_from([0.0, 1e-300, 0.3]) | st.floats(0.0, 2.0))
+    return PerturbedOracle(base, delta, draw(st.integers(0, 10_000)),
+                           monotone_noise=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_monotone())
+def test_certified_monotone_m_is_the_sweep_bit_for_bit(f):
+    # measure_ratios takes m = 1.0 without the sweep: the premise is that
+    # the sweep's m of a certified-monotone table is exactly 1.0
+    assert f.monotone is True
+    swept = oracles._m(f)
+    assert repr(swept) == "1.0"
+    assert repr(measure_ratios(f).m) == repr(swept)
 
 
 @settings(max_examples=40, deadline=None)
