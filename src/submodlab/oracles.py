@@ -57,14 +57,18 @@ def _integer(value, what: str) -> int:
 
 
 def _reals(values, what: str) -> np.ndarray:
-    """``values`` as a float array if every entry is an int or a float
-    (numpy ones included), else ValueError: a bool, a string or None is
-    never parsed. A float ndarray is returned as it is, unwalked: the hot
-    path of every oracle point."""
+    """``values`` as a float array if it is rectangular and every entry is
+    an int or a float (numpy ones included), else ValueError: a bool, a
+    string or None is never parsed, and a ragged list leaves lists as
+    entries. A float ndarray is returned as it is, unwalked: the hot path
+    of every oracle point."""
     if type(values) is not np.ndarray or values.dtype is not _FLOAT:
         for v in np.asarray(values, dtype=object).flat:
             if isinstance(v, bool) or not isinstance(
                     v, (int, float, np.integer, np.floating)):
+                if isinstance(v, (list, tuple, np.ndarray)):
+                    raise ValueError(
+                        f"{what} must be a rectangular array of numbers")
                 raise ValueError(f"{what}: {v!r} is not a number")
     return np.asarray(values, dtype=float)
 

@@ -3,7 +3,10 @@ independent reference solvers used as cross-checking oracles."""
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -829,3 +832,20 @@ def mean_and_se(values):
     values = np.asarray(values, dtype=float)
     se = values.std(ddof=1) / math.sqrt(values.size)
     return float(values.mean()), float(se)
+
+
+def wrong_length_lists(doc, path=()):
+    """(label, document) for each nonempty list anywhere in the JSON
+    document ``doc``, outermost first: a copy with the list's last entry
+    dropped, then one with it repeated."""
+    node = functools.reduce(operator.getitem, path, doc)
+    if isinstance(node, list) and node:
+        for how in ("drop", "repeat"):
+            mutant = copy.deepcopy(doc)
+            target = functools.reduce(operator.getitem, path, mutant)
+            target.append(target[-1]) if how == "repeat" else target.pop()
+            yield "/".join(map(str, path)) + " " + how, mutant
+    children = range(len(node)) if isinstance(node, list) else \
+        node if isinstance(node, dict) else ()
+    for key in children:
+        yield from wrong_length_lists(doc, path + (key,))

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
 from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
 
-from helpers import DummyGreedyProcess, dag_walk
+from helpers import DummyGreedyProcess, dag_walk, wrong_length_lists
 
 
 def run(tmp_path, *argv):
@@ -394,6 +395,73 @@ def test_non_number_document_value_exits_one(tmp_path, capsys, stem, path,
     assert err.startswith(f"error: {message} is not a")
     assert err.count("\n") == 1
     assert not list(tmp_path.glob("run-*.csv"))
+
+
+def test_bundle_lists_of_the_wrong_length_run_or_exit_one(tmp_path, capsys):
+    # every list of every problem bundle one entry short or long: run
+    # exits 0 with nothing on stderr or 1 with one error line, never a
+    # traceback; a ragged interaction matrix is named as such (its short
+    # row was reported as "a: [...] is not a number")
+    bad, mutants = [], 0
+    for path in sorted(GOLDEN_CLI.glob("instances/problem*.json")):
+        bundle = load_doc(path)
+        for label, doc in wrong_length_lists(bundle):
+            mutants += 1
+            inst = tmp_path / path.name
+            inst.write_text(json.dumps(doc))
+            capsys.readouterr()
+            try:
+                code = run(tmp_path / "out", "run", "--problem",
+                           str(bundle["problem"]), "--instance", str(inst))
+            except Exception as exc:
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if "/a/" in label:  # a row of an interaction matrix
+                ok = (code, err) == (1, "error: a must be a rectangular "
+                                        "array of numbers\n")
+            else:
+                ok = (code, err) == (0, "") or code == 1 and err.startswith(
+                    "error: ") and err.count("\n") == 1
+            if not ok:
+                bad.append(f"{path.name} {label}: exit {code}, {err!r}")
+    assert mutants == 124
+    assert bad == []
+
+
+@pytest.mark.parametrize("problem", [2, 4, 5])
+def test_unread_bundle_numbers_leave_run_and_verify_unchanged(tmp_path,
+                                                             problem):
+    # meta.p and the measured ratios of problems 2, 4 and 5 are a record of
+    # gen: run and verify read none of them, so editing each one leaves
+    # both CSVs byte for byte
+    stem = f"problem{problem}-n6-s1"
+
+    def csvs(doc, out):
+        inst = out / "instances" / f"{stem}.json"
+        inst.parent.mkdir(parents=True)
+        inst.write_text(json.dumps(doc))
+        trace = out / "traces" / f"{stem}-p{problem}-t0.json"
+        assert run(out, "run", "--problem", str(problem),
+                   "--instance", str(inst)) == 0
+        assert run(out, "verify", "--problem", str(problem), "--instance",
+                   str(inst), *(["--trace", str(trace)] if problem == 2
+                                else [])) == 0
+        return [(out / f"{command}-{stem}-p{problem}.csv").read_bytes()
+                for command in ("run", "verify")]
+
+    gen = tmp_path / "gen.json"
+    assert run(tmp_path, "gen", "--family", f"problem{problem}", "--n", "6",
+               "--seed", "1", "--out", str(gen)) == 0
+    base = load_doc(gen)
+    want = csvs(base, tmp_path / "base")
+    for field, key, value in (
+            ("meta", "p", 5), ("measured", "m", 0.5),
+            ("measured", "nonmonotone_caveat",
+             not base["measured"]["nonmonotone_caveat"]),
+            ("measured", "gamma", 0.25)):
+        doc = copy.deepcopy(base)
+        doc[field][key] = value
+        assert csvs(doc, tmp_path / f"{field}.{key}") == want, f"{field}.{key}"
 
 
 @pytest.mark.parametrize("problem", [True, 1.0, "1", None])

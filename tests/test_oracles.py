@@ -546,6 +546,14 @@ def test_reals_reads_numbers_only():
             oracles._reals(bad, "x")
 
 
+def test_reals_names_a_ragged_array():
+    # a short row was reported as "x: [1.0] is not a number"
+    for ragged in ([[1.0, 2.0], [1.0]], [1.0, [2.0]], [[1.0], [2.0, "3"]]):
+        with pytest.raises(ValueError,
+                           match="^x must be a rectangular array of numbers$"):
+            oracles._reals(ragged, "x")
+
+
 # the two table kernels against per-mask references, compared bit for bit:
 # the values repeat and hold both signed zeros, so ties are common
 

@@ -20,7 +20,7 @@ from submodlab.serialization import (_CLASSES, CODECS, bundle_doc,
                                      canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
 
-from helpers import random_uniform_matroid
+from helpers import random_uniform_matroid, wrong_length_lists
 
 
 def roundtrip(obj):
@@ -174,6 +174,23 @@ def test_every_document_number_is_checked(path, mutate):
         target[last] = mutate(target[last])
         with pytest.raises(ValueError):
             read(bad)
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.name)
+def test_every_list_of_the_wrong_length_loads_or_raises_value_error(path):
+    # a list one entry short or long either loads or is a ValueError, never
+    # another exception: the CLI reports a ValueError as one error line
+    doc = load_doc(path)
+    read = load_bundle if doc["kind"] == "bundle" else from_doc
+    bad = []
+    for label, mutant in wrong_length_lists(doc):
+        try:
+            read(mutant)
+        except ValueError:
+            pass
+        except Exception as exc:
+            bad.append(f"{label}: {exc!r}")
+    assert bad == []
 
 
 @pytest.mark.parametrize("value", ["no", "false", 1, None])
