@@ -256,11 +256,15 @@ def dummy_candidates(f: SetFunctionOracle, k: int, masks):
     holds the candidates at masks[i] in its first counts[i] slots. The 2k
     dummies (ids n .. n+2k-1, zero marginal everywhere) fill the other
     slots, so a real element with zero marginal comes before every dummy
-    and one with negative marginal is never offered.
+    and one with negative marginal is never offered. Masks that are not
+    ints in [0, 2^n) raise ValueError.
     """
     check_budget(k, f.n)
     tab = f.table()
     masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu" or masks.size and (
+            masks.min() < 0 or masks.max() >= 1 << f.n):
+        raise ValueError("mask is not a subset of the ground set")
     bits = 1 << np.arange(f.n)
     marg = tab[masks[:, None] | bits] - tab[masks][:, None]
     real = ((masks[:, None] & bits) == 0) & (marg >= 0.0)

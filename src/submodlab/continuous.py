@@ -261,7 +261,12 @@ class Polytope:
         return ok
 
     def member(self, x) -> bool:
-        return bool(self.member_many(_reals(x, "points")[None])[0])
+        """``member_many`` of the one point ``x``, which must have n
+        coordinates (else ValueError)."""
+        x = _reals(x, "points")
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a point in dimension {self.n}")
+        return bool(self.member_many(x[None])[0])
 
     def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows (M, c) of the constraints M x <= c beyond the box, with
@@ -455,6 +460,9 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     """
     if not f.monotone:
         raise ValueError("weak-DR ratio is defined for monotone oracles")
+    samples = _integer(samples, "sample counts")
+    if samples < 1:
+        raise ValueError("sample counts must be at least 1")
     rng = np.random.default_rng(seed)
     lo, hi = _sample_ordered_pairs(f.n, samples, rng)
     vals_lo = f.value_many(lo)

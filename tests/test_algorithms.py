@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from submodlab import algorithms, continuous
 from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
-                                  check_budget, frank_wolfe,
-                                  masked_frank_wolfe, multipass_greedy,
-                                  random_greedy_dummies,
+                                  check_budget, dummy_candidates,
+                                  frank_wolfe, masked_frank_wolfe,
+                                  multipass_greedy, random_greedy_dummies,
                                   random_greedy_intersection)
 from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   SumOracle, random_quadratic_dr,
@@ -396,6 +396,20 @@ def test_dummy_greedy_budget_validation():
     for k in (-1, 0, 4):
         with pytest.raises(ValueError):
             random_greedy_dummies(f, k, seed=0)
+
+
+@pytest.mark.parametrize("masks", [[-1], [1 << 4], [1.5], [True], [0, 16]],
+                         ids=["negative", "past-the-ground-set", "float",
+                              "bool", "one-of-two"])
+def test_dummy_candidates_reject_masks_outside_the_ground_set(masks):
+    # -1 was read as the full set (counts [0]); 16 raised IndexError and
+    # 1.5 TypeError
+    f = random_coverage(4, 1)
+    with pytest.raises(ValueError,
+                       match="mask is not a subset of the ground set"):
+        dummy_candidates(f, 2, np.array(masks))
+    order, counts = dummy_candidates(f, 2, np.array([0, 15]))
+    assert order.shape == (2, 2) and counts[1] == 0
 
 
 @pytest.mark.parametrize("k", [True, 1.0, "1", np.bool_(True)])

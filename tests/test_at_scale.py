@@ -12,6 +12,7 @@ minute on two cores.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -71,14 +72,22 @@ def test_certified_ratio_is_the_sweep(ratio, sweep, loop, makes):
 
 
 # gen records gamma at n = 12 from the sweep that stops at the floor 0
-# (perturbed) or from the certificate (coverage): the reference loop's value
-@pytest.mark.parametrize("family, seed", [("perturbed", 3), ("coverage", 2)])
-def test_gen_gamma_at_n12_is_the_reference_loop(family, seed, tmp_path):
+# (perturbed) or from the certificate (coverage): the reference loop's
+# value, in a document whose SHA-256 is pinned
+@pytest.mark.parametrize("family, seed, sha256", [
+    ("perturbed", 3,
+     "f39adc32eed8bdcb272b00e991e9504034e4a62bf21a230e9c4a885c8f428d1e"),
+    ("coverage", 2,
+     "ec71eaab592e2e74bb5891ab720732c6f136e106163d9394091ba5fe93744e56"),
+], ids=["perturbed-3", "coverage-2"])
+def test_gen_gamma_at_n12_is_the_reference_loop(family, seed, sha256,
+                                                tmp_path):
     assert cli.main(["--out-dir", str(tmp_path), "gen", "--family", family,
                      "--n", "12", "--seed", str(seed)]) == 0
     path = tmp_path / "instances" / f"{family}-n12-s{seed}.json"
     assert serialization.load_doc(path)["measured"]["gamma"] \
         == gamma_loop(serialization.load(path))[0]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # every table byte for byte: coverage against the fold from each mask

@@ -342,9 +342,13 @@ def test_verify_non_number_final_point_exits_one(tmp_path, capsys, problem,
     assert not list(tmp_path.glob("verify-*.csv"))
 
 
-@pytest.mark.parametrize("parts", [5, [5], "015"],
-                         ids=["number", "number-part", "string"])
-def test_verify_malformed_independent_sets_exit_one(tmp_path, capsys, parts):
+@pytest.mark.parametrize("parts, message", [
+    (5, "5 is not a list of element lists"),
+    ([5], "5 is not an element list"),
+    ("015", "'015' is not a list of element lists"),
+], ids=["number", "number-part", "string"])
+def test_verify_malformed_independent_sets_exit_one(tmp_path, capsys, parts,
+                                                    message):
     # 5 and [5] ended verify with a TypeError traceback
     doc = load_doc(GOLDEN_CLI / "traces" / "problem2-n7-s11-p2-t0.json")
     doc["meta"]["independent_sets"] = parts
@@ -354,25 +358,31 @@ def test_verify_malformed_independent_sets_exit_one(tmp_path, capsys, parts):
     assert run(tmp_path, "verify", "--problem", "2", "--instance",
                str(GOLDEN_CLI / "instances" / "problem2-n7-s11.json"),
                "--trace", str(trace)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "is not a" in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("verify-*.csv"))
 
 
 @pytest.mark.parametrize("stem, path, value, message", [
-    ("modular-n5-s1", ("weights",), ["0.5", True], "weights: '0.5'"),
-    ("cut-n5-s3", ("edges", 0, 2), "0.7", "edge weights: '0.7'"),
-    ("cut-n5-s3", ("edges", 0, 2), True, "edge weights: True"),
-    ("perturbed-n6-s4", ("delta",), True, "noise amplitudes: True"),
-    ("perturbed-n6-s4", ("monotone_noise",), "no", "monotone_noise: 'no'"),
-    ("sqrt-linear-n3-s7", ("shift",), True, "shift: True"),
+    ("modular-n5-s1", ("weights",), ["0.5", True],
+     "weights: '0.5' is not a number"),
+    ("cut-n5-s3", ("edges", 0, 2), "0.7",
+     "edge weights: '0.7' is not a number"),
+    ("cut-n5-s3", ("edges", 0, 2), True, "edge weights: True is not a number"),
+    ("perturbed-n6-s4", ("delta",), True,
+     "noise amplitudes: True is not a number"),
+    ("perturbed-n6-s4", ("monotone_noise",), "no",
+     "monotone_noise: 'no' is not a bool"),
+    ("sqrt-linear-n3-s7", ("shift",), True, "shift: True is not a number"),
+    ("coverage-n6-s2", ("universe_weights", 0), "0.5",
+     "universe weights: '0.5' is not a number"),
 ], ids=["modular-weights", "cut-weight-string", "cut-weight-bool",
-        "perturbed-delta", "perturbed-monotone-noise", "sqrt-linear-shift"])
+        "perturbed-delta", "perturbed-monotone-noise", "sqrt-linear-shift",
+        "coverage-universe-weight"])
 def test_non_number_document_value_exits_one(tmp_path, capsys, stem, path,
                                              value, message):
     # each loaded: weights ["0.5", true] as [0.5, 1.0], a cut weight "0.7"
-    # as 0.7, delta and shift true as 1.0, monotone_noise "no" as true
+    # as 0.7, delta and shift true as 1.0, monotone_noise "no" as true, a
+    # universe weight "0.5" as 0.5
     doc = load_doc(GOLDEN_CLI / "instances" / f"{stem}.json")
     *head, last = path
     target = doc
@@ -391,9 +401,7 @@ def test_non_number_document_value_exits_one(tmp_path, capsys, stem, path,
     capsys.readouterr()
     assert run(tmp_path, "run", "--problem", str(problem), "--instance",
                str(inst)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message} is not a")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("run-*.csv"))
 
 
@@ -569,13 +577,23 @@ def test_verify_proved_violation_exits_two(tmp_path):
                "--trace", str(trace)) == 2
 
 
-def test_audit_conjecture_table(tmp_path, capsys):
-    assert run(tmp_path, "audit", "--bound", "problem2-authors-conjecture",
-               "--p", "2", "--trials", "5", "--seed", "3") == 0
-    table = next(tmp_path.glob("audit-problem2-authors-conjecture-*.csv"))
-    header = table.read_text().splitlines()[0]
-    assert header.startswith("instance,p,epsilon,opt,rounds_conjecture")
-    assert len(table.read_text().splitlines()) == 6
+@pytest.mark.parametrize("bound, flags, header", [
+    ("problem2-authors-conjecture", ["--p", "2", "--seed", "3"],
+     "instance,p,epsilon,opt,rounds_conjecture"),
+    ("problem2-authors-conjecture", ["--p", "3", "--n", "10"],
+     "instance,p,epsilon,opt,rounds_conjecture"),
+    ("problem2-bicriteria", ["--p", "3", "--n", "10"],
+     "instance,measured,opt,threshold,ratio,verdict"),
+], ids=["conjecture-p2", "conjecture-p3-n10", "bicriteria-p3-n10"])
+def test_audit_problem2_table(tmp_path, capsys, bound, flags, header):
+    # exit 0 whatever the rows say, unless a proved bound (the bicriteria
+    # one, whose broken certificate would read violated) exits 2
+    assert run(tmp_path, "audit", "--bound", bound, *flags,
+               "--trials", "5") == 0
+    table = next(tmp_path.glob(f"audit-{bound}-*.csv"))
+    lines = table.read_text().splitlines()
+    assert lines[0].startswith(header)
+    assert len(lines) == 6
 
 
 def test_audit_conjecture_violations_are_replay_documents(tmp_path, capsys):
@@ -1267,6 +1285,7 @@ def test_config_may_supply_required_flags(tmp_path, capsys):
     assert run(tmp_path, "verify", "--problem", "2", "--instance", inst,
                "--trace", trace) == 0
     by_flags = table.read_text()
+    assert len(by_flags.splitlines()) == 2
     table.unlink()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": 2, "instance": inst,
@@ -1477,14 +1496,34 @@ def test_config_run_bytes_do_not_depend_on_earlier_commands(tmp_path):
     assert len(first.splitlines()) == 3
 
 
-def test_python_m_submodlab_writes_the_gen_bytes(tmp_path):
+# one process per exit code: what an in-process call of main cannot show
+# is that the module entry point hands its code and stderr to the OS
+@pytest.mark.parametrize("argv, code, err", [
+    (["gen", "--family", "coverage", "--n", "6", "--seed", "2"], 0, ""),
+    (["gen", "--family", "coverage", "--n", "0"], 1,
+     "error: ground set needs at least one element\n"),
+    (["verify", "--problem", "2", "--instance",
+      str(GOLDEN_CLI / "instances" / "problem2-n7-s11.json")], 2, ""),
+    (["gen", "--family", "problem4", "--n", str(GAMMA_LIMIT + 1)], 3,
+     f"capability limit: submodularity ratio needs n <= {GAMMA_LIMIT}\n"),
+], ids=["gen-bytes", "error", "violated", "capability-limit"])
+def test_python_m_submodlab_writes_the_gen_bytes(tmp_path, argv, code, err):
+    if code == 2:  # an empty final falls short of the proved bound
+        doc = load_doc(GOLDEN_CLI / "traces" / "problem2-n7-s11-p2-t0.json")
+        doc["final"], doc["meta"]["independent_sets"] = [], []
+        trace = tmp_path / "empty-final.json"
+        trace.write_text(json.dumps(doc))
+        argv = [*argv, "--trace", str(trace)]
     root = Path(submodlab.__file__).parents[1]
     done = subprocess.run(
         [sys.executable, "-m", "submodlab", "--out-dir", str(tmp_path),
-         "gen", "--family", "coverage", "--n", "6", "--seed", "2"],
+         *argv],
         env=os.environ | {"PYTHONPATH": str(root)}, capture_output=True,
         text=True)
-    assert done.returncode == 0, done.stderr
-    doc = "instances/coverage-n6-s2.json"
-    golden = Path(__file__).parent / "golden" / "cli" / doc
-    assert (tmp_path / doc).read_bytes() == golden.read_bytes()
+    assert (done.returncode, done.stderr) == (code, err)
+    if code == 0:
+        doc = "instances/coverage-n6-s2.json"
+        assert (tmp_path / doc).read_bytes() == \
+            (GOLDEN_CLI / doc).read_bytes()
+    if code == 2:
+        assert "verdict=violated" in done.stdout

@@ -126,6 +126,21 @@ def _rows_and_slack(polytope):
     return []
 
 
+@pytest.mark.parametrize("polytope", POLYTOPE_FAMILIES[1:],
+                         ids=lambda p: p.family)
+def test_member_needs_a_point_of_the_polytope_dimension(polytope):
+    # the box broadcast a one-coordinate point over its n rows and read it
+    # as a member; the row families raised a matmul or broadcast error
+    n = polytope.n
+    for point in ([0.5], np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(ValueError,
+                           match=f"expected a point in dimension {n}"):
+            polytope.member(point)
+    assert polytope.member(np.zeros(n))
+    assert not polytope.member(np.full(n, 2.0))
+    assert not polytope.member(np.full(n, -1.0))
+
+
 @pytest.mark.parametrize("polytope", POLYTOPE_FAMILIES + [
     KnapsackPolytope([0.05, 0.1], 0.1)], ids=lambda p: p.family)
 def test_membership_slack_at_box_faces_and_rows(polytope):
@@ -328,6 +343,16 @@ def test_weak_dr_gamma_matches_the_per_pair_loop(n, family, samples, seed):
     exact = [float((y - x) @ f.grad(x)) / d
              for x, y, d in zip(lo[keep], hi[keep], denom[keep])]
     assert (np.abs(ratios - exact) <= window / 2).all()
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "3"])
+def test_weak_dr_gamma_needs_a_positive_integer_sample_count(samples):
+    # 0 raised IndexError on the empty sample array; 2.5 and True raised
+    # TypeError
+    f = random_quadratic_dr(3, 9, monotone=True)
+    with pytest.raises(ValueError, match="sample counts must be"):
+        weak_dr_gamma(f, samples, 0)
+    assert weak_dr_gamma(f, np.int64(1), 0) == weak_dr_gamma(f, 1, 0)
 
 
 def test_weak_dr_gamma_requires_monotone():
