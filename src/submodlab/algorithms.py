@@ -66,6 +66,9 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
     (our oracle constructors certify this). The trace records the running
     coordinate cap 1 - (1-step)^i alongside each iterate. Each iterate is
     checked once and read through the oracle kernels; it stays in the cube.
+    Between the kernels, the iterate, the direction and the records are
+    lists of floats, and each gradient is checked by ``_clean_c`` before
+    the LMO kernel ``_lmo``.
     """
     epsilon = float(_finite(epsilon, "epsilon", 0))
     if not (0.0 < epsilon <= 1.0):
@@ -76,17 +79,20 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
         raise ValueError("the first objective must be certified monotone")
     rounds = max(1, math.ceil(1.0 / epsilon - CEIL_GUARD))
     step = 1.0 / rounds
-    y = np.zeros(g.n)
+    y = [0.0] * g.n
+    point = np.zeros(g.n)
     records = []
     for i in range(rounds):
-        gradient = g._grad(y) + h._grad(y)
-        direction = polytope.lmo((1.0 - y) * gradient)
-        y = _as_point(_masked_step(y, direction, step), g.n)
+        gradient = polytope._clean_c(g._grad(point) + h._grad(point))
+        direction = polytope._lmo([(1.0 - v) * d
+                                   for v, d in zip(y, gradient)])
+        point = _as_point(np.array(_masked_step(y, direction, step)), g.n)
+        y = point.tolist()
         records.append({
             "round": i,
-            "direction": direction.tolist(),
-            "point": y.tolist(),
-            "value": float(g._value(y) + h._value(y)),
+            "direction": direction,
+            "point": y,
+            "value": float(g._value(point) + h._value(point)),
             "mask_cap": 1.0 - (1.0 - step) ** (i + 1),
         })
     return RunTrace(
@@ -94,12 +100,12 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
         params={"epsilon": float(epsilon)},
         seed=None,
         iterations=records,
-        final=y.tolist(),
+        final=list(y),
         meta={
             "rounds": rounds,
             "step": step,
             "value": records[-1]["value"],
-            "in_polytope": bool(polytope.member(y)),
+            "in_polytope": bool(polytope.member(point)),
         },
     )
 
@@ -112,6 +118,8 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     masses add up to exactly 1 (making x a convex combination of polytope
     members and the origin). Each new x is checked once, for the record's
     value and the next gradient, and never clipped: the masses sum to 1.
+    As in ``masked_frank_wolfe``, x and the direction are lists of floats
+    between the kernels.
     """
     k_total = _integer(iterations, "iteration counts")
     if k_total < 1:
@@ -120,22 +128,23 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("oracle and polytope must share the dimension")
     if not f.monotone:
         raise ValueError("objective must be certified monotone")
-    x = point = np.zeros(f.n)
+    x = [0.0] * f.n
+    point = np.zeros(f.n)
     mass = 0.0
     records = []
     for k in range(k_total):
-        direction = polytope.lmo(f._grad(point))
+        direction = polytope._lmo(polytope._clean_c(f._grad(point)))
         # last round takes exactly the remaining mass; for k >= 2 this makes
         # the final total bit-exactly 1.0
         step = (1.0 - mass) if k == k_total - 1 else 1.0 / k_total
-        x = x + step * direction
-        point = _as_point(x, f.n)
+        x = [v + step * d for v, d in zip(x, direction)]
+        point = _as_point(np.array(x), f.n)
         mass = mass + step
         records.append({
             "round": k,
-            "direction": direction.tolist(),
+            "direction": direction,
             "step": step,
-            "point": x.tolist(),
+            "point": x,
             "value": float(f._value(point)),
             "mass": mass,
         })
@@ -153,7 +162,7 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
         params={"iterations": k_total},
         seed=None,
         iterations=records,
-        final=x.tolist(),
+        final=list(x),
         meta=meta,
     )
 
@@ -347,10 +356,10 @@ def intersection_candidates(f: SetFunctionOracle, system: PSystem,
 def _candidates(values, indep, n: int, mask: int) -> tuple | None:
     """``intersection_candidates`` unchecked: ``mask`` must be independent.
     ``values`` and ``indep`` are the value and independence tables indexed
-    by mask: numpy arrays, or a list of floats and bytes, on which each
-    search node is cheaper but which take a pass over all 2^n entries to
-    build. Once some element extends ``mask``, it raises CapabilityError
-    past INTERSECTION_LIMIT elements outside ``mask``, feasible or not, as
+    by mask: numpy arrays, or native forms (a list of floats or a float64
+    memoryview, and bytes), on which each search node is cheaper. Once
+    some element extends ``mask``, it raises CapabilityError past
+    INTERSECTION_LIMIT elements outside ``mask``, feasible or not, as
     the search does."""
     here = values[mask]
     weights = [0.0] * n

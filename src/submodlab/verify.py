@@ -29,8 +29,9 @@ from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
 from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
-                      SetFunctionOracle, _integer, _reals, elements_of,
-                      measure_ratios, random_coverage, random_perturbed)
+                      SetFunctionOracle, _check_gamma_size, _integer, _reals,
+                      elements_of, measure_ratios, random_coverage,
+                      random_perturbed)
 
 GRID_DIM_LIMIT = 5
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
@@ -335,13 +336,15 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
     common-independent masks, so there are at most 2^n of them, and the
     candidate search at the root raises ``CapabilityError`` past
     INTERSECTION_LIMIT = 18 elements, which caps the walk at 2^18 states.
-    The inputs are checked once and both tables converted once, to a list
-    of floats and bytes: every search node reads the independence table and
-    every weight takes float arithmetic, both cheaper on native values than
-    on numpy scalars. Each state then costs one ``_candidates`` call.
+    The inputs are checked once and both tables read as native values: the
+    value table through a memoryview, which yields floats without building
+    a 2^n list, and the independence table as bytes. Every search node
+    reads the independence table and every weight takes float arithmetic,
+    both cheaper on native values than on numpy scalars. Each state then
+    costs one ``_candidates`` call.
     """
     _check_intersection(f, system)
-    values, indep = f.table().tolist(), system.indep_table().tobytes()
+    values, indep = memoryview(f.table()), system.indep_table().tobytes()
     n = f.n
     memo: dict[int, float] = {}
 
@@ -699,6 +702,14 @@ def _build_problem4(a):
     return {"objective": f}
 
 
+def _run_problem4(c, a):
+    # the check measures the ratios, so a run past GAMMA_LIMIT, which no
+    # verify could read, raises the check's CapabilityError first
+    _check_gamma_size(c["objective"])
+    return [random_greedy_dummies(c["objective"], _budget(c, a),
+                                  seed=a.seed + t) for t in range(a.trials)]
+
+
 def _build_problem5(a):
     # a delta of None gives a coverage objective, which only audits draw
     return {"objective": random_coverage(a.n, a.seed) if a.delta is None
@@ -735,10 +746,7 @@ PROBLEMS = {
                                                             a.seed)}),
     4: Problem({"objective": SetFunctionOracle},
                _build_problem4,
-               lambda c, a: [random_greedy_dummies(c["objective"],
-                                                   _budget(c, a),
-                                                   seed=a.seed + t)
-                             for t in range(a.trials)],
+               _run_problem4,
                lambda c, traces, a, stem: [problem4_report(
                    c["objective"], _budget(c, a), instance_id=stem)],
                meta=("seed", "k"), traced=False, bare_objective=True),

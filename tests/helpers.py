@@ -12,9 +12,10 @@ import numpy as np
 
 from submodlab.algorithms import (CEIL_GUARD, RunTrace, bicriteria_rounds,
                                   intersection_candidates)
-from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  KnapsackPolytope, PartitionPolytope,
-                                  SumOracle, _sample_ordered_pairs,
+from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
+                                  CardinalityPolytope, KnapsackPolytope,
+                                  PartitionPolytope, SumOracle,
+                                  _sample_ordered_pairs,
                                   masked_update,
                                   random_quadratic_dr, random_sqrt_linear,
                                   random_weak_quadratic)
@@ -151,6 +152,16 @@ def in_cube_ref(x):
     if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
+
+
+def member_many_ref(polytope, points):
+    """Reference for ``Polytope.member_many`` on an (m, n) float array: the
+    box tested by a reduction along each row, then each linear row."""
+    ok = ((points >= -MEMBER_TOL)
+          & (points <= polytope.upper + MEMBER_TOL)).all(axis=1)
+    for row, bound in zip(*polytope.linear_rows()):
+        ok &= points @ row <= bound
+    return ok
 
 
 def dr_check(f, samples=200, seed=0):

@@ -170,6 +170,40 @@ def test_fw_knapsack_iterates_with_fractional_directions_are_never_clipped():
     assert fractional == 4 * 8  # every run takes a fractional direction
 
 
+class TurningOracle(QuadraticOracle):
+    """A linear oracle whose gradient turns to ``bad`` in one coordinate
+    from its third call on (tests only)."""
+
+    def __init__(self, n, bad):
+        super().__init__(np.ones(n), np.zeros((n, n)))
+        self.bad, self.calls = bad, 0
+
+    def _grad(self, x):
+        self.calls += 1
+        out = super()._grad(x)
+        if self.calls >= 3:
+            out[-1] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("polytope", POLYTOPES)
+def test_fw_loops_reject_a_non_finite_gradient(polytope, bad):
+    # the gradient is checked before each LMO call, in both loops, and in
+    # the masked loop whether the monotone or the other part turns
+    n = 4
+    poly = grid_polytope(polytope, n, 1)
+    h = random_quadratic_dr(n, 4, monotone=False)
+    for run in (lambda: frank_wolfe(TurningOracle(n, bad), poly, 10),
+                lambda: masked_frank_wolfe(TurningOracle(n, bad), h, poly,
+                                           0.1),
+                lambda: masked_frank_wolfe(linear_oracle(np.ones(n)),
+                                           TurningOracle(n, bad), poly, 0.1)):
+        with pytest.raises(ValueError, match="objective vector must be "
+                                             "finite of matching size"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # bicriteria rounds
 

@@ -27,7 +27,8 @@ from submodlab import (algorithms, cli, continuous, matroids, oracles,
 from helpers import (ReferenceIntersectionProcess, coverage_table_lsb,
                      dag_walk, frank_wolfe_ref, gamma_loop, grid_opt_ref,
                      grid_oracle, grid_polytope, m_loop,
-                     masked_frank_wolfe_ref, partition_table_counts,
+                     masked_frank_wolfe_ref, member_many_ref,
+                     partition_table_counts,
                      random_greedy_intersection_ref, weak_dr_gamma_ref)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -224,6 +225,45 @@ def test_pool_grid_optimum_and_weak_dr_ratio(continuous_pool, monkeypatch):
     assert bad == []
 
 
+# member_many, which tests the box one column at a time, must give the
+# row-wise reference's bools for every distinct pool polytope, on the cell
+# representatives and lower corners grid_opt tests at resolution 0.05, and on
+# points within a few MEMBER_TOL of each box face and each linear row
+def test_pool_membership_is_the_row_wise_rule(continuous_pool):
+    tol = continuous.MEMBER_TOL
+    offsets = tol * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    polytopes = {(inst.poly.family, inst.n): inst.poly
+                 for inst in continuous_pool}
+    bad, compared = [], 0
+    for (family, n), poly in sorted(polytopes.items()):
+        cells = verify._grid_cells(n, 0.05)
+        base = cells.rep[::97]
+        faces = []
+        for j in range(n):
+            for face in (0.0, float(poly.upper[j])):
+                for d in offsets:
+                    pts = base.copy()
+                    pts[:, j] = face + d
+                    faces.append(pts)
+        for row, _ in zip(*poly.linear_rows()):
+            edge = poly.lmo(row)
+            j = int(np.flatnonzero((edge < 1.0) & (row > 0.0))[0])
+            for d in offsets:
+                past = edge.copy()
+                past[j] += d / row[j]
+                faces.append(past[None])
+        for what, pts in (("representatives", cells.rep),
+                          ("lower corners", cells.lower),
+                          ("faces", np.concatenate(faces))):
+            compared += len(pts)
+            if not np.array_equal(poly.member_many(pts),
+                                  member_many_ref(poly, pts)):
+                bad.append(f"{family} n = {n}, {what}")
+    assert len(polytopes) == 6
+    assert compared == 105_721
+    assert bad == []
+
+
 # masked_frank_wolfe and frank_wolfe, which check each iterate once and read
 # it through the oracle kernels, must return the traces of the reference
 # loops, which call the checking value, grad and masked_update, bit for bit
@@ -249,9 +289,10 @@ def test_pool_frank_wolfe_is_the_reference_loop(continuous_pool):
 
 # every audit-p5-intersection pool instance, as verify.audit_problem5 builds
 # it: at every state of its exact walk, algorithms._candidates over the
-# walk's list and bytes tables must give the candidates of the reference
-# rule (numpy marginals and the recursive search over the numpy table), and
-# the walk the reference walk's expectation, bit for bit; three
+# bytes independence table and the value table, as a list of floats and as
+# the walk's memoryview, must give the candidates of the reference rule
+# (numpy marginals and the recursive search over the numpy table), and the
+# walk the reference walk's expectation, bit for bit; three
 # random_greedy_intersection traces per instance (the runner reads the
 # numpy tables) must equal those of the loop over the reference rule
 def test_pool_two_matroid_walks_and_runs_are_the_reference_rule(monkeypatch):
@@ -273,20 +314,21 @@ def test_pool_two_matroid_walks_and_runs_are_the_reference_rule(monkeypatch):
         want = dag_walk(proc)
         if repr(value) != repr(want):
             bad.append(f"seed {seed}: expectation {value!r} != {want!r}")
-        values = f.table().tolist()
         indep = system.indep_table().tobytes()
-        for mask, options in proc.seen.items():
-            states += 1
-            got = algorithms._candidates(values, indep, f.n, mask)
-            if got != options:
-                bad.append(f"seed {seed} state {mask}: {got} != {options}")
+        for values in (f.table().tolist(), memoryview(f.table())):
+            for mask, options in proc.seen.items():
+                states += 1
+                got = algorithms._candidates(values, indep, f.n, mask)
+                if got != options:
+                    bad.append(f"seed {seed} state {mask} over "
+                               f"{type(values).__name__}: {got} != {options}")
         m1, m2 = system.matroids
         for run in range(3):
             traces += 1
             if repr(algorithms.random_greedy_intersection(f, m1, m2, run)) \
                     != repr(random_greedy_intersection_ref(f, m1, m2, run)):
                 bad.append(f"seed {seed} run {run}: the trace differs")
-    assert (walks, states, traces) == (240, 11231, 720)
+    assert (walks, states, traces) == (240, 2 * 11231, 720)
     assert bad == []
 
 

@@ -1176,6 +1176,24 @@ def test_gen_problem_past_gamma_limit_exits_three(tmp_path, capsys, k):
                                                "nonmonotone_caveat"}
 
 
+def test_run_problem4_past_gamma_limit_exits_three(tmp_path, capsys):
+    # a plain set-function file past the cap is a legitimate document, but
+    # problem 4's check measures its ratios: run refuses it as verify
+    # would, and writes no trace or CSV
+    inst = tmp_path / "instances" / "perturbed.json"
+    assert run(tmp_path, "gen", "--family", "perturbed", "--n",
+               str(GAMMA_LIMIT + 1), "--seed", "1", "--monotone",
+               "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "run", "--problem", "4", "--instance", str(inst),
+               "--k", "2") == 3
+    assert capsys.readouterr().err == \
+        f"capability limit: submodularity ratio needs n <= {GAMMA_LIMIT}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "instances"]
+    assert run(tmp_path, "verify", "--problem", "4", "--instance", str(inst),
+               "--k", "2") == 3
+
+
 def test_verify_problem4_deep_tree_is_exact(tmp_path, capsys):
     # k = 8 gives an 8^8-leaf choice tree; its memoized DAG is small, so the
     # verdict rests on the exact expectation, with no sampling interval

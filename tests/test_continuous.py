@@ -141,6 +141,36 @@ def test_member_needs_a_point_of_the_polytope_dimension(polytope):
     assert not polytope.member(np.full(n, -1.0))
 
 
+@pytest.mark.parametrize("n, points, message", [
+    (3, [[0.5]], "expected points in dimension 3"),
+    (2, [["0.5", "0.5"]], "points: '0.5' is not a number"),
+    (2, [[True, True]], "points: True is not a number"),
+], ids=["width", "string", "bool"])
+def test_member_many_needs_rows_of_numbers_in_the_polytope_dimension(
+        n, points, message):
+    # each read as [True]: the one-coordinate row broadcast over the box,
+    # and the string and the bools were parsed as floats
+    with pytest.raises(ValueError) as info:
+        unit_box(n).member_many(points)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("polytope", POLYTOPE_FAMILIES,
+                         ids=lambda p: p.family)
+def test_lmo_rejects_a_non_finite_or_wrong_length_objective(polytope):
+    n = polytope.n
+    for bad in (np.inf, -np.inf, np.nan):
+        c = np.ones(n)
+        c[n // 2] = bad
+        with pytest.raises(ValueError, match="objective vector must be "
+                                             "finite of matching size"):
+            polytope.lmo(c)
+    for c in (np.ones(n + 1), np.ones(n - 1), np.ones((1, n))):
+        with pytest.raises(ValueError, match="objective vector must be "
+                                             "finite of matching size"):
+            polytope.lmo(c)
+
+
 @pytest.mark.parametrize("polytope", POLYTOPE_FAMILIES + [
     KnapsackPolytope([0.05, 0.1], 0.1)], ids=lambda p: p.family)
 def test_membership_slack_at_box_faces_and_rows(polytope):
@@ -238,6 +268,19 @@ def test_masked_update_examples():
     assert np.array_equal(masked_update(y, np.zeros(n), 0.3), y)
     got = masked_update(np.full(n, 0.5), np.ones(n), 0.5)
     assert np.allclose(got, 1.0 - (1.0 - 0.5) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10_000),
+       st.sampled_from([1.0, 0.5, 0.3, 0.02, 1.0 / 3.0]))
+def test_masked_update_is_the_array_formula(n, seed, step):
+    # the list step gives the bits of the array formula it replaced
+    rng = np.random.default_rng(seed)
+    y, s = rng.uniform(0.0, 1.0, (2, n))
+    y[rng.uniform(size=n) < 0.3] = 1.0
+    s[rng.uniform(size=n) < 0.3] = 0.0
+    want = np.minimum(1.0, y + step * (1.0 - y) * s)
+    assert masked_update(y, s, step).tobytes() == want.tobytes()
 
 
 def test_masked_update_rejects_bad_inputs():
