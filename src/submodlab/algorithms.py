@@ -350,17 +350,16 @@ def intersection_candidates(f: SetFunctionOracle, system: PSystem,
     indep = system.indep_table()
     if not indep[mask]:
         raise ValueError("mask is not an independent set")
-    return _candidates(f.table(), indep, f.n, mask)
+    return _candidates(memoryview(f.table()), indep.tobytes(), f.n, mask)
 
 
 def _candidates(values, indep, n: int, mask: int) -> tuple | None:
     """``intersection_candidates`` unchecked: ``mask`` must be independent.
     ``values`` and ``indep`` are the value and independence tables indexed
-    by mask: numpy arrays, or native forms (a list of floats or a float64
-    memoryview, and bytes), on which each search node is cheaper. Once
-    some element extends ``mask``, it raises CapabilityError past
-    INTERSECTION_LIMIT elements outside ``mask``, feasible or not, as
-    the search does."""
+    by mask in native form, a float64 memoryview and bytes, on which each
+    search node is cheaper than on numpy scalars. Once some element
+    extends ``mask``, it raises CapabilityError past INTERSECTION_LIMIT
+    elements outside ``mask``, feasible or not, as the search does."""
     here = values[mask]
     weights = [0.0] * n
     ground = []
@@ -395,7 +394,7 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
     _check_intersection(f, system)
-    values, indep = f.table(), system.indep_table()
+    values, indep = memoryview(f.table()), system.indep_table().tobytes()
     ranks = contracted_ranks(system)
     rank = int(ranks[0])
     state = 0

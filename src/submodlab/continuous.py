@@ -9,19 +9,20 @@ Euclidean norm; see ``ContinuousOracle``.
 
 Exact work over the cube's 2^n vertices reads one vertex matrix,
 ``oracles.subset_bits``: the quadratic oracle's nonnegativity certificate
-(``value_many`` at every vertex) and the knapsack diameter, whose vertex
+(``_value_many`` at every vertex) and the knapsack diameter, whose vertex
 costs are the modular table that ``oracles._doubled`` builds.
 
 Polytope membership is one rule, ``Polytope.member_many``: the box
 [0, upper], then each row of ``linear_rows``, the rows that ``grid_opt``'s
 pruning reads. The cardinality polytope is the one-block partition polytope.
 
-Checked entry points hand native values to unchecked kernels: an oracle's
-``value``/``grad`` to ``_value``/``_grad``, a polytope's ``lmo`` to
-``_lmo``, which maps a list of finite floats to a list, and
-``masked_update`` to ``_masked_step``, the one measured-greedy step rule,
-also on lists. The Frank-Wolfe loops call the kernels and keep their
-iterates as lists between them.
+Checked entry points, each written once, hand native values to unchecked
+kernels: an oracle's ``value``/``grad``/``value_many``/``grad_many`` to
+the family's ``_value``/``_grad``/``_value_many``/``_grad_many`` (a sum
+checks a point or a batch once), a polytope's ``lmo`` to ``_lmo``, which
+maps a list of finite floats to a list, and ``masked_update`` to
+``_masked_step``, the one measured-greedy step rule, also on lists. The
+Frank-Wolfe loops call the kernels and keep their iterates as lists.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ def _as_point(x, n: int) -> np.ndarray:
 
 
 def _as_points(points, n: int) -> np.ndarray:
-    """The rows of ``points`` as cube points, checked once per matrix."""
-    pts = np.asarray(points, dtype=float)
+    """The rows of ``points`` checked once, by ``_as_point``'s rule."""
+    pts = _reals(points, "points")
     if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"expected points in dimension {n}")
+        raise ValueError(f"expected a point in dimension {n}")
     return _in_cube(pts) if pts.size else pts
 
 
@@ -84,12 +85,12 @@ class ContinuousOracle:
 
     ``grid_opt``'s cell bound rests on both. An oracle that is not
     differentiable declares ``smoothness = math.inf`` and keeps the
-    Lipschitz bound alone. ``value`` and ``grad`` check the point once and
-    call the kernels ``_value`` and ``_grad``, which read checked points.
-    A subclass also defines ``value_many(points)``, the value at each row,
-    and ``grad_many(points)``, the gradient at each row, when ``grid_opt``
-    or ``weak_dr_gamma`` needs it; either may differ from the one-point
-    form in the last bits.
+    Lipschitz bound alone. ``value``/``grad`` check one point and
+    ``value_many``/``grad_many`` an (m, n) matrix of points, and call the
+    kernels a family defines, ``_value``/``_grad`` and ``_value_many``/
+    ``_grad_many`` (the value and the gradient at each row), which read
+    checked points. A batch kernel may differ from the one-point form in
+    the last bits.
     """
 
     family = "abstract"
@@ -103,6 +104,12 @@ class ContinuousOracle:
 
     def grad(self, x) -> np.ndarray:
         return self._grad(_as_point(x, self.n))
+
+    def value_many(self, points) -> np.ndarray:
+        return self._value_many(_as_points(points, self.n))
+
+    def grad_many(self, points) -> np.ndarray:
+        return self._grad_many(_as_points(points, self.n))
 
 
 class QuadraticOracle(ContinuousOracle):
@@ -146,7 +153,8 @@ class QuadraticOracle(ContinuousOracle):
         if self.n > VERTEX_CHECK_LIMIT:
             raise CapabilityError(
                 "cannot certify nonnegativity beyond the vertex-check limit")
-        if float(self.value_many(subset_bits(self.n)).min()) < -1e-9:
+        # the rows of subset_bits are the cube's vertices
+        if float(self._value_many(subset_bits(self.n)).min()) < -1e-9:
             raise ValueError("quadratic oracle is negative at a cube vertex")
 
     def _value(self, x: np.ndarray) -> float:
@@ -155,13 +163,12 @@ class QuadraticOracle(ContinuousOracle):
     def _grad(self, x: np.ndarray) -> np.ndarray:
         return self.b + self.a @ x
 
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+    def _value_many(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.b + 0.5 * np.einsum("ij,ij->i", pts @ self.a, pts)
 
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
+    def _grad_many(self, pts: np.ndarray) -> np.ndarray:
         # a.T: A is symmetric only up to 1e-12, and grad reads its rows
-        return self.b + _as_points(points, self.n) @ self.a.T
+        return self.b + pts @ self.a.T
 
 
 class SqrtLinearOracle(ContinuousOracle):
@@ -191,12 +198,10 @@ class SqrtLinearOracle(ContinuousOracle):
     def _grad(self, x: np.ndarray) -> np.ndarray:
         return self.b / (2.0 * math.sqrt(self.shift + self.b @ x))
 
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+    def _value_many(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(self.shift + pts @ self.b) - math.sqrt(self.shift)
 
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.n)
+    def _grad_many(self, pts: np.ndarray) -> np.ndarray:
         return self.b / (2.0 * np.sqrt(self.shift + pts @ self.b))[:, None]
 
 
@@ -226,16 +231,16 @@ class SumOracle(ContinuousOracle):
             out += p._grad(x)
         return out
 
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.asarray(points).shape[0])
+    def _value_many(self, pts: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(pts))
         for p in self.parts:
-            out += p.value_many(points)
+            out += p._value_many(pts)
         return out
 
-    def grad_many(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros((np.asarray(points).shape[0], self.n))
+    def _grad_many(self, pts: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(pts), self.n))
         for p in self.parts:
-            out += p.grad_many(points)
+            out += p._grad_many(pts)
         return out
 
 
@@ -445,7 +450,8 @@ def _weak_dr_screen(f: ContinuousOracle, lo: np.ndarray, hi: np.ndarray,
     """Each pair's batched weak-DR ratio and its rounding window; see
     ``weak_dr_gamma``."""
     step = hi - lo
-    ratios = np.einsum("ij,ij->i", step, f.grad_many(lo)) / denom
+    # 0 <= lo <= hi <= 1 by construction (_sample_ordered_pairs)
+    ratios = np.einsum("ij,ij->i", step, f._grad_many(lo)) / denom
     window = 1e-12 * (np.abs(step).sum(axis=1)
                       * (f.value_lipschitz + f.smoothness) / denom
                       + np.abs(ratios))
@@ -465,7 +471,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
 
     The result is that of the per-pair loop, ratio = float((y - x) @
     f.grad(x)) / denom for every pair kept, bit for bit. A batched screen
-    finds the pairs worth recomputing that way: one ``grad_many`` and one
+    finds the pairs worth recomputing that way: one ``_grad_many`` and one
     einsum give every pair's ratio r' at once, and only the pairs with
     r' - w <= min(r' + w) over all pairs are recomputed, where
     w = 1e-12 * (|y - x|_1 * (value_lipschitz + smoothness) / denom + |r'|).
@@ -487,8 +493,8 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
         raise ValueError("sample counts must be at least 1")
     rng = np.random.default_rng(seed)
     lo, hi = _sample_ordered_pairs(f.n, samples, rng)
-    vals_lo = f.value_many(lo)
-    vals_hi = f.value_many(hi)
+    vals_lo = f._value_many(lo)  # 0 <= lo <= hi <= 1 by construction
+    vals_hi = f._value_many(hi)
     denom = vals_hi - vals_lo
     scale = np.maximum(1.0, np.maximum(np.abs(vals_lo), np.abs(vals_hi)))
     rows = np.flatnonzero(~(denom <= REL_TOL * scale))

@@ -266,7 +266,7 @@ def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
     """The search of ``max_weight_common_independent``, unchecked: the mask
     of the heaviest T over ``elems`` (the elements outside ``base``,
     ascending) with ``indep[base | T]`` true, for an independence table
-    indexed by mask (bytes or the bool array) and a list of weights.
+    indexed by mask as bytes and a list of weights.
 
     Include-first depth-first search in (-w, u) order on an explicit stack:
     a node is pruned when its weight plus the positive weight still to come

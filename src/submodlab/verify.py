@@ -34,6 +34,7 @@ from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
                       random_perturbed)
 
 GRID_DIM_LIMIT = 5
+GRID_CELL_LIMIT = 34 ** 5  # grid_opt's most cells: resolution 0.01 at n = 5
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
 _GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
 
@@ -126,6 +127,8 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     resolution 0.01 (45.4M cells, 228 batches) a call of the benchmark's
     problem-1 objective peaked 103 MiB above the process. If nothing is
     pruned, every cell is kept, at about 50 bytes each with the sort.
+    A grid of more than ``GRID_CELL_LIMIT`` cells raises CapabilityError
+    before anything is allocated.
     """
     if f.n > GRID_DIM_LIMIT:
         raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
@@ -133,6 +136,11 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
+    steps = 1.0 / resolution + 1e-9  # inf for a subnormal resolution
+    if steps > _GRID_CELL * GRID_CELL_LIMIT \
+            or (int(steps) // _GRID_CELL + 1) ** f.n > GRID_CELL_LIMIT:
+        raise CapabilityError(
+            f"grid optimum needs at most {GRID_CELL_LIMIT} cells")
     axis = _grid_axis(resolution)
     cell_shape = (-(-axis.size // _GRID_CELL),) * f.n
     total = math.prod(cell_shape)
@@ -272,7 +280,7 @@ def _cell_bounds(f: ContinuousOracle, polytope: Polytope, reps: np.ndarray,
     lipschitz = vals + f.value_lipschitz * np.sqrt(dist_sq)
     if not math.isfinite(f.smoothness):
         return lipschitz
-    g = f.grad_many(reps)
+    g = f._grad_many(reps)  # grid points min(1, resolution * i): in the cube
     gain = np.maximum(g * lo, g * hi).sum(axis=1)
     size_g = (np.abs(g) * reach).sum(axis=1)
     for m, c in zip(*polytope.linear_rows()):
@@ -289,12 +297,12 @@ def _cell_bounds(f: ContinuousOracle, polytope: Polytope, reps: np.ndarray,
 
 
 def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
-    """f.value_many(points), with a single row valued as two copies: BLAS
-    takes another path for one row, whose bits can differ from that row's
-    in any larger batch."""
+    """f._value_many(points) of grid points, in the cube by construction,
+    with a single row valued as two copies: BLAS takes another path for
+    one row, whose bits can differ from that row's in any larger batch."""
     if len(points) == 1:
-        return f.value_many(np.repeat(points, 2, axis=0))[:1]
-    return f.value_many(points)
+        return f._value_many(np.repeat(points, 2, axis=0))[:1]
+    return f._value_many(points)
 
 
 # ---------------------------------------------------------------------------

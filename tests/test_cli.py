@@ -515,6 +515,19 @@ def test_verify_non_finite_resolution_exits_one(tmp_path, capsys,
     assert err == "error: resolution must be a positive finite number\n"
 
 
+def test_verify_grid_past_the_cell_cap_exits_three(tmp_path, capsys):
+    # resolution 1e-9 built a 10^9-point axis, about 8 GB, and a
+    # MemoryError escaped main
+    inst, trace, _ = _forged_problem3_trace(tmp_path, 4)
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--problem", "3", "--instance", str(inst),
+               "--trace", str(trace), "--resolution", "1e-9") == 3
+    err = capsys.readouterr().err
+    assert err == "capability limit: grid optimum needs at most " \
+                  "45435424 cells\n"
+    assert not list(tmp_path.glob("verify-*.csv"))
+
+
 def test_verify_measures_the_final_point_not_the_claimed_value(tmp_path,
                                                                capsys):
     inst, trace, value = _forged_problem3_trace(tmp_path, 4)

@@ -420,6 +420,62 @@ def test_value_many_rows_do_not_depend_on_the_batch(n):
             assert pair[0] == batch[i], (f.family, i)
 
 
+# each case as one point and as a batch, for n = 2, with the message of
+# every query; "near" lies within the cube's 1e-9 of slack and is clipped
+POINT_CASES = {
+    "string": (["0.5", 0.5], [[0.5, 0.5], ["0.5", 0.5]],
+               "points: '0.5' is not a number"),
+    "bool": ([True, 0.5], [[0.5, 0.5], [True, 0.5]],
+             "points: True is not a number"),
+    "ragged": ([0.5, [0.5]], [[0.5, 0.5], [0.5]],
+               "points must be a rectangular array of numbers"),
+    "width": ([0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]],
+              "expected a point in dimension 2"),
+    "outside": ([0.5, 1.0 + 1e-6], [[0.5, 0.5], [0.5, 1.0 + 1e-6]],
+                "point lies outside the unit cube"),
+    "nan": ([0.5, np.nan], [[0.5, 0.5], [0.5, np.nan]],
+            "point lies outside the unit cube"),
+    "near": ([1.0 + 1e-10, -1e-10], [[0.5, 0.5], [1.0 + 1e-10, -1e-10]],
+             None),
+}
+
+
+@pytest.mark.parametrize("case", list(POINT_CASES))
+@pytest.mark.parametrize("family", MONOTONE_FAMILIES)
+@pytest.mark.parametrize("query", ["value", "grad", "value_many",
+                                   "grad_many"])
+def test_every_query_checks_its_points_by_one_rule(query, family, case):
+    # value_many valued strings, bools and points outside the cube that
+    # value rejects
+    f = family_oracle(family, 2, 7)
+    point, batch, message = POINT_CASES[case]
+    x = batch if query.endswith("_many") else point
+    if message is None:
+        clipped = np.clip(np.array(x, dtype=float), 0.0, 1.0)
+        assert np.array_equal(getattr(f, query)(x),
+                              getattr(f, query)(clipped))
+        return
+    with pytest.raises(ValueError) as info:
+        getattr(f, query)(x)
+    assert str(info.value) == message
+
+
+def test_a_sum_checks_each_batch_once(monkeypatch):
+    calls = []
+    check = continuous._as_points
+    monkeypatch.setattr(continuous, "_as_points",
+                        lambda points, n: calls.append(n) or check(points, n))
+    f = SumOracle([random_quadratic_dr(3, 1), random_weak_quadratic(3, 2),
+                   random_sqrt_linear(3, 3)])
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (5, 3))
+    assert f.value_many(pts).shape == (5,)
+    assert f.grad_many(pts).shape == (5, 3)
+    assert calls == [3, 3]
+    # an empty batch passes its check and has no rows
+    assert f.value_many(np.zeros((0, 3))).shape == (0,)
+    assert f.grad_many(np.zeros((0, 3))).shape == (0, 3)
+
+
 # in [0, 1], both tolerance bands, just outside them, and the special floats
 CUBE_COORDS = st.one_of(
     st.floats(0.0, 1.0),

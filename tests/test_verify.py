@@ -172,12 +172,12 @@ class CountingOracle(ContinuousOracle):
         self.points = 0
         self.batches, self.grad_rows = [], []
 
-    def value_many(self, points):
+    def _value_many(self, points):
         self.points += len(points)
         self.batches.append(np.array(points))
         return self.f.value_many(points)
 
-    def grad_many(self, points):
+    def _grad_many(self, points):
         self.grad_rows += np.asarray(points).tolist()
         return self.f.grad_many(points)
 
@@ -193,7 +193,7 @@ class NearestOf(ContinuousOracle):
         self.p, self.q = np.asarray(p), np.asarray(q)
         self.n = self.p.size
 
-    def value_many(self, points):
+    def _value_many(self, points):
         pts = np.asarray(points, dtype=float)
         return -np.minimum(np.linalg.norm(pts - self.p, axis=1),
                            np.linalg.norm(pts - self.q, axis=1))
@@ -362,7 +362,7 @@ def test_grid_opt_builds_and_values_each_cell_batch_once(monkeypatch):
 class NaNGradient(CountingOracle):
     """A smooth oracle whose gradients all read NaN."""
 
-    def grad_many(self, points):
+    def _grad_many(self, points):
         return np.full((len(points), self.n), np.nan)
 
 
@@ -374,8 +374,8 @@ class NaNRepresentative(CountingOracle):
         super().__init__(f)
         self.x = np.asarray(x)
 
-    def value_many(self, points):
-        vals = super().value_many(points)
+    def _value_many(self, points):
+        vals = super()._value_many(points)
         if len(self.batches) > 1:
             return vals
         return np.where((np.asarray(points) == self.x).all(axis=1),
@@ -409,6 +409,25 @@ def test_grid_opt_only_the_origin():
                   grid_oracle("sum", n, n)):
             cert = assert_same_certificate(f, CardinalityPolytope(n, 0), 0.1)
             assert cert.maximizer == [0.0] * n
+
+
+def test_grid_opt_caps_the_cells_before_building_the_axis(monkeypatch):
+    # resolution 1e-9 reached np.arange(10**9 + 1), about 8 GB, and 0.001
+    # at n = 5 a grid of about 4.2e12 cells
+    def no_axis(resolution):
+        raise AssertionError("the grid axis was built")
+
+    monkeypatch.setattr(verify, "_grid_axis", no_axis)
+    for n, resolution in [(1, 1e-9), (1, 5e-324), (5, 0.001),
+                          (5, 1 / 102), (1, 1 / (3 * 34 ** 5))]:
+        f = grid_oracle("quadratic", n, 1)
+        with pytest.raises(CapabilityError, match="at most 45435424 cells"):
+            grid_opt(f, unit_box(n), resolution)
+    # the documented resolution 0.01 at n = 5 is 34^5 cells, the cap
+    assert verify.GRID_CELL_LIMIT == 34 ** 5
+    for n, resolution in [(5, 0.01), (1, 1 / (3 * 34 ** 5 - 1))]:
+        with pytest.raises(AssertionError, match="the grid axis was built"):
+            grid_opt(grid_oracle("quadratic", n, 1), unit_box(n), resolution)
 
 
 def _benchmark_grid(seed):
