@@ -23,11 +23,8 @@ import numpy as np
 from .continuous import ContinuousOracle, Polytope, _as_point, _masked_step
 from .matroids import (Matroid, PSystem, _check_search_size, _heaviest,
                        contracted_ranks, psystem_greedy_marginal)
-from .oracles import (SetFunctionOracle, _finite, _integer, elements_of,
-                      mask_of)
-
-CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
-                   # integral (e.g. ln 4 / ln 2) must not round up
+from .oracles import (SetFunctionOracle, _count, _finite, _integer, _mask,
+                      elements_of, mask_of)
 
 
 @dataclass
@@ -77,7 +74,7 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
         raise ValueError("oracles and polytope must share the dimension")
     if not g.monotone:
         raise ValueError("the first objective must be certified monotone")
-    rounds = max(1, math.ceil(1.0 / epsilon - CEIL_GUARD))
+    rounds = _count(1.0 / epsilon)
     step = 1.0 / rounds
     y = [0.0] * g.n
     point = np.zeros(g.n)
@@ -178,8 +175,7 @@ def _log_rounds(p: int, epsilon: float, base) -> int:
     p = _integer(p, "matroid counts")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    ratio = math.log(1.0 / epsilon) / math.log(base(p))
-    return max(1, math.ceil(ratio - CEIL_GUARD))
+    return _count(math.log(1.0 / epsilon) / math.log(base(p)))
 
 
 def bicriteria_rounds(p: int, epsilon: float) -> int:
@@ -326,11 +322,14 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
 # random greedy for the intersection of two matroids
 
 
-def _check_intersection(f: SetFunctionOracle, system: PSystem) -> None:
+def _intersection_tables(f: SetFunctionOracle, system: PSystem) -> tuple:
+    """f's value table and the independence table of ``system`` in the
+    native form of ``_candidates``, once f is checked against ``system``."""
     if f.n != system.n:
         raise ValueError("oracle and matroids must share the ground set")
     if f.monotone is not True:
         raise ValueError("objective must be certified monotone")
+    return memoryview(f.table()), system.indep_table().tobytes()
 
 
 def intersection_candidates(f: SetFunctionOracle, system: PSystem,
@@ -343,14 +342,11 @@ def intersection_candidates(f: SetFunctionOracle, system: PSystem,
     maximum-weight T outside S with S | T common-independent (the search
     over the intersection's table with ``base=S``, no size target).
     """
-    _check_intersection(f, system)
-    mask = _integer(mask, "masks")
-    if not 0 <= mask < 1 << f.n:
-        raise ValueError("mask is not a subset of the ground set")
-    indep = system.indep_table()
+    values, indep = _intersection_tables(f, system)
+    mask = _mask(mask, f.n, "mask")
     if not indep[mask]:
         raise ValueError("mask is not an independent set")
-    return _candidates(memoryview(f.table()), indep.tobytes(), f.n, mask)
+    return _candidates(values, indep, f.n, mask)
 
 
 def _candidates(values, indep, n: int, mask: int) -> tuple | None:
@@ -393,8 +389,7 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     """
     seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
-    _check_intersection(f, system)
-    values, indep = memoryview(f.table()), system.indep_table().tobytes()
+    values, indep = _intersection_tables(f, system)
     ranks = contracted_ranks(system)
     rank = int(ranks[0])
     state = 0

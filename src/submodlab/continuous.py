@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .matroids import checked_partition
-from .oracles import (REL_TOL, CapabilityError, _doubled, _finite, _integer,
-                      _reals, clamp_ratio, subset_bits)
+from .oracles import (CapabilityError, _allowance, _doubled, _finite,
+                      _integer, _reals, clamp_ratio, subset_bits)
 
 VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
@@ -496,8 +496,8 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     vals_lo = f._value_many(lo)  # 0 <= lo <= hi <= 1 by construction
     vals_hi = f._value_many(hi)
     denom = vals_hi - vals_lo
-    scale = np.maximum(1.0, np.maximum(np.abs(vals_lo), np.abs(vals_hi)))
-    rows = np.flatnonzero(~(denom <= REL_TOL * scale))
+    scale = np.maximum(np.abs(vals_lo), np.abs(vals_hi))
+    rows = np.flatnonzero(~(denom <= _allowance(scale)))
     if rows.size:
         ratios, window = _weak_dr_screen(f, lo[rows], hi[rows], denom[rows])
         rows = rows[~(ratios - window > np.min(ratios + window))]

@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (CapabilityError, SetFunctionOracle, _doubled,
-                      _finite, _integer, _sweep, _Table, elements_of,
-                      mask_of, popcounts)
+                      _finite, _integer, _mask, _sweep, _Table,
+                      elements_of, mask_of, popcounts)
 
 INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
 
@@ -202,9 +202,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
     """
     if system.n != f.n:
         raise ValueError("oracle and independence system sizes differ")
-    given = _integer(given, "masks")
-    if not 0 <= given < 1 << f.n:
-        raise ValueError("given is not a subset of the ground set")
+    given = _mask(given, f.n, "given")
     tab = system.indep_table()
     stop_at_nonpositive = f.monotone is True
     chosen: list[int] = []
@@ -242,9 +240,7 @@ def max_weight_common_independent(system: IndependenceSystem,
     single element is feasible with weight >= 0.
     """
     n = system.n
-    base = _integer(base, "masks")
-    if not 0 <= base < 1 << n:
-        raise ValueError("base is not a subset of the ground set")
+    base = _mask(base, n, "base")
     elems = [u for u in range(n) if not base >> u & 1]
     _check_search_size(elems)
     w = _finite(weights, "weights", 1)

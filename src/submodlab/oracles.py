@@ -33,6 +33,8 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 REL_TOL = 1e-9
+CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
+                   # integral (e.g. ln 4 / ln 2) must not round up
 
 TABLE_LIMIT = 20          # 2^n value-table entries
 GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
@@ -85,6 +87,31 @@ def _finite(values, what: str, ndim: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
     return v
+
+
+def _allowance(magnitude):
+    """The comparison allowance REL_TOL * max(1, magnitude) of a value of
+    that magnitude, elementwise for an array."""
+    if isinstance(magnitude, np.ndarray):
+        return REL_TOL * np.maximum(1.0, magnitude)
+    return REL_TOL * max(1.0, magnitude)
+
+
+def _count(x: float) -> int:
+    """The tolerant count max(1, ceil(x - CEIL_GUARD)); ValueError for an
+    infinite x."""
+    if math.isinf(x):
+        raise ValueError("epsilon is too small: the round count is infinite")
+    return max(1, math.ceil(x - CEIL_GUARD))
+
+
+def _mask(value, n: int, what: str) -> int:
+    """``value`` as an int mask of a subset of {0..n-1}, else ValueError
+    naming it ``what``."""
+    mask = _integer(value, "masks")
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"{what} is not a subset of the ground set")
+    return mask
 
 
 def mask_of(subset: Iterable[int], n: int) -> int:
@@ -283,8 +310,8 @@ class PerturbedOracle(SetFunctionOracle):
             raise ValueError(f"perturbed base must be a coverage oracle, "
                              f"not {type(base).__name__!r}")
         delta = float(_finite(delta, "noise amplitudes", 0))
-        if delta < 0.0:
-            raise ValueError("noise amplitude must be nonnegative")
+        if delta < 0.0 or not math.isfinite(2.0 * delta):
+            raise ValueError("noise amplitude must lie in [0, max float / 2]")
         if not isinstance(monotone_noise, (bool, np.bool_)):
             raise ValueError(f"monotone_noise: {monotone_noise!r} is not a bool")
         super().__init__(base.n, monotone=True if monotone_noise else None)
@@ -382,7 +409,7 @@ def _gamma(f: SetFunctionOracle) -> float:
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
     _check_gamma_size(f)
     tab = f.table()
-    thr = REL_TOL * max(1.0, float(np.abs(tab).max()))
+    thr = _allowance(float(np.abs(tab).max()))
     best = math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for c, a, bits in _gamma_chunks(f.n, _GAMMA_CHUNK):
@@ -403,7 +430,7 @@ def _gamma(f: SetFunctionOracle) -> float:
 def _m(f: SetFunctionOracle) -> float:
     # uncapped: measure_ratios runs it only after the GAMMA_LIMIT check
     tab = f.table()
-    pos = tab > REL_TOL * max(1.0, float(tab.max()))
+    pos = tab > _allowance(float(tab.max()))
     if not bool(pos.any()):
         return 1.0  # no positive value (identically zero): by convention
     sup_min = tab.copy()

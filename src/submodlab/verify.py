@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import serialization
-from .algorithms import (RunTrace, _candidates, _check_intersection,
+from .algorithms import (RunTrace, _candidates, _intersection_tables,
                          authors_conjecture_rounds, bicriteria_rounds,
                          certificate_holds, check_budget, dummy_candidates,
                          frank_wolfe, masked_frank_wolfe, multipass_greedy,
@@ -28,10 +28,10 @@ from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
-from .oracles import (GAMMA_LIMIT, REL_TOL, CapabilityError,
-                      SetFunctionOracle, _check_gamma_size, _integer, _reals,
-                      elements_of, measure_ratios, random_coverage,
-                      random_perturbed)
+from .oracles import (CEIL_GUARD, GAMMA_LIMIT, REL_TOL, CapabilityError,
+                      SetFunctionOracle, _allowance, _check_gamma_size,
+                      _integer, _reals, elements_of, measure_ratios,
+                      random_coverage, random_perturbed)
 
 GRID_DIM_LIMIT = 5
 GRID_CELL_LIMIT = 34 ** 5  # grid_opt's most cells: resolution 0.01 at n = 5
@@ -136,7 +136,7 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
-    steps = 1.0 / resolution + 1e-9  # inf for a subnormal resolution
+    steps = 1.0 / resolution + CEIL_GUARD  # inf for a subnormal resolution
     if steps > _GRID_CELL * GRID_CELL_LIMIT \
             or (int(steps) // _GRID_CELL + 1) ** f.n > GRID_CELL_LIMIT:
         raise CapabilityError(
@@ -148,8 +148,8 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         if math.isfinite(f.smoothness) else f.value_lipschitz
 
     def margin(*values):
-        return REL_TOL * max(1.0, scale, *(abs(v) for v in values
-                                            if math.isfinite(v)))
+        return _allowance(max([scale, *(abs(v) for v in values
+                                        if math.isfinite(v))]))
 
     incumbent, kept, bounds = -math.inf, [], []
     for start in range(0, total, _GRID_BATCH):
@@ -215,7 +215,7 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
 def _grid_axis(resolution: float) -> np.ndarray:
     """The grid's coordinates along each axis: multiples of resolution,
     capped at 1."""
-    steps = int(math.floor(1.0 / resolution + 1e-9))
+    steps = int(math.floor(1.0 / resolution + CEIL_GUARD))
     return np.minimum(1.0, resolution * np.arange(steps + 1))
 
 
@@ -351,8 +351,7 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
     both cheaper on native values than on numpy scalars. Each state then
     costs one ``_candidates`` call.
     """
-    _check_intersection(f, system)
-    values, indep = memoryview(f.table()), system.indep_table().tobytes()
+    values, indep = _intersection_tables(f, system)
     n = f.n
     memo: dict[int, float] = {}
 
@@ -462,7 +461,7 @@ class GuaranteeReport:
 def _reaches(measured: float, threshold: float) -> bool:
     """The holds rule: measured reaches the threshold up to a relative
     1e-9."""
-    return measured >= threshold - REL_TOL * max(1.0, abs(threshold))
+    return measured >= threshold - _allowance(abs(threshold))
 
 
 def check_bound(measured: float, bound: BoundFormula, params: dict,
@@ -834,7 +833,7 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int
     for t in range(trials):
         report, params, doc = make_case(seed, t)
         opt = float(report.params["opt"])
-        trivial = opt <= REL_TOL
+        trivial = opt <= _allowance(0.0)
         verdict = TRIVIAL if trivial and report.verdict != VIOLATED \
             else report.verdict
         rows.append(replace(report, params=params, opt=opt, doc=doc,

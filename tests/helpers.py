@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 
-from submodlab.algorithms import (CEIL_GUARD, RunTrace, bicriteria_rounds,
+from submodlab.algorithms import (RunTrace, bicriteria_rounds,
                                   intersection_candidates)
 from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
                                   CardinalityPolytope, KnapsackPolytope,
@@ -21,11 +21,22 @@ from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
                                   random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid, contracted_ranks)
-from submodlab.oracles import (REL_TOL, CapabilityError,
+from submodlab.oracles import (CEIL_GUARD, REL_TOL, CapabilityError,
                                SetFunctionOracle, elements_of, mask_of)
 from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
+
+
+def mask_message(mask, what: str) -> str:
+    """The message pattern with which the mask reader of an entry point
+    naming its mask ``what`` rejects ``mask`` on a ground set of 3 or 4
+    elements, to which 0b111 is dependent."""
+    if isinstance(mask, bool) or not isinstance(mask, int):
+        return f"^masks must be integers, not {mask!r}$"
+    why = "an independent set" if mask == 0b111 \
+        else "a subset of the ground set"
+    return f"^{what} is not {why}$"
 
 
 class TableOracle(SetFunctionOracle):

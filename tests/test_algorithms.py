@@ -25,8 +25,9 @@ from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
                               intersection_greedy_expectation)
 
 from helpers import (TableOracle, frank_wolfe_ref, free_matroid,
-                     grid_polytope, masked_frank_wolfe_ref, mean_and_se,
-                     multipass_reference, random_greedy_intersection_ref)
+                     grid_polytope, mask_message, masked_frank_wolfe_ref,
+                     mean_and_se, multipass_reference,
+                     random_greedy_intersection_ref)
 
 
 def linear_oracle(b):
@@ -76,9 +77,14 @@ def test_masked_fw_rejects_nonmonotone_first_part():
 
 
 def test_masked_fw_round_count_uses_tolerant_ceiling():
+    # 1 / (1/49) is 49.00000000000001; 1 / 5e-324 overflows to inf, whose
+    # ceiling raised OverflowError
     g = linear_oracle(np.ones(2))
-    trace = masked_frank_wolfe(g, zero_oracle(2), unit_box(2), 0.1)
-    assert trace.meta["rounds"] == 10
+    for epsilon, rounds in ((0.1, 10), (1 / 3, 3), (1 / 49, 49)):
+        trace = masked_frank_wolfe(g, zero_oracle(2), unit_box(2), epsilon)
+        assert trace.meta["rounds"] == rounds
+    with pytest.raises(ValueError, match="round count is infinite"):
+        masked_frank_wolfe(g, zero_oracle(2), unit_box(2), 5e-324)
 
 
 @pytest.mark.parametrize("epsilon", [True, "0.5", math.nan, [0.5]])
@@ -243,6 +249,14 @@ def test_authors_conjecture_rounds():
     assert authors_conjecture_rounds(1, 0.25) == 2
     assert authors_conjecture_rounds(2, 0.1) == 3
     assert authors_conjecture_rounds(3, 0.1) == 2
+    # integral ratios: log 9 / log 3 is 2.0 and log 125 / log 5 is
+    # 3.0000000000000004; 1 / 5e-324 overflows to inf, whose ceiling raised
+    # OverflowError
+    assert authors_conjecture_rounds(2, 1 / 9) == 2
+    assert authors_conjecture_rounds(4, 1 / 125) == 3
+    for rounds in (authors_conjecture_rounds, bicriteria_rounds):
+        with pytest.raises(ValueError, match="round count is infinite"):
+            rounds(2, 5e-324)
     for p in (1, 2, 3):
         for eps in (0.5, 0.25, 0.1):
             assert authors_conjecture_rounds(p, eps) <= bicriteria_rounds(p, eps)
@@ -566,7 +580,7 @@ def test_intersection_candidates_reject_bad_masks(mask):
     # 1 << 4 raised a numpy IndexError; -1 and the dependent 0b111 returned
     # None; True and 2.0 raised TypeError
     system = PSystem([UniformMatroid(4, 2)] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=mask_message(mask, "mask")):
         algorithms.intersection_candidates(random_coverage(4, 1), system,
                                            mask)
     assert algorithms.intersection_candidates(

@@ -889,6 +889,84 @@ def test_gen_past_the_gamma_cap_records_no_ratios(tmp_path, family):
         assert (load_doc(out)["measured"] == {}) == empty
 
 
+def test_float_flags_exit_zero_one_or_three_with_one_line(tmp_path, capsys):
+    # every float flag at the edges of its range; 5e-324 asked for an
+    # infinite round count and 1e308 for a noise range of 2e308, and both
+    # raised OverflowError out of main
+    bundles, traces = {}, {}
+    for k in (1, 2, 3):
+        bundles[k] = tmp_path / f"p{k}.json"
+        assert run(tmp_path, "gen", "--family", f"problem{k}", "--n", "3",
+                   "--seed", "2", "--out", str(bundles[k])) == 0
+    for k in (1, 3):
+        assert run(tmp_path / f"r{k}", "run", "--problem", str(k),
+                   "--instance", str(bundles[k])) == 0
+        traces[k] = next((tmp_path / f"r{k}" / "traces").glob("*.json"))
+    cases = [(["gen", "--family", family, "--n", "4"], "--delta")
+             for family in ("perturbed", "problem4", "problem5")]
+    cases += [(["run", "--problem", str(k), "--instance", str(bundles[k])],
+               "--epsilon") for k in (1, 2)]
+    cases += [(["verify", "--problem", str(k), "--instance", str(bundles[k]),
+                "--trace", str(traces[k])], "--resolution") for k in (1, 3)]
+    cases += [(["audit", "--bound", bound, "--n", "4", "--trials", "1"],
+               "--epsilon")
+              for bound in ("problem2-bicriteria",
+                            "problem2-authors-conjecture")]
+    capsys.readouterr()
+    bad, tried = [], 0
+    for argv, flag in cases:
+        for value in ("nan", "inf", "-inf", "-1", "0", "2", "5e-324",
+                      "1e308"):
+            tried += 1
+            try:
+                code = run(tmp_path / "sweep", *argv, f"{flag}={value}")
+            except Exception as exc:
+                code = type(exc).__name__
+            err = capsys.readouterr().err
+            if code not in (0, 1, 3) or err.count("\n") > 1:
+                bad.append((argv[0], argv[2], flag, value, code))
+    assert bad == []
+    assert tried == 72
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "1"], ["run", "--problem", "2"],
+    ["verify", "--problem", "2"],
+    ["audit", "--bound", "problem2-bicriteria", "--trials", "1"],
+    ["audit", "--bound", "problem2-authors-conjecture", "--trials", "1"],
+], ids=["run1", "run2", "verify2", "bicriteria", "conjecture"])
+def test_infinite_round_count_exits_one(tmp_path, capsys, argv):
+    # 1 / 5e-324 overflows to inf, and the round counts raised OverflowError
+    if argv[0] != "audit":
+        inst = tmp_path / "inst.json"
+        assert run(tmp_path, "gen", "--family", f"problem{argv[2]}", "--n",
+                   "4", "--seed", "1", "--out", str(inst)) == 0
+        argv = [*argv, "--instance", str(inst)]
+    if argv[0] == "verify":  # a trace whose params.epsilon is 5e-324
+        assert run(tmp_path, "run", "--problem", "2", "--instance",
+                   str(inst)) == 0
+        trace = next(tmp_path.glob("traces/*.json"))
+        doc = load_doc(trace)
+        doc["params"]["epsilon"] = 5e-324
+        trace.write_text(json.dumps(doc))
+        argv += ["--trace", str(trace)]
+    else:
+        argv = [*argv, "--epsilon", "5e-324"]
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == \
+        "error: epsilon is too small: the round count is infinite\n"
+
+
+@pytest.mark.parametrize("family", ["perturbed", "problem4", "problem5"])
+def test_gen_noise_range_past_the_floats_exits_one(tmp_path, capsys, family):
+    # 2 * 1e308 overflows, and numpy's uniform raised OverflowError
+    assert run(tmp_path, "gen", "--family", family, "--n", "4",
+               "--delta", "1e308") == 1
+    assert capsys.readouterr().err == \
+        "error: noise amplitude must lie in [0, max float / 2]\n"
+
+
 def _usage_error(capsys, code, message):
     assert code == 1
     err = capsys.readouterr().err

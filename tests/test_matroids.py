@@ -17,6 +17,7 @@ from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
 
 from helpers import (TableMatroid, TableOracle, free_matroid, indep_ref,
                      indep_table_ref, intersection_candidates_ref,
+                     mask_message,
                      matroid_greedy, max_bipartite_matching,
                      max_weight_common_independent_ref,
                      partition_table_counts, random_uniform_matroid,
@@ -91,7 +92,8 @@ def test_psystem_greedy_rejects_out_of_range_given():
     f = random_modular(3, 1)
     system = PSystem([UniformMatroid(3, 1)])
     for given_mask in (-1, 1 << 3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=mask_message(given_mask, "given")):
             psystem_greedy_marginal(f, system, given=given_mask)
 
 
@@ -527,14 +529,14 @@ def test_candidates_cap_counts_every_element_outside_the_mask():
 def test_mwci_rejects_bad_bases(base):
     # 1 << 4 raised a numpy IndexError, True numpy's truth-value error, and
     # -1 returned []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=mask_message(base, "base")):
         max_weight_common_independent(PSystem([UniformMatroid(4, 2)] * 2),
                                       np.ones(4), base)
 
 
 @pytest.mark.parametrize("given_mask", [True, 2.0, "1"])
 def test_psystem_greedy_reads_given_as_an_integer(given_mask):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=mask_message(given_mask, "given")):
         psystem_greedy_marginal(random_modular(3, 1),
                                 PSystem([UniformMatroid(3, 1)]),
                                 given=given_mask)

@@ -13,6 +13,7 @@ from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
                                PerturbedOracle, elements_of, mask_of,
                                measure_ratios, random_coverage, random_cut,
                                random_modular, random_perturbed)
+from submodlab.serialization import from_doc, to_doc
 from submodlab.verify import (audit_problem4, brute_force_opt_set,
                               dummy_greedy_expectation)
 
@@ -110,6 +111,17 @@ def test_monotonicity_ratio_zero_function_is_one():
     assert measure_ratios(f).m == 1.0
 
 
+def test_comparison_allowance_is_floored_at_magnitude_one():
+    # every golden and benchmark magnitude is at least 1, so without this
+    # test no other one notices the floor dropped (ROADMAP item 4)
+    mags = [0.0, 2.0 ** -30, 1.0, 3.0, 2.0 ** 40]
+    want = [oracles.REL_TOL] * 3 + [3.0 * oracles.REL_TOL,
+                                    2.0 ** 40 * oracles.REL_TOL]
+    assert [oracles._allowance(m) for m in mags] == want
+    assert oracles._allowance(np.array(mags)).tolist() == want
+    assert type(oracles._allowance(0.5)) is float
+
+
 def test_measure_ratios_flags_nonmonotone():
     r = measure_ratios(random_cut(6, 9))
     assert r.m < 1.0 and r.nonmonotone_caveat
@@ -159,6 +171,21 @@ def test_perturbed_base_must_be_a_coverage_oracle(base):
     with pytest.raises(ValueError,
                        match="perturbed base must be a coverage oracle"):
         PerturbedOracle(base, 0.01, 36, monotone_noise=True)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 8.99e307, 1e308])
+def test_perturbed_noise_range_must_be_finite(delta):
+    # uniform(-delta, delta) draws from a range of 2 * delta: past about
+    # 8.99e307 it overflows, and the table build raised numpy's
+    # OverflowError; a document holding such a delta fails to load alike
+    message = "noise amplitude must lie in \\[0, max float / 2\\]"
+    with pytest.raises(ValueError, match=message):
+        PerturbedOracle(random_coverage(4, 1), delta, 1)
+    doc = to_doc(random_perturbed(4, 0.3, 1))
+    doc["delta"] = delta
+    with pytest.raises(ValueError, match=message):
+        from_doc(doc)
+    PerturbedOracle(random_coverage(4, 1), 8.98e307, 1).table()
 
 
 def test_value_and_independence_tables_share_one_rule(monkeypatch):
