@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import ContinuousOracle, Polytope, _as_point, _masked_step
-from .matroids import (Matroid, PSystem, _check_search_size, _heaviest,
-                       contracted_ranks, psystem_greedy_marginal)
+from .matroids import (Matroid, PSystem, _heaviest, contracted_ranks,
+                       psystem_greedy_marginal)
 from .oracles import (SetFunctionOracle, _count, _finite, _integer, _mask,
-                      elements_of, mask_of)
+                      _within, elements_of, mask_of)
 
 
 @dataclass
@@ -75,6 +75,7 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
     if not g.monotone:
         raise ValueError("the first objective must be certified monotone")
     rounds = _count(1.0 / epsilon)
+    _within("fw-records", rounds)
     step = 1.0 / rounds
     y = [0.0] * g.n
     point = np.zeros(g.n)
@@ -125,6 +126,7 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
         raise ValueError("oracle and polytope must share the dimension")
     if not f.monotone:
         raise ValueError("objective must be certified monotone")
+    _within("fw-records", k_total)
     x = [0.0] * f.n
     point = np.zeros(f.n)
     mass = 0.0
@@ -354,8 +356,8 @@ def _candidates(values, indep, n: int, mask: int) -> tuple | None:
     ``values`` and ``indep`` are the value and independence tables indexed
     by mask in native form, a float64 memoryview and bytes, on which each
     search node is cheaper than on numpy scalars. Once some element
-    extends ``mask``, it raises CapabilityError past INTERSECTION_LIMIT
-    elements outside ``mask``, feasible or not, as the search does."""
+    extends ``mask``, it checks the elements outside ``mask``, feasible or
+    not, against the budget, as the search does."""
     here = values[mask]
     weights = [0.0] * n
     ground = []
@@ -368,7 +370,7 @@ def _candidates(values, indep, n: int, mask: int) -> tuple | None:
             extends = extends or indep[mask | bit]
     if not extends:
         return None
-    _check_search_size(ground)
+    _within("search", len(ground))
     best = _heaviest(indep, weights, mask, ground)
     if not best:
         raise ValueError(

@@ -270,6 +270,7 @@ def cmd_gen(args) -> int:
         doc = serialization.to_doc(f) | {"measured": measure(f, args)}
     else:
         k = PROBLEM_FAMILIES[args.family]
+        PROBLEMS[k].within_caps(args.n)
         c = PROBLEMS[k].build(args)
         doc = verify.problem_bundle(k, c, args, PROBLEMS[k].measure(c, args))
     out = Path(args.out) if args.out else \
@@ -303,8 +304,10 @@ def _load_problem_components(args):
 def cmd_run(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, not {args.trials}")
+    problem = PROBLEMS[args.problem]
     comp = _load_problem_components(args)
-    traces = PROBLEMS[args.problem].run(comp, args)
+    problem.within_caps(comp[next(iter(problem.components))].n)
+    traces = problem.run(comp, args)
     out = _out_dir(args)
     stem = Path(args.instance).stem
     rows = []

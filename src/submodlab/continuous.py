@@ -33,10 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .matroids import checked_partition
-from .oracles import (CapabilityError, _allowance, _doubled, _finite,
-                      _integer, _reals, clamp_ratio, subset_bits)
+from .oracles import (BUDGET, _allowance, _doubled, _finite, _integer,
+                      _reals, _within, clamp_ratio, subset_bits)
 
-VERTEX_CHECK_LIMIT = 15
 MEMBER_TOL = 1e-9  # slack of every polytope membership test
 
 
@@ -150,9 +149,7 @@ class QuadraticOracle(ContinuousOracle):
             self._check_vertices()
 
     def _check_vertices(self) -> None:
-        if self.n > VERTEX_CHECK_LIMIT:
-            raise CapabilityError(
-                "cannot certify nonnegativity beyond the vertex-check limit")
+        _within("vertex-check", self.n)
         # the rows of subset_bits are the cube's vertices
         if float(self._value_many(subset_bits(self.n)).min()) < -1e-9:
             raise ValueError("quadratic oracle is negative at a cube vertex")
@@ -386,7 +383,8 @@ class KnapsackPolytope(Polytope):
         self.costs = costs
         self.budget = budget
         self.upper = np.ones(self.n)
-        self.diameter = self._exact_diameter() if self.n <= VERTEX_CHECK_LIMIT \
+        self.diameter = self._exact_diameter() \
+            if self.n <= BUDGET["vertex-check"].limit \
             else float(np.linalg.norm(np.minimum(1.0, budget / costs)))
 
     def _exact_diameter(self) -> float:

@@ -36,11 +36,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracles import (CapabilityError, SetFunctionOracle, _doubled,
-                      _finite, _integer, _mask, _sweep, _Table,
-                      elements_of, mask_of, popcounts)
-
-INTERSECTION_LIMIT = 18  # branch-and-prune ground-set cap
+from .oracles import (SetFunctionOracle, _doubled, _finite, _integer,
+                      _mask, _sweep, _Table, _within, elements_of, mask_of,
+                      popcounts)
 
 
 def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:
@@ -242,7 +240,7 @@ def max_weight_common_independent(system: IndependenceSystem,
     n = system.n
     base = _mask(base, n, "base")
     elems = [u for u in range(n) if not base >> u & 1]
-    _check_search_size(elems)
+    _within("search", len(elems))
     w = _finite(weights, "weights", 1)
     if w.size != n:
         raise ValueError("need one weight per element")
@@ -250,12 +248,6 @@ def max_weight_common_independent(system: IndependenceSystem,
     if not tab[base]:
         raise ValueError("base is not an independent set")
     return elements_of(_heaviest(tab.tobytes(), w.tolist(), base, elems))
-
-
-def _check_search_size(elems: list) -> None:
-    if len(elems) > INTERSECTION_LIMIT:
-        raise CapabilityError(
-            f"common-independent search needs <= {INTERSECTION_LIMIT} elements")
 
 
 def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:

@@ -18,8 +18,10 @@ path, ``_gamma`` and ``_m``, which returns the ratio's value alone. The
 modular, coverage and cut families are submodular by construction and
 certify it (``submodular = True``), so ``measure_ratios`` takes their gamma
 as exactly 1 without the 3^n sweep; likewise it takes m as exactly 1
-without the superset sweep for an oracle certified monotone. The
-``GAMMA_LIMIT`` cap still applies to both.
+without the superset sweep for an oracle certified monotone.
+
+Every capability cap is one entry of ``BUDGET``, which ``_within`` checks
+with the predicted size before the work starts.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +39,35 @@ REL_TOL = 1e-9
 CEIL_GUARD = 1e-9  # tolerant ceiling: float ratios that are mathematically
                    # integral (e.g. ln 4 / ln 2) must not round up
 
-TABLE_LIMIT = 20          # 2^n value-table entries
-GAMMA_LIMIT = 12          # 3^n (A, B) pairs with B disjoint from A
-
 _GAMMA_CHUNK = 1 << 15    # (A, B) entries per gamma sweep chunk
 _FLOAT = np.dtype(float)  # one object, shared by numpy's float64 arrays
 
 
 class CapabilityError(RuntimeError):
     """An exact enumeration was requested beyond its supported size."""
+
+
+# name -> the most work of one kind that a call may start, and the error
+# past it, formatted with the limit, the size and ``what``
+Cap = NamedTuple("Cap", [("limit", int), ("message", str)])
+BUDGET = {
+    "table": Cap(20, "{what} needs n <= {limit}, got n = {size}"),
+    "gamma": Cap(12, "submodularity ratio needs n <= {limit}"),
+    "search": Cap(18, "common-independent search needs <= {limit} elements"),
+    "vertex-check": Cap(
+        15, "cannot certify nonnegativity beyond the vertex-check limit"),
+    "grid-dim": Cap(5, "grid optimum needs n <= {limit}"),
+    "grid-cells": Cap(34 ** 5, "grid optimum needs at most {limit} cells"),
+    "fw-records": Cap(10 ** 5, "Frank-Wolfe needs at most {limit} rounds"),
+}
+
+
+def _within(name: str, size, what: str = "") -> None:
+    """CapabilityError unless ``size`` <= the limit of BUDGET[name]."""
+    limit, message = BUDGET[name]
+    if size > limit:
+        raise CapabilityError(
+            message.format(limit=limit, size=size, what=what))
 
 
 def _integer(value, what: str) -> int:
@@ -140,7 +163,7 @@ def elements_of(mask: int) -> list[int]:
 class _Table:
     """A ground set {0..n-1}, n >= 1, and its 2^n table by subset bitmask,
     which the subclass builds (``_build_table``) and serves as ``_cached``
-    under its own name: capped at TABLE_LIMIT before the build (the error
+    under its own name: within the budget before the build (the error
     names the table ``_WHAT``), converted to ``_DTYPE``, passed to
     ``_check``, cached read-only."""
 
@@ -156,9 +179,7 @@ class _Table:
     def _cached(self) -> np.ndarray:
         """All 2^n entries by subset bitmask. Cached, read-only."""
         if self._table is None:
-            if self.n > TABLE_LIMIT:
-                raise CapabilityError(f"{self._WHAT} needs n <= "
-                                      f"{TABLE_LIMIT}, got n = {self.n}")
+            _within("table", self.n, what=self._WHAT)
             tab = np.ascontiguousarray(self._build_table(), dtype=self._DTYPE)
             self._check(tab)
             tab.setflags(write=False)
@@ -393,11 +414,6 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
     return tuple(out)
 
 
-def _check_gamma_size(f: SetFunctionOracle) -> None:
-    if f.n > GAMMA_LIMIT:
-        raise CapabilityError(f"submodularity ratio needs n <= {GAMMA_LIMIT}")
-
-
 def _gamma(f: SetFunctionOracle) -> float:
     # Sweeps every A against all 2^c sets B of its complement, one chunk of
     # _gamma_chunks at a time. A chunk holds one column per A and one row
@@ -407,7 +423,7 @@ def _gamma(f: SetFunctionOracle) -> float:
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
     # chunk. The sweep stops at the first chunk whose min is <= 0: gamma is
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
-    _check_gamma_size(f)
+    _within("gamma", f.n)
     tab = f.table()
     thr = _allowance(float(np.abs(tab).max()))
     best = math.inf
@@ -428,7 +444,7 @@ def _gamma(f: SetFunctionOracle) -> float:
 
 
 def _m(f: SetFunctionOracle) -> float:
-    # uncapped: measure_ratios runs it only after the GAMMA_LIMIT check
+    # uncapped: measure_ratios runs it only after the gamma check
     tab = f.table()
     pos = tab > _allowance(float(tab.max()))
     if not bool(pos.any()):
@@ -469,11 +485,11 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     only adds terms, and rounding is monotone; monotone noise adds a
     running max over subsets to such a table and takes a max with 0. So
     f(S) <= f(T) bit for bit whenever S ⊆ T, the least superset value of
-    each S is f(S) itself, and the sweep's m is 1.0. n > GAMMA_LIMIT raises
-    CapabilityError before any gamma or m sweep, certified families
+    each S is f(S) itself, and the sweep's m is 1.0. The budget's gamma
+    entry is checked before any gamma or m sweep, certified families
     included.
     """
-    _check_gamma_size(f)
+    _within("gamma", f.n)
     gamma = 1.0 if f.submodular else _gamma(f)
     m = 1.0 if f.monotone is True else _m(f)
     return RatioMeasurement(gamma=gamma, m=m, nonmonotone_caveat=m < 1.0)

@@ -28,13 +28,10 @@ from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
 from .matroids import (Matroid, PSystem, UniformMatroid,
                        random_partition_matroid, random_partition_psystem)
-from .oracles import (CEIL_GUARD, GAMMA_LIMIT, REL_TOL, CapabilityError,
-                      SetFunctionOracle, _allowance, _check_gamma_size,
-                      _integer, _reals, elements_of, measure_ratios,
-                      random_coverage, random_perturbed)
+from .oracles import (BUDGET, CEIL_GUARD, REL_TOL, SetFunctionOracle,
+                      _allowance, _integer, _reals, _within, elements_of,
+                      measure_ratios, random_coverage, random_perturbed)
 
-GRID_DIM_LIMIT = 5
-GRID_CELL_LIMIT = 34 ** 5  # grid_opt's most cells: resolution 0.01 at n = 5
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
 _GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
 
@@ -64,7 +61,6 @@ def brute_force_opt_set(f: SetFunctionOracle, feasible=None
     (2^n,) indexed by subset bitmask, such as a matroid's or p-system's
     ``indep_table()``. The optimum is one masked argmax over the value
     table; ties resolve to the first maximizer in ascending mask order.
-    Its only size limit is the value table's, ``TABLE_LIMIT``.
     """
     tab = f.table()
     if feasible is not None:
@@ -127,20 +123,17 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     resolution 0.01 (45.4M cells, 228 batches) a call of the benchmark's
     problem-1 objective peaked 103 MiB above the process. If nothing is
     pruned, every cell is kept, at about 50 bytes each with the sort.
-    A grid of more than ``GRID_CELL_LIMIT`` cells raises CapabilityError
+    The dimension and the cell count are checked against the budget
     before anything is allocated.
     """
-    if f.n > GRID_DIM_LIMIT:
-        raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
+    _within("grid-dim", f.n)
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
     steps = 1.0 / resolution + CEIL_GUARD  # inf for a subnormal resolution
-    if steps > _GRID_CELL * GRID_CELL_LIMIT \
-            or (int(steps) // _GRID_CELL + 1) ** f.n > GRID_CELL_LIMIT:
-        raise CapabilityError(
-            f"grid optimum needs at most {GRID_CELL_LIMIT} cells")
+    _within("grid-cells", (int(steps) // _GRID_CELL + 1) ** f.n
+            if math.isfinite(steps) else math.inf)
     axis = _grid_axis(resolution)
     cell_shape = (-(-axis.size // _GRID_CELL),) * f.n
     total = math.prod(cell_shape)
@@ -341,15 +334,13 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
     final mask is worth f, any other the sum of its children in
     ``intersection_candidates`` order divided by their count, the same
     float sequence as a plain walk of the choice tree. The states are
-    common-independent masks, so there are at most 2^n of them, and the
-    candidate search at the root raises ``CapabilityError`` past
-    INTERSECTION_LIMIT = 18 elements, which caps the walk at 2^18 states.
-    The inputs are checked once and both tables read as native values: the
-    value table through a memoryview, which yields floats without building
-    a 2^n list, and the independence table as bytes. Every search node
-    reads the independence table and every weight takes float arithmetic,
-    both cheaper on native values than on numpy scalars. Each state then
-    costs one ``_candidates`` call.
+    common-independent masks, so there are at most 2^n of them. The inputs
+    are checked once and both tables read as native values: the value
+    table through a memoryview, which yields floats without building a 2^n
+    list, and the independence table as bytes. Every search node reads the
+    independence table and every weight takes float arithmetic, both
+    cheaper on native values than on numpy scalars. Each state then costs
+    one ``_candidates`` call.
     """
     values, indep = _intersection_tables(f, system)
     n = f.n
@@ -584,16 +575,22 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 class Problem(NamedTuple):
     """One problem's bundle components and its build, run, check and
     measure rules; ``measure(components, flags)``, by default the exact
-    ratios of the objective (CapabilityError past GAMMA_LIMIT, as the
-    check would raise), is the measured dict ``gen`` records."""
+    ratios of the objective, is the measured dict ``gen`` records. ``gen``
+    and ``run`` check ``within_caps(n)`` first: no file is written that
+    the check would refuse."""
     components: dict    # name -> class of each component a bundle must hold
     build: Callable     # flags -> components (no ratio is measured)
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
+    caps: tuple         # the BUDGET entries that cap check at size n
     measure: Callable = lambda c, a: ratios_doc(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
     traced: bool = True           # check reads run's traces
     bare_objective: bool = False  # a plain set-function file also loads
+
+    def within_caps(self, n: int) -> None:
+        for name in self.caps:
+            _within(name, n, what="value table")
 
 
 def _or(value, default):
@@ -636,17 +633,16 @@ def _number(owner, name: str):
 
 
 def ratios_doc(f: SetFunctionOracle) -> dict:
-    """f's exact gamma and m as documents record them; past GAMMA_LIMIT
-    ``measure_ratios`` raises CapabilityError."""
+    """f's exact gamma and m as documents record them."""
     r = measure_ratios(f)
     return {"gamma": r.gamma, "m": r.m,
             "nonmonotone_caveat": r.nonmonotone_caveat}
 
 
 def exact_ratios(f: SetFunctionOracle) -> dict:
-    """``ratios_doc(f)``, or {} past GAMMA_LIMIT, for a document whose
-    checks do not read the ratios."""
-    return {} if f.n > GAMMA_LIMIT else ratios_doc(f)
+    """``ratios_doc(f)``, or {} past the budget's gamma entry, for a
+    document whose checks do not read the ratios."""
+    return {} if f.n > BUDGET["gamma"].limit else ratios_doc(f)
 
 
 def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
@@ -709,14 +705,6 @@ def _build_problem4(a):
     return {"objective": f}
 
 
-def _run_problem4(c, a):
-    # the check measures the ratios, so a run past GAMMA_LIMIT, which no
-    # verify could read, raises the check's CapabilityError first
-    _check_gamma_size(c["objective"])
-    return [random_greedy_dummies(c["objective"], _budget(c, a),
-                                  seed=a.seed + t) for t in range(a.trials)]
-
-
 def _build_problem5(a):
     # a delta of None gives a coverage objective, which only audits draw
     return {"objective": random_coverage(a.n, a.seed) if a.delta is None
@@ -731,7 +719,7 @@ PROBLEMS = {
                _build_problem1,
                lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
                                                 _or(a.epsilon, 0.02))],
-               _check_problem1, measure=lambda c, a: {}),
+               _check_problem1, ("grid-dim",), measure=lambda c, a: {}),
     2: Problem({"objective": SetFunctionOracle, "system": PSystem},
                lambda a: {"objective": random_coverage(a.n, a.seed),
                           "system": random_partition_psystem(a.n, a.p,
@@ -739,8 +727,8 @@ PROBLEMS = {
                lambda c, a: [multipass_greedy(
                    c["objective"], c["system"],
                    _or(a.epsilon, _or(_number(c, "meta.epsilon"), 0.25)))],
-               _check_problem2,
-               # the check reads no ratio: past GAMMA_LIMIT none is recorded
+               _check_problem2, ("table",),
+               # the check reads no ratio: past its cap none is recorded
                measure=lambda c, a: exact_ratios(c["objective"]),
                meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
@@ -748,15 +736,17 @@ PROBLEMS = {
                lambda c, a: [frank_wolfe(
                    c["objective"], c["polytope"], _or(a.iterations, 200),
                    declared_gamma=_problem3_gammas(c, a)[1])],
-               _check_problem3,
+               _check_problem3, ("grid-dim",),
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),
     4: Problem({"objective": SetFunctionOracle},
                _build_problem4,
-               _run_problem4,
+               lambda c, a: [random_greedy_dummies(
+                   c["objective"], _budget(c, a), seed=a.seed + t)
+                   for t in range(a.trials)],
                lambda c, traces, a, stem: [problem4_report(
                    c["objective"], _budget(c, a), instance_id=stem)],
-               meta=("seed", "k"), traced=False, bare_objective=True),
+               ("gamma",), meta=("seed", "k"), traced=False, bare_objective=True),
     5: Problem({"objective": SetFunctionOracle, "matroid1": Matroid,
                 "matroid2": Matroid},
                _build_problem5,
@@ -766,7 +756,7 @@ PROBLEMS = {
                lambda c, traces, a, stem: [problem5_report(
                    c["objective"], c["matroid1"], c["matroid2"],
                    instance_id=stem)],
-               traced=False),
+               ("gamma",), traced=False),
 }
 
 
@@ -927,8 +917,7 @@ def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2
     probability 0.3, with measured (gamma, m) and noise amplitudes drawn
     from [0.05, 0.6) to fill the (gamma, m) grid. The expectation is exact
     for every budget 1 <= k <= n: it costs k layers of k gathers over the
-    2^n masks (see ``dummy_greedy_expectation``), and measuring gamma caps
-    n at GAMMA_LIMIT."""
+    2^n masks (see ``dummy_greedy_expectation``)."""
     return _problem_audit(
         "problem4-claimed", 4, "p4",
         lambda rng: {"n": n, "k": k, "monotone": bool(rng.random() < 0.3),

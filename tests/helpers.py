@@ -21,9 +21,9 @@ from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
                                   random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid, contracted_ranks)
-from submodlab.oracles import (CEIL_GUARD, REL_TOL, CapabilityError,
+from submodlab.oracles import (BUDGET, CEIL_GUARD, REL_TOL, CapabilityError,
                                SetFunctionOracle, elements_of, mask_of)
-from submodlab.verify import GRID_DIM_LIMIT, OptimumCertificate
+from submodlab.verify import OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
 
@@ -694,8 +694,9 @@ def grid_opt_ref(f, polytope, resolution):
     """Reference grid optimum: every grid point, in row-major chunks of
     200,000, each chunk's members valued in one batch; a later chunk
     replaces the best only with a strictly larger value."""
-    if f.n > GRID_DIM_LIMIT:
-        raise CapabilityError(f"grid optimum needs n <= {GRID_DIM_LIMIT}")
+    limit = BUDGET["grid-dim"].limit
+    if f.n > limit:
+        raise CapabilityError(f"grid optimum needs n <= {limit}")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:

@@ -14,14 +14,16 @@ from submodlab import cli
 from submodlab.cli import AUDITS, _build_parser, main
 from submodlab.matroids import (random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import (GAMMA_LIMIT, random_coverage, random_cut,
+from submodlab.oracles import (BUDGET, random_coverage, random_cut,
                                random_modular, random_perturbed)
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
-from submodlab.verify import PROBLEMS, audit_problem2, audit_problem4
+from submodlab.verify import (PROBLEMS, audit_problem2, audit_problem4,
+                              problem_bundle)
 
 from helpers import DummyGreedyProcess, dag_walk, wrong_length_lists
 
+GAMMA_CAP = BUDGET["gamma"].limit
 
 def run(tmp_path, *argv):
     return main(["--out-dir", str(tmp_path), *argv])
@@ -916,7 +918,7 @@ def test_float_flags_exit_zero_one_or_three_with_one_line(tmp_path, capsys):
     bad, tried = [], 0
     for argv, flag in cases:
         for value in ("nan", "inf", "-inf", "-1", "0", "2", "5e-324",
-                      "1e308"):
+                      "1e308", "1e-7"):
             tried += 1
             try:
                 code = run(tmp_path / "sweep", *argv, f"{flag}={value}")
@@ -926,7 +928,52 @@ def test_float_flags_exit_zero_one_or_three_with_one_line(tmp_path, capsys):
             if code not in (0, 1, 3) or err.count("\n") > 1:
                 bad.append((argv[0], argv[2], flag, value, code))
     assert bad == []
-    assert tried == 72
+    assert tried == 81
+
+
+@pytest.mark.parametrize("k, flag, value", [
+    (1, "--epsilon", "1e-7"), (1, "--epsilon", "1e-300"),
+    (3, "--iterations", "1000000000")],
+    ids=["epsilon-1e-7", "epsilon-1e-300", "iterations-1e9"])
+def test_frank_wolfe_past_the_record_cap_exits_three(tmp_path, capsys, k,
+                                                     flag, value):
+    # 10^7 masked rounds ran for minutes with no output, and 10^9
+    # iterations started their loop: both are refused before the first
+    inst = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", f"problem{k}", "--n", "3",
+               "--seed", "2", "--out", str(inst)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(out, "run", "--problem", str(k), "--instance", str(inst),
+               flag, value) == 3
+    assert capsys.readouterr().err == "capability limit: Frank-Wolfe " \
+        f"needs at most {BUDGET['fw-records'].limit} rounds\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, entry, line", [
+    (1, "grid-dim", "grid optimum needs n <= 5"),
+    (3, "grid-dim", "grid optimum needs n <= 5"),
+    (2, "table", "value table needs n <= 20, got n = 21")],
+    ids=["problem1", "problem3", "problem2"])
+def test_gen_and_run_past_the_check_caps_exit_three(tmp_path, capsys, k,
+                                                    entry, line):
+    # the checks refuse these sizes (verify's grid optimum n = 6, problem
+    # 2's exhaustive optimum n = 21), where gen exited 0: gen and run now
+    # refuse first, as for the gamma cap, and write no file
+    n = BUDGET[entry].limit + 1
+    line = f"capability limit: {line}\n"
+    out = tmp_path / "out"
+    assert run(out, "gen", "--family", f"problem{k}", "--n", str(n)) == 3
+    assert capsys.readouterr().err == line
+    flags = _build_parser().parse_args(
+        ["gen", "--family", f"problem{k}", "--n", str(n)])
+    c = PROBLEMS[k].build(flags)
+    inst = tmp_path / "inst.json"
+    save(problem_bundle(k, c, flags, PROBLEMS[k].measure(c, flags)), inst)
+    assert run(out, "run", "--problem", str(k), "--instance", str(inst)) == 3
+    assert capsys.readouterr().err == line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1256,12 +1303,12 @@ def test_gen_problem_past_gamma_limit_exits_three(tmp_path, capsys, k):
         return run(tmp_path, "gen", "--family", f"problem{k}", "--n", str(n),
                    "--seed", "1")
 
-    assert gen(GAMMA_LIMIT + 1) == 3
+    assert gen(GAMMA_CAP + 1) == 3
     err = capsys.readouterr().err
     assert err == f"capability limit: submodularity ratio needs n <= " \
-        f"{GAMMA_LIMIT}\n"
+        f"{GAMMA_CAP}\n"
     assert list(tmp_path.iterdir()) == []
-    assert gen(GAMMA_LIMIT) == 0
+    assert gen(GAMMA_CAP) == 0
     inst, = (tmp_path / "instances").iterdir()
     assert set(load_doc(inst)["measured"]) == {"gamma", "m",
                                                "nonmonotone_caveat"}
@@ -1273,13 +1320,13 @@ def test_run_problem4_past_gamma_limit_exits_three(tmp_path, capsys):
     # would, and writes no trace or CSV
     inst = tmp_path / "instances" / "perturbed.json"
     assert run(tmp_path, "gen", "--family", "perturbed", "--n",
-               str(GAMMA_LIMIT + 1), "--seed", "1", "--monotone",
+               str(GAMMA_CAP + 1), "--seed", "1", "--monotone",
                "--out", str(inst)) == 0
     capsys.readouterr()
     assert run(tmp_path, "run", "--problem", "4", "--instance", str(inst),
                "--k", "2") == 3
     assert capsys.readouterr().err == \
-        f"capability limit: submodularity ratio needs n <= {GAMMA_LIMIT}\n"
+        f"capability limit: submodularity ratio needs n <= {GAMMA_CAP}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "instances"]
     assert run(tmp_path, "verify", "--problem", "4", "--instance", str(inst),
                "--k", "2") == 3
@@ -1613,8 +1660,8 @@ def test_config_run_bytes_do_not_depend_on_earlier_commands(tmp_path):
      "error: ground set needs at least one element\n"),
     (["verify", "--problem", "2", "--instance",
       str(GOLDEN_CLI / "instances" / "problem2-n7-s11.json")], 2, ""),
-    (["gen", "--family", "problem4", "--n", str(GAMMA_LIMIT + 1)], 3,
-     f"capability limit: submodularity ratio needs n <= {GAMMA_LIMIT}\n"),
+    (["gen", "--family", "problem4", "--n", str(GAMMA_CAP + 1)], 3,
+     f"capability limit: submodularity ratio needs n <= {GAMMA_CAP}\n"),
 ], ids=["gen-bytes", "error", "violated", "capability-limit"])
 def test_python_m_submodlab_writes_the_gen_bytes(tmp_path, argv, code, err):
     if code == 2:  # an empty final falls short of the proved bound

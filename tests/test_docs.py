@@ -5,6 +5,8 @@ import importlib
 import re
 from pathlib import Path
 
+from submodlab.oracles import BUDGET
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ("oracles", "matroids", "continuous", "algorithms", "verify",
            "serialization", "cli")
@@ -25,3 +27,17 @@ def test_readme_module_references_resolve():
         if obj is None:
             missing.append(f"{module}.{path}")
     assert not missing, missing
+
+
+def test_readme_names_every_budget_entry_with_its_value():
+    # one row of the "Capability limits" table per entry: its name, its
+    # current value and the stderr line it gives one past the limit
+    rows = {row.split("|")[1].strip(): row.split("|")
+            for row in README.read_text().splitlines()
+            if row.startswith("| `")}
+    for name, (limit, message) in BUDGET.items():
+        cells = rows.get(f"`{name}`")
+        assert cells is not None, name
+        assert cells[3].strip() == str(limit), name
+        line = message.format(limit=limit, size=limit + 1, what="value table")
+        assert f"`capability limit: {line}`" in cells[5], name

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import _candidates
-from submodlab.matroids import (INTERSECTION_LIMIT, GraphicMatroid,
-                                PartitionMatroid, PSystem,
+from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 UniformMatroid, checked_partition,
                                 contracted_ranks,
                                 max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import (TABLE_LIMIT, CapabilityError, elements_of,
+from submodlab.oracles import (BUDGET, CapabilityError, elements_of,
                                mask_of,
                                random_coverage, random_modular)
 
@@ -387,7 +386,7 @@ def test_indep_table_built_once_and_read_only(monkeypatch):
 
 
 def test_indep_table_capability_limit(monkeypatch):
-    n = TABLE_LIMIT + 1
+    n = BUDGET["table"].limit + 1
     for cls in (UniformMatroid, PartitionMatroid, GraphicMatroid):
         monkeypatch.setattr(cls, "_build_table", lambda self: 1 / 0)
     uniform = UniformMatroid(n, 2)
@@ -508,10 +507,10 @@ def test_search_and_candidates_match_the_recursive_reference(case):
 
 
 def test_candidates_cap_counts_every_element_outside_the_mask():
-    # INTERSECTION_LIMIT + 1 elements outside the empty mask, all but two of
+    # the search cap + 1 elements outside the empty mask, all but two of
     # them loops: the cap still counts the loops once some element extends
     # the mask, and with none that does the state is final
-    n = INTERSECTION_LIMIT + 1
+    n = BUDGET["search"].limit + 1
     values = random_modular(n, 0).table()
     blocks = [[0, 1], list(range(2, n))]
     for caps, want in (([1, 0], CapabilityError), ([0, 0], None)):

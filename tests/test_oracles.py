@@ -191,7 +191,7 @@ def test_perturbed_noise_range_must_be_finite(delta):
 def test_value_and_independence_tables_share_one_rule(monkeypatch):
     # one cap, checked before any build and named by each table's own
     # word, one build-once cache and one read-only rule for both kinds
-    n = oracles.TABLE_LIMIT + 1
+    n = oracles.BUDGET["table"].limit + 1
     monkeypatch.setattr(ModularOracle, "_build_table", lambda self: 1 / 0)
     monkeypatch.setattr(UniformMatroid, "_build_table", lambda self: 1 / 0)
     for table, what in ((ModularOracle(np.ones(n)).table, "value table"),
@@ -200,7 +200,7 @@ def test_value_and_independence_tables_share_one_rule(monkeypatch):
         with pytest.raises(oracles.CapabilityError) as info:
             table()
         assert str(info.value) == \
-            f"{what} needs n <= {oracles.TABLE_LIMIT}, got n = {n}"
+            f"{what} needs n <= {oracles.BUDGET['table'].limit}, got n = {n}"
         assert table.__self__._table is None
     monkeypatch.undo()
     f, m = random_modular(5, 0), UniformMatroid(5, 2)
@@ -388,22 +388,22 @@ def test_gamma_early_stop_gives_the_full_sweep_value():
 
 
 def test_measure_ratios_caps_gamma_before_any_m_sweep(monkeypatch):
-    # past GAMMA_LIMIT measure_ratios raises before m is swept, for the
+    # past the gamma cap measure_ratios raises before m is swept, for the
     # certified families, which skip the gamma sweep, too
     calls = []
     real = oracles._m
     monkeypatch.setattr(oracles, "_m",
                         lambda f: calls.append(f) or real(f))
-    n = oracles.GAMMA_LIMIT + 1
+    n = oracles.BUDGET["gamma"].limit + 1
     for f in (random_modular(n, 0), random_coverage(n, 0), random_cut(n, 0),
               random_perturbed(n, 0.3, 0)):
         with pytest.raises(oracles.CapabilityError) as info:
             measure_ratios(f)
         assert str(info.value) == \
-            f"submodularity ratio needs n <= {oracles.GAMMA_LIMIT}"
+            f"submodularity ratio needs n <= {oracles.BUDGET['gamma'].limit}"
     assert calls == []
     # at the cap only an oracle not certified monotone is swept for m
-    n = oracles.GAMMA_LIMIT
+    n = oracles.BUDGET["gamma"].limit
     for f in (random_modular(n, 0), random_coverage(n, 0),
               random_perturbed(n, 0.3, 0, monotone=True)):
         assert measure_ratios(f).m == 1.0

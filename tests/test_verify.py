@@ -19,9 +19,9 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   weak_dr_gamma)
 from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
                                 random_partition_matroid)
-from submodlab.oracles import (REL_TOL, CapabilityError, CoverageOracle,
-                               ModularOracle, elements_of, random_coverage,
-                               random_perturbed)
+from submodlab.oracles import (BUDGET, REL_TOL, CapabilityError,
+                               CoverageOracle, ModularOracle, elements_of,
+                               random_coverage, random_perturbed)
 from submodlab.serialization import canonical_json, load_bundle
 from submodlab import cli, verify
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
@@ -424,7 +424,7 @@ def test_grid_opt_caps_the_cells_before_building_the_axis(monkeypatch):
         with pytest.raises(CapabilityError, match="at most 45435424 cells"):
             grid_opt(f, unit_box(n), resolution)
     # the documented resolution 0.01 at n = 5 is 34^5 cells, the cap
-    assert verify.GRID_CELL_LIMIT == 34 ** 5
+    assert BUDGET["grid-cells"].limit == 34 ** 5
     for n, resolution in [(5, 0.01), (1, 1 / (3 * 34 ** 5 - 1))]:
         with pytest.raises(AssertionError, match="the grid axis was built"):
             grid_opt(grid_oracle("quadratic", n, 1), unit_box(n), resolution)
@@ -546,7 +546,7 @@ def test_expected_value_vs_million_samples():
 
 def test_expected_value_node_limit():
     # the walk's states are common-independent masks, at most 2^n of them;
-    # past INTERSECTION_LIMIT = 18 elements the candidate search at the root
+    # past the search cap of 18 elements the candidate search at the root
     # refuses, so the walk never grows past 2^18 states
     n = 19
     f = ModularOracle(np.ones(n))
