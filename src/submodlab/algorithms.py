@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import ContinuousOracle, Polytope, _as_point, _masked_step
+from .continuous import (ContinuousOracle, Polytope, _checked_list,
+                         _masked_step)
 from .matroids import (Matroid, PSystem, _heaviest, contracted_ranks,
                        psystem_greedy_marginal)
 from .oracles import (SetFunctionOracle, _count, _finite, _integer, _mask,
@@ -62,10 +63,12 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
     ``g`` must be certified monotone; both components must be nonnegative
     (our oracle constructors certify this). The trace records the running
     coordinate cap 1 - (1-step)^i alongside each iterate. Each iterate is
-    checked once and read through the oracle kernels; it stays in the cube.
-    Between the kernels, the iterate, the direction and the records are
-    lists of floats, and each gradient is checked by ``_clean_c`` before
-    the LMO kernel ``_lmo``.
+    checked once, as the list ``_masked_step`` built, by ``_checked_list``,
+    and read as its array through the oracle kernels; it stays in the
+    cube, and the record keeps the checked list. Between the kernels, the
+    iterate, the direction and the records are lists of floats, and each
+    gradient is checked by ``_clean_c`` before the LMO kernel ``_lmo``.
+    The kernels are bound once, before the loop.
     """
     epsilon = float(_finite(epsilon, "epsilon", 0))
     if not (0.0 < epsilon <= 1.0):
@@ -77,20 +80,20 @@ def masked_frank_wolfe(g: ContinuousOracle, h: ContinuousOracle,
     rounds = _count(1.0 / epsilon)
     _within("fw-records", rounds)
     step = 1.0 / rounds
+    grad_g, grad_h, value_g, value_h = g._grad, h._grad, g._value, h._value
+    clean_c, lmo = polytope._clean_c, polytope._lmo
     y = [0.0] * g.n
     point = np.zeros(g.n)
     records = []
     for i in range(rounds):
-        gradient = polytope._clean_c(g._grad(point) + h._grad(point))
-        direction = polytope._lmo([(1.0 - v) * d
-                                   for v, d in zip(y, gradient)])
-        point = _as_point(np.array(_masked_step(y, direction, step)), g.n)
-        y = point.tolist()
+        gradient = clean_c(grad_g(point) + grad_h(point))
+        direction = lmo([(1.0 - v) * d for v, d in zip(y, gradient)])
+        y, point = _checked_list(_masked_step(y, direction, step))
         records.append({
             "round": i,
             "direction": direction,
             "point": y,
-            "value": float(g._value(point) + h._value(point)),
+            "value": float(value_g(point) + value_h(point)),
             "mask_cap": 1.0 - (1.0 - step) ** (i + 1),
         })
     return RunTrace(
@@ -114,10 +117,12 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     """Projection-free conditional gradient from 0 with constant steps 1/K:
     v = lmo(grad F(x)), x += step * v, the final step clipped so the step
     masses add up to exactly 1 (making x a convex combination of polytope
-    members and the origin). Each new x is checked once, for the record's
-    value and the next gradient, and never clipped: the masses sum to 1.
-    As in ``masked_frank_wolfe``, x and the direction are lists of floats
-    between the kernels.
+    members and the origin). Each new x is checked once, as the list just
+    built, by ``_checked_list``, whose array the record's value and the
+    next gradient read; it is never clipped, since the masses sum to 1,
+    and the record keeps x as built. As in ``masked_frank_wolfe``, x and
+    the direction are lists of floats between the kernels, which are
+    bound once, before the loop.
     """
     k_total = _integer(iterations, "iteration counts")
     if k_total < 1:
@@ -127,24 +132,26 @@ def frank_wolfe(f: ContinuousOracle, polytope: Polytope,
     if not f.monotone:
         raise ValueError("objective must be certified monotone")
     _within("fw-records", k_total)
+    grad, value = f._grad, f._value
+    clean_c, lmo = polytope._clean_c, polytope._lmo
     x = [0.0] * f.n
     point = np.zeros(f.n)
     mass = 0.0
     records = []
     for k in range(k_total):
-        direction = polytope._lmo(polytope._clean_c(f._grad(point)))
+        direction = lmo(clean_c(grad(point)))
         # last round takes exactly the remaining mass; for k >= 2 this makes
         # the final total bit-exactly 1.0
         step = (1.0 - mass) if k == k_total - 1 else 1.0 / k_total
         x = [v + step * d for v, d in zip(x, direction)]
-        point = _as_point(np.array(x), f.n)
+        point = _checked_list(x)[1]
         mass = mass + step
         records.append({
             "round": k,
             "direction": direction,
             "step": step,
             "point": x,
-            "value": float(f._value(point)),
+            "value": float(value(point)),
             "mass": mass,
         })
     meta = {

@@ -52,8 +52,8 @@ from . import serialization, verify
 from .algorithms import RunTrace
 from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
-from .oracles import (CapabilityError, _integer, random_coverage, random_cut,
-                      random_modular, random_perturbed)
+from .oracles import (CapabilityError, _integer, _within, random_coverage,
+                      random_cut, random_modular, random_perturbed)
 from .verify import PROBLEMS, _or, exact_ratios, sampled_gamma
 
 OUT_ENV = "SUBMODLAB_OUT"
@@ -304,6 +304,7 @@ def _load_problem_components(args):
 def cmd_run(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, not {args.trials}")
+    _within("trials", args.trials)
     problem = PROBLEMS[args.problem]
     comp = _load_problem_components(args)
     problem.within_caps(comp[next(iter(problem.components))].n)
@@ -355,9 +356,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    out = _out_dir(args)
     table = AUDITS[args.bound]
     report = table.run(args)
+    out = _out_dir(args)
     stem = table.stem.format(**vars(args))
     path = _write_csv(out / f"audit-{stem}.csv", table.columns.split(","),
                       [table.row(r) for r in report.rows])

@@ -22,7 +22,10 @@ the family's ``_value``/``_grad``/``_value_many``/``_grad_many`` (a sum
 checks a point or a batch once), a polytope's ``lmo`` to ``_lmo``, which
 maps a list of finite floats to a list, and ``masked_update`` to
 ``_masked_step``, the one measured-greedy step rule, also on lists. The
-Frank-Wolfe loops call the kernels and keep their iterates as lists.
+Frank-Wolfe loops call the kernels and keep their iterates as lists, each
+checked once by ``_checked_list``, ``_as_point``'s rule on a list. The
+one-point quadratic and sqrt-linear kernels reach BLAS through
+``ndarray.dot``, in the operand order of their ``@`` formulas.
 """
 
 from __future__ import annotations
@@ -52,6 +55,18 @@ def _as_points(points, n: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"expected a point in dimension {n}")
     return _in_cube(pts) if pts.size else pts
+
+
+def _checked_list(x: list) -> tuple[list, np.ndarray]:
+    """``_as_point``'s rule on a point that a loop built as a list of n
+    floats: the point as a list and as an array. A list in [0, 1] (NaN
+    fails) is returned as it is, beside ``np.array(x)``; any other goes
+    through ``_in_cube``, which clips it or raises."""
+    for v in x:
+        if not 0.0 <= v <= 1.0:
+            point = _in_cube(np.array(x))
+            return point.tolist(), point
+    return x, np.array(x)
 
 
 def _in_cube(x: np.ndarray) -> np.ndarray:
@@ -112,7 +127,8 @@ class ContinuousOracle:
 
 
 class QuadraticOracle(ContinuousOracle):
-    """F(x) = b·x + x·A·x / 2 with symmetric A and nonpositive diagonal.
+    """F(x) = b·x + x·A·x / 2 with A symmetric to within 1e-12 in every
+    entry and a nonpositive diagonal.
 
     The nonpositive diagonal makes F concave (or linear) along every
     coordinate, so nonnegativity over the cube reduces to the vertices and
@@ -129,7 +145,7 @@ class QuadraticOracle(ContinuousOracle):
         n = b.size
         if a.shape != (n, n):
             raise ValueError("interaction matrix shape mismatch")
-        if not np.allclose(a, a.T, atol=1e-12):
+        if float(np.abs(a - a.T).max()) > 1e-12:
             raise ValueError("interaction matrix must be symmetric")
         if float(np.diag(a).max(initial=0.0)) > 1e-12:
             raise ValueError("diagonal must be nonpositive")
@@ -154,11 +170,13 @@ class QuadraticOracle(ContinuousOracle):
         if float(self._value_many(subset_bits(self.n)).min()) < -1e-9:
             raise ValueError("quadratic oracle is negative at a cube vertex")
 
+    # ndarray.dot reaches the BLAS calls of ``b @ x + 0.5 * x @ a @ x`` and
+    # ``b + a @ x`` in their operand order, with less dispatch per call
     def _value(self, x: np.ndarray) -> float:
-        return float(self.b @ x + 0.5 * x @ self.a @ x)
+        return float(self.b.dot(x) + (0.5 * x).dot(self.a).dot(x))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        return self.b + self.a @ x
+        return self.b + self.a.dot(x)
 
     def _value_many(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.b + 0.5 * np.einsum("ij,ij->i", pts @ self.a, pts)
@@ -190,10 +208,11 @@ class SqrtLinearOracle(ContinuousOracle):
         self.value_lipschitz = math.sqrt(norm_sq) / (2.0 * math.sqrt(self.shift))
 
     def _value(self, x: np.ndarray) -> float:
-        return float(math.sqrt(self.shift + self.b @ x) - math.sqrt(self.shift))
+        return float(math.sqrt(self.shift + self.b.dot(x))
+                     - math.sqrt(self.shift))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        return self.b / (2.0 * math.sqrt(self.shift + self.b @ x))
+        return self.b / (2.0 * math.sqrt(self.shift + self.b.dot(x)))
 
     def _value_many(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(self.shift + pts @ self.b) - math.sqrt(self.shift)

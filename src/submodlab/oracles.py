@@ -59,6 +59,7 @@ BUDGET = {
     "grid-dim": Cap(5, "grid optimum needs n <= {limit}"),
     "grid-cells": Cap(34 ** 5, "grid optimum needs at most {limit} cells"),
     "fw-records": Cap(10 ** 5, "Frank-Wolfe needs at most {limit} rounds"),
+    "trials": Cap(10 ** 4, "a run or an audit takes at most {limit} trials"),
 }
 
 

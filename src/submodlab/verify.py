@@ -846,7 +846,9 @@ def _problem_audit(bound_id: str, k: int, name: str, draw, record: tuple,
     problem is traced, and checks it with ``check`` (the problem's own if
     None). The row records the ``record`` keys of the flags and the report
     params; its replay document is the bundle, with the report's gamma and m
-    as measured."""
+    as measured. More trials than the ``trials`` budget entry allows raise
+    CapabilityError before the first."""
+    _within("trials", trials)
     problem = PROBLEMS[k]
     check = check or problem.check
 

@@ -672,6 +672,43 @@ def quadratic_vertex_values_ref(b, a):
     return vals
 
 
+def quadratic_value_ref(f, x):
+    """Reference for ``QuadraticOracle._value``: the formula through ``@``,
+    parsed as ((0.5 * x) @ a) @ x."""
+    return float(f.b @ x + 0.5 * x @ f.a @ x)
+
+
+def quadratic_grad_ref(f, x):
+    """Reference for ``QuadraticOracle._grad`` through ``@``."""
+    return f.b + f.a @ x
+
+
+def sqrt_linear_value_ref(f, x):
+    """Reference for ``SqrtLinearOracle._value`` through ``@``."""
+    return float(math.sqrt(f.shift + f.b @ x) - math.sqrt(f.shift))
+
+
+def sqrt_linear_grad_ref(f, x):
+    """Reference for ``SqrtLinearOracle._grad`` through ``@``."""
+    return f.b / (2.0 * math.sqrt(f.shift + f.b @ x))
+
+
+def kernel_bits_differ(f, x):
+    """The kernels of ``f`` (a quadratic or sqrt-linear oracle) at the
+    float array ``x`` whose bits differ from the ``@`` references: a list
+    of "_value" and "_grad"."""
+    value_ref, grad_ref = {
+        "quadratic": (quadratic_value_ref, quadratic_grad_ref),
+        "sqrt-linear": (sqrt_linear_value_ref, sqrt_linear_grad_ref),
+    }[f.family]
+    bad = []
+    if repr(f._value(x)) != repr(value_ref(f, x)):
+        bad.append("_value")
+    if f._grad(x).tobytes() != grad_ref(f, x).tobytes():
+        bad.append("_grad")
+    return bad
+
+
 def knapsack_diameter_ref(costs, budget):
     """Reference max ||x||_2 over {x in [0,1]^n : costs·x <= budget}: every
     fitting full-1 set plus its best single fractional coordinate."""

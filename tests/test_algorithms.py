@@ -138,17 +138,18 @@ def test_fw_loops_match_reference_loops_bit_for_bit(polytope, k):
 
 
 def unclipped_runs(n, seed, polytope, k):
-    """The traces of ``fw_runs``, with every point the loops check asserted
-    to pass ``_in_cube`` as it is, unclipped."""
+    """The traces of ``fw_runs``, with every list the loops check asserted
+    to pass ``_checked_list`` as it is, unclipped."""
     checked = []
 
-    def check(x, dim):
-        assert continuous._in_cube(x) is x
+    def check(x):
+        got = continuous._checked_list(x)
+        assert got[0] is x
         checked.append(x)
-        return continuous._as_point(x, dim)
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algorithms, "_as_point", check)
+        mp.setattr(algorithms, "_checked_list", check)
         traces = [got for got, _ in fw_runs(n, seed, polytope, k)]
     # one check per iterate of each of the four runs of either loop
     assert len(checked) == 8 * k

@@ -26,7 +26,7 @@ from submodlab import (algorithms, cli, continuous, matroids, oracles,
 
 from helpers import (ReferenceIntersectionProcess, coverage_table_lsb,
                      dag_walk, frank_wolfe_ref, gamma_loop, grid_opt_ref,
-                     grid_oracle, grid_polytope, m_loop,
+                     grid_oracle, grid_polytope, kernel_bits_differ, m_loop,
                      masked_frank_wolfe_ref, member_many_ref,
                      partition_table_counts,
                      random_greedy_intersection_ref, weak_dr_gamma_ref)
@@ -284,6 +284,29 @@ def test_pool_frank_wolfe_is_the_reference_loop(continuous_pool):
             if repr(got) != repr(want):
                 bad.append(f"seed {inst.seed} {leg}: the trace differs")
     assert compared == 192
+    assert bad == []
+
+
+# the FW reference loops call the same kernels as the loops, so they cannot
+# see a kernel drift: at every iterate of both legs of every pool instance,
+# _value and _grad must have the bits of the frozen @ forms
+def test_pool_kernels_are_the_matmul_forms(continuous_pool):
+    bad, compared = [], 0
+    for inst in continuous_pool:
+        for leg, parts, trace in (
+                ("problem 1", (inst.g, inst.h),
+                 algorithms.masked_frank_wolfe(inst.g, inst.h, inst.poly,
+                                               0.02)),
+                ("problem 3", (inst.p3,),
+                 algorithms.frank_wolfe(inst.p3, inst.poly, 200))):
+            points = [np.zeros(inst.n)] + [np.array(rec["point"])
+                                           for rec in trace.iterations]
+            for i, x in enumerate(points):
+                for f in parts:
+                    compared += 1
+                    bad += [f"seed {inst.seed} {leg} iterate {i}: {kernel}"
+                            for kernel in kernel_bits_differ(f, x)]
+    assert compared == 96 * (2 * 51 + 201)
     assert bad == []
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from submodlab import algorithms, continuous, matroids, oracles, verify
+from submodlab import algorithms, cli, continuous, matroids, oracles, verify
 from submodlab.algorithms import _candidates, frank_wolfe, masked_frank_wolfe
 from submodlab.continuous import (KnapsackPolytope, Polytope,
                                   QuadraticOracle, random_quadratic_dr,
@@ -59,6 +59,13 @@ def _masked_rounds(rounds):
                               unit_box(2), 1.0 / rounds)
 
 
+def _run_trials(trials):
+    # the instance file is read only after the trials check
+    return cli.cmd_run(cli._build_parser().parse_args(
+        ["run", "--problem", "4", "--instance", "unread.json",
+         "--trials", str(trials)]))
+
+
 # site -> (entry, (owner, kernel attribute), call with a predicted size,
 # the error one past the limit, byte for byte as the CLI prints it)
 SITES = {
@@ -104,6 +111,12 @@ SITES = {
         lambda k: frank_wolfe(random_quadratic_dr(2, 0, monotone=True),
                               unit_box(2), k),
         "Frank-Wolfe needs at most 100000 rounds"),
+    "run trials": (
+        "trials", (cli, "_load_problem_components"), _run_trials,
+        "a run or an audit takes at most 10000 trials"),
+    "audit trials": (
+        "trials", (verify, "audit"), lambda t: verify.audit_problem4(t, 0),
+        "a run or an audit takes at most 10000 trials"),
 }
 
 

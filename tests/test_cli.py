@@ -951,6 +951,30 @@ def test_frank_wolfe_past_the_record_cap_exits_three(tmp_path, capsys, k,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "4", "--k", "2"],
+    ["run", "--problem", "1"],
+    ["audit", "--bound", "problem4-claimed"],
+    ["audit", "--bound", "problem2-authors-conjecture"]],
+    ids=["run-problem4", "run-problem1", "audit-problem4",
+         "audit-conjecture"])
+def test_trials_past_the_budget_exit_three(tmp_path, capsys, argv):
+    # each trial is one trace file or one audit row: 10^9 of them ran for
+    # days, so they are refused before the first, with no file written
+    if argv[0] == "run":
+        k = argv[2]
+        inst = tmp_path / "inst.json"
+        assert run(tmp_path, "gen", "--family", f"problem{k}", "--n", "4",
+                   "--seed", "2", "--out", str(inst)) == 0
+        capsys.readouterr()
+        argv = argv + ["--instance", str(inst)]
+    out = tmp_path / "out"
+    assert run(out, *argv, "--trials", "1000000000") == 3
+    assert capsys.readouterr().err == "capability limit: a run or an " \
+        f"audit takes at most {BUDGET['trials'].limit} trials\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k, entry, line", [
     (1, "grid-dim", "grid optimum needs n <= 5"),
     (3, "grid-dim", "grid optimum needs n <= 5"),

@@ -14,8 +14,9 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   unit_box, weak_dr_gamma)
 from submodlab.oracles import subset_bits
 
-from helpers import (dr_check, grad_check, in_cube_ref, knapsack_diameter_ref,
-                     quadratic_vertex_values_ref, weak_dr_gamma_ref)
+from helpers import (dr_check, grad_check, in_cube_ref, kernel_bits_differ,
+                     knapsack_diameter_ref, quadratic_vertex_values_ref,
+                     weak_dr_gamma_ref)
 
 POLYTOPE_FAMILIES = [
     unit_box(4),
@@ -522,6 +523,44 @@ def test_in_cube_cases_match_the_clipping_reference(coords, layout):
         assert continuous._in_cube(x) is x
 
 
+@pytest.mark.parametrize("coord", [
+    *(1.0 + k * 1e-10 for k in (-10, -1, 1, 5, 10, 11, 20)),
+    *(k * -1e-10 for k in (1, 5, 10, 11, 20)),
+    -0.0, np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("at", [0, 2])
+def test_checked_list_is_the_point_check(coord, at):
+    # the loops' check of the list they built is _as_point's rule on its
+    # array: the same bits, error or clip, and the list itself unclipped
+    x = [0.5, 0.25, 1.0]
+    x[at] = coord
+    want = _cube_result(lambda y: continuous._as_point(np.array(y), 3), x)
+    assert _cube_result(lambda y: continuous._checked_list(y)[1], x) == want
+    if want[0] != "error":
+        got_list, got = continuous._checked_list(x)
+        assert got_list == got.tolist()
+        assert (got_list is x) == all(0.0 <= v <= 1.0 for v in x)
+
+
+def test_one_point_kernels_are_the_matmul_forms():
+    # _value and _grad reach BLAS through ndarray.dot; their bits must be
+    # those of the @ forms, at random cube points and at its corners
+    rng = np.random.default_rng(42)
+    bad, compared = [], 0
+    for n in range(1, 9):
+        for seed in range(25):
+            for family in ("quadratic-dr", "quadratic-non-monotone",
+                           "quadratic-weak", "sqrt-linear"):
+                f = family_oracle(family, n, seed)
+                points = rng.uniform(0.0, 1.0, (8, n))
+                points[0], points[1] = 0.0, 1.0
+                for x in points:
+                    compared += 1
+                    bad += [(family, n, seed, kernel)
+                            for kernel in kernel_bits_differ(f, x)]
+    assert compared == 8 * 25 * 4 * 8
+    assert bad == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.sampled_from(MONOTONE_FAMILIES),
        st.integers(0, 10_000), st.data())
@@ -647,6 +686,21 @@ def test_quadratic_rejects_uncertifiable():
     with pytest.raises(ValueError):
         # too negative: value at the full vertex dips below zero
         QuadraticOracle([0.1, 0.1], np.array([[0.0, -3.0], [-3.0, 0.0]]))
+
+
+@pytest.mark.parametrize("gap, symmetric", [
+    (4e-6, False), (2e-12, False), (1e-13, True), (0.0, True)],
+    ids=repr)
+def test_quadratic_symmetry_is_checked_at_1e_12(gap, symmetric):
+    # an absolute 1e-12 on every entry: allclose's default rtol of 1e-5
+    # also took 4e-6 at -0.5, whose gradient is then off by 2e-6
+    a = [[-0.1, -0.5], [-0.5 - gap, -0.1]]
+    if symmetric:
+        assert QuadraticOracle([1.0, 1.0], a).monotone
+    else:
+        with pytest.raises(ValueError,
+                           match="interaction matrix must be symmetric"):
+            QuadraticOracle([1.0, 1.0], a)
 
 
 @settings(max_examples=200, deadline=None)
