@@ -377,9 +377,13 @@ def _sweep(tab: np.ndarray, op, upward: bool) -> None:
         op(target, other, out=target)
 
 
+@functools.lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
-    """|S| for every subset S of an n-element ground set, by bitmask."""
-    return _doubled(0, [1] * n, dtype=np.int64)
+    """|S| for every subset S of an n-element ground set, by bitmask.
+    Read-only."""
+    counts = _doubled(0, [1] * n, dtype=np.int64)
+    counts.setflags(write=False)
+    return counts
 
 
 def subset_bits(n: int) -> np.ndarray:

@@ -26,11 +26,12 @@ from .algorithms import (RunTrace, _candidates, _intersection_tables,
 from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          SumOracle, random_quadratic_dr,
                          random_weak_quadratic, unit_box, weak_dr_gamma)
-from .matroids import (Matroid, PSystem, UniformMatroid,
-                       random_partition_matroid, random_partition_psystem)
+from .matroids import (Matroid, PSystem, random_partition_matroid,
+                       random_partition_psystem)
 from .oracles import (BUDGET, CEIL_GUARD, REL_TOL, SetFunctionOracle,
                       _allowance, _integer, _reals, _within, elements_of,
-                      measure_ratios, random_coverage, random_perturbed)
+                      measure_ratios, popcounts, random_coverage,
+                      random_perturbed)
 
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
 _GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
@@ -302,27 +303,51 @@ def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
 # exact expectations over every uniform draw of the randomized greedies
 
 
+@functools.lru_cache(maxsize=None)
+def _by_size(n: int) -> tuple:
+    """The 2^n masks of an n-element ground set in ascending size, then
+    ascending mask: ``(order, position, ends)``, with position[mask] the
+    index of mask in order and ends[c] the number of masks of size <= c,
+    so that those masks are order[:ends[c]]. Read-only."""
+    counts = popcounts(n)
+    order = np.argsort(counts, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    ends = np.cumsum(np.bincount(counts))
+    for part in (order, position, ends):
+        part.setflags(write=False)
+    return order, position, ends
+
+
 def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
     """Exact expectation of dummy-padded random greedy under the budget k.
 
-    A state is its real mask R plus its dummy count t - |R| after t rounds,
-    so each layer t = k .. 0 is one array over all 2^n masks R, with layer
-    k the value table. The candidates at R do not depend on t: the real
-    ones of ``dummy_candidates``, padded to k by dummies, which keep R. Each
-    layer sums those k children slot by slot in candidate order and divides
-    by k, the same float sequence as a plain walk of the choice tree. Needs
-    O(2^n * n) memory.
+    A state after t rounds is its real mask R, with |R| <= t, plus its
+    dummy count t - |R|. The candidates at R do not depend on t: the real
+    ones of ``dummy_candidates``, padded to k by dummies, which keep R. So
+    the value of the states after t < k rounds is one array over the masks
+    with |R| <= t, in the size order of ``_by_size``, a prefix of that of
+    round t + 1. The candidates are found once, for the masks with |R| <
+    k. Going back from round k, the first layer reads the value table by
+    child mask and each later one the previous layer by child position.
+    Each state sums its k children slot by slot in candidate order from
+    0.0 and divides by k, the same float sequence as a plain walk of the
+    choice tree. Its memory is about (number of sets of size < k) * k
+    entries plus the 2^n-entry value table and cached size order.
     """
-    masks = np.arange(1 << f.n)
-    order, counts = dummy_candidates(f, k, masks)
-    children = np.where(np.arange(k) < counts[:, None],
-                        masks[:, None] | 1 << order, masks[:, None])
+    check_budget(k, f.n)
     values = f.table()
-    for _ in range(k):
-        total = np.zeros(masks.size)
+    order, position, ends = _by_size(f.n)
+    masks = order[:ends[k - 1]]
+    cand, counts = dummy_candidates(f, k, masks)
+    children = np.where(np.arange(k) < counts[:, None],
+                        masks[:, None] | 1 << cand, masks[:, None])
+    index, compact = children, position[children]
+    for rows in ends[k - 1::-1]:
+        total = np.zeros(rows)
         for j in range(k):
-            total += values[children[:, j]]
-        values = total / k
+            total += values[index[:rows, j]]
+        values, index = total / k, compact
     return float(values[0])
 
 
@@ -543,7 +568,8 @@ def problem4_report(f: SetFunctionOracle, k: int,
     measured (gamma, m), the exhaustive optimum over |S| <= k, and the
     exact expectation over every uniform draw."""
     ratios = measure_ratios(f)
-    opt = brute_force_opt_set(f, UniformMatroid(f.n, k).indep_table())
+    check_budget(k, f.n)
+    opt = brute_force_opt_set(f, popcounts(f.n) <= k)
     measured = dummy_greedy_expectation(f, k)
     return check_bound(measured, BOUNDS["problem4-claimed"],
                        {"m": ratios.m, "gamma": ratios.gamma,
@@ -918,8 +944,8 @@ def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2
     dummy-padded random greedy, over perturbed instances, monotone with
     probability 0.3, with measured (gamma, m) and noise amplitudes drawn
     from [0.05, 0.6) to fill the (gamma, m) grid. The expectation is exact
-    for every budget 1 <= k <= n: it costs k layers of k gathers over the
-    2^n masks (see ``dummy_greedy_expectation``)."""
+    for every budget 1 <= k <= n: its k layers cover only the sets of
+    size < k that a run can reach (see ``dummy_greedy_expectation``)."""
     return _problem_audit(
         "problem4-claimed", 4, "p4",
         lambda rng: {"n": n, "k": k, "monotone": bool(rng.random() < 0.3),

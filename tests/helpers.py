@@ -11,7 +11,7 @@ import operator
 import numpy as np
 
 from submodlab.algorithms import (RunTrace, bicriteria_rounds,
-                                  intersection_candidates)
+                                  dummy_candidates, intersection_candidates)
 from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
                                   CardinalityPolytope, KnapsackPolytope,
                                   PartitionPolytope, SumOracle,
@@ -412,6 +412,25 @@ class DummyGreedyProcess:
 
     def final_value(self, state: tuple) -> float:
         return self.f.value_mask(self.real_mask(state))
+
+
+def dummy_greedy_expectation_all_masks(f, k):
+    """The all-masks form of ``verify.dummy_greedy_expectation``, frozen as
+    its reference: layers t = k .. 0 are each one array over all 2^n masks
+    R, layer k the value table, and each sums the k children of
+    ``dummy_candidates`` (dummies keep R) slot by slot from 0.0 and
+    divides by k."""
+    masks = np.arange(1 << f.n)
+    order, counts = dummy_candidates(f, k, masks)
+    children = np.where(np.arange(k) < counts[:, None],
+                        masks[:, None] | 1 << order, masks[:, None])
+    values = f.table()
+    for _ in range(k):
+        total = np.zeros(masks.size)
+        for j in range(k):
+            total += values[children[:, j]]
+        values = total / k
+    return float(values[0])
 
 
 class IntersectionProcess:

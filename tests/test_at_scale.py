@@ -3,7 +3,8 @@ of tests/helpers at the sizes the caps and the benchmark pools set, and the
 benchmark's own reference digests.
 
 Each test runs a fixed sweep: tables at n = 16-20, certified ratios at
-n = 6-12, and the instance seeds of perfbench/refs/*.json, read from those
+n = 6-12, problem-4 expectations at n = 12-16 (and one at n = 20, by its
+memory), and the instance seeds of perfbench/refs/*.json, read from those
 files. It collects one label per case that differs and asserts that none
 does, so a failure names every difference. It also asserts how many cases
 it compared, so an emptied sweep cannot pass. Together they take about a
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +27,8 @@ from submodlab import (algorithms, cli, continuous, matroids, oracles,
                        serialization, verify)
 
 from helpers import (ReferenceIntersectionProcess, coverage_table_lsb,
-                     dag_walk, frank_wolfe_ref, gamma_loop, grid_opt_ref,
+                     dag_walk, dummy_greedy_expectation_all_masks,
+                     frank_wolfe_ref, gamma_loop, grid_opt_ref,
                      grid_oracle, grid_polytope, kernel_bits_differ, m_loop,
                      masked_frank_wolfe_ref, member_many_ref,
                      partition_table_counts,
@@ -308,6 +311,44 @@ def test_pool_kernels_are_the_matmul_forms(continuous_pool):
                             for kernel in kernel_bits_differ(f, x)]
     assert compared == 96 * (2 * 51 + 201)
     assert bad == []
+
+
+# the problem-4 expectation's layers hold only the masks a k-round run can
+# reach: at every budget for n = 12, 14 and 16, on coverage, perturbed and
+# monotone-perturbed tables, it must give the bits of the frozen all-masks
+# formula
+def test_dummy_expectation_is_the_all_masks_formula():
+    bad, compared = [], 0
+    for n in (12, 14, 16):
+        for family, f in (("coverage", oracles.random_coverage(n, n)),
+                          ("perturbed", oracles.random_perturbed(n, 0.3, n)),
+                          ("monotone perturbed", _perturbed_monotone(n, n))):
+            for k in range(1, n + 1):
+                compared += 1
+                if repr(verify.dummy_greedy_expectation(f, k)) != \
+                        repr(dummy_greedy_expectation_all_masks(f, k)):
+                    bad.append(f"{family} n = {n}, k = {k}")
+    assert compared == 3 * (12 + 14 + 16)
+    assert bad == []
+
+
+# reach by memory, not time: at the table cap with k = 6, the expectation
+# keeps the 21,700 sets of size < 6 and the size order, cold, where the
+# all-masks layers grew by about 490 MiB
+def test_dummy_expectation_at_the_table_cap_stays_within_64_mib():
+    n = oracles.BUDGET["table"].limit
+    f = oracles.random_coverage(n, 0)
+    f.table()
+    oracles.popcounts.cache_clear()
+    verify._by_size.cache_clear()
+    tracemalloc.start()
+    try:
+        value = verify.dummy_greedy_expectation(f, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert 0.0 < value <= f.table().max()
 
 
 # every audit-p5-intersection pool instance, as verify.audit_problem5 builds

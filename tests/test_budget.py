@@ -77,6 +77,12 @@ SITES = {
         "table", (UniformMatroid, "_build_table"),
         lambda n: UniformMatroid(n, 1).indep_table(),
         "independence table needs n <= 20, got n = 21"),
+    # the size order is built only after the budget and the value table
+    "dummy_greedy_expectation": (
+        "table", (verify, "_by_size"),
+        lambda n: verify.dummy_greedy_expectation(
+            ModularOracle(np.ones(n)), 1),
+        "value table needs n <= 20, got n = 21"),
     "measure_ratios": (
         "gamma", (oracles, "_gamma_chunks"),
         lambda n: measure_ratios(random_perturbed(n, 0.3, 0)),
@@ -143,6 +149,15 @@ def test_knapsack_takes_its_exact_diameter_up_to_the_vertex_check(
     with pytest.raises(Reached):
         KnapsackPolytope(np.ones(limit), 2.0)
     assert KnapsackPolytope(np.ones(limit + 1), 2.0).diameter == 4.0
+
+
+def test_expectation_checks_its_budget_before_its_size_order(monkeypatch):
+    monkeypatch.setattr(verify, "_by_size", reached)
+    f = ModularOracle(np.ones(4))
+    for k in (0, 5):
+        with pytest.raises(ValueError,
+                           match="^budget k must satisfy 1 <= k <= n$"):
+            verify.dummy_greedy_expectation(f, k)
 
 
 def test_capability_error_is_raised_by_the_budget_function_alone():

@@ -188,6 +188,16 @@ def test_perturbed_noise_range_must_be_finite(delta):
     PerturbedOracle(random_coverage(4, 1), 8.98e307, 1).table()
 
 
+def test_popcounts_are_one_cached_read_only_table():
+    for n in (0, 1, 6):
+        counts = oracles.popcounts(n)
+        assert counts is oracles.popcounts(n)
+        assert counts.tolist() == [bin(mask).count("1")
+                                   for mask in range(1 << n)]
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
+
 def test_value_and_independence_tables_share_one_rule(monkeypatch):
     # one cap, checked before any build and named by each table's own
     # word, one build-once cache and one read-only rule for both kinds

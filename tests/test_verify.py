@@ -679,6 +679,34 @@ def test_problem4_report_measures_the_dag_expectation():
             assert report.measured == dag_walk(DummyGreedyProcess(f, k))
 
 
+def test_problem4_opt_is_the_uniform_matroid_optimum():
+    # OPT over |S| <= k, read off the shared size table, is the optimum
+    # over the uniform matroid's independence table
+    cases = 0
+    for n in range(1, 11):
+        f = random_perturbed(n, 0.4, n, monotone=n % 2 == 0)
+        for k in range(1, n + 1):
+            want = brute_force_opt_set(f, UniformMatroid(n, k).indep_table())
+            assert repr(problem4_report(f, k).params["opt"]) == \
+                repr(want.value)
+            cases += 1
+    assert cases == 55
+
+
+def test_size_order_is_cached_read_only_by_size_then_mask():
+    for n in (1, 4, 7):
+        order, position, ends = verify._by_size(n)
+        assert verify._by_size(n)[0] is order
+        assert order.tolist() == sorted(
+            range(1 << n), key=lambda mask: (bin(mask).count("1"), mask))
+        assert position[order].tolist() == list(range(1 << n))
+        assert ends.tolist() == [sum(math.comb(n, i) for i in range(c + 1))
+                                 for c in range(n + 1)]
+        for part in (order, position, ends):
+            with pytest.raises(ValueError):
+                part[0] = 1
+
+
 def test_dummy_greedy_expectation_rejects_budget_outside_one_to_n():
     f = random_coverage(4, 0)
     for k in (0, 5):
