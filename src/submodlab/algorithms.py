@@ -332,13 +332,15 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
 
 
 def _intersection_tables(f: SetFunctionOracle, system: PSystem) -> tuple:
-    """f's value table and the independence table of ``system`` in the
-    native form of ``_candidates``, once f is checked against ``system``."""
+    """f's value table, the independence table of ``system`` and the unit
+    masks 1 << u in ascending u, the native arguments of ``_candidates``,
+    once f is checked against ``system``."""
     if f.n != system.n:
         raise ValueError("oracle and matroids must share the ground set")
     if f.monotone is not True:
         raise ValueError("objective must be certified monotone")
-    return memoryview(f.table()), system.indep_table().tobytes()
+    return (memoryview(f.table()), system.indep_table().tobytes(),
+            tuple(1 << u for u in range(f.n)))
 
 
 def intersection_candidates(f: SetFunctionOracle, system: PSystem,
@@ -351,38 +353,40 @@ def intersection_candidates(f: SetFunctionOracle, system: PSystem,
     maximum-weight T outside S with S | T common-independent (the search
     over the intersection's table with ``base=S``, no size target).
     """
-    values, indep = _intersection_tables(f, system)
+    values, indep, units = _intersection_tables(f, system)
     mask = _mask(mask, f.n, "mask")
     if not indep[mask]:
         raise ValueError("mask is not an independent set")
-    return _candidates(values, indep, f.n, mask)
+    best = _candidates(values, indep, units, mask)
+    return tuple(elements_of(best)) if best else None
 
 
-def _candidates(values, indep, n: int, mask: int) -> tuple | None:
-    """``intersection_candidates`` unchecked: ``mask`` must be independent.
-    ``values`` and ``indep`` are the value and independence tables indexed
-    by mask in native form, a float64 memoryview and bytes, on which each
-    search node is cheaper than on numpy scalars. Once some element
-    extends ``mask``, it checks the elements outside ``mask``, feasible or
-    not, against the budget, as the search does."""
+def _candidates(values, indep, units, mask: int) -> int:
+    """``intersection_candidates`` unchecked, as a mask, 0 once no element
+    extends ``mask``, which must be independent. ``values`` and ``indep``
+    are the value and independence tables indexed by mask in native form,
+    a float64 memoryview and bytes, on which each search node is cheaper
+    than on numpy scalars, and ``units`` the unit masks 1 << u in
+    ascending u. Each element outside ``mask`` becomes a ``(marginal,
+    bit)`` pair of ``_heaviest``. Once some element extends ``mask``, it
+    checks those pairs, feasible or not, against the budget, as the search
+    does."""
     here = values[mask]
-    weights = [0.0] * n
-    ground = []
+    pairs = []
     extends = False
-    for u in range(n):
-        bit = 1 << u
+    for bit in units:
         if not mask & bit:
-            ground.append(u)
-            weights[u] = values[mask | bit] - here
-            extends = extends or indep[mask | bit]
+            child = mask | bit
+            pairs.append((values[child] - here, bit))
+            extends = extends or indep[child]
     if not extends:
-        return None
-    _within("search", len(ground))
-    best = _heaviest(indep, weights, mask, ground)
+        return 0
+    _within("search", len(pairs))
+    best = _heaviest(indep, pairs, mask)
     if not best:
         raise ValueError(
             "all feasible marginals are negative; oracle is not monotone")
-    return tuple(elements_of(best))
+    return best
 
 
 def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
@@ -398,12 +402,13 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     """
     seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
-    values, indep = _intersection_tables(f, system)
+    values, indep, units = _intersection_tables(f, system)
     ranks = contracted_ranks(system)
     rank = int(ranks[0])
     state = 0
     records = []
-    while (options := _candidates(values, indep, f.n, state)) is not None:
+    while best := _candidates(values, indep, units, state):
+        options = elements_of(best)
         i = len(records)
         u = options[int(_round_rng(seed, i).integers(len(options)))]
         needed = rank - i
@@ -412,7 +417,7 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
         state |= 1 << u
         records.append({
             "round": i,
-            "candidates": list(options),
+            "candidates": options,
             "chosen": u,
             "marginal": marg,
             "value": f.value_mask(state),

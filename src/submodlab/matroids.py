@@ -26,12 +26,16 @@ toward the lowest element id, and the branch-and-prune search returns the
 first optimum found in weight-sorted include-first order. The search is
 one checked entry point, ``max_weight_common_independent``, over the
 unchecked ``_heaviest``, which the two-matroid random greedy's candidate
-rule runs at each state; the exact walk hands it the table as bytes, so a
-search makes no numpy lookups.
+rule runs at each state. ``_heaviest`` works on int masks end to end: it
+takes the table as bytes and the elements outside ``base`` as ``(weight,
+1 << u)`` pairs, and returns the chosen set as a mask, so a search makes
+no numpy lookups, no shifts and no weight lookups; the checked entry
+point turns that mask into its element list with ``elements_of``.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -247,34 +251,39 @@ def max_weight_common_independent(system: IndependenceSystem,
     tab = system.indep_table()
     if not tab[base]:
         raise ValueError("base is not an independent set")
-    return elements_of(_heaviest(tab.tobytes(), w.tolist(), base, elems))
+    w = w.tolist()
+    return elements_of(_heaviest(tab.tobytes(),
+                                 [(w[u], 1 << u) for u in elems], base))
 
 
-def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
+def _heaviest(indep: bytes, pairs: list, base: int) -> int:
     """The search of ``max_weight_common_independent``, unchecked: the mask
-    of the heaviest T over ``elems`` (the elements outside ``base``,
-    ascending) with ``indep[base | T]`` true, for an independence table
-    indexed by mask as bytes and a list of weights.
+    of the heaviest T outside ``base`` with ``indep[base | T]`` true, for
+    an independence table indexed by mask as bytes. ``pairs`` holds one
+    ``(weight, bit)`` pair per element outside ``base``, bit = 1 << u, in
+    ascending u; it is sorted in place, stably by descending weight, so
+    ties stay in ascending u.
 
     Include-first depth-first search in (-w, u) order on an explicit stack:
     a node is pruned when its weight plus the positive weight still to come
     is <= the best, and a leaf replaces the best only when heavier. The
-    positive weight to come sums over every element of ``elems``, but the
-    search visits only the feasible singletons, u with ``indep[base | 1 <<
-    u]`` true: the table is down-closed, so no other element joins any T.
-    The sums never increase along the order, so a prune at a skipped
-    element is a prune at the next visited one, or a leaf no heavier than
-    the best: every decision and the result are those of a search that
-    visits every element.
+    positive weight to come sums over every pair, but the search visits
+    only the feasible singletons, u with ``indep[base | bit]`` true: the
+    table is down-closed, so no other element joins any T. The sums never
+    increase along the order, so a prune at a skipped element is a prune
+    at the next visited one, or a leaf no heavier than the best: every
+    decision and the result are those of a search that visits every
+    element. Each visited element keeps ``(bit, weight, positive weight
+    from it on)``, so a search node makes no shift and no weight lookup.
     """
-    order = sorted(elems, key=w.__getitem__, reverse=True)  # stable: ties by u
-    visit = []  # (u, positive weight from u on) of each feasible u
+    pairs.sort(key=itemgetter(0), reverse=True)  # stable: ties keep u order
+    visit = []
     pos_suffix = 0.0
-    for u in reversed(order):
-        if w[u] > 0.0:  # adding a zero would leave the sum's bits as they are
-            pos_suffix += w[u]
-        if indep[base | 1 << u]:
-            visit.append((u, pos_suffix))
+    for weight, bit in reversed(pairs):
+        if weight > 0.0:  # adding a zero leaves the sum's bits as they are
+            pos_suffix += weight
+        if indep[base | bit]:
+            visit.append((bit, weight, pos_suffix))
     visit.reverse()
     k = len(visit)
 
@@ -288,14 +297,14 @@ def _heaviest(indep: bytes, w: list, base: int, elems: list) -> int:
                 if cur_w > best_w:
                     best_w, best_set = cur_w, mask
                 break
-            u, rest = visit[idx]
+            bit, weight, rest = visit[idx]
             if cur_w + rest <= best_w:
                 break
             idx += 1
-            if indep[mask | 1 << u]:
+            if indep[mask | bit]:
                 stack.append((idx, mask, cur_w))
-                mask |= 1 << u
-                cur_w += w[u]
+                mask |= bit
+                cur_w += weight
     return best_set ^ base
 
 
@@ -321,9 +330,9 @@ def contracted_ranks(system: IndependenceSystem) -> np.ndarray:
 def random_partition_matroid(n: int, seed: int) -> PartitionMatroid:
     rng = np.random.default_rng(seed)
     num_blocks = int(rng.integers(2, max(3, n // 2 + 1))) if n > 2 else 1
-    assignment = rng.integers(0, num_blocks, n)
-    blocks = [sorted(np.nonzero(assignment == j)[0].tolist())
-              for j in range(num_blocks)]
+    blocks = [[] for _ in range(num_blocks)]
+    for u, j in enumerate(rng.integers(0, num_blocks, n).tolist()):
+        blocks[j].append(u)  # ascending u
     blocks = [b for b in blocks if b]
     caps = [int(rng.integers(1, 3)) for _ in blocks]
     return PartitionMatroid(blocks, caps)

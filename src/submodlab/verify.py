@@ -365,24 +365,29 @@ def intersection_greedy_expectation(f: SetFunctionOracle,
     list, and the independence table as bytes. Every search node reads the
     independence table and every weight takes float arithmetic, both
     cheaper on native values than on numpy scalars. Each state then costs
-    one ``_candidates`` call.
+    one ``_candidates`` call, whose candidate mask it reads bit by bit
+    from the lowest, the ascending order of the candidate tuple; a child
+    already in the memo is read there, and only a new one is recursed
+    into.
     """
-    values, indep = _intersection_tables(f, system)
-    n = f.n
+    values, indep, units = _intersection_tables(f, system)
     memo: dict[int, float] = {}
 
     def rec(mask: int) -> float:
-        value = memo.get(mask)
-        if value is None:
-            options = _candidates(values, indep, n, mask)
-            if options is None:
-                value = values[mask]
-            else:
-                total = 0.0
-                for u in options:
-                    total += rec(mask | 1 << u)
-                value = total / len(options)
-            memo[mask] = value
+        options = _candidates(values, indep, units, mask)
+        if not options:
+            value = values[mask]
+        else:
+            total = 0.0
+            rest = options
+            while rest:
+                bit = rest & -rest  # the lowest candidate left
+                rest ^= bit
+                child = mask | bit
+                child_value = memo.get(child)
+                total += rec(child) if child_value is None else child_value
+            value = total / options.bit_count()
+        memo[mask] = value
         return value
 
     try:

@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 
-from submodlab.algorithms import (RunTrace, bicriteria_rounds,
+from submodlab.algorithms import (RunTrace, _candidates, bicriteria_rounds,
                                   dummy_candidates, intersection_candidates)
 from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
                                   CardinalityPolytope, KnapsackPolytope,
@@ -506,6 +506,14 @@ def intersection_candidates_ref(f, system, mask):
     return tuple(best)
 
 
+def candidates_tuple(values, indep, n, mask):
+    """``algorithms._candidates`` over the ground set {0..n-1}, its
+    candidate mask read in the form of ``intersection_candidates_ref``: the
+    elements as a tuple, None where the mask is 0."""
+    best = _candidates(values, indep, tuple(1 << u for u in range(n)), mask)
+    return tuple(elements_of(best)) if best else None
+
+
 class ReferenceIntersectionProcess(IntersectionProcess):
     """``IntersectionProcess`` with ``intersection_candidates_ref`` as its
     choices, each recorded in ``seen`` by mask."""
@@ -658,6 +666,19 @@ def coverage_table_lsb(f):
     for j in range(f.universe_weights.size):
         tab += f.universe_weights[j] * ((unions >> j) & 1)
     return tab
+
+
+def random_partition_matroid_ref(n, seed):
+    """Reference for ``matroids.random_partition_matroid``: the same draws,
+    each block read off the assignment by its own numpy scan."""
+    rng = np.random.default_rng(seed)
+    num_blocks = int(rng.integers(2, max(3, n // 2 + 1))) if n > 2 else 1
+    assignment = rng.integers(0, num_blocks, n)
+    blocks = [sorted(np.nonzero(assignment == j)[0].tolist())
+              for j in range(num_blocks)]
+    blocks = [b for b in blocks if b]
+    caps = [int(rng.integers(1, 3)) for _ in blocks]
+    return PartitionMatroid(blocks, caps)
 
 
 def partition_table_counts(m):

@@ -4,11 +4,11 @@ benchmark's own reference digests.
 
 Each test runs a fixed sweep: tables at n = 16-20, certified ratios at
 n = 6-12, problem-4 expectations at n = 12-16 (and one at n = 20, by its
-memory), and the instance seeds of perfbench/refs/*.json, read from those
-files. It collects one label per case that differs and asserts that none
-does, so a failure names every difference. It also asserts how many cases
-it compared, so an emptied sweep cannot pass. Together they take about a
-minute on two cores.
+memory), two-matroid walks at n = 14 and 16, and the instance seeds of
+perfbench/refs/*.json, read from those files. It collects one label per
+case that differs and asserts that none does, so a failure names every
+difference. It also asserts how many cases it compared, so an emptied
+sweep cannot pass. Together they take about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import pytest
 from submodlab import (algorithms, cli, continuous, matroids, oracles,
                        serialization, verify)
 
-from helpers import (ReferenceIntersectionProcess, coverage_table_lsb,
+from helpers import (ReferenceIntersectionProcess, candidates_tuple,
+                     coverage_table_lsb,
                      dag_walk, dummy_greedy_expectation_all_masks,
                      frank_wolfe_ref, gamma_loop, grid_opt_ref,
                      grid_oracle, grid_polytope, kernel_bits_differ, m_loop,
@@ -382,7 +383,7 @@ def test_pool_two_matroid_walks_and_runs_are_the_reference_rule(monkeypatch):
         for values in (f.table().tolist(), memoryview(f.table())):
             for mask, options in proc.seen.items():
                 states += 1
-                got = algorithms._candidates(values, indep, f.n, mask)
+                got = candidates_tuple(values, indep, f.n, mask)
                 if got != options:
                     bad.append(f"seed {seed} state {mask} over "
                                f"{type(values).__name__}: {got} != {options}")
@@ -393,6 +394,42 @@ def test_pool_two_matroid_walks_and_runs_are_the_reference_rule(monkeypatch):
                     != repr(random_greedy_intersection_ref(f, m1, m2, run)):
                 bad.append(f"seed {seed} run {run}: the trace differs")
     assert (walks, states, traces) == (240, 2 * 11231, 720)
+    assert bad == []
+
+
+# the two-matroid walk past the pool's n = 12: at n = 14 and 16, over two
+# partition matroids with coverage and monotone-perturbed objectives, and
+# over a graphic x partition pair, which no generator builds, the walk must
+# be the reference walk's expectation bit for bit, and its candidates at
+# every state the reference rule's
+def test_two_matroid_walk_at_n_14_and_16_is_the_reference_walk():
+    bad, walks, states = [], 0, 0
+    for n in (14, 16):
+        for seed in range(12):
+            for family in ("coverage", "perturbed", "graphic"):
+                f = _perturbed_monotone(n, seed) if family == "perturbed" \
+                    else oracles.random_coverage(n, seed)
+                first = matroids.random_graphic_matroid(n, seed) \
+                    if family == "graphic" \
+                    else matroids.random_partition_matroid(n, seed + 1)
+                system = matroids.PSystem(
+                    [first, matroids.random_partition_matroid(n, seed + 2)])
+                value = verify.intersection_greedy_expectation(f, system)
+                proc = ReferenceIntersectionProcess(f, system)
+                want = dag_walk(proc)
+                walks += 1
+                label = f"n = {n} seed {seed} {family}"
+                if repr(value) != repr(want):
+                    bad.append(f"{label}: expectation {value!r} != {want!r}")
+                values = memoryview(f.table())
+                indep = system.indep_table().tobytes()
+                for mask, options in proc.seen.items():
+                    states += 1
+                    got = candidates_tuple(values, indep, n, mask)
+                    if got != options:
+                        bad.append(f"{label} state {mask}: {got} != "
+                                   f"{options}")
+    assert (walks, states) == (72, 18812)
     assert bad == []
 
 

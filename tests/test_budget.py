@@ -13,7 +13,8 @@ from submodlab.algorithms import _candidates, frank_wolfe, masked_frank_wolfe
 from submodlab.continuous import (KnapsackPolytope, Polytope,
                                   QuadraticOracle, random_quadratic_dr,
                                   unit_box)
-from submodlab.matroids import UniformMatroid, max_weight_common_independent
+from submodlab.matroids import (PSystem, UniformMatroid,
+                                max_weight_common_independent)
 from submodlab.oracles import (BUDGET, CapabilityError, ModularOracle,
                                measure_ratios, random_perturbed)
 from submodlab.verify import grid_opt
@@ -42,8 +43,8 @@ def _mwci(size):
 
 def _candidates_at(size):
     n, mask = _search(size)
-    return _candidates(memoryview(np.zeros(1 << n)), b"\x01" * (1 << n), n,
-                       mask)
+    return _candidates(memoryview(np.zeros(1 << n)), b"\x01" * (1 << n),
+                       tuple(1 << u for u in range(n)), mask)
 
 
 def _grid_cells(cells):
@@ -96,6 +97,12 @@ SITES = {
         "common-independent search needs <= 18 elements"),
     "_candidates": (
         "search", (algorithms, "_heaviest"), _candidates_at,
+        "common-independent search needs <= 18 elements"),
+    # the walk meets the cap at its first state, before any search
+    "intersection_greedy_expectation": (
+        "search", (algorithms, "_heaviest"),
+        lambda n: verify.intersection_greedy_expectation(
+            ModularOracle(np.ones(n)), PSystem([UniformMatroid(n, 1)] * 2)),
         "common-independent search needs <= 18 elements"),
     "quadratic vertex check": (
         "vertex-check", (continuous, "subset_bits"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab.algorithms import _candidates
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 UniformMatroid, checked_partition,
                                 contracted_ranks,
@@ -10,16 +9,19 @@ from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
                                 random_partition_matroid)
-from submodlab.oracles import (BUDGET, CapabilityError, elements_of,
-                               mask_of,
+from submodlab.oracles import (BUDGET, CapabilityError, _sweep,
+                               elements_of, mask_of,
                                random_coverage, random_modular)
+from submodlab.verify import intersection_greedy_expectation
 
-from helpers import (TableMatroid, TableOracle, free_matroid, indep_ref,
+from helpers import (TableMatroid, TableOracle, candidates_tuple,
+                     free_matroid, indep_ref,
                      indep_table_ref, intersection_candidates_ref,
                      mask_message,
                      matroid_greedy, max_bipartite_matching,
                      max_weight_common_independent_ref,
-                     partition_table_counts, random_uniform_matroid,
+                     partition_table_counts,
+                     random_partition_matroid_ref, random_uniform_matroid,
                      verify_matroid_axioms)
 
 
@@ -279,6 +281,19 @@ def test_partition_table_matches_the_count_build(m):
     assert m.indep_table().tobytes() == partition_table_counts(m).tobytes()
 
 
+def test_random_partition_matroid_is_the_per_block_formula():
+    # one pass over the assignment gives each block the elements of its
+    # own numpy scan, from the same draws in the same order
+    compared = 0
+    for n in range(1, 21):
+        for seed in range(30):
+            got, want = random_partition_matroid(n, seed), \
+                random_partition_matroid_ref(n, seed)
+            assert (got.blocks, got.caps) == (want.blocks, want.caps)
+            compared += 1
+    assert compared == 600
+
+
 @pytest.mark.parametrize("n", [16, 17])
 def test_packed_counts_at_32_and_34_bits(n):
     # n singleton blocks with cap 0 take 2n bits: 32 fill the narrower
@@ -500,9 +515,9 @@ def test_search_and_candidates_match_the_recursive_reference(case):
         max_weight_common_independent_ref(system, weights, base)
     want = _outcome(intersection_candidates_ref, f, system, base)
     # the walk's native tables and the runner's numpy ones
-    assert _outcome(_candidates, f.table().tolist(),
+    assert _outcome(candidates_tuple, f.table().tolist(),
                     system.indep_table().tobytes(), f.n, base) == want
-    assert _outcome(_candidates, f.table(), system.indep_table(), f.n,
+    assert _outcome(candidates_tuple, f.table(), system.indep_table(), f.n,
                     base) == want
 
 
@@ -518,10 +533,41 @@ def test_candidates_cap_counts_every_element_outside_the_mask():
         indep = system.indep_table()
         for tables in ((values, indep), (values.tolist(), indep.tobytes())):
             if want is None:
-                assert _candidates(*tables, n, 0) is None
+                assert candidates_tuple(*tables, n, 0) is None
             else:
                 with pytest.raises(want):
-                    _candidates(*tables, n, 0)
+                    candidates_tuple(*tables, n, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(intersection_states(), st.sampled_from([-40, -20, 20, 40]),
+       st.integers(0, 10_000))
+def test_power_of_two_scaling_keeps_every_candidate_and_scales_the_walk(
+        case, j, seed):
+    # scaling a table or weights by 2^j scales every marginal, sum and
+    # quotient exactly (nothing here overflows or turns subnormal), so each
+    # comparison of the search, each candidate mask and each chosen set
+    # stays as it is and the walk returns exactly 2^j times its value; at
+    # 2^-40 an absolute tolerance anywhere in the rule would show
+    system, _, weights, _ = case
+    scale = 2.0 ** j
+    n = system.n
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    table = np.where(rng.random(size) < 0.5, rng.integers(0, 4, size),
+                     rng.uniform(0.0, 4.0, size))  # ties and plain floats
+    table[0] = 0.0
+    _sweep(table, np.maximum, upward=True)  # the max over subsets: monotone
+    f, scaled = (TableOracle(t, monotone=True) for t in (table, scale * table))
+    indep = system.indep_table()
+    for mask in np.nonzero(indep)[0].tolist():
+        assert candidates_tuple(scaled.table(), indep, n, mask) == \
+            candidates_tuple(f.table(), indep, n, mask)
+        assert max_weight_common_independent(
+            system, [scale * w for w in weights], mask) == \
+            max_weight_common_independent(system, weights, mask)
+    assert intersection_greedy_expectation(scaled, system) == \
+        scale * intersection_greedy_expectation(f, system)
 
 
 @pytest.mark.parametrize("base", [1 << 4, -1, 0b111, True, 2.0])
