@@ -35,6 +35,7 @@ from .oracles import (BUDGET, CEIL_GUARD, REL_TOL, SetFunctionOracle,
 
 _GRID_CELL = 3  # grid indices per cell side in grid_opt's pruned search
 _GRID_BATCH = 200_000  # most grid points grid_opt values in one batch
+_GRID_PLANS = 6  # member-cell plans grid_opt keeps, see ``_member_plan``
 
 
 @dataclass(frozen=True)
@@ -114,22 +115,34 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     equal maxima the first grid point in row-major order wins, whatever
     the search order.
 
-    The cells are bounded in one pass over batches of ``_GRID_BATCH``,
-    each built and valued once (a grid of at most ``_GRID_BATCH`` cells is
-    one batch, with its geometry cached by ``_grid_cells``). Each batch
-    raises the incumbent to its best member representative and keeps its
-    cells against that running incumbent. Points are valued in batches of
-    at most ``_GRID_BATCH`` (never one row, see ``_value_rows``). Memory is
-    one batch plus the kept cells' ids and bounds: at dimension 5 and
-    resolution 0.01 (45.4M cells, 228 batches) a call of the benchmark's
-    problem-1 objective peaked 103 MiB above the process. If nothing is
-    pruned, every cell is kept, at about 50 bytes each with the sort.
-    The dimension and the cell count are checked against the budget
-    before anything is allocated.
+    The cells are bounded in one pass over batches of ``_GRID_BATCH``
+    cells. Each batch values and bounds only its member cells, those whose
+    lower corner is a member (``_member_cells``), each once: at resolution
+    0.05 the benchmark's cardinality polytopes hold 84 of 343 cells
+    (n = 3), 1,540 of 2,401 (n = 4) and 6,258 of 16,807 (n = 5). A grid of
+    at most ``_GRID_BATCH`` cells is one batch, whose member cells are
+    built once per polytope and grid and cached (``_member_plan``). Each
+    batch raises the incumbent to its best member representative and keeps
+    its cells against that running incumbent. Points are valued in batches
+    of at most ``_GRID_BATCH`` (never one row, see ``_value_rows``).
+
+    Memory is the cache plus one batch plus the kept cells' ids and bounds.
+    A cached plan takes 24 n + 17 bytes per member cell, and a grid of at
+    most 200,000 cells has at most 161,051 (11^5) at n = 5 and 194,481
+    (21^4) at n = 4, so the ``_GRID_PLANS`` = 6 plans hold at most
+    6 * 161,051 * 137 bytes, 132 MB. At dimension 5 and resolution 0.01
+    (45.4M cells, 228 batches) a call of the benchmark's problem-1
+    objective peaked 103 MiB above the process. If nothing is pruned,
+    every cell is kept, at about 50 bytes each with the sort. The
+    resolution must be one positive finite number (a bool, a string or an
+    array raises ValueError), and the dimension and the cell count are
+    checked against the budget before anything is allocated.
     """
     _within("grid-dim", f.n)
-    if not (math.isfinite(resolution) and resolution > 0.0):
+    resolution = _reals(resolution, "resolution")
+    if resolution.ndim or not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError("resolution must be a positive finite number")
+    resolution = float(resolution)
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
     steps = 1.0 / resolution + CEIL_GUARD  # inf for a subnormal resolution
@@ -145,30 +158,31 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
         return _allowance(max([scale, *(abs(v) for v in values
                                         if math.isfinite(v))]))
 
-    incumbent, kept, bounds = -math.inf, [], []
+    incumbent = -math.inf
+    kept, bounds = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for start in range(0, total, _GRID_BATCH):
-        ids = np.arange(start, min(start + _GRID_BATCH, total))
-        cells = _grid_cells(f.n, resolution) if total <= _GRID_BATCH \
-            else _cell_geometry(f.n, resolution, ids)
+        cells, inside = _member_plan(polytope, resolution, total) \
+            if total <= _GRID_BATCH else _member_cells(
+                polytope, resolution,
+                np.arange(start, min(start + _GRID_BATCH, total)))
+        if not inside.size:
+            continue
         vals = _value_rows(f, cells.rep)
-        inside = polytope.member_many(cells.rep)
         if bool(inside.any()):
             incumbent = max(incumbent, float(vals[inside].max()))
         lipschitz = vals + f.value_lipschitz * cells.dist
-        rows = np.flatnonzero(polytope.member_many(cells.lower)
-                              & ~(lipschitz + margin(incumbent) < incumbent))
+        rows = np.flatnonzero(~(lipschitz + margin(incumbent) < incumbent))
         bound = _cell_bounds(f, polytope, cells.rep[rows], vals[rows],
                              cells.lo[rows], cells.hi[rows])
         keep = ~(bound + margin(incumbent) < incumbent)
-        kept.append(ids[rows[keep]])
+        kept.append(cells.ids[rows[keep]])
         bounds.append(bound[keep])
     kept, bound = np.concatenate(kept), np.concatenate(bounds)
     # best-first; a NaN bound never prunes, so it goes first
     order = np.argsort(-np.where(np.isnan(bound), math.inf, bound),
                        kind="stable")
     kept, bound = kept[order], bound[order]
-    offsets = np.indices((_GRID_CELL,) * f.n,
-                         dtype=np.int32).reshape(f.n, -1).T
+    offsets = _search_offsets(f.n)
     per_batch = max(1, _GRID_BATCH // len(offsets))
     grid_shape = (axis.size,) * f.n
     best_val, best_index, best_point = -math.inf, -1, None
@@ -214,10 +228,11 @@ def _grid_axis(resolution: float) -> np.ndarray:
 
 
 class _Cells(NamedTuple):
-    """The geometry of some of grid_opt's cells, one row per cell: the
-    cell's points are rep + d with lo <= d <= hi."""
+    """Some of grid_opt's cells, one row per cell: the cell's number in
+    row-major order and its geometry, the cell's points being rep + d
+    with lo <= d <= hi."""
 
-    lower: np.ndarray  # the lower corner
+    ids: np.ndarray
     rep: np.ndarray  # the representative, the cell's middle grid point
     lo: np.ndarray
     hi: np.ndarray
@@ -234,20 +249,55 @@ def _cell_geometry(n: int, resolution: float, ids: np.ndarray) -> _Cells:
     lo, hi = axis[low] - axis[mid], axis[high] - axis[mid]
     reach = np.maximum(-lo, hi)
     cells = np.column_stack(np.unravel_index(ids, (low.size,) * n))
-    return _Cells(axis[low][cells], axis[mid][cells], lo[cells], hi[cells],
+    return _Cells(ids, axis[mid][cells], lo[cells], hi[cells],
                   np.sqrt((reach * reach)[cells].sum(axis=1)))
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_cells(n: int, resolution: float) -> _Cells:
-    """The geometry of every cell of the grid, read-only. Only for grids of
-    at most _GRID_BATCH cells, so the four retained grids hold at most
-    4 * _GRID_BATCH * (32 n + 8) bytes, 134 MB at n = 5."""
-    per_axis = -(-_grid_axis(resolution).size // _GRID_CELL)
-    cells = _cell_geometry(n, resolution, np.arange(per_axis ** n))
-    for a in cells:
-        a.setflags(write=False)
-    return cells
+def _member_cells(polytope: Polytope, resolution: float, ids: np.ndarray
+                  ) -> tuple[_Cells, np.ndarray]:
+    """The member cells among ``ids``, those whose lower corner is a member
+    of the polytope (by down-closedness no other cell holds a member), and
+    whether each one's representative is a member. Only the lower corners
+    are gathered for every cell."""
+    corners = _grid_axis(resolution)[::_GRID_CELL]
+    lower = corners[np.column_stack(
+        np.unravel_index(ids, (corners.size,) * polytope.n))]
+    cells = _cell_geometry(polytope.n, resolution,
+                           ids[polytope.member_many(lower)])
+    return cells, polytope.member_many(cells.rep)
+
+
+_PLANS: dict = {}  # _member_plan's entries, least recently used first
+
+
+def _member_plan(polytope: Polytope, resolution: float, total: int
+                 ) -> tuple[_Cells, np.ndarray]:
+    """``_member_cells`` of all ``total`` cells of a grid of at most
+    _GRID_BATCH cells, read-only, cached under the resolution and the
+    membership rule by value (the box ``upper`` and ``linear_rows``), so
+    that equal polytopes built apart share one entry. At most _GRID_PLANS
+    entries stay, the least recently used going first."""
+    rows, bounds = polytope.linear_rows()
+    key = (resolution, tuple(polytope.upper.tolist()),
+           tuple(rows.ravel().tolist()), tuple(bounds.tolist()))
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        plan = _member_cells(polytope, resolution, np.arange(total))
+        for a in (*plan[0], plan[1]):
+            a.setflags(write=False)
+        if len(_PLANS) >= _GRID_PLANS:
+            del _PLANS[next(iter(_PLANS))]
+    _PLANS[key] = plan
+    return plan
+
+
+@functools.lru_cache(maxsize=None)  # n <= the grid-dim cap
+def _search_offsets(n: int) -> np.ndarray:
+    """The grid-index offsets of a cell's points from its lower corner, in
+    row-major order, read-only."""
+    offsets = np.indices((_GRID_CELL,) * n, dtype=np.int32).reshape(n, -1).T
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _cell_bounds(f: ContinuousOracle, polytope: Polytope, reps: np.ndarray,

@@ -230,18 +230,22 @@ def test_pool_grid_optimum_and_weak_dr_ratio(continuous_pool, monkeypatch):
 
 
 # member_many, which tests the box one column at a time, must give the
-# row-wise reference's bools for every distinct pool polytope, on the cell
-# representatives and lower corners grid_opt tests at resolution 0.05, and on
-# points within a few MEMBER_TOL of each box face and each linear row
+# row-wise reference's bools for every distinct pool polytope, on every cell
+# representative and lower corner at resolution 0.05 (grid_opt tests all
+# lower corners and the representatives of the cells whose lower corner is a
+# member), and on points within a few MEMBER_TOL of each box face and each
+# linear row
 def test_pool_membership_is_the_row_wise_rule(continuous_pool):
     tol = continuous.MEMBER_TOL
     offsets = tol * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     polytopes = {(inst.poly.family, inst.n): inst.poly
                  for inst in continuous_pool}
+    axis = np.minimum(1.0, 0.05 * np.arange(21))
     bad, compared = [], 0
     for (family, n), poly in sorted(polytopes.items()):
-        cells = verify._grid_cells(n, 0.05)
-        base = cells.rep[::97]
+        reps = verify._cell_geometry(n, 0.05, np.arange(7 ** n)).rep
+        lower = axis[::3][np.indices((7,) * n).reshape(n, -1).T]
+        base = reps[::97]
         faces = []
         for j in range(n):
             for face in (0.0, float(poly.upper[j])):
@@ -256,8 +260,8 @@ def test_pool_membership_is_the_row_wise_rule(continuous_pool):
                 past = edge.copy()
                 past[j] += d / row[j]
                 faces.append(past[None])
-        for what, pts in (("representatives", cells.rep),
-                          ("lower corners", cells.lower),
+        for what, pts in (("representatives", reps),
+                          ("lower corners", lower),
                           ("faces", np.concatenate(faces))):
             compared += len(pts)
             if not np.array_equal(poly.member_many(pts),

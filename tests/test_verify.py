@@ -13,7 +13,8 @@ from submodlab.algorithms import (_candidates, certificate_holds,
                                   frank_wolfe, multipass_greedy,
                                   random_greedy_dummies)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
-                                  ContinuousOracle, QuadraticOracle,
+                                  ContinuousOracle, KnapsackPolytope,
+                                  PartitionPolytope, QuadraticOracle,
                                   SumOracle, random_quadratic_dr,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
@@ -36,8 +37,8 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
                      brute_force_loop, dag_walk, grid_opt_ref, grid_oracle,
-                     grid_polytope, mean_and_se, recursive_best_subset,
-                     relabel, tree_walk)
+                     grid_polytope, mean_and_se, member_many_ref,
+                     recursive_best_subset, relabel, tree_walk)
 
 
 def linear_oracle(b):
@@ -334,16 +335,17 @@ def test_grid_opt_small_batches_match(monkeypatch, batch):
 
 
 def test_grid_opt_builds_and_values_each_cell_batch_once(monkeypatch):
-    # 4^3 = 64 cells in batches of 10: one geometry build and one value
+    # 4^3 = 64 cells in batches of 10: one member-cell build and one value
     # batch of representatives per batch of cells, then the search, one
     # cell per batch (10 // 27 rounds up to one), each holding its own
     # cell's representative again
     reps = verify._cell_geometry(3, 0.1, np.arange(64)).rep
-    geometry, built = verify._cell_geometry, []
+    members, built = verify._member_cells, []
     monkeypatch.setattr(verify, "_GRID_BATCH", 10)
-    monkeypatch.setattr(verify, "_cell_geometry", lambda n, resolution, ids:
+    monkeypatch.setattr(verify, "_member_cells",
+                        lambda polytope, resolution, ids:
                         built.append(ids.tolist())
-                        or geometry(n, resolution, ids))
+                        or members(polytope, resolution, ids))
     for seed in range(4):
         base = grid_oracle("sum", 3, seed)
         f = CountingOracle(base)
@@ -484,26 +486,150 @@ def test_grid_opt_second_order_bound_only_where_the_lipschitz_bound_keeps(
 
 def test_grid_cells_are_cached_read_only_and_bounded(monkeypatch):
     f = grid_oracle("sum", 3, 1)
-    verify._grid_cells.cache_clear()
-    assert_same_certificate(f, unit_box(3), 0.1)  # 4^3 cells
-    assert_same_certificate(f, CardinalityPolytope(3, 1), 0.1)
-    info = verify._grid_cells.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    for a in verify._grid_cells(3, 0.1):
-        assert len(a) == 4 ** 3 and not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.5
+    members, built = verify._member_cells, []
+    monkeypatch.setattr(verify, "_member_cells",
+                        lambda polytope, resolution, ids:
+                        built.append(ids.size)
+                        or members(polytope, resolution, ids))
+    verify._PLANS.clear()
+    for poly in (unit_box(3), unit_box(3), CardinalityPolytope(3, 1)):
+        assert_same_certificate(f, poly, 0.1)  # 4^3 cells
+    # one build per membership rule, each of the whole grid
+    assert built == [4 ** 3, 4 ** 3] and len(verify._PLANS) == 2
+    for cells, inside in verify._PLANS.values():
+        for a in (*cells, inside):
+            assert len(a) == len(inside) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
     # a grid of more than _GRID_BATCH cells is built per batch, not kept
     monkeypatch.setattr(verify, "_GRID_BATCH", 4 ** 3 - 1)
-    verify._grid_cells.cache_clear()
+    verify._PLANS.clear()
     assert_same_certificate(f, unit_box(3), 0.1)
-    assert verify._grid_cells.cache_info().currsize == 0
-    # whichever grids were searched, at most maxsize stay
+    assert verify._PLANS == {}
+    # whichever grids were searched, at most _GRID_PLANS stay, the most
+    # recently used ones
     monkeypatch.undo()
     for k in range(12):
         grid_opt(f, unit_box(3), 0.05 + k / 100)
-    info = verify._grid_cells.cache_info()
-    assert info.currsize == info.maxsize == 4
+    assert len(verify._PLANS) == verify._GRID_PLANS == 6
+    assert [key[0] for key in verify._PLANS] == [0.05 + k / 100
+                                                for k in range(6, 12)]
+    for k in (6, 0):
+        grid_opt(f, unit_box(3), 0.05 + k / 100)
+    assert [key[0] for key in verify._PLANS] == [0.05 + k / 100
+                                                for k in (8, 9, 10, 11, 6, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_member_plan_is_the_filtered_cell_geometry(n):
+    # the cached plan is the full geometry's rows whose lower corner is a
+    # member, the same floats, with each representative's membership
+    for resolution in (0.05, 0.1, 0.3, 1.0, 2.0):
+        axis = np.minimum(1.0, resolution * np.arange(
+            int(math.floor(1.0 / resolution + 1e-9)) + 1))
+        per_axis = -(-axis.size // verify._GRID_CELL)
+        ids = np.arange(per_axis ** n)
+        full = verify._cell_geometry(n, resolution, ids)
+        lower = axis[::verify._GRID_CELL][
+            np.indices((per_axis,) * n).reshape(n, -1).T]
+        for family in ("box", "cardinality", "partition", "knapsack"):
+            for seed in range(3):
+                poly = grid_polytope(family, n, seed)
+                member = member_many_ref(poly, lower)
+                cells, inside = verify._member_plan(poly, resolution,
+                                                    ids.size)
+                for got, want in zip(cells, full):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want[member])
+                assert np.array_equal(
+                    inside, member_many_ref(poly, full.rep[member]))
+
+
+@pytest.mark.parametrize("n, k, members", [(3, 1, 84), (4, 2, 1540),
+                                           (5, 2, 6258)])
+def test_grid_opt_values_only_the_member_cells(n, k, members):
+    # the benchmark's cardinality polytopes at resolution 0.05: the first
+    # pass values the middle points of the member cells alone
+    f = CountingOracle(grid_oracle("sum", n, 3))
+    assert_same_certificate(f, CardinalityPolytope(n, k), 0.05)
+    f.batches = []
+    grid_opt(f, CardinalityPolytope(n, k), 0.05)
+    assert len(f.batches[0]) == members
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+def test_grid_opt_batches_without_members(monkeypatch, batch):
+    # small batches of cells: some hold no member cell, some exactly one
+    monkeypatch.setattr(verify, "_GRID_BATCH", batch)
+    sizes = Counter()
+    for poly in (CardinalityPolytope(3, 1), grid_polytope("knapsack", 3, 4),
+                 BoxPolytope([0.0] * 3), BoxPolytope([0.0, 0.5, 0.0])):
+        for start in range(0, 64, batch):
+            ids = np.arange(start, min(start + batch, 64))
+            sizes[len(verify._member_cells(poly, 0.1, ids)[1])] += 1
+        for seed in range(3):
+            assert_same_certificate(grid_oracle("sum", 3, seed), poly, 0.1)
+    assert sizes[0] > 0 and sizes[1] > 0
+
+
+def test_grid_opt_one_member_cell_without_a_member_middle_point():
+    # only the origin's cell holds members, and its middle point is none
+    poly = BoxPolytope([0.0] * 3)
+    cells, inside = verify._member_cells(poly, 0.1, np.arange(64))
+    assert cells.ids.tolist() == [0] and inside.tolist() == [False]
+    for family in ("quadratic", "sqrt-linear", "sum"):
+        cert = assert_same_certificate(grid_oracle(family, 3, 5), poly, 0.1)
+        assert cert.maximizer == [0.0, 0.0, 0.0]
+
+
+def test_member_plans_are_keyed_by_the_membership_rule():
+    f = grid_oracle("sum", 3, 2)
+
+    def entries(*grids):
+        verify._PLANS.clear()
+        for poly, resolution in grids:
+            grid_opt(f, poly, resolution)
+        return len(verify._PLANS)
+
+    # equal polytopes built apart share one entry, whatever their family
+    # or the type of the resolution
+    assert entries((CardinalityPolytope(3, 1), 0.1),
+                   (CardinalityPolytope(3, 1), np.float64(0.1)),
+                   (PartitionPolytope([[0, 1, 2]], [1]), 0.1)) == 1
+    assert entries((KnapsackPolytope([0.5, 0.25, 1.0], 0.75), 0.1),
+                   (KnapsackPolytope(np.array([0.5, 0.25, 1.0]), 0.75),
+                    0.1)) == 1
+    assert entries((unit_box(3), 0.1), (BoxPolytope([1.0, 1.0, 1.0]), 0.1),
+                   (PartitionPolytope([[0], [1], [2]], [1, 1, 1]), 0.1)) == 2
+    # another cap, upper bound, cost, budget or resolution does not
+    assert entries((CardinalityPolytope(3, 1), 0.1),
+                   (CardinalityPolytope(3, 2), 0.1),
+                   (BoxPolytope([1.0, 1.0, 0.5]), 0.1),
+                   (unit_box(3), 0.1)) == 4
+    assert entries((KnapsackPolytope([0.5, 0.25, 1.0], 0.75), 0.1),
+                   (KnapsackPolytope([0.5, 0.25, 1.0], 0.8), 0.1),
+                   (KnapsackPolytope([0.5, 0.3, 1.0], 0.75), 0.1),
+                   (KnapsackPolytope([0.5, 0.25, 1.0], 0.75), 0.2)) == 4
+
+
+@pytest.mark.parametrize("resolution", [True, "0.5", np.array([0.5]),
+                                        [0.5], None])
+def test_grid_opt_resolution_is_one_number(resolution):
+    f = linear_oracle(np.ones(2))
+    with pytest.raises(ValueError, match="resolution"):
+        grid_opt(f, unit_box(2), resolution)
+
+
+def test_grid_opt_resolution_of_any_number_type():
+    f = grid_oracle("sum", 2, 1)
+    want = grid_opt(f, unit_box(2), 0.5)
+    for resolution in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        got = grid_opt(f, unit_box(2), resolution)
+        assert (got.value, got.maximizer, got.radius) \
+            == (want.value, want.maximizer, want.radius)
+        assert type(got.radius) is float
+    assert grid_opt(f, unit_box(2), 1).maximizer \
+        == grid_opt(f, unit_box(2), 1.0).maximizer
 
 
 # ---------------------------------------------------------------------------
