@@ -6,12 +6,17 @@ Matroids and p-systems are ``IndependenceSystem``s: each answers
 independence (``indep_mask``) from its 2^n bool table, ``indep_table()``,
 which ``oracles._Table``, the one base of the value tables too, caps,
 builds once and caches read-only; a subclass only builds it. A uniform
-matroid is the one-block partition matroid. Partition tables come from
-per-block counts packed into one integer per subset, with a guard bit that
-a count over its block's cap carries into, by ``oracles._doubled``; graphic
-tables from per-subset component labels, by a doubling whose every step
-reads the labels just built. A p-system is built from matroids only, and
-its table is theirs ANDed in place into a copy of the first.
+matroid is the one-block partition matroid. A partition matroid states
+its per-block counters once (``counters``): each gets the bits of its
+block's size and a guard bit above them that a count over the cap carries
+into. Partition matroids and p-systems build their tables with one kernel,
+``_common_table``: it packs the counters of every partition member into
+as few 64-bit words as first-fit gives (one word for a partition matroid
+alone, and for most p-systems), fills each word for every subset by
+``oracles._doubled`` and reads its guard bits once. Graphic tables
+come from per-subset component labels, by a doubling whose every step
+reads the labels just built. A p-system is built from matroids only; the
+table of a member that is not a partition matroid is ANDed in whole.
 ``checked_partition`` takes integer elements and caps only.
 
 The common-independent search's int mask ``base`` is an independent set S
@@ -43,6 +48,8 @@ import numpy as np
 from .oracles import (SetFunctionOracle, _doubled, _finite, _integer,
                       _mask, _sweep, _Table, _within, elements_of, mask_of,
                       popcounts)
+
+_ROW_BITS = 15  # a row of 2^15 codes, 256 KiB at 64 bits, stays in cache
 
 
 def checked_partition(blocks: Sequence, caps: Sequence) -> tuple:
@@ -92,16 +99,13 @@ class PartitionMatroid(Matroid):
         super().__init__(sum(len(b) for b in blocks))
         self.blocks = blocks
         self.caps = caps
-
-    def _build_table(self) -> np.ndarray:
-        # Each mask's per-block counts packed into one integer: a block
-        # with cap < size gets size.bit_length() bits, started at 2^width -
-        # 1 - cap so a count over the cap carries into the guard bit above
-        # them: at most 2n <= 40 bits in all, kept in the narrowest
-        # unsigned type that holds them.
+        # The packed block counters (start, per-element units, guard,
+        # bits): a block with cap < size gets size.bit_length() bits,
+        # started at 2^width - 1 - cap so a count over the cap carries
+        # into the guard bit above them, at most 2n <= 40 bits in all.
         unit = [0] * self.n
         start = guard = shift = 0
-        for block, cap in zip(self.blocks, self.caps):
+        for block, cap in zip(blocks, caps):
             if cap < len(block):
                 width = len(block).bit_length()
                 for u in block:
@@ -109,8 +113,10 @@ class PartitionMatroid(Matroid):
                 start |= ((1 << width) - 1 - cap) << shift
                 guard |= 1 << (shift + width)
                 shift += width + 1
-        codes = _doubled(start, unit, dtype=np.min_scalar_type(guard))
-        return (codes & guard) == 0
+        self.counters = (start, tuple(unit), guard, shift)
+
+    def _build_table(self) -> np.ndarray:
+        return _common_table(self.n, (self,))
 
 
 class UniformMatroid(PartitionMatroid):
@@ -185,10 +191,49 @@ class PSystem(IndependenceSystem):
         self.p = len(matroids)
 
     def _build_table(self) -> np.ndarray:
-        tab = self.matroids[0].indep_table().copy()
-        for m in self.matroids[1:]:
-            tab &= m.indep_table()
-        return tab
+        return _common_table(self.n, self.matroids)
+
+
+def _common_table(n: int, matroids) -> np.ndarray:
+    """The AND of the matroids' independence tables over {0..n-1}.
+
+    The partition members' counters go first-fit into words of at most 64
+    bits, each member's shifted above those already in its word; no
+    counter carries past its own guard bit, so each word needs one guard
+    test. A word's codes come from two ``_doubled`` passes in the narrowest
+    unsigned type that holds it: one over the first min(n, 15) elements,
+    one row of the table, and one over the rest, an offset per row; a row
+    is tested at its offset while it is in cache. The table of any other
+    member is ANDed in after the words.
+    """
+    words: list[list] = []
+    others = []
+    for m in matroids:
+        if not isinstance(m, PartitionMatroid):
+            others.append(m)
+            continue
+        start, unit, guard, bits = m.counters
+        for word in words:
+            shift = word[3]
+            if shift + bits <= 64:
+                word[0] |= start << shift
+                word[1] = [a | b << shift for a, b in zip(word[1], unit)]
+                word[2] |= guard << shift
+                word[3] += bits
+                break
+        else:
+            words.append([start, unit, guard, bits])
+    low = min(n, _ROW_BITS)
+    tab = np.ones((1 << (n - low), 1 << low), dtype=bool)
+    for start, unit, guard, _ in words:
+        dtype = np.min_scalar_type(guard)
+        codes = _doubled(start, unit[:low], dtype=dtype)
+        for row, offset in zip(tab, _doubled(0, unit[low:], dtype=dtype)):
+            row &= ((codes + offset) & guard) == 0
+    tab = tab.reshape(-1)
+    for m in others:
+        tab &= m.indep_table()
+    return tab
 
 
 def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
@@ -201,22 +246,28 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
     no part in independence. For oracles certified monotone the loop also
     stops once the best available marginal is <= 0 (a numerical guard;
     monotone oracles only produce such marginals as zeros or float noise).
+
+    Both tables are read through memoryviews, so each marginal is the
+    difference of two Python floats, bit for bit the value table's own.
     """
     if system.n != f.n:
         raise ValueError("oracle and independence system sizes differ")
     given = _mask(given, f.n, "given")
-    tab = system.indep_table()
+    values = memoryview(f.table())
+    indep = memoryview(system.indep_table())
+    units = [1 << u for u in range(f.n)]
     stop_at_nonpositive = f.monotone is True
     chosen: list[int] = []
     sel = 0
     while True:
+        cur = given | sel
+        base = values[cur]
         best_u = -1
         best_marg = 0.0
-        for u in range(f.n):
-            bit = 1 << u
-            if (given | sel) & bit or not tab[sel | bit]:
+        for u, bit in enumerate(units):
+            if cur & bit or not indep[sel | bit]:
                 continue
-            marg = f.marginal_mask(u, given | sel)
+            marg = values[cur | bit] - base
             if best_u < 0 or marg > best_marg:
                 best_u, best_marg = u, marg
         if best_u < 0:
@@ -224,7 +275,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
         if stop_at_nonpositive and best_marg <= 0.0:
             break
         chosen.append(best_u)
-        sel |= 1 << best_u
+        sel |= units[best_u]
     return chosen
 
 

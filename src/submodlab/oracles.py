@@ -73,7 +73,10 @@ def _within(name: str, size, what: str = "") -> None:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int if it is an integer (not a bool), else
-    ValueError: a float or a string is never truncated or parsed."""
+    ValueError: a float or a string is never truncated or parsed. An exact
+    int, the common case, is returned as it is."""
+    if type(value) is int:
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
@@ -277,13 +280,20 @@ class CoverageOracle(SetFunctionOracle):
         # Each mask's union of covers, then its items' weights folded from
         # 0.0 upward: the first k by one lookup into their modular table (a
         # per-item pass adds the same weights in the same order), the rest
-        # by a pass each.
+        # by a pass each, which adds w[j] or 0.0. The passes read the items
+        # past k from one copy of the unions shifted right by k, in the
+        # narrowest unsigned type that holds them, shifted one bit further
+        # in place after each pass.
         unions = _doubled(0, self._cover_masks, np.bitwise_or, np.int64)
         w = self.universe_weights
         k = min(w.size, self.n)
         tab = _doubled(0.0, w[:k])[unions & ((1 << k) - 1)]
-        for j in range(k, w.size):
-            tab += w[j] * ((unions >> j) & 1)
+        if w.size > k:
+            tail = (unions >> k).astype(
+                np.min_scalar_type((1 << (w.size - k)) - 1))
+            for wj in w[k:]:
+                tab += wj * (tail & 1)
+                tail >>= 1
         return tab
 
 

@@ -1,8 +1,9 @@
 """Shared structured text format for instances, polytopes, matroids, and
 run traces.
 
-Documents are plain JSON with sorted keys; floats round-trip bit-exactly
-through Python's shortest-repr float encoding. One table, CODECS, gives
+Documents are plain JSON with sorted keys and an indent of two, written
+by ``canonical_json`` in one pass; floats round-trip bit-exactly through
+Python's shortest-repr float encoding. One table, CODECS, gives
 each serializable class its document kind and constructor arguments; the
 document stores those arguments under their own names and is read back by
 calling the class with them. Seeded constructions (the perturbed family)
@@ -13,6 +14,8 @@ deterministically on load.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,104 @@ SCHEMA = "submodlab/1"
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``doc`` as text: ``json.dumps(doc, sort_keys=True, indent=2)`` and a
+    line break, byte for byte, written in one recursive pass.
+
+    It keeps that encoder's whole contract: keys sorted as
+    ``sorted(d.items())`` sorts them, and float, int, bool and None keys
+    turned into strings; strings escaped to ASCII; ints and floats
+    (subclasses such as ``np.float64`` included) through ``int.__repr__``
+    and ``float.__repr__``; NaN and the infinities as NaN, Infinity and
+    -Infinity; empty containers as [] and {}; and the same errors, a
+    TypeError for a value or key it cannot encode and a ValueError for a
+    circular reference.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# exact scalar type -> its text; subclasses take the isinstance chain
+_TEXT = {str: _escape, int: int.__repr__, float: _float_text,
+         bool: lambda v: "true" if v else "false",
+         type(None): lambda v: "null"}
+
+
+def _write(value, newline: str, out: list, open_ids: set) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is the line
+    break and indent of its own line, and ``open_ids`` holds the ids of
+    the containers being written around it."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        out.append(_scalar(value))
+        return
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+    inner = newline + "  "
+    sep = "," + inner
+    first = len(out) + 1  # the first item's separator, which loses its comma
+    if is_dict:
+        out.append("{")
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(_escape(key if isinstance(key, str) else _key(key)))
+            out.append(": ")
+            text = _TEXT.get(type(item))
+            if text is not None:
+                out.append(text(item))
+            else:
+                _write(item, inner, out, open_ids)
+        out.append(newline + "}")
+    else:
+        out.append("[")
+        for item in value:
+            out.append(sep)
+            text = _TEXT.get(type(item))
+            if text is not None:
+                out.append(text(item))
+            else:
+                _write(item, inner, out, open_ids)
+        out.append(newline + "]")
+    out[first] = inner
+    open_ids.discard(id(value))
+
+
+def _scalar(value) -> str:
+    """The text of a value that is not a list, tuple or dict."""
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key that is not a str as the string JSON writes for it."""
+    if key is None or isinstance(key, (int, float)):
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 # class -> (document kind, constructor arguments). Each argument is stored

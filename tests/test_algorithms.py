@@ -18,8 +18,8 @@ from submodlab.matroids import (PSystem, UniformMatroid,
                                 random_graphic_matroid,
                                 random_partition_matroid,
                                 random_partition_psystem)
-from submodlab.oracles import (ModularOracle, random_coverage, random_cut,
-                               random_modular, random_perturbed)
+from submodlab.oracles import (ModularOracle, _sweep, random_coverage,
+                               random_cut, random_modular, random_perturbed)
 from submodlab.serialization import canonical_json, to_doc
 from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
                               intersection_greedy_expectation)
@@ -329,6 +329,30 @@ def test_multipass_matches_reference_passes(seed, n, p, eps, perturbed):
     system = random_partition_psystem(n, p, seed)
     trace = multipass_greedy(f, system, eps)
     iterations, final, meta = multipass_reference(f, system, eps)
+    assert trace.iterations == iterations
+    assert trace.final == final
+    assert trace.meta == meta
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.sampled_from([1, 2, 3]),
+       st.sampled_from([2, 3, 6]), st.booleans())
+def test_multipass_matches_reference_passes_on_tied_tables(seed, n, p, levels,
+                                                           graphic):
+    # a monotone table of a few integer levels: most marginals tie, many at
+    # zero, so the lowest-id rule and the stop at a zero marginal decide
+    # most picks of each pass
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, levels, 1 << n).astype(float)
+    table[0] = 0.0
+    _sweep(table, np.maximum, upward=True)
+    f = TableOracle(table, monotone=True)
+    members = list(random_partition_psystem(n, p, seed).matroids)
+    if graphic:
+        members[0] = random_graphic_matroid(n, seed)
+    system = PSystem(members)
+    trace = multipass_greedy(f, system, 0.2)
+    iterations, final, meta = multipass_reference(f, system, 0.2)
     assert trace.iterations == iterations
     assert trace.final == final
     assert trace.meta == meta

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +306,45 @@ def test_packed_counts_at_32_and_34_bits(n):
             partition_table_counts(m).tobytes()
 
 
+def test_psystem_counters_over_several_words():
+    # four cap-0 singleton matroids take 40 bits each at n = 20, one word
+    # apiece; two 30-bit counters share one word and the 20- and 6-bit
+    # ones a second. At n > 15 each word is tested row by row.
+    n = 20
+    singletons = [[u] for u in range(n)]
+    pairs = [[u, u + 1] for u in range(0, n, 2)]
+    shifted = [[0, n - 1]] + [[u, u + 1] for u in range(1, n - 1, 2)]
+    for members in (
+            [PartitionMatroid(singletons, [0] * n)] * 4,
+            [PartitionMatroid(pairs, [1] * 10),
+             PartitionMatroid(shifted, [1] * 10),
+             PartitionMatroid(singletons, [u % 2 for u in range(n)]),
+             UniformMatroid(n, 7)]):
+        system = PSystem(members)
+        assert sum(m.counters[3] for m in members) > 64
+        want = np.logical_and.reduce([partition_table_counts(m)
+                                      for m in members])
+        assert system.indep_table().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_psystem_of_mixed_members_matches_the_reference(n):
+    # graphic and test-table members are ANDed in after the packed words
+    # of the uniform and partition ones, or make the whole table
+    graphic = random_graphic_matroid(n, n)
+    rows = indep_table_ref(random_partition_matroid(n, 5))
+    table = TableMatroid(rows)
+    for members in ([graphic, UniformMatroid(n, n // 2),
+                     random_partition_matroid(n, 1)],
+                    [random_partition_matroid(n, 2), graphic,
+                     PartitionMatroid([range(n)], [n]), table],
+                    [graphic, table]):
+        want = np.logical_and.reduce([rows if m is table
+                                      else indep_table_ref(m)
+                                      for m in members])
+        assert PSystem(members).indep_table().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("blocks, caps, message", [
     ([[0, 1], [2]], [1], "need one capacity per block"),
     ([[0, 1], [2]], [1, -1], "capacities must be nonnegative"),
@@ -474,12 +515,18 @@ def partition_with_loops(n: int, seed: int) -> PartitionMatroid:
     return PartitionMatroid(m.blocks, caps)
 
 
+# weights whose 2^j multiples, |j| <= 40, are all zero or normal floats
+NORMAL_WEIGHTS = st.floats(-1.0, 2.0).filter(
+    lambda w: w == 0.0 or abs(w) >= 2.0 ** -960)
+
+
 @st.composite
-def intersection_states(draw):
+def intersection_states(draw, weights=st.floats(-1.0, 2.0)):
     """A partition or graphic pair at n <= 10, the partition ones with or
-    without a block of loops, an independent base, float weights with ties
-    and negative entries, and an oracle whose value table has ties and,
-    unless it is a coverage one, negative marginals."""
+    without a block of loops, an independent base, float weights drawn
+    from ``weights`` or with ties and negative entries, and an oracle
+    whose value table has ties and, unless it is a coverage one, negative
+    marginals."""
     n = draw(st.integers(1, 10))
     seed = draw(st.integers(0, 10_000))
     make = draw(st.sampled_from([random_partition_matroid,
@@ -491,7 +538,7 @@ def intersection_states(draw):
         if indep_ref(system, base | 1 << u):
             base |= 1 << u
     weights = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
-                            | st.floats(-1.0, 2.0), min_size=n, max_size=n))
+                            | weights, min_size=n, max_size=n))
     if draw(st.booleans()):
         f = random_coverage(n, seed)
     else:
@@ -540,12 +587,13 @@ def test_candidates_cap_counts_every_element_outside_the_mask():
 
 
 @settings(max_examples=60, deadline=None)
-@given(intersection_states(), st.sampled_from([-40, -20, 20, 40]),
-       st.integers(0, 10_000))
+@given(intersection_states(NORMAL_WEIGHTS),
+       st.sampled_from([-40, -20, 20, 40]), st.integers(0, 10_000))
 def test_power_of_two_scaling_keeps_every_candidate_and_scales_the_walk(
         case, j, seed):
     # scaling a table or weights by 2^j scales every marginal, sum and
-    # quotient exactly (nothing here overflows or turns subnormal), so each
+    # quotient exactly (nothing here overflows or turns subnormal: the
+    # weights are drawn from NORMAL_WEIGHTS for that), so each
     # comparison of the search, each candidate mask and each chosen set
     # stays as it is and the walk returns exactly 2^j times its value; at
     # 2^-40 an absolute tolerance anywhere in the rule would show
@@ -568,6 +616,18 @@ def test_power_of_two_scaling_keeps_every_candidate_and_scales_the_walk(
             max_weight_common_independent(system, weights, mask)
     assert intersection_greedy_expectation(scaled, system) == \
         scale * intersection_greedy_expectation(f, system)
+
+
+def test_a_subnormal_weight_scaled_by_two_to_the_minus_40_flushes_to_zero():
+    # the boundary of the scaling test's premise: below 2^-960 a weight's
+    # 2^-40 multiple can underflow to -0.0, which ties the empty set, and
+    # the include-first search then keeps the element
+    system = PSystem([UniformMatroid(1, 1)] * 2)
+    w = -2.2250738585e-313
+    assert math.copysign(1.0, w * 2.0 ** -40) == -1.0
+    assert w * 2.0 ** -40 == 0.0
+    assert max_weight_common_independent(system, [w]) == []
+    assert max_weight_common_independent(system, [w * 2.0 ** -40]) == [0]
 
 
 @pytest.mark.parametrize("base", [1 << 4, -1, 0b111, True, 2.0])

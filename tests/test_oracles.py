@@ -59,6 +59,19 @@ def test_mask_of_takes_integer_elements_only(bad):
         ModularOracle([1.0, 2.0, 3.0]).value([bad])
 
 
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=repr)
+def test_integer_returns_an_exact_int(value):
+    got = oracles._integer(value, "things")
+    assert type(got) is int and got == 3
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, "3", None],
+                         ids=repr)
+def test_integer_rejects_bools_floats_and_strings(bad):
+    with pytest.raises(ValueError, match="^things must be integers, not"):
+        oracles._integer(bad, "things")
+
+
 def test_marginal_can_be_negative_for_cut():
     f = CutOracle(2, [(0, 1, 2.0)])
     assert marginal(f, 1, {0}) == -2.0
@@ -519,6 +532,24 @@ def coverage_instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(coverage_instances())
 def test_coverage_table_matches_lsb_build(f):
+    assert f.table().tobytes() == coverage_table_lsb(f).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 6, 10, 11, 18, 19, 27, 42, 62])
+def test_coverage_tail_matches_lsb_build(m):
+    # at n = 10: no tail (m <= n), tails of one and eight items (a uint8
+    # copy), nine (uint16), 17 and 32 (uint32) and the widest, 52 (uint64);
+    # weights hold -0.0, subnormals and zeros
+    n = 10
+    rng = np.random.default_rng(m)
+    covers = [sorted(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                replace=False).tolist()) for _ in range(n)]
+    covers[0] = list(range(n, m))  # every tail item is covered somewhere
+    weights = rng.uniform(0.0, 2.0, m)
+    weights[::5] = -0.0
+    weights[1::7] = 5e-324
+    weights[2::9] = 0.0
+    f = CoverageOracle(n, covers, weights)
     assert f.table().tobytes() == coverage_table_lsb(f).tobytes()
 
 

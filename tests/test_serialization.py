@@ -1,11 +1,13 @@
 import copy
 import functools
+import json
 import math
 import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import random_greedy_dummies
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
@@ -200,3 +202,57 @@ def test_monotone_noise_must_be_a_bool(value):
     doc["monotone_noise"] = value
     with pytest.raises(ValueError, match="^monotone_noise: .* is not a bool$"):
         from_doc(doc)
+
+
+def _written(write, doc):
+    """The text ``write`` gives for ``doc``, or its exception's type and
+    message."""
+    try:
+        return write(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+SCALARS = st.one_of(
+    st.integers(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.sampled_from(["é", " ", "\ud800", "🙂", '"\\/', ""]))
+KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                 st.none())
+# mostly one kind of key per dict (sortable), sometimes mixed (a TypeError
+# from the sort in both writers), a tuple key (a TypeError of the key) or
+# a value JSON has no text for (np.int64 and np.bool_ included)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3) | st.booleans() | st.none(),
+                        inner, max_size=4),
+        st.dictionaries(st.floats(), inner, max_size=3),
+        st.dictionaries(KEYS, inner, max_size=2),
+        st.dictionaries(st.tuples(st.integers()), inner, max_size=1),
+        st.lists(st.sampled_from([np.int64(3), np.bool_(True), object()]),
+                 max_size=1)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCS)
+def test_canonical_json_is_the_indented_json_encoder(doc):
+    assert _written(canonical_json, doc) == _written(_dumps, doc)
+
+
+def test_canonical_json_rejects_circular_documents():
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    shared = [1.5]
+    for doc in (loop, [loop], {"x": shared, "y": [shared, shared]}):
+        assert _written(canonical_json, doc) == _written(_dumps, doc)
+    assert _written(canonical_json, loop)[0] is ValueError
