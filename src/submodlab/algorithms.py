@@ -22,8 +22,7 @@ import numpy as np
 
 from .continuous import (ContinuousOracle, Polytope, _checked_list,
                          _masked_step)
-from .matroids import (Matroid, PSystem, _heaviest, contracted_ranks,
-                       psystem_greedy_marginal)
+from .matroids import Matroid, PSystem, _heaviest, psystem_greedy_marginal
 from .oracles import (SetFunctionOracle, _count, _finite, _integer, _mask,
                       _within, elements_of, mask_of)
 
@@ -261,8 +260,8 @@ def check_budget(k: int, n: int) -> None:
 
 
 def dummy_candidates(f: SetFunctionOracle, k: int, masks):
-    """The dummy tie rule of random greedy under the budget k, for an int
-    array of real masks R.
+    """The dummy tie rule of random greedy under the budget k, for a 1-D
+    int array of real masks R.
 
     The real candidates at R are the untaken u with f(u | R) >= 0, by
     descending marginal and then ascending u, up to k of them. Returns
@@ -271,20 +270,37 @@ def dummy_candidates(f: SetFunctionOracle, k: int, masks):
     dummies (ids n .. n+2k-1, zero marginal everywhere) fill the other
     slots, so a real element with zero marginal comes before every dummy
     and one with negative marginal is never offered. Masks that are not
-    ints in [0, 2^n) raise ValueError.
+    a 1-D array of ints in [0, 2^n) raise ValueError; an empty one has no
+    rows.
     """
     check_budget(k, f.n)
     tab = f.table()
     masks = np.asarray(masks)
+    if masks.ndim != 1:
+        raise ValueError("masks must be a 1-D array of int masks")
     if masks.dtype.kind not in "iu" or masks.size and (
             masks.min() < 0 or masks.max() >= 1 << f.n):
         raise ValueError("mask is not a subset of the ground set")
-    bits = 1 << np.arange(f.n)
-    marg = tab[masks[:, None] | bits] - tab[masks][:, None]
-    real = ((masks[:, None] & bits) == 0) & (marg >= 0.0)
+    return _dummy_order(tab, masks, *_dummy_children(masks, f.n), k)
+
+
+def _dummy_children(masks: np.ndarray, n: int) -> tuple:
+    """The child masks R | 1 << u of each mask R, one column per u
+    ascending, and whether u is free (not in R), as two
+    (len(masks), n) arrays: the tables ``_dummy_order`` reads."""
+    bits = 1 << np.arange(n)
+    return masks[:, None] | bits, (masks[:, None] & bits) == 0
+
+
+def _dummy_order(tab: np.ndarray, masks: np.ndarray, kids: np.ndarray,
+                 free: np.ndarray, k: int) -> tuple:
+    """``dummy_candidates`` unchecked, over the value table ``tab`` and
+    the tables of ``_dummy_children(masks, n)``."""
+    marg = tab[kids] - tab[masks][:, None]
+    real = free & (marg >= 0.0)
     order = np.argsort(np.where(real, -marg, math.inf), axis=1,
                        kind="stable")[:, :k]
-    return order, np.minimum(real.sum(axis=1), k)
+    return order, np.minimum(np.count_nonzero(real, axis=1), k)
 
 
 def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
@@ -389,6 +405,16 @@ def _candidates(values, indep, units, mask: int) -> int:
     return best
 
 
+def _contracted_rank(indep, units, mask: int) -> int:
+    """The common rank of the contraction by ``mask``, an independent int
+    mask that ``_candidates`` has checked against the budget: the size of
+    the largest T outside it with ``indep[mask | T]`` true, which is the
+    weight of the heaviest such T when every element weighs 1.0 (one
+    ``_heaviest`` search over the arguments of ``_candidates``)."""
+    return _heaviest(indep, [(1.0, bit) for bit in units if not mask & bit],
+                     mask).bit_count()
+
+
 def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
                                seed: int) -> RunTrace:
     """Run random greedy for two matroids (while-loop form): while some
@@ -403,16 +429,17 @@ def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
     seed = _integer(seed, "seeds")
     system = PSystem([m1, m2])
     values, indep, units = _intersection_tables(f, system)
-    ranks = contracted_ranks(system)
-    rank = int(ranks[0])
     state = 0
     records = []
+    rank = 0  # the max common rank, read at the first round if one runs
     while best := _candidates(values, indep, units, state):
         options = elements_of(best)
         i = len(records)
         u = options[int(_round_rng(seed, i).integers(len(options)))]
+        contracted_rank = _contracted_rank(indep, units, state)
+        if not i:
+            rank = contracted_rank
         needed = rank - i
-        contracted_rank = int(ranks[state])
         marg = f.marginal_mask(u, state)
         state |= 1 << u
         records.append({

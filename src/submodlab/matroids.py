@@ -23,8 +23,10 @@ The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
 the contraction by S. ``contracted_ranks`` gives the common rank of every
 contraction at once, by a superset-max ``oracles._sweep`` over the
-table. The greedy pass's int mask ``given`` shifts the marginals only: T
-stays independent on its own, scored by f(u | given ∪ T).
+table; the two-matroid random greedy reads the rank at each state it
+visits by one unit-weight ``_heaviest`` search instead. The greedy pass's
+int mask ``given`` shifts the marginals only: T stays independent on its
+own, scored by f(u | given ∪ T).
 
 Everything here is exact and deterministic: the greedy pass breaks ties
 toward the lowest element id, and the branch-and-prune search returns the
@@ -385,7 +387,7 @@ def random_partition_matroid(n: int, seed: int) -> PartitionMatroid:
     for u, j in enumerate(rng.integers(0, num_blocks, n).tolist()):
         blocks[j].append(u)  # ascending u
     blocks = [b for b in blocks if b]
-    caps = [int(rng.integers(1, 3)) for _ in blocks]
+    caps = rng.integers(1, 3, size=len(blocks)).tolist()  # the scalar draws
     return PartitionMatroid(blocks, caps)
 
 

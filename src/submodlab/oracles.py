@@ -22,6 +22,16 @@ without the superset sweep for an oracle certified monotone.
 
 Every capability cap is one entry of ``BUDGET``, which ``_within`` checks
 with the predicted size before the work starts.
+
+``random_coverage`` draws the covers of numpy's ``Generator.integers`` and
+``Generator.choice(replace=False)`` calls without making them: it reads one
+block of the generator's 32-bit stream, which holds every word the call
+takes unless a draw is rejected and refills when it runs out, and applies
+numpy's own rules in Python: Lemire's bounded draw (a range of 0 takes no
+word), Floyd's sample and the bounded draws of the sample's shuffle, which
+a sorted cover consumes but never reads. Its generator is local to the
+call, so the words of the block past the last one used are never read by
+anything else.
 """
 
 from __future__ import annotations
@@ -519,14 +529,58 @@ def random_modular(n: int, seed: int) -> ModularOracle:
     return ModularOracle(rng.uniform(0.2, 1.8, n))
 
 
+def _words(rng: np.random.Generator, block: int):
+    """The generator's 32-bit stream as ints, read ``block`` words at a
+    time: the words that ``rng.integers(0, 2**32, dtype=np.uint32)`` would
+    return one call at a time."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=block,
+                                dtype=np.uint32).tolist()
+
+
+def _bounded(words, top: int) -> int:
+    """numpy's bounded draw of an int in [0, top], 0 <= top < 2^32, from
+    the 32-bit stream ``words``: what ``Generator.integers(0, top + 1)``
+    returns, taking the same words. A range of 0 takes no word. Otherwise
+    Lemire's rule: the high half of word * (top + 1), unless the low half
+    falls below 2^32 mod (top + 1), which rejects the word and takes the
+    next one."""
+    if not top:
+        return 0
+    span = top + 1
+    prod = next(words) * span
+    low = prod & 0xFFFFFFFF
+    if low < span:  # the threshold 2^32 mod span is below span
+        threshold = (1 << 32) % span
+        while low < threshold:
+            prod = next(words) * span
+            low = prod & 0xFFFFFFFF
+    return prod >> 32
+
+
 def random_coverage(n: int, seed: int) -> CoverageOracle:
+    """m = max(6, int(1.4 n)) universe items weighted uniformly on [0.25,
+    1.25), and per element the cover ``sorted(rng.choice(m, size,
+    replace=False))`` of ``size = rng.integers(1, max(2, m // 3) + 1)``
+    items, drawn by numpy's rules from one block of the stream (see the
+    module docstring): Floyd's sample takes v in [0, j] for j = m - size
+    .. m - 1, or j if v is taken already, and the shuffle's draws in [0,
+    i] for i = size - 1 .. 1 are taken and dropped."""
     rng = np.random.default_rng(seed)
     m = max(6, int(1.4 * n))
     weights = rng.uniform(0.25, 1.25, m)
+    top = max(2, m // 3)
+    words = _words(rng, 2 * n * top)  # an element takes <= 2 * top words
     covers = []
     for _ in range(n):
-        size = int(rng.integers(1, max(2, m // 3) + 1))
-        covers.append(sorted(rng.choice(m, size=size, replace=False).tolist()))
+        size = 1 + _bounded(words, top - 1)
+        taken = set()
+        for j in range(m - size, m):
+            v = _bounded(words, j)
+            taken.add(j if v in taken else v)
+        for i in range(size - 1, 0, -1):
+            _bounded(words, i)
+        covers.append(sorted(taken))
     return CoverageOracle(n, covers, weights)
 
 

@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import serialization
-from .algorithms import (RunTrace, _candidates, _intersection_tables,
+from .algorithms import (RunTrace, _candidates, _dummy_children,
+                         _dummy_order, _intersection_tables,
                          authors_conjecture_rounds, bicriteria_rounds,
-                         certificate_holds, check_budget, dummy_candidates,
-                         frank_wolfe, masked_frank_wolfe, multipass_greedy,
+                         certificate_holds, check_budget, frank_wolfe,
+                         masked_frank_wolfe, multipass_greedy,
                          random_greedy_dummies, random_greedy_intersection)
 from .continuous import (CardinalityPolytope, ContinuousOracle, Polytope,
                          SumOracle, random_quadratic_dr,
@@ -369,6 +370,27 @@ def _by_size(n: int) -> tuple:
     return order, position, ends
 
 
+_FRONTIER: dict = {}  # the one (n, k) entry of ``_frontier``
+
+
+def _frontier(n: int, k: int) -> tuple:
+    """The masks R with |R| < k of an n-element ground set, in the size
+    order of ``_by_size``, and their ``_dummy_children`` tables: ``(masks,
+    kids, free)``, the arguments of ``algorithms._dummy_order``. Read-only.
+    One (n, k) entry is kept: an audit asks for the same one on every
+    instance, and a frontier grows to about 2^n * n entries."""
+    entry = _FRONTIER.get((n, k))
+    if entry is None:
+        order, _, ends = _by_size(n)
+        masks = order[:ends[k - 1]]
+        kids, free = _dummy_children(masks, n)
+        for part in (kids, free):
+            part.setflags(write=False)
+        _FRONTIER.clear()
+        entry = _FRONTIER[n, k] = (masks, kids, free)
+    return entry
+
+
 def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
     """Exact expectation of dummy-padded random greedy under the budget k.
 
@@ -378,18 +400,20 @@ def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
     the value of the states after t < k rounds is one array over the masks
     with |R| <= t, in the size order of ``_by_size``, a prefix of that of
     round t + 1. The candidates are found once, for the masks with |R| <
-    k. Going back from round k, the first layer reads the value table by
-    child mask and each later one the previous layer by child position.
-    Each state sums its k children slot by slot in candidate order from
-    0.0 and divides by k, the same float sequence as a plain walk of the
-    choice tree. Its memory is about (number of sets of size < k) * k
-    entries plus the 2^n-entry value table and cached size order.
+    k, over their child masks and free elements (``_frontier``, cached per
+    (n, k)). Going back from round k, the first layer reads the value
+    table by child mask and each later one the previous layer by child
+    position. Each state sums its k children slot by slot in candidate
+    order from 0.0 and divides by k, the same float sequence as a plain
+    walk of the choice tree. Its memory is about (number of sets of size <
+    k) * (n + k) entries plus the 2^n-entry value table and cached size
+    order.
     """
     check_budget(k, f.n)
     values = f.table()
-    order, position, ends = _by_size(f.n)
-    masks = order[:ends[k - 1]]
-    cand, counts = dummy_candidates(f, k, masks)
+    _, position, ends = _by_size(f.n)
+    masks, kids, free = _frontier(f.n, k)
+    cand, counts = _dummy_order(values, masks, kids, free, k)
     children = np.where(np.arange(k) < counts[:, None],
                         masks[:, None] | 1 << cand, masks[:, None])
     index, compact = children, position[children]

@@ -22,7 +22,8 @@ from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid, contracted_ranks)
 from submodlab.oracles import (BUDGET, CEIL_GUARD, REL_TOL, CapabilityError,
-                               SetFunctionOracle, elements_of, mask_of)
+                               CoverageOracle, SetFunctionOracle, elements_of,
+                               mask_of)
 from submodlab.verify import OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
@@ -666,6 +667,19 @@ def coverage_table_lsb(f):
     for j in range(f.universe_weights.size):
         tab += f.universe_weights[j] * ((unions >> j) & 1)
     return tab
+
+
+def random_coverage_ref(n, seed):
+    """Reference for ``oracles.random_coverage``: each cover size and
+    sample drawn by its own ``integers`` and ``choice`` call."""
+    rng = np.random.default_rng(seed)
+    m = max(6, int(1.4 * n))
+    weights = rng.uniform(0.25, 1.25, m)
+    covers = []
+    for _ in range(n):
+        size = int(rng.integers(1, max(2, m // 3) + 1))
+        covers.append(sorted(rng.choice(m, size=size, replace=False).tolist()))
+    return CoverageOracle(n, covers, weights)
 
 
 def random_partition_matroid_ref(n, seed):

@@ -14,7 +14,7 @@ from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   SumOracle, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic,
                                   unit_box)
-from submodlab.matroids import (PSystem, UniformMatroid,
+from submodlab.matroids import (PSystem, UniformMatroid, contracted_ranks,
                                 random_graphic_matroid,
                                 random_partition_matroid,
                                 random_partition_psystem)
@@ -485,6 +485,19 @@ def test_dummy_candidates_reject_masks_outside_the_ground_set(masks):
     assert order.shape == (2, 2) and counts[1] == 0
 
 
+@pytest.mark.parametrize("masks", [[[0, 1], [2, 3]], 3],
+                         ids=["two-dimensional", "scalar"])
+def test_dummy_candidates_take_a_one_dimensional_mask_array(masks):
+    # the 2-D array gave a (2, 1, 2) order and (2, 2) counts; the scalar
+    # raised IndexError
+    f = random_coverage(2, 1)
+    with pytest.raises(ValueError,
+                       match="^masks must be a 1-D array of int masks$"):
+        dummy_candidates(f, 2, np.array(masks))
+    order, counts = dummy_candidates(f, 2, np.array([], dtype=np.int64))
+    assert order.shape == (0, 2) and counts.shape == (0,)
+
+
 @pytest.mark.parametrize("k", [True, 1.0, "1", np.bool_(True)])
 def test_dummy_greedy_budget_must_be_an_integer(k):
     # check_budget compared True with 1 <= k <= n, and the run took k = 1
@@ -598,6 +611,24 @@ def test_intersection_greedy_matches_the_reference_loop(n, seed, graphic,
     m1, m2 = make(n, seed + 1), make(n, seed + 2)
     assert repr(random_greedy_intersection(f, m1, m2, run_seed)) == \
         repr(random_greedy_intersection_ref(f, m1, m2, run_seed))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_contracted_rank_search_is_the_rank_sweep(n):
+    # one unit-weight search per independent state gives the rank of
+    # contracted_ranks there
+    cases = 0
+    for seed in range(4):
+        make = random_graphic_matroid if seed % 2 else random_partition_matroid
+        system = PSystem([make(n, seed), random_partition_matroid(n, seed + 9)])
+        indep = system.indep_table()
+        ranks = contracted_ranks(system)
+        units = tuple(1 << u for u in range(n))
+        for mask in np.flatnonzero(indep).tolist():
+            assert algorithms._contracted_rank(indep.tobytes(), units, mask) \
+                == ranks[mask]
+            cases += 1
+    assert cases > 4 * n
 
 
 @pytest.mark.parametrize("mask", [1 << 4, -1, 0b111, True, 2.0, "1"])

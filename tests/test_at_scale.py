@@ -346,6 +346,7 @@ def test_dummy_expectation_at_the_table_cap_stays_within_64_mib():
     f.table()
     oracles.popcounts.cache_clear()
     verify._by_size.cache_clear()
+    verify._FRONTIER.clear()
     tracemalloc.start()
     try:
         value = verify.dummy_greedy_expectation(f, 6)

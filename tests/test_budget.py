@@ -98,6 +98,14 @@ SITES = {
     "_candidates": (
         "search", (algorithms, "_heaviest"), _candidates_at,
         "common-independent search needs <= 18 elements"),
+    # the run meets the cap at its first state, before any search (it
+    # swept the contracted ranks of all 2^n masks first)
+    "random_greedy_intersection": (
+        "search", (algorithms, "_heaviest"),
+        lambda n: algorithms.random_greedy_intersection(
+            ModularOracle(np.ones(n)), UniformMatroid(n, 1),
+            UniformMatroid(n, 1), 0),
+        "common-independent search needs <= 18 elements"),
     # the walk meets the cap at its first state, before any search
     "intersection_greedy_expectation": (
         "search", (algorithms, "_heaviest"),

@@ -18,7 +18,7 @@ from submodlab.verify import (audit_problem4, brute_force_opt_set,
                               dummy_greedy_expectation)
 
 from helpers import (TableMatroid, TableOracle, coverage_table_lsb, gamma_loop, m_loop,
-                     naive_is_submodular, relabel)
+                     naive_is_submodular, random_coverage_ref, relabel)
 
 
 def marginal(f, u, subset):
@@ -199,6 +199,64 @@ def test_perturbed_noise_range_must_be_finite(delta):
     with pytest.raises(ValueError, match=message):
         from_doc(doc)
     PerturbedOracle(random_coverage(4, 1), 8.98e307, 1).table()
+
+
+def _coverage_is_the_choice_form(n, seed):
+    got, want = random_coverage(n, seed), random_coverage_ref(n, seed)
+    return (got.covers == want.covers and got.universe_weights.tobytes()
+            == want.universe_weights.tobytes())
+
+
+def test_random_coverage_is_the_choice_form():
+    # the covers and weights of one integers and one choice call per
+    # element, drawn from one block of the 32-bit stream; seed ^ 0x5EED is
+    # the base of random_perturbed(n, delta, seed)
+    compared = 0
+    for n in range(1, 21):
+        for seed in range(300):
+            for s in (seed, seed ^ 0x5EED):
+                assert _coverage_is_the_choice_form(n, s), (n, s)
+                compared += 1
+    assert compared == 12_000
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_random_coverage_refills_its_block(monkeypatch, block):
+    # blocks far smaller than the words a call takes (2 |cover| an element)
+    # refill mid-element and mid-sample
+    words = oracles._words
+    monkeypatch.setattr(oracles, "_words", lambda rng, _: words(rng, block))
+    compared = 0
+    for n in (2, 7, 20):
+        for seed in range(40):
+            assert _coverage_is_the_choice_form(n, seed), (n, seed)
+            compared += 1
+    assert compared == 120
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, (1 << 31) + 1, (1 << 32) - 2])
+def test_bounded_draw_is_numpys_integers(top):
+    # the value of rng.integers(0, top + 1) and the next raw word, from a
+    # stream refilled at every word or every other one; a range of 0 takes
+    # no word, and at top = 2^31 + 1 about half the words are rejected
+    taken = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        raw = np.random.default_rng(seed).integers(
+            0, 1 << 32, size=64, dtype=np.uint32).tolist()
+        words = oracles._words(np.random.default_rng(seed), 1 + seed % 2)
+        got = (oracles._bounded(words, top), next(words))
+        want = (int(rng.integers(0, top + 1)),
+                int(rng.integers(0, 1 << 32, dtype=np.uint32)))
+        assert got == want, \
+            f"numpy {np.__version__}: seed {seed}: {got} != {want}"
+        taken.append(raw.index(got[1]))
+    if top == 0:
+        assert set(taken) == {0}
+    elif top == (1 << 31) + 1:
+        assert 50 < sum(t > 1 for t in taken) < 150 and max(taken) > 2
+    else:
+        assert set(taken) == {1}
 
 
 def test_popcounts_are_one_cached_read_only_table():

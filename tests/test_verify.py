@@ -833,6 +833,25 @@ def test_size_order_is_cached_read_only_by_size_then_mask():
                 part[0] = 1
 
 
+def test_frontier_is_one_cached_read_only_entry():
+    # the masks of size < k in size order, their child masks by element
+    # and their free elements, kept for the last (n, k) only
+    for n, k in ((4, 2), (6, 3), (6, 3), (6, 6)):
+        masks, kids, free = verify._frontier(n, k)
+        assert verify._frontier(n, k)[1] is kids
+        assert list(verify._FRONTIER) == [(n, k)]
+        order, _, ends = verify._by_size(n)
+        assert masks.tolist() == order[:ends[k - 1]].tolist()
+        rows = masks.tolist()
+        assert kids.tolist() == [[r | 1 << u for u in range(n)]
+                                 for r in rows]
+        assert free.tolist() == [[not r >> u & 1 for u in range(n)]
+                                 for r in rows]
+        for part in (masks, kids, free):
+            with pytest.raises(ValueError):
+                part[0] = 0
+
+
 def test_dummy_greedy_expectation_rejects_budget_outside_one_to_n():
     f = random_coverage(4, 0)
     for k in (0, 5):
