@@ -354,41 +354,28 @@ def _value_rows(f: ContinuousOracle, points: np.ndarray) -> np.ndarray:
 # exact expectations over every uniform draw of the randomized greedies
 
 
-@functools.lru_cache(maxsize=None)
-def _by_size(n: int) -> tuple:
-    """The 2^n masks of an n-element ground set in ascending size, then
-    ascending mask: ``(order, position, ends)``, with position[mask] the
-    index of mask in order and ends[c] the number of masks of size <= c,
-    so that those masks are order[:ends[c]]. Read-only."""
-    counts = popcounts(n)
-    order = np.argsort(counts, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    ends = np.cumsum(np.bincount(counts))
-    for part in (order, position, ends):
-        part.setflags(write=False)
-    return order, position, ends
-
-
-_FRONTIER: dict = {}  # the one (n, k) entry of ``_frontier``
-
-
+@functools.lru_cache(maxsize=1)
 def _frontier(n: int, k: int) -> tuple:
-    """The masks R with |R| < k of an n-element ground set, in the size
-    order of ``_by_size``, and their ``_dummy_children`` tables: ``(masks,
-    kids, free)``, the arguments of ``algorithms._dummy_order``. Read-only.
-    One (n, k) entry is kept: an audit asks for the same one on every
-    instance, and a frontier grows to about 2^n * n entries."""
-    entry = _FRONTIER.get((n, k))
-    if entry is None:
-        order, _, ends = _by_size(n)
-        masks = order[:ends[k - 1]]
-        kids, free = _dummy_children(masks, n)
-        for part in (kids, free):
-            part.setflags(write=False)
-        _FRONTIER.clear()
-        entry = _FRONTIER[n, k] = (masks, kids, free)
-    return entry
+    """Everything the exact dummy walk reads for an n-element ground set
+    and budget k: ``(masks, kids, free, ends, position)``. ``masks`` are
+    the masks R with |R| < k in ascending size, then ascending mask;
+    ``kids`` and ``free`` their ``_dummy_children`` tables, the arguments
+    of ``algorithms._dummy_order``; ends[c] the number of masks of size
+    <= c, so that those masks are masks[:ends[c]]; and position[mask] the
+    row of mask in ``masks``, or masks.size off the frontier, so that a
+    layer read there raises IndexError. Read-only. One (n, k) entry is kept: an audit asks for
+    the same one on every instance, and a frontier grows to about 2^n * n
+    entries."""
+    counts = popcounts(n)
+    layers = [np.flatnonzero(counts == c) for c in range(k)]
+    masks = np.concatenate(layers)
+    kids, free = _dummy_children(masks, n)
+    ends = np.cumsum([layer.size for layer in layers])
+    position = np.full(1 << n, masks.size)
+    position[masks] = np.arange(masks.size)
+    for part in (masks, kids, free, ends, position):
+        part.setflags(write=False)
+    return masks, kids, free, ends, position
 
 
 def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
@@ -398,21 +385,20 @@ def dummy_greedy_expectation(f: SetFunctionOracle, k: int) -> float:
     dummy count t - |R|. The candidates at R do not depend on t: the real
     ones of ``dummy_candidates``, padded to k by dummies, which keep R. So
     the value of the states after t < k rounds is one array over the masks
-    with |R| <= t, in the size order of ``_by_size``, a prefix of that of
-    round t + 1. The candidates are found once, for the masks with |R| <
-    k, over their child masks and free elements (``_frontier``, cached per
-    (n, k)). Going back from round k, the first layer reads the value
-    table by child mask and each later one the previous layer by child
-    position. Each state sums its k children slot by slot in candidate
-    order from 0.0 and divides by k, the same float sequence as a plain
-    walk of the choice tree. Its memory is about (number of sets of size <
-    k) * (n + k) entries plus the 2^n-entry value table and cached size
-    order.
+    with |R| <= t, in ascending size, then mask, a prefix of that of round
+    t + 1. The candidates are found once, for the masks with |R| < k, over
+    their child masks and free elements; ``_frontier``, cached per (n, k),
+    holds those masks, tables, layer ends and mask positions. Going back
+    from round k, the first layer reads the value table by child mask and
+    each later one the previous layer by child position. Each state sums
+    its k children slot by slot in candidate order from 0.0 and divides by
+    k, the same float sequence as a plain walk of the choice tree. Its
+    memory is about (number of sets of size < k) * (n + k) entries plus
+    the 2^n-entry value table and cached position table.
     """
     check_budget(k, f.n)
     values = f.table()
-    _, position, ends = _by_size(f.n)
-    masks, kids, free = _frontier(f.n, k)
+    masks, kids, free, ends, position = _frontier(f.n, k)
     cand, counts = _dummy_order(values, masks, kids, free, k)
     children = np.where(np.arange(k) < counts[:, None],
                         masks[:, None] | 1 << cand, masks[:, None])

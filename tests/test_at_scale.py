@@ -338,15 +338,14 @@ def test_dummy_expectation_is_the_all_masks_formula():
 
 
 # reach by memory, not time: at the table cap with k = 6, the expectation
-# keeps the 21,700 sets of size < 6 and the size order, cold, where the
+# keeps the 21,700 sets of size < 6 and their positions, cold, where the
 # all-masks layers grew by about 490 MiB
 def test_dummy_expectation_at_the_table_cap_stays_within_64_mib():
     n = oracles.BUDGET["table"].limit
     f = oracles.random_coverage(n, 0)
     f.table()
     oracles.popcounts.cache_clear()
-    verify._by_size.cache_clear()
-    verify._FRONTIER.clear()
+    verify._frontier.cache_clear()
     tracemalloc.start()
     try:
         value = verify.dummy_greedy_expectation(f, 6)

@@ -78,9 +78,9 @@ SITES = {
         "table", (UniformMatroid, "_build_table"),
         lambda n: UniformMatroid(n, 1).indep_table(),
         "independence table needs n <= 20, got n = 21"),
-    # the size order is built only after the budget and the value table
+    # the frontier is built only after the budget and the value table
     "dummy_greedy_expectation": (
-        "table", (verify, "_by_size"),
+        "table", (verify, "_frontier"),
         lambda n: verify.dummy_greedy_expectation(
             ModularOracle(np.ones(n)), 1),
         "value table needs n <= 20, got n = 21"),
@@ -167,7 +167,7 @@ def test_knapsack_takes_its_exact_diameter_up_to_the_vertex_check(
 
 
 def test_expectation_checks_its_budget_before_its_size_order(monkeypatch):
-    monkeypatch.setattr(verify, "_by_size", reached)
+    monkeypatch.setattr(verify, "_frontier", reached)
     f = ModularOracle(np.ones(4))
     for k in (0, 5):
         with pytest.raises(ValueError,

@@ -819,35 +819,28 @@ def test_problem4_opt_is_the_uniform_matroid_optimum():
     assert cases == 55
 
 
-def test_size_order_is_cached_read_only_by_size_then_mask():
-    for n in (1, 4, 7):
-        order, position, ends = verify._by_size(n)
-        assert verify._by_size(n)[0] is order
-        assert order.tolist() == sorted(
-            range(1 << n), key=lambda mask: (bin(mask).count("1"), mask))
-        assert position[order].tolist() == list(range(1 << n))
-        assert ends.tolist() == [sum(math.comb(n, i) for i in range(c + 1))
-                                 for c in range(n + 1)]
-        for part in (order, position, ends):
-            with pytest.raises(ValueError):
-                part[0] = 1
-
-
 def test_frontier_is_one_cached_read_only_entry():
-    # the masks of size < k in size order, their child masks by element
-    # and their free elements, kept for the last (n, k) only
-    for n, k in ((4, 2), (6, 3), (6, 3), (6, 6)):
-        masks, kids, free = verify._frontier(n, k)
+    # the masks of size < k by size then mask, their child masks by
+    # element, their free elements, the size ends and each mask's row,
+    # kept for the last (n, k) only
+    for n, k in ((1, 1), (4, 2), (6, 3), (6, 3), (6, 6), (7, 4)):
+        masks, kids, free, ends, position = verify._frontier(n, k)
         assert verify._frontier(n, k)[1] is kids
-        assert list(verify._FRONTIER) == [(n, k)]
-        order, _, ends = verify._by_size(n)
-        assert masks.tolist() == order[:ends[k - 1]].tolist()
-        rows = masks.tolist()
+        assert verify._frontier.cache_info().currsize == 1
+        rows = sorted((mask for mask in range(1 << n)
+                       if bin(mask).count("1") < k),
+                      key=lambda mask: (bin(mask).count("1"), mask))
+        assert masks.tolist() == rows
+        assert ends.tolist() == [sum(math.comb(n, i) for i in range(c + 1))
+                                 for c in range(k)]
+        assert position.tolist() == [
+            rows.index(mask) if mask in rows else len(rows)
+            for mask in range(1 << n)]
         assert kids.tolist() == [[r | 1 << u for u in range(n)]
                                  for r in rows]
         assert free.tolist() == [[not r >> u & 1 for u in range(n)]
                                  for r in rows]
-        for part in (masks, kids, free):
+        for part in (masks, kids, free, ends, position):
             with pytest.raises(ValueError):
                 part[0] = 0
 
