@@ -819,6 +819,22 @@ def test_problem4_opt_is_the_uniform_matroid_optimum():
     assert cases == 55
 
 
+def test_size_order_is_cached_read_only_by_size_then_mask():
+    # with k = n + 1 the frontier holds every mask: the size order of all
+    # 2^n masks, its inverse and the size ends
+    for n in (1, 4, 7):
+        order, _, _, ends, position = verify._frontier(n, n + 1)
+        assert verify._frontier(n, n + 1)[0] is order
+        assert order.tolist() == sorted(
+            range(1 << n), key=lambda mask: (bin(mask).count("1"), mask))
+        assert position[order].tolist() == list(range(1 << n))
+        assert ends.tolist() == [sum(math.comb(n, i) for i in range(c + 1))
+                                 for c in range(n + 1)]
+        for part in (order, position, ends):
+            with pytest.raises(ValueError):
+                part[0] = 1
+
+
 def test_frontier_is_one_cached_read_only_entry():
     # the masks of size < k by size then mask, their child masks by
     # element, their free elements, the size ends and each mask's row,
