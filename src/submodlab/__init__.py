@@ -26,11 +26,11 @@ from .algorithms import (RunTrace, authors_conjecture_rounds,
                          intersection_candidates, masked_frank_wolfe,
                          multipass_greedy, random_greedy_dummies,
                          random_greedy_intersection)
-from .verify import (BOUNDS, AuditReport, BoundFormula, GuaranteeReport,
-                     OptimumCertificate, audit,
+from .verify import (AUDITS, BOUNDS, AuditReport, BoundFormula,
+                     GuaranteeReport, OptimumCertificate, audit,
                      audit_problem2, audit_problem2_conjecture, audit_problem4,
                      audit_problem5, brute_force_opt_set, check_bound,
                      dummy_greedy_expectation, grid_opt,
-                     intersection_greedy_expectation)
+                     intersection_greedy_expectation, run_audit)
 
 __version__ = "0.1.0"

@@ -6,10 +6,12 @@ components, and how its instance is built, measured, run and checked.
 `gen --family problem<k>` builds through the entry and records what its
 `measure` gives, `run` and `verify` exit 1 on a bundle component that is
 missing or not of the class the entry declares, `verify` takes --trace
-files for the traced problems (1-3) only, and the audits go through the
-same entries. The seven plain `gen` families are one table, FAMILIES, of
-(build, measure) pairs: the built oracle's document records what
-`measure` gives as its `measured`.
+files for the traced problems (1-3) only, and `run` only --trials 1 for
+them. Each audited bound is one entry of verify's AUDITS table, over the
+same problem entries: `audit` reads its flags, defaults and CSV layout
+there and refuses a flag the bound does not read. The seven plain `gen`
+families are one table, FAMILIES, of (build, measure) pairs: the built
+oracle's document records what `measure` gives as its `measured`.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved
@@ -25,16 +27,15 @@ Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
   verify: instance,algorithm,bound,provenance,measured,half_width,threshold,slack,verdict
           (half_width is always empty: every verified value is exact)
-  audit:  instance,measured,opt,threshold,ratio,verdict,params
-  audit (conjecture): instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,
-                      value_at_conjecture,value_at_multipass,first_round_reaching,
-                      conjecture_sufficient
+  audit:  the columns of the bound's verify.AUDITS entry:
+          instance,measured,opt,threshold,ratio,verdict,params, or for the
+          conjecture instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,
+          value_at_conjecture,value_at_multipass,first_round_reaching,
+          conjecture_sufficient (its verdict is not violated)
 
-Conjecture rows are audit rows laid out in their own columns
-(conjecture_sufficient is "verdict is not violated"). Every audit prints
-the same summary keys and saves each violated row's replay document as
-violations/<stem>-v<i>.json, <stem> being the CSV's (<bound>-p<p>-s<seed>
-for the conjecture, <bound>-s<seed> for the others).
+Every audit prints the same summary keys and saves each violated row's
+replay document as violations/<stem>-v<i>.json, <stem> being the CSV's
+(<bound>-p<p>-s<seed> for the conjecture, <bound>-s<seed> for the others).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import serialization, verify
 from .algorithms import RunTrace
@@ -54,7 +54,7 @@ from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
 from .oracles import (CapabilityError, _integer, _within, random_coverage,
                       random_cut, random_modular, random_perturbed)
-from .verify import PROBLEMS, _or, exact_ratios, sampled_gamma
+from .verify import PROBLEMS, exact_ratios, sampled_gamma
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -115,44 +115,9 @@ FAMILIES = {
 PROBLEM_FAMILIES = {f"problem{k}": k for k in PROBLEMS}
 
 
-def _audit_row(r) -> list:
-    return [r.instance_id, repr(r.measured), repr(r.opt), repr(r.threshold),
-            "" if r.ratio is None else repr(r.ratio), r.verdict,
-            json.dumps(r.params, sort_keys=True)]
-
-
-def _conjecture_row(r) -> list:
-    first = r.params["first_round_reaching"]
-    return [r.instance_id, r.params["p"], repr(r.params["epsilon"]),
-            repr(r.opt), r.params["rounds_conjecture"],
-            r.params["rounds_multipass"], repr(r.measured),
-            repr(r.params["value_at_multipass"]),
-            "" if first is None else first, r.verdict != verify.VIOLATED]
-
-
-class Audit(NamedTuple):
-    run: Callable  # audit flags -> AuditReport
-    stem: str = "{bound}-s{seed}"  # of the CSV and the violation files
-    columns: str = "instance,measured,opt,threshold,ratio,verdict,params"
-    row: Callable = _audit_row
-
-
-AUDITS = {
-    "problem2-bicriteria": Audit(lambda a: verify.audit_problem2(
-        a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=_or(a.n, 8))),
-    "problem2-authors-conjecture": Audit(
-        lambda a: verify.audit_problem2_conjecture(
-            a.trials, a.seed, p=a.p, epsilon=a.epsilon, n=_or(a.n, 8)),
-        stem="{bound}-p{p}-s{seed}",
-        columns="instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,"
-                "value_at_conjecture,value_at_multipass,first_round_reaching,"
-                "conjecture_sufficient",
-        row=_conjecture_row),
-    "problem4-claimed": Audit(lambda a: verify.audit_problem4(
-        a.trials, a.seed, n=_or(a.n, 5), k=a.k)),
-    "problem5-claimed": Audit(lambda a: verify.audit_problem5(
-        a.trials, a.seed, n=_or(a.n, 6))),
-}
+# audit flag -> its type, read off the defaults in verify.AUDITS
+AUDIT_FLAGS = {name: type(default) for entry in verify.AUDITS.values()
+               for name, default in entry.flags.items()}
 
 
 @functools.cache  # one parser per process: parse_args leaves it as it was
@@ -196,13 +161,11 @@ def _build_parser() -> _Parser:
     ver.add_argument("--seed", type=int, default=0)
 
     aud = sub.add_parser("audit", help="search instances for bound violations")
-    aud.add_argument("--bound", required=True, choices=list(AUDITS))
+    aud.add_argument("--bound", required=True, choices=list(verify.AUDITS))
     aud.add_argument("--trials", type=int, default=100)
     aud.add_argument("--seed", type=int, default=0)
-    aud.add_argument("--p", type=int, default=2)
-    aud.add_argument("--epsilon", type=float, default=0.1)
-    aud.add_argument("--n", type=int)
-    aud.add_argument("--k", type=int, default=2)
+    for name, kind in AUDIT_FLAGS.items():
+        aud.add_argument(f"--{name}", type=kind)
     return parser
 
 
@@ -247,11 +210,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _write_csv(path: Path, columns: str, rows: list[list]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(columns.split(","))
         writer.writerows(rows)
     return path
 
@@ -306,6 +269,9 @@ def cmd_run(args) -> int:
         raise ValueError(f"trials must be nonnegative, not {args.trials}")
     _within("trials", args.trials)
     problem = PROBLEMS[args.problem]
+    if problem.traced and args.trials != 1:  # its run makes one trace
+        raise UsageError(f"problem {args.problem} runs one trial, not "
+                         f"--trials {args.trials}")
     comp = _load_problem_components(args)
     problem.within_caps(comp[next(iter(problem.components))].n)
     traces = problem.run(comp, args)
@@ -322,8 +288,8 @@ def cmd_run(args) -> int:
         print(f"trial {t}: {trace.algorithm} value={trace.value!r} "
               f"final={trace.final}")
     summary = _write_csv(out / f"run-{stem}-p{args.problem}.csv",
-                         ["trial", "problem", "algorithm", "seed", "value",
-                          "final", "detail"], rows)
+                         "trial,problem,algorithm,seed,value,final,detail",
+                         rows)
     print(summary)
     return EXIT_OK
 
@@ -345,9 +311,8 @@ def cmd_verify(args) -> int:
              repr(r.measured), "", repr(r.threshold), repr(r.slack),
              r.verdict] for r in reports]
     path = _write_csv(out / f"verify-{stem}-p{args.problem}.csv",
-                      ["instance", "algorithm", "bound", "provenance",
-                       "measured", "half_width", "threshold", "slack",
-                       "verdict"], rows)
+                      "instance,algorithm,bound,provenance,measured,"
+                      "half_width,threshold,slack,verdict", rows)
     for r in reports:
         print(f"{r.bound_id} [{r.provenance}]: verdict={r.verdict} "
               f"measured={r.measured!r} threshold={r.threshold!r}")
@@ -356,12 +321,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    table = AUDITS[args.bound]
-    report = table.run(args)
+    entry = verify.AUDITS[args.bound]
+    given = {name: getattr(args, name) for name in AUDIT_FLAGS
+             if getattr(args, name) is not None}
+    unread = [f"--{name}" for name in given if name not in entry.flags]
+    if unread:
+        raise UsageError(f"audit --bound {args.bound} reads no "
+                         + " or ".join(unread))
+    report = verify.run_audit(args.bound, args.trials, args.seed, **given)
     out = _out_dir(args)
-    stem = table.stem.format(**vars(args))
-    path = _write_csv(out / f"audit-{stem}.csv", table.columns.split(","),
-                      [table.row(r) for r in report.rows])
+    stem = entry.stem.format(bound=args.bound, seed=args.seed,
+                             **(entry.flags | given))
+    path = _write_csv(out / f"audit-{stem}.csv", entry.columns,
+                      [entry.row(r) for r in report.rows])
     for i, doc in enumerate(report.violations):
         serialization.save(doc, out / "violations" / f"{stem}-v{i}.json")
     print(json.dumps(report.summary(), sort_keys=True))

@@ -278,13 +278,23 @@ class CoverageOracle(SetFunctionOracle):
             raise ValueError("universe weights must be finite and nonnegative")
         if w.size > 62:
             raise ValueError("universe too large for bitmask covers")
-        self.covers = tuple(frozenset(_integer(i, "cover items") for i in c)
-                            for c in covers)
-        if not all(0 <= i < w.size for cov in self.covers for i in cov):
-            raise ValueError("cover refers to an unknown universe item")
+        masks = []
+        for cover in covers:
+            mask = 0
+            for i in cover:
+                i = _integer(i, "cover items")
+                if not 0 <= i < w.size:
+                    raise ValueError(
+                        "cover refers to an unknown universe item")
+                mask |= 1 << i
+            masks.append(mask)
         self.universe_weights = w
-        self._cover_masks = tuple(
-            sum(1 << i for i in cov) for cov in self.covers)
+        self._cover_masks = tuple(masks)
+
+    @property
+    def covers(self) -> tuple:
+        """Each element's cover as an ascending tuple of universe items."""
+        return tuple(tuple(elements_of(m)) for m in self._cover_masks)
 
     def _build_table(self) -> np.ndarray:
         # Each mask's union of covers, then its items' weights folded from

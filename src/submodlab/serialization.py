@@ -165,8 +165,6 @@ def _plain(value):
     """A field value as plain JSON data."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if type(value) in CODECS:

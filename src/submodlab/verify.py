@@ -1,6 +1,7 @@
 """Ground-truth optimum oracles, guarantee checking against closed-form
 bounds, exact expectations over uniform choice trees, the five problems'
-table (PROBLEMS, see ``Problem``), and audits over its built instances.
+table (PROBLEMS, see ``Problem``), and the audits of its built instances,
+one ``Audit`` entry of AUDITS per bound, which ``run_audit`` runs.
 
 Bound provenance matters: only "proved" bounds may fail a suite or flip an
 exit code; "claimed-flawed" and "authors-conjecture" bounds are audited and
@@ -10,6 +11,7 @@ reported, never asserted.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -929,45 +931,6 @@ def instance_seed(seed: int, t: int) -> int:
     return seed * 1_000_003 + t
 
 
-def _problem_audit(bound_id: str, k: int, name: str, draw, record: tuple,
-                   trials: int, seed: int, check=None) -> AuditReport:
-    """``audit`` over built problem-k instances. Trial t takes the flags
-    ``draw(rng)`` gives for rng = default_rng([seed, t]) plus the instance
-    seed ``instance_seed(seed, t)``; it builds the instance, runs it if the
-    problem is traced, and checks it with ``check`` (the problem's own if
-    None). The row records the ``record`` keys of the flags and the report
-    params; its replay document is the bundle, with the report's gamma and m
-    as measured. More trials than the ``trials`` budget entry allows raise
-    CapabilityError before the first."""
-    _within("trials", trials)
-    problem = PROBLEMS[k]
-    check = check or problem.check
-
-    def case(s, t):
-        flags = SimpleNamespace(**draw(np.random.default_rng([s, t])),
-                                seed=instance_seed(s, t))
-        c = problem.build(flags)
-        traces = problem.run(c, flags) if problem.traced else []
-        report, = check(c, traces, flags, f"{name}-s{s}-t{t}")
-        ratios = {key: report.params[key] for key in ("gamma", "m")
-                  if key in report.params}
-        source = vars(flags) | report.params
-        return (report, {key: source[key] for key in record},
-                problem_bundle(k, c, flags, ratios))
-
-    return audit(BOUNDS[bound_id], case, trials, seed)
-
-
-def audit_problem2(trials: int, seed: int, p: int = 2, epsilon: float = 0.1,
-                   n: int = 8) -> AuditReport:
-    """Audit of the proved bicriteria bound over coverage objectives and
-    intersections of p partition matroids. Both halves are checked: the
-    value against (1-eps)*OPT and the recorded feasibility certificate."""
-    return _problem_audit("problem2-bicriteria", 2, "p2",
-                          lambda rng: {"n": n, "p": p, "epsilon": epsilon},
-                          ("epsilon", "p"), trials, seed)
-
-
 def _check_conjecture(c, traces, a, stem):
     trace, = traces
     opt = brute_force_opt_set(c["objective"], c["system"].indep_table())
@@ -986,45 +949,113 @@ def _check_conjecture(c, traces, a, stem):
         params, instance_id=stem, algorithm_id=trace.algorithm)]
 
 
-def audit_problem2_conjecture(trials: int, seed: int, p: int = 2,
-                              epsilon: float = 0.1, n: int = 8
-                              ) -> AuditReport:
-    """Audit of the authors' round-count conjecture on the problem-2
-    instances: does the value after the conjectured ceil(log_{p+1}(1/eps))
-    passes already reach (1-eps) * OPT, short of the proved
-    ceil(ln(1/eps)/ln((p+1)/p))? Each row's ``params`` record both pass
-    counts, the value after all passes, and the first pass that reaches
-    the target (None if none does)."""
-    return _problem_audit(
-        "problem2-authors-conjecture", 2, "p2c",
-        lambda rng: {"n": n, "p": p, "epsilon": epsilon},
+def _audit_row(r) -> list:
+    return [r.instance_id, repr(r.measured), repr(r.opt), repr(r.threshold),
+            "" if r.ratio is None else repr(r.ratio), r.verdict,
+            json.dumps(r.params, sort_keys=True)]
+
+
+def _conjecture_row(r) -> list:
+    first = r.params["first_round_reaching"]
+    return [r.instance_id, r.params["p"], repr(r.params["epsilon"]),
+            repr(r.opt), r.params["rounds_conjecture"],
+            r.params["rounds_multipass"], repr(r.measured),
+            repr(r.params["value_at_multipass"]),
+            "" if first is None else first, r.verdict != VIOLATED]
+
+
+class Audit(NamedTuple):
+    """One audited bound: how its trials are built and checked, and its CSV
+    (``stem`` is formatted with the bound, the seed and the flags)."""
+    problem: int       # the problem whose instances it builds
+    prefix: str        # instance ids read <prefix>-s<seed>-t<trial>
+    flags: dict        # the flags it takes -> their defaults
+    draw: Callable     # rng -> the flags a trial draws besides
+    record: tuple      # the flag and report param keys a row records
+    check: Callable | None = None  # the problem's own if None
+    stem: str = "{bound}-s{seed}"  # of the CSV and the violation files
+    columns: str = "instance,measured,opt,threshold,ratio,verdict,params"
+    row: Callable = _audit_row     # report -> CSV row
+
+
+_PROBLEM2_FLAGS = {"n": 8, "p": 2, "epsilon": 0.1}
+
+AUDITS = {
+    # coverage over p partition matroids: value and feasibility certificate
+    "problem2-bicriteria": Audit(2, "p2", _PROBLEM2_FLAGS, lambda rng: {},
+                                 ("epsilon", "p")),
+    # the same instances: do ceil(log_{p+1}(1/eps)) passes reach the target?
+    "problem2-authors-conjecture": Audit(
+        2, "p2c", _PROBLEM2_FLAGS, lambda rng: {},
         ("p", "epsilon", "rounds_conjecture", "rounds_multipass",
-         "value_at_multipass", "first_round_reaching"), trials, seed,
-        check=_check_conjecture)
-
-
-def audit_problem4(trials: int, seed: int, n: int = 5, k: int = 2
-                   ) -> AuditReport:
-    """Exact-expectation audit of the claimed partial-monotonicity bound for
-    dummy-padded random greedy, over perturbed instances, monotone with
-    probability 0.3, with measured (gamma, m) and noise amplitudes drawn
-    from [0.05, 0.6) to fill the (gamma, m) grid. The expectation is exact
-    for every budget 1 <= k <= n: its k layers cover only the sets of
-    size < k that a run can reach (see ``dummy_greedy_expectation``)."""
-    return _problem_audit(
-        "problem4-claimed", 4, "p4",
-        lambda rng: {"n": n, "k": k, "monotone": bool(rng.random() < 0.3),
+         "value_at_multipass", "first_round_reaching"),
+        check=_check_conjecture, stem="{bound}-p{p}-s{seed}",
+        columns="instance,p,epsilon,opt,rounds_conjecture,rounds_multipass,"
+                "value_at_conjecture,value_at_multipass,first_round_reaching,"
+                "conjecture_sufficient",
+        row=_conjecture_row),
+    # perturbed, monotone with odds 0.3, to fill the (gamma, m) grid
+    "problem4-claimed": Audit(
+        4, "p4", {"n": 5, "k": 2},
+        lambda rng: {"monotone": bool(rng.random() < 0.3),
                      "delta": float(rng.uniform(0.05, 0.6))},
-        ("gamma", "m", "k", "n"), trials, seed)
-
-
-def audit_problem5(trials: int, seed: int, n: int = 6) -> AuditReport:
-    """Exact-expectation audit of the claimed two-matroid random-greedy
-    bound (1/9 of the optimum at gamma = 1) over monotone instances:
-    coverage or, with even odds, perturbed with noise amplitudes drawn from
-    [0.05, 0.4)."""
-    return _problem_audit(
-        "problem5-claimed", 5, "p5",
-        lambda rng: {"n": n, "delta": None if rng.random() < 0.5
+        ("gamma", "m", "k", "n")),
+    # monotone: coverage or, with even odds, perturbed
+    "problem5-claimed": Audit(
+        5, "p5", {"n": 6},
+        lambda rng: {"delta": None if rng.random() < 0.5
                      else float(rng.uniform(0.05, 0.4))},
-        ("gamma", "n"), trials, seed)
+        ("gamma", "n")),
+}
+
+
+def run_audit(bound_id: str, trials: int, seed: int, **given
+              ) -> AuditReport:
+    """``audit`` of AUDITS[bound_id]. Trial t builds from the entry's flags
+    (the given ones in place of their defaults), ``draw(default_rng([seed,
+    t]))`` and the seed ``instance_seed(seed, t)``; its replay document is
+    the bundle, with the report's gamma and m as measured. An unread flag
+    raises ValueError, and trials past the budget CapabilityError."""
+    entry = AUDITS[bound_id]
+    unread = sorted(given.keys() - entry.flags.keys())
+    if unread:
+        raise ValueError(f"audit {bound_id} takes no {', '.join(unread)}")
+    _within("trials", trials)
+    flags = entry.flags | given
+    problem = PROBLEMS[entry.problem]
+    check = entry.check or problem.check
+
+    def case(s, t):
+        drawn = entry.draw(np.random.default_rng([s, t]))
+        a = SimpleNamespace(**flags, **drawn, seed=instance_seed(s, t))
+        c = problem.build(a)
+        traces = problem.run(c, a) if problem.traced else []
+        report, = check(c, traces, a, f"{entry.prefix}-s{s}-t{t}")
+        ratios = {key: report.params[key] for key in ("gamma", "m")
+                  if key in report.params}
+        source = vars(a) | report.params
+        return (report, {key: source[key] for key in entry.record},
+                problem_bundle(entry.problem, c, a, ratios))
+
+    return audit(BOUNDS[bound_id], case, trials, seed)
+
+
+def audit_problem2(trials: int, seed: int, **flags) -> AuditReport:
+    """The bicriteria audit (flags n, p, epsilon); see ``run_audit``."""
+    return run_audit("problem2-bicriteria", trials, seed, **flags)
+
+
+def audit_problem2_conjecture(trials: int, seed: int, **flags
+                              ) -> AuditReport:
+    """The round-count conjecture's audit (flags n, p, epsilon)."""
+    return run_audit("problem2-authors-conjecture", trials, seed, **flags)
+
+
+def audit_problem4(trials: int, seed: int, **flags) -> AuditReport:
+    """The claimed problem-4 bound's audit (flags n, k)."""
+    return run_audit("problem4-claimed", trials, seed, **flags)
+
+
+def audit_problem5(trials: int, seed: int, **flags) -> AuditReport:
+    """The claimed problem-5 bound's audit (flag n)."""
+    return run_audit("problem5-claimed", trials, seed, **flags)

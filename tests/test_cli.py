@@ -1,5 +1,5 @@
-import argparse
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -11,15 +11,15 @@ import pytest
 
 import submodlab
 from submodlab import cli
-from submodlab.cli import AUDITS, _build_parser, main
+from submodlab.cli import _build_parser, main
 from submodlab.matroids import (random_graphic_matroid,
                                 random_partition_matroid)
 from submodlab.oracles import (BUDGET, random_coverage, random_cut,
                                random_modular, random_perturbed)
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
-from submodlab.verify import (PROBLEMS, audit_problem2, audit_problem4,
-                              problem_bundle)
+from submodlab.verify import (AUDITS, PROBLEMS, audit_problem2,
+                              audit_problem4, problem_bundle, run_audit)
 
 from helpers import DummyGreedyProcess, dag_walk, wrong_length_lists
 
@@ -675,6 +675,56 @@ def test_audit_empty_ground_set_exits_one(tmp_path, capsys, bound):
     assert run(tmp_path, "audit", "--bound", bound, "--n", "0",
                "--trials", "1") == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a value for each audit flag, given to the bounds that do not read it
+FLAG_VALUES = {"n": "5", "p": "3", "epsilon": "0.3", "k": "3"}
+
+
+@pytest.mark.parametrize("bound", list(AUDITS))
+def test_audit_reads_its_entry_and_refuses_unread_flags(tmp_path, capsys,
+                                                        bound):
+    # no flag but --trials and --seed: the entry's defaults, its stem, its
+    # columns and its rows, as run_audit gives them
+    entry = AUDITS[bound]
+    assert run(tmp_path, "audit", "--bound", bound, "--trials", "2",
+               "--seed", "1") == 0
+    report = run_audit(bound, 2, 1)
+    assert json.loads(capsys.readouterr().out.splitlines()[0]) == \
+        report.summary()
+    stem = entry.stem.format(bound=bound, seed=1, **entry.flags)
+    with (tmp_path / f"audit-{stem}.csv").open(newline="") as handle:
+        assert list(csv.reader(handle)) == [entry.columns.split(",")] + [
+            [str(v) for v in entry.row(r)] for r in report.rows]
+    unread = [name for name in cli.AUDIT_FLAGS if name not in entry.flags]
+    assert unread
+    for name in unread:
+        out = tmp_path / name
+        assert run(out, "audit", "--bound", bound, "--trials", "2",
+                   f"--{name}", FLAG_VALUES[name]) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: audit --bound {bound} reads no --{name}\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"takes no {name}$"):
+            run_audit(bound, 2, 1,
+                      **{name: cli.AUDIT_FLAGS[name](FLAG_VALUES[name])})
+
+
+@pytest.mark.parametrize("trials", [0, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_traced_problem_takes_one_trial(tmp_path, capsys, k, trials):
+    # each run of problems 1-3 makes one trace, so another count is refused
+    # rather than read as 1
+    inst = tmp_path / "inst.json"
+    assert run(tmp_path, "gen", "--family", f"problem{k}", "--n", "3",
+               "--seed", "2", "--out", str(inst)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(out, "run", "--problem", str(k), "--instance", str(inst),
+               "--trials", str(trials)) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: problem {k} runs one trial, not --trials {trials}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", ["quadratic-dr", "sqrt-linear", "problem1"])
@@ -1550,9 +1600,10 @@ def test_verify_agrees_with_audit_rows(tmp_path):
 
 @pytest.mark.parametrize("bound", list(AUDITS))
 def test_every_audit_row_replays_through_the_cli(tmp_path, bound):
-    flags = argparse.Namespace(trials=3, seed=5, p=2, epsilon=0.3, n=6, k=3)
-    problem = int(bound[len("problem")])
-    for row in AUDITS[bound].run(flags).rows:
+    flags = {"p": 2, "epsilon": 0.3, "n": 6, "k": 3}
+    taken = {name: flags[name] for name in AUDITS[bound].flags}
+    problem = AUDITS[bound].problem
+    for row in run_audit(bound, 3, 5, **taken).rows:
         inst = save(row.doc, tmp_path / f"{row.instance_id}.json")
         traces = []
         if problem == 2:

@@ -59,6 +59,20 @@ def test_mask_of_takes_integer_elements_only(bad):
         ModularOracle([1.0, 2.0, 3.0]).value([bad])
 
 
+@pytest.mark.parametrize("bad", [0.5, "1", True, np.True_], ids=repr)
+def test_coverage_reads_each_cover_once_as_checked_items(bad):
+    # covers are read back as ascending tuples, repeats merged, whatever
+    # the item order; a non-integer and an out-of-range item are refused
+    f = CoverageOracle(3, [[2, np.int64(0), 2], [], [1]], [1.0, 2.0, 4.0])
+    assert f.covers == ((0, 2), (), (1,))
+    assert f.table().tolist() == [0.0, 5.0, 0.0, 5.0, 2.0, 7.0, 2.0, 7.0]
+    with pytest.raises(ValueError, match="^cover items must be integers"):
+        CoverageOracle(2, [[0], [1, bad]], [1.0, 2.0])
+    for item in (-1, 2):
+        with pytest.raises(ValueError, match="unknown universe item"):
+            CoverageOracle(2, [[0], [item]], [1.0, 2.0])
+
+
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=repr)
 def test_integer_returns_an_exact_int(value):
     got = oracles._integer(value, "things")
