@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from submodlab.verify import audit_problem2_conjecture
+from submodlab.verify import run_audit
 
 
 def main() -> int:
@@ -26,8 +26,8 @@ def main() -> int:
     args = parser.parse_args()
 
     for p in args.p:
-        report = audit_problem2_conjecture(args.trials, args.seed, p=p,
-                                           epsilon=args.epsilon)
+        report = run_audit("problem2-authors-conjecture", args.trials,
+                           args.seed, p=p, epsilon=args.epsilon)
         if args.rows:
             print("instance,opt,rounds_conjecture,rounds_multipass,"
                   "value_at_conjecture,value_at_multipass,first_round_reaching")

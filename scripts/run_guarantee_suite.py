@@ -28,12 +28,16 @@ def main() -> int:
     print("instance,bound,measured,threshold,slack,verdict")
     for t in range(args.instances):
         for k, name in NAMES.items():
-            flags = argparse.Namespace(
-                n=8 if k == 2 else 3 + t % 2,
-                seed=instance_seed(args.seed, t), p=2,
-                epsilon=args.epsilon if k == 2 else None, iterations=None,
-                resolution=0.05)
             problem = PROBLEMS[k]
+            # the entry's gen, run and verify defaults, then the suite's own
+            # n, seed and (problem 2) epsilon
+            flags = {flag: default for command in problem.flags.values()
+                     for flag, default in command.items()}
+            flags |= {"n": 8 if k == 2 else 3 + t % 2,
+                      "seed": instance_seed(args.seed, t)}
+            if k == 2:
+                flags["epsilon"] = args.epsilon
+            flags = argparse.Namespace(**flags)
             comp = problem.build(flags)
             traces = problem.run(comp, flags)
             reports += problem.check(comp, traces, flags, f"{name}-{t}")

@@ -28,9 +28,8 @@ from .algorithms import (RunTrace, authors_conjecture_rounds,
                          random_greedy_intersection)
 from .verify import (AUDITS, BOUNDS, AuditReport, BoundFormula,
                      GuaranteeReport, OptimumCertificate, audit,
-                     audit_problem2, audit_problem2_conjecture, audit_problem4,
-                     audit_problem5, brute_force_opt_set, check_bound,
-                     dummy_greedy_expectation, grid_opt,
+                     audit_problem4, audit_problem5, brute_force_opt_set,
+                     check_bound, dummy_greedy_expectation, grid_opt,
                      intersection_greedy_expectation, run_audit)
 
 __version__ = "0.1.0"

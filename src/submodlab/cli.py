@@ -1,17 +1,14 @@
 """Command-line entry point: instance generation, algorithm runs, guarantee
 verification, and audits, all replayable from (config, seed).
 
-Each of the five problems is defined once, in verify's PROBLEMS table: its
-components, and how its instance is built, measured, run and checked.
-`gen --family problem<k>` builds through the entry and records what its
-`measure` gives, `run` and `verify` exit 1 on a bundle component that is
-missing or not of the class the entry declares, `verify` takes --trace
-files for the traced problems (1-3) only, and `run` only --trials 1 for
-them. Each audited bound is one entry of verify's AUDITS table, over the
-same problem entries: `audit` reads its flags, defaults and CSV layout
-there and refuses a flag the bound does not read. The seven plain `gen`
-families are one table, FAMILIES, of (build, measure) pairs: the built
-oracle's document records what `measure` gives as its `measured`.
+Each problem, audited bound and plain `gen` family is one table entry
+(verify's PROBLEMS and AUDITS, and FAMILIES here) that states the flags
+each command reads, with their defaults. A command offers the flags its
+entries read, and one rule refuses, with exit 1 before any instance or
+trace file is read, a flag that the entry its --family, --problem or
+--bound selects does not read: problems 1-3 read no --trials, 4-5 no
+--trace. A flag not given takes, in `run` and `verify`, the bundle's meta
+value (never its seed), else the entry's default.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved
@@ -20,8 +17,9 @@ capability limit. The default output directory is ./submodlab-out,
 overridable with --out-dir or the SUBMODLAB_OUT environment variable. A
 --config JSON file maps flag names, required ones included, to values read
 as if given ahead of the command line's own flags in one parse: argparse
-checks them and explicit flags win. A list value is allowed only for the
-repeatable --trace, and a nested "config" key is a usage error.
+checks them and explicit flags win. A list value is allowed only for a
+repeatable flag (--trace), false only for a switch (--monotone), and a
+nested "config" key is a usage error.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -54,7 +52,8 @@ from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
 from .oracles import (CapabilityError, _integer, _within, random_coverage,
                       random_cut, random_modular, random_perturbed)
-from .verify import PROBLEMS, exact_ratios, sampled_gamma
+from .verify import (GEN, NOISE, PROBLEMS, SEED, exact_ratios,
+                     sampled_gamma)
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -65,8 +64,6 @@ EXIT_CAPABILITY = 3
 
 # the top-level option a config file may set (it cannot name --config)
 TOP_LEVEL_FLAGS = ("--out-dir",)
-# the only options that may be given more than once (a list in --config)
-REPEATABLE_FLAGS = ("--trace",)
 
 
 class UsageError(Exception):
@@ -98,26 +95,39 @@ def _weak_dr(f, a):
 
 
 # family -> (build: flags -> oracle, measure: (oracle, flags) -> the
-# document's measured dict)
+# document's measured dict, the flags it reads -> their defaults)
 FAMILIES = {
-    "modular": (lambda a: random_modular(a.n, a.seed), _exact),
-    "coverage": (lambda a: random_coverage(a.n, a.seed), _exact),
-    "cut": (lambda a: random_cut(a.n, a.seed), _exact),
+    "modular": (lambda a: random_modular(a.n, a.seed), _exact, GEN),
+    "coverage": (lambda a: random_coverage(a.n, a.seed), _exact, GEN),
+    "cut": (lambda a: random_cut(a.n, a.seed), _exact, GEN),
     "perturbed": (lambda a: random_perturbed(a.n, a.delta, a.seed,
-                                             monotone=a.monotone), _exact),
+                                             monotone=a.monotone), _exact,
+                  GEN | NOISE),
     "quadratic-dr": (lambda a: random_quadratic_dr(a.n, a.seed,
-                                                   monotone=a.monotone), _dr),
+                                                   monotone=a.monotone), _dr,
+                     GEN | {"monotone": False}),
     "quadratic-weak": (lambda a: random_weak_quadratic(a.n, a.seed),
-                       _weak_dr),
-    "sqrt-linear": (lambda a: random_sqrt_linear(a.n, a.seed), _weak_dr),
+                       _weak_dr, GEN),
+    "sqrt-linear": (lambda a: random_sqrt_linear(a.n, a.seed), _weak_dr, GEN),
 }
-# family -> k: built and measured by PROBLEMS[k]
-PROBLEM_FAMILIES = {f"problem{k}": k for k in PROBLEMS}
 
-
-# audit flag -> its type, read off the defaults in verify.AUDITS
-AUDIT_FLAGS = {name: type(default) for entry in verify.AUDITS.values()
-               for name, default in entry.flags.items()}
+# command -> (its one-line help, its selector, selector value -> the flags
+# that entry reads -> their defaults)
+ENTRIES = {
+    "gen": ("generate and serialize instances", "family",
+            {name: family[2] for name, family in FAMILIES.items()}
+            | {f"problem{k}": p.flags["gen"] for k, p in PROBLEMS.items()}),
+    "run": ("run an algorithm on an instance file", "problem",
+            {k: p.flags["run"] for k, p in PROBLEMS.items()}),
+    "verify": ("check runs against bound formulas", "problem",
+               {k: p.flags["verify"] for k, p in PROBLEMS.items()}),
+    "audit": ("search instances for bound violations", "bound",
+              {b: {"trials": 100} | SEED | a.flags
+               for b, a in verify.AUDITS.items()}),
+}
+# flag -> the type of its defaults: bool a switch, tuple a repeatable flag
+KINDS = {name: type(default) for _, _, entries in ENTRIES.values()
+         for flags in entries.values() for name, default in flags.items()}
 
 
 @functools.cache  # one parser per process: parse_args leaves it as it was
@@ -128,44 +138,22 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out-dir", help="output directory "
                         f"(default $%s or ./submodlab-out)" % OUT_ENV)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate and serialize instances")
-    gen.add_argument("--family", required=True,
-                     choices=list(FAMILIES | PROBLEM_FAMILIES))
-    gen.add_argument("--n", type=int, default=6)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--delta", type=float, default=0.4)
-    gen.add_argument("--monotone", action="store_true")
-    gen.add_argument("--p", type=int, default=2)
-    gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--out", help="output file path")
-
-    run = sub.add_parser("run", help="run an algorithm on an instance file")
-    run.add_argument("--problem", type=int, required=True,
-                     choices=list(PROBLEMS))
-    run.add_argument("--instance", required=True)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--iterations", type=int, help="iteration count K")
-    run.add_argument("--k", type=int, help="cardinality budget")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--trials", type=int, default=1)
-
-    ver = sub.add_parser("verify", help="check runs against bound formulas")
-    ver.add_argument("--problem", type=int, required=True,
-                     choices=list(PROBLEMS))
-    ver.add_argument("--instance", required=True)
-    ver.add_argument("--trace", action="append", default=[],
-                     help="trace file (repeatable), for problems 1-3 only")
-    ver.add_argument("--k", type=int, help="cardinality budget (problem 4)")
-    ver.add_argument("--resolution", type=float, default=0.05)
-    ver.add_argument("--seed", type=int, default=0)
-
-    aud = sub.add_parser("audit", help="search instances for bound violations")
-    aud.add_argument("--bound", required=True, choices=list(verify.AUDITS))
-    aud.add_argument("--trials", type=int, default=100)
-    aud.add_argument("--seed", type=int, default=0)
-    for name, kind in AUDIT_FLAGS.items():
-        aud.add_argument(f"--{name}", type=kind)
+    for command, (summary, selector, entries) in ENTRIES.items():
+        # a flag not given stays out of the namespace: _flags fills it in
+        cmd = sub.add_parser(command, help=summary,
+                             argument_default=argparse.SUPPRESS)
+        cmd.add_argument(f"--{selector}", required=True, choices=list(entries),
+                         type=type(next(iter(entries))))
+        if command in ("run", "verify"):
+            cmd.add_argument("--instance", required=True)
+        if command == "gen":
+            cmd.add_argument("--out", default=None, help="output file path")
+        for name in dict.fromkeys(n for flags in entries.values()
+                                  for n in flags):
+            kind = KINDS[name]
+            cmd.add_argument(f"--{name}", **(
+                {"action": "store_true"} if kind is bool else
+                {"action": "append"} if kind is tuple else {"type": kind}))
     return parser
 
 
@@ -174,8 +162,9 @@ def _with_config(argv: list[str]) -> list[str]:
     top-level parser takes no abbreviation) spliced in as flags: top-level
     ones first, the command's own right after the command token, the
     command line's own later, so they win. A list gives a repeatable flag
-    once per item and is rejected for any other flag. A config file cannot
-    name another config file. Without a config or a command, argv stays."""
+    once per item, false a switch no token, and either is rejected for any
+    other flag. A config file cannot name another config file. Without a
+    config or a command, argv stays."""
     i, path = 0, None  # the command is the first token that is no option
     while i < len(argv) and argv[i].startswith("-"):
         flag, eq, value = argv[i].partition("=")
@@ -192,15 +181,43 @@ def _with_config(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag == "--config":
             raise UsageError("a config file cannot hold a 'config' key")
+        if value is False and KINDS.get(key) is not bool:
+            raise UsageError(f"config key {key!r} is false but no switch")
         if isinstance(value, bool):
             tokens = [flag] if value else []
-        elif isinstance(value, list) and flag not in REPEATABLE_FLAGS:
+        elif isinstance(value, list) and KINDS.get(key) is not tuple:
             raise UsageError(f"config key {key!r} takes one value, not a list")
         else:
             values = value if isinstance(value, list) else [value]
             tokens = [t for v in values for t in (flag, str(v))]
         (top if flag in TOP_LEVEL_FLAGS else below).extend(tokens)
     return top + argv[:i + 1] + below + argv[i + 1:]
+
+
+def _refuse_unread(args) -> None:
+    """A usage error naming each given flag that the entry args select does
+    not read: the one rule of every command."""
+    _, selector, entries = ENTRIES[args.command]
+    value = getattr(args, selector)
+    unread = [f"--{name}" for name in vars(args)
+              if name in KINDS and name not in entries[value]]
+    if unread:
+        raise UsageError(f"{args.command} --{selector} {value} reads no "
+                         + " or ".join(unread))
+
+
+def _flags(args, comp=None) -> argparse.Namespace:
+    """args with each flag that its entry reads: as given, else (for run and
+    verify, from the bundle components ``comp``) the bundle's meta value
+    unless it is the seed, else the entry's default. A meta value is
+    checked through verify.NUMBERS even when a flag overrides it."""
+    _, selector, entries = ENTRIES[args.command]
+    flags = dict(entries[getattr(args, selector)])
+    meta = set(PROBLEMS[args.problem].meta) - {"seed"} if comp else set()
+    for name in flags.keys() & meta:
+        value = verify._number(comp, f"meta.{name}")
+        flags[name] = flags[name] if value is None else value
+    return argparse.Namespace(**flags | vars(args))
 
 
 def _out_dir(args) -> Path:
@@ -227,12 +244,13 @@ def _exit_code(reports) -> int:
 
 
 def cmd_gen(args) -> int:
+    args = _flags(args)
     if args.family in FAMILIES:
-        build, measure = FAMILIES[args.family]
+        build, measure, _ = FAMILIES[args.family]
         f = build(args)
         doc = serialization.to_doc(f) | {"measured": measure(f, args)}
     else:
-        k = PROBLEM_FAMILIES[args.family]
+        k = int(args.family.removeprefix("problem"))  # built by PROBLEMS[k]
         PROBLEMS[k].within_caps(args.n)
         c = PROBLEMS[k].build(args)
         doc = verify.problem_bundle(k, c, args, PROBLEMS[k].measure(c, args))
@@ -265,15 +283,14 @@ def _load_problem_components(args):
 
 
 def cmd_run(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"trials must be nonnegative, not {args.trials}")
-    _within("trials", args.trials)
+    if "trials" in args:  # checked before the instance file is read
+        if args.trials < 0:
+            raise ValueError(f"trials must be nonnegative, not {args.trials}")
+        _within("trials", args.trials)
     problem = PROBLEMS[args.problem]
-    if problem.traced and args.trials != 1:  # its run makes one trace
-        raise UsageError(f"problem {args.problem} runs one trial, not "
-                         f"--trials {args.trials}")
     comp = _load_problem_components(args)
     problem.within_caps(comp[next(iter(problem.components))].n)
+    args = _flags(args, comp)
     traces = problem.run(comp, args)
     out = _out_dir(args)
     stem = Path(args.instance).stem
@@ -297,11 +314,10 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     problem = PROBLEMS[args.problem]
     comp = _load_problem_components(args)
-    if problem.traced != bool(args.trace):
-        raise UsageError("problems 1-3 need --trace files to verify"
-                         if problem.traced else
-                         f"problem {args.problem} reads no --trace file")
-    traces = [serialization.load(p) for p in args.trace]
+    args = _flags(args, comp)
+    if "trace" in args and not args.trace:  # read by problems 1-3
+        raise UsageError("problems 1-3 need --trace files to verify")
+    traces = [serialization.load(p) for p in vars(args).get("trace", ())]
     if not all(isinstance(t, RunTrace) for t in traces):
         raise ValueError("a --trace file does not hold a run trace")
     stem = Path(args.instance).stem
@@ -321,17 +337,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    args = _flags(args)
     entry = verify.AUDITS[args.bound]
-    given = {name: getattr(args, name) for name in AUDIT_FLAGS
-             if getattr(args, name) is not None}
-    unread = [f"--{name}" for name in given if name not in entry.flags]
-    if unread:
-        raise UsageError(f"audit --bound {args.bound} reads no "
-                         + " or ".join(unread))
-    report = verify.run_audit(args.bound, args.trials, args.seed, **given)
+    report = verify.run_audit(args.bound, args.trials, args.seed,
+                              **{n: getattr(args, n) for n in entry.flags})
     out = _out_dir(args)
-    stem = entry.stem.format(bound=args.bound, seed=args.seed,
-                             **(entry.flags | given))
+    stem = entry.stem.format(**vars(args))
     path = _write_csv(out / f"audit-{stem}.csv", entry.columns,
                       [entry.row(r) for r in report.rows])
     for i, doc in enumerate(report.violations):
@@ -349,6 +360,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(_with_config(argv))
+        _refuse_unread(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

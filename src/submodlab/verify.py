@@ -676,18 +676,14 @@ class Problem(NamedTuple):
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
     caps: tuple         # the BUDGET entries that cap check at size n
+    flags: dict         # gen, run, verify -> {flag: default} it reads
     measure: Callable = lambda c, a: ratios_doc(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
-    traced: bool = True           # check reads run's traces
     bare_objective: bool = False  # a plain set-function file also loads
 
     def within_caps(self, n: int) -> None:
         for name in self.caps:
             _within(name, n, what="value table")
-
-
-def _or(value, default):
-    return default if value is None else value
 
 
 # the numbers run and verify read from a bundle's components dict or from a
@@ -773,7 +769,8 @@ def _build_problem3(a):
 def _problem3_gammas(c, a) -> tuple:
     # the objective's sampled gamma, which the check uses, never the
     # bundle's (at 0 it lets every final point hold), and the bundle's own
-    gamma = sampled_gamma(c["objective"], _or(_number(c, "meta.seed"), a.seed))
+    seed = _number(c, "meta.seed")
+    gamma = sampled_gamma(c["objective"], a.seed if seed is None else seed)
     declared = _number(c, "measured.gamma")
     if declared is not None and declared != gamma:
         raise ValueError(f"bundle measured.gamma is {declared!r}, but the "
@@ -786,10 +783,6 @@ def _check_problem3(c, traces, a, stem):
     cert = grid_opt(c["objective"], c["polytope"], a.resolution)
     return [problem3_report(t, gamma, c["objective"], cert,
                             instance_id=stem) for t in traces]
-
-
-def _budget(c, a) -> int:
-    return _or(a.k, _or(_number(c, "meta.k"), 2))
 
 
 def _build_problem4(a):
@@ -806,40 +799,57 @@ def _build_problem5(a):
             "matroid2": random_partition_matroid(a.n, a.seed + 2)}
 
 
+# flag defaults shared by several entries (a tuple default marks a flag
+# that may be given more than once, a bool a switch)
+SEED = {"seed": 0}
+GEN = {"n": 6} | SEED
+NOISE = {"delta": 0.4, "monotone": False}
+_BUDGET = {"k": 2}
+_TRIALS = SEED | {"trials": 1}
+_GRID = {"trace": (), "resolution": 0.05}
+
 PROBLEMS = {
     1: Problem({"g": ContinuousOracle, "h": ContinuousOracle,
                 "polytope": Polytope},
                _build_problem1,
                lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
-                                                _or(a.epsilon, 0.02))],
-               _check_problem1, ("grid-dim",), measure=lambda c, a: {}),
+                                                a.epsilon)],
+               _check_problem1, ("grid-dim",),
+               {"gen": GEN, "run": {"epsilon": 0.02}, "verify": _GRID},
+               measure=lambda c, a: {}),
     2: Problem({"objective": SetFunctionOracle, "system": PSystem},
                lambda a: {"objective": random_coverage(a.n, a.seed),
                           "system": random_partition_psystem(a.n, a.p,
                                                              a.seed)},
-               lambda c, a: [multipass_greedy(
-                   c["objective"], c["system"],
-                   _or(a.epsilon, _or(_number(c, "meta.epsilon"), 0.25)))],
+               lambda c, a: [multipass_greedy(c["objective"], c["system"],
+                                              a.epsilon)],
                _check_problem2, ("table",),
+               {"gen": GEN | {"p": 2}, "run": {"epsilon": 0.25},
+                "verify": {"trace": ()}},
                # the check reads no ratio: past its cap none is recorded
                measure=lambda c, a: exact_ratios(c["objective"]),
                meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
                _build_problem3,
                lambda c, a: [frank_wolfe(
-                   c["objective"], c["polytope"], _or(a.iterations, 200),
+                   c["objective"], c["polytope"], a.iterations,
                    declared_gamma=_problem3_gammas(c, a)[1])],
                _check_problem3, ("grid-dim",),
+               {"gen": GEN, "run": {"iterations": 200} | SEED,
+                "verify": _GRID | SEED},
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),
     4: Problem({"objective": SetFunctionOracle},
                _build_problem4,
                lambda c, a: [random_greedy_dummies(
-                   c["objective"], _budget(c, a), seed=a.seed + t)
+                   c["objective"], a.k, seed=a.seed + t)
                    for t in range(a.trials)],
                lambda c, traces, a, stem: [problem4_report(
-                   c["objective"], _budget(c, a), instance_id=stem)],
-               ("gamma",), meta=("seed", "k"), traced=False, bare_objective=True),
+                   c["objective"], a.k, instance_id=stem)],
+               ("gamma",),
+               {"gen": GEN | NOISE | _BUDGET, "run": _BUDGET | _TRIALS,
+                "verify": _BUDGET},
+               meta=("seed", "k"), bare_objective=True),
     5: Problem({"objective": SetFunctionOracle, "matroid1": Matroid,
                 "matroid2": Matroid},
                _build_problem5,
@@ -849,7 +859,9 @@ PROBLEMS = {
                lambda c, traces, a, stem: [problem5_report(
                    c["objective"], c["matroid1"], c["matroid2"],
                    instance_id=stem)],
-               ("gamma",), traced=False),
+               ("gamma",),
+               {"gen": GEN | {"delta": NOISE["delta"]}, "run": _TRIALS,
+                "verify": {}}),
 }
 
 
@@ -1029,7 +1041,8 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
         drawn = entry.draw(np.random.default_rng([s, t]))
         a = SimpleNamespace(**flags, **drawn, seed=instance_seed(s, t))
         c = problem.build(a)
-        traces = problem.run(c, a) if problem.traced else []
+        traces = problem.run(c, a) if "trace" in problem.flags["verify"] \
+            else []
         report, = check(c, traces, a, f"{entry.prefix}-s{s}-t{t}")
         ratios = {key: report.params[key] for key in ("gamma", "m")
                   if key in report.params}
@@ -1038,17 +1051,6 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
                 problem_bundle(entry.problem, c, a, ratios))
 
     return audit(BOUNDS[bound_id], case, trials, seed)
-
-
-def audit_problem2(trials: int, seed: int, **flags) -> AuditReport:
-    """The bicriteria audit (flags n, p, epsilon); see ``run_audit``."""
-    return run_audit("problem2-bicriteria", trials, seed, **flags)
-
-
-def audit_problem2_conjecture(trials: int, seed: int, **flags
-                              ) -> AuditReport:
-    """The round-count conjecture's audit (flags n, p, epsilon)."""
-    return run_audit("problem2-authors-conjecture", trials, seed, **flags)
 
 
 def audit_problem4(trials: int, seed: int, **flags) -> AuditReport:

@@ -22,11 +22,10 @@ from submodlab.matroids import (PSystem, random_graphic_matroid,
 from submodlab.oracles import (measure_ratios, random_coverage,
                                random_modular, random_perturbed)
 from submodlab.serialization import canonical_json, load_bundle, to_doc
-from submodlab.verify import (audit_problem2_conjecture, audit_problem4,
-                              audit_problem5, brute_force_opt_set,
-                              dummy_greedy_expectation, grid_opt,
-                              intersection_greedy_expectation,
-                              problem1_report, problem3_report)
+from submodlab.verify import (audit_problem4, audit_problem5,
+                              brute_force_opt_set, dummy_greedy_expectation,
+                              grid_opt, intersection_greedy_expectation,
+                              problem1_report, problem3_report, run_audit)
 
 from helpers import (DummyGreedyProcess, dag_walk, grad_check, mean_and_se,
                      random_uniform_matroid, verify_matroid_axioms)
@@ -251,8 +250,8 @@ def test_acceptance_5_property_suites():
 def test_acceptance_6_round_count_conjecture_audit():
     with criterion(6, "authors'-conjecture round-count audit, reproducible"):
         for p in (2, 3):
-            report = audit_problem2_conjecture(trials=100, seed=60 + p, p=p,
-                                               epsilon=0.1, n=8)
+            report = run_audit("problem2-authors-conjecture", trials=100,
+                               seed=60 + p, p=p, epsilon=0.1, n=8)
             assert len(report.rows) == 100
             for row in report.rows:
                 q = row.params
@@ -261,8 +260,8 @@ def test_acceptance_6_round_count_conjecture_audit():
                 assert row.opt > 0.0
                 assert q["first_round_reaching"] is None or \
                     1 <= q["first_round_reaching"] <= q["rounds_multipass"]
-            again = audit_problem2_conjecture(trials=100, seed=60 + p, p=p,
-                                              epsilon=0.1, n=8)
+            again = run_audit("problem2-authors-conjecture", trials=100,
+                              seed=60 + p, p=p, epsilon=0.1, n=8)
             assert [r.measured for r in report.rows] == \
                 [r.measured for r in again.rows]
             summary = report.summary()

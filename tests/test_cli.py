@@ -18,8 +18,8 @@ from submodlab.oracles import (BUDGET, random_coverage, random_cut,
                                random_modular, random_perturbed)
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
-from submodlab.verify import (AUDITS, PROBLEMS, audit_problem2,
-                              audit_problem4, problem_bundle, run_audit)
+from submodlab.verify import (AUDITS, PROBLEMS, audit_problem4,
+                              problem_bundle, run_audit)
 
 from helpers import DummyGreedyProcess, dag_walk, wrong_length_lists
 
@@ -61,7 +61,7 @@ def test_gen_problem_records_its_measure(tmp_path, k):
     argv = ["gen", "--family", f"problem{k}", "--n", "5", "--seed", "3"]
     out = tmp_path / "inst.json"
     assert run(tmp_path, *argv, "--out", str(out)) == 0
-    flags = _build_parser().parse_args(argv)
+    flags = cli._flags(_build_parser().parse_args(argv))
     built = PROBLEMS[k].build(flags)
     assert load_doc(out)["measured"] == PROBLEMS[k].measure(built, flags)
     # the built components are the ones the entry declares
@@ -696,7 +696,7 @@ def test_audit_reads_its_entry_and_refuses_unread_flags(tmp_path, capsys,
     with (tmp_path / f"audit-{stem}.csv").open(newline="") as handle:
         assert list(csv.reader(handle)) == [entry.columns.split(",")] + [
             [str(v) for v in entry.row(r)] for r in report.rows]
-    unread = [name for name in cli.AUDIT_FLAGS if name not in entry.flags]
+    unread = [name for name in FLAG_VALUES if name not in entry.flags]
     assert unread
     for name in unread:
         out = tmp_path / name
@@ -707,14 +707,95 @@ def test_audit_reads_its_entry_and_refuses_unread_flags(tmp_path, capsys,
         assert not out.exists()
         with pytest.raises(ValueError, match=f"takes no {name}$"):
             run_audit(bound, 2, 1,
-                      **{name: cli.AUDIT_FLAGS[name](FLAG_VALUES[name])})
+                      **{name: cli.KINDS[name](FLAG_VALUES[name])})
+
+
+# a value for every flag of the tables (None for a switch)
+ANY_VALUE = FLAG_VALUES | {"seed": "1", "delta": "0.3", "monotone": None,
+                           "iterations": "7", "trials": "2",
+                           "resolution": "0.3", "trace": "unread.json"}
+
+
+def _unread_cases():
+    """(command, selector, entry, flag) for each flag that a command offers
+    and the entry does not read."""
+    for command, (_, selector, entries) in cli.ENTRIES.items():
+        offered = {name for flags in entries.values() for name in flags}
+        for value, flags in entries.items():
+            for name in sorted(offered - flags.keys()):
+                yield pytest.param(command, selector, value, name,
+                                   id=f"{command}-{value}-{name}")
+
+
+@pytest.mark.parametrize("command, selector, value, name",
+                         list(_unread_cases()))
+def test_every_command_refuses_a_flag_its_entry_does_not_read(
+        tmp_path, capsys, command, selector, value, name):
+    # one line and no file, before the instance file (absent here) is read
+    argv = [command, f"--{selector}", str(value), f"--{name}"]
+    argv += [] if ANY_VALUE[name] is None else [ANY_VALUE[name]]
+    if command in ("run", "verify"):
+        argv += ["--instance", str(tmp_path / "absent.json")]
+    assert run(tmp_path / "out", *argv) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: {command} --{selector} {value} reads no --{name}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_offered_flag_is_read_by_some_entry():
+    # the parser offers exactly the flags the entries read, each of them
+    # passes the rule for an entry that reads it, and the settings are the
+    # (command, entry, flag) triples the tables list (--out for gen)
+    parser = _build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if action.dest == "command")
+    settings = {}
+    for command, (_, selector, entries) in cli.ENTRIES.items():
+        offered = {action.dest for action in commands[command]._actions
+                   if action.option_strings} - {"help", selector, "instance"}
+        read = {name for flags in entries.values() for name in flags}
+        assert offered - {"out"} == read
+        for value, flags in entries.items():
+            for name in flags:
+                argv = [command, f"--{selector}", str(value), f"--{name}"]
+                argv += [] if ANY_VALUE[name] is None else [ANY_VALUE[name]]
+                if command in ("run", "verify"):
+                    argv += ["--instance", "x.json"]
+                cli._refuse_unread(parser.parse_args(argv))
+        settings[command] = sum(len(flags) + (command == "gen")
+                                for flags in entries.values())
+    assert settings == {"gen": 44, "run": 9, "verify": 7, "audit": 17}
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["gen", "--family", "coverage", "--n", "5", "--p", "9", "--k", "9",
+      "--delta", "0.3", "--monotone"], "--p or --k or --delta or --monotone"),
+    (["run", "--problem", "4", "--instance", "problem4-n6-s9.json",
+      "--epsilon", "0.9", "--iterations", "7"], "--epsilon or --iterations"),
+    (["verify", "--problem", "4", "--instance", "problem4-n6-s9.json",
+      "--resolution", "0.3", "--seed", "5"], "--resolution or --seed"),
+    (["run", "--problem", "2", "--instance", "problem2-n7-s11.json",
+      "--seed", "77", "--k", "3"], "--seed or --k"),
+], ids=["gen-coverage", "run-problem4", "verify-problem4", "run-problem2"])
+def test_flags_an_entry_never_read_were_dropped_and_now_exit_one(
+        tmp_path, capsys, argv, unread):
+    # each exited 0 with the flags ignored, on a bundle that reads as usual
+    if "--instance" in argv:
+        i = argv.index("--instance") + 1
+        argv[i] = str(GOLDEN_CLI / "instances" / argv[i])
+    assert run(tmp_path, *argv) == 1
+    selected = argv[1:3]
+    assert capsys.readouterr().err == (f"usage error: {argv[0]} "
+                                       f"{' '.join(selected)} reads no "
+                                       f"{unread}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("trials", [0, 4])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_run_traced_problem_takes_one_trial(tmp_path, capsys, k, trials):
-    # each run of problems 1-3 makes one trace, so another count is refused
-    # rather than read as 1
+    # each run of problems 1-3 makes one trace: they read no --trials, so
+    # any count is refused rather than read as 1
     inst = tmp_path / "inst.json"
     assert run(tmp_path, "gen", "--family", f"problem{k}", "--n", "3",
                "--seed", "2", "--out", str(inst)) == 0
@@ -723,7 +804,7 @@ def test_run_traced_problem_takes_one_trial(tmp_path, capsys, k, trials):
     assert run(out, "run", "--problem", str(k), "--instance", str(inst),
                "--trials", str(trials)) == 1
     assert capsys.readouterr().err == \
-        f"usage error: problem {k} runs one trial, not --trials {trials}\n"
+        f"usage error: run --problem {k} reads no --trials\n"
     assert not out.exists()
 
 
@@ -894,7 +975,7 @@ def test_verify_untraced_problem_with_a_trace_exits_one(tmp_path, capsys,
     capsys.readouterr()
     _usage_error(capsys, run(tmp_path, "verify", "--problem", str(problem),
                              "--instance", str(inst), "--trace", str(trace)),
-                 f"problem {problem} reads no --trace file")
+                 f"verify --problem {problem} reads no --trace")
     assert not list(tmp_path.glob("verify-*.csv"))
 
 
@@ -1003,10 +1084,10 @@ def test_frank_wolfe_past_the_record_cap_exits_three(tmp_path, capsys, k,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "4", "--k", "2"],
-    ["run", "--problem", "1"],
+    ["run", "--problem", "5"],
     ["audit", "--bound", "problem4-claimed"],
     ["audit", "--bound", "problem2-authors-conjecture"]],
-    ids=["run-problem4", "run-problem1", "audit-problem4",
+    ids=["run-problem4", "run-problem5", "audit-problem4",
          "audit-conjecture"])
 def test_trials_past_the_budget_exit_three(tmp_path, capsys, argv):
     # each trial is one trace file or one audit row: 10^9 of them ran for
@@ -1040,8 +1121,8 @@ def test_gen_and_run_past_the_check_caps_exit_three(tmp_path, capsys, k,
     out = tmp_path / "out"
     assert run(out, "gen", "--family", f"problem{k}", "--n", str(n)) == 3
     assert capsys.readouterr().err == line
-    flags = _build_parser().parse_args(
-        ["gen", "--family", f"problem{k}", "--n", str(n)])
+    flags = cli._flags(_build_parser().parse_args(
+        ["gen", "--family", f"problem{k}", "--n", str(n)]))
     c = PROBLEMS[k].build(flags)
     inst = tmp_path / "inst.json"
     save(problem_bundle(k, c, flags, PROBLEMS[k].measure(c, flags)), inst)
@@ -1413,7 +1494,7 @@ def test_verify_problem4_deep_tree_is_exact(tmp_path, capsys):
     run(tmp_path, "gen", "--family", "problem4", "--n", "10", "--seed", "13",
         "--k", "8", "--out", str(inst))
     assert run(tmp_path, "verify", "--problem", "4", "--instance", str(inst),
-               "--k", "8", "--seed", "2") == 0
+               "--k", "8") == 0
     report = next(tmp_path.glob("verify-*-p4.csv")).read_text()
     fields = report.splitlines()[1].split(",")
     exact = dag_walk(
@@ -1465,6 +1546,16 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
     assert gen_with({"no_such_flag": 1}) == 1
     assert gen_with({"monotone": "yes"}) == 1
     assert "Traceback" not in capsys.readouterr().err
+    # false is no token for a switch alone: another key is refused, not
+    # dropped
+    assert gen_with({"monotone": False}) == 0
+    for config in ({"no_such_flag": False, "n": False}, {"n": False}):
+        out.unlink(missing_ok=True)
+        assert gen_with(config) == 1
+        key = next(iter(config))
+        assert capsys.readouterr().err == \
+            f"usage error: config key {key!r} is false but no switch\n"
+        assert not out.exists()
 
 
 def test_config_cannot_name_a_config(tmp_path, capsys):
@@ -1633,7 +1724,7 @@ def test_audit_instances_are_gen_instances(tmp_path):
     rng = np.random.default_rng([seed, trial])  # the problem-4 draw
     monotone, delta = rng.random() < 0.3, float(rng.uniform(0.05, 0.6))
     cases = (
-        (audit_problem2(2, seed, p=3, n=6), ["--p", "3"]),
+        (run_audit("problem2-bicriteria", 2, seed, p=3, n=6), ["--p", "3"]),
         (audit_problem4(2, seed, n=6, k=3),
          ["--k", "3", "--delta", repr(delta)] + ["--monotone"] * monotone),
     )
@@ -1692,7 +1783,7 @@ def test_repeated_trace_flags_do_not_accumulate(tmp_path, monkeypatch):
     seen = []
 
     def recording(args):
-        seen.append(list(args.trace))
+        seen.append(list(getattr(args, "trace", [])))  # not read by 4
         return cli.cmd_verify(args)
 
     monkeypatch.setitem(cli.COMMANDS, "verify", recording)
@@ -1708,7 +1799,7 @@ def test_repeated_trace_flags_do_not_accumulate(tmp_path, monkeypatch):
 def test_config_run_bytes_do_not_depend_on_earlier_commands(tmp_path):
     inst, trace = _problem2_run(tmp_path)
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"trace": [trace, trace], "seed": 4}))
+    cfg.write_text(json.dumps({"trace": [trace, trace]}))
 
     def config_verify(out):
         assert main(["--config", str(cfg), "--out-dir", str(out), "verify",

@@ -27,13 +27,12 @@ from submodlab.serialization import canonical_json, load_bundle
 from submodlab import cli, verify
 from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               PROVED, TRIVIAL, VIOLATED, audit,
-                              audit_problem2, audit_problem2_conjecture,
                               audit_problem4, audit_problem5,
                               brute_force_opt_set, check_bound,
                               dummy_greedy_expectation, grid_opt,
                               intersection_greedy_expectation,
                               problem2_report, problem3_report,
-                              problem4_report)
+                              problem4_report, run_audit)
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
                      brute_force_loop, dag_walk, grid_opt_ref, grid_oracle,
@@ -1130,13 +1129,15 @@ def test_audit_determinism():
 
 
 def test_conjecture_audit_shape_and_determinism():
-    rep = audit_problem2_conjecture(trials=10, seed=4, p=2, epsilon=0.1, n=7)
+    rep = run_audit("problem2-authors-conjecture", trials=10, seed=4, p=2,
+                    epsilon=0.1, n=7)
     assert len(rep.rows) == 10
     for row in rep.rows:
         assert row.params["rounds_conjecture"] == 3
         assert row.params["rounds_multipass"] == 6
         assert row.measured <= row.params["value_at_multipass"] + 1e-12
-    again = audit_problem2_conjecture(trials=10, seed=4, p=2, epsilon=0.1, n=7)
+    again = run_audit("problem2-authors-conjecture", trials=10, seed=4, p=2,
+                      epsilon=0.1, n=7)
     assert [r.measured for r in rep.rows] == [r.measured for r in again.rows]
     summary = rep.summary()
     assert 0.0 <= summary["violations"] / summary["instances"] <= 1.0
@@ -1144,7 +1145,8 @@ def test_conjecture_audit_shape_and_determinism():
 
 def test_conjecture_violations_replay_from_their_documents():
     # at eps = 0.4 and p = 2 the conjecture allows one pass, the proof three
-    rep = audit_problem2_conjecture(trials=100, seed=0, p=2, epsilon=0.4, n=8)
+    rep = run_audit("problem2-authors-conjecture", trials=100, seed=0, p=2,
+                    epsilon=0.4, n=8)
     bad = [r for r in rep.rows if r.verdict == VIOLATED]
     assert [r.instance_id for r in bad] == ["p2c-s0-t22", "p2c-s0-t81"]
     assert all(r.provenance == AUTHORS_CONJECTURE for r in bad)
@@ -1162,7 +1164,7 @@ def test_conjecture_violations_replay_from_their_documents():
 def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
     import submodlab.verify as verify_module
 
-    honest = audit_problem2(trials=6, seed=2, p=2, n=7)
+    honest = run_audit("problem2-bicriteria", trials=6, seed=2, p=2, n=7)
     assert [r.verdict for r in honest.rows] == ["holds"] * 6
     assert honest.violations == []
 
@@ -1175,7 +1177,7 @@ def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
         return trace
 
     monkeypatch.setattr(verify_module, "multipass_greedy", tampered)
-    report = audit_problem2(trials=6, seed=2, p=2, n=7)
+    report = run_audit("problem2-bicriteria", trials=6, seed=2, p=2, n=7)
     dependent = 0
     for row, before in zip(report.rows, honest.rows):
         assert row.measured == before.measured  # the value half still holds
