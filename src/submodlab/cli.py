@@ -18,8 +18,8 @@ overridable with --out-dir or the SUBMODLAB_OUT environment variable. A
 --config JSON file maps flag names, required ones included, to values read
 as if given ahead of the command line's own flags in one parse: argparse
 checks them and explicit flags win. A list value is allowed only for a
-repeatable flag (--trace), false only for a switch (--monotone), and a
-nested "config" key is a usage error.
+repeatable flag (--trace), false only for a switch (--monotone), null for
+no flag, and a nested "config" key is a usage error.
 
 Summary tables are CSV with fixed column orders:
   run:    trial,problem,algorithm,seed,value,final,detail
@@ -163,8 +163,8 @@ def _with_config(argv: list[str]) -> list[str]:
     ones first, the command's own right after the command token, the
     command line's own later, so they win. A list gives a repeatable flag
     once per item, false a switch no token, and either is rejected for any
-    other flag. A config file cannot name another config file. Without a
-    config or a command, argv stays."""
+    other flag; null is rejected for every flag. A config file cannot name
+    another config file. Without a config or a command, argv stays."""
     i, path = 0, None  # the command is the first token that is no option
     while i < len(argv) and argv[i].startswith("-"):
         flag, eq, value = argv[i].partition("=")
@@ -181,6 +181,8 @@ def _with_config(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag == "--config":
             raise UsageError("a config file cannot hold a 'config' key")
+        if value is None:
+            raise UsageError(f"config key {key!r} is null")
         if value is False and KINDS.get(key) is not bool:
             raise UsageError(f"config key {key!r} is false but no switch")
         if isinstance(value, bool):

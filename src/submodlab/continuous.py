@@ -242,22 +242,13 @@ class SumOracle(ContinuousOracle):
         return float(sum(p._value(x) for p in self.parts))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        for p in self.parts:
-            out += p._grad(x)
-        return out
+        return sum(p._grad(x) for p in self.parts)
 
     def _value_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(pts))
-        for p in self.parts:
-            out += p._value_many(pts)
-        return out
+        return sum(p._value_many(pts) for p in self.parts)
 
     def _grad_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(pts), self.n))
-        for p in self.parts:
-            out += p._grad_many(pts)
-        return out
+        return sum(p._grad_many(pts) for p in self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +532,8 @@ def random_quadratic_dr(n: int, seed: int,
     a = (raw + raw.T) / 2.0
     np.fill_diagonal(a, -rng.uniform(0.05, 0.3, n))
     row = a.sum(axis=1)  # strictly negative by construction
-    if monotone:
-        t = 0.8 * float((b / -row).min(initial=np.inf))
-        a = a * min(1.0, t)
-    else:
-        t = 1.5 * float((b / -row).min(initial=np.inf))
-        a = a * t
-    return QuadraticOracle(b, a)
+    t = (0.8 if monotone else 1.5) * float((b / -row).min(initial=np.inf))
+    return QuadraticOracle(b, a * (min(1.0, t) if monotone else t))
 
 
 def random_weak_quadratic(n: int, seed: int) -> QuadraticOracle:

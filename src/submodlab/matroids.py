@@ -272,9 +272,7 @@ def psystem_greedy_marginal(f: SetFunctionOracle, system: IndependenceSystem,
             marg = values[cur | bit] - base
             if best_u < 0 or marg > best_marg:
                 best_u, best_marg = u, marg
-        if best_u < 0:
-            break
-        if stop_at_nonpositive and best_marg <= 0.0:
+        if best_u < 0 or stop_at_nonpositive and best_marg <= 0.0:
             break
         chosen.append(best_u)
         sel |= units[best_u]

@@ -1,7 +1,8 @@
 """Ground-truth optimum oracles, guarantee checking against closed-form
 bounds, exact expectations over uniform choice trees, the five problems'
 table (PROBLEMS, see ``Problem``), and the audits of its built instances,
-one ``Audit`` entry of AUDITS per bound, which ``run_audit`` runs.
+one ``Audit`` entry of AUDITS per bound, which ``run_audit`` runs. An audit
+row holds no replay document: its trial's is rebuilt only when asked.
 
 Bound provenance matters: only "proved" bounds may fail a suite or flip an
 exit code; "claimed-flawed" and "authors-conjecture" bounds are audited and
@@ -524,7 +525,7 @@ class GuaranteeReport:
 
     ``params`` holds the inputs the threshold was computed from. Audit rows
     replace them with the instance parameters and add the exact optimum
-    ``opt``, the ratio measured/OPT, and the instance document ``doc``.
+    ``opt`` and the ratio measured/OPT, but hold no instance document.
     """
 
     instance_id: str
@@ -538,7 +539,6 @@ class GuaranteeReport:
     params: dict = field(default_factory=dict)
     opt: float | None = None
     ratio: float | None = None
-    doc: dict = field(repr=False, default_factory=dict)
 
 
 def _reaches(measured: float, threshold: float) -> bool:
@@ -882,15 +882,19 @@ def problem_bundle(k: int, components: dict, flags, measured: dict) -> dict:
 
 @dataclass
 class AuditReport:
+    """An audit's rows, which hold no document, and its trial -> replay
+    document rule, called only when asked (``violations``, ``document``)."""
     bound_id: str
     provenance: str
     seed: int
     rows: list[GuaranteeReport]
+    document: Callable = field(repr=False)
 
     @property
     def violations(self) -> list[dict]:
         """The replay documents of the violated rows, in row order."""
-        return [r.doc for r in self.rows if r.verdict == VIOLATED]
+        return [self.document(t) for t, r in enumerate(self.rows)
+                if r.verdict == VIOLATED]
 
     @property
     def min_ratio(self) -> float | None:
@@ -903,39 +907,39 @@ class AuditReport:
             "provenance": self.provenance,
             "seed": self.seed,
             "instances": len(self.rows),
-            "violations": len(self.violations),
+            "violations": sum(r.verdict == VIOLATED for r in self.rows),
             "min_ratio": self.min_ratio,
         }
 
 
-def audit(bound: BoundFormula, make_case, trials: int, seed: int
-          ) -> AuditReport:
+def audit(bound: BoundFormula, make_case, trials: int, seed: int,
+          document: Callable) -> AuditReport:
     """Search seeded random instances for bound violations.
 
-    ``make_case(seed, trial)`` returns ``(report, params, doc)``: the
-    instance's report against ``bound`` (from ``check_bound``, whose
-    ``params`` include ``opt``), the instance parameters to record, and a
-    serializable document for replay. The row adds the optimum and the
-    ratio measured/OPT; an optimum of about 0 leaves the ratio empty and
-    makes the verdict 'trivial' unless the report is 'violated' (a broken
-    certificate stays a violation whatever the optimum). Every violating
-    instance document is collected for replay. A negative ``trials``
-    raises ValueError.
+    ``make_case(seed, trial)`` returns ``(report, params)``: the instance's
+    report against ``bound`` (from ``check_bound``, whose ``params``
+    include ``opt``) and the instance parameters to record. The row adds
+    the optimum and the ratio measured/OPT; an optimum of about 0 leaves
+    the ratio empty and makes the verdict 'trivial' unless the report is
+    'violated' (a broken certificate stays a violation whatever the
+    optimum). ``document(trial)``, the serializable replay document of a
+    trial, is kept by the report and built only when asked. A negative
+    ``trials`` raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, not {trials}")
     rows: list[GuaranteeReport] = []
     for t in range(trials):
-        report, params, doc = make_case(seed, t)
+        report, params = make_case(seed, t)
         opt = float(report.params["opt"])
         trivial = opt <= _allowance(0.0)
         verdict = TRIVIAL if trivial and report.verdict != VIOLATED \
             else report.verdict
-        rows.append(replace(report, params=params, opt=opt, doc=doc,
+        rows.append(replace(report, params=params, opt=opt,
                             ratio=None if trivial else report.measured / opt,
                             verdict=verdict))
     return AuditReport(bound_id=bound.bound_id, provenance=bound.provenance,
-                       seed=seed, rows=rows)
+                       seed=seed, rows=rows, document=document)
 
 
 def instance_seed(seed: int, t: int) -> int:
@@ -1025,9 +1029,10 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
               ) -> AuditReport:
     """``audit`` of AUDITS[bound_id]. Trial t builds from the entry's flags
     (the given ones in place of their defaults), ``draw(default_rng([seed,
-    t]))`` and the seed ``instance_seed(seed, t)``; its replay document is
-    the bundle, with the report's gamma and m as measured. An unread flag
-    raises ValueError, and trials past the budget CapabilityError."""
+    t]))`` and the seed ``instance_seed(seed, t)``; its replay document,
+    rebuilt only when asked, is the bundle with the report's gamma and m as
+    measured. An unread flag raises ValueError, trials past the budget
+    CapabilityError."""
     entry = AUDITS[bound_id]
     unread = sorted(given.keys() - entry.flags.keys())
     if unread:
@@ -1037,20 +1042,27 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
     problem = PROBLEMS[entry.problem]
     check = entry.check or problem.check
 
-    def case(s, t):
+    def trial(s, t):
         drawn = entry.draw(np.random.default_rng([s, t]))
         a = SimpleNamespace(**flags, **drawn, seed=instance_seed(s, t))
         c = problem.build(a)
         traces = problem.run(c, a) if "trace" in problem.flags["verify"] \
             else []
         report, = check(c, traces, a, f"{entry.prefix}-s{s}-t{t}")
-        ratios = {key: report.params[key] for key in ("gamma", "m")
-                  if key in report.params}
-        source = vars(a) | report.params
-        return (report, {key: source[key] for key in entry.record},
-                problem_bundle(entry.problem, c, a, ratios))
+        return a, c, report
 
-    return audit(BOUNDS[bound_id], case, trials, seed)
+    def case(s, t):
+        a, _, report = trial(s, t)
+        source = vars(a) | report.params
+        return report, {key: source[key] for key in entry.record}
+
+    def document(t):
+        a, c, report = trial(seed, t)
+        return problem_bundle(entry.problem, c, a, {
+            key: report.params[key] for key in ("gamma", "m")
+            if key in report.params})
+
+    return audit(BOUNDS[bound_id], case, trials, seed, document)
 
 
 def audit_problem4(trials: int, seed: int, **flags) -> AuditReport:

@@ -111,21 +111,21 @@ def test_acceptance_4_claimed_bound_audits():
         for report, needed in ((p4, {"gamma", "m", "k", "n"}),
                                (p5, {"gamma", "n"})):
             assert len(report.rows) in (15, 12)
-            for row in report.rows:
+            for t, row in enumerate(report.rows):
                 assert needed <= set(row.params)
                 assert row.verdict in ("holds", "violated", "trivial")
-                assert row.doc["kind"] == "bundle"
+                assert report.document(t)["kind"] == "bundle"
             assert report.min_ratio is not None
             summary = report.summary()
             assert set(summary) >= {"bound", "provenance", "instances",
                                     "violations", "min_ratio"}
         # every violating instance must replay to the identical expectation
-        for row in p4.rows:
-            bundle = load_bundle(row.doc)
+        for t, row in enumerate(p4.rows):
+            bundle = load_bundle(p4.document(t))
             proc = DummyGreedyProcess(bundle["objective"], row.params["k"])
             assert dag_walk(proc) == row.measured
-        for row in p5.rows:
-            bundle = load_bundle(row.doc)
+        for t, row in enumerate(p5.rows):
+            bundle = load_bundle(p5.document(t))
             system = PSystem([bundle["matroid1"], bundle["matroid2"]])
             assert intersection_greedy_expectation(
                 bundle["objective"], system) == row.measured

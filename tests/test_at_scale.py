@@ -8,7 +8,8 @@ memory), two-matroid walks at n = 14 and 16, and the instance seeds of
 perfbench/refs/*.json, read from those files. It collects one label per
 case that differs and asserts that none does, so a failure names every
 difference. It also asserts how many cases it compared, so an emptied
-sweep cannot pass. Together they take about a minute on two cores.
+sweep cannot pass. One more test measures what the rows of a 200-trial
+problem-5 audit hold. Together they take about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -354,6 +355,21 @@ def test_dummy_expectation_at_the_table_cap_stays_within_64_mib():
         tracemalloc.stop()
     assert peak < 64 << 20
     assert 0.0 < value <= f.table().max()
+
+
+# audit rows hold no replay document: 200 problem-5 rows at n = 12 held
+# about 5 KiB each with their documents and hold about 0.5 KiB without
+def test_audit_rows_stay_small():
+    verify.audit_problem5(1, 0, n=12)  # the caches a first audit fills
+    tracemalloc.start()
+    try:
+        rows = verify.audit_problem5(200, 0, n=12).rows
+        held = tracemalloc.get_traced_memory()[0]
+        del rows
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 200 * 2048
 
 
 # every audit-p5-intersection pool instance, as verify.audit_problem5 builds

@@ -1529,7 +1529,9 @@ def test_config_explicit_flag_equal_to_default_wins(tmp_path):
     assert load_doc(out)["n"] == 6
 
 
-def test_config_values_are_checked_like_flags(tmp_path, capsys):
+def test_config_values_are_checked_like_flags(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a token None would name a file
     out = tmp_path / "cov.json"
 
     def gen_with(config):
@@ -1556,6 +1558,18 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"usage error: config key {key!r} is false but no switch\n"
         assert not out.exists()
+    # null is no value for any key: one line, and no file named None
+    for config in ({"out": None}, {"n": None}, {"trace": None}):
+        assert gen_with(config) == 1
+        key = next(iter(config))
+        assert capsys.readouterr().err == \
+            f"usage error: config key {key!r} is null\n"
+        assert not out.exists() and not (tmp_path / "None").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None}))
+    assert main(["--config", str(cfg), "gen", "--family", "coverage",
+                 "--n", "4"]) == 1
+    assert not (tmp_path / "None").exists()
 
 
 def test_config_cannot_name_a_config(tmp_path, capsys):
@@ -1676,10 +1690,11 @@ def test_audit_claimed_violation_exits_zero(tmp_path, monkeypatch):
 def test_verify_agrees_with_audit_rows(tmp_path):
     from submodlab.verify import audit_problem4, audit_problem5
 
-    for problem, row in ((4, audit_problem4(1, 7, n=5, k=3).rows[0]),
-                         (5, audit_problem5(1, 8, n=6).rows[0])):
+    for problem, report in ((4, audit_problem4(1, 7, n=5, k=3)),
+                            (5, audit_problem5(1, 8, n=6))):
+        row = report.rows[0]
         inst = tmp_path / f"{row.instance_id}.json"
-        inst.write_text(json.dumps(row.doc))
+        inst.write_text(json.dumps(report.document(0)))
         assert run(tmp_path, "verify", "--problem", str(problem),
                    "--instance", str(inst)) == 0
         table = tmp_path / f"verify-{row.instance_id}-p{problem}.csv"
@@ -1694,8 +1709,9 @@ def test_every_audit_row_replays_through_the_cli(tmp_path, bound):
     flags = {"p": 2, "epsilon": 0.3, "n": 6, "k": 3}
     taken = {name: flags[name] for name in AUDITS[bound].flags}
     problem = AUDITS[bound].problem
-    for row in run_audit(bound, 3, 5, **taken).rows:
-        inst = save(row.doc, tmp_path / f"{row.instance_id}.json")
+    report = run_audit(bound, 3, 5, **taken)
+    for t, row in enumerate(report.rows):
+        inst = save(report.document(t), tmp_path / f"{row.instance_id}.json")
         traces = []
         if problem == 2:
             assert run(tmp_path, "run", "--problem", "2",
@@ -1736,7 +1752,7 @@ def test_audit_instances_are_gen_instances(tmp_path):
                    "--n", "6", "--seed", str(seed * 1_000_003 + trial),
                    *flags, "--out", str(out)) == 0
         assert canonical_json(load_doc(out)["components"]) == \
-            canonical_json(row.doc["components"])
+            canonical_json(report.document(trial)["components"])
 
 
 # ---------------------------------------------------------------------------

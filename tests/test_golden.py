@@ -235,9 +235,10 @@ def write_corpus(root: Path) -> None:
     log.write(root / "cli-stdout.txt")
 
     docs = root / "audit-docs"
-    for row in audit_problem4(2, 5, n=5, k=2).rows + \
-            audit_problem5(2, 6, n=6).rows:
-        serialization.save(row.doc, docs / f"{row.instance_id}.json")
+    for report in (audit_problem4(2, 5, n=5, k=2), audit_problem5(2, 6, n=6)):
+        for t, row in enumerate(report.rows):
+            serialization.save(report.document(t),
+                               docs / f"{row.instance_id}.json")
 
     for obj in _doc_objects():
         doc = serialization.to_doc(obj)

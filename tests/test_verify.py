@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import warnings
@@ -1056,9 +1057,10 @@ def test_audit_proved_problem2_finds_no_violations():
         opt = brute_force_opt_set(f, system.indep_table())
         report = problem2_report(trace, f, opt, system,
                                  instance_id=f"t{trial}")
-        return report, {"epsilon": 0.25}, {}
+        return report, {"epsilon": 0.25}
 
-    report = audit(bound, make_case, trials=40, seed=0)
+    report = audit(bound, make_case, trials=40, seed=0,
+                   document=lambda t: {})
     assert len(report.rows) == 40
     assert report.violations == []
     assert report.min_ratio is not None and report.min_ratio >= 0.75
@@ -1079,17 +1081,19 @@ def test_audit_keeps_violation_when_opt_is_zero():
             opt = brute_force_opt_set(f, system.indep_table())
             report = problem2_report(trace, f, opt, system,
                                      instance_id=f"t{trial}")
-            return report, {"epsilon": 0.25}, {"trial": trial}
+            return report, {"epsilon": 0.25}
         return case
 
-    broken = audit(bound, make_case(True), trials=2, seed=0)
+    broken = audit(bound, make_case(True), trials=2, seed=0,
+                   document=lambda t: {"trial": t})
     assert [r.opt for r in broken.rows] == [0.0, 0.0]
     assert [r.verdict for r in broken.rows] == [VIOLATED, VIOLATED]
     assert [r.ratio for r in broken.rows] == [None, None]
     assert broken.violations == [{"trial": 0}, {"trial": 1}]
     assert cli._exit_code(broken.rows) == cli.EXIT_VIOLATION
 
-    sound = audit(bound, make_case(False), trials=2, seed=0)
+    sound = audit(bound, make_case(False), trials=2, seed=0,
+                  document=lambda t: {"trial": t})
     assert [r.verdict for r in sound.rows] == [TRIVIAL, TRIVIAL]
     assert sound.violations == []
     assert cli._exit_code(sound.rows) == cli.EXIT_OK
@@ -1098,11 +1102,11 @@ def test_audit_keeps_violation_when_opt_is_zero():
 def test_audit_problem4_report_complete_and_replayable():
     report = audit_problem4(trials=8, seed=1, n=5, k=2)
     assert len(report.rows) == 8
-    for row in report.rows:
+    for t, row in enumerate(report.rows):
         assert {"gamma", "m", "k", "n"} <= set(row.params)
         assert row.verdict in ("holds", "violated", "trivial")
         # replay: rebuild the instance from its document and recompute
-        bundle = load_bundle(row.doc)
+        bundle = load_bundle(report.document(t))
         f = bundle["objective"]
         again = dag_walk(DummyGreedyProcess(f, row.params["k"]))
         assert again == row.measured
@@ -1113,8 +1117,8 @@ def test_audit_problem4_report_complete_and_replayable():
 def test_audit_problem5_report_complete_and_replayable():
     report = audit_problem5(trials=6, seed=2, n=6)
     assert len(report.rows) == 6
-    for row in report.rows:
-        bundle = load_bundle(row.doc)
+    for t, row in enumerate(report.rows):
+        bundle = load_bundle(report.document(t))
         system = PSystem([bundle["matroid1"], bundle["matroid2"]])
         assert intersection_greedy_expectation(bundle["objective"],
                                                system) == row.measured
@@ -1147,18 +1151,75 @@ def test_conjecture_violations_replay_from_their_documents():
     # at eps = 0.4 and p = 2 the conjecture allows one pass, the proof three
     rep = run_audit("problem2-authors-conjecture", trials=100, seed=0, p=2,
                     epsilon=0.4, n=8)
-    bad = [r for r in rep.rows if r.verdict == VIOLATED]
-    assert [r.instance_id for r in bad] == ["p2c-s0-t22", "p2c-s0-t81"]
-    assert all(r.provenance == AUTHORS_CONJECTURE for r in bad)
-    assert rep.violations == [r.doc for r in bad]
-    for row in bad:
-        c = load_bundle(json.loads(canonical_json(row.doc)))
+    bad = [(t, r) for t, r in enumerate(rep.rows) if r.verdict == VIOLATED]
+    assert [r.instance_id for _, r in bad] == ["p2c-s0-t22", "p2c-s0-t81"]
+    assert all(r.provenance == AUTHORS_CONJECTURE for _, r in bad)
+    assert rep.violations == [rep.document(t) for t, _ in bad]
+    for t, row in bad:
+        c = load_bundle(json.loads(canonical_json(rep.document(t))))
         trace = multipass_greedy(c["objective"], c["system"], 0.4)
         value = trace.iterations[row.params["rounds_conjecture"] - 1]["value"]
         opt = brute_force_opt_set(c["objective"], c["system"].indep_table())
         assert value == row.measured and opt.value == row.opt
         assert value < 0.6 * opt.value
 
+
+
+def test_audit_builds_documents_only_when_asked(monkeypatch):
+    real = verify.problem_bundle
+    built = []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "problem_bundle", counted)
+    for bound in verify.AUDITS:
+        run_audit(bound, 3, 0).summary()
+    rep = run_audit("problem2-authors-conjecture", 100, 0, p=2,
+                    epsilon=0.4, n=8)
+    assert rep.summary()["violations"] == 2
+    assert built == []
+    assert rep.violations == built
+    assert [doc["meta"]["seed"] for doc in built] == [22, 81]
+
+
+# sha256 of canonical_json of each replay document, recorded when every
+# audit row held its own document; the problem-2 bounds draw the same
+# instances at equal flags
+_P2_DIGESTS = (
+    "11007d2c9277bc63a94a17f65ceed0cfcae41cf4e52ff13d5ea340b0b8a4d538",
+    "b2d40587c570394998486dc498ecf294c60ef344be70fd246f58fd58c29eaaf8",
+    "19474dc592ca5c2b1b8d7901bbddfe1d5b6ee061682524eb7df39d0c64c9aab6")
+_DOCUMENT_DIGESTS = {
+    "problem2-bicriteria": _P2_DIGESTS,
+    "problem2-authors-conjecture": _P2_DIGESTS,
+    "problem4-claimed": (
+        "133041a82101b9b6e067849203eb4d44f939e47de673ae957fc0b22192f4f3df",
+        "7c335b96c0ffa07401a6909922d002c0fac4579ad107f0f2b2d727ef86490007",
+        "0680bf814ba024945bc2ed4f8a653628747b7c17e5eaa6f4a5ee718ad31cbb1f"),
+    "problem5-claimed": (
+        "744ad2973ee430f28ef26eef62e66e43220afdfc92793a4c2c42be6e3ccae7f2",
+        "4f08f5aad59080edf77163e60e5b2f966d9cec0701e20ad049d5a469254c0026",
+        "a9262200701e83b3c2b1468489241b7dfdcd75d8482cd4b0e482f78f5d7195d8"),
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def test_rebuilt_documents_are_the_recorded_bytes():
+    assert set(_DOCUMENT_DIGESTS) == set(verify.AUDITS)
+    for bound, digests in _DOCUMENT_DIGESTS.items():
+        report = run_audit(bound, 3, 5)
+        assert [_digest(report.document(t)) for t in range(3)] == \
+            list(digests), bound
+    rep = run_audit("problem2-authors-conjecture", 100, 0, p=2,
+                    epsilon=0.4, n=8)
+    assert [_digest(doc) for doc in rep.violations] == [
+        "83160ee61287e141ba9972f3465d0b46d309454c38befeeb53ee5778e030ee4f",
+        "7a89d3be5cdf03db7cabd392ffa545798f0385ad9663fdf95c7b7d8c2263514f"]
 
 
 def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
@@ -1179,13 +1240,14 @@ def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
     monkeypatch.setattr(verify_module, "multipass_greedy", tampered)
     report = run_audit("problem2-bicriteria", trials=6, seed=2, p=2, n=7)
     dependent = 0
-    for row, before in zip(report.rows, honest.rows):
+    for t, (row, before) in enumerate(zip(report.rows, honest.rows)):
         assert row.measured == before.measured  # the value half still holds
-        bundle = load_bundle(row.doc)
+        bundle = load_bundle(report.document(t))
         final = real(bundle["objective"], bundle["system"], 0.1).final
         if bundle["system"].indep(final):
             assert row.verdict == "holds"
         else:
             dependent += 1
-            assert row.verdict == "violated" and row.doc in report.violations
+            assert row.verdict == "violated" \
+                and report.document(t) in report.violations
     assert dependent > 0
