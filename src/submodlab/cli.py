@@ -8,7 +8,8 @@ entries read, and one rule refuses, with exit 1 before any instance or
 trace file is read, a flag that the entry its --family, --problem or
 --bound selects does not read: problems 1-3 read no --trials, 4-5 no
 --trace. A flag not given takes, in `run` and `verify`, the bundle's meta
-value (never its seed), else the entry's default.
+value (never its seed), else the entry's default. Problem 3 samples gamma
+at its bundle's meta.seed, for which no flag stands in.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved

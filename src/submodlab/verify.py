@@ -667,17 +667,17 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 class Problem(NamedTuple):
     """One problem's bundle components and its build, run, check and
-    measure rules; ``measure(components, flags)``, by default the exact
-    ratios of the objective, is the measured dict ``gen`` records. ``gen``
-    and ``run`` check ``within_caps(n)`` first: no file is written that
-    the check would refuse."""
+    measure rules; ``measure(components, flags)``, by default
+    ``exact_ratios`` of the objective, is the measured dict ``gen``
+    records. ``gen`` and ``run`` check ``within_caps(n)`` first: no file is
+    written that the check would refuse."""
     components: dict    # name -> class of each component a bundle must hold
     build: Callable     # flags -> components (no ratio is measured)
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
     caps: tuple         # the BUDGET entries that cap check at size n
     flags: dict         # gen, run, verify -> {flag: default} it reads
-    measure: Callable = lambda c, a: ratios_doc(c["objective"])
+    measure: Callable = lambda c, a: exact_ratios(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
     bare_objective: bool = False  # a plain set-function file also loads
 
@@ -721,17 +721,14 @@ def _number(owner, name: str):
     return value
 
 
-def ratios_doc(f: SetFunctionOracle) -> dict:
-    """f's exact gamma and m as documents record them."""
+def exact_ratios(f: SetFunctionOracle) -> dict:
+    """f's exact gamma and m as documents record them, or {} past the
+    budget's gamma entry (problems 4 and 5 refuse such an n first)."""
+    if f.n > BUDGET["gamma"].limit:
+        return {}
     r = measure_ratios(f)
     return {"gamma": r.gamma, "m": r.m,
             "nonmonotone_caveat": r.nonmonotone_caveat}
-
-
-def exact_ratios(f: SetFunctionOracle) -> dict:
-    """``ratios_doc(f)``, or {} past the budget's gamma entry, for a
-    document whose checks do not read the ratios."""
-    return {} if f.n > BUDGET["gamma"].limit else ratios_doc(f)
 
 
 def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
@@ -767,10 +764,13 @@ def _build_problem3(a):
 
 
 def _problem3_gammas(c, a) -> tuple:
-    # the objective's sampled gamma, which the check uses, never the
-    # bundle's (at 0 it lets every final point hold), and the bundle's own
-    seed = _number(c, "meta.seed")
-    gamma = sampled_gamma(c["objective"], a.seed if seed is None else seed)
+    """The objective's gamma sampled at the instance's seed (a bundle's
+    meta.seed, else the built components'), which the check uses, never
+    the bundle's (at 0 it lets every final point hold), and the bundle's."""
+    seed = _number(c, "meta.seed") if "_meta" in c else a.seed
+    if seed is None:
+        raise ValueError("bundle meta.seed is missing: gamma is sampled at it")
+    gamma = sampled_gamma(c["objective"], seed)
     declared = _number(c, "measured.gamma")
     if declared is not None and declared != gamma:
         raise ValueError(f"bundle measured.gamma is {declared!r}, but the "
@@ -815,7 +815,8 @@ PROBLEMS = {
                lambda c, a: [masked_frank_wolfe(c["g"], c["h"], c["polytope"],
                                                 a.epsilon)],
                _check_problem1, ("grid-dim",),
-               {"gen": GEN, "run": {"epsilon": 0.02}, "verify": _GRID},
+               {"gen": GEN | {"n": 3}, "run": {"epsilon": 0.02},
+                "verify": _GRID},
                measure=lambda c, a: {}),
     2: Problem({"objective": SetFunctionOracle, "system": PSystem},
                lambda a: {"objective": random_coverage(a.n, a.seed),
@@ -826,8 +827,6 @@ PROBLEMS = {
                _check_problem2, ("table",),
                {"gen": GEN | {"p": 2}, "run": {"epsilon": 0.25},
                 "verify": {"trace": ()}},
-               # the check reads no ratio: past its cap none is recorded
-               measure=lambda c, a: exact_ratios(c["objective"]),
                meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
                _build_problem3,
@@ -835,8 +834,8 @@ PROBLEMS = {
                    c["objective"], c["polytope"], a.iterations,
                    declared_gamma=_problem3_gammas(c, a)[1])],
                _check_problem3, ("grid-dim",),
-               {"gen": GEN, "run": {"iterations": 200} | SEED,
-                "verify": _GRID | SEED},
+               {"gen": GEN | {"n": 3}, "run": {"iterations": 200},
+                "verify": _GRID},
                measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
                                                             a.seed)}),
     4: Problem({"objective": SetFunctionOracle},

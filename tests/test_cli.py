@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -677,8 +678,9 @@ def test_audit_empty_ground_set_exits_one(tmp_path, capsys, bound):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-# a value for each audit flag, given to the bounds that do not read it
-FLAG_VALUES = {"n": "5", "p": "3", "epsilon": "0.3", "k": "3"}
+# a value for each audit flag, given to the bounds that do not read it, and
+# other than every entry's default
+FLAG_VALUES = {"n": "4", "p": "3", "epsilon": "0.3", "k": "3"}
 
 
 @pytest.mark.parametrize("bound", list(AUDITS))
@@ -710,9 +712,10 @@ def test_audit_reads_its_entry_and_refuses_unread_flags(tmp_path, capsys,
                       **{name: cli.KINDS[name](FLAG_VALUES[name])})
 
 
-# a value for every flag of the tables (None for a switch)
+# a value for every flag of the tables (None for a switch), other than
+# every entry's default and the 2 trials audits run at below
 ANY_VALUE = FLAG_VALUES | {"seed": "1", "delta": "0.3", "monotone": None,
-                           "iterations": "7", "trials": "2",
+                           "iterations": "7", "trials": "3",
                            "resolution": "0.3", "trace": "unread.json"}
 
 
@@ -764,7 +767,69 @@ def test_every_offered_flag_is_read_by_some_entry():
                 cli._refuse_unread(parser.parse_args(argv))
         settings[command] = sum(len(flags) + (command == "gen")
                                 for flags in entries.values())
-    assert settings == {"gen": 44, "run": 9, "verify": 7, "audit": 17}
+    assert settings == {"gen": 44, "run": 8, "verify": 6, "audit": 17}
+
+
+@pytest.mark.parametrize("command, selector, value", [
+    pytest.param(command, selector, value, id=f"{command}-{value}")
+    for command, (_, selector, entries) in cli.ENTRIES.items()
+    if command in ("gen", "audit") for value in entries])
+def test_every_gen_and_audit_entry_runs_at_its_defaults(tmp_path, command,
+                                                        selector, value):
+    # problems 1 and 3 exited 3 at gen's n = 6, past their grid-dim cap
+    assert run(tmp_path, command, f"--{selector}", str(value)) == 0
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """(command, entry, flags) -> the bytes of every file the command
+    writes, in sorted order: run and verify on the entry's problem
+    instance at gen's defaults, verify with that instance's run trace when
+    the entry reads --trace, and audits at 2 trials."""
+    root = tmp_path_factory.mktemp("live")
+    base = {("audit", bound): ["--trials", "2"] for bound in AUDITS}
+    for k in PROBLEMS:
+        inst = root / f"p{k}.json"
+        assert run(root, "gen", "--family", f"problem{k}", "--out",
+                   str(inst)) == 0
+        trace = [] if "trace" not in PROBLEMS[k].flags["verify"] else [
+            "--trace", str(root / "traces" / f"p{k}-p{k}-t0.json")]
+        assert run(root, "run", "--problem", str(k), "--instance",
+                   str(inst)) == 0
+        base["run", k] = ["--instance", str(inst)]
+        base["verify", k] = base["run", k] + trace
+    calls = itertools.count()
+
+    def files(command, value, *flags):
+        out = root / f"call{next(calls)}"
+        _, selector, _ = cli.ENTRIES[command]
+        assert run(out, command, f"--{selector}", str(value),
+                   *base.get((command, value), []), *flags) == 0
+        return sorted(p.read_bytes() for p in out.rglob("*") if p.is_file())
+    return files
+
+
+def _settings():
+    """(command, entry, flag) for each flag an entry reads, but --trace."""
+    for command, (_, _, entries) in cli.ENTRIES.items():
+        for value, flags in entries.items():
+            for name in flags:
+                if name != "trace":
+                    yield pytest.param(command, value, name,
+                                       id=f"{command}-{value}-{name}")
+
+
+@pytest.mark.parametrize("command, value, name", list(_settings()))
+def test_every_offered_setting_changes_what_its_command_writes(
+        written, command, value, name):
+    # run and verify --problem 3 --seed wrote the bytes they wrote without
+    # it: gamma is sampled at the bundle's meta.seed
+    default = cli.ENTRIES[command][2][value][name]
+    flag = [f"--{name}"] + ([] if ANY_VALUE[name] is None
+                            else [ANY_VALUE[name]])
+    assert ANY_VALUE[name] is None or \
+        cli.KINDS[name](ANY_VALUE[name]) != default
+    assert written(command, value, *flag) != written(command, value)
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -773,10 +838,13 @@ def test_every_offered_flag_is_read_by_some_entry():
     (["run", "--problem", "4", "--instance", "problem4-n6-s9.json",
       "--epsilon", "0.9", "--iterations", "7"], "--epsilon or --iterations"),
     (["verify", "--problem", "4", "--instance", "problem4-n6-s9.json",
-      "--resolution", "0.3", "--seed", "5"], "--resolution or --seed"),
+      "--resolution", "0.3"], "--resolution"),
     (["run", "--problem", "2", "--instance", "problem2-n7-s11.json",
       "--seed", "77", "--k", "3"], "--seed or --k"),
-], ids=["gen-coverage", "run-problem4", "verify-problem4", "run-problem2"])
+    (["run", "--problem", "3", "--instance", "problem3-n3-s4.json",
+      "--seed", "1"], "--seed"),
+], ids=["gen-coverage", "run-problem4", "verify-problem4", "run-problem2",
+        "run-problem3"])
 def test_flags_an_entry_never_read_were_dropped_and_now_exit_one(
         tmp_path, capsys, argv, unread):
     # each exited 0 with the flags ignored, on a bundle that reads as usual
@@ -788,6 +856,17 @@ def test_flags_an_entry_never_read_were_dropped_and_now_exit_one(
     assert capsys.readouterr().err == (f"usage error: {argv[0]} "
                                        f"{' '.join(selected)} reads no "
                                        f"{unread}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k", list(PROBLEMS))
+def test_verify_offers_no_seed(tmp_path, capsys, k):
+    # no verify entry reads --seed, so the parser refuses it, before the
+    # instance file (absent here) is read
+    assert run(tmp_path / "out", "verify", "--problem", str(k), "--instance",
+               str(tmp_path / "absent.json"), "--seed", "1") == 1
+    assert capsys.readouterr().err == \
+        "usage error: unrecognized arguments: --seed 1\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -885,8 +964,9 @@ def test_verify_bundle_gamma_other_than_the_sampled_one_exits_one(
 @pytest.mark.parametrize("seed", [None, 2, "1", 1.0, True])
 def test_verify_problem3_samples_gamma_from_the_bundle_seed(tmp_path, capsys,
                                                            seed):
-    # without meta.seed, --seed (0 here) stands in for it; any other seed
-    # samples another gamma than gen recorded, and a non-integer is an error
+    # no flag stands in for meta.seed: without it run and verify exit 1
+    # (--seed stood in, at 0 when not given); any other seed samples another
+    # gamma than gen recorded, and a non-integer is an error
     inst, trace = _problem3_bundle_and_zero_trace(tmp_path)
     doc = load_doc(inst)
     if seed is None:
@@ -896,14 +976,16 @@ def test_verify_problem3_samples_gamma_from_the_bundle_seed(tmp_path, capsys,
     inst.write_text(json.dumps(doc))
     argv = ["verify", "--problem", "3", "--instance", str(inst),
             "--trace", str(trace)]
-    if seed is None:
-        assert run(tmp_path, *argv, "--seed", "1") == 2
+    commands = [argv] + [["run", "--problem", "3", "--instance",
+                          str(inst)]] * (seed is None)
     capsys.readouterr()
-    assert run(tmp_path, *argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("meta.seed" if seed in ("1", 1.0, True) else
-            "measured.gamma") in err
+    for argv in commands:
+        assert run(tmp_path / "out", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("meta.seed" if seed in (None, "1", 1.0, True) else
+                "measured.gamma") in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("gamma", [0, 0.5])
