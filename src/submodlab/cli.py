@@ -53,8 +53,7 @@ from .continuous import (random_quadratic_dr, random_sqrt_linear,
                          random_weak_quadratic)
 from .oracles import (CapabilityError, _integer, _within, random_coverage,
                       random_cut, random_modular, random_perturbed)
-from .verify import (GEN, NOISE, PROBLEMS, SEED, exact_ratios,
-                     sampled_gamma)
+from .verify import GEN, NOISE, PROBLEMS, SEED
 
 OUT_ENV = "SUBMODLAB_OUT"
 
@@ -80,43 +79,27 @@ class _Parser(argparse.ArgumentParser):
 # the `gen` families: seven plain ones, then one per problem
 
 
-def _exact(f, a):
-    return exact_ratios(f)
-
-
-def _dr(f, a):
-    if not f.dr:
-        raise ValueError("generated quadratic has a positive interaction")
-    return {"monotone": f.monotone, "dr": True} | (
-        {"gamma": sampled_gamma(f, a.seed)} if f.monotone else {})
-
-
-def _weak_dr(f, a):
-    return {"monotone": True, "gamma": sampled_gamma(f, a.seed)}
-
-
-# family -> (build: flags -> oracle, measure: (oracle, flags) -> the
-# document's measured dict, the flags it reads -> their defaults)
+# family -> (build: flags -> oracle, the flags it reads -> their defaults);
+# the document records verify.document_ratios of the oracle
 FAMILIES = {
-    "modular": (lambda a: random_modular(a.n, a.seed), _exact, GEN),
-    "coverage": (lambda a: random_coverage(a.n, a.seed), _exact, GEN),
-    "cut": (lambda a: random_cut(a.n, a.seed), _exact, GEN),
+    "modular": (lambda a: random_modular(a.n, a.seed), GEN),
+    "coverage": (lambda a: random_coverage(a.n, a.seed), GEN),
+    "cut": (lambda a: random_cut(a.n, a.seed), GEN),
     "perturbed": (lambda a: random_perturbed(a.n, a.delta, a.seed,
-                                             monotone=a.monotone), _exact,
+                                             monotone=a.monotone),
                   GEN | NOISE),
     "quadratic-dr": (lambda a: random_quadratic_dr(a.n, a.seed,
-                                                   monotone=a.monotone), _dr,
+                                                   monotone=a.monotone),
                      GEN | {"monotone": False}),
-    "quadratic-weak": (lambda a: random_weak_quadratic(a.n, a.seed),
-                       _weak_dr, GEN),
-    "sqrt-linear": (lambda a: random_sqrt_linear(a.n, a.seed), _weak_dr, GEN),
+    "quadratic-weak": (lambda a: random_weak_quadratic(a.n, a.seed), GEN),
+    "sqrt-linear": (lambda a: random_sqrt_linear(a.n, a.seed), GEN),
 }
 
 # command -> (its one-line help, its selector, selector value -> the flags
 # that entry reads -> their defaults)
 ENTRIES = {
     "gen": ("generate and serialize instances", "family",
-            {name: family[2] for name, family in FAMILIES.items()}
+            {name: flags for name, (_, flags) in FAMILIES.items()}
             | {f"problem{k}": p.flags["gen"] for k, p in PROBLEMS.items()}),
     "run": ("run an algorithm on an instance file", "problem",
             {k: p.flags["run"] for k, p in PROBLEMS.items()}),
@@ -249,14 +232,13 @@ def _exit_code(reports) -> int:
 def cmd_gen(args) -> int:
     args = _flags(args)
     if args.family in FAMILIES:
-        build, measure, _ = FAMILIES[args.family]
-        f = build(args)
-        doc = serialization.to_doc(f) | {"measured": measure(f, args)}
+        f = FAMILIES[args.family][0](args)
+        doc = serialization.to_doc(f) | {
+            "measured": verify.document_ratios(f, args.seed)}
     else:
         k = int(args.family.removeprefix("problem"))  # built by PROBLEMS[k]
         PROBLEMS[k].within_caps(args.n)
-        c = PROBLEMS[k].build(args)
-        doc = verify.problem_bundle(k, c, args, PROBLEMS[k].measure(c, args))
+        doc = verify.problem_bundle(k, PROBLEMS[k].build(args), args)
     out = Path(args.out) if args.out else \
         _out_dir(args) / "instances" / f"{args.family}-n{args.n}-s{args.seed}.json"
     serialization.save(doc, out)

@@ -666,18 +666,15 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 
 class Problem(NamedTuple):
-    """One problem's bundle components and its build, run, check and
-    measure rules; ``measure(components, flags)``, by default
-    ``exact_ratios`` of the objective, is the measured dict ``gen``
-    records. ``gen`` and ``run`` check ``within_caps(n)`` first: no file is
-    written that the check would refuse."""
+    """One problem's bundle components and its build, run and check rules.
+    ``gen`` and ``run`` check ``within_caps(n)`` first: no file is written
+    that the check would refuse."""
     components: dict    # name -> class of each component a bundle must hold
     build: Callable     # flags -> components (no ratio is measured)
     run: Callable       # (components, flags) -> traces
     check: Callable     # (components, traces, flags, id) -> reports
     caps: tuple         # the BUDGET entries that cap check at size n
     flags: dict         # gen, run, verify -> {flag: default} it reads
-    measure: Callable = lambda c, a: exact_ratios(c["objective"])
     meta: tuple = ("seed",)       # the flags a bundle records in its meta
     bare_objective: bool = False  # a plain set-function file also loads
 
@@ -721,20 +718,25 @@ def _number(owner, name: str):
     return value
 
 
-def exact_ratios(f: SetFunctionOracle) -> dict:
-    """f's exact gamma and m as documents record them, or {} past the
-    budget's gamma entry (problems 4 and 5 refuse such an n first)."""
-    if f.n > BUDGET["gamma"].limit:
-        return {}
-    r = measure_ratios(f)
-    return {"gamma": r.gamma, "m": r.m,
-            "nonmonotone_caveat": r.nonmonotone_caveat}
-
-
 def sampled_gamma(f: ContinuousOracle, seed: int) -> float:
     """The weak-DR gamma over 1500 sampled pairs that documents record and
     problem 3's check recomputes: sampled, not a certified lower bound."""
     return weak_dr_gamma(f, samples=1500, seed=seed)
+
+
+def document_ratios(f, seed: int) -> dict:
+    """The measured dict of every document of the objective f, whichever
+    command writes it: for a set function its exact gamma, m and
+    nonmonotone caveat, or {} past the budget's gamma entry (problems 4
+    and 5 refuse such an n first); for a monotone continuous objective
+    ``sampled_gamma(f, seed)``; otherwise {}."""
+    if isinstance(f, SetFunctionOracle):
+        if f.n > BUDGET["gamma"].limit:
+            return {}
+        r = measure_ratios(f)
+        return {"gamma": r.gamma, "m": r.m,
+                "nonmonotone_caveat": r.nonmonotone_caveat}
+    return {"gamma": sampled_gamma(f, seed)} if f.monotone else {}
 
 
 def _build_problem1(a):
@@ -816,8 +818,7 @@ PROBLEMS = {
                                                 a.epsilon)],
                _check_problem1, ("grid-dim",),
                {"gen": GEN | {"n": 3}, "run": {"epsilon": 0.02},
-                "verify": _GRID},
-               measure=lambda c, a: {}),
+                "verify": _GRID}),
     2: Problem({"objective": SetFunctionOracle, "system": PSystem},
                lambda a: {"objective": random_coverage(a.n, a.seed),
                           "system": random_partition_psystem(a.n, a.p,
@@ -835,9 +836,7 @@ PROBLEMS = {
                    declared_gamma=_problem3_gammas(c, a)[1])],
                _check_problem3, ("grid-dim",),
                {"gen": GEN | {"n": 3}, "run": {"iterations": 200},
-                "verify": _GRID},
-               measure=lambda c, a: {"gamma": sampled_gamma(c["objective"],
-                                                            a.seed)}),
+                "verify": _GRID}),
     4: Problem({"objective": SetFunctionOracle},
                _build_problem4,
                lambda c, a: [random_greedy_dummies(
@@ -864,12 +863,16 @@ PROBLEMS = {
 }
 
 
-def problem_bundle(k: int, components: dict, flags, measured: dict) -> dict:
+def problem_bundle(k: int, components: dict, flags) -> dict:
     """The bundle document of a built problem-k instance: its components,
-    ``measured``, and as meta the flags of PROBLEMS[k].meta that are set."""
+    as measured the ``document_ratios`` of its objective at the seed of
+    ``flags`` ({} for problem 1, which has none), and as meta the flags of
+    PROBLEMS[k].meta that are set."""
     given = vars(flags)
     return serialization.bundle_doc(
-        k, components, measured=measured,
+        k, components, measured=document_ratios(components["objective"],
+                                                flags.seed)
+        if "objective" in components else {},
         meta={key: given[key] for key in PROBLEMS[k].meta
               if given.get(key) is not None})
 
@@ -1029,9 +1032,9 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
     """``audit`` of AUDITS[bound_id]. Trial t builds from the entry's flags
     (the given ones in place of their defaults), ``draw(default_rng([seed,
     t]))`` and the seed ``instance_seed(seed, t)``; its replay document,
-    rebuilt only when asked, is the bundle with the report's gamma and m as
-    measured. An unread flag raises ValueError, trials past the budget
-    CapabilityError."""
+    rebuilt only when asked, is the ``problem_bundle`` of trial t redrawn
+    and rebuilt, with no check. An unread flag raises ValueError, trials
+    past the budget CapabilityError."""
     entry = AUDITS[bound_id]
     unread = sorted(given.keys() - entry.flags.keys())
     if unread:
@@ -1044,22 +1047,19 @@ def run_audit(bound_id: str, trials: int, seed: int, **given
     def trial(s, t):
         drawn = entry.draw(np.random.default_rng([s, t]))
         a = SimpleNamespace(**flags, **drawn, seed=instance_seed(s, t))
-        c = problem.build(a)
+        return a, problem.build(a)
+
+    def case(s, t):
+        a, c = trial(s, t)
         traces = problem.run(c, a) if "trace" in problem.flags["verify"] \
             else []
         report, = check(c, traces, a, f"{entry.prefix}-s{s}-t{t}")
-        return a, c, report
-
-    def case(s, t):
-        a, _, report = trial(s, t)
         source = vars(a) | report.params
         return report, {key: source[key] for key in entry.record}
 
     def document(t):
-        a, c, report = trial(seed, t)
-        return problem_bundle(entry.problem, c, a, {
-            key: report.params[key] for key in ("gamma", "m")
-            if key in report.params})
+        a, c = trial(seed, t)
+        return problem_bundle(entry.problem, c, a)
 
     return audit(BOUNDS[bound_id], case, trials, seed, document)
 

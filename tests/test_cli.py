@@ -20,6 +20,7 @@ from submodlab.oracles import (BUDGET, random_coverage, random_cut,
 from submodlab.serialization import (canonical_json, from_doc, load,
                                      load_bundle, load_doc, save, to_doc)
 from submodlab.verify import (AUDITS, PROBLEMS, audit_problem4,
+                              audit_problem5, document_ratios,
                               problem_bundle, run_audit)
 
 from helpers import DummyGreedyProcess, dag_walk, wrong_length_lists
@@ -54,7 +55,8 @@ def test_gen_quadratic_dr_passes_prechecks(tmp_path):
     assert run(tmp_path, "gen", "--family", "quadratic-dr", "--n", "3",
                "--monotone", "--seed", "5", "--out", str(out)) == 0
     doc = load_doc(out)
-    assert doc["measured"]["monotone"] and doc["measured"]["dr"]
+    f = from_doc(doc)
+    assert f.monotone and f.dr and list(doc["measured"]) == ["gamma"]
 
 
 @pytest.mark.parametrize("k", list(PROBLEMS))
@@ -64,7 +66,8 @@ def test_gen_problem_records_its_measure(tmp_path, k):
     assert run(tmp_path, *argv, "--out", str(out)) == 0
     flags = cli._flags(_build_parser().parse_args(argv))
     built = PROBLEMS[k].build(flags)
-    assert load_doc(out)["measured"] == PROBLEMS[k].measure(built, flags)
+    assert load_doc(out)["measured"] == (
+        document_ratios(built["objective"], 3) if k != 1 else {})
     # the built components are the ones the entry declares
     declared = PROBLEMS[k].components
     assert list(built) == list(declared)
@@ -1207,7 +1210,7 @@ def test_gen_and_run_past_the_check_caps_exit_three(tmp_path, capsys, k,
         ["gen", "--family", f"problem{k}", "--n", str(n)]))
     c = PROBLEMS[k].build(flags)
     inst = tmp_path / "inst.json"
-    save(problem_bundle(k, c, flags, PROBLEMS[k].measure(c, flags)), inst)
+    save(problem_bundle(k, c, flags), inst)
     assert run(out, "run", "--problem", str(k), "--instance", str(inst)) == 3
     assert capsys.readouterr().err == line
     assert not out.exists()
@@ -1818,23 +1821,57 @@ def test_every_audit_row_replays_through_the_cli(tmp_path, bound):
 
 
 def test_audit_instances_are_gen_instances(tmp_path):
-    seed, trial = 3, 1
-    rng = np.random.default_rng([seed, trial])  # the problem-4 draw
+    trial = 1
+    rng = np.random.default_rng([3, trial])  # the problem-4 draw at seed 3
     monotone, delta = rng.random() < 0.3, float(rng.uniform(0.05, 0.6))
+    rng = np.random.default_rng([4, trial])  # problem 5's at seed 4
+    coverage, delta5 = rng.random() < 0.5, float(rng.uniform(0.05, 0.4))
+    assert not coverage  # gen builds no coverage objective for problem 5
+    # (report, seed, gen flags, whether whole documents match): a
+    # problem-2 audit records the epsilon it ran at, which gen does not
+    # read, so only its components match
     cases = (
-        (run_audit("problem2-bicriteria", 2, seed, p=3, n=6), ["--p", "3"]),
-        (audit_problem4(2, seed, n=6, k=3),
-         ["--k", "3", "--delta", repr(delta)] + ["--monotone"] * monotone),
+        (run_audit("problem2-bicriteria", 2, 3, p=3, n=6), 3, ["--p", "3"],
+         False),
+        (audit_problem4(2, 3, n=6, k=3), 3,
+         ["--k", "3", "--delta", repr(delta)] + ["--monotone"] * monotone,
+         True),
+        (audit_problem5(2, 4, n=6), 4, ["--delta", repr(delta5)], True),
     )
-    for report, flags in cases:
+    for report, seed, flags, whole in cases:
         row = report.rows[trial]
         out = tmp_path / f"{row.instance_id}.json"
         problem = row.instance_id[1]
         assert run(tmp_path, "gen", "--family", f"problem{problem}",
                    "--n", "6", "--seed", str(seed * 1_000_003 + trial),
                    *flags, "--out", str(out)) == 0
-        assert canonical_json(load_doc(out)["components"]) == \
-            canonical_json(report.document(trial)["components"])
+        doc, replay = load_doc(out), report.document(trial)
+        if not whole:
+            doc, replay = doc["components"], replay["components"]
+        assert canonical_json(doc) == canonical_json(replay)
+
+
+@pytest.mark.parametrize("command, name", [
+    *(("gen", family) for family in cli.ENTRIES["gen"][2]),
+    *(("audit", bound) for bound in AUDITS)])
+def test_every_document_records_the_one_measured_rule(tmp_path, command,
+                                                      name):
+    # gen at the family's defaults (seed 0), or two rebuilt audit documents
+    if command == "gen":
+        out = tmp_path / "doc.json"
+        assert run(tmp_path, "gen", "--family", name, "--out", str(out)) == 0
+        docs = [load_doc(out)]
+    else:
+        report = run_audit(name, 2, 5)
+        docs = [report.document(t) for t in range(2)]
+    for doc in docs:
+        if doc["kind"] == "bundle":
+            c = load_bundle(doc)
+            f, seed = c.get("objective"), c["_meta"]["seed"]
+        else:
+            f, seed = from_doc(doc), 0
+        assert doc["measured"] == (
+            {} if f is None else document_ratios(f, seed))
 
 
 # ---------------------------------------------------------------------------

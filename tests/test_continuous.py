@@ -342,6 +342,15 @@ def test_dr_check_linear_and_quadratic():
         assert f.dr and dr_check(f, 200, seed - 2)[0]
 
 
+@pytest.mark.parametrize("monotone", [True, False])
+def test_random_quadratic_dr_is_dr_at_every_seed(monotone):
+    # the quadratic-dr family scales nonpositive interactions by a positive
+    # factor, so gen's documents need not state that the oracle is DR
+    # (its loader recomputes the flag from a)
+    assert all(random_quadratic_dr(n, seed, monotone=monotone).dr
+               for n in range(1, 7) for seed in range(60))
+
+
 def test_dr_check_catches_positive_interaction():
     a = np.zeros((2, 2))
     a[0, 1] = a[1, 0] = 0.5

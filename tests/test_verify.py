@@ -1184,24 +1184,24 @@ def test_audit_builds_documents_only_when_asked(monkeypatch):
     assert [doc["meta"]["seed"] for doc in built] == [22, 81]
 
 
-# sha256 of canonical_json of each replay document, recorded when every
-# audit row held its own document; the problem-2 bounds draw the same
-# instances at equal flags
+# sha256 of canonical_json of each replay document, whose measured dict is
+# verify.document_ratios of its objective, as gen's is; the problem-2
+# bounds draw the same instances at equal flags
 _P2_DIGESTS = (
-    "11007d2c9277bc63a94a17f65ceed0cfcae41cf4e52ff13d5ea340b0b8a4d538",
-    "b2d40587c570394998486dc498ecf294c60ef344be70fd246f58fd58c29eaaf8",
-    "19474dc592ca5c2b1b8d7901bbddfe1d5b6ee061682524eb7df39d0c64c9aab6")
+    "ee08cd8b0ec2a8f27978bce2318de6e532e07502a33b5d930eb22882e343e140",
+    "874f4631adac732d70c74b99bdd8e02d075a6137449fc8b732cf3a525714e7f9",
+    "5e94053d556b53f8f0cd1f18003aa4dd4f49553d94ccb4bdfac54ce1a60d7df9")
 _DOCUMENT_DIGESTS = {
     "problem2-bicriteria": _P2_DIGESTS,
     "problem2-authors-conjecture": _P2_DIGESTS,
     "problem4-claimed": (
-        "133041a82101b9b6e067849203eb4d44f939e47de673ae957fc0b22192f4f3df",
-        "7c335b96c0ffa07401a6909922d002c0fac4579ad107f0f2b2d727ef86490007",
-        "0680bf814ba024945bc2ed4f8a653628747b7c17e5eaa6f4a5ee718ad31cbb1f"),
+        "18094d384f5f6ce39edd6d060324b318e6b181c4912208defd8f6370cea3c434",
+        "da7b608c23e03ffb355d902fcb9315dadf23b195955038a65b13228ba9d2c05d",
+        "6d7d4ccef6de81ad4cc4d73c3f461ffe8aad8ef6770dde0e79f764263d16f2bd"),
     "problem5-claimed": (
-        "744ad2973ee430f28ef26eef62e66e43220afdfc92793a4c2c42be6e3ccae7f2",
-        "4f08f5aad59080edf77163e60e5b2f966d9cec0701e20ad049d5a469254c0026",
-        "a9262200701e83b3c2b1468489241b7dfdcd75d8482cd4b0e482f78f5d7195d8"),
+        "306b19145aeada1abe78e6ce934f1f4ea184a344c27055d947870ead9b589781",
+        "7cc4767358209df79857d07337c338f0dbd96079493341bea05081deff3e4c3b",
+        "6a05297d8d8149deb86817a086ebb547540876970ec6e553348512d72cde1eff"),
 }
 
 
@@ -1218,8 +1218,8 @@ def test_rebuilt_documents_are_the_recorded_bytes():
     rep = run_audit("problem2-authors-conjecture", 100, 0, p=2,
                     epsilon=0.4, n=8)
     assert [_digest(doc) for doc in rep.violations] == [
-        "83160ee61287e141ba9972f3465d0b46d309454c38befeeb53ee5778e030ee4f",
-        "7a89d3be5cdf03db7cabd392ffa545798f0385ad9663fdf95c7b7d8c2263514f"]
+        "fedb7523b3f7bb8c26c83d7374489a2b6a5cee86ea8dcbac38d9593ac506f75c",
+        "74636ff94318438bc7da174c1464d51c5f09ab7dd0c880489966de4ae5cd20c0"]
 
 
 def test_audit_problem2_checks_feasibility_certificate(monkeypatch):
