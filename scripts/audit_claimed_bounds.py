@@ -44,8 +44,10 @@ def main() -> int:
         print(json.dumps(report.summary(), sort_keys=True))
         print("min ratios on the measured (m, gamma) grid:")
         print(json.dumps(bucket_grid(report.rows), indent=2, sort_keys=True))
+        stem = AUDITS[name].stem.format(bound=name, seed=args.seed,
+                                        **AUDITS[name].flags)
         for i, doc in enumerate(report.violations):
-            path = out / "violations" / f"{name}-s{args.seed}-v{i}.json"
+            path = out / "violations" / f"{stem}-v{i}.json"
             serialization.save(doc, path)
             print(f"violating instance written to {path}")
     return 0

@@ -20,7 +20,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=float, default=0.25,
+    parser.add_argument("--epsilon", type=float,
+                        default=PROBLEMS[2].flags["run"]["epsilon"],
                         help="bicriteria epsilon of problem 2")
     args = parser.parse_args()
 

@@ -807,6 +807,7 @@ SEED = {"seed": 0}
 GEN = {"n": 6} | SEED
 NOISE = {"delta": 0.4, "monotone": False}
 _BUDGET = {"k": 2}
+_EPSILON = {"epsilon": 0.1}  # problem 2's: run's and both audits'
 _TRIALS = SEED | {"trials": 1}
 _GRID = {"trace": (), "resolution": 0.05}
 
@@ -826,7 +827,7 @@ PROBLEMS = {
                lambda c, a: [multipass_greedy(c["objective"], c["system"],
                                               a.epsilon)],
                _check_problem2, ("table",),
-               {"gen": GEN | {"p": 2}, "run": {"epsilon": 0.25},
+               {"gen": GEN | {"p": 2}, "run": _EPSILON,
                 "verify": {"trace": ()}},
                meta=("seed", "p", "epsilon")),
     3: Problem({"objective": ContinuousOracle, "polytope": Polytope},
@@ -996,7 +997,7 @@ class Audit(NamedTuple):
     row: Callable = _audit_row     # report -> CSV row
 
 
-_PROBLEM2_FLAGS = {"n": 8, "p": 2, "epsilon": 0.1}
+_PROBLEM2_FLAGS = {"n": 8, "p": 2} | _EPSILON
 
 AUDITS = {
     # coverage over p partition matroids: value and feasibility certificate

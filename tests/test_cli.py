@@ -194,9 +194,10 @@ def test_run_problem2_reads_the_bundle_epsilon(tmp_path):
         "--out", str(inst))
     doc = load_doc(inst)
     trace = tmp_path / "traces" / "p2-p2-t0.json"
-    # no meta.epsilon: the 0.25 default; an explicit --epsilon wins
-    for epsilon, flags, want in ((None, [], 0.25), (0.4, [], 0.4),
-                                 (0.4, ["--epsilon", "0.1"], 0.1)):
+    # no meta.epsilon: the 0.1 default, the audits'; an explicit --epsilon
+    # wins
+    for epsilon, flags, want in ((None, [], 0.1), (0.4, [], 0.4),
+                                 (0.4, ["--epsilon", "0.25"], 0.25)):
         if epsilon is not None:
             doc["meta"]["epsilon"] = epsilon
             inst.write_text(json.dumps(doc))
@@ -914,7 +915,7 @@ def test_gen_problem4_budget_outside_one_to_n_exits_one(tmp_path, capsys,
 def test_verify_certificate_with_more_parts_than_rounds_exits_two(tmp_path,
                                                                  capsys):
     # every singleton is independent, so 8 singleton parts certified all 8
-    # elements although bicriteria_rounds(2, 0.25) = 4 parts are allowed
+    # elements although bicriteria_rounds(2, 0.1) = 6 parts are allowed
     inst = tmp_path / "p2.json"
     run(tmp_path, "gen", "--family", "problem2", "--n", "8", "--seed", "3",
         "--p", "2", "--out", str(inst))
@@ -922,7 +923,7 @@ def test_verify_certificate_with_more_parts_than_rounds_exits_two(tmp_path,
                str(inst)) == 0
     trace = next(tmp_path.glob("traces/*.json"))
     doc = load_doc(trace)
-    assert len(doc["meta"]["independent_sets"]) == doc["meta"]["rounds"] == 4
+    assert len(doc["meta"]["independent_sets"]) == doc["meta"]["rounds"] == 6
     doc["final"] = list(range(8))
     doc["meta"]["independent_sets"] = [[u] for u in range(8)]
     trace.write_text(json.dumps(doc))

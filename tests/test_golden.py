@@ -312,6 +312,20 @@ if __name__ == "__main__":
     print(f"wrote {len(_files(GOLDEN))} files under {GOLDEN}")
 
 
+def test_head_to_head_rows_are_the_audit_csv_lines(tmp_path):
+    # trial 22 violates the conjecture at these flags, so a row reads False
+    flags = ["--p", "2", "--epsilon", "0.4", "--trials", "23", "--seed", "0"]
+    log = _Log(tmp_path)
+    _script(log, "conjecture_head_to_head.py", [*flags, "--rows"])
+    printed = log.lines[1].splitlines()
+    assert main(["--out-dir", str(tmp_path), "audit", "--bound",
+                 "problem2-authors-conjecture", *flags]) == 0
+    table = tmp_path / "audit-problem2-authors-conjecture-p2-s0.csv"
+    lines = table.read_text().splitlines()
+    assert len(lines) == 24 and lines[23].endswith(",False")
+    assert printed[:-1] == lines
+
+
 def test_stacked_decoys_refute_the_conjecture():
     doc = serialization.load_doc(GOLDEN / COUNTEREXAMPLE)
     c = serialization.load_bundle(doc)
