@@ -127,11 +127,11 @@ def _finite(values, what: str, ndim: int | None = None) -> np.ndarray:
 
 
 def _allowance(magnitude):
-    """The comparison allowance REL_TOL * max(1, magnitude) of a value of
-    that magnitude, elementwise for an array."""
-    if isinstance(magnitude, np.ndarray):
-        return REL_TOL * np.maximum(1.0, magnitude)
-    return REL_TOL * max(1.0, magnitude)
+    """The comparison allowance REL_TOL * magnitude of a value of that
+    magnitude, elementwise for an array. It has no absolute floor, so an
+    instance scaled by a power of two compares as the unscaled one does,
+    and a magnitude of 0 compares exactly."""
+    return REL_TOL * magnitude
 
 
 def _count(x: float) -> int:
@@ -507,7 +507,7 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
     relative 1e-9 of 1 snapping to exactly 1.
 
     gamma is the largest ratio with sum_{u in B} f(u|A) >= gamma * f(B|A)
-    for all A, B, skipping pairs with f(B|A) <= 1e-9 * max(1, max_S |f(S)|)
+    for all A, B, skipping pairs with f(B|A) <= 1e-9 * max_S |f(S)|
     (vacuous for monotone f, where f(B|A) <= 0). m is the minimum of
     f(T)/f(S) over S ⊆ T with f(S) > 0, and 1 for the identically-zero
     oracle. A certified submodular family (``f.submodular``: modular,

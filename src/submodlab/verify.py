@@ -95,7 +95,7 @@ def grid_opt(f: ContinuousOracle, polytope: Polytope,
     them all: a branch-and-bound over cells. Each axis splits into cells of
     ``_GRID_CELL`` grid indices, and each cell's middle grid point is its
     representative. The incumbent is the best member representative, and
-    margin = REL_TOL * max(1, |incumbent|, value_lipschitz + smoothness)
+    margin = REL_TOL * max(|incumbent|, value_lipschitz + smoothness)
     covers the rounding of the values and of the gradient. A cell is kept
     only if both hold:
 
@@ -922,7 +922,7 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int,
     ``make_case(seed, trial)`` returns ``(report, params)``: the instance's
     report against ``bound`` (from ``check_bound``, whose ``params``
     include ``opt``) and the instance parameters to record. The row adds
-    the optimum and the ratio measured/OPT; an optimum of about 0 leaves
+    the optimum and the ratio measured/OPT; an optimum of 0 or less leaves
     the ratio empty and makes the verdict 'trivial' unless the report is
     'violated' (a broken certificate stays a violation whatever the
     optimum). ``document(trial)``, the serializable replay document of a
@@ -935,7 +935,7 @@ def audit(bound: BoundFormula, make_case, trials: int, seed: int,
     for t in range(trials):
         report, params = make_case(seed, t)
         opt = float(report.params["opt"])
-        trivial = opt <= _allowance(0.0)
+        trivial = opt <= 0.0
         verdict = TRIVIAL if trivial and report.verdict != VIOLATED \
             else report.verdict
         rows.append(replace(report, params=params, opt=opt,

@@ -138,12 +138,12 @@ def test_monotonicity_ratio_zero_function_is_one():
     assert measure_ratios(f).m == 1.0
 
 
-def test_comparison_allowance_is_floored_at_magnitude_one():
+def test_comparison_allowance_is_relative_with_no_floor():
     # every golden and benchmark magnitude is at least 1, so without this
-    # test no other one notices the floor dropped (ROADMAP item 4)
+    # test no other one notices an absolute floor come back
     mags = [0.0, 2.0 ** -30, 1.0, 3.0, 2.0 ** 40]
-    want = [oracles.REL_TOL] * 3 + [3.0 * oracles.REL_TOL,
-                                    2.0 ** 40 * oracles.REL_TOL]
+    want = [0.0, 2.0 ** -30 * oracles.REL_TOL, oracles.REL_TOL,
+            3.0 * oracles.REL_TOL, 2.0 ** 40 * oracles.REL_TOL]
     assert [oracles._allowance(m) for m in mags] == want
     assert oracles._allowance(np.array(mags)).tolist() == want
     assert type(oracles._allowance(0.5)) is float

@@ -20,7 +20,8 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   random_weak_quadratic, unit_box,
                                   weak_dr_gamma)
 from submodlab.matroids import (PartitionMatroid, PSystem, UniformMatroid,
-                                random_partition_matroid)
+                                random_partition_matroid,
+                                random_partition_psystem)
 from submodlab.oracles import (BUDGET, REL_TOL, CapabilityError,
                                CoverageOracle, ModularOracle, elements_of,
                                random_coverage, random_perturbed)
@@ -33,7 +34,7 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               dummy_greedy_expectation, grid_opt,
                               intersection_greedy_expectation,
                               problem2_report, problem3_report,
-                              problem4_report, run_audit)
+                              problem4_report, problem5_report, run_audit)
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
                      brute_force_loop, dag_walk, grid_opt_ref, grid_oracle,
@@ -915,6 +916,53 @@ def test_check_bound_monotone_in_threshold():
     assert loose.threshold <= tight.threshold
     if tight.verdict == "holds":
         assert loose.verdict == "holds"
+
+
+def test_tiny_thresholds_compare_relatively():
+    # an absolute allowance of 1e-9 read both as holds: the empty output of
+    # a proved run at OPT = 5 * 2^-40, and a value 1% short of 0.7 * 2^-30
+    rep = check_bound(0.0, BOUNDS["problem2-bicriteria"],
+                      {"epsilon": 0.25, "opt": 5 * 2.0 ** -40})
+    assert rep.verdict == VIOLATED
+    t = 0.7 * 2.0 ** -30
+    assert not verify._reaches(0.99 * t, t) and verify._reaches(t, t)
+
+
+def _scaled_report(problem: int, seed: int, j: int):
+    """Problem ``problem``'s report on a seeded instance whose objective is
+    a TableOracle of the instance's table scaled by 2^j."""
+    if problem == 4:
+        f = TableOracle(random_perturbed(8, 0.3, seed).table() * 2.0 ** j)
+        return problem4_report(f, 3)
+    if problem == 5:
+        f = TableOracle(random_perturbed(7, 0.3, seed, monotone=True).table()
+                        * 2.0 ** j, monotone=True)
+        return problem5_report(f, random_partition_matroid(7, seed + 1),
+                               random_partition_matroid(7, seed + 2))
+    f = TableOracle(random_coverage(7, seed).table() * 2.0 ** j,
+                    monotone=True)
+    system = random_partition_psystem(7, 2, seed)
+    return problem2_report(multipass_greedy(f, system, 0.1), f,
+                           brute_force_opt_set(f, system.indep_table()),
+                           system)
+
+
+@pytest.mark.parametrize("j", [-40, -20, 20])
+@pytest.mark.parametrize("problem", [2, 4, 5])
+def test_reports_are_invariant_under_power_of_two_scaling(problem, j):
+    # every bound is homogeneous in f and scaling by 2^j is exact in
+    # floats, so only an absolute tolerance could tell the two apart (at
+    # j = -40 the floor of 1e-9 changed gamma or m on every problem-4 table)
+    for seed in range(10):
+        base, scaled = _scaled_report(problem, seed, 0), \
+            _scaled_report(problem, seed, j)
+        assert scaled.verdict == base.verdict
+        for key in ("gamma", "m"):
+            assert scaled.params.get(key) == base.params.get(key)
+        # so measured/threshold is the same (a gamma of 0 makes the
+        # threshold 0)
+        for name in ("measured", "threshold", "slack"):
+            assert getattr(scaled, name) == getattr(base, name) * 2.0 ** j
 
 
 def test_problem3_report_classic_factor_at_gamma_one():
