@@ -37,15 +37,15 @@ def main() -> int:
     args = parser.parse_args()
     out = Path(args.out_dir)
 
-    for name in AUDITS:
+    for name, entry in AUDITS.items():
         if BOUNDS[name].provenance != CLAIMED_FLAWED:
             continue
         report = run_audit(name, args.trials, args.seed)
         print(json.dumps(report.summary(), sort_keys=True))
         print("min ratios on the measured (m, gamma) grid:")
         print(json.dumps(bucket_grid(report.rows), indent=2, sort_keys=True))
-        stem = AUDITS[name].stem.format(bound=name, seed=args.seed,
-                                        **AUDITS[name].flags)
+        # `submodlab audit`'s file names at the entry's default flags
+        stem = entry.stem.format(bound=name, seed=args.seed, **entry.flags)
         for i, doc in enumerate(report.violations):
             path = out / "violations" / f"{stem}-v{i}.json"
             serialization.save(doc, path)

@@ -9,7 +9,9 @@ trace file is read, a flag that the entry its --family, --problem or
 --bound selects does not read: problems 1-3 read no --trials, 4-5 no
 --trace. A flag not given takes, in `run` and `verify`, the bundle's meta
 value (never its seed), else the entry's default. Problem 3 samples gamma
-at its bundle's meta.seed, for which no flag stands in.
+at its bundle's meta.seed, for which no flag stands in. Every document
+`gen` writes, like an audit's replay document, records as measured
+verify.document_ratios of its objective.
 
 Exit codes: 0 success (including audits of claimed bounds and of the
 round-count conjecture), 1 usage error or unreadable input, 2 a proved

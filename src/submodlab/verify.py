@@ -662,7 +662,8 @@ def problem5_report(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
 
 
 # ---------------------------------------------------------------------------
-# the five problems: components, and how each is built, measured, run, checked
+# the five problems: components, and how each is built, run and checked;
+# document_ratios is what every document records as measured
 
 
 class Problem(NamedTuple):
