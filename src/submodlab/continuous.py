@@ -36,10 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .matroids import checked_partition
-from .oracles import (BUDGET, _allowance, _doubled, _finite, _integer,
-                      _reals, _within, clamp_ratio, subset_bits)
-
-MEMBER_TOL = 1e-9  # slack of every polytope membership test
+from .oracles import (BUDGET, REL_TOL, _allowance, _doubled, _finite,
+                      _integer, _reals, _within, clamp_ratio, subset_bits)
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -84,7 +82,7 @@ def _in_cube(x: np.ndarray) -> np.ndarray:
         elif (0.0 <= np.minimum.reduce(x, axis=None)
                 and np.maximum.reduce(x, axis=None) <= 1.0):
             return x
-    if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
+    if not (float(x.min()) >= -REL_TOL and float(x.max()) <= 1.0 + REL_TOL):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
 
@@ -127,8 +125,8 @@ class ContinuousOracle:
 
 
 class QuadraticOracle(ContinuousOracle):
-    """F(x) = b·x + x·A·x / 2 with A symmetric to within 1e-12 in every
-    entry and a nonpositive diagonal.
+    """F(x) = b·x + x·A·x / 2 with A symmetric and its diagonal
+    nonpositive, to within ``_allowance`` of the largest |coefficient|.
 
     The nonpositive diagonal makes F concave (or linear) along every
     coordinate, so nonnegativity over the cube reduces to the vertices and
@@ -145,9 +143,10 @@ class QuadraticOracle(ContinuousOracle):
         n = b.size
         if a.shape != (n, n):
             raise ValueError("interaction matrix shape mismatch")
-        if float(np.abs(a - a.T).max()) > 1e-12:
+        tol = _allowance(max(float(np.abs(b).max()), float(np.abs(a).max())))
+        if float(np.abs(a - a.T).max()) > tol:
             raise ValueError("interaction matrix must be symmetric")
-        if float(np.diag(a).max(initial=0.0)) > 1e-12:
+        if float(np.diag(a).max()) > tol:
             raise ValueError("diagonal must be nonpositive")
         if float(b.min()) < 0.0:
             raise ValueError("linear term must be nonnegative")
@@ -156,18 +155,18 @@ class QuadraticOracle(ContinuousOracle):
         self.a = a
         neg_row = np.minimum(a, 0.0).sum(axis=1)
         pos_row = np.maximum(a, 0.0).sum(axis=1)
-        self.monotone = bool((b + neg_row >= -1e-12).all())
-        self.dr = bool((a <= 1e-12).all())
+        self.monotone = bool((b + neg_row >= -tol).all())
+        self.dr = bool((a <= tol).all())
         self.smoothness = float(np.abs(a).sum(axis=1).max(initial=0.0))
         coord = np.maximum(np.abs(b + neg_row), np.abs(b + pos_row))
         self.value_lipschitz = float(np.linalg.norm(coord))
         if not self.monotone:
-            self._check_vertices()
+            self._check_vertices(tol)
 
-    def _check_vertices(self) -> None:
+    def _check_vertices(self, tol: float) -> None:
         _within("vertex-check", self.n)
         # the rows of subset_bits are the cube's vertices
-        if float(self._value_many(subset_bits(self.n)).min()) < -1e-9:
+        if float(self._value_many(subset_bits(self.n)).min()) < -tol:
             raise ValueError("quadratic oracle is negative at a cube vertex")
 
     # ndarray.dot reaches the BLAS calls of ``b @ x + 0.5 * x @ a @ x`` and
@@ -182,7 +181,7 @@ class QuadraticOracle(ContinuousOracle):
         return pts @ self.b + 0.5 * np.einsum("ij,ij->i", pts @ self.a, pts)
 
     def _grad_many(self, pts: np.ndarray) -> np.ndarray:
-        # a.T: A is symmetric only up to 1e-12, and grad reads its rows
+        # a.T: A is symmetric only to the allowance; grad reads its rows
         return self.b + pts @ self.a.T
 
 
@@ -270,7 +269,7 @@ class Polytope:
 
     def member_many(self, points) -> np.ndarray:
         """Membership of each row of ``points``, an (m, n) array of numbers
-        (else ValueError): within MEMBER_TOL of the box [0, upper], and
+        (else ValueError): within REL_TOL of the box [0, upper], and
         within each row of ``linear_rows``, whose bounds carry their slack.
         The box test is made on a contiguous copy of the columns, which
         are then ANDed: on a few columns that is several times cheaper than
@@ -280,8 +279,8 @@ class Polytope:
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected points in dimension {self.n}")
         cols = pts.T.copy()
-        inside = cols >= -MEMBER_TOL
-        inside &= cols <= (self.upper + MEMBER_TOL)[:, None]
+        inside = cols >= -REL_TOL
+        inside &= cols <= (self.upper + REL_TOL)[:, None]
         ok = np.logical_and.reduce(inside, axis=0)
         for row, bound in zip(*self.linear_rows()):
             ok &= pts @ row <= bound
@@ -297,7 +296,7 @@ class Polytope:
 
     def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows (M, c) of the constraints M x <= c beyond the box, with
-        the membership slack included in c. M is nonnegative."""
+        the slack ``_allowance(c)`` included in c. M is nonnegative."""
         return np.zeros((0, self.n)), np.zeros(0)
 
     def lmo(self, c) -> np.ndarray:
@@ -355,7 +354,8 @@ class PartitionPolytope(Polytope):
         rows = np.zeros((len(self.blocks), self.n))
         for j, b in enumerate(self.blocks):
             rows[j, list(b)] = 1.0
-        return rows, np.array(self.caps, dtype=float) + MEMBER_TOL
+        caps = np.array(self.caps, dtype=float)
+        return rows, caps + _allowance(caps)
 
     def _lmo(self, c: list) -> list:
         # each block is ascending, so the stable sort orders by (-c[u], u)
@@ -402,15 +402,15 @@ class KnapsackPolytope(Polytope):
         # fractional coordinate.
         bits = subset_bits(self.n)
         cost = _doubled(0.0, self.costs)
-        fits = cost <= self.budget + 1e-12
+        fits = cost <= self.budget + _allowance(self.budget)
         bits, residual = bits[fits], self.budget - cost[fits]
         frac = np.where(bits == 0.0, np.minimum(
             1.0, residual[:, None] / self.costs), 0.0).max(axis=1, initial=0.0)
         return math.sqrt(float((bits.sum(axis=1) + frac * frac).max()))
 
     def linear_rows(self):
-        scale = max(1.0, self.budget)
-        return self.costs[None, :], np.array([self.budget + MEMBER_TOL * scale])
+        return self.costs[None, :], np.array(
+            [self.budget + _allowance(self.budget)])
 
     def _lmo(self, c: list) -> list:
         costs = self.costs.tolist()

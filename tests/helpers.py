@@ -12,13 +12,11 @@ import numpy as np
 
 from submodlab.algorithms import (RunTrace, _candidates, bicriteria_rounds,
                                   dummy_candidates, intersection_candidates)
-from submodlab.continuous import (MEMBER_TOL, BoxPolytope,
-                                  CardinalityPolytope, KnapsackPolytope,
-                                  PartitionPolytope, SumOracle,
-                                  _sample_ordered_pairs,
-                                  masked_update,
-                                  random_quadratic_dr, random_sqrt_linear,
-                                  random_weak_quadratic)
+from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
+                                  KnapsackPolytope, PartitionPolytope,
+                                  SumOracle, _sample_ordered_pairs,
+                                  masked_update, random_quadratic_dr,
+                                  random_sqrt_linear, random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
                                 PSystem, UniformMatroid, contracted_ranks)
 from submodlab.oracles import (BUDGET, CEIL_GUARD, REL_TOL, CapabilityError,
@@ -161,7 +159,7 @@ def grad_check(f, x, step=1e-4):
 def in_cube_ref(x):
     """Reference for ``continuous._in_cube``: the cube check with its clip
     always taken."""
-    if not (float(x.min()) >= -1e-9 and float(x.max()) <= 1.0 + 1e-9):
+    if not (float(x.min()) >= -REL_TOL and float(x.max()) <= 1.0 + REL_TOL):
         raise ValueError("point lies outside the unit cube")
     return np.clip(x, 0.0, 1.0)
 
@@ -169,8 +167,8 @@ def in_cube_ref(x):
 def member_many_ref(polytope, points):
     """Reference for ``Polytope.member_many`` on an (m, n) float array: the
     box tested by a reduction along each row, then each linear row."""
-    ok = ((points >= -MEMBER_TOL)
-          & (points <= polytope.upper + MEMBER_TOL)).all(axis=1)
+    ok = ((points >= -REL_TOL)
+          & (points <= polytope.upper + REL_TOL)).all(axis=1)
     for row, bound in zip(*polytope.linear_rows()):
         ok &= points @ row <= bound
     return ok
@@ -765,12 +763,13 @@ def kernel_bits_differ(f, x):
 
 def knapsack_diameter_ref(costs, budget):
     """Reference max ||x||_2 over {x in [0,1]^n : costs·x <= budget}: every
-    fitting full-1 set plus its best single fractional coordinate."""
+    fitting full-1 set, within the budget's allowance REL_TOL * budget,
+    plus its best single fractional coordinate."""
     n = len(costs)
     best = 0.0
     for mask in range(1 << n):
         cost = sum(costs[u] for u in range(n) if (mask >> u) & 1)
-        if cost > budget + 1e-12:
+        if cost > budget + REL_TOL * budget:
             continue
         residual = budget - cost
         frac = 0.0
@@ -792,31 +791,9 @@ def grid_opt_ref(f, polytope, resolution):
         raise ValueError("resolution must be a positive finite number")
     if polytope.n != f.n:
         raise ValueError("oracle and polytope must share the dimension")
-    steps = int(math.floor(1.0 / resolution + 1e-9))
-    axis = np.minimum(1.0, resolution * np.arange(steps + 1))
-    # grid point i (row-major) is axis[i // rest] followed by point
-    # i % rest of the grid over the last n - 1 coordinates, so each chunk
-    # is copied together from runs of that sub-grid without materializing
-    # the whole grid
-    rest = axis.size ** (f.n - 1)
-    tail = axis[np.indices((axis.size,) * (f.n - 1)).reshape(f.n - 1, rest).T]
-    total = axis.size * rest
     best_val = -math.inf
     best_point = np.zeros(f.n)
-    chunk = 200_000
-    for start in range(0, total, chunk):
-        block = np.empty((min(chunk, total - start), f.n))
-        row = 0
-        while row < len(block):
-            lead, offset = divmod(start + row, rest)
-            run = min(rest - offset, len(block) - row)
-            block[row:row + run, 0] = axis[lead]
-            block[row:row + run, 1:] = tail[offset:offset + run]
-            row += run
-        inside = polytope.member_many(block)
-        if not bool(inside.any()):
-            continue
-        members = block[inside]
+    for members in _grid_member_blocks(polytope, resolution):
         vals = f.value_many(members)
         j = int(np.argmax(vals))
         if float(vals[j]) > best_val:
@@ -828,6 +805,49 @@ def grid_opt_ref(f, polytope, resolution):
                                      polytope.diameter)
     return OptimumCertificate(value=best_val, maximizer=best_point.tolist(),
                               method="grid", radius=float(radius))
+
+
+_MEMBER_BLOCKS = {}  # one entry: the last membership rule's member blocks
+
+
+def _grid_member_blocks(polytope, resolution):
+    """The grid members of ``grid_opt_ref``, one array per row-major chunk
+    of 200,000 grid points that holds any. They are built once per
+    membership rule, keyed by value (the box and the linear rows that
+    ``member_many`` reads), and the last rule alone is kept, so a caller
+    that walks its instances grouped by polytope builds each once."""
+    n = polytope.n
+    rows, bounds = polytope.linear_rows()
+    key = (n, resolution, polytope.upper.tobytes(), rows.shape,
+           rows.tobytes(), bounds.tobytes())
+    if key in _MEMBER_BLOCKS:
+        return _MEMBER_BLOCKS[key]
+    _MEMBER_BLOCKS.clear()
+    steps = int(math.floor(1.0 / resolution + 1e-9))
+    axis = np.minimum(1.0, resolution * np.arange(steps + 1))
+    # grid point i (row-major) is axis[i // rest] followed by point
+    # i % rest of the grid over the last n - 1 coordinates, so each chunk
+    # is copied together from runs of that sub-grid without materializing
+    # the whole grid
+    rest = axis.size ** (n - 1)
+    tail = axis[np.indices((axis.size,) * (n - 1)).reshape(n - 1, rest).T]
+    total = axis.size * rest
+    blocks = []
+    chunk = 200_000
+    for start in range(0, total, chunk):
+        block = np.empty((min(chunk, total - start), n))
+        row = 0
+        while row < len(block):
+            lead, offset = divmod(start + row, rest)
+            run = min(rest - offset, len(block) - row)
+            block[row:row + run, 0] = axis[lead]
+            block[row:row + run, 1:] = tail[offset:offset + run]
+            row += run
+        inside = polytope.member_many(block)
+        if bool(inside.any()):
+            blocks.append(block[inside])
+    _MEMBER_BLOCKS[key] = blocks
+    return blocks
 
 
 def grid_oracle(family, n, seed):

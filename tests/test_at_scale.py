@@ -197,11 +197,14 @@ def _certificate(c):
 # of cells (as every pool grid, of at most 7^5 = 16,807 cells, runs) and in
 # batches of 1000; weak_dr_gamma the per-pair loop's ratio for the
 # workload's problem-3 objective (2000 samples), and verify.sampled_gamma
-# the loop's 1500-sample ratio for the objective verify builds at that seed
+# the loop's 1500-sample ratio for the objective verify builds at that seed.
+# The pool is walked grouped by (family, n), so grid_opt_ref builds each
+# polytope's grid members once
 def test_pool_grid_optimum_and_weak_dr_ratio(continuous_pool, monkeypatch):
     bad, grids, gammas = [], 0, 0
     one_batch = verify._GRID_BATCH
-    for inst in continuous_pool:
+    for inst in sorted(continuous_pool,
+                       key=lambda inst: (inst.poly.family, inst.n)):
         for leg, f in (("problem 1", continuous.SumOracle([inst.g, inst.h])),
                        ("problem 3", inst.p3)):
             want = grid_opt_ref(f, inst.poly, 0.05)
@@ -234,11 +237,11 @@ def test_pool_grid_optimum_and_weak_dr_ratio(continuous_pool, monkeypatch):
 # row-wise reference's bools for every distinct pool polytope, on every cell
 # representative and lower corner at resolution 0.05 (grid_opt tests all
 # lower corners and the representatives of the cells whose lower corner is a
-# member), and on points within a few MEMBER_TOL of each box face and each
-# linear row
+# member), and on points within a few allowances of each box face (REL_TOL)
+# and each linear row (_allowance of its bound)
 def test_pool_membership_is_the_row_wise_rule(continuous_pool):
-    tol = continuous.MEMBER_TOL
-    offsets = tol * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    offsets = oracles.REL_TOL * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0,
+                                          2.0])
     polytopes = {(inst.poly.family, inst.n): inst.poly
                  for inst in continuous_pool}
     axis = np.minimum(1.0, 0.05 * np.arange(21))
@@ -259,7 +262,7 @@ def test_pool_membership_is_the_row_wise_rule(continuous_pool):
             j = int(np.flatnonzero((edge < 1.0) & (row > 0.0))[0])
             for d in offsets:
                 past = edge.copy()
-                past[j] += d / row[j]
+                past[j] += d * float(edge @ row) / row[j]
                 faces.append(past[None])
         for what, pts in (("representatives", reps),
                           ("lower corners", lower),

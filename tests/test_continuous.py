@@ -12,11 +12,11 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   masked_update, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic,
                                   unit_box, weak_dr_gamma)
-from submodlab.oracles import subset_bits
+from submodlab.oracles import REL_TOL, _allowance, subset_bits
 
-from helpers import (dr_check, grad_check, in_cube_ref, kernel_bits_differ,
-                     knapsack_diameter_ref, quadratic_vertex_values_ref,
-                     weak_dr_gamma_ref)
+from helpers import (dr_check, grad_check, grid_polytope, in_cube_ref,
+                     kernel_bits_differ, knapsack_diameter_ref,
+                     quadratic_vertex_values_ref, weak_dr_gamma_ref)
 
 POLYTOPE_FAMILIES = [
     unit_box(4),
@@ -110,20 +110,19 @@ def test_down_closedness_sampled():
 
 def _rows_and_slack(polytope):
     """The rows M x <= c beyond the box, each as (M, c, slack), written out
-    from the polytope's own parameters."""
-    tol = continuous.MEMBER_TOL
+    from the polytope's own parameters: the slack is ``_allowance(c)``."""
     if isinstance(polytope, CardinalityPolytope):
-        return [(np.ones(polytope.n), polytope.k, tol)]
+        return [(np.ones(polytope.n), polytope.k, _allowance(polytope.k))]
     if isinstance(polytope, PartitionPolytope):
         out = []
         for b, cap in zip(polytope.blocks, polytope.caps):
             row = np.zeros(polytope.n)
             row[list(b)] = 1.0
-            out.append((row, cap, tol))
+            out.append((row, cap, _allowance(cap)))
         return out
     if isinstance(polytope, KnapsackPolytope):
         budget = polytope.budget
-        return [(polytope.costs, budget, tol * max(1.0, budget))]
+        return [(polytope.costs, budget, _allowance(budget))]
     return []
 
 
@@ -176,7 +175,7 @@ def test_lmo_rejects_a_non_finite_or_wrong_length_objective(polytope):
     KnapsackPolytope([0.05, 0.1], 0.1)], ids=lambda p: p.family)
 def test_membership_slack_at_box_faces_and_rows(polytope):
     # on a face or a row: in; half the slack past it: in; twice: out
-    n, tol = polytope.n, continuous.MEMBER_TOL
+    n, tol = polytope.n, REL_TOL  # the box in cube coordinates
     upper = polytope.upper if isinstance(polytope, BoxPolytope) \
         else np.ones(n)
     points, want = [], []
@@ -695,21 +694,92 @@ def test_quadratic_rejects_uncertifiable():
     with pytest.raises(ValueError):
         # too negative: value at the full vertex dips below zero
         QuadraticOracle([0.1, 0.1], np.array([[0.0, -3.0], [-3.0, 0.0]]))
+    with pytest.raises(ValueError, match="negative at a cube vertex"):
+        # F(1, 1) = -1e-13: an absolute 1e-12 certified it monotone, so the
+        # vertex check was skipped
+        QuadraticOracle([0.0, 0.0], [[0.0, -1e-13], [-1e-13, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40],
+                         ids=["2^-40", "1", "2^40"])
 @pytest.mark.parametrize("gap, symmetric", [
-    (4e-6, False), (2e-12, False), (1e-13, True), (0.0, True)],
+    (4e-6, False), (2e-9, False), (5e-10, True), (0.0, True)],
     ids=repr)
-def test_quadratic_symmetry_is_checked_at_1e_12(gap, symmetric):
-    # an absolute 1e-12 on every entry: allclose's default rtol of 1e-5
-    # also took 4e-6 at -0.5, whose gradient is then off by 2e-6
-    a = [[-0.1, -0.5], [-0.5 - gap, -0.1]]
+def test_quadratic_symmetry_is_checked_relative_to_the_largest_coefficient(
+        gap, symmetric, scale):
+    # the allowance is REL_TOL times the largest |coefficient|, here b's 1:
+    # allclose's default rtol of 1e-5 also took 4e-6 at -0.5, whose
+    # gradient is then off by 2e-6, and an absolute 1e-12 took every gap
+    # of a quadratic scaled by 2^-40 and refused 2e-12 at 1
+    b = [scale, scale]
+    a = [[-0.1 * scale, -0.5 * scale], [(-0.5 - gap) * scale, -0.1 * scale]]
     if symmetric:
-        assert QuadraticOracle([1.0, 1.0], a).monotone
+        assert QuadraticOracle(b, a).monotone
     else:
         with pytest.raises(ValueError,
                            match="interaction matrix must be symmetric"):
-            QuadraticOracle([1.0, 1.0], a)
+            QuadraticOracle(b, a)
+
+
+QUADRATIC_MAKERS = {
+    "dr": lambda n, s: random_quadratic_dr(n, s, True),
+    "nonmonotone dr": lambda n, s: random_quadratic_dr(n, s, False),
+    "weak": random_weak_quadratic,
+}
+
+
+def _quadratic_args(make, n, seed):
+    """The (b, a) that the generator ``make`` hands QuadraticOracle, read
+    before the constructor checks them."""
+    with mock.patch.object(continuous, "QuadraticOracle", lambda b, a: (b, a)):
+        return make(n, seed)
+
+
+def _certified(b, a):
+    """(monotone, dr) of QuadraticOracle(b, a), or None if it refuses."""
+    try:
+        f = QuadraticOracle(b, a)
+    except ValueError:
+        return None
+    return f.monotone, f.dr
+
+
+@pytest.mark.parametrize("j", [-40, -20, 20, 40])
+def test_certificates_are_invariant_under_power_of_two_scaling(j):
+    # every check of the quadratic constructor and of a knapsack is
+    # homogeneous in the instance, and scaling by 2^j is exact in floats;
+    # at j = -40 absolute tolerances certified every nonmonotone DR
+    # quadratic monotone and nearly every weak one DR, and a knapsack
+    # admitted the all-ones point
+    t = 2.0 ** j
+    bad, seen = [], set()
+    for n in (3, 4, 5):
+        for seed in range(40):
+            for family, make in QUADRATIC_MAKERS.items():
+                b, a = _quadratic_args(make, n, seed)
+                base = _certified(b, a)
+                seen.add((family, base))
+                if _certified(b * t, a * t) != base:
+                    bad.append(f"{family} n = {n} seed {seed}")
+    assert {("dr", (True, True)), ("nonmonotone dr", (False, True)),
+            ("weak", (True, False))} <= seen
+    rng = np.random.default_rng(j + 100)
+    for seed in range(40):
+        poly = grid_polytope("knapsack", 3 + seed % 3, seed)
+        scaled = KnapsackPolytope(poly.costs * t, poly.budget * t)
+        x = rng.uniform(0.0, 1.0, (200, poly.n))
+        # points within a few allowances of the row, in and out of it
+        near = x * (poly.budget * (1.0 + rng.uniform(-3e-9, 3e-9, (200, 1)))
+                    / (x @ poly.costs)[:, None])
+        pts = np.vstack([x, near, np.ones((1, poly.n))])
+        if scaled.diameter != poly.diameter:
+            bad.append(f"knapsack seed {seed}: diameter")
+        if not np.array_equal(scaled.member_many(pts), poly.member_many(pts)):
+            bad.append(f"knapsack seed {seed}: member_many")
+        for c in rng.normal(size=(20, poly.n)):
+            if not np.array_equal(scaled.lmo(c), poly.lmo(c)):
+                bad.append(f"knapsack seed {seed}: lmo")
+    assert bad == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -725,7 +795,10 @@ def test_quadratic_vertex_check_matches_reference(n, seed, scale, mixed):
     np.fill_diagonal(a, -rng.uniform(0.0, 0.3, n))
     neg_row = np.minimum(a, 0.0).sum(axis=1)
     a = a * scale * float((b / -np.minimum(neg_row, -1e-3)).min())
-    negative = float(quadratic_vertex_values_ref(b, a).min()) < -1e-9
+    # the constructor's one tolerance: the allowance of the largest
+    # |coefficient|
+    tol = REL_TOL * max(float(np.abs(b).max()), float(np.abs(a).max()))
+    negative = float(quadratic_vertex_values_ref(b, a).min()) < -tol
     if negative:
         with pytest.raises(ValueError, match="negative at a cube vertex"):
             QuadraticOracle(b, a)

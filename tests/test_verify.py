@@ -5,14 +5,15 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from submodlab.algorithms import (_candidates, certificate_holds,
-                                  frank_wolfe, multipass_greedy,
-                                  random_greedy_dummies)
+                                  frank_wolfe, masked_frank_wolfe,
+                                  multipass_greedy, random_greedy_dummies)
 from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   ContinuousOracle, KnapsackPolytope,
                                   PartitionPolytope, QuadraticOracle,
@@ -33,7 +34,8 @@ from submodlab.verify import (BOUNDS, AUTHORS_CONJECTURE, CLAIMED_FLAWED,
                               brute_force_opt_set, check_bound,
                               dummy_greedy_expectation, grid_opt,
                               intersection_greedy_expectation,
-                              problem2_report, problem3_report,
+                              problem1_report, problem2_report,
+                              problem3_report,
                               problem4_report, problem5_report, run_audit)
 
 from helpers import (DummyGreedyProcess, IntersectionProcess, TableOracle,
@@ -928,41 +930,77 @@ def test_tiny_thresholds_compare_relatively():
     assert not verify._reaches(0.99 * t, t) and verify._reaches(t, t)
 
 
+def _scaled_quadratic(f, t):
+    return QuadraticOracle(f.b * t, f.a * t)
+
+
 def _scaled_report(problem: int, seed: int, j: int):
     """Problem ``problem``'s report on a seeded instance whose objective is
-    a TableOracle of the instance's table scaled by 2^j."""
+    scaled by 2^j, with two dicts: what must not change and what must
+    scale by exactly 2^j. A set function is a TableOracle of the
+    instance's table scaled; the continuous problems scale each quadratic
+    that ``verify`` builds at n = 3 and run and check it at the flag
+    defaults."""
+    t = 2.0 ** j
+    if problem in (1, 3):
+        c = verify.PROBLEMS[problem].build(SimpleNamespace(n=3, seed=seed))
+        poly = c["polytope"]
+        if problem == 1:
+            parts = [_scaled_quadratic(c[name], t) for name in ("g", "h")]
+            gamma = None
+            trace = masked_frank_wolfe(*parts, poly, 0.02)
+            cert = grid_opt(SumOracle(parts), poly, 0.05)
+            rep = problem1_report(trace, *parts, poly, cert)
+        else:
+            parts = [_scaled_quadratic(c["objective"], t)]
+            gamma = verify.sampled_gamma(parts[0], seed)
+            trace = frank_wolfe(parts[0], poly, 200, declared_gamma=gamma)
+            cert = grid_opt(parts[0], poly, 0.05)
+            rep = problem3_report(trace, gamma, parts[0], cert)
+        same = {"gamma": gamma, "maximizer": cert.maximizer,
+                "iterates": [r["point"] for r in trace.iterations],
+                "final": trace.final}
+        scaled = {"value": cert.value, "radius": cert.radius,
+                  "smoothness": [f.smoothness for f in parts],
+                  "value_lipschitz": [f.value_lipschitz for f in parts]}
+        return rep, same, scaled
     if problem == 4:
-        f = TableOracle(random_perturbed(8, 0.3, seed).table() * 2.0 ** j)
-        return problem4_report(f, 3)
-    if problem == 5:
+        f = TableOracle(random_perturbed(8, 0.3, seed).table() * t)
+        rep = problem4_report(f, 3)
+    elif problem == 5:
         f = TableOracle(random_perturbed(7, 0.3, seed, monotone=True).table()
-                        * 2.0 ** j, monotone=True)
-        return problem5_report(f, random_partition_matroid(7, seed + 1),
-                               random_partition_matroid(7, seed + 2))
-    f = TableOracle(random_coverage(7, seed).table() * 2.0 ** j,
-                    monotone=True)
-    system = random_partition_psystem(7, 2, seed)
-    return problem2_report(multipass_greedy(f, system, 0.1), f,
-                           brute_force_opt_set(f, system.indep_table()),
-                           system)
+                        * t, monotone=True)
+        rep = problem5_report(f, random_partition_matroid(7, seed + 1),
+                              random_partition_matroid(7, seed + 2))
+    else:
+        f = TableOracle(random_coverage(7, seed).table() * t, monotone=True)
+        system = random_partition_psystem(7, 2, seed)
+        rep = problem2_report(multipass_greedy(f, system, 0.1), f,
+                              brute_force_opt_set(f, system.indep_table()),
+                              system)
+    return rep, {key: rep.params.get(key) for key in ("gamma", "m")}, {}
 
 
 @pytest.mark.parametrize("j", [-40, -20, 20])
-@pytest.mark.parametrize("problem", [2, 4, 5])
+@pytest.mark.parametrize("problem", [1, 2, 3, 4, 5])
 def test_reports_are_invariant_under_power_of_two_scaling(problem, j):
     # every bound is homogeneous in f and scaling by 2^j is exact in
     # floats, so only an absolute tolerance could tell the two apart (at
-    # j = -40 the floor of 1e-9 changed gamma or m on every problem-4 table)
+    # j = -40 the floor of 1e-9 changed gamma or m on every problem-4
+    # table); for problems 1 and 3 the sampled gamma, the Frank-Wolfe
+    # iterates and the grid maximizer stay, and the certificate and the
+    # oracles' constants scale
     for seed in range(10):
-        base, scaled = _scaled_report(problem, seed, 0), \
-            _scaled_report(problem, seed, j)
-        assert scaled.verdict == base.verdict
-        for key in ("gamma", "m"):
-            assert scaled.params.get(key) == base.params.get(key)
+        base, base_same, base_scaled = _scaled_report(problem, seed, 0)
+        rep, same, scaled = _scaled_report(problem, seed, j)
+        assert rep.verdict == base.verdict
+        assert same == base_same
         # so measured/threshold is the same (a gamma of 0 makes the
         # threshold 0)
         for name in ("measured", "threshold", "slack"):
-            assert getattr(scaled, name) == getattr(base, name) * 2.0 ** j
+            assert getattr(rep, name) == getattr(base, name) * 2.0 ** j
+        assert scaled == {key: np.multiply(v, 2.0 ** j).tolist()
+                          for key, v in base_scaled.items()}
 
 
 def test_problem3_report_classic_factor_at_gamma_one():
