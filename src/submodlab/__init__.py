@@ -12,7 +12,7 @@ from .oracles import (CapabilityError, CoverageOracle, CutOracle,
                       random_cut, random_modular, random_perturbed)
 from .matroids import (GraphicMatroid, IndependenceSystem, Matroid,
                        PartitionMatroid, PSystem, UniformMatroid,
-                       contracted_ranks, max_weight_common_independent,
+                       max_weight_common_independent,
                        psystem_greedy_marginal, random_graphic_matroid,
                        random_partition_matroid)
 from .continuous import (BoxPolytope, CardinalityPolytope, ContinuousOracle,

@@ -4,8 +4,9 @@ Every run returns a :class:`RunTrace` whose per-iteration records are plain
 JSON-serializable dicts; replaying a trace (same inputs, same seed) must
 reproduce it bit-for-bit. Each randomized algorithm draws uniformly from the
 candidates of one rule over int masks (``dummy_candidates``,
-``intersection_candidates``); the verification module's exact expectations
-walk the same rule over every mask instead of sampling it.
+``intersection_candidates``), one ``integers`` draw per round from one
+``np.random.default_rng(seed)`` per run; the verification module's exact
+expectations walk the same rule over every mask instead of sampling it.
 
 Runs are single-threaded and deterministic; independent trials with distinct
 seeds may execute concurrently without shared state.
@@ -41,12 +42,6 @@ class RunTrace:
     @property
     def value(self) -> float:
         return float(self.meta["value"])
-
-
-def _round_rng(seed: int, round_index: int) -> np.random.Generator:
-    # one generator per (seed, round): the golden traces pin this per-round
-    # stream, so it stays until a replay-contract change retires it
-    return np.random.default_rng([int(seed), int(round_index)])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,7 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
     padded to k by the lowest untaken dummy ids, and draws one uniformly.
     """
     check_budget(k, f.n)
-    seed = _integer(seed, "seeds")
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     real = 0
     dummies = list(range(f.n, f.n + 2 * k))  # untaken, ascending
     records = []
@@ -318,7 +313,7 @@ def random_greedy_dummies(f: SetFunctionOracle, k: int, seed: int) -> RunTrace:
         order, counts = dummy_candidates(f, k, np.array([real]))
         options = [int(u) for u in order[0, :counts[0]]]
         options += dummies[:k - len(options)]
-        u = options[int(_round_rng(seed, i).integers(len(options)))]
+        u = options[int(rng.integers(len(options)))]
         if u < f.n:
             marg = f.marginal_mask(u, real)
             real |= 1 << u
@@ -405,66 +400,33 @@ def _candidates(values, indep, units, mask: int) -> int:
     return best
 
 
-def _contracted_rank(indep, units, mask: int) -> int:
-    """The common rank of the contraction by ``mask``, an independent int
-    mask that ``_candidates`` has checked against the budget: the size of
-    the largest T outside it with ``indep[mask | T]`` true, which is the
-    weight of the heaviest such T when every element weighs 1.0 (one
-    ``_heaviest`` search over the arguments of ``_candidates``)."""
-    return _heaviest(indep, [(1.0, bit) for bit in units if not mask & bit],
-                     mask).bit_count()
-
-
 def random_greedy_intersection(f: SetFunctionOracle, m1: Matroid, m2: Matroid,
                                seed: int) -> RunTrace:
     """Run random greedy for two matroids (while-loop form): while some
     element extends S in both, add a uniformly random member of
     ``intersection_candidates``.
-
-    Each round also records whether the fixed-round variant that demands a
-    common completion of size (max common rank - round + 1) could have
-    proceeded; ``meta["fixed_rounds_would_crash"]`` flags traces where that
-    variant would have run out of feasible sets.
     """
-    seed = _integer(seed, "seeds")
-    system = PSystem([m1, m2])
-    values, indep, units = _intersection_tables(f, system)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
+    values, indep, units = _intersection_tables(f, PSystem([m1, m2]))
     state = 0
     records = []
-    rank = 0  # the max common rank, read at the first round if one runs
     while best := _candidates(values, indep, units, state):
         options = elements_of(best)
-        i = len(records)
-        u = options[int(_round_rng(seed, i).integers(len(options)))]
-        contracted_rank = _contracted_rank(indep, units, state)
-        if not i:
-            rank = contracted_rank
-        needed = rank - i
+        u = options[int(rng.integers(len(options)))]
         marg = f.marginal_mask(u, state)
         state |= 1 << u
         records.append({
-            "round": i,
+            "round": len(records),
             "candidates": options,
             "chosen": u,
             "marginal": marg,
             "value": f.value_mask(state),
-            "fixed_round_size": needed,
-            "fixed_round_feasible": bool(contracted_rank >= needed),
         })
-    # |S| plus the common rank of the contraction by S never grows with S:
-    # it is rank at the start and len(records) at the end. A round with
-    # too small a completion therefore implies the run ends short of rank.
-    crash = len(records) < rank
     return RunTrace(
         algorithm="random-greedy-intersection",
         params={},
         seed=int(seed),
         iterations=records,
         final=elements_of(state),
-        meta={
-            "value": f.value_mask(state),
-            "rounds": len(records),
-            "max_common_rank": rank,
-            "fixed_rounds_would_crash": bool(crash),
-        },
+        meta={"value": f.value_mask(state), "rounds": len(records)},
     )

@@ -21,12 +21,9 @@ table of a member that is not a partition matroid is ANDed in whole.
 
 The common-independent search's int mask ``base`` is an independent set S
 that constrains independence: it looks for T with ``table[S | T]`` True,
-the contraction by S. ``contracted_ranks`` gives the common rank of every
-contraction at once, by a superset-max ``oracles._sweep`` over the
-table; the two-matroid random greedy reads the rank at each state it
-visits by one unit-weight ``_heaviest`` search instead. The greedy pass's
-int mask ``given`` shifts the marginals only: T stays independent on its
-own, scored by f(u | given ∪ T).
+the contraction by S. The greedy pass's int mask ``given`` shifts the
+marginals only: T stays independent on its own, scored by
+f(u | given ∪ T).
 
 Everything here is exact and deterministic: the greedy pass breaks ties
 toward the lowest element id, and the branch-and-prune search returns the
@@ -48,8 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .oracles import (SetFunctionOracle, _doubled, _finite, _integer,
-                      _mask, _sweep, _Table, _within, elements_of, mask_of,
-                      popcounts)
+                      _mask, _Table, _within, elements_of, mask_of)
 
 _ROW_BITS = 15  # a row of 2^15 codes, 256 KiB at 64 bits, stays in cache
 
@@ -357,21 +353,6 @@ def _heaviest(indep: bytes, pairs: list, base: int) -> int:
                 mask |= bit
                 cur_w += weight
     return best_set ^ base
-
-
-def contracted_ranks(system: IndependenceSystem) -> np.ndarray:
-    """The common rank of the contraction by every set S, indexed by mask S:
-    the largest |T| outside S with S | T independent, or -1 where S itself
-    is dependent.
-
-    The largest independent superset of each S comes from n in-place
-    superset-max passes over the sizes of the independent sets (-1 at the
-    dependent ones); the rank is that size minus |S|.
-    """
-    counts = popcounts(system.n)
-    sizes = np.where(system.indep_table(), counts, -1)
-    _sweep(sizes, np.maximum, upward=False)
-    return np.where(sizes >= 0, sizes - counts, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   masked_update, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic)
 from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
-                                PSystem, UniformMatroid, contracted_ranks)
+                                PSystem, UniformMatroid)
 from submodlab.oracles import (BUDGET, CEIL_GUARD, REL_TOL, CapabilityError,
                                CoverageOracle, SetFunctionOracle, elements_of,
                                mask_of)
@@ -531,33 +531,56 @@ class ReferenceIntersectionProcess(IntersectionProcess):
 def random_greedy_intersection_ref(f, m1, m2, seed):
     """Reference for ``algorithms.random_greedy_intersection``: its loop
     over ``intersection_candidates_ref``, with every marginal and value read
-    through the oracle's checked lookups."""
+    through the oracle's checked lookups and every round drawing from one
+    generator for the run."""
     system = PSystem([m1, m2])
-    ranks = contracted_ranks(system)
-    rank = int(ranks[0])
+    rng = np.random.default_rng(seed)
     state = 0
     records = []
     while (options := intersection_candidates_ref(f, system, state)) \
             is not None:
-        i = len(records)
-        rng = np.random.default_rng([int(seed), i])
         u = options[int(rng.integers(len(options)))]
-        marg = f.marginal_mask(u, state)
         records.append({
-            "round": i,
+            "round": len(records),
             "candidates": list(options),
             "chosen": u,
-            "marginal": marg,
+            "marginal": f.marginal_mask(u, state),
             "value": f.value_mask(state | 1 << u),
-            "fixed_round_size": rank - i,
-            "fixed_round_feasible": bool(int(ranks[state]) >= rank - i),
         })
         state |= 1 << u
     return RunTrace("random-greedy-intersection", {}, int(seed), records,
                     elements_of(state),
-                    {"value": f.value_mask(state), "rounds": len(records),
-                     "max_common_rank": rank,
-                     "fixed_rounds_would_crash": len(records) < rank})
+                    {"value": f.value_mask(state), "rounds": len(records)})
+
+
+def random_greedy_dummies_ref(f, k, seed):
+    """Reference for ``algorithms.random_greedy_dummies``: a loop over the
+    chosen ids, real and dummy, that offers ``dummy_candidates`` at the
+    real mask padded by the lowest untaken dummies, every round drawing
+    from one generator for the run."""
+    rng = np.random.default_rng(seed)
+    chosen = []
+    records = []
+    for i in range(k):
+        real = mask_of([u for u in chosen if u < f.n], f.n)
+        order, counts = dummy_candidates(f, k, np.array([real]))
+        options = order[0, :counts[0]].tolist()
+        options += [d for d in range(f.n, f.n + 2 * k)
+                    if d not in chosen][:k - len(options)]
+        u = options[int(rng.integers(len(options)))]
+        chosen.append(u)
+        is_dummy = u >= f.n
+        records.append({
+            "round": i,
+            "candidates": options,
+            "chosen": u,
+            "is_dummy": is_dummy,
+            "marginal": 0.0 if is_dummy else f.marginal_mask(u, real),
+            "value": f.value_mask(real if is_dummy else real | 1 << u),
+        })
+    real = mask_of([u for u in chosen if u < f.n], f.n)
+    return RunTrace("random-greedy-dummies", {"k": k}, int(seed), records,
+                    elements_of(real), {"value": f.value_mask(real)})
 
 
 def dag_walk(process):

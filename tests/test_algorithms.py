@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from submodlab import algorithms, continuous
 from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
@@ -14,7 +14,7 @@ from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
                                   SumOracle, random_quadratic_dr,
                                   random_sqrt_linear, random_weak_quadratic,
                                   unit_box)
-from submodlab.matroids import (PSystem, UniformMatroid, contracted_ranks,
+from submodlab.matroids import (PSystem, UniformMatroid,
                                 random_graphic_matroid,
                                 random_partition_matroid,
                                 random_partition_psystem)
@@ -27,6 +27,7 @@ from submodlab.verify import (brute_force_opt_set, dummy_greedy_expectation,
 from helpers import (TableOracle, frank_wolfe_ref, free_matroid,
                      grid_polytope, mask_message, masked_frank_wolfe_ref,
                      mean_and_se, multipass_reference,
+                     random_greedy_dummies_ref,
                      random_greedy_intersection_ref)
 
 
@@ -464,6 +465,20 @@ def test_dummy_greedy_seed_determinism():
     assert c.seed != a.seed
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(0, 10_000), st.booleans(), st.integers(0, 10_000))
+def test_dummy_greedy_matches_the_reference_loop(nk, seed, coverage,
+                                                  run_seed):
+    # pins the stream: one generator per run, one draw per round
+    n, k = nk
+    f = random_coverage(n, seed) if coverage \
+        else random_perturbed(n, 0.3, seed)
+    assert repr(random_greedy_dummies(f, k, run_seed)) == \
+        repr(random_greedy_dummies_ref(f, k, run_seed))
+
+
 def test_dummy_greedy_budget_validation():
     f = random_modular(3, 56)
     for k in (-1, 0, 4):
@@ -569,26 +584,6 @@ def test_intersection_greedy_exact_expectation_vs_monte_carlo():
     assert abs(mean - exact) <= 3.0 * max(se, 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(4, 8), st.integers(0, 10_000), st.booleans())
-@example(4, 60, False)  # a round without a large enough completion
-@example(8, 19, False)  # every round feasible, the run still ends short
-def test_intersection_greedy_fixed_round_flags(n, seed, graphic):
-    # h(S) = |S| + (common rank of the contraction by S) never grows with S,
-    # so the per-round flags run True..True then False..False, and a False
-    # round implies the run ends short of the common rank: the crash flag
-    # is exactly that shortfall
-    make = random_graphic_matroid if graphic else random_partition_matroid
-    trace = random_greedy_intersection(random_coverage(n, seed),
-                                       make(n, seed + 1), make(n, seed + 2),
-                                       seed=seed)
-    flags = [rec["fixed_round_feasible"] for rec in trace.iterations]
-    assert flags == sorted(flags, reverse=True)
-    short = trace.meta["rounds"] < trace.meta["max_common_rank"]
-    assert all(flags) or short
-    assert trace.meta["fixed_rounds_would_crash"] == short
-
-
 def test_intersection_greedy_seed_determinism():
     f = random_coverage(6, 66)
     m1 = random_partition_matroid(6, 67)
@@ -611,24 +606,6 @@ def test_intersection_greedy_matches_the_reference_loop(n, seed, graphic,
     m1, m2 = make(n, seed + 1), make(n, seed + 2)
     assert repr(random_greedy_intersection(f, m1, m2, run_seed)) == \
         repr(random_greedy_intersection_ref(f, m1, m2, run_seed))
-
-
-@pytest.mark.parametrize("n", [6, 9, 12])
-def test_contracted_rank_search_is_the_rank_sweep(n):
-    # one unit-weight search per independent state gives the rank of
-    # contracted_ranks there
-    cases = 0
-    for seed in range(4):
-        make = random_graphic_matroid if seed % 2 else random_partition_matroid
-        system = PSystem([make(n, seed), random_partition_matroid(n, seed + 9)])
-        indep = system.indep_table()
-        ranks = contracted_ranks(system)
-        units = tuple(1 << u for u in range(n))
-        for mask in np.flatnonzero(indep).tolist():
-            assert algorithms._contracted_rank(indep.tobytes(), units, mask) \
-                == ranks[mask]
-            cases += 1
-    assert cases > 4 * n
 
 
 @pytest.mark.parametrize("mask", [1 << 4, -1, 0b111, True, 2.0, "1"])

@@ -98,8 +98,7 @@ SITES = {
     "_candidates": (
         "search", (algorithms, "_heaviest"), _candidates_at,
         "common-independent search needs <= 18 elements"),
-    # the run meets the cap at its first state, before any search (it
-    # swept the contracted ranks of all 2^n masks first)
+    # the run meets the cap at its first state, before any search
     "random_greedy_intersection": (
         "search", (algorithms, "_heaviest"),
         lambda n: algorithms.random_greedy_intersection(

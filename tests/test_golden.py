@@ -306,12 +306,6 @@ def test_golden_documents_reload_byte_identical(tmp_path):
         assert again.read_bytes() == path.read_bytes(), path.name
 
 
-if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    write_corpus(GOLDEN)
-    print(f"wrote {len(_files(GOLDEN))} files under {GOLDEN}")
-
-
 def test_head_to_head_rows_are_the_audit_csv_lines(tmp_path):
     # trial 22 violates the conjecture at these flags, so a row reads False
     flags = ["--p", "2", "--epsilon", "0.4", "--trials", "23", "--seed", "0"]
@@ -350,3 +344,18 @@ def test_stacked_decoys_hold_the_proved_bound(tmp_path):
     row = (tmp_path / "verify-problem2-conjecture-p3-eps0.1-p2.csv"
            ).read_text().splitlines()[1].split(",")
     assert float(row[4]) == pytest.approx(5.03) and row[8] == verify.HOLDS
+
+
+if __name__ == "__main__":
+    before = _files(GOLDEN)
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    write_corpus(GOLDEN)
+    after = _files(GOLDEN)
+    for name in sorted(before.keys() | after.keys()):
+        if name not in after:
+            print(f"removed {name}")
+        elif name not in before:
+            print(f"added {name}")
+        elif before[name] != after[name]:
+            print(f"changed {name}")
+    print(f"wrote {len(after)} files under {GOLDEN}")

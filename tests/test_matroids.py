@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from submodlab.matroids import (GraphicMatroid, PartitionMatroid, PSystem,
                                 UniformMatroid, checked_partition,
-                                contracted_ranks,
                                 max_weight_common_independent,
                                 psystem_greedy_marginal,
                                 random_graphic_matroid,
@@ -144,7 +143,6 @@ def test_mwci_bipartite_matching_size():
     system = PSystem([m1, m2])
     best = max_weight_common_independent(system, np.ones(len(edges)))
     assert len(best) == max_bipartite_matching(3, 3, edges)
-    assert contracted_ranks(system)[0] == len(best)
 
 
 def test_mwci_capability_limit():
@@ -170,13 +168,19 @@ def test_mwci_rejects_non_finite_weights():
             max_weight_common_independent(system, [3.0, bad, 2.0, 1.0])
 
 
+def common_rank(system, base=0):
+    """The common rank of the contraction by ``base``: the size of the
+    heaviest T outside it when every element weighs 1."""
+    return len(max_weight_common_independent(system, np.ones(system.n), base))
+
+
 def test_common_rank_examples():
     u2 = UniformMatroid(5, 2)
-    assert contracted_ranks(PSystem([u2, u2]))[0] == 2
-    assert contracted_ranks(PSystem([u2, free_matroid(5)]))[0] == 2
+    assert common_rank(PSystem([u2, u2])) == 2
+    assert common_rank(PSystem([u2, free_matroid(5)])) == 2
     m1 = PartitionMatroid([[0, 1], [2, 3]], [1, 1])
     m2 = PartitionMatroid([[0, 2], [1, 3]], [1, 1])
-    assert contracted_ranks(PSystem([m1, m2]))[0] == 2
+    assert common_rank(PSystem([m1, m2])) == 2
 
 
 def test_axioms_hold_for_generated_matroids():
@@ -486,24 +490,7 @@ def test_mwci_with_base_matches_exhaustive(case):
                 if not t & base and indep_ref(system, base | t)]
     top = max(sum(w[u] for u in elements_of(t)) for t in feasible)
     assert sum(w[u] for u in best) == pytest.approx(top, rel=0, abs=1e-12)
-    assert contracted_ranks(system)[base] == \
-        max(t.bit_count() for t in feasible)
-    assert np.array_equal(contracted_ranks(system) < 0, ~system.indep_table())
-
-
-def test_contracted_ranks_match_branch_and_prune_at_n12():
-    # the sizes of the problem-5 audit: two partition matroids, n = 12
-    rng = np.random.default_rng(12)
-    for seed in range(4):
-        system = PSystem([random_partition_matroid(12, seed),
-                          random_partition_matroid(12, seed + 50)])
-        ranks = contracted_ranks(system)
-        independent = np.nonzero(system.indep_table())[0]
-        for base in rng.choice(independent, size=min(40, independent.size),
-                               replace=False):
-            base = int(base)
-            assert ranks[base] == len(max_weight_common_independent(
-                system, np.ones(12), base))
+    assert common_rank(system, base) == max(t.bit_count() for t in feasible)
 
 
 def partition_with_loops(n: int, seed: int) -> PartitionMatroid:
