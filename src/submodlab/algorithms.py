@@ -261,12 +261,13 @@ def dummy_candidates(f: SetFunctionOracle, k: int, masks):
     The real candidates at R are the untaken u with f(u | R) >= 0, by
     descending marginal and then ascending u, up to k of them. Returns
     ``(order, counts)``: row i of the (len(masks), k) int array ``order``
-    holds the candidates at masks[i] in its first counts[i] slots. The 2k
-    dummies (ids n .. n+2k-1, zero marginal everywhere) fill the other
-    slots, so a real element with zero marginal comes before every dummy
-    and one with negative marginal is never offered. Masks that are not
-    a 1-D array of ints in [0, 2^n) raise ValueError; an empty one has no
-    rows.
+    holds the candidates at masks[i] in its first counts[i] slots. No caller
+    reads the other slots, which hold leftover element ids (taken, or of
+    negative marginal), never a dummy: a run pads with the lowest untaken
+    dummy ids (n .. n+2k-1, zero marginal everywhere), and the exact walk
+    keeps R. So a real element of zero marginal precedes every dummy, and
+    one of negative marginal is never offered. Masks that are not a 1-D
+    array of ints in [0, 2^n) raise ValueError; an empty one has no rows.
     """
     check_budget(k, f.n)
     tab = f.table()

@@ -17,15 +17,15 @@ Polytope membership is one rule, ``Polytope.member_many``: the box
 pruning reads. The cardinality polytope is the one-block partition polytope.
 
 Checked entry points, each written once, hand native values to unchecked
-kernels: an oracle's ``value``/``grad``/``value_many``/``grad_many`` to
-the family's ``_value``/``_grad``/``_value_many``/``_grad_many`` (a sum
-checks a point or a batch once), a polytope's ``lmo`` to ``_lmo``, which
-maps a list of finite floats to a list, and ``masked_update`` to
-``_masked_step``, the one measured-greedy step rule, also on lists. The
-Frank-Wolfe loops call the kernels and keep their iterates as lists, each
-checked once by ``_checked_list``, ``_as_point``'s rule on a list. The
-one-point quadratic and sqrt-linear kernels reach BLAS through
-``ndarray.dot``, in the operand order of their ``@`` formulas.
+kernels: an oracle's ``value``/``grad``/``value_many``/``grad_many`` to the
+family's ``_value``/``_grad``/``_value_many``/``_grad_many`` (a sum checks
+a point or a batch once), a polytope's ``lmo`` to ``_lmo``, which maps a
+list of finite floats to a list, and ``masked_update`` to ``_masked_step``,
+the one measured-greedy step rule, also on lists. They check outside input
+only: ``weak_dr_gamma``, ``grid_opt`` and the Frank-Wolfe loops, each
+iterate of which passes ``_checked_list`` once, hand the kernels points
+they built. The one-point quadratic and sqrt-linear kernels reach BLAS
+through ``ndarray.dot``, in the operand order of their ``@`` formulas.
 """
 
 from __future__ import annotations
@@ -41,14 +41,11 @@ from .oracles import (BUDGET, REL_TOL, _allowance, _doubled, _finite,
 
 
 def _as_point(x, n: int) -> np.ndarray:
-    x = _reals(x, "points")
-    if x.shape != (n,):
-        raise ValueError(f"expected a point in dimension {n}")
-    return _in_cube(x)
+    return _as_points(_reals(x, "points")[None], n)[0]
 
 
 def _as_points(points, n: int) -> np.ndarray:
-    """The rows of ``points`` checked once, by ``_as_point``'s rule."""
+    """``points``, an (m, n) array of numbers, checked once by ``_in_cube``."""
     pts = _reals(points, "points")
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"expected a point in dimension {n}")
@@ -68,22 +65,14 @@ def _checked_list(x: list) -> tuple[list, np.ndarray]:
 
 
 def _in_cube(x: np.ndarray) -> np.ndarray:
-    # A C-contiguous x already in [0, 1] is what the clip would copy, -0.0
-    # included, so it is returned as it is; no caller writes to the result.
-    # One point is tested by a loop over its floats (NaN fails), a matrix
-    # by two reductions.
-    if x.flags.c_contiguous:
-        if x.ndim == 1:
-            for v in x.tolist():
-                if not 0.0 <= v <= 1.0:
-                    break
-            else:
-                return x
-        elif (0.0 <= np.minimum.reduce(x, axis=None)
-                and np.maximum.reduce(x, axis=None) <= 1.0):
-            return x
-    if not (float(x.min()) >= -REL_TOL and float(x.max()) <= 1.0 + REL_TOL):
+    # x within REL_TOL of [0, 1] (NaN fails) is clipped into the cube; a
+    # C-contiguous x already in [0, 1] is what the clip would copy, -0.0
+    # included, so it is returned as it is. No caller writes to the result.
+    low, high = float(x.min()), float(x.max())
+    if not (low >= -REL_TOL and high <= 1.0 + REL_TOL):
         raise ValueError("point lies outside the unit cube")
+    if x.flags.c_contiguous and low >= 0.0 and high <= 1.0:
+        return x
     return np.clip(x, 0.0, 1.0)
 
 
@@ -478,10 +467,10 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     exceed what the ratio allows (ROADMAP item 1).
 
     The result is that of the per-pair loop, ratio = float((y - x) @
-    f.grad(x)) / denom for every pair kept, bit for bit. A batched screen
+    f._grad(x)) / denom for every pair kept, bit for bit. A batched screen
     finds the pairs worth recomputing that way: one ``_grad_many`` and one
-    einsum give every pair's ratio r' at once, and only the pairs with
-    r' - w <= min(r' + w) over all pairs are recomputed, where
+    einsum give every pair's ratio r' at once, and only the pairs with r' - w
+    <= min(r' + w) over all pairs are recomputed, where
     w = 1e-12 * (|y - x|_1 * (value_lipschitz + smoothness) / denom + |r'|).
     The window holds because both ways round the same real ratio R. A
     gradient entry's rounding is at most about (n + 1) * 2^-53 times
@@ -511,7 +500,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
         rows = rows[~(ratios - window > np.min(ratios + window))]
     best = math.inf
     for i in rows:
-        ratio = float((hi[i] - lo[i]) @ f.grad(lo[i])) / float(denom[i])
+        ratio = float((hi[i] - lo[i]) @ f._grad(lo[i])) / float(denom[i])
         best = min(best, ratio)
     return clamp_ratio(best)
 

@@ -10,10 +10,11 @@ from submodlab.algorithms import (authors_conjecture_rounds, bicriteria_rounds,
                                   frank_wolfe, masked_frank_wolfe,
                                   multipass_greedy, random_greedy_dummies,
                                   random_greedy_intersection)
-from submodlab.continuous import (CardinalityPolytope, QuadraticOracle,
-                                  SumOracle, random_quadratic_dr,
-                                  random_sqrt_linear, random_weak_quadratic,
-                                  unit_box)
+from submodlab.continuous import (CardinalityPolytope, ContinuousOracle,
+                                  QuadraticOracle, SumOracle,
+                                  random_quadratic_dr, random_sqrt_linear,
+                                  random_weak_quadratic, unit_box,
+                                  weak_dr_gamma)
 from submodlab.matroids import (PSystem, UniformMatroid,
                                 random_graphic_matroid,
                                 random_partition_matroid,
@@ -176,6 +177,45 @@ def test_fw_knapsack_iterates_with_fractional_directions_are_never_clipped():
             fractional += any(0.0 < d < 1.0 for rec in trace.iterations
                               for d in rec["direction"])
     assert fractional == 4 * 8  # every run takes a fractional direction
+
+
+def test_loops_and_weak_dr_gamma_pass_no_point_through_the_checks():
+    # the Frank-Wolfe loops and weak_dr_gamma build their points in the
+    # cube and read them through the kernels: the checked value and grad,
+    # and the cube rule behind them, serve outside input only
+    calls = []
+
+    def counted(name, call):
+        def wrapper(*args):
+            calls.append(name)
+            return call(*args)
+        return wrapper
+
+    runs = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuous, "_in_cube",
+                   counted("_in_cube", continuous._in_cube))
+        for name in ("value", "grad"):
+            mp.setattr(ContinuousOracle, name,
+                       counted(name, getattr(ContinuousOracle, name)))
+        for n, seed in ((1, 0), (3, 1), (5, 2)):
+            h = random_quadratic_dr(n, seed + 3, monotone=False)
+            for f in (random_quadratic_dr(n, seed),
+                      random_weak_quadratic(n, seed),
+                      random_sqrt_linear(n, seed)):
+                for family in ("box", "cardinality", "knapsack"):
+                    poly = grid_polytope(family, n, seed)
+                    for k in (1, 2, 50):
+                        frank_wolfe(f, poly, k)
+                        masked_frank_wolfe(f, h, poly, 1.0 / k)
+                        runs += 2
+                assert 0.0 <= weak_dr_gamma(f, samples=200, seed=seed) <= 1.0
+                runs += 1
+        assert calls == [] and runs == 3 * 3 * (3 * 3 * 2 + 1)
+        # the counters do see a call from outside
+        f.value(np.zeros(n))
+        f.grad(np.zeros(n))
+    assert calls == ["value", "_in_cube", "grad", "_in_cube"]
 
 
 class TurningOracle(QuadraticOracle):
@@ -511,6 +551,16 @@ def test_dummy_candidates_take_a_one_dimensional_mask_array(masks):
         dummy_candidates(f, 2, np.array(masks))
     order, counts = dummy_candidates(f, 2, np.array([], dtype=np.int64))
     assert order.shape == (0, 2) and counts.shape == (0,)
+
+
+def test_dummy_candidates_leave_element_ids_past_the_counts():
+    # the slots past counts[i] hold leftover element ids, never a dummy
+    # (ids 5 .. 10 here): element 0 is already in R = {0, 1, 2}, and the
+    # full set has no candidate at all
+    f = random_perturbed(5, 0.4, 3)
+    order, counts = dummy_candidates(f, 3, np.array([7, 31]))
+    assert order.tolist() == [[3, 4, 0], [0, 1, 2]]
+    assert counts.tolist() == [2, 0]
 
 
 @pytest.mark.parametrize("k", [True, 1.0, "1", np.bool_(True)])

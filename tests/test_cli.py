@@ -439,7 +439,7 @@ def test_bundle_lists_of_the_wrong_length_run_or_exit_one(tmp_path, capsys):
                     "error: ") and err.count("\n") == 1
             if not ok:
                 bad.append(f"{path.name} {label}: exit {code}, {err!r}")
-    assert mutants == 124
+    assert mutants == 124 + 48  # 48 from the n = 10 problem-5 bundle
     assert bad == []
 
 

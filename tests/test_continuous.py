@@ -531,8 +531,8 @@ def test_in_cube_matches_the_clipping_reference(n, rows, data, layout):
     ids=["in cube", "-0.0", "nan", "leading nan", "clipped", "raises"])
 @pytest.mark.parametrize("layout", ["point", "strided", "matrix"])
 def test_in_cube_cases_match_the_clipping_reference(coords, layout):
-    # one point is tested by a loop over its floats, a matrix or a strided
-    # view as before
+    # one rule for a point, a strided view and a matrix: the clip's bits,
+    # and a C-contiguous array already in the cube returned as it is
     x = {"point": np.array(coords),
          "strided": np.array([[v, 0.5] for v in coords])[:, 0],
          "matrix": np.array([coords, [0.5] * len(coords)])}[layout]

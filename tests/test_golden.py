@@ -1,8 +1,9 @@
 """Golden replay corpus: (command line + seed) must give byte-identical files.
 
 `tests/golden/` holds what a fixed set of runs wrote: every file of CLI
-`gen -> run -> verify` for problems 1-5 and the seven plain `gen` families,
-the four `audit --bound` tables, the replay documents of a few audit rows,
+`gen -> run -> verify` for problems 1-5 (two problem-5 instances) and the
+seven plain `gen` families, the four `audit --bound` tables, the replay
+documents of a few audit rows,
 the stdout and exit code of each command, the stdout of the three
 `scripts/` at tiny sizes, under `docs/` the document of one seeded
 object of each serializable class that those runs do not write, under
@@ -61,16 +62,19 @@ FAMILIES = [
     ["--family", "sqrt-linear", "--n", "3", "--seed", "7"],
 ]
 
-# problem -> (gen flags, run flags); the instance stem follows the CLI's
-# default naming, problem<k>-n<n>-s<seed>
-PROBLEMS = {
-    1: (["--n", "3", "--seed", "2"], ["--epsilon", "0.05"]),
-    2: (["--n", "7", "--p", "2", "--seed", "11"], ["--epsilon", "0.25"]),
-    3: (["--n", "3", "--seed", "4"], ["--iterations", "50"]),
-    4: (["--n", "6", "--k", "3", "--delta", "0.1", "--seed", "9"],
-        ["--trials", "3", "--seed", "1"]),
-    5: (["--n", "6", "--seed", "6"], ["--trials", "3", "--seed", "2"]),
-}
+# (problem, gen flags, run flags); the instance stem follows the CLI's
+# default naming, problem<k>-n<n>-s<seed>. The second problem-5 case pins
+# the runner's draw stream: each trial draws from 5, 4, 3 and 2 candidates
+# and the three finals differ.
+PROBLEMS = [
+    (1, ["--n", "3", "--seed", "2"], ["--epsilon", "0.05"]),
+    (2, ["--n", "7", "--p", "2", "--seed", "11"], ["--epsilon", "0.25"]),
+    (3, ["--n", "3", "--seed", "4"], ["--iterations", "50"]),
+    (4, ["--n", "6", "--k", "3", "--delta", "0.1", "--seed", "9"],
+     ["--trials", "3", "--seed", "1"]),
+    (5, ["--n", "6", "--seed", "6"], ["--trials", "3", "--seed", "2"]),
+    (5, ["--n", "10", "--seed", "3"], ["--trials", "3", "--seed", "2"]),
+]
 
 AUDITS = [
     ["--bound", "problem2-bicriteria", "--p", "2", "--n", "7",
@@ -219,7 +223,7 @@ def write_corpus(root: Path) -> None:
     log = _Log(root)
     for flags in FAMILIES:
         _cli(log, cli, "gen", *flags)
-    for k, (gen_flags, run_flags) in PROBLEMS.items():
+    for k, gen_flags, run_flags in PROBLEMS:
         _cli(log, cli, "gen", "--family", f"problem{k}", *gen_flags)
         n, seed = gen_flags[1], gen_flags[gen_flags.index("--seed") + 1]
         stem = f"problem{k}-n{n}-s{seed}"
