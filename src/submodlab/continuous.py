@@ -12,9 +12,9 @@ Exact work over the cube's 2^n vertices reads one vertex matrix,
 (``_value_many`` at every vertex) and the knapsack diameter, whose vertex
 costs are the modular table that ``oracles._doubled`` builds.
 
-Polytope membership is one rule, ``Polytope.member_many``: the box
-[0, upper], then each row of ``linear_rows``, the rows that ``grid_opt``'s
-pruning reads. The cardinality polytope is the one-block partition polytope.
+Polytope membership is one rule, ``Polytope.member_many``: the box [0,
+upper], then ``rows`` · x <= ``bounds``, arrays that ``grid_opt``'s pruning
+reads too. The cardinality polytope is the one-block partition polytope.
 
 Checked entry points, each written once, hand native values to unchecked
 kernels: an oracle's ``value``/``grad``/``value_many``/``grad_many`` to the
@@ -37,7 +37,8 @@ import numpy as np
 
 from .matroids import checked_partition
 from .oracles import (BUDGET, REL_TOL, _allowance, _doubled, _finite,
-                      _integer, _reals, _within, clamp_ratio, subset_bits)
+                      _frozen, _integer, _reals, _within, clamp_ratio,
+                      subset_bits)
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -140,8 +141,8 @@ class QuadraticOracle(ContinuousOracle):
         if float(b.min()) < 0.0:
             raise ValueError("linear term must be nonnegative")
         self.n = n
-        self.b = b
-        self.a = a
+        self.b = b = _frozen(b)
+        self.a = a = _frozen(a)
         neg_row = np.minimum(a, 0.0).sum(axis=1)
         pos_row = np.maximum(a, 0.0).sum(axis=1)
         self.monotone = bool((b + neg_row >= -tol).all())
@@ -187,7 +188,7 @@ class SqrtLinearOracle(ContinuousOracle):
         if shift <= 0.0:
             raise ValueError("shift must be positive for smoothness")
         self.n = b.size
-        self.b = b
+        self.b = b = _frozen(b)
         self.shift = shift
         self.monotone = True
         self.dr = True
@@ -245,7 +246,8 @@ class SumOracle(ContinuousOracle):
 
 class Polytope:
     """Down-closed convex subset of [0,1]^n containing the origin: the box
-    [0, upper] cut by the rows of ``linear_rows``.
+    [0, upper] cut by the nonnegative rows · x <= bounds, each bound with
+    its slack: read-only arrays the polytope owns, set once by ``_state``.
 
     ``diameter`` is max ||x||_2 over the polytope, computed in closed form
     (or over the cube's vertex matrix for knapsacks at desk scale).
@@ -254,12 +256,21 @@ class Polytope:
     family = "abstract"
     n: int
     upper: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
     diameter: float
+
+    def _state(self, upper, rows, limits) -> None:
+        """Keeps read-only copies: bounds are limits + _allowance(limits)."""
+        self.n = upper.size
+        self.upper = _frozen(upper)
+        self.rows = _frozen(rows)
+        self.bounds = _frozen(limits + _allowance(limits))
 
     def member_many(self, points) -> np.ndarray:
         """Membership of each row of ``points``, an (m, n) array of numbers
         (else ValueError): within REL_TOL of the box [0, upper], and
-        within each row of ``linear_rows``, whose bounds carry their slack.
+        within each row's bound, which carries its slack.
         The box test is made on a contiguous copy of the columns, which
         are then ANDed: on a few columns that is several times cheaper than
         a reduction along each row, or than comparisons on strided
@@ -271,7 +282,7 @@ class Polytope:
         inside = cols >= -REL_TOL
         inside &= cols <= (self.upper + REL_TOL)[:, None]
         ok = np.logical_and.reduce(inside, axis=0)
-        for row, bound in zip(*self.linear_rows()):
+        for row, bound in zip(self.rows, self.bounds):
             ok &= pts @ row <= bound
         return ok
 
@@ -282,11 +293,6 @@ class Polytope:
         if x.shape != (self.n,):
             raise ValueError(f"expected a point in dimension {self.n}")
         return bool(self.member_many(x[None])[0])
-
-    def linear_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows (M, c) of the constraints M x <= c beyond the box, with
-        the slack ``_allowance(c)`` included in c. M is nonnegative."""
-        return np.zeros((0, self.n)), np.zeros(0)
 
     def lmo(self, c) -> np.ndarray:
         """argmax of <c, x> over the polytope, exact per family: the
@@ -315,8 +321,7 @@ class BoxPolytope(Polytope):
         upper = _finite(upper, "upper", 1)
         if float(upper.min()) < 0.0 or float(upper.max()) > 1.0:
             raise ValueError("upper bounds must lie in [0, 1]")
-        self.n = upper.size
-        self.upper = upper
+        self._state(upper, np.zeros((0, upper.size)), np.zeros(0))
         self.diameter = float(np.linalg.norm(upper))
 
     def _lmo(self, c: list) -> list:
@@ -334,17 +339,13 @@ class PartitionPolytope(Polytope):
 
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
         self.blocks, self.caps = checked_partition(blocks, caps)
-        self.n = sum(len(b) for b in self.blocks)
-        self.upper = np.ones(self.n)
-        self.diameter = math.sqrt(
-            sum(min(cc, len(b)) for b, cc in zip(self.blocks, self.caps)))
-
-    def linear_rows(self):
-        rows = np.zeros((len(self.blocks), self.n))
+        n = sum(len(b) for b in self.blocks)
+        rows = np.zeros((len(self.blocks), n))
         for j, b in enumerate(self.blocks):
             rows[j, list(b)] = 1.0
-        caps = np.array(self.caps, dtype=float)
-        return rows, caps + _allowance(caps)
+        self._state(np.ones(n), rows, np.array(self.caps, dtype=float))
+        self.diameter = math.sqrt(
+            sum(min(cc, len(b)) for b, cc in zip(self.blocks, self.caps)))
 
     def _lmo(self, c: list) -> list:
         # each block is ascending, so the stable sort orders by (-c[u], u)
@@ -378,10 +379,9 @@ class KnapsackPolytope(Polytope):
             raise ValueError("knapsack costs must be positive")
         if budget < 0.0:
             raise ValueError("budget must be nonnegative")
-        self.n = costs.size
-        self.costs = costs
+        self._state(np.ones(costs.size), costs[None, :], np.array([budget]))
+        self.costs = self.rows[0]
         self.budget = budget
-        self.upper = np.ones(self.n)
         self.diameter = self._exact_diameter() \
             if self.n <= BUDGET["vertex-check"].limit \
             else float(np.linalg.norm(np.minimum(1.0, budget / costs)))
@@ -391,15 +391,11 @@ class KnapsackPolytope(Polytope):
         # fractional coordinate.
         bits = subset_bits(self.n)
         cost = _doubled(0.0, self.costs)
-        fits = cost <= self.budget + _allowance(self.budget)
+        fits = cost <= self.bounds[0]
         bits, residual = bits[fits], self.budget - cost[fits]
         frac = np.where(bits == 0.0, np.minimum(
             1.0, residual[:, None] / self.costs), 0.0).max(axis=1, initial=0.0)
         return math.sqrt(float((bits.sum(axis=1) + frac * frac).max()))
-
-    def linear_rows(self):
-        return self.costs[None, :], np.array(
-            [self.budget + _allowance(self.budget)])
 
     def _lmo(self, c: list) -> list:
         costs = self.costs.tolist()
@@ -419,6 +415,7 @@ class KnapsackPolytope(Polytope):
 def masked_update(y, s, step: float) -> np.ndarray:
     """y + step * (1 - y) ⊙ s for cube points y and s (see ``_as_point``):
     the measured-greedy step staying in the cube."""
+    step = float(_finite(step, "step", 0))
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
     n = np.size(y)
@@ -488,7 +485,7 @@ def weak_dr_gamma(f: ContinuousOracle, samples: int = 2000,
     samples = _integer(samples, "sample counts")
     if samples < 1:
         raise ValueError("sample counts must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     lo, hi = _sample_ordered_pairs(f.n, samples, rng)
     vals_lo = f._value_many(lo)  # 0 <= lo <= hi <= 1 by construction
     vals_hi = f._value_many(hi)
@@ -515,7 +512,7 @@ def random_quadratic_dr(n: int, seed: int,
     """Seeded DR quadratic: nonpositive interactions; the non-monotone
     variant scales them until some gradient coordinate goes negative at the
     top vertex while every vertex value stays nonnegative."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     b = rng.uniform(0.6, 1.4, n)
     raw = -rng.uniform(0.2, 1.0, (n, n))
     a = (raw + raw.T) / 2.0
@@ -531,7 +528,7 @@ def random_weak_quadratic(n: int, seed: int) -> QuadraticOracle:
     and its sampled weak-DR ratio is below 1; a draw whose interactions
     all come out nonpositive is certified DR, which small n makes common
     (over seeds 0-199: 70 at n = 2, 7 at n = 3, 1 at n = 4, none at 5)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     b = rng.uniform(0.8, 1.6, n)
     raw = rng.uniform(-0.4, 0.5, (n, n))
     a = (raw + raw.T) / 2.0
@@ -545,5 +542,5 @@ def random_weak_quadratic(n: int, seed: int) -> QuadraticOracle:
 
 
 def random_sqrt_linear(n: int, seed: int) -> SqrtLinearOracle:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     return SqrtLinearOracle(rng.uniform(0.5, 1.5, n), shift=0.5)

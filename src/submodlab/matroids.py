@@ -360,7 +360,7 @@ def _heaviest(indep: bytes, pairs: list, base: int) -> int:
 
 
 def random_partition_matroid(n: int, seed: int) -> PartitionMatroid:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     num_blocks = int(rng.integers(2, max(3, n // 2 + 1))) if n > 2 else 1
     blocks = [[] for _ in range(num_blocks)]
     for u, j in enumerate(rng.integers(0, num_blocks, n).tolist()):
@@ -373,12 +373,13 @@ def random_partition_matroid(n: int, seed: int) -> PartitionMatroid:
 def random_partition_psystem(n: int, p: int, seed: int) -> PSystem:
     """Intersection of p seeded partition matroids, the j-th drawn from
     seed + 7 * (j + 1)."""
+    seed = _integer(seed, "seeds")
     return PSystem([random_partition_matroid(n, seed + 7 * (j + 1))
                     for j in range(p)])
 
 
 def random_graphic_matroid(n_edges: int, seed: int) -> GraphicMatroid:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     num_vertices = max(3, n_edges // 2 + 2)
     edges = []
     for _ in range(n_edges):

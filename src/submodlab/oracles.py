@@ -126,6 +126,14 @@ def _finite(values, what: str, ndim: int | None = None) -> np.ndarray:
     return v
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values``, in its layout, for an object to own:
+    no later write by the caller reaches it."""
+    out = np.array(values)
+    out.setflags(write=False)
+    return out
+
+
 def _allowance(magnitude):
     """The comparison allowance REL_TOL * magnitude of a value of that
     magnitude, elementwise for an array. It has no absolute floor, so an
@@ -255,7 +263,7 @@ class ModularOracle(SetFunctionOracle):
         if float(w.min()) < 0.0:
             raise ValueError("modular oracle weights must be nonnegative")
         super().__init__(w.size, monotone=True)
-        self.weights = w
+        self.weights = _frozen(w)
 
     def _build_table(self) -> np.ndarray:
         return _doubled(0.0, self.weights)
@@ -288,7 +296,7 @@ class CoverageOracle(SetFunctionOracle):
                         "cover refers to an unknown universe item")
                 mask |= 1 << i
             masks.append(mask)
-        self.universe_weights = w
+        self.universe_weights = _frozen(w)
         self._cover_masks = tuple(masks)
 
     @property
@@ -430,12 +438,14 @@ def clamp_ratio(best: float) -> float:
 @functools.lru_cache(maxsize=None)
 def _gamma_chunks(n: int, chunk: int) -> tuple:
     """The gamma sweep's chunks for ground-set size n: per complement size c
-    = n - |A| in ascending order, runs of at most max(1, chunk >> c)
+    = n - |A| in ascending order from 2, runs of at most max(1, chunk >> c)
     consecutive sets A of that size (ascending), each as (c, A masks,
-    (c, width) complement bits in ascending element order). Read-only."""
+    (c, width) complement bits in ascending element order). Read-only.
+    c = 1 needs no chunk: (A, {}) is always skipped, and (A, {u}) has the
+    ratio marg / marg = 1.0 exactly, which cannot lower or stop the sweep."""
     counts = popcounts(n)
     out = []
-    for c in range(1, n + 1):
+    for c in range(2, n + 1):
         group = np.nonzero(counts == n - c)[0]
         comp = np.nonzero(((group[:, None] >> np.arange(n)) & 1) == 0)[1]
         bits = 1 << comp.reshape(-1, c).T
@@ -450,11 +460,11 @@ def _gamma_chunks(n: int, chunk: int) -> tuple:
 
 
 def _gamma(f: SetFunctionOracle) -> float:
-    # Sweeps every A against all 2^c sets B of its complement, one chunk of
-    # _gamma_chunks at a time. A chunk holds one column per A and one row
-    # per B, B ascending; row 0 is A itself, and doubling over the
-    # complement bits builds S = A | B and the singleton sum side by side,
-    # one row per B. The ratios are a plain divide, with the skipped
+    # Sweeps every A with c >= 2 elements outside it against all 2^c sets B
+    # of its complement, one chunk of _gamma_chunks at a time. A chunk
+    # holds one column per A and one row per B, B ascending; row 0 is A
+    # itself, and doubling over the complement bits builds S = A | B and
+    # the singleton sum side by side, one row per B. The ratios are a plain divide, with the skipped
     # pairs (f(B|A) <= REL_TOL * scale) set to inf, and one flat min per
     # chunk. The sweep stops at the first chunk whose min is <= 0: gamma is
     # then max(0.0, min) = 0.0 whatever the later chunks hold.
@@ -535,7 +545,7 @@ def measure_ratios(f: SetFunctionOracle) -> RatioMeasurement:
 
 
 def random_modular(n: int, seed: int) -> ModularOracle:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     return ModularOracle(rng.uniform(0.2, 1.8, n))
 
 
@@ -576,7 +586,7 @@ def random_coverage(n: int, seed: int) -> CoverageOracle:
     module docstring): Floyd's sample takes v in [0, j] for j = m - size
     .. m - 1, or j if v is taken already, and the shuffle's draws in [0,
     i] for i = size - 1 .. 1 are taken and dropped."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     m = max(6, int(1.4 * n))
     weights = rng.uniform(0.25, 1.25, m)
     top = max(2, m // 3)
@@ -597,7 +607,7 @@ def random_coverage(n: int, seed: int) -> CoverageOracle:
 def random_cut(n: int, seed: int) -> CutOracle:
     if n < 2:
         raise ValueError("cut instances need n >= 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seeds"))
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -610,5 +620,6 @@ def random_cut(n: int, seed: int) -> CutOracle:
 
 def random_perturbed(n: int, delta: float, seed: int,
                      monotone: bool = False) -> PerturbedOracle:
+    seed = _integer(seed, "seeds")
     return PerturbedOracle(random_coverage(n, seed ^ 0x5EED), delta, seed,
                            monotone_noise=monotone)

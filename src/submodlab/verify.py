@@ -277,13 +277,12 @@ _PLANS: dict = {}  # _member_plan's entries, least recently used first
 def _member_plan(polytope: Polytope, resolution: float, total: int
                  ) -> tuple[_Cells, np.ndarray]:
     """``_member_cells`` of all ``total`` cells of a grid of at most
-    _GRID_BATCH cells, read-only, cached under the resolution and the
-    membership rule by value (the box ``upper`` and ``linear_rows``), so
-    that equal polytopes built apart share one entry. At most _GRID_PLANS
-    entries stay, the least recently used going first."""
-    rows, bounds = polytope.linear_rows()
-    key = (resolution, tuple(polytope.upper.tolist()),
-           tuple(rows.ravel().tolist()), tuple(bounds.tolist()))
+    _GRID_BATCH cells, read-only, cached under the resolution and the bytes
+    of the polytope's ``upper``, ``rows`` and ``bounds``, so that equal
+    polytopes built apart share one entry. At most _GRID_PLANS entries
+    stay, the least recently used going first."""
+    key = (resolution, polytope.upper.tobytes(), polytope.rows.tobytes(),
+           polytope.bounds.tobytes())
     plan = _PLANS.pop(key, None)
     if plan is None:
         plan = _member_cells(polytope, resolution, np.arange(total))
@@ -331,7 +330,7 @@ def _cell_bounds(f: ContinuousOracle, polytope: Polytope, reps: np.ndarray,
     g = f._grad_many(reps)  # grid points min(1, resolution * i): in the cube
     gain = np.maximum(g * lo, g * hi).sum(axis=1)
     size_g = (np.abs(g) * reach).sum(axis=1)
-    for m, c in zip(*polytope.linear_rows()):
+    for m, c in zip(polytope.rows, polytope.bounds):
         at_rep = reps @ m
         size_row = abs(c) + at_rep + reach @ m
         for i in np.flatnonzero(m > 0.0):

@@ -22,6 +22,7 @@ from submodlab.matroids import (GraphicMatroid, Matroid, PartitionMatroid,
 from submodlab.oracles import (BUDGET, CEIL_GUARD, REL_TOL, CapabilityError,
                                CoverageOracle, SetFunctionOracle, elements_of,
                                mask_of)
+from submodlab.serialization import CODECS
 from submodlab.verify import OptimumCertificate
 
 AXIOM_LIMIT = 10  # exhaustive axiom checks
@@ -164,12 +165,42 @@ def in_cube_ref(x):
     return np.clip(x, 0.0, 1.0)
 
 
+def polytope_rows_ref(family, args):
+    """Reference for a polytope's ``upper``, ``rows`` and ``bounds``, built
+    from its family's constructor arguments ``args`` (``upper``; ``n``,
+    ``k``; ``blocks``, ``caps``; or ``costs``, ``budget``): one 0/1 row
+    per block with its cap as the limit, or the cost row with the budget,
+    each bound a limit c plus REL_TOL * c in Python floats."""
+    if family == "box":
+        upper = np.array(args[0], dtype=float)
+        return upper, np.zeros((0, upper.size)), np.zeros(0)
+    if family == "knapsack":
+        rows, limits = [[float(c) for c in args[0]]], [float(args[1])]
+    else:
+        blocks, caps = ([range(args[0])], [args[1]]) \
+            if family == "cardinality" else args
+        n = sum(len(b) for b in blocks)
+        rows = [[1.0 if u in set(b) else 0.0 for u in range(n)]
+                for b in blocks]
+        limits = [float(c) for c in caps]
+    return (np.ones(len(rows[0])), np.array(rows),
+            np.array([c + REL_TOL * c for c in limits]))
+
+
+def polytope_rows_of(polytope):
+    """``polytope_rows_ref`` of the constructor arguments that ``polytope``
+    keeps, those its document stores."""
+    return polytope_rows_ref(polytope.family, [
+        getattr(polytope, name) for name in CODECS[type(polytope)][1]])
+
+
 def member_many_ref(polytope, points):
     """Reference for ``Polytope.member_many`` on an (m, n) float array: the
-    box tested by a reduction along each row, then each linear row."""
-    ok = ((points >= -REL_TOL)
-          & (points <= polytope.upper + REL_TOL)).all(axis=1)
-    for row, bound in zip(*polytope.linear_rows()):
+    box of ``polytope_rows_of`` tested by a reduction along each row, then
+    each of its linear rows."""
+    upper, rows, bounds = polytope_rows_of(polytope)
+    ok = ((points >= -REL_TOL) & (points <= upper + REL_TOL)).all(axis=1)
+    for row, bound in zip(rows, bounds):
         ok &= points @ row <= bound
     return ok
 
@@ -836,13 +867,13 @@ _MEMBER_BLOCKS = {}  # one entry: the last membership rule's member blocks
 def _grid_member_blocks(polytope, resolution):
     """The grid members of ``grid_opt_ref``, one array per row-major chunk
     of 200,000 grid points that holds any. They are built once per
-    membership rule, keyed by value (the box and the linear rows that
-    ``member_many`` reads), and the last rule alone is kept, so a caller
+    membership rule, keyed by value (the box, rows and bounds of
+    ``polytope_rows_of``), and the last rule alone is kept, so a caller
     that walks its instances grouped by polytope builds each once."""
     n = polytope.n
-    rows, bounds = polytope.linear_rows()
-    key = (n, resolution, polytope.upper.tobytes(), rows.shape,
-           rows.tobytes(), bounds.tobytes())
+    upper, rows, bounds = polytope_rows_of(polytope)
+    key = (n, resolution, upper.tobytes(), rows.shape, rows.tobytes(),
+           bounds.tobytes())
     if key in _MEMBER_BLOCKS:
         return _MEMBER_BLOCKS[key]
     _MEMBER_BLOCKS.clear()

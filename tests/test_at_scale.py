@@ -257,7 +257,7 @@ def test_pool_membership_is_the_row_wise_rule(continuous_pool):
                     pts = base.copy()
                     pts[:, j] = face + d
                     faces.append(pts)
-        for row, _ in zip(*poly.linear_rows()):
+        for row in poly.rows:
             edge = poly.lmo(row)
             j = int(np.flatnonzero((edge < 1.0) & (row > 0.0))[0])
             for d in offsets:

@@ -1,3 +1,4 @@
+import copy
 from unittest import mock
 
 import numpy as np
@@ -13,10 +14,12 @@ from submodlab.continuous import (BoxPolytope, CardinalityPolytope,
                                   random_sqrt_linear, random_weak_quadratic,
                                   unit_box, weak_dr_gamma)
 from submodlab.oracles import REL_TOL, _allowance, subset_bits
+from submodlab.serialization import to_doc
 
 from helpers import (dr_check, grad_check, grid_polytope, in_cube_ref,
                      kernel_bits_differ, knapsack_diameter_ref,
-                     quadratic_vertex_values_ref, weak_dr_gamma_ref)
+                     polytope_rows_ref, quadratic_vertex_values_ref,
+                     weak_dr_gamma_ref)
 
 POLYTOPE_FAMILIES = [
     unit_box(4),
@@ -220,8 +223,87 @@ def test_cardinality_is_a_one_block_partition(n, data, seed):
     for c in np.round(rng.normal(size=(20, n)), 1):
         assert np.array_equal(card.lmo(c), part.lmo(c))
     assert card.diameter == part.diameter
-    for got, want in zip(card.linear_rows(), part.linear_rows()):
+    for name in ("upper", "rows", "bounds"):
+        got, want = getattr(card, name), getattr(part, name)
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+POLYTOPE_ARGUMENTS = [
+    ("box", (np.array([1.0, 0.5, 0.0, 0.8]),)),
+    ("cardinality", (4, 2)),
+    ("partition", ([np.array([3, 0]), [2, 1]], np.array([1, 2]))),
+    ("knapsack", (np.array([1.0, 2.0, 0.5, 1.5]), 2.5)),
+]
+POLYTOPES = {"box": BoxPolytope, "cardinality": CardinalityPolytope,
+             "partition": PartitionPolytope, "knapsack": KnapsackPolytope}
+
+
+@pytest.mark.parametrize("family, args", POLYTOPE_ARGUMENTS,
+                         ids=[family for family, _ in POLYTOPE_ARGUMENTS])
+def test_polytope_rows_are_read_only_and_built_from_the_arguments(family,
+                                                                  args):
+    poly = POLYTOPES[family](*args)
+    for name, want in zip(("upper", "rows", "bounds"),
+                          polytope_rows_ref(family, args)):
+        got = getattr(poly, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[...] = 0.0
+
+
+@pytest.mark.parametrize("family, args", POLYTOPE_ARGUMENTS,
+                         ids=[family for family, _ in POLYTOPE_ARGUMENTS])
+def test_polytopes_own_their_arrays(family, args):
+    # BoxPolytope(u) kept u itself: u[1] = 5.0 moved its box and left
+    # its diameter as it was
+    args = copy.deepcopy(args)
+    poly = POLYTOPES[family](*args)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, (200, 4))
+    objectives = rng.normal(size=(20, 4))
+    before = (poly.member_many(pts), [poly.lmo(c) for c in objectives],
+              poly.diameter, to_doc(poly),
+              [getattr(poly, a).tobytes() for a in ("upper", "rows",
+                                                    "bounds")])
+    for arg in args:
+        for part in (arg if isinstance(arg, list) else [arg]):
+            if isinstance(part, np.ndarray):
+                part[...] = 5 if part.dtype.kind == "i" else 5.0
+            elif isinstance(part, list):
+                part[:] = [0] * len(part)
+    after = (poly.member_many(pts), [poly.lmo(c) for c in objectives],
+             poly.diameter, to_doc(poly),
+             [getattr(poly, a).tobytes() for a in ("upper", "rows",
+                                                   "bounds")])
+    assert np.array_equal(after[0], before[0])
+    assert all(np.array_equal(a, b) for a, b in zip(after[1], before[1]))
+    assert after[2:] == before[2:]
+
+
+@pytest.mark.parametrize("build, arrays", [
+    (lambda b, a: QuadraticOracle(b, a), "b a"),
+    (lambda b, a: SqrtLinearOracle(b), "b"),
+], ids=["quadratic", "sqrt-linear"])
+def test_continuous_oracles_own_their_arrays(build, arrays):
+    # a certified-DR quadratic kept dr = True and its old smoothness
+    # after a[0, 1] = 3.0
+    b = np.array([1.0, 0.5, 0.8])
+    a = -np.array([[0.2, 0.1, 0.3], [0.1, 0.1, 0.2], [0.3, 0.2, 0.4]])
+    f = build(b, a)
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, (30, 3))
+
+    def seen():
+        return (f.value_many(pts).tobytes(), f.grad_many(pts).tobytes(),
+                f.value(pts[0]), f.grad(pts[0]).tobytes(), f.monotone,
+                f.dr, f.smoothness, f.value_lipschitz, to_doc(f))
+
+    before = seen()
+    b[:] = 9.0
+    a[0, 1] = 3.0
+    assert seen() == before
+    for name in arrays.split():
+        assert not getattr(f, name).flags.writeable
 
 
 NON_INTEGERS = [2.5, 2.0, True, np.True_, "2"]
@@ -281,6 +363,21 @@ def test_masked_update_is_the_array_formula(n, seed, step):
     s[rng.uniform(size=n) < 0.3] = 0.0
     want = np.minimum(1.0, y + step * (1.0 - y) * s)
     assert masked_update(y, s, step).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("step", [True, np.True_, "0.5", [0.5],
+                                  np.array([0.5]), None, np.nan], ids=repr)
+def test_masked_update_reads_one_finite_step(step):
+    # True ran as step 1.0, and "0.5" or [0.5] raised TypeError
+    with pytest.raises(ValueError, match="^step"):
+        masked_update(np.zeros(2), np.ones(2), step)
+
+
+def test_masked_update_takes_an_integer_step_as_its_float():
+    y, s = np.array([0.25, 0.5]), np.array([1.0, 0.5])
+    for step in (1, np.int64(1), np.float64(1.0)):
+        assert masked_update(y, s, step).tobytes() \
+            == masked_update(y, s, 1.0).tobytes()
 
 
 def test_masked_update_rejects_bad_inputs():

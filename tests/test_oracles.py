@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submodlab import oracles
+from submodlab import continuous, matroids, oracles
 from submodlab.matroids import UniformMatroid
 from submodlab.oracles import (CoverageOracle, CutOracle, ModularOracle,
                                PerturbedOracle, elements_of, mask_of,
                                measure_ratios, random_coverage, random_cut,
                                random_modular, random_perturbed)
-from submodlab.serialization import from_doc, to_doc
+from submodlab.serialization import canonical_json, from_doc, to_doc
 from submodlab.verify import (audit_problem4, brute_force_opt_set,
                               dummy_greedy_expectation)
 
@@ -538,7 +538,10 @@ def _counted_sweeps():
 
 
 def test_gamma_sweep_stops_at_the_floor_and_sweeps_fully_above_it():
-    full = 3 ** 10 - 1  # every A != N with each B outside it, B = {} too
+    # every A with two or more elements outside it, with each B outside it,
+    # B = {} too: the 2n pairs of an A that leaves one element out give
+    # the ratio 1.0 or a skip, so they have no chunk
+    full = 3 ** 10 - 1 - 20
     with _counted_sweeps() as calls:
         audit_problem4(3, 0, n=10, k=6)
         assert len(calls) == 3
@@ -782,3 +785,67 @@ def test_sweep_is_the_extreme_over_subsets_or_supersets(values, case):
     got = tab.copy()
     oracles._sweep(got, op, upward)
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_gamma_sweep_has_no_chunk_for_one_element_complements():
+    # (A, {}) is always skipped and (A, {u}) has the ratio marg / marg =
+    # 1.0, so at n = 1 there is nothing to sweep and gamma reads 1.0
+    assert oracles._gamma_chunks(1, oracles._GAMMA_CHUNK) == ()
+    assert {c for c, _, _ in oracles._gamma_chunks(6, 8)} == {2, 3, 4, 5, 6}
+    for values in ([0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [2.0, 2.0]):
+        assert oracles._gamma(TableOracle(values)) == gamma_loop(
+            TableOracle(values))[0] == 1.0
+
+
+def test_set_function_oracles_own_their_arrays():
+    # a caller's write after construction reaches neither the table nor
+    # the document: the modular weights are written after the table was
+    # built (the document saved weights [7, 2] beside the table [0, 1, 2,
+    # 3] and reloaded as [0, 7, 2, 9]), the coverage weights before
+    weights = np.array([1.0, 2.0])
+    modular = ModularOracle(weights)
+    assert modular.table().tolist() == [0.0, 1.0, 2.0, 3.0]
+    universe = np.array([0.5, 1.0, 0.25])
+    coverage = CoverageOracle(2, [[0, 1], [1, 2]], universe)
+    docs = [to_doc(f) for f in (modular, coverage)]
+    weights[0] = 7.0
+    universe[:] = 9.0
+    assert modular.table().tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert coverage.table().tolist() == [0.0, 1.5, 1.25, 1.75]
+    assert [to_doc(f) for f in (modular, coverage)] == docs
+    assert from_doc(to_doc(modular)).table().tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert not modular.weights.flags.writeable
+    assert not coverage.universe_weights.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: oracles.random_modular(5, seed),
+    lambda seed: oracles.random_coverage(5, seed),
+    lambda seed: oracles.random_cut(5, seed),
+    lambda seed: oracles.random_perturbed(5, 0.3, seed),
+    lambda seed: continuous.random_quadratic_dr(3, seed),
+    lambda seed: continuous.random_weak_quadratic(3, seed),
+    lambda seed: continuous.random_sqrt_linear(3, seed),
+    lambda seed: matroids.random_partition_matroid(6, seed),
+    lambda seed: matroids.random_partition_psystem(6, 2, seed),
+    lambda seed: matroids.random_graphic_matroid(6, seed),
+], ids=["modular", "coverage", "cut", "perturbed", "quadratic-dr",
+        "weak-quadratic", "sqrt-linear", "partition-matroid",
+        "partition-psystem", "graphic-matroid"])
+def test_seeded_generators_read_integer_seeds(make):
+    # random_coverage(4, True) built seed 1's instance and 2.0 raised
+    # TypeError; a numpy int draws the bits of the same Python int
+    for bad in (True, np.True_, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="^seeds must be integers"):
+            make(bad)
+    assert canonical_json(to_doc(make(np.int64(3)))) \
+        == canonical_json(to_doc(make(3)))
+
+
+def test_weak_dr_gamma_reads_an_integer_seed():
+    f = continuous.random_weak_quadratic(3, 7)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^seeds must be integers"):
+            continuous.weak_dr_gamma(f, 100, bad)
+    assert continuous.weak_dr_gamma(f, 100, np.int64(2)) \
+        == continuous.weak_dr_gamma(f, 100, 2)
